@@ -156,6 +156,7 @@ func Open(opts Options) (*DB, error) {
 	reg := stats.NewRegistry()
 	if opts.Dir != "" {
 		if err := mgr.Recover(); err != nil {
+			_ = mgr.Disk.Close() // the failed open must not keep the log's file handle
 			return nil, fmt.Errorf("qpipe: recovering %q: %w", opts.Dir, err)
 		}
 		// Recovered tables get empty stats (persisting them is out of scope);
@@ -183,6 +184,9 @@ func (db *DB) Close() {
 	db.eng.Close()
 	if db.durable {
 		_ = db.mgr.Checkpoint()
+		// Release the log's backing-file handle; everything it wrote was
+		// fsynced by the flush that wrote it.
+		_ = db.mgr.Disk.Close()
 	}
 }
 

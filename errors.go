@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"qpipe/internal/core"
+	"qpipe/internal/storage/sm"
 )
 
 // OverloadedError is returned by Run/Query when the engine is at its
@@ -174,6 +175,13 @@ func (e *TxStateError) Error() string {
 	}
 	return fmt.Sprintf("qpipe: %s: no transaction is open on this session", e.Stmt)
 }
+
+// CommitRejectedError reports a COMMIT (or autocommitted statement) refused
+// before its commit point because its writes cannot be applied — typically
+// an UPDATE that grows rows beyond what their heap page can hold. Nothing
+// was logged and nothing changed; the transaction is over, as after
+// ROLLBACK. Over the wire it arrives as a *StatementError for "COMMIT".
+type CommitRejectedError = sm.CommitRejectedError
 
 // TxConflictError reports a read that would self-deadlock: a SELECT inside
 // an open transaction over a table that transaction has written. The

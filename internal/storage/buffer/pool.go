@@ -179,6 +179,22 @@ func (p *Pool) Contains(id PageID) bool {
 	return ok
 }
 
+// FlushPage writes the page back if it is resident and dirty (it stays
+// resident).
+func (p *Pool) FlushPage(id PageID) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[id]
+	if !ok || !f.dirty {
+		return nil
+	}
+	if err := p.d.Write(id.File, id.Block, f.data); err != nil {
+		return err
+	}
+	f.dirty = false
+	return nil
+}
+
 // Flush writes back all dirty pages (pool remains warm).
 func (p *Pool) Flush() error {
 	p.mu.Lock()

@@ -134,7 +134,9 @@ func TestFlushAndInvalidate(t *testing.T) {
 
 func TestConcurrentPinUnpin(t *testing.T) {
 	d := newDisk(t, "f", 16)
-	p := NewPool(d, 4, NewLRU())
+	// One frame per goroutine: each holds one pin at a time, so a smaller
+	// pool can legitimately find every frame pinned and fail the Pin.
+	p := NewPool(d, 8, NewLRU())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

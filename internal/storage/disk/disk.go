@@ -34,10 +34,10 @@ type Config struct {
 	// 4-disk RAID-0 array — Spindles=4). Default 4.
 	Spindles int
 	// BackingDir, when non-empty, mirrors durable state to real OS files in
-	// that directory (written and fsynced by Sync), and New loads any
-	// existing files from it. This is what lets a kill -9'd process be
-	// recovered by a fresh one; the in-memory durable/volatile model works
-	// without it. See durable.go.
+	// that directory (written and fsynced by Sync and SyncInPlace), and Open
+	// loads any existing files from it. This is what lets a kill -9'd
+	// process be recovered by a fresh one; the in-memory durable/volatile
+	// model works without it. See durable.go.
 	BackingDir string
 }
 
@@ -266,6 +266,15 @@ type file struct {
 	durableLen    int64
 	durableExists bool
 	saved         map[int64][]byte
+	// Backing-file state (Config.BackingDir only). persistMu serializes the
+	// syncs of this file from snapshot through fsync, so two of them cannot
+	// land their block images out of order, and guards the fields below.
+	// Lock order: Disk.mu, persistMu, mu.
+	persistMu sync.Mutex
+	fh        *os.File // handle SyncInPlace keeps open
+	pbuf      []byte   // SyncInPlace's block images, reused
+	backed    int64    // blocks the backing file holds; -1 = none, or unknown: the next sync writes every block
+	retired   bool     // removed or created over: a late sync must not re-create the backing file
 	// lastRead tracks the most recent block read for sequential detection.
 	lastRead atomic.Int64
 	reads    atomic.Int64
@@ -317,13 +326,33 @@ func (d *Disk) SetLatency(seq, rand, write time.Duration) {
 // BlockSize returns the device block size in bytes.
 func (d *Disk) BlockSize() int { return d.cfg.BlockSize }
 
-// Create makes an empty file, replacing any existing file of the same name.
+// Create makes an empty file, replacing any existing file of the same name
+// (whose removal is durable immediately, as in Remove).
 func (d *Disk) Create(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f := &file{}
+	d.dropLocked(name)
+	d.files[name] = newFile()
+}
+
+// dropLocked forgets a file and, with a backing directory, releases its
+// handle and deletes its backing file. Caller holds d.mu.
+func (d *Disk) dropLocked(name string) {
+	f, ok := d.files[name]
+	if !ok {
+		return
+	}
+	delete(d.files, name)
+	if d.cfg.BackingDir != "" {
+		f.retire()
+		os.Remove(d.backingPath(name))
+	}
+}
+
+func newFile() *file {
+	f := &file{backed: -1}
 	f.lastRead.Store(-2)
-	d.files[name] = f
+	return f
 }
 
 // Exists reports whether the named file exists.
@@ -356,10 +385,7 @@ func (d *Disk) FilesWithPrefix(prefix string) []string {
 func (d *Disk) Remove(name string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	delete(d.files, name)
-	if d.cfg.BackingDir != "" {
-		os.Remove(d.backingPath(name))
-	}
+	d.dropLocked(name)
 }
 
 func (d *Disk) get(name string) (*file, error) {
@@ -426,9 +452,7 @@ func (d *Disk) Write(name string, blockNo int64, buf []byte) error {
 	}
 	f.markOverwriteLocked(blockNo)
 	copy(f.blocks[blockNo], buf)
-	for i := len(buf); i < d.cfg.BlockSize; i++ {
-		f.blocks[blockNo][i] = 0
-	}
+	clear(f.blocks[blockNo][len(buf):])
 	f.mu.Unlock()
 	d.writes.Add(1)
 	d.charge(time.Duration(d.writeLat.Load()))

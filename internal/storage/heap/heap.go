@@ -41,6 +41,9 @@ type File struct {
 	npages   int64
 	lastPage *page.Page // write buffer for bulk loading (not yet flushed)
 	encBuf   []byte     // encode scratch reused across Appends (guarded by mu)
+	// tailOpen: block npages-1 is on the device, flushed by Sync, and still
+	// takes appends that fit (through the buffer pool).
+	tailOpen bool
 }
 
 // Create makes a new empty heap file on the pool's disk.
@@ -49,7 +52,8 @@ func Create(pool *buffer.Pool, name string, schema *tuple.Schema) *File {
 	return &File{Name: name, Schema: schema, pool: pool}
 }
 
-// Open binds to an existing heap file.
+// Open binds to an existing heap file. Its tail starts sealed: the first
+// append begins a new page.
 func Open(pool *buffer.Pool, name string, schema *tuple.Schema) (*File, error) {
 	if !pool.Disk().Exists(name) {
 		return nil, fmt.Errorf("heap: no such file %q", name)
@@ -72,15 +76,30 @@ func (f *File) NumPages() int64 {
 	return f.npages
 }
 
-// Append inserts a tuple at the end of the file (bulk-load path; goes
-// straight to disk, bypassing the pool, like a real bulk loader would).
-// Returns the tuple's RID. The encode scratch is reused across calls, so
-// bulk loads (TPC-H/Wisconsin generators) pay no per-row allocation here.
+// Append inserts a tuple at the end of the file and returns its RID. While
+// the tail page a Sync put on the device is open and has room, the tuple
+// goes into that page through the buffer pool (Pin, page.Insert, MarkDirty
+// — the ReplaceAt/DeleteAt discipline; the caller holds the table X lock),
+// so small commits share a page instead of taking one each. Otherwise it
+// goes into a private page that is written straight to disk when full,
+// bypassing the pool like a real bulk loader would. The encode scratch is
+// reused across calls, so bulk loads (TPC-H/Wisconsin generators) pay no
+// per-row allocation here.
 func (f *File) Append(t tuple.Tuple) (RID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.encBuf = t.Encode(f.encBuf[:0])
 	enc := f.encBuf
+	if f.tailOpen {
+		slot, ok, err := f.insertIntoTailLocked(enc)
+		if err != nil {
+			return RID{}, err
+		}
+		if ok {
+			return RID{Page: f.npages - 1, Slot: slot}, nil
+		}
+		f.tailOpen = false // full: never reopened, later rows start a new page
+	}
 	if f.lastPage != nil && !f.lastPage.HasRoomFor(len(enc)) {
 		if err := f.flushLastLocked(); err != nil {
 			return RID{}, err
@@ -96,6 +115,26 @@ func (f *File) Append(t tuple.Tuple) (RID, error) {
 	return RID{Page: f.npages, Slot: slot}, nil
 }
 
+// insertIntoTailLocked inserts an encoded tuple into the open tail page,
+// reporting ok=false when it does not fit.
+func (f *File) insertIntoTailLocked(enc []byte) (slot int, ok bool, err error) {
+	id := buffer.PageID{File: f.Name, Block: f.npages - 1}
+	raw, err := f.pool.Pin(id)
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.pool.Unpin(id)
+	p := page.FromBytes(raw)
+	if !p.HasRoomFor(len(enc)) {
+		return 0, false, nil
+	}
+	if slot, err = p.Insert(enc); err != nil {
+		return 0, false, err
+	}
+	f.pool.MarkDirty(id)
+	return slot, true, nil
+}
+
 func (f *File) flushLastLocked() error {
 	if f.lastPage == nil {
 		return nil
@@ -108,12 +147,42 @@ func (f *File) flushLastLocked() error {
 	return nil
 }
 
-// Sync flushes the partially-filled tail page, making all appended tuples
-// visible to scans.
+// Sync puts every appended tuple on the device, making it visible to scans
+// through any pool over that device. The tail page stays open: later
+// appends that fit go into the same block (see Append). Durability of those
+// rows is the WAL's business; what recovery needs from the heap is that no
+// block counted by a checkpoint takes an insert afterwards, and Seal (called
+// by the checkpoint) provides that.
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.flushLastLocked()
+	return f.syncLocked()
+}
+
+func (f *File) syncLocked() error {
+	if f.lastPage != nil {
+		if err := f.flushLastLocked(); err != nil {
+			return err
+		}
+		f.tailOpen = true
+		return nil
+	}
+	if f.tailOpen {
+		// Write through what the pool holds of the tail (a no-op when it is
+		// clean), so the device — and any other pool over it — has the rows.
+		return f.pool.FlushPage(buffer.PageID{File: f.Name, Block: f.npages - 1})
+	}
+	return nil
+}
+
+// Seal is Sync, after which the tail page takes no more appends: the next
+// one starts a new block.
+func (f *File) Seal() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := f.syncLocked()
+	f.tailOpen = false
+	return err
 }
 
 // ReadPage pins page pno and decodes all its tuples. The page is unpinned
@@ -155,7 +224,7 @@ func (f *File) ReadTuple(rid RID) (tuple.Tuple, error) {
 // update). The page is mutated through the buffer pool and marked dirty;
 // durability comes from the WAL, not from an immediate disk write. Only
 // flushed pages can be mutated — the storage manager syncs tails at commit,
-// so every committed row lives in a flushed page.
+// so every committed row lives in a flushed page (possibly the open tail).
 func (f *File) ReplaceAt(rid RID, t tuple.Tuple) error {
 	if err := f.checkFlushed(rid); err != nil {
 		return err
@@ -192,6 +261,22 @@ func (f *File) DeleteAt(rid RID) error {
 	}
 	f.pool.MarkDirty(id)
 	return nil
+}
+
+// CheckMutations reports, without changing anything, whether DeleteAt for
+// each slot of deletes and then ReplaceAt for each of updates, in order,
+// would succeed on page pno (see page.CheckMutations).
+func (f *File) CheckMutations(pno int64, deletes []int, updates []page.Replacement) error {
+	if err := f.checkFlushed(RID{Page: pno}); err != nil {
+		return err
+	}
+	id := buffer.PageID{File: f.Name, Block: pno}
+	raw, err := f.pool.Pin(id)
+	if err != nil {
+		return err
+	}
+	defer f.pool.Unpin(id)
+	return page.FromBytes(raw).CheckMutations(deletes, updates)
 }
 
 func (f *File) checkFlushed(rid RID) error {

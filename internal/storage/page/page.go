@@ -124,21 +124,75 @@ func (p *Page) DeleteAt(i int) error {
 	return nil
 }
 
+// MaxPayload is the largest payload a page of the given size can hold.
+func MaxPayload(size int) int { return size - headerSize - slotSize }
+
+// repackBytes returns what a repack of the page needs: the header, the slot
+// directory and every live payload (a tombstone's length is zero).
+func (p *Page) repackBytes() int {
+	n := p.NumSlots()
+	need := headerSize + n*slotSize
+	for s := 0; s < n; s++ {
+		_, ln := p.slot(s)
+		need += int(ln)
+	}
+	return need
+}
+
+// checkReplace is ReplaceAt's precondition: slot i is live and the page,
+// repacked from need bytes with slot i's payload n bytes long, still fits.
+// It returns the bytes the repacked page would need.
+func (p *Page) checkReplace(i, n, need int) (int, error) {
+	if i < 0 || i >= p.NumSlots() {
+		return 0, fmt.Errorf("page: slot %d out of range [0,%d)", i, p.NumSlots())
+	}
+	if p.Tombstone(i) {
+		return 0, fmt.Errorf("page: slot %d is deleted", i)
+	}
+	_, old := p.slot(i)
+	need += n - int(old)
+	if need > len(p.buf) {
+		return 0, fmt.Errorf("page: replacement of %d bytes in slot %d does not fit (need %d, page %d)", n, i, need, len(p.buf))
+	}
+	return need, nil
+}
+
+// Replacement names a slot and the length of the payload an update gives it.
+type Replacement struct{ Slot, Len int }
+
+// CheckMutations reports, without modifying the page, whether DeleteAt for
+// each slot of deletes followed by ReplaceAt for each of updates, in order,
+// would all succeed — the same arithmetic, step by step, so a nil result is
+// a promise. The storage manager asks before it logs a commit.
+func (p *Page) CheckMutations(deletes []int, updates []Replacement) error {
+	need := p.repackBytes()
+	for _, s := range deletes {
+		if s < 0 || s >= p.NumSlots() {
+			return fmt.Errorf("page: slot %d out of range [0,%d)", s, p.NumSlots())
+		}
+		_, ln := p.slot(s)
+		need -= int(ln)
+	}
+	for _, u := range updates {
+		var err error
+		if need, err = p.checkReplace(u.Slot, u.Len, need); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReplaceAt overwrites slot i's payload, repacking the whole page: live
 // payloads (with slot i's replaced) are rewritten from the back, slot
 // numbers preserved, tombstones kept as tombstones and their dead space
 // reclaimed. Fails without modifying the page if the new payload does not
 // fit.
 func (p *Page) ReplaceAt(i int, payload []byte) error {
+	if _, err := p.checkReplace(i, len(payload), p.repackBytes()); err != nil {
+		return err
+	}
 	n := p.NumSlots()
-	if i < 0 || i >= n {
-		return fmt.Errorf("page: slot %d out of range [0,%d)", i, n)
-	}
-	if p.Tombstone(i) {
-		return fmt.Errorf("page: slot %d is deleted", i)
-	}
 	payloads := make([][]byte, n)
-	need := headerSize + n*slotSize
 	for s := 0; s < n; s++ {
 		if p.Tombstone(s) {
 			continue
@@ -154,10 +208,6 @@ func (p *Page) ReplaceAt(i int, payload []byte) error {
 			// slices alias.
 			payloads[s] = append([]byte(nil), raw...)
 		}
-		need += len(payloads[s])
-	}
-	if need > len(p.buf) {
-		return fmt.Errorf("page: replacement of %d bytes does not fit (need %d, page %d)", len(payload), need, len(p.buf))
 	}
 	off := uint16(len(p.buf))
 	for s := 0; s < n; s++ {

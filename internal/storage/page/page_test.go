@@ -1,6 +1,7 @@
 package page
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -181,5 +182,62 @@ func TestInsertTupleScratch(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("InsertTupleScratch steady state: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestCheckMutationsPredictsApply: over seeded pages and mutation sets,
+// CheckMutations returns nil exactly when DeleteAt for every delete followed
+// by ReplaceAt for every update, in order, succeeds — and it never touches
+// the page.
+func TestCheckMutationsPredictsApply(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := New(256)
+		for p.HasRoomFor(24) && rng.Intn(12) > 0 {
+			p.Insert(bytes.Repeat([]byte{'r'}, 4+rng.Intn(20)))
+		}
+		n := p.NumSlots()
+		if n == 0 {
+			continue
+		}
+		for i := 0; i < n/4; i++ { // some earlier deletions
+			p.DeleteAt(rng.Intn(n))
+		}
+		var deletes []int
+		var updates []Replacement
+		taken := make(map[int]bool)
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			s := rng.Intn(n + 1) // n itself: out of range
+			if taken[s] {
+				continue
+			}
+			taken[s] = true
+			if rng.Intn(3) == 0 {
+				deletes = append(deletes, s)
+			} else {
+				updates = append(updates, Replacement{Slot: s, Len: rng.Intn(80)})
+			}
+		}
+		before := append([]byte(nil), p.Bytes()...)
+		checkErr := p.CheckMutations(deletes, updates)
+		if !bytes.Equal(before, p.Bytes()) {
+			t.Fatalf("seed %d: CheckMutations modified the page", seed)
+		}
+		var applyErr error
+		for _, s := range deletes {
+			if err := p.DeleteAt(s); err != nil && applyErr == nil {
+				applyErr = err
+			}
+		}
+		for _, u := range updates {
+			if applyErr != nil {
+				break
+			}
+			applyErr = p.ReplaceAt(u.Slot, bytes.Repeat([]byte{'u'}, u.Len))
+		}
+		if (checkErr == nil) != (applyErr == nil) {
+			t.Fatalf("seed %d: CheckMutations said %v, applying said %v (deletes %v, updates %v)",
+				seed, checkErr, applyErr, deletes, updates)
+		}
 	}
 }

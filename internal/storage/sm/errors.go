@@ -32,3 +32,21 @@ type TornScanError struct {
 func (e *TornScanError) Error() string {
 	return fmt.Sprintf("sm: torn scan of %q: commit seq moved %d -> %d mid-scan", e.Table, e.Start, e.End)
 }
+
+// CommitRejectedError reports that Commit refused a transaction before its
+// commit point: applying the staged writes to the named heap page would
+// fail (an UPDATE grew rows past what the page can hold, a row is larger
+// than a page, a RID is stale). Nothing was logged and nothing was applied;
+// the transaction is over and its locks are released, exactly as after
+// Rollback.
+type CommitRejectedError struct {
+	Table string
+	Page  int64 // heap page the writes do not fit; -1 for an oversized insert
+	Err   error
+}
+
+func (e *CommitRejectedError) Error() string {
+	return fmt.Sprintf("sm: commit refused, nothing written: table %q page %d: %v", e.Table, e.Page, e.Err)
+}
+
+func (e *CommitRejectedError) Unwrap() error { return e.Err }

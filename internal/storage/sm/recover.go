@@ -1,7 +1,8 @@
 // Checkpoint and crash recovery.
 //
-// A checkpoint makes the committed state durable (buffer pool flushed, every
-// heap file fsynced) and then writes a catalog snapshot — table schemas,
+// A checkpoint makes the committed state durable (every heap's tail page
+// sealed, buffer pool flushed, every heap file fsynced) and then writes a
+// catalog snapshot — table schemas,
 // index definitions, and each heap file's exact block count — into the WAL.
 // Recovery inverts it:
 //
@@ -39,24 +40,40 @@ func (m *Manager) Checkpoint() error {
 	}
 	m.gate.Lock() // exclude commits: no batch may straddle the snapshot
 	defer m.gate.Unlock()
-	if err := m.Pool.Flush(); err != nil {
+	payload, err := m.snapshotLocked()
+	if err != nil {
 		return err
 	}
+	return m.wal.Checkpoint(payload)
+}
+
+// snapshotLocked makes every heap durable and returns the catalog snapshot
+// that describes it. Caller holds the apply gate exclusively. Tails are
+// sealed first: recovery truncates each heap to the block count snapshotted
+// here and redoes the inserts logged after it, which reproduces their RIDs
+// only if no block below that count takes an insert after this point.
+func (m *Manager) snapshotLocked() ([]byte, error) {
 	m.mu.RLock()
+	defer m.mu.RUnlock()
 	names := make([]string, 0, len(m.tables))
 	for n := range m.tables {
 		names = append(names, n)
 	}
 	sortStrings(names)
 	for _, n := range names {
-		if err := m.Disk.Sync("tbl:" + n); err != nil {
-			m.mu.RUnlock()
-			return err
+		if err := m.tables[n].Heap.Seal(); err != nil {
+			return nil, err
 		}
 	}
-	payload := m.encodeCatalogLocked(names)
-	m.mu.RUnlock()
-	return m.wal.Checkpoint(payload)
+	if err := m.Pool.Flush(); err != nil {
+		return nil, err
+	}
+	for _, n := range names {
+		if err := m.Disk.Sync("tbl:" + n); err != nil {
+			return nil, err
+		}
+	}
+	return m.encodeCatalogLocked(names), nil
 }
 
 // encodeCatalogLocked serializes the catalog snapshot. Caller holds m.mu

@@ -19,6 +19,7 @@ import (
 
 	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/lock"
+	"qpipe/internal/storage/page"
 	"qpipe/internal/storage/wal"
 	"qpipe/internal/tuple"
 )
@@ -214,10 +215,13 @@ func (tx *Tx) release() {
 
 // Commit logs the transaction's net effect as one atomic WAL batch, flushes
 // it (the commit point), then applies it to the heap and indexes. Table X
-// locks are held throughout, so per-table log order equals apply order. A
-// WAL error aborts cleanly (nothing applied); an apply error after the
-// flush is returned but the durable state is already correct — recovery
-// redoes the transaction.
+// locks are held throughout, so per-table log order equals apply order.
+// Whatever can make the apply fail is checked first (validate): a
+// transaction that cannot be applied must not be logged as committed, since
+// redo would fail on it the same way. A validation or WAL error aborts
+// cleanly (nothing logged or nothing applied); what is left to fail after
+// the flush is I/O, and then the durable state is already correct —
+// recovery redoes the transaction.
 func (tx *Tx) Commit(ctx context.Context) error {
 	if tx.done {
 		return &TxDoneError{}
@@ -239,6 +243,11 @@ func (tx *Tx) Commit(ctx context.Context) error {
 	// with a logged-but-unapplied transaction in flight.
 	tx.m.gate.RLock()
 	defer tx.m.gate.RUnlock()
+	for _, name := range tx.order {
+		if err := tx.writes[name].validate(page.MaxPayload(tx.m.Disk.BlockSize())); err != nil {
+			return err
+		}
+	}
 	if tx.m.wal != nil {
 		entries := tx.entries()
 		_, end, err := tx.m.wal.Append(entries)
@@ -267,6 +276,45 @@ func (tt *txTable) dirty() bool {
 		}
 	}
 	return false
+}
+
+// validate checks that applyTable will succeed on the staged net effect:
+// per heap page, the staged deletes and then the updates in apply order fit
+// (page.CheckMutations, the arithmetic ReplaceAt's repack uses), and every
+// insert fits an empty page. The caller holds the table X lock, so the
+// pages cannot change between this check and the apply.
+func (tt *txTable) validate(maxRow int) error {
+	type mutations struct {
+		deletes []int
+		updates []page.Replacement
+	}
+	pages := make(map[int64]*mutations)
+	at := func(pno int64) *mutations {
+		if pages[pno] == nil {
+			pages[pno] = &mutations{}
+		}
+		return pages[pno]
+	}
+	for rid := range tt.deletes {
+		pm := at(rid.Page)
+		pm.deletes = append(pm.deletes, rid.Slot)
+	}
+	for _, rid := range sortedUpdateRIDs(tt.updates) {
+		pm := at(rid.Page)
+		pm.updates = append(pm.updates, page.Replacement{Slot: rid.Slot, Len: tt.updates[rid].EncodedSize()})
+	}
+	for pno, pm := range pages {
+		if err := tt.t.Heap.CheckMutations(pno, pm.deletes, pm.updates); err != nil {
+			return &CommitRejectedError{Table: tt.t.Name, Page: pno, Err: err}
+		}
+	}
+	for _, row := range tt.inserts {
+		if n := row.EncodedSize(); n > maxRow {
+			return &CommitRejectedError{Table: tt.t.Name, Page: -1,
+				Err: fmt.Errorf("row of %d bytes exceeds a page's %d", n, maxRow)}
+		}
+	}
+	return nil
 }
 
 // entries builds the transaction's WAL batch: begin, then per table (touch

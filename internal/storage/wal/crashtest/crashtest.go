@@ -1,12 +1,13 @@
 // Package crashtest is the deterministic crash-point harness for the WAL
 // and its recovery path. It enumerates every named crash site the log's
-// Hook exposes — mid-record, post-record-pre-fsync, the three segment-
-// rotation points, the three checkpoint points — and for each one runs a
-// scripted transactional workload, simulates a kill exactly at that site
-// (hook panics, disk crashes), re-opens the device with a fresh manager,
-// recovers, and asserts the surviving state is exactly the committed
-// prefix: every acknowledged transaction fully present, the in-flight one
-// either fully present or fully absent, nothing torn.
+// Hook exposes — mid-record, post-record-pre-fsync, between two blocks of a
+// segment sync, the three segment-rotation points, the three checkpoint
+// points — and for each one runs a scripted transactional workload,
+// simulates a kill exactly at that site (hook panics, disk crashes),
+// re-opens the device with a fresh manager, recovers, and asserts the
+// surviving state is exactly the committed prefix: every acknowledged
+// transaction fully present and at the RIDs it was acknowledged at, the
+// in-flight one either fully present or fully absent, nothing torn.
 //
 // The harness is deliberately not randomized: each (site, mode) cell is a
 // reproducible scenario. The randomized counterpart lives in the sm
@@ -35,6 +36,10 @@ const (
 	// SiteAppendPreFsync fires after a batch is fully written but before
 	// any fsync: a drop-volatile crash loses the whole batch.
 	SiteAppendPreFsync = "append:post-record-pre-fsync"
+	// SiteSyncMidPersist fires inside a segment sync between two of the
+	// blocks it makes durable: the lower-numbered ones are, the rest are
+	// still volatile — what a kill inside an in-place persist leaves.
+	SiteSyncMidPersist = "sync:mid-persist"
 	// SiteRotatePreSync fires at segment rotation before the old segment's
 	// final fsync.
 	SiteRotatePreSync = "rotate:pre-sync"
@@ -59,6 +64,7 @@ const (
 var Sites = []string{
 	SiteAppendMidRecord,
 	SiteAppendPreFsync,
+	SiteSyncMidPersist,
 	SiteRotatePreSync,
 	SiteRotatePreCreate,
 	SiteRotatePostCreate,
@@ -67,9 +73,9 @@ var Sites = []string{
 	SiteCheckpointPreTruncate,
 }
 
-// Modes lists both post-crash disk images: volatile (unsynced) writes
-// dropped, and — the adversarial case — retained.
-var Modes = []disk.CrashMode{disk.CrashDropVolatile, disk.CrashKeepVolatile}
+// Modes lists the post-crash disk images: volatile (unsynced) writes
+// dropped, retained, and — per file — an ascending prefix of them retained.
+var Modes = []disk.CrashMode{disk.CrashDropVolatile, disk.CrashKeepVolatile, disk.CrashKeepPrefix}
 
 // Small geometry so every site is reachable quickly: 256-byte blocks make
 // ~90-byte rows span blocks within a batch, and 4-block segments rotate
@@ -87,6 +93,7 @@ type crashSignal struct{ site string }
 type harness struct {
 	t    *testing.T
 	site string
+	nth  int // kill at the nth time the site fires
 	mode disk.CrashMode
 
 	d *disk.Disk
@@ -98,8 +105,11 @@ type harness struct {
 	// pending is the reference including the commit in flight when the
 	// crash fired (nil when the crash hit outside a commit).
 	pending map[int64]string
+	// rids is where each row of model sat in the heap when its commit was
+	// acknowledged; recovery must put it back exactly there.
+	rids map[int64]heap.RID
 
-	fired   bool
+	seen    int
 	crashed bool
 }
 
@@ -108,13 +118,15 @@ func testSchema() *tuple.Schema {
 }
 
 // Run executes the scripted workload against a fresh device, kills it at
-// the first occurrence of the target site after the workload is armed,
-// recovers with a fresh manager, and verifies exact committed-prefix
-// equality. It fails the test if the site is never reached — every named
-// site must actually be covered.
-func Run(t *testing.T, site string, mode disk.CrashMode) {
+// an occurrence of the target site after the workload is armed (the first,
+// second or third, by seed — so the kill lands at different distances from
+// the last checkpoint), recovers with a fresh manager, and verifies exact
+// committed-prefix equality. seed also drives CrashKeepPrefix's choice of
+// prefix. It fails the test if the site is not reached — every named site
+// must actually be covered.
+func Run(t *testing.T, site string, mode disk.CrashMode, seed int64) {
 	t.Helper()
-	h := &harness{t: t, site: site, mode: mode, model: make(map[int64]string)}
+	h := &harness{t: t, site: site, nth: 1 + int(seed%3), mode: mode, model: make(map[int64]string)}
 	h.d = disk.New(disk.Config{BlockSize: blockSize})
 	h.m = sm.NewSharedDisk(h.d, poolPages, nil)
 	l, err := wal.Open(h.d, wal.Options{SegmentBlocks: segBlocks})
@@ -139,11 +151,12 @@ func Run(t *testing.T, site string, mode disk.CrashMode) {
 		t.Fatal(err)
 	}
 
-	// Arm: the first time the target site fires, kill the process image.
+	// Arm: the nth time the target site fires, kill the process image.
 	h.l.Hook = func(s string) {
 		if s == h.site {
-			h.fired = true
-			panic(crashSignal{site: s})
+			if h.seen++; h.seen == h.nth {
+				panic(crashSignal{site: s})
+			}
 		}
 	}
 	for i := 3; i < 60 && !h.crashed; i++ {
@@ -159,13 +172,13 @@ func Run(t *testing.T, site string, mode disk.CrashMode) {
 		}
 		h.guard(func() { h.applyTx(i) })
 	}
-	if !h.fired {
-		t.Fatalf("crash site %s was never reached by the workload", h.site)
+	if !h.crashed {
+		t.Fatalf("crash site %s was reached %d times by the workload, want %d", h.site, h.seen, h.nth)
 	}
 
 	// The kill: surviving state is the durable image plus (keep-volatile
 	// only) unsynced writes. Re-open everything from the device alone.
-	h.d.Crash(h.mode)
+	h.d.CrashSeeded(h.mode, seed)
 	m2 := sm.NewSharedDisk(h.d, poolPages, nil)
 	l2, err := wal.Open(h.d, wal.Options{SegmentBlocks: segBlocks})
 	if err != nil {
@@ -243,6 +256,17 @@ func (h *harness) applyTx(i int) {
 	}
 	h.model = next
 	h.pending = nil
+	h.rids = make(map[int64]heap.RID, len(next))
+	tab, err := h.m.Table("t")
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	if err := tab.Heap.Scan(func(rid heap.RID, row tuple.Tuple) bool {
+		h.rids[row[0].I] = rid
+		return true
+	}); err != nil {
+		h.t.Fatal(err)
+	}
 }
 
 // findRID locates the heap RID of the row with the given id through the
@@ -275,8 +299,12 @@ func (h *harness) verify(m *sm.Manager) {
 		h.t.Fatalf("recovered database lost table t: %v", err)
 	}
 	got := make(map[int64]string)
-	if err := tab.Heap.Scan(func(_ heap.RID, row tuple.Tuple) bool {
+	if err := tab.Heap.Scan(func(rid heap.RID, row tuple.Tuple) bool {
 		got[row[0].I] = row[1].S
+		if want, ok := h.rids[row[0].I]; ok && rid != want {
+			h.t.Errorf("crash at %s/%s: id=%d recovered at rid %s, was acknowledged at %s",
+				h.site, h.mode, row[0].I, rid, want)
+		}
 		return true
 	}); err != nil {
 		h.t.Fatal(err)

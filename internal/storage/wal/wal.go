@@ -1,6 +1,7 @@
 // Package wal implements the write-ahead log: an append-only, segmented,
 // CRC-framed record log over the simulated disk, with group commit and an
-// explicit fsync boundary (disk.Sync). The log is the durability story for
+// explicit fsync boundary (disk.SyncInPlace: a flush writes the blocks it
+// changed, not the segment). The log is the durability story for
 // the whole engine — a transaction is committed exactly when its commit
 // record is flushed, and recovery redoes committed transactions from here.
 //
@@ -53,11 +54,13 @@ type Log struct {
 	// Hook, when non-nil, is called at named crash sites (see the site
 	// constants in crashtest): "append:mid-record" between block writes of
 	// a spanning record, "append:post-record-pre-fsync" after a batch is on
-	// disk but before any fsync, "rotate:pre-sync"/"rotate:pre-create"/
-	// "rotate:post-create" inside segment rotation, and "checkpoint:
-	// pre-record"/"checkpoint:pre-sync"/"checkpoint:pre-truncate" inside a
-	// checkpoint. The harness installs a hook that panics at its target
-	// site, simulating a kill there. Install before concurrent use.
+	// disk but before any fsync, "sync:mid-persist" inside a segment sync
+	// between two of the blocks it makes durable, "rotate:pre-sync"/
+	// "rotate:pre-create"/"rotate:post-create" inside segment rotation, and
+	// "checkpoint:pre-record"/"checkpoint:pre-sync"/"checkpoint:
+	// pre-truncate" inside a checkpoint. The harness installs a hook that
+	// panics at its target site, simulating a kill there. Install before
+	// concurrent use.
 	Hook func(site string)
 
 	mu          sync.Mutex
@@ -74,7 +77,8 @@ type Log struct {
 	ckptLSN     int64
 	hasCkpt     bool
 
-	scratch []byte
+	scratch []byte // record-encoding buffer, reused across Appends
+	block   []byte // one block being assembled for the device, which copies it
 }
 
 // lsn packs a segment number and byte offset into one ordered value.
@@ -84,6 +88,14 @@ func (l *Log) hook(site string) {
 	if l.Hook != nil {
 		l.Hook(site)
 	}
+}
+
+// syncSegment makes a segment durable: the one fsync of a flush.
+func (l *Log) syncSegment(seg string) error {
+	if l.Hook == nil {
+		return l.d.SyncInPlace(seg, nil)
+	}
+	return l.d.SyncInPlace(seg, func() { l.Hook("sync:mid-persist") })
 }
 
 // Open binds to the device's log, creating an empty one if none exists.
@@ -96,6 +108,7 @@ func Open(d *disk.Disk, opts Options) (*Log, error) {
 		opts.SegmentBlocks = 256
 	}
 	l := &Log{d: d, bs: d.BlockSize(), segBlocks: opts.SegmentBlocks, tailBlockNo: -1}
+	l.block = make([]byte, l.bs)
 	l.cond = sync.NewCond(&l.mu)
 	segs, err := listSegments(d)
 	if err != nil {
@@ -214,9 +227,7 @@ func (l *Log) Append(entries []Entry) (start, end int64, err error) {
 	seg := segName(l.segs[len(l.segs)-1])
 	for int64(len(l.tail))+int64(len(buf)) >= int64(l.bs) {
 		take := l.bs - len(l.tail)
-		block := make([]byte, 0, l.bs)
-		block = append(block, l.tail...)
-		block = append(block, buf[:take]...)
+		block := append(append(l.block[:0], l.tail...), buf[:take]...)
 		if werr := l.writeBlockLocked(seg, block); werr != nil {
 			l.err = werr
 			return 0, 0, werr
@@ -257,13 +268,13 @@ func (l *Log) writeBlockLocked(seg string, block []byte) error {
 	return nil
 }
 
-// writeTailLocked writes the partial tail block (zero-padded) to disk.
+// writeTailLocked writes the partial tail block to disk (the device pads it
+// with zeros).
 func (l *Log) writeTailLocked(seg string) error {
 	if len(l.tail) == 0 {
 		return nil
 	}
-	block := make([]byte, l.bs)
-	copy(block, l.tail)
+	block := l.tail
 	if l.tailBlockNo >= 0 {
 		return l.d.Write(seg, l.tailBlockNo, block)
 	}
@@ -276,14 +287,19 @@ func (l *Log) writeTailLocked(seg string) error {
 
 // rotateLocked starts a fresh segment when the current one is full. The old
 // segment is fsynced first — its records may include flushed commits, and a
-// segment is never written again after rotation.
+// segment is never written again after rotation, so its backing handle is
+// released with that final sync.
 func (l *Log) rotateLocked() error {
 	if l.fullBlocks < int64(l.segBlocks) {
 		return nil
 	}
 	cur := l.segs[len(l.segs)-1]
 	l.hook("rotate:pre-sync")
-	if err := l.d.Sync(segName(cur)); err != nil {
+	err := l.syncSegment(segName(cur))
+	if err == nil {
+		err = l.d.ReleaseHandle(segName(cur))
+	}
+	if err != nil {
 		l.err = err
 		return err
 	}
@@ -319,11 +335,18 @@ func (l *Log) Flush(pos int64) error {
 		l.flushing = true
 		target := l.lsnLocked()
 		seg := segName(l.segs[len(l.segs)-1])
-		l.mu.Unlock()
-		err := l.d.Sync(seg)
-		l.mu.Lock()
-		l.flushing = false
-		l.cond.Broadcast()
+		err := func() error {
+			l.mu.Unlock()
+			// Deferred, so a crash hook panicking inside the sync finds the
+			// lock state Flush's own deferred Unlock expects and the waiting
+			// committers are woken rather than stranded.
+			defer func() {
+				l.mu.Lock()
+				l.flushing = false
+				l.cond.Broadcast()
+			}()
+			return l.syncSegment(seg)
+		}()
 		if err != nil {
 			l.err = err
 			return err

@@ -253,7 +253,8 @@ type serverConn struct {
 	cancel context.CancelFunc
 
 	// frames delivers (copied) incoming frames from the read-loop
-	// goroutine; readErr holds its terminal error once closed.
+	// goroutine; readErr holds its terminal error once closed, and is read
+	// only after a receive has seen the close.
 	frames  chan frame
 	readErr error
 
@@ -326,10 +327,13 @@ func (c *serverConn) run() error {
 			select {
 			case f, ok = <-c.frames:
 			default:
-				ok = false
+				// Nothing queued, and frames is not closed: readLoop may be
+				// writing readErr this instant, so it is not looked at.
+				return io.EOF
 			}
 		}
 		if !ok {
+			// frames is closed, and readLoop set readErr before closing it.
 			if c.readErr == io.EOF {
 				return io.EOF
 			}

@@ -425,6 +425,51 @@ func TestServerDrainWithInFlightStream(t *testing.T) {
 	}
 }
 
+// TestServerShutdownMidRead: Shutdown while clients are halfway through
+// sending a frame, and hanging up at the same moment. The handler's shutdown
+// branch and the read loop's failure path run concurrently; under -race this
+// fails if the handler looks at the read loop's error before the frames
+// channel has published it.
+func TestServerShutdownMidRead(t *testing.T) {
+	srv, _, addr := startServer(t, 10, qpipe.Options{}, qpipe.ServerOptions{ShutdownGrace: 5 * time.Second})
+	const conns = 16
+	ncs := make([]net.Conn, conns)
+	for i := range ncs {
+		nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		hello := wire.Hello{Version: wire.ProtocolVersion, Client: "raw"}
+		if err := wire.WriteFrame(nc, wire.MsgHello, hello.Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
+		if mt, _, _, err := wire.ReadFrame(nc, nil); err != nil || mt != wire.MsgWelcome {
+			t.Fatalf("handshake: %v %v", mt, err)
+		}
+		// A frame header promising 64 bytes, then only its type byte: the
+		// server's read loop blocks inside ReadFrame.
+		if _, err := nc.Write([]byte{0, 0, 0, 64, byte(wire.MsgQuery)}); err != nil {
+			t.Fatal(err)
+		}
+		ncs[i] = nc
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for _, nc := range ncs {
+			nc.Close()
+		}
+	}()
+	srv.Shutdown()
+	wg.Wait()
+	if n := srv.Stats().ActiveConns; n != 0 {
+		t.Fatalf("%d connections still active after Shutdown", n)
+	}
+}
+
 // TestServerMalformedFrames: protocol violations get a typed error frame
 // (where a response is still possible) and a closed connection — never a
 // panic, never a hang.

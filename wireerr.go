@@ -53,6 +53,7 @@ func MarshalWireError(err error) *wire.Error {
 		amb  *AmbiguousColumnError
 		st   *StatementError
 		op   *OptionError
+		cr   *CommitRejectedError
 		be   *BatchError
 		wp   *wire.ProtocolError
 		wE   *wire.Error
@@ -109,6 +110,10 @@ func MarshalWireError(err error) *wire.Error {
 		set(wire.CodeStatement, "stmt", st.Stmt, "reason", st.Reason)
 	case errors.As(err, &op):
 		set(wire.CodeOption, "option", op.Option, "reason", op.Reason)
+	case errors.As(err, &cr):
+		// No code of its own: a remote caller sees a *StatementError naming
+		// the COMMIT that was refused.
+		set(wire.CodeStatement, "stmt", "COMMIT", "reason", cr.Error())
 	}
 	return we
 }
