@@ -1,9 +1,11 @@
 // Table statistics at the public API surface: ANALYZE rebuilds, snapshot
-// accessors for shells and tools, and the estimator glue the builder's
-// EXPLAIN uses to annotate plans with rows≈N.
+// accessors for shells and tools, the estimator glue the builder's EXPLAIN
+// uses to annotate plans with rows≈N, and the catalog view access-path
+// selection plans against.
 package qpipe
 
 import (
+	"qpipe/internal/plan"
 	"qpipe/internal/stats"
 	"qpipe/internal/storage/heap"
 	"qpipe/internal/tuple"
@@ -84,4 +86,36 @@ func (db *DB) estimator() *stats.Estimator {
 	return stats.NewEstimator(func(table string) *stats.TableStats {
 		return db.stats.Snapshot(table)
 	})
+}
+
+// accessCatalog is what plan.ChooseAccessPaths asks the database: the
+// storage manager knows the indexes and the heap's size, the statistics
+// registry estimates a key range.
+type accessCatalog struct{ db *DB }
+
+func (c accessCatalog) Indexes(table string) []plan.Index {
+	ixs := c.db.mgr.Indexes(table)
+	if ixs == nil {
+		return nil
+	}
+	out := make([]plan.Index, len(ixs))
+	for i, ix := range ixs {
+		out[i] = plan.Index{Col: ix.Col, Clustered: ix.Clustered,
+			Height: ix.Tree.Height(), Leaves: ix.Tree.NumLeaves()}
+	}
+	return out
+}
+
+func (c accessCatalog) HeapPages(table string) int64 {
+	n, _ := c.db.TablePages(table) // an unknown table has no index to prefer
+	return n
+}
+
+func (c accessCatalog) RangeRows(table string, col int, lo, hi Value) (match, rows float64) {
+	snap := c.db.stats.Snapshot(table)
+	if snap == nil || col >= len(snap.Cols) {
+		return 0, 0
+	}
+	rows = float64(snap.Rows)
+	return rows * stats.RangeSelectivity(snap.Cols[col], lo, hi), rows
 }

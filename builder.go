@@ -668,16 +668,22 @@ func (q *Query) Limit(n int64) *Query {
 // builder error). Unless the DB was opened with DisableOptimizer, the plan
 // is normalized first — predicates canonicalized and pushed into scans —
 // so equivalent queries converge on one Signature() and share work under
-// OSP. Both front ends (this builder and db.Query SQL) funnel through
-// here, which is what keeps their plans byte-identical.
+// OSP, and each table scan then gets its access path: an index scan where
+// the statistics say a B+tree reads fewer pages than the heap
+// (plan.ChooseAccessPaths; a ScanIndex stays the path it names). Both front
+// ends (this builder and db.Query SQL) funnel through here, which is what
+// keeps their plans byte-identical.
 func (q *Query) Plan() (Plan, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	if q.db != nil && q.db.noOpt {
+	if q.db == nil {
+		return plan.Normalize(q.node), nil
+	}
+	if q.db.noOpt {
 		return q.node, nil
 	}
-	return plan.Normalize(q.node), nil
+	return plan.ChooseAccessPaths(plan.Normalize(q.node), accessCatalog{q.db}), nil
 }
 
 // Schema returns the query's output schema (nil if the builder failed).

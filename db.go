@@ -219,8 +219,11 @@ func (db *DB) CreateTable(name string, schema *Schema) error {
 }
 
 // CreateIndex builds a B+tree index on a column: clustered (full rows in
-// key order — one per table) or unclustered (key → row id). Build indexes
-// after Load: they snapshot the table's current contents.
+// key order — one per table) or unclustered (key → row id), from the table's
+// current contents; rows loaded or inserted afterwards are entered into it
+// as they commit. With statistics (Load and Insert keep them, ANALYZE
+// rebuilds them) the planner reads through the index where that touches
+// fewer pages than the heap; ScanIndex forces it.
 func (db *DB) CreateIndex(table, col string, clustered bool) error {
 	t, err := db.mgr.Table(table)
 	if err != nil {
@@ -276,7 +279,7 @@ func (db *DB) Load(table string, rows []Row) error {
 }
 
 // Insert appends rows through the update µEngine: it serializes against
-// concurrent readers via the lock manager, maintains unclustered indexes,
+// concurrent readers via the lock manager, maintains the table's indexes,
 // and invalidates cached results over the table.
 func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
 	t, err := db.mgr.Table(table)

@@ -385,6 +385,38 @@ func PredRefs(p Pred, fn func(ix int)) {
 	}
 }
 
+// Conjuncts returns the top-level conjuncts of p: the operands of an And,
+// p itself otherwise, nothing for a nil predicate.
+func Conjuncts(p Pred) []Pred {
+	switch x := p.(type) {
+	case nil:
+		return nil
+	case *And:
+		return x.Ps
+	}
+	return []Pred{p}
+}
+
+// ColConst reads p as a comparison of one column with one constant and
+// returns it oriented column-op-constant (the operator mirrored when the
+// constant stands on the left). ok is false for any other predicate.
+func ColConst(p Pred) (col int, op CmpOp, v tuple.Value, ok bool) {
+	c, isCmp := p.(*Cmp)
+	if !isCmp {
+		return 0, 0, tuple.Value{}, false
+	}
+	l, r, op := c.L, c.R, c.Op
+	if isConst(l) {
+		l, r, op = r, l, mirror(op)
+	}
+	ref, isRef := l.(*ColRef)
+	k, isK := r.(*Const)
+	if !isRef || !isK {
+		return 0, 0, tuple.Value{}, false
+	}
+	return ref.Ix, op, k.V, true
+}
+
 // ---- Aggregates ------------------------------------------------------------
 
 // AggKind enumerates aggregate functions.

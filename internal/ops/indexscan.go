@@ -47,15 +47,21 @@ func (l *leafSource) readPage(ord int64) ([]tuple.Tuple, error) {
 type IndexScanOp struct {
 	reg *scanRegistry
 
-	// leafCache memoizes leaf-page-number lists per tree (invalidated
-	// never: experiment tables are bulk-loaded once; updates go to heaps).
+	// leafCache memoizes each clustered tree's leaf-page-number list as of
+	// one commit sequence of its table: a committed insert may split a leaf,
+	// so a list from an earlier sequence is walked again.
 	leafMu    sync.Mutex
-	leafCache map[string][]int64
+	leafCache map[string]leafList
+}
+
+type leafList struct {
+	seq  int64 // the table's CommitSeq the list was read at
+	pnos []int64
 }
 
 // NewIndexScanOp creates the index-scan µEngine implementation.
 func NewIndexScanOp() *IndexScanOp {
-	return &IndexScanOp{reg: newScanRegistry(), leafCache: make(map[string][]int64)}
+	return &IndexScanOp{reg: newScanRegistry(), leafCache: make(map[string]leafList)}
 }
 
 // Op implements core.Operator.
@@ -129,7 +135,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 		return err
 	}
 	tr := tb.Clustered
-	pnos, err := o.leaves(tr)
+	pnos, err := o.leaves(tb)
 	if err != nil {
 		return err
 	}
@@ -173,19 +179,23 @@ func (o *IndexScanOp) key(node *plan.IndexScan) string {
 	return "cix:" + node.Table + ":" + node.Col
 }
 
-func (o *IndexScanOp) leaves(tr *btree.Tree) ([]int64, error) {
+// leaves returns the clustered tree's leaf pages in key order. The caller's
+// query holds the table S lock, so the commit sequence read here stands for
+// the whole walk.
+func (o *IndexScanOp) leaves(tb *sm.Table) ([]int64, error) {
+	tr, seq := tb.Clustered, tb.CommitSeq()
 	o.leafMu.Lock()
-	if pnos, ok := o.leafCache[tr.Name]; ok {
-		o.leafMu.Unlock()
-		return pnos, nil
-	}
+	l, ok := o.leafCache[tr.Name]
 	o.leafMu.Unlock()
+	if ok && l.seq == seq {
+		return l.pnos, nil
+	}
 	pnos, err := tr.LeafPageNos()
 	if err != nil {
 		return nil, err
 	}
 	o.leafMu.Lock()
-	o.leafCache[tr.Name] = pnos
+	o.leafCache[tr.Name] = leafList{seq: seq, pnos: pnos}
 	o.leafMu.Unlock()
 	return pnos, nil
 }
@@ -296,7 +306,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		// range callback resurfaces here instead of vanishing as a clean EOF.
 		return emitResult(em.flush())
 	}
-	pnos, err := o.leaves(tr)
+	pnos, err := o.leaves(tb)
 	if err != nil {
 		return err
 	}

@@ -41,7 +41,11 @@ func describe(n Node) string {
 		if x.Lo.IsValid() || x.Hi.IsValid() {
 			rng = fmt.Sprintf(" range=[%s,%s]", x.Lo, x.Hi)
 		}
-		return fmt.Sprintf("IndexScan %s.%s (%s, %s)%s", x.Table, x.Col, kind, mode, rng)
+		f := ""
+		if x.Filter != nil {
+			f = " filter=" + x.Filter.Signature()
+		}
+		return fmt.Sprintf("IndexScan %s.%s (%s, %s)%s%s", x.Table, x.Col, kind, mode, rng, f)
 	case *Filter:
 		return "Filter " + x.Pred.Signature()
 	case *Project:

@@ -219,14 +219,8 @@ func wrapResidual(n Node, rest expr.Pred) Node {
 // right input's columns), and a residual of cross-side or column-free
 // conjuncts. Any of the three may be nil.
 func splitJoinPred(pred expr.Pred, leftWidth int) (left, right, rest expr.Pred) {
-	var conjuncts []expr.Pred
-	if a, ok := pred.(*expr.And); ok {
-		conjuncts = a.Ps
-	} else {
-		conjuncts = []expr.Pred{pred}
-	}
 	var ls, rs, xs []expr.Pred
-	for _, c := range conjuncts {
+	for _, c := range expr.Conjuncts(pred) {
 		lo, hi, any := refRange(c)
 		switch {
 		case !any:

@@ -9,7 +9,6 @@ import (
 
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
-	"qpipe/internal/tuple"
 )
 
 // DefaultTableRows is the row-count guess for tables with no statistics.
@@ -66,16 +65,15 @@ func (e *Estimator) compute(n plan.Node) nodeEst {
 		est := e.baseTable(x.Table, x.TableSchema.Len())
 		ix := x.TableSchema.ColIndex(x.Col)
 		if ix >= 0 {
-			col := expr.NamedCol(ix, x.Col)
-			if x.Lo.K != tuple.KindInvalid { // invalid kind = open bound
-				est.rows *= Selectivity(expr.GE(col, &expr.Const{V: x.Lo}), est.cols)
-			}
-			if x.Hi.K != tuple.KindInvalid {
-				est.rows *= Selectivity(expr.LE(col, &expr.Const{V: x.Hi}), est.cols)
-			}
+			est.rows *= RangeSelectivity(est.cols[ix], x.Lo, x.Hi)
 		}
-		if x.Filter != nil {
-			est.rows *= Selectivity(x.Filter, est.cols)
+		// The residual filter of a planner-chosen index scan still holds the
+		// comparisons its range was built from; the range has counted them.
+		for _, c := range expr.Conjuncts(x.Filter) {
+			if col, op, _, ok := expr.ColConst(c); ok && col == ix && op != expr.CmpNE {
+				continue
+			}
+			est.rows *= Selectivity(c, est.cols)
 		}
 		est.cols = projectCols(est.cols, x.Project)
 		return capNDV(est)

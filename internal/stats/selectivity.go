@@ -7,6 +7,8 @@
 package stats
 
 import (
+	"math"
+
 	"qpipe/internal/expr"
 	"qpipe/internal/tuple"
 )
@@ -59,6 +61,48 @@ func sel(p expr.Pred, cols []ColStats) float64 {
 	default:
 		return DefaultRangeSel
 	}
+}
+
+// RangeSelectivity estimates the fraction of rows whose column, described
+// by c, lies in [lo, hi] (an invalid bound is open): the span of the range
+// within the observed [min, max] for numeric columns, never less than one
+// distinct value's share, which is also the answer for lo = hi. This is the
+// estimate behind index access paths, where the two bounds describe one
+// interval — multiplying their selectivities as independent predicates (what
+// a conjunction does) would put a narrow mid-domain range near one quarter.
+func RangeSelectivity(c ColStats, lo, hi tuple.Value) float64 {
+	eq := DefaultEqSel
+	if c.Seen && c.NDV > 0 {
+		eq = 1 / c.NDV
+	}
+	switch {
+	case !lo.IsValid() && !hi.IsValid():
+		return 1
+	case lo.IsValid() && hi.IsValid():
+		if cmp := tuple.Compare(lo, hi); cmp > 0 {
+			return 0
+		} else if cmp == 0 {
+			return eq
+		}
+	}
+	min, max := c.Min.AsFloat(), c.Max.AsFloat()
+	numeric := c.Seen && numericKind(c.Min.K) && max > min &&
+		(!lo.IsValid() || numericKind(lo.K)) && (!hi.IsValid() || numericKind(hi.K))
+	if !numeric {
+		s := DefaultRangeSel
+		if lo.IsValid() && hi.IsValid() {
+			s *= DefaultRangeSel
+		}
+		return math.Max(s, eq)
+	}
+	from, to := 0.0, 1.0
+	if lo.IsValid() {
+		from = clamp01((lo.AsFloat() - min) / (max - min))
+	}
+	if hi.IsValid() {
+		to = clamp01((hi.AsFloat() - min) / (max - min))
+	}
+	return clamp01(math.Max(to-from, eq))
 }
 
 // colStatOf returns the statistics for e when e is a plain column reference

@@ -73,6 +73,10 @@ type Table struct {
 	mu   sync.Mutex
 	rows int64
 	cols []colAcc
+	// snap is the snapshot of the current contents, kept until the next Add:
+	// planning asks for one per statement, and counting the sketches costs
+	// 512 words per column.
+	snap *TableStats
 }
 
 // NewTable creates an empty accumulator for a table with ncols columns.
@@ -84,6 +88,9 @@ func NewTable(ncols int) *Table {
 func (t *Table) Add(rows []tuple.Tuple) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(rows) > 0 {
+		t.snap = nil
+	}
 	for _, r := range rows {
 		t.rows++
 		n := len(t.cols)
@@ -119,12 +126,15 @@ type TableStats struct {
 func (t *Table) Snapshot() *TableStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &TableStats{Rows: t.rows, Cols: make([]ColStats, len(t.cols))}
-	for i := range t.cols {
-		c := &t.cols[i]
-		s.Cols[i] = ColStats{Min: c.min, Max: c.max, NDV: c.ndv(t.rows), Seen: c.seen}
+	if t.snap == nil {
+		s := &TableStats{Rows: t.rows, Cols: make([]ColStats, len(t.cols))}
+		for i := range t.cols {
+			c := &t.cols[i]
+			s.Cols[i] = ColStats{Min: c.min, Max: c.max, NDV: c.ndv(t.rows), Seen: c.seen}
+		}
+		t.snap = s
 	}
-	return s
+	return t.snap
 }
 
 // Registry tracks statistics for all tables in a database.

@@ -135,3 +135,69 @@ func TestEstimatorJoin(t *testing.T) {
 		t.Fatalf("unknown table rows = %d, want %d", got, DefaultTableRows)
 	}
 }
+
+// TestSnapshotIsMemoized: planning asks for a snapshot per statement, so it
+// is built once per change of the table's contents, not once per call.
+func TestSnapshotIsMemoized(t *testing.T) {
+	tab := NewTable(3)
+	tab.Add(mkRows(100))
+	s1 := tab.Snapshot()
+	if s2 := tab.Snapshot(); s2 != s1 {
+		t.Fatal("an unchanged table rebuilt its snapshot")
+	}
+	tab.Add(nil)
+	if s2 := tab.Snapshot(); s2 != s1 {
+		t.Fatal("an empty Add invalidated the snapshot")
+	}
+	tab.Add(mkRows(50))
+	s3 := tab.Snapshot()
+	if s3 == s1 || s3.Rows != 150 || s1.Rows != 100 {
+		t.Fatalf("after Add: rows %d (old snapshot %d), want 150 (100)", s3.Rows, s1.Rows)
+	}
+	reg := NewRegistry()
+	reg.Create("t", 3)
+	reg.Add("t", mkRows(10))
+	before := reg.Snapshot("t")
+	fresh := NewTable(3)
+	fresh.Add(mkRows(20))
+	reg.Replace("t", fresh)
+	if after := reg.Snapshot("t"); after == before || after.Rows != 20 {
+		t.Fatalf("after Replace: rows %d, want 20", after.Rows)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reg.Snapshot("t") }); allocs != 0 {
+		t.Errorf("a memoized snapshot allocates %.0f times", allocs)
+	}
+}
+
+func TestRangeSelectivity(t *testing.T) {
+	tab := NewTable(3)
+	tab.Add(mkRows(5000))
+	unique := tab.Snapshot().Cols[0] // 0..4999, all distinct
+	open := tuple.Value{}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= want/10+1e-9 }
+	for _, tc := range []struct {
+		name   string
+		lo, hi tuple.Value
+		want   float64
+	}{
+		{"point", tuple.I64(7), tuple.I64(7), 1.0 / 5000},
+		{"narrow range in the middle of the domain", tuple.I64(2500), tuple.I64(2520), 20.0 / 5000},
+		{"half open", tuple.I64(4000), open, 0.2},
+		{"half open below", open, tuple.I64(1000), 0.2},
+		{"both open", open, open, 1},
+		{"empty", tuple.I64(9), tuple.I64(3), 0},
+		{"beyond the maximum: one value's share", tuple.I64(9000), tuple.I64(9500), 1.0 / 5000},
+		{"float bounds on an int column", tuple.F64(99.5), tuple.F64(200.5), 101.0 / 5000},
+	} {
+		if got := RangeSelectivity(unique, tc.lo, tc.hi); !near(got, tc.want) {
+			t.Errorf("%s: %v, want ≈ %v", tc.name, got, tc.want)
+		}
+	}
+	// No statistics, or a string column: the fallback constants.
+	if got := RangeSelectivity(ColStats{}, tuple.I64(1), tuple.I64(5)); got != DefaultRangeSel*DefaultRangeSel {
+		t.Errorf("unknown column, closed range: %v", got)
+	}
+	if got := RangeSelectivity(ColStats{}, tuple.I64(1), open); got != DefaultRangeSel {
+		t.Errorf("unknown column, half open: %v", got)
+	}
+}

@@ -7,6 +7,27 @@
 // "the list is then sorted on ascending page number to avoid multiple
 // visits on the same page").
 //
+// Node layout (one fixed-size block; stated here and in ARCHITECTURE.md's
+// "Access paths" section, implemented in node.go):
+//
+//	[0]        u8   kind: 1 = leaf, 0 = internal
+//	[1:3)      u16  n, the number of entries
+//	[3:11)     i64  next leaf page (-1: none, and on every internal node)
+//	[11:11+2n) slot directory: u16 page offset of entry i, in key order
+//	then the entries, packed in slot order
+//
+//	leaf entry:     key | u16 payload length | payload
+//	internal entry: key | i64 child page
+//	key:            one tuple-encoded value (kind tag, then 8 bytes, or a
+//	                uvarint length and the string bytes)
+//
+// The read path (findLeaf, Search, Range, ReadLeafTuples) binary-searches
+// the slot directory of the pinned page and compares the probe against the
+// encoded key bytes: no node is decoded, no payload copied. Insert, splits
+// and BulkLoad materialize the one node they rewrite. Page 0 is a meta page
+// (root, height, leaf count). Index files are rebuilt at recovery, so the
+// layout owes nothing to older files.
+//
 // Trees are built by bulk-loading sorted input (the paper's data is bulk
 // loaded, §1) and additionally support single inserts with node splits for
 // the update µEngine.
@@ -19,121 +40,33 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
+	"sync/atomic"
 
 	"qpipe/internal/storage/buffer"
 	"qpipe/internal/tuple"
 )
 
-// Node page layout (within one fixed-size block):
-//
-//	[0]     u8  isLeaf
-//	[1:3)   u16 nkeys
-//	[3:11)  i64 next leaf page (-1 if none / internal)
-//	[11:)   entries
-//
-// leaf entry:     key (encoded 1-value tuple) | u32 payload len | payload
-// internal entry: key (encoded 1-value tuple) | i64 child page
-const (
-	hdrSize    = 11
-	invalidPno = int64(-1)
-)
-
-type entry struct {
-	key     tuple.Value
-	payload []byte // leaf
-	child   int64  // internal
-}
-
-type node struct {
-	leaf    bool
-	next    int64
-	entries []entry
-}
-
-func decodeNode(buf []byte) (*node, error) {
-	n := &node{
-		leaf: buf[0] == 1,
-		next: int64(binary.LittleEndian.Uint64(buf[3:11])),
-	}
-	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
-	off := hdrSize
-	n.entries = make([]entry, 0, cnt)
-	for i := 0; i < cnt; i++ {
-		kt, w, err := tuple.Decode(buf[off:], 1)
-		if err != nil {
-			return nil, fmt.Errorf("btree: corrupt key %d: %w", i, err)
-		}
-		off += w
-		var e entry
-		e.key = kt[0]
-		if n.leaf {
-			ln := binary.LittleEndian.Uint32(buf[off:])
-			off += 4
-			e.payload = append([]byte(nil), buf[off:off+int(ln)]...)
-			off += int(ln)
-		} else {
-			e.child = int64(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		n.entries = append(n.entries, e)
-	}
-	return n, nil
-}
-
-func (n *node) encodedSize() int {
-	sz := hdrSize
-	for _, e := range n.entries {
-		sz += tuple.Tuple{e.key}.EncodedSize()
-		if n.leaf {
-			sz += 4 + len(e.payload)
-		} else {
-			sz += 8
-		}
-	}
-	return sz
-}
-
-// encode writes the node into buf (a full page buffer), zero-padding.
-func (n *node) encode(buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	if n.leaf {
-		buf[0] = 1
-	}
-	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.entries)))
-	binary.LittleEndian.PutUint64(buf[3:11], uint64(n.next))
-	off := hdrSize
-	for _, e := range n.entries {
-		enc := tuple.Tuple{e.key}.Encode(nil)
-		copy(buf[off:], enc)
-		off += len(enc)
-		if n.leaf {
-			binary.LittleEndian.PutUint32(buf[off:], uint32(len(e.payload)))
-			off += 4
-			copy(buf[off:], e.payload)
-			off += len(e.payload)
-		} else {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(e.child))
-			off += 8
-		}
-	}
-}
-
-// Tree is a B+tree over a single disk file. Page 0 is a meta page holding
-// the root pointer and height.
+// Tree is a B+tree over a single disk file.
 type Tree struct {
 	Name string
 	pool *buffer.Pool
 
 	root   int64
-	height int // 1 = root is leaf
 	npages int64
+	// height (1 = the root is a leaf) and nleaves are atomics because the
+	// planner reads them for its page rule without the table lock that
+	// orders inserts and scans.
+	height  atomic.Int64
+	nleaves atomic.Int64
 }
 
 // Create makes an empty tree in a new disk file.
 func Create(pool *buffer.Pool, name string) (*Tree, error) {
 	d := pool.Disk()
+	if d.BlockSize() > 1<<16 {
+		return nil, fmt.Errorf("btree: block size %d exceeds the 64 KiB a u16 slot offset addresses", d.BlockSize())
+	}
 	d.Create(name)
 	t := &Tree{Name: name, pool: pool}
 	// meta page 0
@@ -141,18 +74,19 @@ func Create(pool *buffer.Pool, name string) (*Tree, error) {
 		return nil, err
 	}
 	t.npages = 1
-	// empty root leaf at page 1
-	rootBuf := make([]byte, d.BlockSize())
-	(&node{leaf: true, next: invalidPno}).encode(rootBuf)
-	if _, err := d.Append(name, rootBuf); err != nil {
-		return nil, err
+	return t, t.resetToEmptyLeaf()
+}
+
+// resetToEmptyLeaf makes a fresh empty leaf the root.
+func (t *Tree) resetToEmptyLeaf() error {
+	pno, err := t.appendNode(&node{leaf: true, next: invalidPno})
+	if err != nil {
+		return err
 	}
-	t.npages = 2
-	t.root, t.height = 1, 1
-	if err := t.writeMeta(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	t.root = pno
+	t.height.Store(1)
+	t.nleaves.Store(1)
+	return t.writeMeta()
 }
 
 // Open binds to an existing tree file.
@@ -167,22 +101,65 @@ func Open(pool *buffer.Pool, name string) (*Tree, error) {
 		return nil, err
 	}
 	t.root = int64(binary.LittleEndian.Uint64(raw[0:8]))
-	t.height = int(binary.LittleEndian.Uint64(raw[8:16]))
+	t.height.Store(int64(binary.LittleEndian.Uint64(raw[8:16])))
+	t.nleaves.Store(int64(binary.LittleEndian.Uint64(raw[16:24])))
 	return t, nil
 }
 
 func (t *Tree) writeMeta() error {
 	buf := make([]byte, t.pool.Disk().BlockSize())
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(t.root))
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(t.height))
+	binary.LittleEndian.PutUint64(buf[8:16], uint64(t.height.Load()))
+	binary.LittleEndian.PutUint64(buf[16:24], uint64(t.nleaves.Load()))
 	return t.pool.Disk().Write(t.Name, 0, buf)
 }
 
 // Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
+func (t *Tree) Height() int { return int(t.height.Load()) }
 
 // NumPages returns the file size in pages (including the meta page).
 func (t *Tree) NumPages() int64 { return t.npages }
+
+// NumLeaves returns the number of leaf pages (kept in the meta page, so the
+// planner's page rule reads it without walking the chain).
+func (t *Tree) NumLeaves() int64 { return t.nleaves.Load() }
+
+// Fits reports whether an entry with this key and payload length can be
+// stored: an entry may take at most half a node, in a leaf and (its key) in
+// an internal node, which is what lets any overfull node split into two
+// that fit.
+func (t *Tree) Fits(k tuple.Value, payloadLen int) bool {
+	half := (t.pool.Disk().BlockSize() - hdrSize) / 2
+	return entrySize(true, k, payloadLen) <= half && entrySize(false, k, 0) <= half
+}
+
+// pin pins page pno and returns the view of its bytes; the caller unpins id.
+func (t *Tree) pin(pno int64) (page, buffer.PageID, error) {
+	id := buffer.PageID{File: t.Name, Block: pno}
+	if pno < 1 || pno >= t.npages && pno >= t.filePages() {
+		return page{}, id, t.at(pno, corruptf("page pointer outside the file's %d pages", t.filePages()))
+	}
+	raw, err := t.pool.Pin(id)
+	if err != nil {
+		return page{}, id, err
+	}
+	p, err := viewPage(raw)
+	if err != nil {
+		t.pool.Unpin(id)
+		return page{}, id, t.at(pno, err)
+	}
+	return p, id, nil
+}
+
+// filePages is the file's length on the device. It can exceed npages when
+// another manager over the same disk has grown the tree since this handle
+// was opened, so it is what bounds page pointers and leaf-chain walks.
+func (t *Tree) filePages() int64 { return int64(t.pool.Disk().NumBlocks(t.Name)) }
+
+// at names the tree and page an error was found on.
+func (t *Tree) at(pno int64, err error) error {
+	return fmt.Errorf("%s page %d: %w", t.Name, pno, err)
+}
 
 func (t *Tree) readNode(pno int64) (*node, error) {
 	id := buffer.PageID{File: t.Name, Block: pno}
@@ -191,7 +168,11 @@ func (t *Tree) readNode(pno int64) (*node, error) {
 		return nil, err
 	}
 	defer t.pool.Unpin(id)
-	return decodeNode(raw)
+	n, err := decodeNode(raw)
+	if err != nil {
+		return nil, t.at(pno, err)
+	}
+	return n, nil
 }
 
 func (t *Tree) writeNode(pno int64, n *node) error {
@@ -200,15 +181,19 @@ func (t *Tree) writeNode(pno int64, n *node) error {
 	if err != nil {
 		return err
 	}
-	n.encode(raw)
+	defer t.pool.Unpin(id)
+	if err := n.encode(raw); err != nil {
+		return err
+	}
 	t.pool.MarkDirty(id)
-	t.pool.Unpin(id)
 	return nil
 }
 
 func (t *Tree) appendNode(n *node) (int64, error) {
 	buf := make([]byte, t.pool.Disk().BlockSize())
-	n.encode(buf)
+	if err := n.encode(buf); err != nil {
+		return 0, err
+	}
 	pno, err := t.pool.Disk().Append(t.Name, buf)
 	if err != nil {
 		return 0, err
@@ -232,10 +217,16 @@ func (t *Tree) BulkLoad(items []Item, ff float64) error {
 	if ff <= 0 || ff > 1 {
 		ff = 1.0
 	}
-	for i := 1; i < len(items); i++ {
-		if tuple.Compare(items[i-1].Key, items[i].Key) > 0 {
+	for i, it := range items {
+		if i > 0 && tuple.Compare(items[i-1].Key, it.Key) > 0 {
 			return fmt.Errorf("btree: bulk-load input not sorted at %d", i)
 		}
+		if !t.Fits(it.Key, len(it.Payload)) {
+			return fmt.Errorf("btree: bulk-load item %d: entry exceeds half a %d-byte node", i, t.pool.Disk().BlockSize())
+		}
+	}
+	if len(items) == 0 {
+		return t.resetToEmptyLeaf()
 	}
 	blockSize := t.pool.Disk().BlockSize()
 	limit := int(float64(blockSize) * ff)
@@ -243,149 +234,160 @@ func (t *Tree) BulkLoad(items []Item, ff float64) error {
 		limit = blockSize
 	}
 
-	// Build leaves.
+	// One level at a time, leaves first: fill a node until the next entry
+	// would pass the limit, append it, and remember its first key for the
+	// level above. Leaves are appended back to back, so a leaf's successor
+	// is the page after it.
 	type built struct {
 		pno int64
 		min tuple.Value
 	}
 	var level []built
 	cur := &node{leaf: true, next: invalidPno}
-	var curMin tuple.Value
-	flush := func() error {
-		if len(cur.entries) == 0 {
-			return nil
+	size := hdrSize
+	flush := func(more bool) error {
+		if cur.leaf && more {
+			cur.next = t.npages + 1
 		}
 		pno, err := t.appendNode(cur)
 		if err != nil {
 			return err
 		}
-		level = append(level, built{pno: pno, min: curMin})
-		cur = &node{leaf: true, next: invalidPno}
+		level = append(level, built{pno: pno, min: cur.entries[0].key})
+		cur = &node{leaf: cur.leaf, next: invalidPno}
+		size = hdrSize
+		return nil
+	}
+	add := func(e entry) error {
+		esz := entrySize(cur.leaf, e.key, len(e.payload))
+		if len(cur.entries) > 0 && size+esz > limit {
+			if err := flush(true); err != nil {
+				return err
+			}
+		}
+		cur.entries = append(cur.entries, e)
+		size += esz
 		return nil
 	}
 	for _, it := range items {
-		esz := tuple.Tuple{it.Key}.EncodedSize() + 4 + len(it.Payload)
-		if len(cur.entries) > 0 && cur.encodedSize()+esz > limit {
-			if err := flush(); err != nil {
-				return err
-			}
+		if err := add(entry{key: it.Key, payload: it.Payload}); err != nil {
+			return err
 		}
-		if len(cur.entries) == 0 {
-			curMin = it.Key
-		}
-		cur.entries = append(cur.entries, entry{key: it.Key, payload: it.Payload})
 	}
-	if err := flush(); err != nil {
+	if err := flush(false); err != nil {
 		return err
 	}
-	if len(level) == 0 {
-		// Empty tree: single empty leaf root.
-		pno, err := t.appendNode(&node{leaf: true, next: invalidPno})
-		if err != nil {
-			return err
-		}
-		t.root, t.height = pno, 1
-		return t.writeMeta()
-	}
-	// Chain leaves.
-	for i := 0; i < len(level)-1; i++ {
-		n, err := t.readNode(level[i].pno)
-		if err != nil {
-			return err
-		}
-		n.next = level[i+1].pno
-		if err := t.writeNode(level[i].pno, n); err != nil {
-			return err
-		}
-	}
-	// Build internal levels.
-	height := 1
+	nleaves := int64(len(level))
+	height := int64(1)
 	for len(level) > 1 {
-		var parents []built
-		cur := &node{leaf: false, next: invalidPno}
-		var curMin tuple.Value
-		flushI := func() error {
-			if len(cur.entries) == 0 {
-				return nil
-			}
-			pno, err := t.appendNode(cur)
-			if err != nil {
+		children := level
+		level = nil
+		cur = &node{next: invalidPno}
+		for _, ch := range children {
+			if err := add(entry{key: ch.min, child: ch.pno}); err != nil {
 				return err
 			}
-			parents = append(parents, built{pno: pno, min: curMin})
-			cur = &node{leaf: false, next: invalidPno}
-			return nil
 		}
-		for _, ch := range level {
-			esz := tuple.Tuple{ch.min}.EncodedSize() + 8
-			if len(cur.entries) > 0 && cur.encodedSize()+esz > limit {
-				if err := flushI(); err != nil {
-					return err
-				}
-			}
-			if len(cur.entries) == 0 {
-				curMin = ch.min
-			}
-			cur.entries = append(cur.entries, entry{key: ch.min, child: ch.pno})
-		}
-		if err := flushI(); err != nil {
+		if err := flush(false); err != nil {
 			return err
 		}
-		level = parents
 		height++
 	}
-	t.root, t.height = level[0].pno, height
+	t.root = level[0].pno
+	t.height.Store(height)
+	t.nleaves.Store(nleaves)
 	return t.writeMeta()
 }
 
 // ---- Search ----------------------------------------------------------------
 
-// childFor returns the child to descend into for key k. The descent is
-// left-biased — it picks the child *before* the first separator >= k — so
-// that runs of duplicate keys spanning a leaf boundary are found from their
-// first occurrence (Range chains forward through leaf next-pointers).
-func (n *node) childFor(k tuple.Value) int64 {
-	lo, hi := 0, len(n.entries) // first index with key >= k
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tuple.Compare(n.entries[mid].key, k) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 {
-		lo--
-	}
-	return n.entries[lo].child
-}
-
-// findLeaf descends to the leaf that would contain k, returning the leaf's
-// page number and decoded node, plus the root-to-leaf path (for splits).
-func (t *Tree) findLeaf(k tuple.Value) (int64, *node, []int64, error) {
+// findLeaf descends to the leaf that would contain k (the leftmost leaf for
+// an invalid k) and returns its page number, pinning one page at a time.
+// With a non-nil path it also records the internal pages visited, root
+// first, for splits to propagate along.
+func (t *Tree) findLeaf(k tuple.Value, path *[]int64) (int64, error) {
 	pno := t.root
-	var path []int64
-	for {
-		n, err := t.readNode(pno)
+	height := t.height.Load()
+	for level := height; level > 1; level-- {
+		p, id, err := t.pin(pno)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, err
 		}
-		if n.leaf {
-			return pno, n, path, nil
+		var child int64
+		if p.leaf {
+			err = corruptf("leaf at level %d of %d", level, height)
+		} else {
+			child, err = p.childFor(k)
 		}
-		if len(n.entries) == 0 {
-			return 0, nil, nil, fmt.Errorf("btree: empty internal node at page %d", pno)
+		t.pool.Unpin(id)
+		if err != nil {
+			return 0, t.at(pno, err)
 		}
-		path = append(path, pno)
-		pno = n.childFor(k)
+		if path != nil {
+			*path = append(*path, pno)
+		}
+		pno = child
 	}
+	return pno, nil
 }
 
-// Search returns the payloads of all entries with key == k.
+// scan visits, in key order, the leaf entries with lo <= key <= hi (an
+// invalid bound is open), after skipping skipLeaves whole leaves from the
+// one lo falls in. visit receives the encoded key and the payload as they
+// lie in the pinned page — valid for the call only — and stops the scan by
+// returning false.
+func (t *Tree) scan(lo, hi tuple.Value, skipLeaves int, visit func(key, payload []byte) bool) error {
+	pno, err := t.findLeaf(lo, nil)
+	if err != nil {
+		return err
+	}
+	seeking := lo.IsValid()
+	limit := t.filePages()
+	for visited := int64(0); pno != invalidPno; visited++ {
+		p, id, err := t.pin(pno)
+		if err != nil {
+			return err
+		}
+		more := true
+		switch {
+		case !p.leaf || visited >= limit:
+			err = corruptf("leaf chain reaches a non-leaf or loops")
+		case skipLeaves > 0:
+			skipLeaves--
+		default:
+			i := 0
+			if seeking {
+				// Every key of the leaves after the one holding the first
+				// key >= lo is >= lo too: search only until that one is found.
+				i, err = p.lowerBound(lo)
+				seeking = i == p.n
+			}
+			for ; i < p.n && more && err == nil; i++ {
+				var key, payload []byte
+				if key, payload, err = p.entry(i); err == nil {
+					more = (!hi.IsValid() || compareKey(key, hi) <= 0) && visit(key, payload)
+				}
+			}
+		}
+		next := p.next()
+		t.pool.Unpin(id)
+		if err != nil {
+			return t.at(pno, err)
+		}
+		if !more {
+			return nil
+		}
+		pno = next
+	}
+	return nil
+}
+
+// Search returns the payloads of all entries with key == k. The returned
+// payloads are copies; they are all a warm search allocates.
 func (t *Tree) Search(k tuple.Value) ([][]byte, error) {
 	var out [][]byte
-	err := t.Range(k, k, func(key tuple.Value, payload []byte) bool {
-		out = append(out, payload)
+	err := t.scan(k, k, 0, func(_, payload []byte) bool {
+		out = append(out, append([]byte(nil), payload...))
 		return true
 	})
 	return out, err
@@ -393,6 +395,8 @@ func (t *Tree) Search(k tuple.Value) ([][]byte, error) {
 
 // Range iterates entries with lo <= key <= hi in key order. Invalid lo means
 // "from the start"; invalid hi means "to the end". fn returning false stops.
+// The payload aliases the pinned page: it is valid for the call, and a
+// caller that keeps it copies it.
 func (t *Tree) Range(lo, hi tuple.Value, fn func(key tuple.Value, payload []byte) bool) error {
 	return t.RangeFrom(lo, hi, 0, fn)
 }
@@ -401,81 +405,20 @@ func (t *Tree) Range(lo, hi tuple.Value, fn func(key tuple.Value, payload []byte
 // whole leaves); used by the ordered-scan split in Figure 9's experiment
 // where the second join packet re-reads only the skipped prefix.
 func (t *Tree) RangeFrom(lo, hi tuple.Value, skipLeaves int, fn func(key tuple.Value, payload []byte) bool) error {
-	var pno int64
-	if lo.IsValid() {
-		p, _, _, err := t.findLeaf(lo)
-		if err != nil {
-			return err
-		}
-		pno = p
-	} else {
-		// Leftmost leaf.
-		p := t.root
-		for {
-			n, err := t.readNode(p)
-			if err != nil {
-				return err
-			}
-			if n.leaf {
-				pno = p
-				break
-			}
-			if len(n.entries) == 0 {
-				return fmt.Errorf("btree: empty internal node at page %d", p)
-			}
-			p = n.entries[0].child
-		}
-	}
-	for skipLeaves > 0 && pno != invalidPno {
-		n, err := t.readNode(pno)
-		if err != nil {
-			return err
-		}
-		pno = n.next
-		skipLeaves--
-	}
-	for pno != invalidPno {
-		n, err := t.readNode(pno)
-		if err != nil {
-			return err
-		}
-		for _, e := range n.entries {
-			if lo.IsValid() && tuple.Compare(e.key, lo) < 0 {
-				continue
-			}
-			if hi.IsValid() && tuple.Compare(e.key, hi) > 0 {
-				return nil
-			}
-			if !fn(e.key, e.payload) {
-				return nil
-			}
-		}
-		pno = n.next
-	}
-	return nil
+	return t.scan(lo, hi, skipLeaves, func(key, payload []byte) bool {
+		return fn(decodeKey(key), payload)
+	})
 }
 
 // ScanLeaves iterates leaves in key order, invoking fn once per leaf with
-// the leaf ordinal and its entries. Used by the clustered index-scan
-// µEngine, which needs page-granular progress for OSP bookkeeping.
+// the leaf ordinal and its entries (payloads valid for the call). For
+// validation and tests; scans stream through Range or ReadLeafTuples.
 func (t *Tree) ScanLeaves(fn func(ord int, keys []tuple.Value, payloads [][]byte) bool) error {
-	// Descend to leftmost leaf.
-	pno := t.root
-	for {
-		n, err := t.readNode(pno)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			break
-		}
-		if len(n.entries) == 0 {
-			return fmt.Errorf("btree: empty internal node at page %d", pno)
-		}
-		pno = n.entries[0].child
+	pnos, err := t.LeafPageNos()
+	if err != nil {
+		return err
 	}
-	ord := 0
-	for pno != invalidPno {
+	for ord, pno := range pnos {
 		n, err := t.readNode(pno)
 		if err != nil {
 			return err
@@ -483,14 +426,11 @@ func (t *Tree) ScanLeaves(fn func(ord int, keys []tuple.Value, payloads [][]byte
 		keys := make([]tuple.Value, len(n.entries))
 		payloads := make([][]byte, len(n.entries))
 		for i, e := range n.entries {
-			keys[i] = e.key
-			payloads[i] = e.payload
+			keys[i], payloads[i] = e.key, e.payload
 		}
 		if !fn(ord, keys, payloads) {
 			return nil
 		}
-		pno = n.next
-		ord++
 	}
 	return nil
 }
@@ -499,59 +439,53 @@ func (t *Tree) ScanLeaves(fn func(ord int, keys []tuple.Value, payloads [][]byte
 // order. Scan engines cache this list so repeated scans address leaves
 // directly (one buffered page read per leaf).
 func (t *Tree) LeafPageNos() ([]int64, error) {
-	pno := t.root
-	for {
-		n, err := t.readNode(pno)
-		if err != nil {
-			return nil, err
-		}
-		if n.leaf {
-			break
-		}
-		if len(n.entries) == 0 {
-			return nil, fmt.Errorf("btree: empty internal node at page %d", pno)
-		}
-		pno = n.entries[0].child
+	pno, err := t.findLeaf(tuple.Value{}, nil)
+	if err != nil {
+		return nil, err
 	}
-	var out []int64
+	out := make([]int64, 0, t.nleaves.Load())
+	limit := t.filePages()
 	for pno != invalidPno {
-		out = append(out, pno)
-		n, err := t.readNode(pno)
+		p, id, err := t.pin(pno)
 		if err != nil {
 			return nil, err
 		}
-		pno = n.next
+		next := p.next()
+		t.pool.Unpin(id)
+		if !p.leaf || int64(len(out)) >= limit {
+			return nil, t.at(pno, corruptf("leaf chain reaches a non-leaf or loops"))
+		}
+		out = append(out, pno)
+		pno = next
 	}
 	return out, nil
 }
 
 // ReadLeafTuples reads one leaf page and decodes each payload as a tuple of
-// ncols columns (clustered index leaves store full tuples).
+// ncols columns (clustered index leaves store full tuples), straight from
+// the pinned page into one arena chunk.
 func (t *Tree) ReadLeafTuples(pno int64, ncols int) ([]tuple.Tuple, error) {
-	n, err := t.readNode(pno)
+	p, id, err := t.pin(pno)
 	if err != nil {
 		return nil, err
 	}
-	if !n.leaf {
-		return nil, fmt.Errorf("btree: page %d is not a leaf", pno)
+	defer t.pool.Unpin(id)
+	if !p.leaf {
+		return nil, t.at(pno, corruptf("not a leaf"))
 	}
-	out := make([]tuple.Tuple, 0, len(n.entries))
-	for i, e := range n.entries {
-		tp, _, err := tuple.Decode(e.payload, ncols)
+	var arena tuple.RowArena
+	arena.Grow(p.n * ncols)
+	out := make([]tuple.Tuple, p.n)
+	for i := range out {
+		_, payload, err := p.entry(i)
 		if err != nil {
-			return nil, fmt.Errorf("btree: leaf %d entry %d: %w", pno, i, err)
+			return nil, t.at(pno, err)
 		}
-		out = append(out, tp)
+		if out[i], _, err = tuple.DecodeArena(payload, ncols, &arena); err != nil {
+			return nil, t.at(pno, corruptf("entry %d is no row of %d columns: %v", i, ncols, err))
+		}
 	}
 	return out, nil
-}
-
-// NumLeaves counts leaf pages (a full leaf walk; used at plan time to size
-// ordered-scan sharing decisions).
-func (t *Tree) NumLeaves() (int, error) {
-	n := 0
-	err := t.ScanLeaves(func(int, []tuple.Value, [][]byte) bool { n++; return true })
-	return n, err
 }
 
 // ---- Insert ----------------------------------------------------------------
@@ -559,39 +493,60 @@ func (t *Tree) NumLeaves() (int, error) {
 // Insert adds one (key, payload) entry, splitting nodes as needed.
 // Duplicate keys are allowed (stored adjacent).
 func (t *Tree) Insert(k tuple.Value, payload []byte) error {
-	pno, leaf, path, err := t.findLeaf(k)
+	if !t.Fits(k, len(payload)) {
+		return fmt.Errorf("btree: %s: entry exceeds half a %d-byte node", t.Name, t.pool.Disk().BlockSize())
+	}
+	var path []int64
+	pno, err := t.findLeaf(k, &path)
 	if err != nil {
 		return err
 	}
-	// Insert sorted within the leaf.
-	ix := len(leaf.entries)
-	for i, e := range leaf.entries {
-		if tuple.Compare(e.key, k) > 0 {
-			ix = i
-			break
-		}
+	leaf, err := t.readNode(pno)
+	if err != nil {
+		return err
 	}
-	leaf.entries = append(leaf.entries, entry{})
-	copy(leaf.entries[ix+1:], leaf.entries[ix:])
-	leaf.entries[ix] = entry{key: k, payload: payload}
-
-	blockSize := t.pool.Disk().BlockSize()
-	if leaf.encodedSize() <= blockSize {
+	if !leaf.leaf {
+		return t.at(pno, corruptf("internal node at leaf level"))
+	}
+	// After the last entry with key <= k.
+	ix := sort.Search(len(leaf.entries), func(i int) bool { return tuple.Compare(leaf.entries[i].key, k) > 0 })
+	leaf.insertAt(ix, entry{key: k, payload: payload})
+	right := leaf.splitIfOverfull(t.pool.Disk().BlockSize())
+	if right == nil {
 		return t.writeNode(pno, leaf)
 	}
-	// Split the leaf.
-	mid := len(leaf.entries) / 2
-	right := &node{leaf: true, next: leaf.next, entries: append([]entry(nil), leaf.entries[mid:]...)}
-	leaf.entries = leaf.entries[:mid]
 	rpno, err := t.appendNode(right)
 	if err != nil {
 		return err
 	}
 	leaf.next = rpno
+	t.nleaves.Add(1)
 	if err := t.writeNode(pno, leaf); err != nil {
 		return err
 	}
-	return t.insertIntoParent(path, pno, right.entries[0].key, rpno)
+	if err := t.insertIntoParent(path, pno, right.entries[0].key, rpno); err != nil {
+		return err
+	}
+	return t.writeMeta() // one more leaf, perhaps a new root
+}
+
+func (n *node) insertAt(ix int, e entry) {
+	n.entries = append(n.entries, entry{})
+	copy(n.entries[ix+1:], n.entries[ix:])
+	n.entries[ix] = e
+}
+
+// splitIfOverfull moves the upper part of a node that no longer fits a
+// block into a new right sibling (which inherits the next pointer) and
+// returns it; nil when the node fits.
+func (n *node) splitIfOverfull(blockSize int) *node {
+	if n.size() <= blockSize {
+		return nil
+	}
+	mid := n.splitPoint(blockSize)
+	right := &node{leaf: n.leaf, next: n.next, entries: append([]entry(nil), n.entries[mid:]...)}
+	n.entries = n.entries[:mid]
+	return right
 }
 
 // insertIntoParent propagates a split upward. The new (sepKey, childPno)
@@ -618,15 +573,11 @@ func (t *Tree) insertIntoParent(path []int64, leftPno int64, sepKey tuple.Value,
 		if ix < 0 {
 			return fmt.Errorf("btree: parent %d has no entry for split child %d", ppno, leftPno)
 		}
-		parent.entries = append(parent.entries, entry{})
-		copy(parent.entries[ix+1:], parent.entries[ix:])
-		parent.entries[ix] = entry{key: sepKey, child: childPno}
-		if parent.encodedSize() <= blockSize {
+		parent.insertAt(ix, entry{key: sepKey, child: childPno})
+		right := parent.splitIfOverfull(blockSize)
+		if right == nil {
 			return t.writeNode(ppno, parent)
 		}
-		mid := len(parent.entries) / 2
-		right := &node{leaf: false, next: invalidPno, entries: append([]entry(nil), parent.entries[mid:]...)}
-		parent.entries = parent.entries[:mid]
 		rpno, err := t.appendNode(right)
 		if err != nil {
 			return err
@@ -637,64 +588,57 @@ func (t *Tree) insertIntoParent(path []int64, leftPno int64, sepKey tuple.Value,
 		leftPno, sepKey, childPno = ppno, right.entries[0].key, rpno
 	}
 	// Split reached the root: grow a new root.
-	oldRoot := t.root
-	oldMin, err := t.minKey(oldRoot)
+	oldRoot, err := t.readNode(t.root)
 	if err != nil {
 		return err
 	}
-	newRoot := &node{leaf: false, next: invalidPno, entries: []entry{
-		{key: oldMin, child: oldRoot},
+	rpno, err := t.appendNode(&node{next: invalidPno, entries: []entry{
+		{key: oldRoot.entries[0].key, child: t.root},
 		{key: sepKey, child: childPno},
-	}}
-	rpno, err := t.appendNode(newRoot)
+	}})
 	if err != nil {
 		return err
 	}
 	t.root = rpno
-	t.height++
-	return t.writeMeta()
-}
-
-func (t *Tree) minKey(pno int64) (tuple.Value, error) {
-	n, err := t.readNode(pno)
-	if err != nil {
-		return tuple.Value{}, err
-	}
-	if len(n.entries) == 0 {
-		return tuple.Value{}, nil
-	}
-	return n.entries[0].key, nil
+	t.height.Add(1)
+	return nil
 }
 
 // Count returns the number of entries (leaf walk).
 func (t *Tree) Count() (int64, error) {
 	var n int64
-	err := t.ScanLeaves(func(_ int, keys []tuple.Value, _ [][]byte) bool {
-		n += int64(len(keys))
-		return true
-	})
+	err := t.scan(tuple.Value{}, tuple.Value{}, 0, func(_, _ []byte) bool { n++; return true })
 	return n, err
 }
 
-// Validate walks the tree checking structural invariants: key order within
-// nodes, separator correctness, and leaf-chain ordering. Used by property
-// tests after randomized insert workloads.
+// Validate walks the leaf chain checking that keys ascend across it and that
+// it has as many leaves as the meta page says. Used by property tests after
+// randomized insert workloads.
 func (t *Tree) Validate() error {
-	var prev *tuple.Value
+	var prev tuple.Value
+	var n int64
 	var verr error
-	err := t.ScanLeaves(func(ord int, keys []tuple.Value, _ [][]byte) bool {
-		for i := range keys {
-			if prev != nil && tuple.Compare(*prev, keys[i]) > 0 {
-				verr = fmt.Errorf("btree: leaf chain out of order at leaf %d entry %d", ord, i)
-				return false
-			}
-			k := keys[i]
-			prev = &k
+	err := t.scan(tuple.Value{}, tuple.Value{}, 0, func(key, _ []byte) bool {
+		if n > 0 && compareKey(key, prev) < 0 {
+			verr = fmt.Errorf("btree: leaf chain out of order at entry %d (%s after %s)", n, decodeKey(key), prev)
+			return false
 		}
+		prev = decodeKey(key)
+		n++
 		return true
 	})
+	if err == nil {
+		err = verr
+	}
 	if err != nil {
 		return err
 	}
-	return verr
+	pnos, err := t.LeafPageNos()
+	if err != nil {
+		return err
+	}
+	if n := t.nleaves.Load(); int64(len(pnos)) != n {
+		return fmt.Errorf("btree: leaf chain has %d leaves, meta page says %d", len(pnos), n)
+	}
+	return nil
 }

@@ -147,8 +147,7 @@ func TestScanLeavesOrdinalAndChaining(t *testing.T) {
 	if total != 300 {
 		t.Errorf("total = %d", total)
 	}
-	nl, err := tr.NumLeaves()
-	if err != nil || nl != lastOrd+1 {
+	if nl := tr.NumLeaves(); nl != int64(lastOrd+1) {
 		t.Errorf("NumLeaves: %d vs %d", nl, lastOrd+1)
 	}
 }
@@ -324,12 +323,11 @@ func TestStringKeys(t *testing.T) {
 }
 
 func TestFillFactorMakesMoreLeaves(t *testing.T) {
-	mk := func(ff float64) int {
+	mk := func(ff float64) int64 {
 		pool := newPool(512)
 		tr, _ := Create(pool, "ix")
 		tr.BulkLoad(intItems(400), ff)
-		n, _ := tr.NumLeaves()
-		return n
+		return tr.NumLeaves()
 	}
 	full := mk(1.0)
 	half := mk(0.5)

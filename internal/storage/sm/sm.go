@@ -48,6 +48,47 @@ type Table struct {
 // CommitSeq returns the table's committed-transaction counter.
 func (t *Table) CommitSeq() int64 { return t.commitSeq.Load() }
 
+// indexRow enters a row just appended at rid into every index the table
+// has, clustered and unclustered alike: the one place a new row reaches the
+// trees, so none can fall behind the heap. The caller holds the table X
+// lock.
+func (t *Table) indexRow(rid heap.RID, row tuple.Tuple) error {
+	if t.Clustered != nil {
+		ix := t.Schema.ColIndex(t.ClusteredKey)
+		if ix < 0 {
+			return fmt.Errorf("sm: table %q: clustered key column %q unknown", t.Name, t.ClusteredKey)
+		}
+		if err := t.Clustered.Insert(row[ix], row.Encode(nil)); err != nil {
+			return err
+		}
+	}
+	for col, tr := range t.Unclustered {
+		if err := tr.Insert(row[t.Schema.MustColIndex(col)], EncodeRID(rid)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ridPayloadLen is the length of every EncodeRID payload.
+var ridPayloadLen = len(EncodeRID(heap.RID{}))
+
+// checkIndexFit reports whether indexRow's (or an update's) index entries
+// for the row can be stored — what commit validation asks before logging.
+func (t *Table) checkIndexFit(row tuple.Tuple) error {
+	if t.Clustered != nil {
+		if ix := t.Schema.ColIndex(t.ClusteredKey); ix >= 0 && !t.Clustered.Fits(row[ix], row.EncodedSize()) {
+			return fmt.Errorf("row of %d bytes exceeds half a clustered-index node", row.EncodedSize())
+		}
+	}
+	for col, tr := range t.Unclustered {
+		if !tr.Fits(row[t.Schema.MustColIndex(col)], ridPayloadLen) {
+			return fmt.Errorf("key of column %q exceeds half an index node", col)
+		}
+	}
+	return nil
+}
+
 // Manager is the storage manager.
 type Manager struct {
 	Disk  *disk.Disk
@@ -194,7 +235,7 @@ func (m *Manager) AttachClusteredKey(table, col string) error {
 	if t.Clustered == nil {
 		return fmt.Errorf("sm: table %q has no clustered index", table)
 	}
-	t.ClusteredKey = col
+	m.setIndex(t, Index{Col: col, Clustered: true, Tree: t.Clustered})
 	return nil
 }
 
@@ -212,8 +253,50 @@ func (m *Manager) AttachUnclustered(table, col string) error {
 	if err != nil {
 		return err
 	}
-	t.Unclustered[col] = tr
+	m.setIndex(t, Index{Col: col, Tree: tr})
 	return nil
+}
+
+// Index names one B+tree of a table.
+type Index struct {
+	Col       string
+	Clustered bool
+	Tree      *btree.Tree
+}
+
+// setIndex publishes a tree as an index of t. It happens under mu because
+// planning lists a table's indexes (Indexes) beside a CREATE INDEX, without
+// the table lock that orders index builds and scans.
+func (m *Manager) setIndex(t *Table, ix Index) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ix.Clustered {
+		t.Clustered, t.ClusteredKey = ix.Tree, ix.Col
+	} else {
+		t.Unclustered[ix.Col] = ix.Tree
+	}
+}
+
+// Indexes lists the table's indexes, the clustered one first and the
+// unclustered ones by column name; nil for a table that has none (or is
+// unknown), at the cost of a map lookup.
+func (m *Manager) Indexes(table string) []Index {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	t := m.tables[table]
+	if t == nil || (t.Clustered == nil && len(t.Unclustered) == 0) {
+		return nil
+	}
+	out := make([]Index, 0, 1+len(t.Unclustered))
+	if t.Clustered != nil && t.ClusteredKey != "" {
+		out = append(out, Index{Col: t.ClusteredKey, Clustered: true, Tree: t.Clustered})
+	}
+	for col, tr := range t.Unclustered {
+		out = append(out, Index{Col: col, Tree: tr})
+	}
+	unclustered := out[len(out)-len(t.Unclustered):]
+	sort.Slice(unclustered, func(i, j int) bool { return unclustered[i].Col < unclustered[j].Col })
+	return out
 }
 
 // Table looks up a registered table.
@@ -268,7 +351,11 @@ func (m *Manager) Load(table string, rows []tuple.Tuple) error {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := t.Heap.Append(r); err != nil {
+		rid, err := t.Heap.Append(r)
+		if err != nil {
+			return err
+		}
+		if err := t.indexRow(rid, r); err != nil {
 			return err
 		}
 	}
@@ -328,10 +415,9 @@ func (m *Manager) buildClustered(table, keyCol string) error {
 	if err := tr.BulkLoad(items, 1.0); err != nil {
 		return err
 	}
-	t.Clustered = tr
-	t.ClusteredKey = keyCol
-	// Flush: bulk load links leaves through the buffer pool; other managers
-	// attaching over the same disk must see the complete chain.
+	m.setIndex(t, Index{Col: keyCol, Clustered: true, Tree: tr})
+	// Flush: other managers attaching over the same disk read the tree from
+	// the device.
 	return m.Pool.Flush()
 }
 
@@ -370,7 +456,7 @@ func (m *Manager) buildUnclustered(table, keyCol string) error {
 	if err := tr.BulkLoad(items, 1.0); err != nil {
 		return err
 	}
-	t.Unclustered[keyCol] = tr
+	m.setIndex(t, Index{Col: keyCol, Tree: tr})
 	return m.Pool.Flush()
 }
 

@@ -309,9 +309,20 @@ func (tt *txTable) validate(maxRow int) error {
 		}
 	}
 	for _, row := range tt.inserts {
+		if row == nil {
+			continue // retracted in the transaction
+		}
 		if n := row.EncodedSize(); n > maxRow {
 			return &CommitRejectedError{Table: tt.t.Name, Page: -1,
 				Err: fmt.Errorf("row of %d bytes exceeds a page's %d", n, maxRow)}
+		}
+		if err := tt.t.checkIndexFit(row); err != nil {
+			return &CommitRejectedError{Table: tt.t.Name, Page: -1, Err: err}
+		}
+	}
+	for _, row := range tt.updates {
+		if err := tt.t.checkIndexFit(row); err != nil {
+			return &CommitRejectedError{Table: tt.t.Name, Page: -1, Err: err}
 		}
 	}
 	return nil
@@ -340,8 +351,10 @@ func (tx *Tx) entries() []wal.Entry {
 }
 
 // applyTable applies one table's staged net effect to the heap, in the same
-// order the WAL batch logged it, and maintains unclustered indexes. Bumps
-// the table's commit sequence (the OSP snapshot fence).
+// order the WAL batch logged it, and maintains the table's indexes — the
+// clustered tree and the unclustered ones in the same step, under the X lock
+// the committer holds. Bumps the table's commit sequence (the OSP snapshot
+// fence, and what dates the index-scan µEngine's leaf list).
 func (m *Manager) applyTable(tt *txTable) error {
 	t := tt.t
 	for _, rid := range sortedRIDs(tt.deletes) {
@@ -395,11 +408,8 @@ func (m *Manager) applyTable(tt *txTable) error {
 		if err != nil {
 			return err
 		}
-		for col, tr := range t.Unclustered {
-			ix := t.Schema.MustColIndex(col)
-			if err := tr.Insert(row[ix], EncodeRID(rid)); err != nil {
-				return err
-			}
+		if err := t.indexRow(rid, row); err != nil {
+			return err
 		}
 	}
 	if err := t.Heap.Sync(); err != nil {

@@ -3,6 +3,8 @@ package sm
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"qpipe/internal/storage/disk"
@@ -349,5 +351,138 @@ func TestCommitSeqFence(t *testing.T) {
 	tx.Rollback()
 	if got := tab.CommitSeq(); got != before+1 {
 		t.Fatalf("rollback moved commit seq to %d", got)
+	}
+}
+
+// TestEveryIndexFollowsLaterRows: rows that arrive after the indexes were
+// built — by Load or by a committed insert, with a WAL or without — are in
+// the clustered tree and in the unclustered ones, and a crash rebuilds both
+// to the same contents.
+func TestEveryIndexFollowsLaterRows(t *testing.T) {
+	for _, withWAL := range []bool{true, false} {
+		m := newMgr()
+		if withWAL {
+			m = walManager(t)
+		}
+		if _, err := m.CreateTable("t", testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		batch := func(from, n int) []tuple.Tuple {
+			rows := make([]tuple.Tuple, n)
+			for i := range rows {
+				rows[i] = tuple.Tuple{tuple.I64(int64(from + i)), tuple.Str(fmt.Sprintf("n%03d", (from+i)%50))}
+			}
+			return rows
+		}
+		if err := m.Load("t", batch(0, 300)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.BuildClustered("t", "id"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.BuildUnclustered("t", "name"); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load("t", batch(300, 300)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Insert("t", tuple.Tuple{tuple.I64(9000), tuple.Str("n007")}); err != nil {
+			t.Fatal(err)
+		}
+		check := func(m *Manager, stage string) {
+			t.Helper()
+			tab := m.MustTable("t")
+			want := int64(len(rowsOf(t, m, "t")))
+			if want != 601 {
+				t.Fatalf("wal=%v %s: %d rows, want 601", withWAL, stage, want)
+			}
+			for name, tr := range map[string]interface{ Count() (int64, error) }{
+				"clustered": tab.Clustered, "unclustered": tab.Unclustered["name"]} {
+				if n, err := tr.Count(); err != nil || n != want {
+					t.Fatalf("wal=%v %s: the %s index has %d entries (%v), the heap %d rows", withWAL, stage, name, n, err, want)
+				}
+			}
+			if err := tab.Clustered.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			hits, err := tab.Clustered.Search(tuple.I64(450))
+			if err != nil || len(hits) != 1 {
+				t.Fatalf("wal=%v %s: clustered lookup of a later row: %d hits, %v", withWAL, stage, len(hits), err)
+			}
+			hits, err = tab.Unclustered["name"].Search(tuple.Str("n007"))
+			if wantHits := int(want) / 50; err != nil || len(hits) < wantHits {
+				t.Fatalf("wal=%v %s: unclustered lookup: %d hits, %v; want >= %d", withWAL, stage, len(hits), err, wantHits)
+			}
+		}
+		check(m, "live")
+		if withWAL {
+			check(reopen(t, m, disk.CrashDropVolatile), "recovered")
+		}
+	}
+}
+
+// TestIndexEntryThatCannotBeStoredRejectsTheCommit: a row whose index entry
+// would not fit half a B+tree node is refused by validation, before the
+// commit record is logged — afterwards it could only fail in the apply.
+func TestIndexEntryThatCannotBeStoredRejectsTheCommit(t *testing.T) {
+	m := walManager(t) // 1 KiB blocks: a 600-byte key is over half a node
+	if _, err := m.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load("t", []tuple.Tuple{{tuple.I64(1), tuple.Str("a")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BuildUnclustered("t", "name"); err != nil {
+		t.Fatal(err)
+	}
+	lsn := m.WAL().LSN()
+	long := tuple.Str(strings.Repeat("x", 600))
+	var rej *CommitRejectedError
+	if err := m.Insert("t", tuple.Tuple{tuple.I64(2), long}); !errors.As(err, &rej) {
+		t.Fatalf("insert of an unindexable key: %v", err)
+	}
+	ctx := context.Background()
+	tx := m.Begin()
+	if err := tx.StageUpdate(ctx, "t", heap.RID{Page: 0, Slot: 0}, tuple.Tuple{tuple.I64(1), long}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); !errors.As(err, &rej) {
+		t.Fatalf("update to an unindexable key: %v", err)
+	}
+	if got := m.WAL().LSN(); got != lsn {
+		t.Fatalf("a rejected commit reached the log: LSN %d -> %d", lsn, got)
+	}
+	if rows := rowsOf(t, m, "t"); len(rows) != 1 || rows[0][1].S != "a" {
+		t.Fatalf("a rejected commit changed the table: %v", rows)
+	}
+}
+
+// TestRetractedInsertOnIndexedTable: an insert deleted again inside its
+// transaction reaches neither the heap nor a tree, and commit validation
+// steps over the hole it leaves in the staged rows.
+func TestRetractedInsertOnIndexedTable(t *testing.T) {
+	m := walManager(t)
+	if _, err := m.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BuildUnclustered("t", "id"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tx := m.Begin()
+	for _, id := range []int64{1, 2} {
+		if err := tx.StageInsert(ctx, "t", tuple.Tuple{tuple.I64(id), tuple.Str("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.StageDelete(ctx, "t", heap.RID{Page: -1, Slot: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.MustTable("t").Unclustered["id"].Count()
+	if rows := rowsOf(t, m, "t"); len(rows) != 1 || rows[0][0].I != 2 || err != nil || n != 1 {
+		t.Fatalf("rows %v, %d index entries (%v); want the one row with id 2", rows, n, err)
 	}
 }

@@ -13,11 +13,13 @@ package volcano
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/lock"
 	"qpipe/internal/storage/page"
 	"qpipe/internal/storage/sm"
@@ -278,21 +280,22 @@ func (s *indexIter) Open() error {
 	if tr == nil {
 		return fmt.Errorf("volcano: no unclustered index on %q.%q", n.Table, n.Col)
 	}
-	var rids []struct {
-		page int64
-		slot int
+	// Probe, then fetch in page order. The index is maintained lazily: an
+	// entry whose row is tombstoned, or whose row no longer carries the
+	// entry's key, is a ghost of an earlier version and yields nothing.
+	type probe struct {
+		rid heap.RID
+		key tuple.Value
 	}
+	var probes []probe
 	var derr error
-	err := tr.Range(n.Lo, n.Hi, func(_ tuple.Value, payload []byte) bool {
+	err := tr.Range(n.Lo, n.Hi, func(key tuple.Value, payload []byte) bool {
 		rid, e := sm.DecodeRID(payload)
 		if e != nil {
 			derr = e
 			return false
 		}
-		rids = append(rids, struct {
-			page int64
-			slot int
-		}{rid.Page, rid.Slot})
+		probes = append(probes, probe{rid, key})
 		return true
 	})
 	if err != nil {
@@ -302,24 +305,20 @@ func (s *indexIter) Open() error {
 		return derr
 	}
 	if !n.Ordered {
-		sort.Slice(rids, func(i, j int) bool {
-			if rids[i].page != rids[j].page {
-				return rids[i].page < rids[j].page
-			}
-			return rids[i].slot < rids[j].slot
-		})
+		sort.Slice(probes, func(i, j int) bool { return probes[i].rid.Less(probes[j].rid) })
 	}
-	var pageRows []tuple.Tuple
-	lastPage := int64(-1)
-	for _, rid := range rids {
-		if rid.page != lastPage {
-			pr, err := s.tb.Heap.ReadPage(rid.page)
-			if err != nil {
-				return err
-			}
-			pageRows, lastPage = pr, rid.page
+	keyIx := s.tb.Schema.MustColIndex(n.Col)
+	for _, p := range probes {
+		row, err := s.tb.Heap.ReadTuple(p.rid)
+		if errors.Is(err, heap.ErrDeleted) {
+			continue
 		}
-		s.rows = append(s.rows, pageRows[rid.slot])
+		if err != nil {
+			return err
+		}
+		if tuple.Compare(row[keyIx], p.key) == 0 {
+			s.rows = append(s.rows, row)
+		}
 	}
 	return nil
 }

@@ -48,6 +48,13 @@ func startServer(t testing.TB, n int, dbOpts qpipe.Options, srvOpts qpipe.Server
 			t.Fatal(err)
 		}
 	}
+	srv, addr := serveDB(t, db, srvOpts)
+	return srv, db, addr
+}
+
+// serveDB serves db on a loopback port until the test ends.
+func serveDB(t testing.TB, db *qpipe.DB, srvOpts qpipe.ServerOptions) (*qpipe.Server, string) {
+	t.Helper()
 	srv := qpipe.NewServer(db, srvOpts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -61,7 +68,7 @@ func startServer(t testing.TB, n int, dbOpts qpipe.Options, srvOpts qpipe.Server
 			t.Errorf("Serve returned %v after Shutdown, want nil", err)
 		}
 	})
-	return srv, db, ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 func TestServerQueryRoundTrip(t *testing.T) {
@@ -197,15 +204,19 @@ func TestServerTypedErrors(t *testing.T) {
 		t.Fatalf("bad SET: got %[1]T %[1]v", err)
 	}
 	// Statement timeout → typed DeadlineError that unwraps to
-	// context.DeadlineExceeded, exactly like the embedded API. Slow the
-	// disk so the 1ms budget reliably expires mid-query.
-	db.SetDiskLatency(300*time.Microsecond, 500*time.Microsecond, 0)
+	// context.DeadlineExceeded, exactly like the embedded API. The stall is
+	// the test's own: an open transaction that has written t holds its X
+	// lock, so the SELECT's S-lock wait outlives the 1ms budget.
+	tx := db.Begin()
+	if _, err := tx.Exec(ctx, "UPDATE t SET amount = amount + 1 WHERE id = 0"); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := conn.Query(ctx, "SELECT id FROM t ORDER BY amount",
 		client.WithTimeout(time.Millisecond))
 	if err == nil {
 		_, err = rows.Discard()
 	}
-	db.SetDiskLatency(0, 0, 0)
+	tx.Rollback()
 	var de *qpipe.DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("timeout: got %[1]T %[1]v", err)
