@@ -387,8 +387,10 @@ type Query struct {
 	db   *DB
 	node plan.Node
 	err  error
-	// limit < 0 means no limit; applied by the Result, not the plan (the
-	// engine streams, the result stops the query once n rows are out).
+	// limit < 0 means no limit. A plan whose root is a Sort takes the limit
+	// into the plan as a Top-N (see compile); for every other root the Result
+	// applies it (the engine streams, the result stops the query once n rows
+	// are out).
 	limit int64
 }
 
@@ -651,10 +653,14 @@ func (q *Query) sort(desc bool, cols []string) *Query {
 	return q.with(plan.NewSort(q.node, keys, desc))
 }
 
-// Limit stops the query after n output rows: the Result delivers n rows,
-// then cancels the remaining upstream work. Applied at result level — it
-// does not change the plan's signature, so limited and unlimited variants
-// of a query still share work under OSP.
+// Limit stops the query after n output rows. It is a property of the whole
+// query, wherever in the chain it is written. When the finished plan's root
+// is a Sort and n is at most what one in-memory sort run holds, the limit
+// moves into the plan — the Sort becomes a Top-N keeping n rows, and n is
+// part of its signature, so two such queries share the sort only when their
+// limits are equal (their scans below still share). For every other plan
+// the Result delivers n rows, then cancels the remaining upstream work,
+// and the plan's signature is that of the unlimited query.
 func (q *Query) Limit(n int64) *Query {
 	if q.err != nil {
 		return q
@@ -670,20 +676,32 @@ func (q *Query) Limit(n int64) *Query {
 // so equivalent queries converge on one Signature() and share work under
 // OSP, and each table scan then gets its access path: an index scan where
 // the statistics say a B+tree reads fewer pages than the heap
-// (plan.ChooseAccessPaths; a ScanIndex stays the path it names). Both front
+// (plan.ChooseAccessPaths; a ScanIndex stays the path it names). Last, a
+// limit the root Sort can hold makes it a Top-N (see Limit). Both front
 // ends (this builder and db.Query SQL) funnel through here, which is what
 // keeps their plans byte-identical.
 func (q *Query) Plan() (Plan, error) {
+	p, _, err := q.compile()
+	return p, err
+}
+
+// compile is Plan plus the limit left for the Result to apply: -1 when the
+// query has none or the finished plan's root Sort took it (plan.WithTopN).
+func (q *Query) compile() (Plan, int64, error) {
 	if q.err != nil {
-		return nil, q.err
+		return nil, -1, q.err
 	}
-	if q.db == nil {
-		return plan.Normalize(q.node), nil
+	p := q.node
+	switch {
+	case q.db == nil:
+		p = plan.Normalize(p)
+	case !q.db.noOpt:
+		p = plan.ChooseAccessPaths(plan.Normalize(p), accessCatalog{q.db})
 	}
-	if q.db.noOpt {
-		return q.node, nil
+	if top, ok := plan.WithTopN(p, q.limit); ok {
+		return top, -1, nil
 	}
-	return plan.ChooseAccessPaths(plan.Normalize(q.node), accessCatalog{q.db}), nil
+	return p, q.limit, nil
 }
 
 // Schema returns the query's output schema (nil if the builder failed).
@@ -701,22 +719,26 @@ func (q *Query) Explain() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return q.explain(p), nil
+}
+
+func (q *Query) explain(p Plan) string {
 	if q.db == nil {
-		return plan.Explain(p), nil
+		return plan.Explain(p)
 	}
 	est := q.db.estimator()
 	return plan.ExplainFunc(p, func(n plan.Node) string {
 		return fmt.Sprintf(" rows≈%d", est.Rows(n))
-	}), nil
+	})
 }
 
 // Run submits the query for execution with the given per-query options and
 // returns a streaming Result. The caller must consume it (Rows, All,
 // Discard) or Cancel it.
 func (q *Query) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
-	p, err := q.Plan()
+	p, limit, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	return q.db.run(ctx, p, q.limit, opts)
+	return q.db.run(ctx, p, limit, opts)
 }

@@ -381,12 +381,13 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 		var res *Result
 		if err == nil {
 			var p plan.Node
-			p, err = q.Plan()
+			var limit int64
+			p, limit, err = q.compile()
 			if err == nil {
 				var sq *core.Query
 				sq, err = db.eng.rt.SubmitOpts(ctx, p, o.core)
 				if err == nil {
-					res = newStreamResult(sq, p.Schema(), q.limit)
+					res = newStreamResult(sq, p.Schema(), limit)
 				}
 			}
 		}

@@ -1,0 +1,132 @@
+package expr
+
+import (
+	"math"
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"qpipe/internal/tuple"
+)
+
+func sumOf(kind AggKind, xs []float64) *AggState {
+	s := NewAggState(AggSpec{Kind: kind, Arg: Col(0)})
+	for _, x := range xs {
+		s.Add(tuple.Tuple{tuple.F64(x)})
+	}
+	return s
+}
+
+// mergeTree sums xs over a random partition/merge tree: split anywhere,
+// aggregate the parts apart, merge them in either order.
+func mergeTree(rng *rand.Rand, kind AggKind, xs []float64) *AggState {
+	if len(xs) < 2 || rng.Intn(4) == 0 {
+		return sumOf(kind, xs)
+	}
+	cut := 1 + rng.Intn(len(xs)-1)
+	l, r := mergeTree(rng, kind, xs[:cut]), mergeTree(rng, kind, xs[cut:])
+	if rng.Intn(2) == 0 {
+		l, r = r, l
+	}
+	l.Merge(r)
+	return l
+}
+
+// exactSum rounds the exact sum once, through big.Float.
+func exactSum(xs []float64) float64 {
+	acc := new(big.Float).SetPrec(4096)
+	for _, x := range xs {
+		acc.Add(acc, new(big.Float).SetPrec(4096).SetFloat64(x))
+	}
+	f, _ := acc.Float64()
+	return f
+}
+
+// SUM and AVG have one bit pattern whatever the order of the addends and
+// whatever tree of partial states they were merged through: parallel
+// aggregation and circular scans promise no order.
+func TestSumDoesNotDependOnOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260930))
+	draws := []func() float64{
+		func() float64 { return float64(rng.Intn(100000)) / 100 },                            // prices
+		func() float64 { return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-10)) }, // cancelling magnitudes
+		func() float64 { return []float64{1e16, 1, -1e16, 1e-16, 0.1, -0.3}[rng.Intn(6)] },
+	}
+	for round := 0; round < 40; round++ {
+		xs := make([]float64, 1+rng.Intn(400))
+		for i := range xs {
+			xs[i] = draws[round%len(draws)]()
+		}
+		want := exactSum(xs)
+		wantAvg := want / float64(len(xs))
+		for shuffle := 0; shuffle < 25; shuffle++ { // 40 x 25 = 1 000 shuffles
+			rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+			for _, s := range []*AggState{sumOf(AggSum, xs), mergeTree(rng, AggSum, xs)} {
+				if got := s.Result().F; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("round %d: SUM = %v (%#x), the exact sum rounds to %v (%#x)",
+						round, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			for _, s := range []*AggState{sumOf(AggAvg, xs), mergeTree(rng, AggAvg, xs)} {
+				if got := s.Result().F; math.Float64bits(got) != math.Float64bits(wantAvg) {
+					t.Fatalf("round %d: AVG = %v, want %v", round, got, wantAvg)
+				}
+			}
+		}
+	}
+}
+
+func TestSumSpecialValues(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{nil, 0},
+		{[]float64{1, inf, 2}, inf},
+		{[]float64{inf, -inf}, math.NaN()},
+		{[]float64{1, math.NaN(), inf}, math.NaN()},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, inf},
+		{[]float64{-math.MaxFloat64, -math.MaxFloat64, 5}, -inf},
+	} {
+		for _, s := range []*AggState{sumOf(AggSum, tc.xs), mergeTree(rand.New(rand.NewSource(1)), AggSum, tc.xs)} {
+			got := s.Result().F
+			if math.IsNaN(tc.want) != math.IsNaN(got) || (!math.IsNaN(got) && got != tc.want) {
+				t.Errorf("SUM%v = %v, want %v", tc.xs, got, tc.want)
+			}
+		}
+	}
+}
+
+// An aggregate does its own kind's work: integer-valued sums stay one
+// partial, and nothing allocates per row.
+func TestAggStateAddAllocatesNothing(t *testing.T) {
+	row := tuple.Tuple{tuple.F64(42)}
+	for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax, AggAvg} {
+		s := NewAggState(AggSpec{Kind: kind, Arg: Col(0)})
+		if n := testing.AllocsPerRun(1000, func() { s.Add(row) }); n != 0 {
+			t.Errorf("%v: Add allocates %v times per row", kind, n)
+		}
+	}
+}
+
+func TestMinMaxKeepTheirOwnExtreme(t *testing.T) {
+	rows := []tuple.Tuple{{tuple.I64(3)}, {tuple.I64(-7)}, {tuple.F64(9.5)}, {tuple.I64(-7)}, {tuple.I64(9)}}
+	lo, hi := NewAggState(AggSpec{Kind: AggMin, Arg: Col(0)}), NewAggState(AggSpec{Kind: AggMax, Arg: Col(0)})
+	lo2, hi2 := NewAggState(AggSpec{Kind: AggMin, Arg: Col(0)}), NewAggState(AggSpec{Kind: AggMax, Arg: Col(0)})
+	for i, r := range rows {
+		if i%2 == 0 {
+			lo.Add(r)
+			hi.Add(r)
+		} else {
+			lo2.Add(r)
+			hi2.Add(r)
+		}
+	}
+	lo.Merge(lo2)
+	hi.Merge(hi2)
+	lo.Merge(NewAggState(AggSpec{Kind: AggMin, Arg: Col(0)})) // an empty partial changes nothing
+	if lo.Result() != tuple.I64(-7) || hi.Result() != tuple.F64(9.5) {
+		t.Fatalf("min %v max %v", lo.Result(), hi.Result())
+	}
+}

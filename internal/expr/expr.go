@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"qpipe/internal/tuple"
@@ -161,10 +162,10 @@ func LE(l, r Expr) *Cmp { return &Cmp{Op: CmpLE, L: l, R: r} }
 func GT(l, r Expr) *Cmp { return &Cmp{Op: CmpGT, L: l, R: r} }
 func GE(l, r Expr) *Cmp { return &Cmp{Op: CmpGE, L: l, R: r} }
 
-// Test implements Pred.
-func (c *Cmp) Test(t tuple.Tuple) bool {
-	r := tuple.Compare(c.L.Eval(t), c.R.Eval(t))
-	switch c.Op {
+// Holds reports whether the operator accepts a three-way comparison result
+// (tuple.Compare's or tuple.CompareEncoded's, left operand against right).
+func (o CmpOp) Holds(r int) bool {
+	switch o {
 	case CmpEQ:
 		return r == 0
 	case CmpNE:
@@ -178,6 +179,11 @@ func (c *Cmp) Test(t tuple.Tuple) bool {
 	default:
 		return r >= 0
 	}
+}
+
+// Test implements Pred.
+func (c *Cmp) Test(t tuple.Tuple) bool {
+	return c.Op.Holds(tuple.Compare(c.L.Eval(t), c.R.Eval(t)))
 }
 
 // Signature implements Pred.
@@ -451,14 +457,27 @@ func (a AggSpec) Signature() string {
 	return a.Kind.String() + "(" + arg + ")"
 }
 
-// AggState accumulates one aggregate.
+// AggState accumulates one aggregate. Each kind keeps only its own state:
+// COUNT a counter, MIN/MAX one value, SUM/AVG the running sum.
+//
+// The sum does not depend on the order of the addends: it is held as
+// Shewchuk's non-overlapping partials (the algorithm of Python's math.fsum),
+// whose total is the exact real sum of everything added, and Result rounds
+// that total once. Parallel aggregation merges partial states in scheduler
+// order and a circular scan starts wherever its host was, so there is no
+// fixed order to pin; an exact sum needs none. hi is the largest partial and
+// lows the smaller ones in increasing magnitude — empty for as long as every
+// addition is exact (integer-valued floats), when Add is a single two-sum.
+// A sum whose running total leaves the finite range, or that was handed an
+// infinity or a NaN, is carried in special and reported as that.
 type AggState struct {
-	spec  AggSpec
-	count int64
-	sum   float64
-	min   tuple.Value
-	max   tuple.Value
-	seen  bool
+	spec    AggSpec
+	count   int64
+	hi      float64
+	lows    []float64
+	special float64
+	ext     tuple.Value // the minimum or the maximum so far
+	seen    bool
 }
 
 // NewAggState creates an accumulator for the spec.
@@ -470,31 +489,107 @@ func (s *AggState) Add(t tuple.Tuple) {
 	if s.spec.Arg == nil {
 		return
 	}
-	v := s.spec.Arg.Eval(t)
-	s.sum += v.AsFloat()
-	if !s.seen || tuple.Compare(v, s.min) < 0 {
-		s.min = v
+	switch s.spec.Kind {
+	case AggSum, AggAvg:
+		s.addFloat(s.spec.Arg.Eval(t).AsFloat())
+	case AggMin, AggMax:
+		s.addExtreme(s.spec.Arg.Eval(t))
 	}
-	if !s.seen || tuple.Compare(v, s.max) > 0 {
-		s.max = v
+}
+
+// addExtreme keeps v when it beats the extreme held so far.
+func (s *AggState) addExtreme(v tuple.Value) {
+	if s.seen {
+		c := tuple.Compare(v, s.ext)
+		if c == 0 || (c < 0) != (s.spec.Kind == AggMin) {
+			return
+		}
 	}
-	s.seen = true
+	s.ext, s.seen = v, true
+}
+
+// addFloat adds x to the partials exactly: each two-sum passes the rounded
+// sum upward and keeps the rounding error, when there is one, as a partial.
+func (s *AggState) addFloat(x float64) {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		s.special += x
+		return
+	}
+	n := 0
+	for _, y := range s.lows {
+		var lo float64
+		if x, lo = twoSum(x, y); lo != 0 {
+			s.lows[n] = lo
+			n++
+		}
+	}
+	s.lows = s.lows[:n]
+	hi, lo := twoSum(x, s.hi)
+	if math.IsInf(hi, 0) {
+		s.special += hi
+		s.hi, s.lows = 0, s.lows[:0]
+		return
+	}
+	if lo != 0 {
+		s.lows = append(s.lows, lo)
+	}
+	s.hi = hi
+}
+
+// twoSum returns the rounded sum of a and b and its rounding error:
+// hi + lo == a + b exactly.
+func twoSum(a, b float64) (hi, lo float64) {
+	if math.Abs(a) < math.Abs(b) {
+		a, b = b, a
+	}
+	hi = a + b
+	return hi, b - (hi - a)
 }
 
 // Merge folds another accumulator of the same spec into s (used by the
 // parallel aggregate µEngine when multiple workers partition the input).
 func (s *AggState) Merge(o *AggState) {
 	s.count += o.count
-	s.sum += o.sum
-	if o.seen {
-		if !s.seen || tuple.Compare(o.min, s.min) < 0 {
-			s.min = o.min
+	switch s.spec.Kind {
+	case AggSum, AggAvg:
+		for _, p := range o.lows {
+			s.addFloat(p)
 		}
-		if !s.seen || tuple.Compare(o.max, s.max) > 0 {
-			s.max = o.max
+		s.addFloat(o.hi)
+		s.special += o.special
+	case AggMin, AggMax:
+		if o.seen {
+			s.addExtreme(o.ext)
 		}
-		s.seen = true
 	}
+}
+
+// sum rounds the exact total of the partials to the nearest float64 (ties
+// to even), once — math.fsum's final step.
+func (s *AggState) sum() float64 {
+	if s.special != 0 || math.IsNaN(s.special) {
+		return s.special
+	}
+	hi := s.hi
+	n := len(s.lows)
+	var lo float64
+	for n > 0 {
+		// Add the partials from the top until the sum stops being exact.
+		n--
+		x := hi
+		hi = x + s.lows[n]
+		if lo = s.lows[n] - (hi - x); lo != 0 {
+			break
+		}
+	}
+	// A rounding error of exactly half an ulp was rounded to even without
+	// looking below it: a further partial of the same sign decides it.
+	if n > 0 && (lo < 0) == (s.lows[n-1] < 0) {
+		if y := lo * 2; y == (hi+y)-hi {
+			hi += y
+		}
+	}
+	return hi
 }
 
 // Result returns the aggregate's final value.
@@ -503,15 +598,13 @@ func (s *AggState) Result() tuple.Value {
 	case AggCount:
 		return tuple.I64(s.count)
 	case AggSum:
-		return tuple.F64(s.sum)
+		return tuple.F64(s.sum())
 	case AggAvg:
 		if s.count == 0 {
 			return tuple.F64(0)
 		}
-		return tuple.F64(s.sum / float64(s.count))
-	case AggMin:
-		return s.min
+		return tuple.F64(s.sum() / float64(s.count))
 	default:
-		return s.max
+		return s.ext
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
-	"qpipe/internal/expr"
 	"qpipe/internal/tuple"
 )
 
@@ -158,39 +157,6 @@ func drainAll(buf *tbuf.Buffer) ([]tuple.Tuple, error) {
 		out = append(out, b...)
 		buf.Recycle(b)
 	}
-}
-
-// applyFilterProject filters and projects one page worth of tuples for a
-// scan consumer into a pool-leased batch. Under the lease protocol the rows
-// themselves are shared, not cloned: page tuples are immutable once decoded,
-// so every consumer may reference them, and each consumer's distinct output
-// array is what keeps their streams independent. Projection rows carve from
-// one arena chunk per page instead of allocating per row.
-func applyFilterProject(in []tuple.Tuple, filter expr.Pred, project []int, pool *tbuf.BatchPool) tbuf.Batch {
-	out := pool.GetCap(len(in))
-	var arena tuple.RowArena
-	for i, t := range in {
-		if filter != nil && !filter.Test(t) {
-			continue
-		}
-		if project != nil {
-			if len(out) == 0 {
-				// First kept row: size the chunk by the rows that can still
-				// match (capped — a selective filter must not pay a full
-				// page's worth of arena for a handful of survivors; Make
-				// chains further chunks if the cap is exceeded).
-				n := (len(in) - i) * len(project)
-				if n > 1024 {
-					n = 1024
-				}
-				arena.Grow(n)
-			}
-			out = append(out, arena.Project(t, project))
-		} else {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // emitBatch streams a leased batch's rows into the emitter and returns the

@@ -34,13 +34,40 @@ import (
 type leafSource struct {
 	tree  *btree.Tree
 	pnos  []int64
-	ncols int
+	width int // columns of the rows the leaves hold
 }
 
 func (l *leafSource) numPages() int64 { return int64(len(l.pnos)) }
+func (l *leafSource) ncols() int      { return l.width }
+func (l *leafSource) visitPage(ord int64, fn func(enc []byte) error) error {
+	return l.tree.VisitLeaf(l.pnos[ord], fn)
+}
 
-func (l *leafSource) readPage(ord int64) ([]tuple.Tuple, error) {
-	return l.tree.ReadLeafTuples(l.pnos[ord], l.ncols)
+// pageStream sends whole pages of src through one consumer's filter and
+// projection into an emitter, without hosting a scan group: the direct path
+// of partial and prefix scans.
+type pageStream struct {
+	src   pageSource
+	pool  *tbuf.BatchPool
+	b     *rowBuilder
+	progs [1]*rowProgram
+	outs  [1]tbuf.Batch
+}
+
+func newPageStream(src pageSource, pool *tbuf.BatchPool, filter expr.Pred, project []int) *pageStream {
+	ps := &pageStream{src: src, pool: pool, b: newRowBuilder(src.ncols())}
+	ps.progs[0] = compileRowProgram(filter, project, src.ncols())
+	return ps
+}
+
+// emit builds page ord's rows under its pin and adds them to em after it.
+func (ps *pageStream) emit(em *emitter, ord int) error {
+	if err := buildPage(ps.src, int64(ord), ps.b, ps.progs[:], ps.outs[:], ps.pool, 0); err != nil {
+		return err
+	}
+	out := ps.outs[0]
+	ps.outs[0] = nil
+	return emitBatch(em, ps.pool, out)
 }
 
 // IndexScanOp is the index-scan µEngine.
@@ -134,7 +161,6 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 	if err != nil {
 		return err
 	}
-	tr := tb.Clustered
 	pnos, err := o.leaves(tb)
 	if err != nil {
 		return err
@@ -143,6 +169,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 	// streaming straight to the consumer.
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	pool := rt.BatchPool()
+	ps := newPageStream(&leafSource{tree: tb.Clustered, pnos: pnos, width: tb.Schema.Len()}, pool, node.Filter, node.Project)
 	for ord := 0; ord < start && ord < len(pnos); ord++ {
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
 			return cerr
@@ -150,11 +177,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 		if pkt.Cancelled() {
 			return nil
 		}
-		rows, err := tr.ReadLeafTuples(pnos[ord], tb.Schema.Len())
-		if err != nil {
-			return err
-		}
-		if err := emitBatch(em, pool, applyFilterProject(rows, node.Filter, node.Project, pool)); err != nil {
+		if err := ps.emit(em, ord); err != nil {
 			return emitResult(err)
 		}
 	}
@@ -274,19 +297,16 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		// Bounded clustered scan: stream the B+tree range directly (no
 		// page-stream sharing; signature-identical packets still dedupe).
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-		var arena tuple.RowArena
+		b := newRowBuilder(ncols)
+		prog := compileRowProgram(node.Filter, node.Project, ncols)
 		var derr error
 		err := tr.Range(node.Lo, node.Hi, func(_ tuple.Value, payload []byte) bool {
-			row, _, e := tuple.DecodeArena(payload, ncols, &arena)
-			if e != nil {
-				derr = e
+			if derr = tuple.Offsets(payload, b.offs); derr != nil {
 				return false
 			}
-			if node.Filter != nil && !node.Filter.Test(row) {
+			row, ok := b.build(prog, payload)
+			if !ok {
 				return true
-			}
-			if node.Project != nil {
-				row = arena.Project(row, node.Project)
 			}
 			if pkt.Cancelled() || em.add(row) != nil {
 				return false
@@ -310,7 +330,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if err != nil {
 		return err
 	}
-	src := &leafSource{tree: tr, pnos: pnos, ncols: ncols}
+	src := &leafSource{tree: tr, pnos: pnos, width: ncols}
 	// LeafFrom/LeafTo restrict a partial scan (the complement packet the
 	// merge-join split dispatches).
 	lo, hi := node.LeafFrom, node.LeafTo
@@ -323,7 +343,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if lo > 0 || hi < len(pnos) {
 		// Partial scans stream their range directly and never host sharing.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-		pool := rt.BatchPool()
+		ps := newPageStream(src, rt.BatchPool(), node.Filter, node.Project)
 		for ord := lo; ord < hi; ord++ {
 			if cerr := pkt.Query.CancelErr(); cerr != nil {
 				return cerr
@@ -331,11 +351,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 			if pkt.Cancelled() {
 				return nil
 			}
-			rows, err := src.readPage(int64(ord))
-			if err != nil {
-				return err
-			}
-			if err := emitBatch(em, pool, applyFilterProject(rows, node.Filter, node.Project, pool)); err != nil {
+			if err := ps.emit(em, ord); err != nil {
 				return emitResult(err)
 			}
 		}

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -315,31 +316,71 @@ func TestUpdateSerializedAgainstScan(t *testing.T) {
 	}
 }
 
-func TestApplyFilterProjectLease(t *testing.T) {
-	// Under the lease protocol rows are shared by reference (they are
-	// immutable once published), but the output array must be distinct from
-	// the input's so each consumer advances and recycles independently.
-	in := []tuple.Tuple{{tuple.I64(1), tuple.I64(2)}}
-	out := applyFilterProject(in, nil, nil, nil)
-	if len(out) != 1 || &out[0][0] != &in[0][0] {
-		t.Fatal("unprojected rows should pass through by reference")
+// encSource is a pageSource over encoded rows held in memory.
+type encSource struct {
+	pages [][][]byte
+	width int
+}
+
+func (e encSource) numPages() int64 { return int64(len(e.pages)) }
+func (e encSource) ncols() int      { return e.width }
+func (e encSource) visitPage(ord int64, fn func(enc []byte) error) error {
+	for _, enc := range e.pages[ord] {
+		if err := fn(enc); err != nil {
+			return err
+		}
 	}
-	out[0] = tuple.Tuple{tuple.I64(99)}
-	if in[0][0].I != 1 {
-		t.Fatal("output array must not alias the input array")
+	return nil
+}
+
+func TestBuildPageLease(t *testing.T) {
+	// One visit of a page serves every consumer: each gets its own batch
+	// array (so each advances and recycles independently) holding fresh rows
+	// — never views of the page bytes or of another consumer's rows — and a
+	// consumer that keeps no row takes no lease at all.
+	enc := tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil)
+	src := encSource{pages: [][][]byte{{enc}}, width: 2}
+	b := newRowBuilder(2)
+	progs := []*rowProgram{
+		compileRowProgram(nil, nil, 2),
+		compileRowProgram(nil, nil, 2),
+		compileRowProgram(expr.EQ(expr.Col(0), expr.CInt(5)), nil, 2),
+		compileRowProgram(nil, []int{1}, 2),
 	}
-	filtered := applyFilterProject(in, expr.EQ(expr.Col(0), expr.CInt(5)), nil, nil)
-	if len(filtered) != 0 {
-		t.Fatal("filter not applied")
+	outs := make([]tbuf.Batch, len(progs))
+	if err := buildPage(src, 0, b, progs, outs, nil, 0); err != nil {
+		t.Fatal(err)
 	}
-	proj := applyFilterProject(in, nil, []int{1}, nil)
-	if len(proj[0]) != 1 || proj[0][0].I != 2 {
-		t.Fatalf("projection: %v", proj)
+	if len(outs[0]) != 1 || len(outs[1]) != 1 || outs[0][0][0].I != 1 || outs[1][0][1].I != 2 {
+		t.Fatalf("unfiltered consumers: %v %v", outs[0], outs[1])
 	}
-	// Projection rows are fresh (arena-carved), never views of the input.
-	proj[0][0] = tuple.I64(7)
-	if in[0][1].I != 2 {
-		t.Fatal("projected row aliases the input tuple")
+	outs[0][0][0] = tuple.I64(99)
+	outs[0][0] = nil
+	if outs[1][0][0].I != 1 {
+		t.Fatal("two consumers of one page share a row or an array")
+	}
+	if outs[2] != nil {
+		t.Fatalf("filter not applied, or a lease taken for no rows: %v", outs[2])
+	}
+	if len(outs[3]) != 1 || len(outs[3][0]) != 1 || outs[3][0][0].I != 2 {
+		t.Fatalf("projection: %v", outs[3])
+	}
+	clear(enc)
+	if outs[1][0][1].I != 2 || outs[3][0][0].I != 2 {
+		t.Fatal("a built row aliases the page bytes")
+	}
+	// A row that is not a row fails the page, and no consumer keeps part of it.
+	src.pages[0] = [][]byte{tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil), {byte(tuple.KindInt), 1, 2}}
+	clear(outs)
+	err := buildPage(src, 0, b, progs, outs, nil, 0)
+	var ee *tuple.EncodingError
+	if !errors.As(err, &ee) {
+		t.Fatalf("hostile row: got %v, want a *tuple.EncodingError", err)
+	}
+	for i, out := range outs {
+		if out != nil {
+			t.Fatalf("consumer %d was left rows of a failed page: %v", i, out)
+		}
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/buffer"
+	"qpipe/internal/storage/disk"
+	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
 )
 
@@ -20,8 +23,9 @@ func parCfg(par int) core.Config {
 
 type fakeSource struct{ n int64 }
 
-func (f fakeSource) numPages() int64                       { return f.n }
-func (f fakeSource) readPage(int64) ([]tuple.Tuple, error) { return nil, nil }
+func (f fakeSource) numPages() int64                           { return f.n }
+func (f fakeSource) ncols() int                                { return 0 }
+func (f fakeSource) visitPage(int64, func([]byte) error) error { return nil }
 
 func TestPartitionBoundaries(t *testing.T) {
 	for _, tc := range []struct {
@@ -328,4 +332,69 @@ func TestPartitionedScanCancelSatelliteMidScan(t *testing.T) {
 		t.Fatalf("host rows after satellite cancel: %d, want %d", got, n)
 	}
 	<-q2.Root.Done()
+}
+
+// A scan blocked on its consumer's buffer holds no frame: every batch of a
+// page is built under the page's pin and delivered after it. On a pool of
+// four frames, with a four-partition scan whose consumer reads nothing, all
+// four frames can be pinned by somebody else, and a second four-partition
+// scan that shares nothing with the first completes beside it.
+func TestBlockedScanHoldsNoFrame(t *testing.T) {
+	const n = 3000
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 4})
+	if _, err := mgr.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.I64(int64(i % 7)), tuple.F64(float64(i))}
+	}
+	if err := mgr.Load("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	rt := core.NewRuntime(mgr, parCfg(4), All())
+	t.Cleanup(rt.Close)
+
+	blocked, err := rt.Submit(context.Background(), plan.NewTableScan("t", testSchema(), nil, nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Its result is not read: the buffer fills and the partition workers
+	// block in Put. Once they all have, every frame is free to pin.
+	heap := mgr.MustTable("t").Heap
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var pinned []buffer.PageID
+		for pno := int64(0); pno < 4; pno++ {
+			id := buffer.PageID{File: heap.Name, Block: pno}
+			if _, err := mgr.Pool.Pin(id); err != nil {
+				break
+			}
+			pinned = append(pinned, id)
+		}
+		for _, id := range pinned {
+			mgr.Pool.Unpin(id)
+		}
+		if len(pinned) == 4 && blocked.Result.Snapshot().PutBlocked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 4 frames could be pinned beside a scan blocked on its buffer (%+v)",
+				len(pinned), blocked.Result.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	beside, err := rt.SubmitOpts(context.Background(),
+		plan.NewTableScan("t", testSchema(), expr.LT(expr.Col(0), expr.CInt(1000)), nil, false),
+		core.QueryOptions{Parallelism: 4, DisableOSP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainCount(t, beside); got != 1000 {
+		t.Fatalf("the scan beside the blocked one returned %d rows, want 1000", got)
+	}
+	if got := drainCount(t, blocked); got != n {
+		t.Fatalf("the blocked scan returned %d rows once read, want %d", got, n)
+	}
 }

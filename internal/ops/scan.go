@@ -10,8 +10,11 @@
 // µEngine, so packets with *different* predicates still share one page
 // stream — which is exactly why QPipe keeps saving I/O in the full-workload
 // experiment (Figure 12) even though qgen randomizes every query's selection
-// predicates. Ordered scans require page order and always run with a single
-// partition.
+// predicates. They are applied to the encoded rows of the pinned page
+// (scanrow.go): one pin and one walk of each row serve every attached
+// consumer, each paying for the columns it reads and the rows it keeps, and
+// the pin ends before any batch is delivered. Ordered scans require page
+// order and always run with a single partition.
 package ops
 
 import (
@@ -22,15 +25,19 @@ import (
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/sm"
-	"qpipe/internal/tuple"
 )
 
 // pageSource abstracts the page-granular data under a scan: heap files for
-// table scans, B+tree leaf chains for clustered index scans.
+// table scans, B+tree leaf chains for clustered index scans. visitPage pins
+// page ord and calls fn with each live encoded row of ncols columns in
+// stored order; the bytes alias the pinned frame and are valid for the call
+// only, and the pin ends when visitPage returns.
 type pageSource interface {
 	numPages() int64
-	readPage(ord int64) ([]tuple.Tuple, error)
+	ncols() int
+	visitPage(ord int64, fn func(enc []byte) error) error
 }
 
 // partition is one contiguous page range [lo, hi) of a scan group, with its
@@ -49,8 +56,9 @@ type scanConsumer struct {
 	pkt       *core.Packet
 	filter    expr.Pred
 	project   []int
-	remaining []int64 // pages still owed, per partition
-	pending   int     // partitions with remaining > 0
+	prog      *rowProgram // filter and project compiled at attach
+	remaining []int64     // pages still owed, per partition
+	pending   int         // partitions with remaining > 0
 }
 
 // scanner is the paper's "scanner thread", generalized to a partitioned scan
@@ -130,6 +138,7 @@ func (s *scanner) bindProducer(c *scanConsumer) {
 // page 0: a multi-partition group interleaves pages and can never satisfy a
 // consumer that needs them in order from the start.
 func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, bool) {
+	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done || s.err != nil {
@@ -161,6 +170,7 @@ func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, bool) {
 // of an ordered scan: pages pos..n-1. Used by the merge-join split. Ordered
 // scanners are always single-partition.
 func (s *scanner) attachSuffix(c *scanConsumer) (int64, bool) {
+	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done || s.err != nil || s.circular || len(s.parts) != 1 {
@@ -237,11 +247,19 @@ func (s *scanner) hungryLocked(k int) bool {
 	return false
 }
 
-// runPartition is one partition's worker loop: read the next page of the
-// range (wrapping at the partition boundary on circular scans) and serve it
-// to every consumer that still owes pages here. With no hungry consumer the
-// worker parks until a satellite attaches or the group tears down.
+// runPartition is one partition's worker loop: visit the next page of the
+// range (wrapping at the partition boundary on circular scans), building
+// under its one pin the batch of every consumer that still owes pages here,
+// then deliver the batches. With no hungry consumer the worker parks until
+// a satellite attaches or the group tears down.
 func (s *scanner) runPartition(k int) {
+	b := newRowBuilder(s.src.ncols())
+	var (
+		served []*scanConsumer // consumers owed this page
+		progs  []*rowProgram   // their programs, and
+		outs   []tbuf.Batch    // their batches for this page
+	)
+	pageRows := 0 // the most rows one consumer kept of the last page: the next lease's capacity
 	for {
 		s.mu.Lock()
 		for {
@@ -273,24 +291,34 @@ func (s *scanner) runPartition(k int) {
 		}
 		pg := p.pos
 		p.pos++
-		consumers := append([]*scanConsumer(nil), s.consumers...)
+		// Only this worker decrements remaining[k], so who is owed the page
+		// is settled here, under the lock that guards attach.
+		served, progs, outs = served[:0], progs[:0], outs[:0]
+		for _, c := range s.consumers {
+			if c.remaining[k] > 0 {
+				served, progs, outs = append(served, c), append(progs, c.prog), append(outs, nil)
+			}
+		}
 		s.mu.Unlock()
 
-		tuples, err := s.src.readPage(pg)
-		if err != nil {
+		if err := buildPage(s.src, pg, b, progs, outs, s.pool, pageRows); err != nil {
 			s.fail(err)
 			return
 		}
-		for _, c := range consumers {
-			s.serve(c, k, tuples)
+		// The page is unpinned: a consumer blocked on its buffer below holds
+		// no frame.
+		pageRows = 0
+		for i, c := range served {
+			pageRows = max(pageRows, len(outs[i]))
+			s.deliver(c, k, outs[i])
+			served[i], outs[i] = nil, nil
 		}
 	}
 }
 
-// serve delivers one page to one consumer on behalf of partition k. Only
-// partition k's worker decrements remaining[k], so per-consumer page
-// accounting needs no coordination beyond the scanner lock; the Put itself
-// happens unlocked so a slow consumer only throttles this partition.
+// deliver hands one page's batch (nil when the consumer kept no row of it)
+// to one consumer on behalf of partition k and settles the page debt. The
+// Put happens unlocked so a slow consumer only throttles this partition.
 //
 // Cancellation is detected through the consumer's output port, not the
 // packet flag: a cancelled query abandons its own buffers (Put then fails),
@@ -298,14 +326,7 @@ func (s *scanner) runPartition(k int) {
 // attached to its port, which must keep receiving the full stream — eagerly
 // dropping the consumer would hand those satellites a truncated stream with
 // a clean EOF.
-func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
-	s.mu.Lock()
-	owed := c.remaining[k] > 0
-	s.mu.Unlock()
-	if !owed {
-		return
-	}
-	out := applyFilterProject(tuples, c.filter, c.project, s.pool)
+func (s *scanner) deliver(c *scanConsumer, k int, out tbuf.Batch) {
 	if len(out) > 0 {
 		if err := c.pkt.Out.Put(out); err != nil {
 			if errors.Is(err, tbuf.ErrConsumersGone) || errors.Is(err, tbuf.ErrAbandoned) {
@@ -319,18 +340,14 @@ func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
 			}
 			return
 		}
-	} else {
-		// Nothing matched: hand the unused array's lease straight back.
-		s.pool.Put(out)
-		if c.pkt.Cancelled() && !c.pkt.Out.PruneDead() {
-			// A cancelled consumer whose filter matches nothing never Puts, so
-			// the port would never report its death — probe explicitly rather
-			// than scanning the rest of the table for a dead query. (A cancelled
-			// consumer with live satellites still attached keeps being served:
-			// it is their conduit.)
-			s.detach(c, nil)
-			return
-		}
+	} else if c.pkt.Cancelled() && !c.pkt.Out.PruneDead() {
+		// A cancelled consumer whose filter matches nothing never Puts, so
+		// the port would never report its death — probe explicitly rather
+		// than scanning the rest of the table for a dead query. (A cancelled
+		// consumer with live satellites still attached keeps being served:
+		// it is their conduit.)
+		s.detach(c, nil)
+		return
 	}
 	s.mu.Lock()
 	c.remaining[k]--
@@ -420,16 +437,14 @@ func (r *scanRegistry) visit(key string, fn func(*scanner) bool) bool {
 
 // ---- Table-scan µEngine -------------------------------------------------------
 
-// heapSource reads heap-file pages.
-type heapSource struct {
-	f interface {
-		NumPages() int64
-		ReadPage(int64) ([]tuple.Tuple, error)
-	}
-}
+// heapSource visits heap-file pages: the live slots, tombstones skipped.
+type heapSource struct{ f *heap.File }
 
-func (h heapSource) numPages() int64                         { return h.f.NumPages() }
-func (h heapSource) readPage(p int64) ([]tuple.Tuple, error) { return h.f.ReadPage(p) }
+func (h heapSource) numPages() int64 { return h.f.NumPages() }
+func (h heapSource) ncols() int      { return h.f.Schema.Len() }
+func (h heapSource) visitPage(p int64, fn func(enc []byte) error) error {
+	return h.f.VisitPage(p, fn)
+}
 
 // TableScanOp is the file-scan µEngine with partitioned circular-scan
 // sharing.

@@ -1,0 +1,388 @@
+package ops
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"qpipe/internal/core"
+	"qpipe/internal/expr"
+	"qpipe/internal/plan"
+	"qpipe/internal/storage/disk"
+	"qpipe/internal/storage/sm"
+	"qpipe/internal/tuple"
+	"qpipe/internal/volcano"
+)
+
+// The access to a page does not change the answer: the scan µEngine filters
+// and projects on the encoded rows, the iterator engine decodes whole pages
+// and evaluates the same predicate on the decoded row, and the two must
+// return the same rows as multisets for any filter and any projection.
+//
+// Two tables share one shape (INT, FLOAT, DATE, TEXT, INT): h is a heap with
+// tombstoned and rewritten rows (a rewrite with a longer string repacks its
+// page), c has a clustered index on its first column and grew by single
+// inserts after the load, so leaves have split.
+
+func sdSchema() *tuple.Schema {
+	return tuple.NewSchema(
+		tuple.Col("id", tuple.KindInt),
+		tuple.Col("f", tuple.KindFloat),
+		tuple.Col("d", tuple.KindDate),
+		tuple.Col("s", tuple.KindString),
+		tuple.Col("g", tuple.KindInt),
+	)
+}
+
+func sdRow(rng *rand.Rand, id int) tuple.Tuple {
+	return tuple.Tuple{
+		tuple.I64(int64(id)),
+		tuple.F64(float64(rng.Intn(4000)-2000) / 8), // fractional, both signs
+		tuple.Date(int64(19000 + rng.Intn(200))),
+		tuple.Str(fmt.Sprintf("s%02d", rng.Intn(30))),
+		tuple.I64(int64(rng.Intn(40) - 10)),
+	}
+}
+
+func sdRuntime(t *testing.T, seed int64, cfg core.Config) *core.Runtime {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 16})
+	for _, name := range []string{"h", "c"} {
+		if _, err := mgr.CreateTable(name, sdSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows := make([]tuple.Tuple, 1200)
+	for i := range rows {
+		rows[i] = sdRow(rng, i)
+	}
+	for _, name := range []string{"h", "c"} {
+		if err := mgr.Load(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.BuildClustered("c", "id"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 150; i++ {
+		if err := mgr.Insert("c", sdRow(rng, rng.Intn(1200))); err != nil { // duplicate keys, splits
+			t.Fatal(err)
+		}
+	}
+	rt := core.NewRuntime(mgr, cfg, All())
+	t.Cleanup(rt.Close)
+	for _, mut := range []plan.Node{
+		plan.NewDelete("h", expr.EQ(expr.Col(4), expr.CInt(3))),
+		plan.NewDelete("h", expr.BetweenOf(expr.Col(0), tuple.I64(500), tuple.I64(530))),
+		plan.NewUpdateWhere("h", expr.EQ(expr.Col(4), expr.CInt(7)), []plan.Assign{{Col: 3, E: expr.CStr("")}}),
+		plan.NewUpdateWhere("h", expr.LT(expr.Col(0), expr.CInt(200)), []plan.Assign{
+			{Col: 1, E: expr.Add(expr.Col(1), expr.CFloat(0.5))}}),
+	} {
+		runPlan(t, rt, mut)
+	}
+	// Growing rewrites, one row a statement: a commit whose page has no room
+	// for the longer row is refused whole, and enough pages have room.
+	grown := 0
+	for id := int64(3); id < 1200; id += 29 {
+		q, err := rt.Submit(context.Background(), plan.NewUpdateWhere("h", expr.EQ(expr.Col(0), expr.CInt(id)),
+			[]plan.Assign{{Col: 3, E: expr.CStr("a-much-longer-string-than-it-had")}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sdDrain(q); err == nil {
+			grown++
+		}
+	}
+	if grown < 10 {
+		t.Fatalf("only %d rows could be rewritten longer", grown)
+	}
+	return rt
+}
+
+// sdLiteral draws a literal to compare column col with: of the column's
+// kind, of the other numeric kind (id < 10.5, f >= 3), or of the other group
+// altogether (TEXT against a number, a number against a string).
+func sdLiteral(rng *rand.Rand, col int) tuple.Value {
+	numbers := []tuple.Value{
+		tuple.I64(int64(rng.Intn(1400) - 100)),
+		tuple.F64(float64(rng.Intn(2800)-200)/2 + 0.5),
+		tuple.F64(float64(rng.Intn(600) - 300)),
+		tuple.Date(int64(18990 + rng.Intn(220))),
+		tuple.I64(int64(rng.Intn(60) - 20)),
+	}
+	text := tuple.Str(fmt.Sprintf("s%02d", rng.Intn(34)-2))
+	if rng.Intn(5) == 0 { // the other group
+		if col == 3 {
+			return numbers[rng.Intn(len(numbers))]
+		}
+		return text
+	}
+	if col == 3 {
+		return text
+	}
+	if rng.Intn(3) == 0 {
+		return numbers[rng.Intn(len(numbers))]
+	}
+	return []tuple.Value{numbers[0], numbers[2], numbers[3], text, numbers[4]}[col]
+}
+
+func sdCmp(rng *rand.Rand, l, r expr.Expr) expr.Pred {
+	return &expr.Cmp{Op: expr.CmpOp(rng.Intn(6)), L: l, R: r}
+}
+
+func sdNumExpr(rng *rand.Rand) expr.Expr {
+	cols := []int{0, 1, 2, 4}
+	c := expr.Expr(expr.Col(cols[rng.Intn(len(cols))]))
+	switch rng.Intn(4) {
+	case 0:
+		return c
+	case 1:
+		return expr.Add(c, expr.CInt(int64(rng.Intn(50))))
+	case 2:
+		return expr.Mul(c, expr.CFloat(1.5))
+	default:
+		return expr.Sub(c, expr.Col(cols[rng.Intn(len(cols))]))
+	}
+}
+
+// sdFilter draws a scan filter. Half of them are conjunctions whose
+// operands are mostly `col op literal`: the conjuncts the scanner compares
+// in place, beside a residual it evaluates on decoded columns.
+func sdFilter(rng *rand.Rand) expr.Pred {
+	if rng.Intn(2) == 0 {
+		return sdPred(rng, 3)
+	}
+	ps := make([]expr.Pred, 1+rng.Intn(3))
+	for i := range ps {
+		col := rng.Intn(5)
+		ps[i] = sdCmp(rng, expr.Col(col), &expr.Const{V: sdLiteral(rng, col)})
+		if rng.Intn(4) == 0 {
+			ps[i] = sdPred(rng, 2)
+		}
+	}
+	if len(ps) == 1 {
+		return ps[0]
+	}
+	return expr.AndOf(ps...)
+}
+
+func sdPred(rng *rand.Rand, depth int) expr.Pred {
+	if depth > 0 && rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			return expr.AndOf(sdPred(rng, depth-1), sdPred(rng, depth-1))
+		case 1:
+			return expr.OrOf(sdPred(rng, depth-1), sdPred(rng, depth-1))
+		default:
+			return expr.NotOf(sdPred(rng, depth-1))
+		}
+	}
+	col := rng.Intn(5)
+	switch rng.Intn(7) {
+	case 0, 1:
+		return sdCmp(rng, expr.Col(col), &expr.Const{V: sdLiteral(rng, col)})
+	case 2:
+		return sdCmp(rng, &expr.Const{V: sdLiteral(rng, col)}, expr.Col(col)) // literal on the left
+	case 3:
+		return expr.InOf(expr.Col(col), sdLiteral(rng, col), sdLiteral(rng, col), sdLiteral(rng, col))
+	case 4:
+		b := expr.BetweenOf(expr.Col(col), sdLiteral(rng, col), sdLiteral(rng, col))
+		b.LoX, b.HiX = rng.Intn(2) == 0, rng.Intn(2) == 0
+		return b
+	case 5:
+		return sdCmp(rng, sdNumExpr(rng), sdNumExpr(rng)) // arithmetic on both sides
+	default:
+		return sdCmp(rng, expr.Col(col), expr.Col(rng.Intn(5))) // column against column, any kinds
+	}
+}
+
+// sdProject draws a projection: none, or columns dropped, reordered and
+// repeated.
+func sdProject(rng *rand.Rand) []int {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	out := make([]int, 1+rng.Intn(6))
+	for i := range out {
+		out[i] = rng.Intn(5)
+	}
+	return out
+}
+
+// sdScan draws the access: it returns the plans to run on the scan µEngine
+// and the plan whose answer, on the iterator engine, their rows together
+// must equal.
+func sdScan(rng *rand.Rand, filter expr.Pred, project []int) (run []plan.Node, ref plan.Node) {
+	full := func(ordered bool) *plan.IndexScan {
+		return plan.NewIndexScan("c", sdSchema(), "id", tuple.Value{}, tuple.Value{}, true, ordered, filter, project)
+	}
+	switch rng.Intn(6) {
+	case 0, 1, 2:
+		ref = plan.NewTableScan("h", sdSchema(), filter, project, rng.Intn(4) == 0)
+	case 3:
+		ref = full(rng.Intn(2) == 0)
+	case 4: // bounded: the B+tree range path
+		lo := int64(rng.Intn(1200))
+		ref = plan.NewIndexScan("c", sdSchema(), "id", tuple.I64(lo), tuple.I64(lo+int64(rng.Intn(400))), true, true, filter, project)
+	default:
+		// Two leaf ranges that tile the chain: the partial-scan path (the
+		// iterator engine knows no leaf ordinals, so it answers for both).
+		head, tail := full(true), full(true)
+		head.LeafTo = 1 + rng.Intn(40)
+		tail.LeafFrom = head.LeafTo
+		return []plan.Node{head, tail}, full(true)
+	}
+	return []plan.Node{ref}, ref
+}
+
+func sdSorted(rows []tuple.Tuple) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%#v", []tuple.Value(r))
+	}
+	sort.Strings(out)
+	return out
+}
+
+func sdDrain(q *core.Query) ([]tuple.Tuple, error) {
+	var out []tuple.Tuple
+	for {
+		b, err := q.Result.Get()
+		if err == io.EOF {
+			return out, q.Wait()
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b...)
+	}
+}
+
+func sdCompare(t *testing.T, how string, p plan.Node, got []tuple.Tuple, want []string) {
+	t.Helper()
+	g := sdSorted(got)
+	if len(g) != len(want) {
+		t.Fatalf("%s: %d rows, the iterator engine has %d\n%s", how, len(g), len(want), plan.Explain(p))
+	}
+	for i := range g {
+		if g[i] != want[i] {
+			t.Fatalf("%s: row %d is %s, the iterator engine has %s\n%s", how, i, g[i], want[i], plan.Explain(p))
+		}
+	}
+}
+
+func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
+	const seed = 20260930
+	rt := sdRuntime(t, seed, core.DefaultConfig())
+	oracle := volcano.New(rt.SM)
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(seed))
+	kept := 0
+	for i := 0; i < 400; i++ {
+		var filter expr.Pred
+		if rng.Intn(10) > 0 {
+			filter = sdFilter(rng)
+		}
+		run, p := sdScan(rng, filter, sdProject(rng))
+		ref, err := oracle.Run(ctx, p)
+		if err != nil {
+			t.Fatalf("iterator engine: %v\n%s", err, plan.Explain(p))
+		}
+		want := sdSorted(ref)
+		kept += len(want)
+		for _, par := range []int{1, 4} {
+			for _, noOSP := range []bool{false, true} {
+				var got []tuple.Tuple
+				for _, part := range run {
+					q, err := rt.SubmitOpts(ctx, part, core.QueryOptions{Parallelism: par, DisableOSP: noOSP})
+					if err != nil {
+						t.Fatal(err)
+					}
+					rows, err := sdDrain(q)
+					if err != nil {
+						t.Fatalf("parallelism %d, osp off %v: %v\n%s", par, noOSP, err, plan.Explain(part))
+					}
+					got = append(got, rows...)
+				}
+				sdCompare(t, fmt.Sprintf("statement %d, parallelism %d, osp off %v", i, par, noOSP), p, got, want)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no drawn scan kept a row")
+	}
+}
+
+// Two and three consumers with different predicates and projections ride
+// one scanner: the host is held mid-scan (its result is not read), the
+// others attach to the scan group in flight, and every one of them gets its
+// own answer.
+func TestScanConsumersAttachedMidFlightMatchIteratorEngine(t *testing.T) {
+	const seed = 20260931
+	for _, par := range []int{1, 4} {
+		cfg := core.DefaultConfig()
+		cfg.ScanParallelism = par
+		rt := sdRuntime(t, seed, cfg)
+		oracle := volcano.New(rt.SM)
+		ctx := context.Background()
+		rng := rand.New(rand.NewSource(seed + int64(par)))
+		for round := 0; round < 30; round++ {
+			table := func(filter expr.Pred, project []int) plan.Node {
+				if round%2 == 0 {
+					return plan.NewTableScan("h", sdSchema(), filter, project, false)
+				}
+				return plan.NewIndexScan("c", sdSchema(), "id", tuple.Value{}, tuple.Value{}, true, false, filter, project)
+			}
+			plans := []plan.Node{table(nil, nil)} // the host keeps every row: it blocks on its buffer
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				plans = append(plans, table(sdFilter(rng), sdProject(rng)))
+			}
+			shares := rt.TotalShares()
+			queries := make([]*core.Query, len(plans))
+			var hostFirst []tuple.Tuple
+			for i, p := range plans {
+				q, err := rt.Submit(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries[i] = q
+				if i == 0 {
+					// One batch out: the scan group is registered and in flight.
+					if hostFirst, err = q.Result.Get(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := rt.TotalShares() - shares; got != int64(len(plans)-1) {
+				t.Fatalf("parallelism %d round %d: %d of %d consumers attached to the host's scan group", par, round, got, len(plans)-1)
+			}
+			results := make([][]tuple.Tuple, len(plans))
+			errs := make([]error, len(plans))
+			var wg sync.WaitGroup
+			for i := range queries {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i], errs[i] = sdDrain(queries[i])
+				}()
+			}
+			wg.Wait()
+			results[0] = append(hostFirst, results[0]...)
+			for i, p := range plans {
+				if errs[i] != nil {
+					t.Fatalf("parallelism %d round %d consumer %d: %v", par, round, i, errs[i])
+				}
+				ref, err := oracle.Run(ctx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sdCompare(t, fmt.Sprintf("parallelism %d round %d consumer %d", par, round, i), p, results[i], sdSorted(ref))
+			}
+		}
+	}
+}

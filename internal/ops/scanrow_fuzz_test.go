@@ -1,0 +1,111 @@
+package ops
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"qpipe/internal/core/tbuf"
+	"qpipe/internal/expr"
+	"qpipe/internal/storage/page"
+	"qpipe/internal/tuple"
+)
+
+// rawPageSource serves one buffer as the only page of a heap of width
+// columns, the way heap.File.VisitPage serves a pinned frame.
+type rawPageSource struct {
+	buf   []byte
+	width int
+}
+
+func (r rawPageSource) numPages() int64 { return 1 }
+func (r rawPageSource) ncols() int      { return r.width }
+func (r rawPageSource) visitPage(_ int64, fn func(enc []byte) error) error {
+	return page.FromBytes(r.buf).Visit(fn)
+}
+
+// FuzzScanPageBytes hands the encoded-row walk arbitrary page bytes. The
+// outcome is every consumer's rows — then exactly what decoding the whole
+// page and filtering the decoded rows gives — or a typed error with no
+// consumer handed anything: never a panic, an out-of-range slice or a
+// half-built row.
+func FuzzScanPageBytes(f *testing.F) {
+	const width = 4
+	pg := page.New(256)
+	for i := 0; i < 5; i++ {
+		row := tuple.Tuple{tuple.I64(int64(i)), tuple.F64(float64(i) / 2), tuple.Str(fmt.Sprint("s", i)), tuple.Date(int64(19000 + i))}
+		if _, err := pg.InsertTuple(row); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := pg.DeleteAt(2); err != nil {
+		f.Fatal(err)
+	}
+	good := append([]byte(nil), pg.Bytes()...)
+	f.Add(good)
+	for _, at := range []int{0, 4, 6, 250, 240, 230} { // slot count, a slot, a kind tag, a string length
+		torn := append([]byte(nil), good...)
+		torn[at] ^= 0xff
+		f.Add(torn)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0, 0})
+
+	filters := []expr.Pred{
+		nil,
+		expr.GE(expr.Col(0), expr.CFloat(1.5)),
+		expr.AndOf(expr.LT(expr.Col(2), expr.CStr("s3")), expr.NE(expr.Col(3), expr.CInt(5))),
+		expr.OrOf(expr.EQ(expr.Col(1), expr.Col(0)), expr.NotOf(expr.InOf(expr.Col(2), tuple.Str("s1")))),
+	}
+	projects := [][]int{nil, {2}, {3, 0, 0}, {1, 2}}
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		src := rawPageSource{buf: raw, width: width}
+		b := newRowBuilder(width)
+		progs := make([]*rowProgram, len(filters))
+		for i := range progs {
+			progs[i] = compileRowProgram(filters[i], projects[i], width)
+		}
+		outs := make([]tbuf.Batch, len(progs))
+		err := buildPage(src, 0, b, progs, outs, nil, 0)
+		if err != nil {
+			var ee *tuple.EncodingError
+			var ce *page.CorruptError
+			if !errors.As(err, &ee) && !errors.As(err, &ce) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			for i, out := range outs {
+				if out != nil {
+					t.Fatalf("consumer %d was handed %d rows of a page that failed: %v", i, len(out), err)
+				}
+			}
+			return
+		}
+		// The walk accepted every live slot, so the whole-page decoder can
+		// read the same bytes.
+		rows, err := page.FromBytes(raw).Tuples(width)
+		if err != nil {
+			t.Fatalf("the walk accepted a page the decoder rejects: %v", err)
+		}
+		for i := range progs {
+			var want []tuple.Tuple
+			for _, r := range rows {
+				if filters[i] != nil && !filters[i].Test(r) {
+					continue
+				}
+				if projects[i] != nil {
+					r = r.Project(projects[i])
+				}
+				want = append(want, r)
+			}
+			if len(outs[i]) != len(want) {
+				t.Fatalf("consumer %d: %d rows, decode-then-filter gives %d", i, len(outs[i]), len(want))
+			}
+			for j, got := range outs[i] {
+				if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want[j]) {
+					t.Fatalf("consumer %d row %d: %#v, decode-then-filter gives %#v", i, j, got, want[j])
+				}
+			}
+		}
+	})
+}

@@ -1,4 +1,5 @@
-// The sort µEngine: external merge sort with materialized sorted output.
+// The sort µEngine: external merge sort with materialized sorted output,
+// and a bounded heap for a Top-N.
 //
 // Phase structure follows the paper's treatment of sort as a two-phase
 // operator (§3.2): phase 1 (consume input, sort runs, merge to a sorted
@@ -8,12 +9,19 @@
 // host's sorted file instead of re-sorting ("one query may have already
 // sorted a file that another query is about to start sorting; by monitoring
 // the sort operator we can detect this overlap and reuse the sorted file").
+//
+// A Sort with Limit n (ORDER BY … LIMIT n) keeps the n first rows of the
+// order in a heap while it consumes its input and emits them at the end: no
+// run, no temp file, no sortState. Nothing is produced before the end of
+// input, so an equal-signature packet attaches during the whole input phase
+// by the default rule.
 package ops
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"qpipe/internal/core"
@@ -23,7 +31,7 @@ import (
 )
 
 // sortRunSize is the number of tuples sorted in memory per spilled run.
-const sortRunSize = 16384
+const sortRunSize = plan.SortRunSize
 
 // sortState tracks a host packet's materialized output for phase-2 reuse.
 type sortState struct {
@@ -127,13 +135,16 @@ func (o *SortOp) drop(rt *core.Runtime, hostID int64, st *sortState) {
 func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Sort)
 	ncols := node.Schema().Len()
-	less := func(a, b tuple.Tuple) bool {
-		c := tuple.CompareAt(a, b, node.Keys)
+	order := func(a, b tuple.Tuple) int {
 		if node.Desc {
-			return c > 0
+			return tuple.CompareAt(b, a, node.Keys)
 		}
-		return c < 0
+		return tuple.CompareAt(a, b, node.Keys)
 	}
+	if node.Limit > 0 {
+		return runTopN(rt, pkt, node.Limit, order)
+	}
+	less := func(a, b tuple.Tuple) bool { return order(a, b) < 0 }
 
 	// Phase 1a: consume input into sorted runs spilled to temp files. The
 	// cleanup defer is installed before the first run spills, and each run's
@@ -150,7 +161,7 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		if len(run) == 0 {
 			return nil
 		}
-		sort.SliceStable(run, func(i, j int) bool { return less(run[i], run[j]) })
+		slices.SortStableFunc(run, order)
 		name := rt.SM.TempName("sortrun")
 		runNames = append(runNames, name)
 		w := newSpillWriter(rt.SM.Disk, name)
@@ -249,6 +260,72 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		}
 	}
 	return nil
+}
+
+// topItem is one row a Top-N holds, with its arrival number: among rows
+// equal on the keys the earlier one orders first, so the heap keeps exactly
+// what a stable sort followed by a truncation would.
+type topItem struct {
+	t   tuple.Tuple
+	seq int64
+}
+
+// topHeap holds the first rows of the order seen so far with the last of
+// them at the root, the one a better row replaces.
+type topHeap struct {
+	items []topItem
+	order func(a, b tuple.Tuple) int
+}
+
+func (h *topHeap) compare(a, b topItem) int {
+	if c := h.order(a.t, b.t); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+func (h *topHeap) Len() int           { return len(h.items) }
+func (h *topHeap) Less(i, j int) bool { return h.compare(h.items[i], h.items[j]) > 0 }
+func (h *topHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *topHeap) Push(x interface{}) { h.items = append(h.items, x.(topItem)) }
+func (h *topHeap) Pop() interface{} {
+	it := h.items[len(h.items)-1]
+	h.items = h.items[:len(h.items)-1]
+	return it
+}
+
+// runTopN is Run for a Sort with a limit: the n first rows of the order,
+// emitted in order at end of input.
+func runTopN(rt *core.Runtime, pkt *core.Packet, n int64, order func(a, b tuple.Tuple) int) error {
+	h := &topHeap{order: order}
+	cur := newCursor(pkt.Inputs[0])
+	for seq := int64(0); ; seq++ {
+		t, ok, err := cur.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		// A kept row is cloned: the input's rows are carved from arena
+		// chunks, and n rows must not keep n chunks alive.
+		switch {
+		case int64(len(h.items)) < n:
+			h.items = append(h.items, topItem{t: t.Clone(), seq: seq})
+			heap.Fix(h, len(h.items)-1)
+		case order(t, h.items[0].t) < 0:
+			h.items[0] = topItem{t: t.Clone(), seq: seq}
+			heap.Fix(h, 0)
+		}
+	}
+	slices.SortFunc(h.items, h.compare)
+	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
+	for _, it := range h.items {
+		if err := em.add(it.t); err != nil {
+			return emitResult(err)
+		}
+	}
+	return emitResult(em.flush())
 }
 
 // mergeItem is one head-of-run entry in the k-way merge heap.

@@ -55,7 +55,11 @@ func describe(n Node) string {
 		if x.Desc {
 			dir = "desc"
 		}
-		return fmt.Sprintf("Sort keys=%v %s", x.Keys, dir)
+		top := ""
+		if x.Limit > 0 {
+			top = fmt.Sprintf(" top=%d", x.Limit)
+		}
+		return fmt.Sprintf("Sort keys=%v %s%s", x.Keys, dir, top)
 	case *MergeJoin:
 		return fmt.Sprintf("MergeJoin L[%d]=R[%d]", x.LKey, x.RKey)
 	case *HashJoin:

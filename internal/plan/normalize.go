@@ -3,10 +3,10 @@
 // package's normal form, chained filters are collapsed, and filters are
 // pushed toward the leaves — into scan nodes (where the scan µEngine
 // applies them per-consumer without breaking page-stream sharing) and below
-// joins and sorts. Two semantically equivalent plans that converge under
-// these rules render byte-identical Signature() strings, which is exactly
-// what the OSP coordinator compares (§4.3) — so normalization directly
-// raises sharing hit rates.
+// joins and sorts (not below a Top-N). Two semantically equivalent plans
+// that converge under these rules render byte-identical Signature() strings,
+// which is exactly what the OSP coordinator compares (§4.3) — so
+// normalization directly raises sharing hit rates.
 //
 // Invariants:
 //   - input trees are never mutated (builder queries share subtree
@@ -150,10 +150,14 @@ func pushFilter(child Node, pred expr.Pred) Node {
 			return &cp
 		}
 	case *Sort:
-		// Filters commute with sorting (same schema, order preserved).
-		cp := *c
-		cp.Child = pushFilter(c.Child, pred)
-		return &cp
+		// Filters commute with sorting (same schema, order preserved) — but
+		// not with a Top-N: the first n rows that pass the filter are not
+		// the rows of the first n that pass it.
+		if c.Limit == 0 {
+			cp := *c
+			cp.Child = pushFilter(c.Child, pred)
+			return &cp
+		}
 	case *HashJoin:
 		left, right, rest := splitJoinPred(pred, len(c.Left.Schema().Cols))
 		if left != nil || right != nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"qpipe/internal/expr"
@@ -177,5 +178,67 @@ func TestNormalizeValidates(t *testing.T) {
 	n := Normalize(root)
 	if err := Validate(n); err != nil {
 		t.Fatalf("normalized plan fails validation: %v", err)
+	}
+}
+
+// A Top-N is not a Sort a filter commutes with, its n is part of what it
+// computes, and only a root Sort that can hold n rows becomes one.
+func TestTopN(t *testing.T) {
+	scan := NewTableScan("orders", ordersSchema(), nil, nil, false)
+	sorted := NewSort(scan, []int{2, 0}, true)
+	top, ok := WithTopN(sorted, 10)
+	if !ok || top.(*Sort).Limit != 10 || sorted.Limit != 0 {
+		t.Fatalf("WithTopN(sort, 10) = %v, %v; the input has Limit %d", top, ok, sorted.Limit)
+	}
+	if got, want := top.Signature(), "sort([2 0];true;top=10;"+scan.Signature()+")"; got != want {
+		t.Fatalf("signature %s, want %s", got, want)
+	}
+	other, _ := WithTopN(sorted, 11)
+	if top.Signature() == other.Signature() || top.Signature() == sorted.Signature() {
+		t.Fatal("sorts that differ in n share a signature")
+	}
+	if got := Explain(top); !strings.Contains(got, "Sort keys=[2 0] desc top=10") {
+		t.Fatalf("EXPLAIN does not show the Top-N:\n%s", got)
+	}
+	if err := Validate(top); err != nil {
+		t.Fatal(err)
+	}
+
+	for name, tc := range map[string]struct {
+		n     Node
+		limit int64
+	}{
+		"no limit":                  {sorted, -1},
+		"LIMIT 0":                   {sorted, 0},
+		"n above one run":           {sorted, SortRunSize + 1},
+		"LIMIT without ORDER BY":    {scan, 10},
+		"ORDER BY under a join":     {NewHashJoin(sorted, scan, 0, 0), 10},
+		"ORDER BY under a filter":   {NewFilter(sorted, expr.True{}), 10},
+		"a Sort that has its limit": {top, 5},
+	} {
+		if got, ok := WithTopN(tc.n, tc.limit); ok || got != tc.n {
+			t.Errorf("%s: WithTopN changed the plan to %s", name, got.Signature())
+		}
+	}
+	if _, ok := WithTopN(sorted, SortRunSize); !ok {
+		t.Error("n = SortRunSize is refused")
+	}
+
+	// The first n rows that pass a filter are not the rows of the first n
+	// that pass it: the filter stays above a Top-N, and goes below a Sort.
+	pred := expr.GT(expr.Col(2), expr.CFloat(100))
+	above := Normalize(NewFilter(top, pred))
+	f, isFilter := above.(*Filter)
+	if !isFilter {
+		t.Fatalf("the filter was pushed below the Top-N: %s", above.Signature())
+	}
+	if s, ok := f.Child.(*Sort); !ok || s.Limit != 10 || s.Child.(*TableScan).Filter != nil {
+		t.Fatalf("the Top-N under the filter changed: %s", above.Signature())
+	}
+	if Normalize(above).Signature() != above.Signature() {
+		t.Fatal("Normalize is not idempotent on a filtered Top-N")
+	}
+	if _, isSort := Normalize(NewFilter(sorted, pred)).(*Sort); !isSort {
+		t.Fatal("the filter no longer commutes with a plain Sort")
 	}
 }

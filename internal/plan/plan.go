@@ -240,14 +240,26 @@ func (p *Project) Signature() string {
 	return fmt.Sprintf("project(%s;%s)", strings.Join(parts, ","), p.Child.Signature())
 }
 
+// SortRunSize is the number of tuples the sort µEngine sorts in memory per
+// spilled run, and so the largest Limit a Sort may carry: what one run may
+// hold is what a Top-N may hold.
+const SortRunSize = 16384
+
 // Sort orders its input on key columns. Phase 1 (sorting) is a full
 // overlap; phase 2 (emitting the sorted stream) is linear via the
 // materialized sorted run (§3.2: "one query may have already sorted a file
 // that another query is about to start sorting").
+//
+// Limit > 0 makes it a Top-N: only the first Limit rows of the order are
+// produced (ORDER BY … LIMIT n; Query.Plan sets it when the plan's root is a
+// Sort and 0 < n <= SortRunSize), kept in a bounded heap with no temp file.
+// The limit is part of the signature — sorts that differ in n produce
+// different rows, and equal signatures mean equal rows.
 type Sort struct {
 	Child Node
 	Keys  []int
 	Desc  bool
+	Limit int64
 }
 
 // NewSort builds a sort node.
@@ -266,7 +278,23 @@ func (s *Sort) Schema() *tuple.Schema { return s.Child.Schema() }
 
 // Signature implements Node.
 func (s *Sort) Signature() string {
+	if s.Limit > 0 {
+		return fmt.Sprintf("sort(%v;%v;top=%d;%s)", s.Keys, s.Desc, s.Limit, s.Child.Signature())
+	}
 	return fmt.Sprintf("sort(%v;%v;%s)", s.Keys, s.Desc, s.Child.Signature())
+}
+
+// WithTopN returns the plan with its limit moved into the root when the
+// root is a Sort that can hold n rows in memory, and whether it did; the
+// input is not mutated. Every other plan keeps its limit at result level.
+func WithTopN(n Node, limit int64) (Node, bool) {
+	s, ok := n.(*Sort)
+	if !ok || limit <= 0 || limit > SortRunSize || s.Limit > 0 {
+		return n, false
+	}
+	cp := *s
+	cp.Limit = limit
+	return &cp, true
 }
 
 // ---- Joins -------------------------------------------------------------------

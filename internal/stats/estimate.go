@@ -93,7 +93,12 @@ func (e *Estimator) compute(n plan.Node) nodeEst {
 		return nodeEst{rows: child.rows, cols: cols}
 
 	case *plan.Sort:
-		return e.est(x.Child)
+		est := e.est(x.Child)
+		if x.Limit > 0 && est.rows > float64(x.Limit) {
+			est.rows = float64(x.Limit)
+			return capNDV(est)
+		}
+		return est
 
 	case *plan.HashJoin:
 		return e.equiJoin(x.Left, x.Right, x.LKey, x.RKey)

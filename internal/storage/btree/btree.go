@@ -21,9 +21,10 @@
 //	key:            one tuple-encoded value (kind tag, then 8 bytes, or a
 //	                uvarint length and the string bytes)
 //
-// The read path (findLeaf, Search, Range, ReadLeafTuples) binary-searches
-// the slot directory of the pinned page and compares the probe against the
-// encoded key bytes: no node is decoded, no payload copied. Insert, splits
+// The read path (findLeaf, Search, Range, VisitLeaf, ReadLeafTuples)
+// binary-searches the slot directory of the pinned page and compares the
+// probe against the encoded key bytes (tuple.CompareEncoded): no node is
+// decoded, no payload copied. Insert, splits
 // and BulkLoad materialize the one node they rewrite. Page 0 is a meta page
 // (root, height, leaf count). Index files are rebuilt at recovery, so the
 // layout owes nothing to older files.
@@ -365,7 +366,7 @@ func (t *Tree) scan(lo, hi tuple.Value, skipLeaves int, visit func(key, payload 
 			for ; i < p.n && more && err == nil; i++ {
 				var key, payload []byte
 				if key, payload, err = p.entry(i); err == nil {
-					more = (!hi.IsValid() || compareKey(key, hi) <= 0) && visit(key, payload)
+					more = (!hi.IsValid() || tuple.CompareEncoded(key, hi) <= 0) && visit(key, payload)
 				}
 			}
 		}
@@ -406,13 +407,13 @@ func (t *Tree) Range(lo, hi tuple.Value, fn func(key tuple.Value, payload []byte
 // where the second join packet re-reads only the skipped prefix.
 func (t *Tree) RangeFrom(lo, hi tuple.Value, skipLeaves int, fn func(key tuple.Value, payload []byte) bool) error {
 	return t.scan(lo, hi, skipLeaves, func(key, payload []byte) bool {
-		return fn(decodeKey(key), payload)
+		return fn(tuple.DecodeValue(key), payload)
 	})
 }
 
 // ScanLeaves iterates leaves in key order, invoking fn once per leaf with
 // the leaf ordinal and its entries (payloads valid for the call). For
-// validation and tests; scans stream through Range or ReadLeafTuples.
+// validation and tests; scans stream through Range or VisitLeaf.
 func (t *Tree) ScanLeaves(fn func(ord int, keys []tuple.Value, payloads [][]byte) bool) error {
 	pnos, err := t.LeafPageNos()
 	if err != nil {
@@ -459,6 +460,31 @@ func (t *Tree) LeafPageNos() ([]int64, error) {
 		pno = next
 	}
 	return out, nil
+}
+
+// VisitLeaf pins leaf pno and calls fn with each entry's payload in key
+// order — for a clustered index, the encoded row. The bytes alias the pinned
+// frame and are valid for the call only; the pin ends when VisitLeaf
+// returns. fn's error stops the visit and is returned as it is.
+func (t *Tree) VisitLeaf(pno int64, fn func(payload []byte) error) error {
+	p, id, err := t.pin(pno)
+	if err != nil {
+		return err
+	}
+	defer t.pool.Unpin(id)
+	if !p.leaf {
+		return t.at(pno, corruptf("not a leaf"))
+	}
+	for i := 0; i < p.n; i++ {
+		_, payload, err := p.entry(i)
+		if err != nil {
+			return t.at(pno, err)
+		}
+		if err := fn(payload); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadLeafTuples reads one leaf page and decodes each payload as a tuple of
@@ -619,11 +645,11 @@ func (t *Tree) Validate() error {
 	var n int64
 	var verr error
 	err := t.scan(tuple.Value{}, tuple.Value{}, 0, func(key, _ []byte) bool {
-		if n > 0 && compareKey(key, prev) < 0 {
-			verr = fmt.Errorf("btree: leaf chain out of order at entry %d (%s after %s)", n, decodeKey(key), prev)
+		if n > 0 && tuple.CompareEncoded(key, prev) < 0 {
+			verr = fmt.Errorf("btree: leaf chain out of order at entry %d (%s after %s)", n, tuple.DecodeValue(key), prev)
 			return false
 		}
-		prev = decodeKey(key)
+		prev = tuple.DecodeValue(key)
 		n++
 		return true
 	})

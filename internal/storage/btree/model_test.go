@@ -405,6 +405,10 @@ func FuzzNodeBytes(f *testing.F) {
 		}
 		_, err := tr.ReadLeafTuples(pno, 2)
 		accept(err)
+		accept(tr.VisitLeaf(pno, func(payload []byte) error {
+			_ = payload[:len(payload):len(payload)] // in range, or this panics
+			return nil
+		}))
 		_, err = tr.LeafPageNos()
 		accept(err)
 		_, err = tr.Count()

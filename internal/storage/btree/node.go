@@ -3,7 +3,6 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"qpipe/internal/tuple"
 )
@@ -56,24 +55,11 @@ func (p page) next() int64 { return int64(binary.LittleEndian.Uint64(p.b[3:11]))
 
 // keyWidth returns the encoded length of the key at the start of b.
 func keyWidth(b []byte) (int, error) {
-	if len(b) == 0 {
-		return 0, corruptf("key starts at the page end")
+	w, err := tuple.ValueWidth(b)
+	if err != nil {
+		return 0, corruptf("key: %v", err)
 	}
-	switch tuple.Kind(b[0]) {
-	case tuple.KindInt, tuple.KindFloat, tuple.KindDate:
-		if len(b) < 9 {
-			return 0, corruptf("truncated numeric key")
-		}
-		return 9, nil
-	case tuple.KindString:
-		n, w := binary.Uvarint(b[1:])
-		if w <= 0 || n > uint64(len(b)-1-w) {
-			return 0, corruptf("truncated string key")
-		}
-		return 1 + w + int(n), nil
-	default:
-		return 0, corruptf("key kind tag %d", b[0])
-	}
+	return w, nil
 }
 
 // entry returns entry i's encoded key and its value: the payload of a leaf
@@ -113,41 +99,6 @@ func (p page) child(i int) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(val)), nil
 }
 
-// compareKey orders an encoded key (one keyWidth accepted) against a probe
-// exactly as tuple.Compare orders the decoded key, without building a
-// string.
-func compareKey(key []byte, probe tuple.Value) int {
-	if tuple.Kind(key[0]) != tuple.KindString {
-		return tuple.Compare(decodeKey(key), probe)
-	}
-	if probe.K != tuple.KindString {
-		return 1 // strings order after every other kind
-	}
-	_, w := binary.Uvarint(key[1:])
-	s := key[1+w:]
-	switch {
-	case string(s) < probe.S:
-		return -1
-	case string(s) > probe.S:
-		return 1
-	}
-	return 0
-}
-
-// decodeKey materializes an encoded key (one keyWidth accepted). Only a
-// string key allocates.
-func decodeKey(key []byte) tuple.Value {
-	switch k := tuple.Kind(key[0]); k {
-	case tuple.KindString:
-		_, w := binary.Uvarint(key[1:])
-		return tuple.Str(string(key[1+w:]))
-	case tuple.KindFloat:
-		return tuple.F64(math.Float64frombits(binary.LittleEndian.Uint64(key[1:])))
-	default:
-		return tuple.Value{K: k, I: int64(binary.LittleEndian.Uint64(key[1:]))}
-	}
-}
-
 // lowerBound returns the first index whose key is >= probe (n when none).
 func (p page) lowerBound(probe tuple.Value) (int, error) {
 	lo, hi := 0, p.n
@@ -157,7 +108,7 @@ func (p page) lowerBound(probe tuple.Value) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if compareKey(key, probe) < 0 {
+		if tuple.CompareEncoded(key, probe) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -239,7 +190,7 @@ func decodeNode(buf []byte) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.entries[i].key = decodeKey(key)
+		n.entries[i].key = tuple.DecodeValue(key)
 		if p.leaf {
 			n.entries[i].payload = append([]byte(nil), val...)
 		} else {

@@ -198,6 +198,20 @@ func (f *File) ReadPage(pno int64) ([]tuple.Tuple, error) {
 	return p.Tuples(f.Schema.Len())
 }
 
+// VisitPage pins page pno and calls fn with the encoding of each live row in
+// slot order (tombstones skipped). The bytes alias the pinned frame and are
+// valid for the call only; the pin ends when VisitPage returns, so whatever
+// fn keeps it must have copied out.
+func (f *File) VisitPage(pno int64, fn func(enc []byte) error) error {
+	id := buffer.PageID{File: f.Name, Block: pno}
+	raw, err := f.pool.Pin(id)
+	if err != nil {
+		return err
+	}
+	defer f.pool.Unpin(id)
+	return page.FromBytes(raw).Visit(fn)
+}
+
 // ErrDeleted is returned by ReadTuple for a tombstoned RID. Unclustered
 // indexes keep ghost entries for deleted rows (cleaned up only by a rebuild),
 // so index fetch paths filter on this error rather than treating it as

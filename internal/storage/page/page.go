@@ -247,12 +247,48 @@ func (p *Page) Tuple(i, ncols int) (tuple.Tuple, error) {
 	return t, err
 }
 
+// CorruptError reports page bytes that do not follow the slotted layout.
+type CorruptError struct{ Reason string }
+
+// Error implements error.
+func (e *CorruptError) Error() string { return "page: corrupt: " + e.Reason }
+
+// Visit calls fn with the payload of every live slot in slot order,
+// skipping tombstones. The payloads alias the page buffer: they are valid
+// for the call, while the caller keeps the page's frame pinned. A directory
+// or slot that overruns the buffer is a *CorruptError, never an
+// out-of-range slice; fn's error stops the visit and is returned.
+func (p *Page) Visit(fn func(payload []byte) error) error {
+	if len(p.buf) < headerSize {
+		return &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(p.buf))}
+	}
+	n := p.NumSlots()
+	if headerSize+n*slotSize > len(p.buf) {
+		return &CorruptError{Reason: fmt.Sprintf("directory of %d slots overruns the %d-byte page", n, len(p.buf))}
+	}
+	for i := 0; i < n; i++ {
+		off, ln := p.slot(i)
+		if off == 0 && ln == 0 {
+			continue
+		}
+		if int(off)+int(ln) > len(p.buf) {
+			return &CorruptError{Reason: fmt.Sprintf("slot %d (%d bytes at %d) overruns the %d-byte page", i, ln, off, len(p.buf))}
+		}
+		if err := fn(p.buf[off : off+ln]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Tuples decodes every live tuple in the page, skipping tombstoned slots
 // (the returned list is compacted, so positions do not correspond to slot
 // numbers — use Tombstone/Tuple for RID-accurate iteration). All rows carve
 // out of one arena chunk (one allocation per page rather than one per row);
-// they are independent of the page buffer and immutable, per the engine's
-// tuple lease protocol.
+// they are independent of the page buffer and immutable. The scan µEngine
+// does not come through here (it works on the encoded rows, see Visit); the
+// callers are the iterator engine, spill readers, victim search and the
+// benchmark's kernels.
 func (p *Page) Tuples(ncols int) ([]tuple.Tuple, error) {
 	n := p.NumSlots()
 	out := make([]tuple.Tuple, 0, n)

@@ -8,6 +8,7 @@
 package tuple
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -460,6 +461,142 @@ func (t Tuple) Encode(dst []byte) []byte {
 	return dst
 }
 
+// EncodingError reports bytes that are not the encoding of a row: damaged or
+// hostile page bytes surface as this error from every decoding entry point,
+// never as a panic or an out-of-range slice.
+type EncodingError struct {
+	Col    int // the column the walk stopped at
+	Reason string
+}
+
+// Error implements error.
+func (e *EncodingError) Error() string {
+	return fmt.Sprintf("tuple: %s at column %d", e.Reason, e.Col)
+}
+
+// ValueWidth returns the encoded length of the value at the start of b, or
+// an *EncodingError (with Col 0) when no value starts there.
+func ValueWidth(b []byte) (int, error) {
+	w, why := valueWidth(b)
+	if why != "" {
+		return 0, &EncodingError{Reason: why}
+	}
+	return w, nil
+}
+
+// valueWidth is ValueWidth with the failure as a bare reason ("" for none).
+func valueWidth(b []byte) (int, string) {
+	if len(b) == 0 {
+		return 0, "truncated encoding"
+	}
+	switch Kind(b[0]) {
+	case KindInt, KindFloat, KindDate:
+		if len(b) < 9 {
+			return 0, "truncated number"
+		}
+		return 9, ""
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		if w <= 0 || n > uint64(len(b)-1-w) {
+			return 0, "truncated string"
+		}
+		return 1 + w + int(n), ""
+	default:
+		return 0, fmt.Sprintf("bad kind tag %d", b[0])
+	}
+}
+
+// Offsets walks one encoded row of len(offs)-1 columns: offs[i] becomes the
+// offset of column i in b and the last entry the offset just past the row.
+// After a nil return every column is a value ValueWidth accepted, so
+// DecodeInto, DecodeValue and CompareEncoded may read b[offs[i]:] unchecked.
+func Offsets(b []byte, offs []int) error {
+	off := 0
+	for i := 0; i < len(offs)-1; i++ {
+		offs[i] = off
+		if len(b)-off >= 9 && kindGroup(Kind(b[off])) == 1 {
+			off += 9 // a number: valueWidth's common case, without the call
+			continue
+		}
+		w, why := valueWidth(b[off:])
+		if why != "" {
+			return &EncodingError{Col: i, Reason: why}
+		}
+		off += w
+	}
+	offs[len(offs)-1] = off
+	return nil
+}
+
+// DecodeValue materializes the encoded value at the start of b (one
+// ValueWidth accepted). Only a string allocates.
+func DecodeValue(b []byte) Value {
+	var v Value
+	DecodeInto(&v, b)
+	return v
+}
+
+// DecodeInto is DecodeValue into *dst, which must be the zero Value (a
+// column of a row RowArena.Make just carved): only the fields the kind uses
+// are written, so a number costs two stores and no pointer write.
+func DecodeInto(dst *Value, b []byte) {
+	switch k := Kind(b[0]); k {
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		dst.K, dst.S = k, string(b[1+w:1+w+int(n)])
+	case KindFloat:
+		dst.K, dst.F = k, math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
+	default:
+		dst.K, dst.I = k, int64(binary.LittleEndian.Uint64(b[1:]))
+	}
+}
+
+// CompareEncoded orders the encoded value at the start of b (one ValueWidth
+// accepted) against v exactly as Compare orders the decoded value — the same
+// total preorder, numeric kinds compared across kinds — without building a
+// Value or a string. It is the one encoded-vs-Value comparison: B+tree key
+// search and the scan µEngine's in-place filters both use it.
+func CompareEncoded(b []byte, v Value) int {
+	k := Kind(b[0])
+	if k == KindString {
+		if v.K != KindString {
+			return 1 // strings order after every other kind
+		}
+		n, w := binary.Uvarint(b[1:])
+		s := b[1+w : 1+w+int(n)]
+		// The conversions do not allocate: the compiler compares the bytes.
+		switch {
+		case string(s) < v.S:
+			return -1
+		case string(s) > v.S:
+			return 1
+		}
+		return 0
+	}
+	if kindGroup(v.K) != 1 {
+		if v.K == KindString {
+			return -1
+		}
+		return 1 // a number orders after the invalid value
+	}
+	u := binary.LittleEndian.Uint64(b[1:])
+	if k != KindFloat && v.K != KindFloat {
+		return cmp.Compare(int64(u), v.I)
+	}
+	af, bf := float64(int64(u)), v.AsFloat()
+	if k == KindFloat {
+		af = math.Float64frombits(u)
+	}
+	// As Compare: a NaN is neither below nor above anything.
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	}
+	return 0
+}
+
 // Decode parses a tuple with ncols columns from b, returning the tuple and
 // the number of bytes consumed.
 func Decode(b []byte, ncols int) (Tuple, int, error) {
@@ -473,39 +610,42 @@ func DecodeArena(b []byte, ncols int, a *RowArena) (Tuple, int, error) {
 	return decodeInto(b, a.Make(ncols))
 }
 
+// decodeInto is the full-row decoder of Decode and DecodeArena. It shares no
+// code with Offsets/DecodeValue, the scan µEngine's walk: the iterator
+// engine that checks the scanner's answers reads pages through this one.
 func decodeInto(b []byte, t Tuple) (Tuple, int, error) {
 	off := 0
 	for i := range t {
 		if off >= len(b) {
-			return nil, 0, fmt.Errorf("tuple: truncated encoding at column %d", i)
+			return nil, 0, &EncodingError{Col: i, Reason: "truncated encoding"}
 		}
 		k := Kind(b[off])
 		off++
 		switch k {
 		case KindInt, KindDate:
 			if off+8 > len(b) {
-				return nil, 0, fmt.Errorf("tuple: truncated int at column %d", i)
+				return nil, 0, &EncodingError{Col: i, Reason: "truncated number"}
 			}
 			v := int64(binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 			t[i] = Value{K: k, I: v}
 		case KindFloat:
 			if off+8 > len(b) {
-				return nil, 0, fmt.Errorf("tuple: truncated float at column %d", i)
+				return nil, 0, &EncodingError{Col: i, Reason: "truncated number"}
 			}
 			v := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 			off += 8
 			t[i] = Value{K: k, F: v}
 		case KindString:
 			n, w := binary.Uvarint(b[off:])
-			if w <= 0 || off+w+int(n) > len(b) {
-				return nil, 0, fmt.Errorf("tuple: truncated string at column %d", i)
+			if w <= 0 || n > uint64(len(b)-off-w) {
+				return nil, 0, &EncodingError{Col: i, Reason: "truncated string"}
 			}
 			off += w
 			t[i] = Value{K: KindString, S: string(b[off : off+int(n)])}
 			off += int(n)
 		default:
-			return nil, 0, fmt.Errorf("tuple: bad kind tag %d at column %d", k, i)
+			return nil, 0, &EncodingError{Col: i, Reason: fmt.Sprintf("bad kind tag %d", k)}
 		}
 	}
 	return t, off, nil

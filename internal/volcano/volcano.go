@@ -76,7 +76,7 @@ func (e *Engine) Build(ctx context.Context, p plan.Node) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &sortIter{eng: e, child: child, keys: n.Keys, desc: n.Desc, ncols: n.Schema().Len()}, nil
+		return &sortIter{eng: e, child: child, keys: n.Keys, desc: n.Desc, limit: n.Limit, ncols: n.Schema().Len()}, nil
 	case *plan.MergeJoin:
 		l, err := e.Build(ctx, n.Left)
 		if err != nil {
@@ -401,6 +401,7 @@ type sortIter struct {
 	child Iterator
 	keys  []int
 	desc  bool
+	limit int64 // > 0: a Top-N — the whole input sorted, then truncated
 
 	file   string
 	ncols  int
@@ -432,6 +433,9 @@ func (s *sortIter) Open() error {
 		}
 		return c < 0
 	})
+	if s.limit > 0 && int64(len(rows)) > s.limit {
+		rows = rows[:s.limit]
+	}
 	// Materialize the sorted run and stream it back from "disk".
 	s.file = s.eng.SM.TempName("vsort")
 	d := s.eng.SM.Disk

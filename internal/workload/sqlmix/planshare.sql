@@ -58,9 +58,9 @@ FROM customers, orders
 WHERE 100 <= amount AND amount <= 800 AND cid = cust
 GROUP BY region;
 
--- Group D: top spenders; commuted range, a redundant NOT, and one variant
--- without LIMIT (the limit is applied at the result, not in the plan, so
--- the sort still shares).
+-- Group D: top spenders; commuted range and a redundant NOT. All three carry
+-- the LIMIT: ORDER BY … LIMIT 10 is a Top-N whose n is part of the sort's
+-- signature, so an unlimited spelling would be a different query.
 SELECT oid, amount
 FROM orders
 WHERE amount > 900
@@ -76,4 +76,5 @@ LIMIT 10;
 SELECT oid, amount
 FROM orders
 WHERE amount > 900 AND NOT (amount <= 900)
-ORDER BY amount DESC;
+ORDER BY amount DESC
+LIMIT 10;

@@ -275,13 +275,14 @@ func TestAnalyzeAndTableStats(t *testing.T) {
 // ---- LIMIT/share interaction -------------------------------------------------
 
 // TestSortShareSurvivesHostLimit pins down the limit/share interaction the
-// optimizer makes common: LIMIT is applied at the result, outside the plan
-// signature, so a "... LIMIT 10" query and its unlimited twin converge to
-// the same sort plan and OSP-share it. When the limited query is the host,
-// its result cancels the query after ten rows — mid phase-2 stream — and
-// the satellite, which holds the prefix and cannot be re-dispatched, must
-// still receive the rest of the sorted file rather than inherit the host's
-// cancellation.
+// optimizer makes common: a LIMIT above what a Top-N holds (one sort run,
+// plan.SortRunSize rows) is applied at the result, outside the plan
+// signature, so such a query and its unlimited twin converge to the same
+// external-sort plan and OSP-share it. When the limited query is the host,
+// its result cancels the query once the limit is out — mid phase-2 stream —
+// and the satellite, which holds the prefix and cannot be re-dispatched,
+// must still receive the rest of the sorted file rather than inherit the
+// host's cancellation.
 func TestSortShareSurvivesHostLimit(t *testing.T) {
 	db, err := qpipe.Open(qpipe.Options{PoolPages: 128})
 	if err != nil {
@@ -306,7 +307,7 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 	ctx := context.Background()
 	for iter := 0; iter < 5; iter++ {
 		db.SetDiskLatency(15*time.Microsecond, 25*time.Microsecond, 0)
-		host, err := db.Query(ctx, "SELECT k, v FROM s ORDER BY v DESC LIMIT 5")
+		host, err := db.Query(ctx, "SELECT k, v FROM s ORDER BY v DESC LIMIT 17000")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,8 +321,8 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: host: %v", iter, err)
 		}
-		if len(got) != 5 {
-			t.Fatalf("iter %d: host rows = %d, want 5", iter, len(got))
+		if len(got) != 17000 {
+			t.Fatalf("iter %d: host rows = %d, want 17000", iter, len(got))
 		}
 		n, err := sat.Discard()
 		db.SetDiskLatency(0, 0, 0)

@@ -103,7 +103,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond) // host mid-scan
+		time.Sleep(3 * time.Millisecond)  // host mid-scan (two partitions finish ~100 pages in about 11 ms)
 		res2, err := eng.Query(ctx, mk()) // shared lock held once Query returns
 		if err != nil {
 			t.Fatal(err)

@@ -3,7 +3,8 @@
 //
 // The lowering is deliberately thin — every SQL SELECT becomes exactly the
 // plan the equivalent fluent-builder chain would produce (Scan → Join* →
-// Filter → GroupBy/Aggregate → Project → Sort, with Limit at result level),
+// Filter → GroupBy/Aggregate → Project → Sort, with LIMIT a property of the
+// query that Query.Plan turns into a Top-N when the root is a Sort),
 // so EXPLAIN over SQL and Explain on a builder query print the same tree,
 // and OSP sees identical signatures for identical queries regardless of
 // which front end posed them. Semantic mistakes surface as the same typed
@@ -100,7 +101,7 @@ func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	text, err := q.Explain()
+	p, limit, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
@@ -108,12 +109,12 @@ func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(q.explain(p), "\n"), "\n")
 	if ann := annotateOpts(o); ann != "" {
 		lines = append(lines, ann)
 	}
-	if q.limit >= 0 {
-		lines = append(lines, fmt.Sprintf("limit: %d (result-level)", q.limit))
+	if limit >= 0 {
+		lines = append(lines, fmt.Sprintf("limit: %d (result-level)", limit))
 	}
 	rows := make([]Row, len(lines))
 	for i, l := range lines {
