@@ -627,7 +627,7 @@ func TestAccessPathPlanGoldens(t *testing.T) {
 
 	point := "SELECT amount FROM orders WHERE oid = 7"
 	ex := apExplain(t, db, point)
-	if !strings.Contains(ex, "IndexScan orders.oid (unclustered, unordered) range=[7,7] filter=(c0=k1:7) rows≈1\n") {
+	if !strings.Contains(ex, "IndexScan orders.oid (unclustered, unordered) range=[7,7] cols=[amount] filter=(c0=k1:7) rows≈1\n") {
 		t.Errorf("EXPLAIN %s:\n%s", point, ex)
 	}
 	if ex := apExplain(t, asWritten, point); !strings.Contains(ex, "TableScan orders") || strings.Contains(ex, "IndexScan") {

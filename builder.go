@@ -674,10 +674,12 @@ func (q *Query) Limit(n int64) *Query {
 // builder error). Unless the DB was opened with DisableOptimizer, the plan
 // is normalized first — predicates canonicalized and pushed into scans —
 // so equivalent queries converge on one Signature() and share work under
-// OSP, and each table scan then gets its access path: an index scan where
-// the statistics say a B+tree reads fewer pages than the heap
-// (plan.ChooseAccessPaths; a ScanIndex stays the path it names). Last, a
-// limit the root Sort can hold makes it a Top-N (see Limit). Both front
+// OSP; every scan is then projected to the columns the plan above it reads
+// (plan.PruneColumns, which also drops a Select the scan has made
+// redundant), and gets its access path: an index scan where the statistics
+// say a B+tree reads fewer pages than the heap (plan.ChooseAccessPaths; a
+// ScanIndex stays the path it names). Last, a limit the root Sort can hold
+// makes it a Top-N (see Limit). Both front
 // ends (this builder and db.Query SQL) funnel through here, which is what
 // keeps their plans byte-identical.
 func (q *Query) Plan() (Plan, error) {
@@ -696,7 +698,7 @@ func (q *Query) compile() (Plan, int64, error) {
 	case q.db == nil:
 		p = plan.Normalize(p)
 	case !q.db.noOpt:
-		p = plan.ChooseAccessPaths(plan.Normalize(p), accessCatalog{q.db})
+		p = plan.ChooseAccessPaths(plan.PruneColumns(plan.Normalize(p)), accessCatalog{q.db})
 	}
 	if top, ok := plan.WithTopN(p, q.limit); ok {
 		return top, -1, nil

@@ -471,6 +471,47 @@ func TestWithBatchSizeBoundsBatches(t *testing.T) {
 	}
 }
 
+// A scan at the root of the plan has no emitter above it to re-batch: the
+// scanner itself must honour an explicit batch size (a page holds 240 of
+// these rows), and leave its one batch per page alone without one.
+func TestWithBatchSizeBoundsBatchesOfARootScan(t *testing.T) {
+	db := openTestDB(t, 1000, Options{PoolPages: 32})
+	largest := func(q *Query, opts ...QueryOption) int {
+		t.Helper()
+		res, err := q.Run(context.Background(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		most, total := 0, 0
+		for {
+			b, err := res.Next()
+			if err != nil {
+				break
+			}
+			most, total = max(most, len(b)), total+len(b)
+			res.recycle(b)
+		}
+		if total != 1000 {
+			t.Fatalf("delivered %d rows, want 1000", total)
+		}
+		return most
+	}
+	for name, q := range map[string]*Query{
+		"bare scan":                   db.Scan("t"),
+		"select folded into the scan": db.Scan("t").Select("k", "val"),
+	} {
+		if most := largest(q, WithBatchSize(4), WithParallelism(1)); most > 4 {
+			t.Errorf("%s: batch of %d rows with WithBatchSize(4)", name, most)
+		}
+		if most := largest(q, WithBatchSize(100), WithParallelism(2)); most > 100 {
+			t.Errorf("%s: batch of %d rows with WithBatchSize(100)", name, most)
+		}
+		if most := largest(q, WithParallelism(1)); most <= 64 { // the runtime default
+			t.Errorf("%s: largest batch %d rows without a batch size: a page's rows were cut up", name, most)
+		}
+	}
+}
+
 func TestWithResultCacheRoundTrip(t *testing.T) {
 	db := openTestDB(t, 500, Options{PoolPages: 32, ResultCacheTuples: 10_000})
 	report := db.Scan("t").GroupBy([]string{"grp"}, Count().As("n")).Sort("grp")

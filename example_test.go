@@ -81,7 +81,7 @@ func ExampleDB_Query() {
 	// Boston 650000
 	// Seattle 740000
 	// Aggregate count(*) rows≈1
-	//   TableScan cities (unordered) filter=(c2>k2:0.5) rows≈2
+	//   TableScan cities (unordered) cols=[] filter=(c2>k2:0.5) rows≈2
 }
 
 // ExampleDB_Prepare compiles SQL to the same reusable Query value the

@@ -283,52 +283,58 @@ func normalizeIn(x *In) Pred {
 	return &In{E: e, Vals: dedup}
 }
 
-// ShiftExpr rebuilds e with every column reference offset by delta; used by
-// the plan normalizer when a predicate moves below a join and must be
-// re-based onto the join's right input. The input is not mutated.
-func ShiftExpr(e Expr, delta int) Expr {
-	if delta == 0 {
-		return e
-	}
+// MapExprRefs rebuilds e with every column reference's index replaced by
+// m(index): the one walk behind every re-basing of an expression onto
+// another input (a predicate moving below a join or a projection, a plan
+// whose scans stopped producing some columns). The input is not mutated.
+func MapExprRefs(e Expr, m func(ix int) int) Expr {
 	switch x := e.(type) {
 	case *ColRef:
-		return &ColRef{Ix: x.Ix + delta, Name: x.Name}
+		return &ColRef{Ix: m(x.Ix), Name: x.Name}
 	case *Arith:
-		return &Arith{Op: x.Op, L: ShiftExpr(x.L, delta), R: ShiftExpr(x.R, delta)}
+		return &Arith{Op: x.Op, L: MapExprRefs(x.L, m), R: MapExprRefs(x.R, m)}
 	case *Cond:
-		return &Cond{If: ShiftPred(x.If, delta), Then: ShiftExpr(x.Then, delta), Else: ShiftExpr(x.Else, delta)}
+		return &Cond{If: MapPredRefs(x.If, m), Then: MapExprRefs(x.Then, m), Else: MapExprRefs(x.Else, m)}
 	default:
 		return e
 	}
 }
 
-// ShiftPred is ShiftExpr for predicates.
-func ShiftPred(p Pred, delta int) Pred {
-	if delta == 0 {
-		return p
-	}
+// MapPredRefs is MapExprRefs for predicates.
+func MapPredRefs(p Pred, m func(ix int) int) Pred {
 	switch x := p.(type) {
 	case *Cmp:
-		return &Cmp{Op: x.Op, L: ShiftExpr(x.L, delta), R: ShiftExpr(x.R, delta)}
+		return &Cmp{Op: x.Op, L: MapExprRefs(x.L, m), R: MapExprRefs(x.R, m)}
 	case *And:
 		ps := make([]Pred, len(x.Ps))
 		for i, q := range x.Ps {
-			ps[i] = ShiftPred(q, delta)
+			ps[i] = MapPredRefs(q, m)
 		}
 		return &And{Ps: ps}
 	case *Or:
 		ps := make([]Pred, len(x.Ps))
 		for i, q := range x.Ps {
-			ps[i] = ShiftPred(q, delta)
+			ps[i] = MapPredRefs(q, m)
 		}
 		return &Or{Ps: ps}
 	case *Not:
-		return &Not{P: ShiftPred(x.P, delta)}
+		return &Not{P: MapPredRefs(x.P, m)}
 	case *In:
-		return &In{E: ShiftExpr(x.E, delta), Vals: x.Vals}
+		return &In{E: MapExprRefs(x.E, m), Vals: x.Vals}
 	case *Between:
-		return &Between{E: ShiftExpr(x.E, delta), Lo: x.Lo, Hi: x.Hi, LoX: x.LoX, HiX: x.HiX}
+		return &Between{E: MapExprRefs(x.E, m), Lo: x.Lo, Hi: x.Hi, LoX: x.LoX, HiX: x.HiX}
 	default:
 		return p
 	}
+}
+
+// ShiftExpr rebuilds e with every column reference offset by delta.
+func ShiftExpr(e Expr, delta int) Expr {
+	return MapExprRefs(e, func(ix int) int { return ix + delta })
+}
+
+// ShiftPred is ShiftExpr for predicates; the plan normalizer re-bases a
+// predicate onto a join's right input with it.
+func ShiftPred(p Pred, delta int) Pred {
+	return MapPredRefs(p, func(ix int) int { return ix + delta })
 }

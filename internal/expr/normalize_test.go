@@ -151,3 +151,27 @@ func TestShiftPred(t *testing.T) {
 		t.Fatal("ShiftPred mutated its input")
 	}
 }
+
+// MapPredRefs reaches every column reference, whatever it hangs under, and
+// leaves its input alone.
+func TestMapPredRefs(t *testing.T) {
+	p := AndOf(
+		OrOf(GT(Col(4), CInt(5)), NotOf(EQ(Add(Col(0), Col(2)), CInt(7)))),
+		InOf(Col(2), tuple.I64(1), tuple.I64(3)),
+		BetweenOf(CondOf(LT(Col(0), Col(4)), Col(2), CInt(0)), tuple.I64(1), tuple.I64(9)),
+	)
+	before := sig(p)
+	m := map[int]int{0: 3, 2: 0, 4: 1}
+	got := MapPredRefs(p, func(ix int) int { return m[ix] })
+	want := sig(AndOf(
+		OrOf(GT(Col(1), CInt(5)), NotOf(EQ(Add(Col(3), Col(0)), CInt(7)))),
+		InOf(Col(0), tuple.I64(1), tuple.I64(3)),
+		BetweenOf(CondOf(LT(Col(3), Col(1)), Col(0), CInt(0)), tuple.I64(1), tuple.I64(9)),
+	))
+	if sig(got) != want {
+		t.Fatalf("mapped: %q\nwant:   %q", sig(got), want)
+	}
+	if sig(p) != before {
+		t.Fatal("MapPredRefs mutated its input")
+	}
+}

@@ -328,7 +328,7 @@ func (s *scanner) runPartition(k int) {
 // a clean EOF.
 func (s *scanner) deliver(c *scanConsumer, k int, out tbuf.Batch) {
 	if len(out) > 0 {
-		if err := c.pkt.Out.Put(out); err != nil {
+		if err := s.put(c, out); err != nil {
 			if errors.Is(err, tbuf.ErrConsumersGone) || errors.Is(err, tbuf.ErrAbandoned) {
 				// Consumer gone (query cancelled or absorbed elsewhere):
 				// a clean early stop for this packet.
@@ -360,6 +360,29 @@ func (s *scanner) deliver(c *scanConsumer, k int, out tbuf.Batch) {
 	if finished {
 		s.detach(c, nil)
 	}
+}
+
+// put hands a page's kept rows to the consumer's port: as the one batch
+// they are, unless the query set a batch size (WithBatchSize) — then in
+// batches of at most that many rows, since a scan at the root of a plan has
+// no emitter above it to re-batch. The runtime's default size does not
+// chunk: one Put per page is what keeps a scan cheap.
+func (s *scanner) put(c *scanConsumer, out tbuf.Batch) error {
+	n := c.pkt.Query.Opts.BatchSize
+	if n <= 0 || len(out) <= n {
+		return c.pkt.Out.Put(out)
+	}
+	// A batch array has one owner, so each piece is its own lease, not a
+	// slice of the page's.
+	defer s.pool.Put(out)
+	for rest := out; len(rest) > 0; {
+		piece := rest[:min(n, len(rest))]
+		rest = rest[len(piece):]
+		if err := c.pkt.Out.Put(append(s.pool.GetCap(len(piece)), piece...)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *scanner) detach(c *scanConsumer, err error) {

@@ -1,8 +1,9 @@
 // Access-path selection: the pass that decides, for every table scan of a
 // normalized plan, whether a B+tree index reads fewer pages than the heap.
-// Both front ends reach it through Query.Plan, right after Normalize has
-// pushed filters into the scans, so the SQL text and the builder spelling of
-// one query get one access path and one signature.
+// Both front ends reach it through Query.Plan, after Normalize has pushed
+// filters into the scans and PruneColumns has set their projections, so the
+// SQL text and the builder spelling of one query get one access path and one
+// signature.
 //
 // A scan qualifies when its filter has a conjunct comparing an indexed
 // column with a literal (=, <, <=, >, >=; BETWEEN arrives from Normalize as

@@ -4,6 +4,8 @@ package plan
 import (
 	"fmt"
 	"strings"
+
+	"qpipe/internal/tuple"
 )
 
 // parSuffix renders an explicit intra-operator parallelism hint (0 — the
@@ -13,6 +15,19 @@ func parSuffix(p int) string {
 		return fmt.Sprintf(" par=%d", p)
 	}
 	return ""
+}
+
+// colsSuffix names, in list order, the table columns a projecting scan
+// produces (a nil projection — every column — prints nothing).
+func colsSuffix(s *tuple.Schema, project []int) string {
+	if project == nil {
+		return ""
+	}
+	names := make([]string, len(project))
+	for i, c := range project {
+		names[i] = s.Cols[c].Name
+	}
+	return " cols=[" + strings.Join(names, " ") + "]"
 }
 
 // describe returns a one-line summary of a node (operator + key args).
@@ -27,7 +42,7 @@ func describe(n Node) string {
 		if x.Filter != nil {
 			f = " filter=" + x.Filter.Signature()
 		}
-		return fmt.Sprintf("TableScan %s (%s)%s%s", x.Table, mode, f, parSuffix(x.Parallelism))
+		return fmt.Sprintf("TableScan %s (%s)%s%s%s", x.Table, mode, colsSuffix(x.TableSchema, x.Project), f, parSuffix(x.Parallelism))
 	case *IndexScan:
 		kind := "unclustered"
 		if x.Clustered {
@@ -45,7 +60,7 @@ func describe(n Node) string {
 		if x.Filter != nil {
 			f = " filter=" + x.Filter.Signature()
 		}
-		return fmt.Sprintf("IndexScan %s.%s (%s, %s)%s%s", x.Table, x.Col, kind, mode, rng, f)
+		return fmt.Sprintf("IndexScan %s.%s (%s, %s)%s%s%s", x.Table, x.Col, kind, mode, rng, colsSuffix(x.TableSchema, x.Project), f)
 	case *Filter:
 		return "Filter " + x.Pred.Signature()
 	case *Project:

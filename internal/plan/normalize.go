@@ -2,8 +2,10 @@
 // admitted. Predicates and expressions are rewritten into the expr
 // package's normal form, chained filters are collapsed, and filters are
 // pushed toward the leaves — into scan nodes (where the scan µEngine
-// applies them per-consumer without breaking page-stream sharing) and below
-// joins and sorts (not below a Top-N). Two semantically equivalent plans
+// applies them per-consumer without breaking page-stream sharing; in
+// table-column terms, re-based through the scan's own projection if it has
+// one), through projections of bare columns, and below joins and sorts (not
+// below a Top-N). Two semantically equivalent plans
 // that converge under these rules render byte-identical Signature() strings,
 // which is exactly what the OSP coordinator compares (§4.3) — so
 // normalization directly raises sharing hit rates.
@@ -135,18 +137,19 @@ func pushFilter(child Node, pred expr.Pred) Node {
 
 	switch c := child.(type) {
 	case *TableScan:
-		// Merge into the scan predicate — but only when the scan emits raw
-		// rows: the scan µEngine applies Filter before Project, so a pushed
-		// predicate under a projection would see the wrong column indexes.
-		if c.Project == nil {
-			cp := *c
-			cp.Filter = mergeScanFilter(c.Filter, pred)
-			return &cp
-		}
+		cp := *c
+		cp.Filter = mergeScanFilter(c.Filter, rebasePred(pred, c.Project))
+		return &cp
 	case *IndexScan:
-		if c.Project == nil {
+		cp := *c
+		cp.Filter = mergeScanFilter(c.Filter, rebasePred(pred, c.Project))
+		return &cp
+	case *Project:
+		// A projection of bare columns renames and reorders, nothing else:
+		// the predicate holds below it on the columns it names.
+		if cols := bareCols(c); cols != nil {
 			cp := *c
-			cp.Filter = mergeScanFilter(c.Filter, pred)
+			cp.Child = pushFilter(c.Child, rebasePred(pred, cols))
 			return &cp
 		}
 	case *Sort:
@@ -202,6 +205,32 @@ func pushFilter(child Node, pred expr.Pred) Node {
 		return &cp
 	}
 	return &Filter{Child: child, Pred: pred}
+}
+
+// rebasePred rewrites a normalized predicate's column references through m
+// (position → position underneath; nil is the identity) and re-normalizes
+// it: the canonical operand order follows the column numbers. With a scan's
+// Project list as m it brings a predicate over the scan's output to
+// table-column terms — the scan µEngine applies Filter before Project.
+func rebasePred(p expr.Pred, m []int) expr.Pred {
+	if m == nil || p == nil {
+		return p
+	}
+	return expr.NormalizePred(expr.MapPredRefs(p, func(ix int) int { return m[ix] }))
+}
+
+// bareCols returns the child column each output of p copies when every
+// expression of p is a bare column reference, nil otherwise.
+func bareCols(p *Project) []int {
+	cols := make([]int, len(p.Exprs))
+	for i, e := range p.Exprs {
+		ref, ok := e.(*expr.ColRef)
+		if !ok {
+			return nil
+		}
+		cols[i] = ref.Ix
+	}
+	return cols
 }
 
 func mergeScanFilter(existing, pred expr.Pred) expr.Pred {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,16 +47,49 @@ func TestNormalizePushesFilterIntoScan(t *testing.T) {
 	}
 }
 
-func TestNormalizeDoesNotPushPastProjection(t *testing.T) {
+func TestNormalizePushesIntoProjectedScan(t *testing.T) {
 	scan := NewTableScan("orders", ordersSchema(), nil, []int{2, 0}, false)
 	p := NewFilter(scan, expr.GT(expr.Col(0), expr.CFloat(100))) // col 0 = amount post-project
 	n := Normalize(p)
-	f, ok := n.(*Filter)
+	ts, ok := n.(*TableScan)
 	if !ok {
-		t.Fatalf("filter over a projecting scan must stay a Filter node, got %T", n)
+		t.Fatalf("filter over a projecting scan must merge into it, got %T", n)
 	}
-	if _, ok := f.Child.(*TableScan); !ok {
-		t.Fatalf("unexpected child %T", f.Child)
+	// The scan applies Filter before Project: the predicate is re-based from
+	// output column 0 to table column 2.
+	if got := ts.Filter.Signature(); got != "(c2>k2:100)" {
+		t.Fatalf("scan filter = %s, want (c2>k2:100)", got)
+	}
+	if !slices.Equal(ts.Project, []int{2, 0}) || scan.Filter != nil {
+		t.Fatalf("projection changed (%v) or input mutated (%v)", ts.Project, scan.Filter)
+	}
+	// The same through an index scan, merged with the filter already there.
+	is := NewIndexScan("orders", ordersSchema(), "oid", tuple.Value{}, tuple.Value{}, true, true,
+		expr.LT(expr.Col(0), expr.CInt(50)), []int{2, 0})
+	n = Normalize(NewFilter(is, expr.GT(expr.Col(0), expr.CFloat(100))))
+	if got, ok := n.(*IndexScan); !ok || got.Filter.Signature() != "and((c0<k1:50),(c2>k2:100))" {
+		t.Fatalf("index scan: %s", n.Signature())
+	}
+}
+
+func TestNormalizePushesThroughBareProject(t *testing.T) {
+	scan := NewTableScan("orders", ordersSchema(), nil, nil, false)
+	// SELECT amount, oid ... WHERE amount > 100, the filter written above the
+	// projection: it passes through, re-based, and lands in the scan.
+	proj := NewProject(scan, []expr.Expr{expr.Col(2), expr.Col(0)}, []string{"amount", "oid"})
+	n := Normalize(NewFilter(proj, expr.GT(expr.Col(0), expr.CFloat(100))))
+	below := Normalize(NewProject(NewFilter(scan, expr.GT(expr.Col(2), expr.CFloat(100))),
+		[]expr.Expr{expr.Col(2), expr.Col(0)}, []string{"amount", "oid"}))
+	if n.Signature() != below.Signature() {
+		t.Fatalf("filter above and below a bare projection differ:\n%s\n%s", n.Signature(), below.Signature())
+	}
+	if again := Normalize(n); again.Signature() != n.Signature() {
+		t.Fatalf("not idempotent:\n%s\n%s", n.Signature(), again.Signature())
+	}
+	// A computed column stops it: the predicate reads a value no column below holds.
+	calc := NewProject(scan, []expr.Expr{expr.Mul(expr.Col(2), expr.CFloat(2))}, []string{"twice"})
+	if _, ok := Normalize(NewFilter(calc, expr.GT(expr.Col(0), expr.CFloat(100)))).(*Filter); !ok {
+		t.Fatal("filter over a computing projection must stay above it")
 	}
 }
 

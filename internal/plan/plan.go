@@ -116,7 +116,18 @@ func (s *TableScan) Signature() string {
 	if s.Filter != nil {
 		f = s.Filter.Signature()
 	}
-	return fmt.Sprintf("tscan(%s;%s;%v;%v)", s.Table, f, s.Project, s.Ordered)
+	return fmt.Sprintf("tscan(%s;%s;%s;%v)", s.Table, f, projectSig(s.Project), s.Ordered)
+}
+
+// projectSig encodes a scan's projection. A nil list (every column) and an
+// empty one (no column: the scan under a lone count(*)) both print as [] with
+// %v, and equal signatures promise equal rows — so the empty list gets a
+// spelling of its own and nil keeps the one it always had.
+func projectSig(project []int) string {
+	if project != nil && len(project) == 0 {
+		return "[none]"
+	}
+	return fmt.Sprint(project)
 }
 
 // IndexScan reads via a B+tree index. Clustered scans produce full tuples in
@@ -170,8 +181,8 @@ func (s *IndexScan) Signature() string {
 	if s.Filter != nil {
 		f = s.Filter.Signature()
 	}
-	return fmt.Sprintf("iscan(%s;%s;%s;%s;%v;%v;%s;%v;%d:%d)",
-		s.Table, s.Col, s.Lo, s.Hi, s.Clustered, s.Ordered, f, s.Project, s.LeafFrom, s.LeafTo)
+	return fmt.Sprintf("iscan(%s;%s;%s;%s;%v;%v;%s;%s;%d:%d)",
+		s.Table, s.Col, s.Lo, s.Hi, s.Clustered, s.Ordered, f, projectSig(s.Project), s.LeafFrom, s.LeafTo)
 }
 
 // ---- Unary operators ---------------------------------------------------------

@@ -29,6 +29,14 @@ func TestTableScanSchemaAndSig(t *testing.T) {
 	if full.Signature() == proj.Signature() {
 		t.Fatal("projection must change signature")
 	}
+	// No column is not every column: a satellite must never be handed the
+	// empty rows of a count(*) scan for the full ones it asked for.
+	if none := NewTableScan("t", s, nil, []int{}, false); none.Signature() == full.Signature() || none.Schema().Len() != 0 {
+		t.Fatalf("empty projection: signature %s, schema %v", none.Signature(), none.Schema())
+	}
+	if got := full.Signature(); got != "tscan(t;true;[];false)" {
+		t.Fatalf("the full scan's signature changed: %s", got)
+	}
 	ordered := NewTableScan("t", s, nil, nil, true)
 	if full.Signature() == ordered.Signature() {
 		t.Fatal("ordering must change signature")

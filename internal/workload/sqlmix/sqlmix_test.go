@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qpipe"
+	"qpipe/internal/plan"
 )
 
 func TestEmbeddedMixParses(t *testing.T) {
@@ -29,6 +30,43 @@ func TestEmbeddedPlanShareMixParses(t *testing.T) {
 	// Four variant groups of three spellings each.
 	if len(m.Queries) != 12 {
 		t.Errorf("queries = %d, want 12", len(m.Queries))
+	}
+}
+
+// The planner folds the mix's twelve spellings to four plans — also now that
+// every scan of them is pruned to the columns its statement reads.
+func TestPlanShareMixFoldsToFourSignatures(t *testing.T) {
+	db, err := qpipe.Open(qpipe.Options{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := Populate(db, 2_000, 100); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Parse(PlanShareMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := m.Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigs := map[string]int{}
+	for i, q := range queries {
+		p, err := q.Plan()
+		if err != nil {
+			t.Fatalf("query %d: %v", i+1, err)
+		}
+		sigs[p.Signature()]++
+		plan.Walk(p, func(n plan.Node) {
+			if s, ok := n.(*plan.TableScan); ok && s.Table == "orders" && s.Project == nil {
+				t.Errorf("query %d reads every column of orders: %s", i+1, p.Signature())
+			}
+		})
+	}
+	if len(sigs) != 4 {
+		t.Errorf("%d spellings fold to %d signatures, want 4: %v", len(queries), len(sigs), sigs)
 	}
 }
 

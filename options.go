@@ -55,8 +55,9 @@ func WithSharedScan() QueryOption {
 
 // WithBatchSize sets the tuples-per-batch target this query's operators aim
 // for when producing output (smaller batches lower latency to first row;
-// larger batches amortize synchronization). Values below 1 yield an
-// *OptionError at Run.
+// larger batches amortize synchronization), and bounds the batches
+// Result.Next returns — also when the plan's root is a scan, which then cuts
+// each page's rows to size. Values below 1 yield an *OptionError at Run.
 func WithBatchSize(n int) QueryOption {
 	return func(o *queryOpts) {
 		o.core.BatchSize = n

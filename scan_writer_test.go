@@ -38,7 +38,9 @@ func swRows(state map[int64]swRow, keep func(id int64, r swRow) bool, project fu
 
 // swDraw draws a statement the scan µEngine answers on the page bytes:
 // in-place comparisons on every kind, residuals (OR, NOT, BETWEEN, IN,
-// arithmetic), projections that drop and reorder columns, and none.
+// arithmetic), projections that drop and reorder columns, and none — and,
+// through column pruning, scans that produce only what an aggregate, a
+// group-by or a sort below a projection reads.
 func swDraw(rng *rand.Rand) swQuery {
 	x := float64(rng.Intn(400)) / 4
 	k := int64(rng.Intn(1300))
@@ -47,7 +49,7 @@ func swDraw(rng *rand.Rand) swQuery {
 	all := func(id int64, r swRow) qpipe.Row {
 		return qpipe.Row{qpipe.IntValue(id), qpipe.FloatValue(r.f), qpipe.DateValue(r.d), qpipe.StringValue(r.s)}
 	}
-	switch rng.Intn(6) {
+	switch rng.Intn(9) {
 	case 0:
 		return swQuery{fmt.Sprintf("SELECT s, id FROM w WHERE f < %s AND s >= '%s'", apFloat(x), str),
 			func(st map[int64]swRow) []string {
@@ -76,6 +78,44 @@ func swDraw(rng *rand.Rand) swQuery {
 		return swQuery{fmt.Sprintf("SELECT * FROM w WHERE s <> '%s'", str),
 			func(st map[int64]swRow) []string {
 				return swRows(st, func(_ int64, r swRow) bool { return r.s != str }, all)
+			}}
+	case 5: // the plan reads no column of the scan: cols=[]
+		return swQuery{fmt.Sprintf("SELECT count(*) AS n FROM w WHERE s IN ('%s', 's03') OR d BETWEEN %s AND %s", str, apDate(day), apDate(day+3)),
+			func(st map[int64]swRow) []string {
+				n := int64(0)
+				for _, r := range st {
+					if r.s == str || r.s == "s03" || (r.d >= day && r.d <= day+3) {
+						n++
+					}
+				}
+				return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(n)})}
+			}}
+	case 6: // group key and aggregate argument are the scan's columns, the filter's is not
+		return swQuery{fmt.Sprintf("SELECT d, count(*) AS n, sum(f) AS sf FROM w WHERE id < %d GROUP BY d", k),
+			func(st map[int64]swRow) []string {
+				type group struct {
+					n  int64
+					sf float64
+				}
+				groups := map[int64]group{}
+				for id, r := range st {
+					if id < k {
+						g := groups[r.d]
+						groups[r.d] = group{g.n + 1, g.sf + r.f}
+					}
+				}
+				var out []string
+				for d, g := range groups {
+					out = append(out, fmt.Sprint(qpipe.Row{qpipe.DateValue(d), qpipe.IntValue(g.n), qpipe.FloatValue(g.sf)}))
+				}
+				sort.Strings(out)
+				return out
+			}}
+	case 7: // sorted on a column the select list drops, a computed column above
+		return swQuery{fmt.Sprintf("SELECT s, f * 4 AS quarters FROM w WHERE d > %s ORDER BY id", apDate(day)),
+			func(st map[int64]swRow) []string {
+				return swRows(st, func(_ int64, r swRow) bool { return r.d > day },
+					func(_ int64, r swRow) qpipe.Row { return qpipe.Row{qpipe.StringValue(r.s), qpipe.FloatValue(r.f * 4)} })
 			}}
 	default:
 		return swQuery{fmt.Sprintf("SELECT count(*) AS n, sum(f) AS sf FROM w WHERE id < %d", k),
