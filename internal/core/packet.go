@@ -68,8 +68,43 @@ type Packet struct {
 
 	satMu      sync.Mutex
 	satellites []*Packet // packets absorbed by this host
-	satSealed  bool      // host finished/finishing; no more satellites
+	satSealed  bool      // host finished/finishing or narrowed; no more satellites
+	hosted     bool      // a satellite was absorbed at some point
+	keys       atomic.Pointer[KeyFilter]
 }
+
+// KeyFilter is a hash join's build keys as its probe scan sees them: bit
+// h >> Shift of Bits is set for the hash h (tuple.Hash1) of every build
+// key, so a probe row whose key's bit is clear joins nothing. Bits holds
+// 2^(64-Shift) bits.
+type KeyFilter struct {
+	Col   int // the probe key's table column
+	Shift uint
+	Bits  []uint64
+}
+
+// Narrow lets a scan packet's only reader — a hash join holding its finished
+// build side — tell the scan which rows it will throw away: the scanner
+// serving the packet loads Keys with the packet's filter and leaves out rows
+// whose key the filter excludes (it may keep others: the join still
+// compares). It refuses a packet that is or ever hosted a satellite, whose
+// output somebody else reads, and seals the packet: a later packet of the
+// same signature is not absorbed but admitted to the scan as a consumer of
+// its own, so the pages are still read once.
+func (p *Packet) Narrow(rt *Runtime, f *KeyFilter) bool {
+	p.satMu.Lock()
+	defer p.satMu.Unlock()
+	if p.hosted || p.satSealed || p.State() == PacketSatellite {
+		return false
+	}
+	p.satSealed = true
+	p.keys.Store(f)
+	rt.keyFilters.Add(1)
+	return true
+}
+
+// Keys returns the filter Narrow installed, or nil.
+func (p *Packet) Keys() *KeyFilter { return p.keys.Load() }
 
 // AbsorbSatellite atomically commits sat as a satellite of this host: the
 // port attach and the satellite-list append happen under the same lock that
@@ -90,6 +125,7 @@ func (p *Packet) AbsorbSatellite(sat *Packet) bool {
 	}
 	sat.host.Store(p)
 	sat.setState(PacketSatellite)
+	p.hosted = true
 	p.satellites = append(p.satellites, sat)
 	p.Query.Stats.HostedSatellites.Add(1)
 	sat.Query.Stats.SatelliteAttaches.Add(1)
@@ -228,6 +264,9 @@ type QueryStats struct {
 	HostedSatellites atomic.Int64
 	// CancelledSubtreePackets counts child packets cancelled by OSP attaches.
 	CancelledSubtreePackets atomic.Int64
+	// KeyFilterRows counts rows this query's scans did not build because
+	// the hash join above them had no build key for them (Packet.Narrow).
+	KeyFilterRows atomic.Int64
 }
 
 // QueryOptions carries per-query execution knobs. Options travel with the

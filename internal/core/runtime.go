@@ -116,6 +116,7 @@ func BaselineConfig() Config {
 type RuntimeStats struct {
 	Queries       int64
 	SharesByOp    map[plan.OpType]int64
+	KeyFilters    int64 // hash joins that handed their build keys to the probe scan
 	EngineStats   map[plan.OpType]EngineStats
 	DeadlocksSeen int64
 	Materialized  int64 // buffers switched to unbounded by the detector
@@ -160,6 +161,7 @@ type Runtime struct {
 	deadlocks    atomic.Int64
 	materialized atomic.Int64
 	timeouts     atomic.Int64
+	keyFilters   atomic.Int64
 
 	detector *detector
 }
@@ -501,6 +503,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 	st := RuntimeStats{
 		Queries:          rt.nQueries.Load(),
 		SharesByOp:       make(map[plan.OpType]int64),
+		KeyFilters:       rt.keyFilters.Load(),
 		EngineStats:      make(map[plan.OpType]EngineStats),
 		DeadlocksSeen:    rt.deadlocks.Load(),
 		Materialized:     rt.materialized.Load(),

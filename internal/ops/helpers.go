@@ -185,3 +185,49 @@ func defaultTryShare(host, sat *core.Packet) bool {
 	}
 	return host.AbsorbSatellite(sat)
 }
+
+// hashTable is the one hash table of the join and group-by µEngines: rows in
+// arrival order, each with its 64-bit hash, chained through next links off a
+// power-of-two slot directory. It stores a row per add (a join's build side
+// repeats keys; the group-by looks before it adds), a lookup walks one chain
+// comparing stored hashes before the caller compares keys, and growing
+// re-links the rows from their stored hashes without rehashing one.
+type hashTable struct {
+	slots []int32 // hash & mask -> 1 + the chain's newest row, 0 when empty
+	rows  []tuple.Tuple
+	hash  []uint64
+	next  []int32 // row -> 1 + the next older row of its chain
+}
+
+// add stores row under hash h and returns its number.
+func (t *hashTable) add(h uint64, row tuple.Tuple) int {
+	if len(t.rows) >= len(t.slots) {
+		t.slots = make([]int32, max(64, 2*len(t.slots)))
+		for i, rh := range t.hash {
+			s := &t.slots[rh&uint64(len(t.slots)-1)]
+			t.next[i], *s = *s, int32(i+1)
+		}
+	}
+	s := &t.slots[h&uint64(len(t.slots)-1)]
+	t.rows, t.hash, t.next = append(t.rows, row), append(t.hash, h), append(t.next, *s)
+	*s = int32(len(t.rows))
+	return len(t.rows) - 1
+}
+
+// first returns the newest row stored under hash h, and after the next older
+// one: as a row number, or -1 when there is none.
+func (t *hashTable) first(h uint64) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	return t.match(t.slots[h&uint64(len(t.slots)-1)], h)
+}
+
+func (t *hashTable) after(i int, h uint64) int { return t.match(t.next[i], h) }
+
+func (t *hashTable) match(link int32, h uint64) int {
+	for link != 0 && t.hash[link-1] != h {
+		link = t.next[link-1]
+	}
+	return int(link) - 1
+}

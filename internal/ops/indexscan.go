@@ -39,34 +39,38 @@ type leafSource struct {
 
 func (l *leafSource) numPages() int64 { return int64(len(l.pnos)) }
 func (l *leafSource) ncols() int      { return l.width }
-func (l *leafSource) visitPage(ord int64, fn func(enc []byte) error) error {
-	return l.tree.VisitLeaf(l.pnos[ord], fn)
+func (l *leafSource) visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error {
+	return l.tree.VisitLeaf(l.pnos[ord], rows, fn)
 }
 
 // pageStream sends whole pages of src through one consumer's filter and
 // projection into an emitter, without hosting a scan group: the direct path
 // of partial and prefix scans.
 type pageStream struct {
-	src   pageSource
-	pool  *tbuf.BatchPool
-	b     *rowBuilder
-	progs [1]*rowProgram
-	outs  [1]tbuf.Batch
+	src  pageSource
+	pool *tbuf.BatchPool
+	kern *pageKernel
+	task [1]pageTask
 }
 
 func newPageStream(src pageSource, pool *tbuf.BatchPool, filter expr.Pred, project []int) *pageStream {
-	ps := &pageStream{src: src, pool: pool, b: newRowBuilder(src.ncols())}
-	ps.progs[0] = compileRowProgram(filter, project, src.ncols())
+	ps := &pageStream{src: src, pool: pool, kern: newPageKernel(src.ncols())}
+	ps.task[0].prog = compileRowProgram(filter, project, src.ncols())
 	return ps
 }
 
 // emit builds page ord's rows under its pin and adds them to em after it.
 func (ps *pageStream) emit(em *emitter, ord int) error {
-	if err := buildPage(ps.src, int64(ord), ps.b, ps.progs[:], ps.outs[:], ps.pool, 0); err != nil {
+	if err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:], ps.pool); err != nil {
 		return err
 	}
-	out := ps.outs[0]
-	ps.outs[0] = nil
+	return ps.flush(em)
+}
+
+// flush adds the rows the last page (or run) left in the task to em.
+func (ps *pageStream) flush(em *emitter) error {
+	out := ps.task[0].out
+	ps.task[0].out = nil
 	return emitBatch(em, ps.pool, out)
 }
 
@@ -292,26 +296,22 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if tr == nil || tb.ClusteredKey != node.Col {
 		return fmt.Errorf("ops: table %q has no clustered index on %q", node.Table, node.Col)
 	}
-	ncols := tb.Schema.Len()
+	src := &leafSource{tree: tr, width: tb.Schema.Len()}
 	if node.Lo.IsValid() || node.Hi.IsValid() {
 		// Bounded clustered scan: stream the B+tree range directly (no
 		// page-stream sharing; signature-identical packets still dedupe).
+		// Each entry goes through the page kernel as a page of one row: its
+		// bytes are valid for the callback only.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-		b := newRowBuilder(ncols)
-		prog := compileRowProgram(node.Filter, node.Project, ncols)
+		ps := newPageStream(src, rt.BatchPool(), node.Filter, node.Project)
+		one := make([][]byte, 1)
 		var derr error
 		err := tr.Range(node.Lo, node.Hi, func(_ tuple.Value, payload []byte) bool {
-			if derr = tuple.Offsets(payload, b.offs); derr != nil {
+			one[0] = payload
+			if derr = ps.kern.run(one, ps.task[:], ps.pool); derr != nil {
 				return false
 			}
-			row, ok := b.build(prog, payload)
-			if !ok {
-				return true
-			}
-			if pkt.Cancelled() || em.add(row) != nil {
-				return false
-			}
-			return true
+			return !pkt.Cancelled() && ps.flush(em) == nil
 		})
 		if err != nil {
 			return err
@@ -330,7 +330,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if err != nil {
 		return err
 	}
-	src := &leafSource{tree: tr, pnos: pnos, width: ncols}
+	src.pnos = pnos
 	// LeafFrom/LeafTo restrict a partial scan (the complement packet the
 	// merge-join split dispatches).
 	lo, hi := node.LeafFrom, node.LeafTo
@@ -360,19 +360,8 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	// Unordered full clustered scans partition like table scans (leaf order
 	// is irrelevant to their consumers); ordered scans stay single-partition
 	// so the leaf stream keeps key order (newScanner enforces this).
-	s := newScanner(pkt.ID, src, !node.Ordered, rt.ParallelismFor(pkt.Query, 0))
-	s.pool = rt.BatchPool()
-	if eng := rt.Engine(plan.OpIndexScan); eng != nil {
-		s.spawn = eng.SpawnSub
-	}
 	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	s.attach(c, false)
-	if rt.OSPAllowed(pkt.Query) {
-		key := o.key(node)
-		o.reg.add(key, s)
-		defer o.reg.remove(key, s)
-	}
-	return s.run()
+	return o.reg.run(rt, o.key(node), c, node.Ordered, src, rt.ParallelismFor(pkt.Query, 0))
 }
 
 func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Table, node *plan.IndexScan) error {

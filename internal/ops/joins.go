@@ -256,7 +256,7 @@ func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	par := rt.ParallelismFor(pkt.Query, node.Parallelism)
 
 	// Build phase: drain the left input. If it stays small, join in memory.
-	build := make(map[uint64][]tuple.Tuple)
+	build := &hashTable{}
 	nBuild := 0
 	lcur := newCursor(pkt.Inputs[0])
 	small := true
@@ -277,10 +277,10 @@ func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 			overflow = append(overflow, t)
 			break
 		}
-		h := tuple.Hash1(t, node.LKey)
-		build[h] = append(build[h], t)
+		build.add(tuple.Hash1(t, node.LKey), t)
 	}
 	if small {
+		narrowProbeScan(rt, pkt, node, build)
 		return o.probeInMemory(rt, pkt, node, build, par)
 	}
 	return o.partitionedJoin(rt, pkt, node, build, overflow, lcur, par)
@@ -294,20 +294,12 @@ func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 // guarantee, and the replay window stays consistent because the produced
 // counter and replay append share one critical section — so OSP satellites
 // attaching mid-probe still replay exactly what was produced).
-func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build map[uint64][]tuple.Tuple, par int) error {
+func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable, par int) error {
 	// Each worker owns an emitter and a row arena (arenas are not
 	// goroutine-safe); output rows carve from the arena instead of
 	// allocating per match.
 	probe := func(em *emitter, arena *tuple.RowArena, t tuple.Tuple) error {
-		h := tuple.Hash1(t, node.RKey)
-		for _, b := range build[h] {
-			if tuple.Equal(b[node.LKey], t[node.RKey]) {
-				if err := em.add(arena.Concat(b, t)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return probeTable(build, node, em, arena, t, tuple.Hash1(t, node.RKey))
 	}
 	if par <= 1 {
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
@@ -355,7 +347,7 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 // worker's partition set independently. Cleanup defers are installed
 // immediately after the writers are created: any failure in between (a
 // spill write, a close, a routed worker error) must not leak temp files.
-func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, mem map[uint64][]tuple.Tuple, overflow []tuple.Tuple, lcur *cursor, par int) error {
+func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, mem *hashTable, overflow []tuple.Tuple, lcur *cursor, par int) error {
 	// Spill fan-out for partitions 1..parts. At least 8 (the seed's hybrid
 	// fan-out); wider when more workers want distinct partition sets.
 	parts := 8
@@ -380,23 +372,21 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			rt.SM.DropTemp(buildFiles[i].name)
 		}
 	}()
-	mem0 := make(map[uint64][]tuple.Tuple)
+	mem0 := &hashTable{}
 	buildOne := func(t tuple.Tuple, h uint64) error {
 		p := partOf(h)
 		if p == 0 {
-			mem0[h] = append(mem0[h], t)
+			mem0.add(h, t)
 			return nil
 		}
 		return buildFiles[p].add(t)
 	}
-	// feedBuild replays the tuples hashed so far (their hash is the map
-	// key) and drains the rest of the build input.
+	// feedBuild replays the tuples hashed so far (the table kept their
+	// hashes) and drains the rest of the build input.
 	feedBuild := func(emit func(tuple.Tuple, uint64) error) error {
-		for h, bucket := range mem {
-			for _, t := range bucket {
-				if err := emit(t, h); err != nil {
-					return err
-				}
+		for i, t := range mem.rows {
+			if err := emit(t, mem.hash[i]); err != nil {
+				return err
 			}
 		}
 		for _, t := range overflow {
@@ -457,14 +447,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 	probeOne := func(em *emitter, arena *tuple.RowArena, t tuple.Tuple, h uint64) error {
 		p := partOf(h)
 		if p == 0 {
-			for _, b := range mem0[h] {
-				if tuple.Equal(b[node.LKey], t[node.RKey]) {
-					if err := em.add(arena.Concat(b, t)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+			return probeTable(mem0, node, em, arena, t, h)
 		}
 		return probeFiles[p].add(t)
 	}
@@ -519,7 +502,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 	// Per-partition joins from disk: fully independent, so worker k joins
 	// its own partition set back to back.
 	joinPart := func(em *emitter, arena *tuple.RowArena, i int) error {
-		table := make(map[uint64][]tuple.Tuple)
+		table := &hashTable{}
 		br := newSpillReader(rt.SM.Disk, buildFiles[i].name, lcols)
 		for {
 			t, ok, err := br.next()
@@ -529,8 +512,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			if !ok {
 				break
 			}
-			h := tuple.HashAt(t, lkey)
-			table[h] = append(table[h], t)
+			table.add(tuple.HashAt(t, lkey), t)
 		}
 		pr := newSpillReader(rt.SM.Disk, probeFiles[i].name, rcols)
 		for {
@@ -541,13 +523,8 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			if !ok {
 				return nil
 			}
-			h := tuple.HashAt(t, rkey)
-			for _, b := range table[h] {
-				if tuple.Equal(b[node.LKey], t[node.RKey]) {
-					if err := em.add(arena.Concat(b, t)); err != nil {
-						return err
-					}
-				}
+			if err := probeTable(table, node, em, arena, t, tuple.HashAt(t, rkey)); err != nil {
+				return err
 			}
 		}
 	}
@@ -568,6 +545,58 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 		return em.flush()
 	})
 	return emitResult(err)
+}
+
+// probeTable emits probe row t, whose key hashes to h, joined with every
+// build row of the table that has its key.
+func probeTable(build *hashTable, node *plan.HashJoin, em *emitter, arena *tuple.RowArena, t tuple.Tuple, h uint64) error {
+	for i := build.first(h); i >= 0; i = build.after(i, h) {
+		if b := build.rows[i]; tuple.Equal(b[node.LKey], t[node.RKey]) {
+			if err := em.add(arena.Concat(b, t)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// narrowProbeScan hands a finished in-memory build side sideways: when the
+// probe input comes straight from a table or index scan, the scan gets a
+// bitmap of 16 bits per build row over the keys' hashes (core.Packet.Narrow)
+// and stops building rows no build key can match — three quarters of a
+// probe side the join would otherwise throw away. Nothing is installed for
+// a TEXT key (the scan hashes numbers in place only), for a probe child that
+// is anything but a scan, or for a scan packet that shares its output; the
+// join compares keys either way.
+func narrowProbeScan(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable) {
+	var project []int
+	switch scan := node.Right.(type) {
+	case *plan.TableScan:
+		project = scan.Project
+	case *plan.IndexScan:
+		if !scan.Clustered || scan.Lo.IsValid() || scan.Hi.IsValid() {
+			return // not served page by page
+		}
+		project = scan.Project
+	default:
+		return
+	}
+	f := &core.KeyFilter{Col: node.RKey, Shift: 64 - 6}
+	if project != nil {
+		f.Col = project[node.RKey]
+	}
+	for 1<<(64-f.Shift) < 16*len(build.rows) {
+		f.Shift--
+	}
+	f.Bits = make([]uint64, 1<<(64-f.Shift)/64)
+	for i, b := range build.rows {
+		if b[node.LKey].K == tuple.KindString {
+			return
+		}
+		bit := build.hash[i] >> f.Shift
+		f.Bits[bit>>6] |= 1 << (bit & 63)
+	}
+	pkt.Children[1].Narrow(rt, f)
 }
 
 // ---- Nested-loop join -----------------------------------------------------------

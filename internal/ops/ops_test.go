@@ -324,13 +324,18 @@ type encSource struct {
 
 func (e encSource) numPages() int64 { return int64(len(e.pages)) }
 func (e encSource) ncols() int      { return e.width }
-func (e encSource) visitPage(ord int64, fn func(enc []byte) error) error {
-	for _, enc := range e.pages[ord] {
-		if err := fn(enc); err != nil {
-			return err
-		}
+func (e encSource) visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error {
+	return fn(append(rows[:0], e.pages[ord]...))
+}
+
+// programs makes one task per (filter, project) pair for rows of width
+// columns.
+func programs(width int, filters []expr.Pred, projects [][]int) []pageTask {
+	tasks := make([]pageTask, len(filters))
+	for i := range tasks {
+		tasks[i].prog = compileRowProgram(filters[i], projects[i], width)
 	}
-	return nil
+	return tasks
 }
 
 func TestBuildPageLease(t *testing.T) {
@@ -340,16 +345,14 @@ func TestBuildPageLease(t *testing.T) {
 	// consumer that keeps no row takes no lease at all.
 	enc := tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil)
 	src := encSource{pages: [][][]byte{{enc}}, width: 2}
-	b := newRowBuilder(2)
-	progs := []*rowProgram{
-		compileRowProgram(nil, nil, 2),
-		compileRowProgram(nil, nil, 2),
-		compileRowProgram(expr.EQ(expr.Col(0), expr.CInt(5)), nil, 2),
-		compileRowProgram(nil, []int{1}, 2),
-	}
-	outs := make([]tbuf.Batch, len(progs))
-	if err := buildPage(src, 0, b, progs, outs, nil, 0); err != nil {
+	k := newPageKernel(2)
+	tasks := programs(2, []expr.Pred{nil, nil, expr.EQ(expr.Col(0), expr.CInt(5)), nil}, [][]int{nil, nil, nil, {1}})
+	if err := buildPage(src, 0, k, tasks, nil); err != nil {
 		t.Fatal(err)
+	}
+	outs := make([]tbuf.Batch, len(tasks))
+	for i := range tasks {
+		outs[i] = tasks[i].out
 	}
 	if len(outs[0]) != 1 || len(outs[1]) != 1 || outs[0][0][0].I != 1 || outs[1][0][1].I != 2 {
 		t.Fatalf("unfiltered consumers: %v %v", outs[0], outs[1])
@@ -371,15 +374,17 @@ func TestBuildPageLease(t *testing.T) {
 	}
 	// A row that is not a row fails the page, and no consumer keeps part of it.
 	src.pages[0] = [][]byte{tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil), {byte(tuple.KindInt), 1, 2}}
-	clear(outs)
-	err := buildPage(src, 0, b, progs, outs, nil, 0)
+	for i := range tasks {
+		tasks[i].out = nil
+	}
+	err := buildPage(src, 0, k, tasks, nil)
 	var ee *tuple.EncodingError
 	if !errors.As(err, &ee) {
 		t.Fatalf("hostile row: got %v, want a *tuple.EncodingError", err)
 	}
-	for i, out := range outs {
-		if out != nil {
-			t.Fatalf("consumer %d was left rows of a failed page: %v", i, out)
+	for i := range tasks {
+		if tasks[i].out != nil {
+			t.Fatalf("consumer %d was left rows of a failed page: %v", i, tasks[i].out)
 		}
 	}
 }

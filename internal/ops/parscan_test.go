@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qpipe/internal/core"
+	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/buffer"
@@ -23,9 +24,9 @@ func parCfg(par int) core.Config {
 
 type fakeSource struct{ n int64 }
 
-func (f fakeSource) numPages() int64                           { return f.n }
-func (f fakeSource) ncols() int                                { return 0 }
-func (f fakeSource) visitPage(int64, func([]byte) error) error { return nil }
+func (f fakeSource) numPages() int64                                       { return f.n }
+func (f fakeSource) ncols() int                                            { return 0 }
+func (f fakeSource) visitPage(int64, [][]byte, func([][]byte) error) error { return nil }
 
 func TestPartitionBoundaries(t *testing.T) {
 	for _, tc := range []struct {
@@ -396,5 +397,123 @@ func TestBlockedScanHoldsNoFrame(t *testing.T) {
 	}
 	if got := drainCount(t, blocked); got != n {
 		t.Fatalf("the blocked scan returned %d rows once read, want %d", got, n)
+	}
+}
+
+// Two scan packets of one table whose workers reach Run before either's
+// scanner is registered — which is what happens when they are enqueued within
+// a few microseconds of each other: TryAdmit found nothing to join — must not
+// both drive a scan. hostOrJoin decides under the registry's lock: one hosts,
+// the other rides the host's circular scan as a satellite attach, and the
+// table is read once (plus the few pages the host read before the other
+// arrived, which the wrap serves again).
+func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
+	const n = 6000
+	for _, par := range []int{1, 4} {
+		rt := newRT(t, n, parCfg(par))
+		if _, err := rt.SM.CreateTable("u", testSchema()); err != nil {
+			t.Fatal(err)
+		}
+		// The packets need a live query to belong to; this one never ends
+		// before the test does, and touches another table.
+		carrier, err := rt.Submit(context.Background(), plan.NewAggregate(
+			plan.NewTableScan("u", testSchema(), nil, nil, false), []expr.AggSpec{{Kind: expr.AggCount}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := rt.SM.MustTable("t").Heap
+		op := NewTableScanOp()
+		start := func(filter expr.Pred) (*core.Packet, *tbuf.Buffer, chan error) {
+			pkt, buf := rt.NewInternalPacket(carrier, plan.NewTableScan("t", testSchema(), filter, nil, false))
+			done := make(chan error, 1)
+			go func() {
+				err := op.Run(rt, pkt)
+				pkt.Complete(err) // what the µEngine's worker does after Run
+				done <- err
+			}()
+			return pkt, buf, done
+		}
+		count := func(buf *tbuf.Buffer) (rows int64) {
+			for {
+				b, err := buf.Get()
+				if err == io.EOF {
+					return rows
+				}
+				if err != nil {
+					t.Error(err)
+					return -1
+				}
+				rows += int64(len(b))
+			}
+		}
+		waitForJoin := func(shares int64) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); rt.Stats().SharesByOp[plan.OpTableScan] != shares; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("P=%d: %d scan shares, want %d: the second Run hosted a scan of its own",
+						par, rt.Stats().SharesByOp[plan.OpTableScan], shares)
+				}
+			}
+		}
+
+		rt.SM.Pool.Invalidate()
+		rt.SM.Disk.ResetStats()
+		_, b1, d1 := start(nil)
+		_, b2, d2 := start(expr.LT(expr.Col(0), expr.CInt(1000)))
+		waitForJoin(1)
+		got2 := make(chan int64)
+		go func() { got2 <- count(b2) }()
+		if got := count(b1); got != n {
+			t.Fatalf("P=%d: the unfiltered scan returned %d rows, want %d", par, got, n)
+		}
+		if got := <-got2; got != 1000 {
+			t.Fatalf("P=%d: the filtered scan returned %d rows, want 1000", par, got)
+		}
+		if err := <-d1; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-d2; err != nil {
+			t.Fatal(err)
+		}
+		// Each partition can run at most a buffer's worth of pages ahead of
+		// a reader that has not started.
+		reads, slack := rt.SM.Disk.Stats().ByFile[heap.Name], int64(par*(rt.Cfg.BufferCapacity+2))
+		if reads < heap.NumPages() || reads > heap.NumPages()+slack {
+			t.Fatalf("P=%d: two Runs read %d blocks of a %d-page table (one shared scan reads at most %d)",
+				par, reads, heap.NumPages(), heap.NumPages()+slack)
+		}
+		if got := carrier.Stats.SatelliteAttaches.Load(); got != 1 {
+			t.Fatalf("P=%d: %d satellite attaches, want 1", par, got)
+		}
+
+		// A joiner whose reader goes away mid-scan returns; the host still
+		// gets every row once, and no frame stays pinned behind it.
+		p1, b1, d1 := start(nil)
+		p2, b2, d2 := start(nil)
+		waitForJoin(2)
+		if b1.Producer.Load() != p1.ID { // the scanner's host feeds both
+			p1, p2, b1, b2 = p2, p1, b2, b1
+		}
+		if b2.Producer.Load() != p1.ID {
+			t.Fatalf("P=%d: the joiner is fed by packet %d, not the host %d", par, b2.Producer.Load(), p1.ID)
+		}
+		p2.CancelSubtree()
+		b2.Abandon()
+		if got := count(b1); got != n {
+			t.Fatalf("P=%d: rows beside a cancelled joiner: %d, want %d", par, got, n)
+		}
+		for _, d := range []chan error{d1, d2} {
+			select {
+			case err := <-d:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("P=%d: a Run did not return after its reader left", par)
+			}
+		}
+		if err := rt.SM.Pool.Invalidate(); err != nil {
+			t.Fatalf("P=%d: %v", par, err)
+		}
 	}
 }

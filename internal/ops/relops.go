@@ -170,73 +170,51 @@ func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	return emitResult(em.flush())
 }
 
-// group is one aggregation group: its projected key and accumulator states.
-type group struct {
-	key    tuple.Tuple
-	states []*expr.AggState
-}
-
-// groupTable is one worker's (partial) hash-grouped aggregation state.
+// groupTable is one worker's (partial) hash-grouped aggregation state: the
+// table's rows are the groups' projected keys, in order of first sight, and
+// states[i] the accumulators of group i.
 type groupTable struct {
 	keys   []int
 	specs  []expr.AggSpec
-	groups map[uint64][]*group
+	groups hashTable
+	states [][]*expr.AggState
 }
 
 func newGroupTable(keys []int, specs []expr.AggSpec) *groupTable {
-	return &groupTable{keys: keys, specs: specs, groups: make(map[uint64][]*group)}
+	return &groupTable{keys: keys, specs: specs}
 }
 
-// lookupRow finds the group in bucket h whose key matches the input tuple's
-// key columns, or nil. (Taking the tuple directly — rather than a per-row
+// lookup finds the group whose key, hashing to h, equals the columns cols of
+// t — the key columns of an input row, or every column of another table's
+// group key — or -1. (Taking the tuple directly — rather than a per-row
 // accessor closure — keeps the per-input-row path allocation-free.)
-func (gt *groupTable) lookupRow(h uint64, t tuple.Tuple) *group {
-	for _, cand := range gt.groups[h] {
-		match := true
-		for i, k := range gt.keys {
-			if !tuple.Equal(cand.key[i], t[k]) {
-				match = false
-				break
+func (gt *groupTable) lookup(h uint64, t tuple.Tuple, cols []int) int {
+next:
+	for g := gt.groups.first(h); g >= 0; g = gt.groups.after(g, h) {
+		for i, k := range cols {
+			if !tuple.Equal(gt.groups.rows[g][i], t[k]) {
+				continue next
 			}
 		}
-		if match {
-			return cand
-		}
+		return g
 	}
-	return nil
-}
-
-// lookupKey finds the group in bucket h with the given (already projected)
-// key, or nil.
-func (gt *groupTable) lookupKey(h uint64, key tuple.Tuple) *group {
-	for _, cand := range gt.groups[h] {
-		match := true
-		for i := range gt.keys {
-			if !tuple.Equal(cand.key[i], key[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return cand
-		}
-	}
-	return nil
+	return -1
 }
 
 // add folds one input tuple into its group, creating the group on first
 // sight.
 func (gt *groupTable) add(t tuple.Tuple) {
 	h := tuple.HashAt(t, gt.keys)
-	g := gt.lookupRow(h, t)
-	if g == nil {
-		g = &group{key: t.Project(gt.keys), states: make([]*expr.AggState, len(gt.specs))}
+	g := gt.lookup(h, t, gt.keys)
+	if g < 0 {
+		g = gt.groups.add(h, t.Project(gt.keys))
+		states := make([]*expr.AggState, len(gt.specs))
 		for i, s := range gt.specs {
-			g.states[i] = expr.NewAggState(s)
+			states[i] = expr.NewAggState(s)
 		}
-		gt.groups[h] = append(gt.groups[h], g)
+		gt.states = append(gt.states, states)
 	}
-	for _, st := range g.states {
+	for _, st := range gt.states[g] {
 		st.Add(t)
 	}
 }
@@ -246,16 +224,20 @@ func (gt *groupTable) add(t tuple.Tuple) {
 // sums add, counts add, min/max compare), groups unique to o transfer
 // whole.
 func (gt *groupTable) absorb(o *groupTable) {
-	for h, bucket := range o.groups {
-		for _, og := range bucket {
-			g := gt.lookupKey(h, og.key)
-			if g == nil {
-				gt.groups[h] = append(gt.groups[h], og)
-				continue
-			}
-			for i, st := range g.states {
-				st.Merge(og.states[i])
-			}
+	whole := make([]int, len(gt.keys))
+	for i := range whole {
+		whole[i] = i
+	}
+	for og, key := range o.groups.rows {
+		h := o.groups.hash[og]
+		g := gt.lookup(h, key, whole)
+		if g < 0 {
+			gt.groups.add(h, key)
+			gt.states = append(gt.states, o.states[og])
+			continue
+		}
+		for i, st := range gt.states[g] {
+			st.Merge(o.states[og][i])
 		}
 	}
 }
@@ -263,16 +245,14 @@ func (gt *groupTable) absorb(o *groupTable) {
 // emit streams every group's result row (rows carve from one arena).
 func (gt *groupTable) emit(em *emitter) error {
 	var arena tuple.RowArena
-	for _, bucket := range gt.groups {
-		for _, g := range bucket {
-			row := arena.Make(len(g.key) + len(g.states))
-			copy(row, g.key)
-			for i, st := range g.states {
-				row[len(g.key)+i] = st.Result()
-			}
-			if err := em.add(row); err != nil {
-				return err
-			}
+	for g, key := range gt.groups.rows {
+		row := arena.Make(len(key) + len(gt.states[g]))
+		copy(row, key)
+		for i, st := range gt.states[g] {
+			row[len(key)+i] = st.Result()
+		}
+		if err := em.add(row); err != nil {
+			return err
 		}
 	}
 	return nil

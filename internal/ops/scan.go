@@ -31,13 +31,13 @@ import (
 
 // pageSource abstracts the page-granular data under a scan: heap files for
 // table scans, B+tree leaf chains for clustered index scans. visitPage pins
-// page ord and calls fn with each live encoded row of ncols columns in
-// stored order; the bytes alias the pinned frame and are valid for the call
-// only, and the pin ends when visitPage returns.
+// page ord and calls fn once with its live encoded rows of ncols columns in
+// stored order, collected into rows[:0]; the bytes alias the pinned frame and
+// are valid for the call only, and the pin ends when visitPage returns.
 type pageSource interface {
 	numPages() int64
 	ncols() int
-	visitPage(ord int64, fn func(enc []byte) error) error
+	visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error
 }
 
 // partition is one contiguous page range [lo, hi) of a scan group, with its
@@ -253,13 +253,11 @@ func (s *scanner) hungryLocked(k int) bool {
 // then deliver the batches. With no hungry consumer the worker parks until
 // a satellite attaches or the group tears down.
 func (s *scanner) runPartition(k int) {
-	b := newRowBuilder(s.src.ncols())
+	kern := newPageKernel(s.src.ncols())
 	var (
 		served []*scanConsumer // consumers owed this page
-		progs  []*rowProgram   // their programs, and
-		outs   []tbuf.Batch    // their batches for this page
+		tasks  []pageTask      // what each wants of it, and gets
 	)
-	pageRows := 0 // the most rows one consumer kept of the last page: the next lease's capacity
 	for {
 		s.mu.Lock()
 		for {
@@ -292,26 +290,28 @@ func (s *scanner) runPartition(k int) {
 		pg := p.pos
 		p.pos++
 		// Only this worker decrements remaining[k], so who is owed the page
-		// is settled here, under the lock that guards attach.
-		served, progs, outs = served[:0], progs[:0], outs[:0]
+		// is settled here, under the lock that guards attach — and with it
+		// whether the consumer's join has narrowed it by now.
+		served, tasks = served[:0], tasks[:0]
 		for _, c := range s.consumers {
 			if c.remaining[k] > 0 {
-				served, progs, outs = append(served, c), append(progs, c.prog), append(outs, nil)
+				served, tasks = append(served, c), append(tasks, pageTask{prog: c.prog, keys: c.pkt.Keys()})
 			}
 		}
 		s.mu.Unlock()
 
-		if err := buildPage(s.src, pg, b, progs, outs, s.pool, pageRows); err != nil {
+		if err := buildPage(s.src, pg, kern, tasks, s.pool); err != nil {
 			s.fail(err)
 			return
 		}
 		// The page is unpinned: a consumer blocked on its buffer below holds
 		// no frame.
-		pageRows = 0
 		for i, c := range served {
-			pageRows = max(pageRows, len(outs[i]))
-			s.deliver(c, k, outs[i])
-			served[i], outs[i] = nil, nil
+			if n := tasks[i].skipped; n > 0 {
+				c.pkt.Query.Stats.KeyFilterRows.Add(int64(n))
+			}
+			s.deliver(c, k, tasks[i].out)
+			served[i], tasks[i] = nil, pageTask{}
 		}
 	}
 }
@@ -424,10 +424,56 @@ func newScanRegistry() *scanRegistry {
 	return &scanRegistry{scanners: make(map[string][]*scanner)}
 }
 
-func (r *scanRegistry) add(key string, s *scanner) {
+// hostOrJoin settles, under the registry's lock, how a running scan packet
+// gets its pages: as one more consumer of a live scanner of key that can
+// still serve it whole (host is false; the scanner completes c's packet), or
+// from the scanner newScanner makes, registered with c attached before the
+// lock is released — so of two packets that both missed TryAdmit because
+// neither's scanner was registered yet, one hosts and the other rides.
+func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, newScanner func() *scanner) (s *scanner, host bool) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range r.scanners[key] {
+		if _, ok := s.attach(c, ordered || !s.circular); ok {
+			return s, false
+		}
+	}
+	s = newScanner()
+	s.attach(c, false)
 	r.scanners[key] = append(r.scanners[key], s)
-	r.mu.Unlock()
+	return s, true
+}
+
+// run serves c's packet, whose µEngine worker is the caller, with a scan of
+// src: hosting a new scan group (unregistered when the query opted out of
+// OSP), or — hostOrJoin — riding one that started a moment ago, in which case
+// the packet counts as a satellite attach and run returns when that group has
+// completed it; a cancellation reaches it there the way it reaches a TryAdmit
+// consumer, through its port.
+func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordered bool, src pageSource, par int) error {
+	pkt, op := c.pkt, c.pkt.Node.Op()
+	newGroup := func() *scanner {
+		s := newScanner(pkt.ID, src, !ordered, par)
+		s.pool = rt.BatchPool()
+		if eng := rt.Engine(op); eng != nil {
+			s.spawn = eng.SpawnSub
+		}
+		return s
+	}
+	if !rt.OSPAllowed(pkt.Query) {
+		s := newGroup()
+		s.attach(c, false)
+		return s.run()
+	}
+	s, host := r.hostOrJoin(key, c, ordered, newGroup)
+	if !host {
+		pkt.Query.Stats.SatelliteAttaches.Add(1)
+		rt.NoteShare(op)
+		<-pkt.Done()
+		return pkt.Err()
+	}
+	defer r.remove(key, s)
+	return s.run()
 }
 
 func (r *scanRegistry) remove(key string, s *scanner) {
@@ -465,8 +511,8 @@ type heapSource struct{ f *heap.File }
 
 func (h heapSource) numPages() int64 { return h.f.NumPages() }
 func (h heapSource) ncols() int      { return h.f.Schema.Len() }
-func (h heapSource) visitPage(p int64, fn func(enc []byte) error) error {
-	return h.f.VisitPage(p, fn)
+func (h heapSource) visitPage(p int64, rows [][]byte, fn func(rows [][]byte) error) error {
+	return h.f.VisitPage(p, rows, fn)
 }
 
 // TableScanOp is the file-scan µEngine with partitioned circular-scan
@@ -514,8 +560,10 @@ func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
 }
 
 // Run implements core.Operator: the packet becomes the host of a new scan
-// group serving itself and any satellites that attach later. Partition 0 is
-// driven by this worker; extra partitions fan out to scan sub-workers.
+// group serving itself and any satellites that attach later — partition 0
+// driven by this worker, extra partitions fanned out to scan sub-workers — or
+// rides the group a packet of the same table registered a moment before
+// (scanRegistry.run).
 func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.TableScan)
 	tb, err := rt.SM.Table(node.Table)
@@ -528,26 +576,15 @@ func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	// happens at admission). Every attached satellite's own query holds its
 	// own shared lock, so the group's page reads stay covered even after
 	// the host query finishes.
-	src := heapSource{f: tb.Heap}
-	s := newScanner(pkt.ID, src, !node.Ordered, rt.ParallelismFor(pkt.Query, node.Parallelism))
-	s.pool = rt.BatchPool()
-	if eng := rt.Engine(plan.OpTableScan); eng != nil {
-		s.spawn = eng.SpawnSub
-	}
 	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	s.attach(c, false)
-	key := "tbl:" + node.Table
-	if rt.OSPAllowed(pkt.Query) {
-		o.reg.add(key, s)
-		defer o.reg.remove(key, s)
-	}
 	// Snapshot fence: the scan group (host plus any satellites that attach
 	// mid-flight) must observe one committed state of the table. The overlap
 	// chain of query-level shared locks excludes committing writers for the
 	// group's whole life; checking the commit counter turns a violation of
 	// that invariant into a hard error instead of silently torn results.
 	fence := tb.CommitSeq()
-	if err := s.run(); err != nil {
+	err = o.reg.run(rt, "tbl:"+node.Table, c, node.Ordered, heapSource{f: tb.Heap}, rt.ParallelismFor(pkt.Query, node.Parallelism))
+	if err != nil {
 		return err
 	}
 	if end := tb.CommitSeq(); end != fence {

@@ -1,15 +1,20 @@
 // From encoded rows to consumer rows: the part of the scan µEngine that
-// decides, per consumer, whether a stored row becomes a tuple at all. A row
-// is materialized only if its consumer keeps it — `col op literal` conjuncts
-// are compared against the encoded column where it lies in the pinned page,
-// the rest of the filter sees only the columns it reads, and only a row
-// that passes both is carved, projected, from the worker's arena.
+// decides, per consumer, whether a stored row becomes a tuple at all. A page
+// is worked on as a whole, under its one pin: an offsets table locates every
+// column of every live row once for all consumers; each consumer then
+// narrows a selection vector of row numbers with one loop per `col op
+// literal` conjunct, comparing the encoded column where it lies (and one more
+// loop when a hash join handed its build keys over), runs the rest of its
+// filter on the survivors only, and has all of them carved from the worker's
+// arena at once and decoded column by column.
 package ops
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
+	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/tuple"
@@ -27,11 +32,14 @@ type rowProgram struct {
 	out      []int     // table column of each output column
 }
 
-// encCmp is one `col op literal` conjunct.
+// encCmp is one `col op literal` conjunct. holds has bit o set when the
+// operator accepts a column ordered o against the literal: 0 below, 1 equal
+// (or unordered: a NaN), 2 above.
 type encCmp struct {
-	col int
-	op  expr.CmpOp
-	lit tuple.Value
+	col    int
+	lit    tuple.Value
+	litNum bool // the literal is a number: numbers are compared in place
+	holds  uint8
 }
 
 // compileRowProgram builds the program for a scan over rows of ncols
@@ -47,7 +55,13 @@ func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
 	var rest []expr.Pred
 	for _, c := range expr.Conjuncts(filter) {
 		if col, op, lit, ok := expr.ColConst(c); ok {
-			p.cmps = append(p.cmps, encCmp{col: col, op: op, lit: lit})
+			cmp := encCmp{col: col, lit: lit, litNum: lit.K != tuple.KindString && lit.IsValid()}
+			for o := 0; o <= 2; o++ {
+				if op.Holds(o - 1) {
+					cmp.holds |= 1 << o
+				}
+			}
+			p.cmps = append(p.cmps, cmp)
 		} else {
 			rest = append(rest, c)
 		}
@@ -68,71 +82,166 @@ func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
 	return p
 }
 
-// rowBuilder is what one scanning goroutine owns to turn encoded rows into
-// tuples: the column offsets of the row being looked at, a scratch row the
-// residual predicates read (reused for every row, never published), and the
-// arena kept rows are carved from. The arena lives across pages and
-// consumers — a chunk is garbage once no row carved from it is referenced —
-// so a page costs no allocation of its own.
-type rowBuilder struct {
-	offs    []int
+// pageTask is one consumer's share of a page: what it wants of the rows
+// going in; its batch, and how many rows its join's keys excluded, coming
+// out.
+type pageTask struct {
+	prog    *rowProgram
+	keys    *core.KeyFilter // nil: no join narrowed this consumer
+	out     tbuf.Batch
+	skipped int
+}
+
+// pageKernel is what one scanning goroutine owns to turn a page of encoded
+// rows into tuples: the page's rows and their offsets table, the selection
+// vector of the consumer being served, a scratch row the residual predicates
+// read (never published), and the arena kept rows are carved from. The arena
+// lives across pages and consumers — a chunk is garbage once no row carved
+// from it is referenced — so a page costs no allocation of its own.
+type pageKernel struct {
+	rows    [][]byte // alias the pinned frame
+	stride  int      // ncols + 1
+	offs    []int    // column c of rows[r] starts at offs[r*stride+c]
+	sel     []int32
 	scratch tuple.Tuple
 	arena   tuple.RowArena
 }
 
-func newRowBuilder(ncols int) *rowBuilder {
-	return &rowBuilder{offs: make([]int, ncols+1), scratch: make(tuple.Tuple, ncols)}
+func newPageKernel(ncols int) *pageKernel {
+	return &pageKernel{stride: ncols + 1, scratch: make(tuple.Tuple, ncols)}
 }
 
-// build returns p's output row for enc, whose column offsets b.offs holds
-// (tuple.Offsets accepted the row), or ok=false when p's filter rejects it.
-func (b *rowBuilder) build(p *rowProgram, enc []byte) (row tuple.Tuple, ok bool) {
-	for _, c := range p.cmps {
-		if !c.op.Holds(tuple.CompareEncoded(enc[b.offs[c.col]:], c.lit)) {
-			return nil, false
-		}
-	}
-	if p.residual != nil {
-		for _, col := range p.resCols {
-			b.scratch[col] = tuple.DecodeValue(enc[b.offs[col]:])
-		}
-		if !p.residual.Test(b.scratch) {
-			return nil, false
-		}
-	}
-	row = b.arena.Make(len(p.out))
-	for i, col := range p.out {
-		tuple.DecodeInto(&row[i], enc[b.offs[col]:])
-	}
-	return row, true
-}
-
-// buildPage visits page ord of src once, under one pin, and appends to
-// outs[i] the rows progs[i] keeps, in stored order; an array is leased from
-// pool for a consumer's first kept row, sized by capHint. The pin has ended
-// when buildPage returns, so the caller may block delivering the batches
-// without holding a frame. On error the leases taken so far are returned
-// and every outs[i] is nil: no consumer is handed part of a page.
-func buildPage(src pageSource, ord int64, b *rowBuilder, progs []*rowProgram, outs []tbuf.Batch, pool *tbuf.BatchPool, capHint int) error {
-	err := src.visitPage(ord, func(enc []byte) error {
-		if err := tuple.Offsets(enc, b.offs); err != nil {
+// buildPage visits page ord of src once, under one pin, and leaves in each
+// task's out the rows its consumer keeps, in stored order, in an array leased
+// from pool (none for a consumer that keeps no row). The pin has ended when
+// buildPage returns, so the caller may block delivering the batches without
+// holding a frame. A page that fails — a damaged slot or row — fails before
+// the first lease: no consumer is handed part of a page.
+func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool *tbuf.BatchPool) error {
+	return src.visitPage(ord, k.rows, func(rows [][]byte) error {
+		if err := k.run(rows, tasks, pool); err != nil {
 			return fmt.Errorf("ops: page %d: %w", ord, err)
-		}
-		for i, p := range progs {
-			if row, ok := b.build(p, enc); ok {
-				if outs[i] == nil {
-					outs[i] = pool.GetCap(capHint)
-				}
-				outs[i] = append(outs[i], row)
-			}
 		}
 		return nil
 	})
-	if err != nil {
-		for i := range outs {
-			pool.Put(outs[i])
-			outs[i] = nil
+}
+
+// run is buildPage on rows already at hand (valid for the call).
+func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) error {
+	k.rows = rows
+	if n := len(rows) * k.stride; cap(k.offs) < n {
+		k.offs = make([]int, n)
+	}
+	for r, enc := range rows {
+		if err := tuple.Offsets(enc, k.offs[r*k.stride:(r+1)*k.stride]); err != nil {
+			return err
 		}
 	}
-	return err
+	for ti := range tasks {
+		t := &tasks[ti]
+		sel := k.selected(t)
+		if len(sel) == 0 {
+			continue
+		}
+		// One carve for the page: the rows are slices of it.
+		w := len(t.prog.out)
+		vals := k.arena.Make(len(sel) * w)
+		t.out = pool.GetCap(len(sel))
+		for i := range sel {
+			t.out = append(t.out, vals[i*w:(i+1)*w:(i+1)*w])
+		}
+		for j, col := range t.prog.out {
+			for i, r := range sel {
+				tuple.DecodeInto(&vals[i*w+j], k.at(r, col))
+			}
+		}
+	}
+	return nil
+}
+
+// at returns row r of the loaded page from its column col on.
+func (k *pageKernel) at(r int32, col int) []byte {
+	return k.rows[r][k.offs[int(r)*k.stride+col]:]
+}
+
+// selected returns the numbers of the loaded page's rows that t's consumer
+// keeps. Every step compacts the vector in place: the write index never
+// passes the read index.
+func (k *pageKernel) selected(t *pageTask) []int32 {
+	if cap(k.sel) < len(k.rows) {
+		k.sel = make([]int32, len(k.rows))
+	}
+	sel := k.sel[:len(k.rows)]
+	for r := range sel {
+		sel[r] = int32(r)
+	}
+	for i := range t.prog.cmps {
+		sel = k.compare(sel, &t.prog.cmps[i])
+	}
+	if f := t.keys; f != nil {
+		n := 0
+		for _, r := range sel {
+			keep := uint64(1) // a key that is not a number is left to the join
+			if h, ok := tuple.HashEncodedNumber(k.at(r, f.Col)); ok {
+				bit := h >> f.Shift
+				keep = f.Bits[bit>>6] >> (bit & 63) & 1
+			}
+			sel[n] = r
+			n += int(keep)
+		}
+		t.skipped, sel = len(sel)-n, sel[:n]
+	}
+	if p := t.prog; p.residual != nil {
+		n := 0
+		for _, r := range sel {
+			for _, col := range p.resCols {
+				k.scratch[col] = tuple.DecodeValue(k.at(r, col))
+			}
+			if p.residual.Test(k.scratch) {
+				sel[n] = r
+				n++
+			}
+		}
+		sel = sel[:n]
+	}
+	return sel
+}
+
+// compare narrows sel to the rows whose column c.col stands to the literal as
+// the operator asks. A number against a numeric literal is compared where it
+// lies, the way tuple.Compare would (as floats if either is one); anything
+// else goes through tuple.CompareEncoded. The append is branch-free: the row
+// number is always written and the length moves by the outcome.
+func (k *pageKernel) compare(sel []int32, c *encCmp) []int32 {
+	n := 0
+	litF, litIsF := c.lit.AsFloat(), c.lit.K == tuple.KindFloat
+	for _, r := range sel {
+		b := k.at(r, c.col)
+		var o int
+		switch kind, bits, num := tuple.EncodedNumber(b); {
+		case !num || !c.litNum:
+			o = tuple.CompareEncoded(b, c.lit) + 1
+		case kind == tuple.KindFloat:
+			o = order(math.Float64frombits(bits), litF)
+		case litIsF:
+			o = order(float64(int64(bits)), litF)
+		default:
+			o = order(int64(bits), c.lit.I)
+		}
+		sel[n] = r
+		n += int(c.holds >> o & 1)
+	}
+	return sel[:n]
+}
+
+// order is 0, 1 or 2 for a below, equal to (or unordered with) or above b.
+func order[T int64 | float64](a, b T) int {
+	o := 1
+	if a < b {
+		o = 0
+	}
+	if a > b {
+		o = 2
+	}
+	return o
 }

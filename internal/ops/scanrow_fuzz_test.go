@@ -20,8 +20,12 @@ type rawPageSource struct {
 
 func (r rawPageSource) numPages() int64 { return 1 }
 func (r rawPageSource) ncols() int      { return r.width }
-func (r rawPageSource) visitPage(_ int64, fn func(enc []byte) error) error {
-	return page.FromBytes(r.buf).Visit(fn)
+func (r rawPageSource) visitPage(_ int64, rows [][]byte, fn func(rows [][]byte) error) error {
+	rows, err := page.FromBytes(r.buf).Rows(rows[:0])
+	if err != nil {
+		return err
+	}
+	return fn(rows)
 }
 
 // FuzzScanPageBytes hands the encoded-row walk arbitrary page bytes. The
@@ -61,13 +65,12 @@ func FuzzScanPageBytes(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		src := rawPageSource{buf: raw, width: width}
-		b := newRowBuilder(width)
-		progs := make([]*rowProgram, len(filters))
-		for i := range progs {
-			progs[i] = compileRowProgram(filters[i], projects[i], width)
-		}
+		progs := programs(width, filters, projects)
+		err := buildPage(src, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
-		err := buildPage(src, 0, b, progs, outs, nil, 0)
+		for i := range progs {
+			outs[i] = progs[i].out
+		}
 		if err != nil {
 			var ee *tuple.EncodingError
 			var ce *page.CorruptError

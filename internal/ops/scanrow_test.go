@@ -1,0 +1,219 @@
+package ops
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"qpipe/internal/core"
+	"qpipe/internal/expr"
+	"qpipe/internal/storage/page"
+	"qpipe/internal/tuple"
+)
+
+// pageOf stores rows in a fresh slotted page and tombstones the slots in
+// dead.
+func pageOf(t *testing.T, rows []tuple.Tuple, dead ...int) []byte {
+	t.Helper()
+	pg := page.New(2048)
+	for _, r := range rows {
+		if _, err := pg.InsertTuple(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range dead {
+		if err := pg.DeleteAt(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pg.Bytes()
+}
+
+// TestPageKernel holds the kernel to its specification: each consumer of a
+// page gets, in stored order, exactly Filter.Test and Project of the rows the
+// whole-page decoder (the iterator engine's, which shares no code with the
+// kernel) reads from the same bytes — whatever the page holds and however
+// the filter splits into in-place comparisons and a residual.
+func TestPageKernel(t *testing.T) {
+	I, F, S, D := tuple.I64, tuple.F64, tuple.Str, tuple.Date
+	numbers := make([]tuple.Tuple, 40)
+	for i := range numbers {
+		numbers[i] = tuple.Tuple{I(int64(i - 5)), F(float64(i%7) / 2), D(int64(19000 + i%3)), I(int64(i % 4))}
+	}
+	numbers[7][1], numbers[8][1] = F(math.NaN()), F(math.Copysign(0, -1))
+	text := make([]tuple.Tuple, 30)
+	for i := range text {
+		text[i] = tuple.Tuple{I(int64(i)), S(fmt.Sprint("name-", i%5)), F(float64(i)), S("")}
+	}
+	// Rows of one table column count and different widths; the second is as
+	// long as two numbers (1+1+7 and 9 bytes) without being two numbers.
+	mixed := []tuple.Tuple{
+		{S("a"), I(1)}, {S("seven77"), I(2)}, {S("a much longer string than the others"), I(3)}, {S(""), I(4)},
+	}
+
+	cases := []struct {
+		name     string
+		width    int
+		rows     []tuple.Tuple
+		dead     []int
+		filters  []expr.Pred
+		projects [][]int
+	}{
+		{"numbers", 4, numbers, nil,
+			[]expr.Pred{
+				expr.AndOf(expr.GE(expr.Col(0), expr.CInt(3)), expr.LT(expr.Col(1), expr.CFloat(2.5))),
+				expr.NE(expr.Col(3), expr.CInt(2)),
+				expr.EQ(expr.Col(2), expr.CDate(19001)),
+			},
+			[][]int{nil, {1}, {3, 0}}},
+		{"another numeric kind, and a string, as the literal", 4, numbers, nil,
+			[]expr.Pred{
+				expr.AndOf(expr.LE(expr.Col(0), expr.CFloat(9.5)), expr.GT(expr.Col(1), expr.CInt(1))),
+				expr.AndOf(expr.EQ(expr.Col(2), expr.CInt(19002)), expr.GE(expr.Col(1), expr.CDate(0))),
+				expr.LT(expr.Col(0), expr.CStr("5")),
+			},
+			[][]int{{0, 1}, {2}, {0}}},
+		{"text", 4, text, nil,
+			[]expr.Pred{
+				expr.EQ(expr.Col(1), expr.CStr("name-3")),
+				expr.AndOf(expr.GT(expr.Col(1), expr.CStr("name-1")), expr.LT(expr.Col(2), expr.CInt(20))),
+				expr.GE(expr.Col(1), expr.CInt(7)),
+			},
+			[][]int{nil, {1, 3}, {0}}},
+		{"mixed widths", 2, mixed, nil,
+			[]expr.Pred{nil, expr.GT(expr.Col(1), expr.CInt(1)), expr.LE(expr.Col(0), expr.CStr("b"))},
+			[][]int{nil, {0}, {1}}},
+		{"tombstones", 4, numbers, []int{0, 3, 4, 39},
+			[]expr.Pred{nil, expr.LT(expr.Col(0), expr.CInt(0)), expr.GE(expr.Col(0), expr.CInt(30))},
+			[][]int{{0}, nil, {0, 2}}},
+		{"every row dead", 4, numbers[:3], []int{0, 1, 2},
+			[]expr.Pred{nil, nil, nil}, [][]int{nil, {}, {1}}},
+		{"zero-column projection", 4, text, []int{2},
+			[]expr.Pred{nil, expr.LT(expr.Col(0), expr.CInt(10)), expr.EQ(expr.Col(0), expr.CInt(-1))},
+			[][]int{{}, {}, {}}},
+		{"residual OR, IN, BETWEEN", 4, numbers, []int{9},
+			[]expr.Pred{
+				expr.OrOf(expr.LT(expr.Col(0), expr.CInt(0)), expr.EQ(expr.Col(3), expr.CInt(1))),
+				expr.AndOf(expr.GE(expr.Col(0), expr.CInt(2)), expr.InOf(expr.Col(3), I(0), F(3))),
+				expr.AndOf(expr.BetweenOf(expr.Col(0), I(4), F(20.5)), expr.NotOf(expr.EQ(expr.Col(2), expr.Col(2))), expr.NE(expr.Col(3), expr.CInt(9))),
+			},
+			[][]int{{3}, nil, {0, 0}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := pageOf(t, c.rows, c.dead...)
+			decoded, err := page.FromBytes(raw).Tuples(c.width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := programs(c.width, c.filters, c.projects)
+			if err := buildPage(rawPageSource{buf: raw, width: c.width}, 0, newPageKernel(c.width), tasks, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := range tasks {
+				var want []tuple.Tuple
+				for _, r := range decoded {
+					if c.filters[i] != nil && !c.filters[i].Test(r) {
+						continue
+					}
+					if c.projects[i] != nil {
+						r = r.Project(c.projects[i])
+					}
+					want = append(want, r)
+				}
+				got := tasks[i].out
+				if len(got) != len(want) {
+					t.Fatalf("consumer %d: %d rows, decode-then-filter gives %d", i, len(got), len(want))
+				}
+				for j := range got {
+					if fmt.Sprintf("%#v", got[j]) != fmt.Sprintf("%#v", want[j]) {
+						t.Fatalf("consumer %d row %d: %#v, decode-then-filter gives %#v", i, j, got[j], want[j])
+					}
+				}
+				if len(want) == 0 && got != nil {
+					t.Fatalf("consumer %d leased an array for no row", i)
+				}
+			}
+		})
+	}
+}
+
+// TestPageKernelKeyFilter: a join's build keys are one more selection loop.
+// A row whose key's bit is clear is not built and is counted; a key the
+// kernel does not hash in place (TEXT) and a false positive are left to the
+// join; the consumer beside it on the same page is not affected.
+func TestPageKernelKeyFilter(t *testing.T) {
+	rows := make([]tuple.Tuple, 60)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.F64(float64(i % 10)), tuple.Str("x")}
+	}
+	rows[59][1] = tuple.Str("a text key")
+	raw := pageOf(t, rows)
+	keys := &core.KeyFilter{Col: 1, Shift: 64 - 10, Bits: make([]uint64, 1<<10/64)}
+	for _, k := range []tuple.Value{tuple.I64(3), tuple.F64(7), tuple.Date(8)} { // any numeric kind
+		bit := tuple.Hash1(tuple.Tuple{k}, 0) >> keys.Shift
+		keys.Bits[bit>>6] |= 1 << (bit & 63)
+	}
+	tasks := programs(3, []expr.Pred{expr.LT(expr.Col(0), expr.CInt(50)), nil}, [][]int{{1, 0}, {0}})
+	tasks[0].keys = keys
+	if err := buildPage(rawPageSource{buf: raw, width: 3}, 0, newPageKernel(3), tasks, nil); err != nil {
+		t.Fatal(err)
+	}
+	matches := 0
+	for _, r := range tasks[0].out {
+		if k := r[0].F; k == 3 || k == 7 || k == 8 {
+			matches++
+		}
+	}
+	// 15 of the 50 rows the filter keeps have a build key; at 3 keys in 1024
+	// bits a false positive or two may ride along.
+	if matches != 15 || len(tasks[0].out) > 20 || tasks[0].skipped != 50-len(tasks[0].out) {
+		t.Fatalf("narrowed consumer: %d rows (%d with a build key), %d skipped", len(tasks[0].out), matches, tasks[0].skipped)
+	}
+	if len(tasks[1].out) != 60 || tasks[1].skipped != 0 {
+		t.Fatalf("the consumer beside it: %d rows, %d skipped, want all 60", len(tasks[1].out), tasks[1].skipped)
+	}
+	tasks[1].keys, tasks[1].out = keys, nil
+	if err := buildPage(rawPageSource{buf: raw, width: 3}, 0, newPageKernel(3), tasks[1:], nil); err != nil {
+		t.Fatal(err)
+	}
+	if last := tasks[1].out[len(tasks[1].out)-1]; last[0].I != 59 {
+		t.Fatalf("the row with a TEXT key was not left to the join: last row %v", last)
+	}
+}
+
+// TestPageKernelDamagedPage: a slot, a tag or a length that is not what the
+// layout says gives the typed error, and no consumer a batch.
+func TestPageKernelDamagedPage(t *testing.T) {
+	rows := []tuple.Tuple{
+		{tuple.I64(1), tuple.Str("abc")}, {tuple.I64(2), tuple.Str("defgh")}, {tuple.I64(3), tuple.Str("")},
+	}
+	good := pageOf(t, rows)
+	last := len(good) - len(rows[0].Encode(nil)) // the first row's payload ends the page
+	damage := map[string]func(b []byte){
+		"slot count":      func(b []byte) { b[0], b[1] = 0xff, 0xff },
+		"slot offset":     func(b []byte) { b[4], b[5] = 0xf0, 0xff },
+		"slot length":     func(b []byte) { b[6], b[7] = 0xff, 0x7f },
+		"kind tag":        func(b []byte) { b[last] = 9 },
+		"string length":   func(b []byte) { b[last+10] = 0x7f },
+		"short row":       func(b []byte) { b[6] = 5 },
+		"number as a tag": func(b []byte) { b[last+9] = byte(tuple.KindInt) },
+	}
+	for name, hurt := range damage {
+		raw := append([]byte(nil), good...)
+		hurt(raw)
+		tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil}, [][]int{nil, {1}, {}})
+		err := buildPage(rawPageSource{buf: raw, width: 2}, 0, newPageKernel(2), tasks, nil)
+		var ee *tuple.EncodingError
+		var ce *page.CorruptError
+		if !errors.As(err, &ee) && !errors.As(err, &ce) {
+			t.Errorf("%s: got %v, want a *tuple.EncodingError or a *page.CorruptError", name, err)
+		}
+		for i := range tasks {
+			if tasks[i].out != nil {
+				t.Errorf("%s: consumer %d was handed %d rows of a damaged page", name, i, len(tasks[i].out))
+			}
+		}
+	}
+}

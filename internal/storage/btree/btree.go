@@ -41,6 +41,7 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -462,11 +463,11 @@ func (t *Tree) LeafPageNos() ([]int64, error) {
 	return out, nil
 }
 
-// VisitLeaf pins leaf pno and calls fn with each entry's payload in key
-// order — for a clustered index, the encoded row. The bytes alias the pinned
-// frame and are valid for the call only; the pin ends when VisitLeaf
-// returns. fn's error stops the visit and is returned as it is.
-func (t *Tree) VisitLeaf(pno int64, fn func(payload []byte) error) error {
+// VisitLeaf pins leaf pno and calls fn once with its entries' payloads in
+// key order — for a clustered index, the encoded rows — collected into
+// rows[:0]. The bytes alias the pinned frame and are valid for the call
+// only; the pin ends when VisitLeaf returns. fn's error is returned as it is.
+func (t *Tree) VisitLeaf(pno int64, rows [][]byte, fn func(rows [][]byte) error) error {
 	p, id, err := t.pin(pno)
 	if err != nil {
 		return err
@@ -475,16 +476,15 @@ func (t *Tree) VisitLeaf(pno int64, fn func(payload []byte) error) error {
 	if !p.leaf {
 		return t.at(pno, corruptf("not a leaf"))
 	}
+	rows = slices.Grow(rows[:0], p.n)
 	for i := 0; i < p.n; i++ {
 		_, payload, err := p.entry(i)
 		if err != nil {
 			return t.at(pno, err)
 		}
-		if err := fn(payload); err != nil {
-			return err
-		}
+		rows = append(rows, payload)
 	}
-	return nil
+	return fn(rows)
 }
 
 // ReadLeafTuples reads one leaf page and decodes each payload as a tuple of

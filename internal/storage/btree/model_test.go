@@ -405,8 +405,10 @@ func FuzzNodeBytes(f *testing.F) {
 		}
 		_, err := tr.ReadLeafTuples(pno, 2)
 		accept(err)
-		accept(tr.VisitLeaf(pno, func(payload []byte) error {
-			_ = payload[:len(payload):len(payload)] // in range, or this panics
+		accept(tr.VisitLeaf(pno, nil, func(rows [][]byte) error {
+			for _, payload := range rows {
+				_ = payload[:len(payload):len(payload)] // in range, or this panics
+			}
 			return nil
 		}))
 		_, err = tr.LeafPageNos()

@@ -198,18 +198,21 @@ func (f *File) ReadPage(pno int64) ([]tuple.Tuple, error) {
 	return p.Tuples(f.Schema.Len())
 }
 
-// VisitPage pins page pno and calls fn with the encoding of each live row in
-// slot order (tombstones skipped). The bytes alias the pinned frame and are
-// valid for the call only; the pin ends when VisitPage returns, so whatever
-// fn keeps it must have copied out.
-func (f *File) VisitPage(pno int64, fn func(enc []byte) error) error {
+// VisitPage pins page pno and calls fn once with the encodings of its live
+// rows in slot order (tombstones skipped), collected into rows[:0]. The bytes
+// alias the pinned frame and are valid for the call only; the pin ends when
+// VisitPage returns, so whatever fn keeps it must have copied out.
+func (f *File) VisitPage(pno int64, rows [][]byte, fn func(rows [][]byte) error) error {
 	id := buffer.PageID{File: f.Name, Block: pno}
 	raw, err := f.pool.Pin(id)
 	if err != nil {
 		return err
 	}
 	defer f.pool.Unpin(id)
-	return page.FromBytes(raw).Visit(fn)
+	if rows, err = page.FromBytes(raw).Rows(rows[:0]); err != nil {
+		return err
+	}
+	return fn(rows)
 }
 
 // ErrDeleted is returned by ReadTuple for a tombstoned RID. Unclustered

@@ -16,6 +16,7 @@ package page
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"qpipe/internal/tuple"
 )
@@ -253,32 +254,31 @@ type CorruptError struct{ Reason string }
 // Error implements error.
 func (e *CorruptError) Error() string { return "page: corrupt: " + e.Reason }
 
-// Visit calls fn with the payload of every live slot in slot order,
-// skipping tombstones. The payloads alias the page buffer: they are valid
-// for the call, while the caller keeps the page's frame pinned. A directory
+// Rows appends to dst the payload of every live slot in slot order,
+// skipping tombstones, and returns it. The payloads alias the page buffer:
+// they are valid while the caller keeps the page's frame pinned. A directory
 // or slot that overruns the buffer is a *CorruptError, never an
-// out-of-range slice; fn's error stops the visit and is returned.
-func (p *Page) Visit(fn func(payload []byte) error) error {
+// out-of-range slice.
+func (p *Page) Rows(dst [][]byte) ([][]byte, error) {
 	if len(p.buf) < headerSize {
-		return &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(p.buf))}
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(p.buf))}
 	}
 	n := p.NumSlots()
 	if headerSize+n*slotSize > len(p.buf) {
-		return &CorruptError{Reason: fmt.Sprintf("directory of %d slots overruns the %d-byte page", n, len(p.buf))}
+		return nil, &CorruptError{Reason: fmt.Sprintf("directory of %d slots overruns the %d-byte page", n, len(p.buf))}
 	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		off, ln := p.slot(i)
 		if off == 0 && ln == 0 {
 			continue
 		}
 		if int(off)+int(ln) > len(p.buf) {
-			return &CorruptError{Reason: fmt.Sprintf("slot %d (%d bytes at %d) overruns the %d-byte page", i, ln, off, len(p.buf))}
+			return nil, &CorruptError{Reason: fmt.Sprintf("slot %d (%d bytes at %d) overruns the %d-byte page", i, ln, off, len(p.buf))}
 		}
-		if err := fn(p.buf[off : off+ln]); err != nil {
-			return err
-		}
+		dst = append(dst, p.buf[off:off+ln])
 	}
-	return nil
+	return dst, nil
 }
 
 // Tuples decodes every live tuple in the page, skipping tombstoned slots
@@ -286,7 +286,7 @@ func (p *Page) Visit(fn func(payload []byte) error) error {
 // numbers — use Tombstone/Tuple for RID-accurate iteration). All rows carve
 // out of one arena chunk (one allocation per page rather than one per row);
 // they are independent of the page buffer and immutable. The scan µEngine
-// does not come through here (it works on the encoded rows, see Visit); the
+// does not come through here (it works on the encoded rows, see Rows); the
 // callers are the iterator engine, spill readers, victim search and the
 // benchmark's kernels.
 func (p *Page) Tuples(ncols int) ([]tuple.Tuple, error) {

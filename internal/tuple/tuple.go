@@ -290,48 +290,66 @@ func CompareAt(a, b Tuple, keys []int) int {
 	return 0
 }
 
-// FNV-1a parameters (hash/fnv's 64-bit variant, inlined so the per-tuple
-// hash path performs zero heap allocations — fnv.New64a heap-allocates its
-// state, and feeding it through h.Write shuffles every field into a scratch
-// byte buffer first).
+// hashSeed starts every hash; hashMul steps the string words (both are
+// splitmix64's constants: any odd numbers with mixed bits would do).
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	hashSeed uint64 = 0x9e3779b97f4a7c15
+	hashMul  uint64 = 0xbf58476d1ce4e5b9
 )
 
-// hashValue folds one value into an FNV-1a state. The byte sequence matches
-// what the previous hash/fnv-based implementation hashed (kind tag, then the
-// 8 little-endian payload bytes or the raw string bytes), so hash values are
-// stable across the rewrite.
-func hashValue(h uint64, v Value) uint64 {
-	h ^= uint64(v.K)
-	h *= fnvPrime64
-	switch v.K {
-	case KindInt, KindDate, KindFloat:
-		u := uint64(v.I)
-		if v.K == KindFloat {
-			u = math.Float64bits(v.F)
-		}
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= fnvPrime64
-			u >>= 8
-		}
-	case KindString:
-		for i := 0; i < len(v.S); i++ {
-			h ^= uint64(v.S[i])
-			h *= fnvPrime64
-		}
-	}
+// mix64 is murmur3's finalizer: every input bit flips each output bit with
+// probability about a half, so a consumer may take whichever bits it likes —
+// the low ones (hash-table slots, the statistics sketch), the high ones (the
+// partitioned join's partition, a join's key bitmap) or both.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
+// hashNumber folds a number into a hash state by its value: the bits of its
+// float64, which is what Compare compares an int and a float by, so values
+// Equal calls equal hash equally whatever their kinds (+0 and -0 included).
+// Ints beyond 2^53 that round to one float64 share a hash; Equal tells them
+// apart.
+func hashNumber(h uint64, f float64) uint64 {
+	return mix64(h ^ math.Float64bits(f+0)) // -0 + 0 is +0
+}
+
+// hashValue folds one value into a hash state, a string eight bytes at a
+// time. No hash is persisted, so the values may change between versions.
+func hashValue(h uint64, v *Value) uint64 {
+	switch v.K {
+	case KindInt, KindDate:
+		return hashNumber(h, float64(v.I))
+	case KindFloat:
+		return hashNumber(h, v.F)
+	case KindString:
+		s := v.S
+		h ^= uint64(len(s))
+		for ; len(s) >= 8; s = s[8:] {
+			w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+				uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+			h = (h ^ w) * hashMul
+			h ^= h >> 32
+		}
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * hashMul
+		}
+	}
+	return mix64(h)
+}
+
 // HashAt returns a 64-bit hash of the key columns, suitable for hash joins
-// and hash aggregation. It allocates nothing.
+// and hash aggregation: keys that are Equal column by column hash equally.
+// It allocates nothing.
 func HashAt(t Tuple, keys []int) uint64 {
-	h := fnvOffset64
+	h := hashSeed
 	for _, k := range keys {
-		h = hashValue(h, t[k])
+		h = hashValue(h, &t[k])
 	}
 	return h
 }
@@ -340,7 +358,21 @@ func HashAt(t Tuple, keys []int) uint64 {
 // otherwise build a one-element key slice per tuple. Hash1(t, k) ==
 // HashAt(t, []int{k}).
 func Hash1(t Tuple, key int) uint64 {
-	return hashValue(fnvOffset64, t[key])
+	return hashValue(hashSeed, &t[key])
+}
+
+// HashEncodedNumber is Hash1 of the encoded value at the start of b (one
+// ValueWidth accepted) when that value is a number; ok is false for a
+// string, which a caller hashing in place has to decode.
+func HashEncodedNumber(b []byte) (h uint64, ok bool) {
+	k, bits, ok := EncodedNumber(b)
+	if !ok {
+		return 0, false
+	}
+	if k == KindFloat {
+		return hashNumber(hashSeed, math.Float64frombits(bits)), true
+	}
+	return hashNumber(hashSeed, float64(int64(bits))), true
 }
 
 // Column describes one schema column.
@@ -511,6 +543,21 @@ func valueWidth(b []byte) (int, string) {
 // After a nil return every column is a value ValueWidth accepted, so
 // DecodeInto, DecodeValue and CompareEncoded may read b[offs[i]:] unchecked.
 func Offsets(b []byte, offs []int) error {
+	if n := len(offs) - 1; len(b) == 9*n {
+		// As long as n numbers: if every tag agrees, the offsets are
+		// arithmetic (a page of a numbers-only table takes this path for
+		// every row).
+		const numbers = 1<<KindInt | 1<<KindFloat | 1<<KindDate
+		other := byte(0) // becomes non-zero at a tag that is not a number's
+		for i := 0; i < n; i++ {
+			offs[i] = 9 * i
+			tag := b[9*i]
+			other |= tag>>3 | ^(numbers>>(tag&7))&1
+		}
+		if offs[n] = 9 * n; other == 0 {
+			return nil
+		}
+	}
 	off := 0
 	for i := 0; i < len(offs)-1; i++ {
 		offs[i] = off
@@ -526,6 +573,17 @@ func Offsets(b []byte, offs []int) error {
 	}
 	offs[len(offs)-1] = off
 	return nil
+}
+
+// EncodedNumber returns the kind of the encoded value at the start of b (one
+// ValueWidth accepted) and, if it is a number, its eight payload bytes: an
+// int64 for an int or a date, the IEEE bits of a float. The scan µEngine's
+// filter loops compare numbers through it without a call per row.
+func EncodedNumber(b []byte) (k Kind, bits uint64, ok bool) {
+	if k = Kind(b[0]); kindGroup(k) != 1 {
+		return k, 0, false
+	}
+	return k, binary.LittleEndian.Uint64(b[1:]), true
 }
 
 // DecodeValue materializes the encoded value at the start of b (one

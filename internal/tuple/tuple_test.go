@@ -1,8 +1,6 @@
 package tuple
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -204,46 +202,80 @@ func TestTupleString(t *testing.T) {
 	}
 }
 
-// refHashAt is the pre-inlining implementation (hash/fnv fed through a
-// scratch buffer); the zero-alloc rewrite must produce identical values.
-func refHashAt(t Tuple, keys []int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, k := range keys {
-		v := t[k]
-		buf[0] = byte(v.K)
-		h.Write(buf[:1])
-		switch v.K {
-		case KindInt, KindDate:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-			h.Write(buf[:])
-		case KindFloat:
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
-			h.Write(buf[:])
-		case KindString:
-			h.Write([]byte(v.S))
+// The hash is specified by properties, not values (no hash is persisted).
+
+func TestHashEqualValuesHashEqually(t *testing.T) {
+	// Whatever Equal calls equal hashes equally: a number by its value, not
+	// its kind. Hash1, HashAt and the in-place HashEncodedNumber agree.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		n := rng.Int63n(1<<53) - 1<<52
+		if i%4 == 0 {
+			n = int64(i - 1000)
+		}
+		same := Tuple{I64(n), F64(float64(n)), Date(n)}
+		want := Hash1(same, 0)
+		for k, v := range same {
+			if !Equal(same[0], v) {
+				t.Fatalf("%v and %v are not Equal", same[0], v)
+			}
+			if got := Hash1(same, k); got != want {
+				t.Fatalf("Hash1(%v) = %#x, Hash1(%v) = %#x", v, got, same[0], want)
+			}
+			if got := HashAt(same, []int{k}); got != want {
+				t.Fatalf("HashAt(%v, [%d]) = %#x, Hash1 = %#x", same, k, got, want)
+			}
+			if got, ok := HashEncodedNumber(Tuple{v}.Encode(nil)); !ok || got != want {
+				t.Fatalf("HashEncodedNumber(%v) = %#x %v, Hash1 = %#x", v, got, ok, want)
+			}
 		}
 	}
-	return h.Sum64()
+	zeros := Tuple{I64(0), F64(0), F64(math.Copysign(0, -1))}
+	if Hash1(zeros, 0) != Hash1(zeros, 1) || Hash1(zeros, 1) != Hash1(zeros, 2) {
+		t.Fatal("0, +0.0 and -0.0 are Equal and hash differently")
+	}
+	// Ints beyond 2^53 may share a hash; Equal tells them apart.
+	big := Tuple{I64(1<<60 + 1), I64(1 << 60)}
+	if Equal(big[0], big[1]) {
+		t.Fatal("distinct big ints compare equal")
+	}
+	if _, ok := HashEncodedNumber(Tuple{Str("x")}.Encode(nil)); ok {
+		t.Fatal("HashEncodedNumber accepted a string")
+	}
+	row := Tuple{I64(3), Str("a longer string, past one word"), F64(2.5), {}}
+	for i := 0; i < 200; i++ {
+		keys := []int{rng.Intn(len(row)), rng.Intn(len(row))}
+		other := Tuple{F64(3), Str("a longer string, past one word"), F64(2.5), {}}
+		if HashAt(row, keys) != HashAt(other, keys) {
+			t.Fatalf("equal keys %v hash differently", keys)
+		}
+	}
+	if HashAt(row, []int{0, 2}) == HashAt(row, []int{2, 0}) {
+		t.Error("key order should (very likely) matter")
+	}
+	if Hash1(Tuple{Str("abcdefgh1")}, 0) == Hash1(Tuple{Str("abcdefgh2")}, 0) {
+		t.Error("strings differing past the first word should (very likely) hash differently")
+	}
 }
 
-func TestHashAtMatchesReferenceFNV(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		row := Tuple{
-			I64(rng.Int63() - rng.Int63()),
-			F64(rng.NormFloat64() * 1e6),
-			Str(randString(rng, rng.Intn(24))),
-			Date(int64(rng.Intn(40000))),
-			{}, // invalid value (NULL-ish hole)
+func TestHashSpreadsLowAndHighBits(t *testing.T) {
+	// The consumers take different bits: table slots and the statistics
+	// sketch the low ones, the partitioned join and the key bitmap the high
+	// ones. 10^5 sequential ints must fill 64 buckets evenly either way.
+	const n, buckets = 100000, 64
+	for _, kind := range []func(int64) Value{I64, func(i int64) Value { return F64(float64(i)) }} {
+		var low, high [buckets]int
+		for i := int64(0); i < n; i++ {
+			h := Hash1(Tuple{kind(i)}, 0)
+			low[h%buckets]++
+			high[h>>(64-6)]++
 		}
-		keys := []int{rng.Intn(len(row)), rng.Intn(len(row)), rng.Intn(len(row))}
-		if got, want := HashAt(row, keys), refHashAt(row, keys); got != want {
-			t.Fatalf("HashAt(%v, %v) = %#x, reference fnv = %#x", row, keys, got, want)
-		}
-		k := rng.Intn(len(row))
-		if Hash1(row, k) != refHashAt(row, []int{k}) {
-			t.Fatalf("Hash1 diverges from reference at key %d of %v", k, row)
+		for b := 0; b < buckets; b++ {
+			for _, c := range []int{low[b], high[b]} {
+				if mean := n / buckets; c < mean*8/10 || c > mean*12/10 {
+					t.Fatalf("bucket %d holds %d of %d keys, want about %d", b, c, n, mean)
+				}
+			}
 		}
 	}
 }
