@@ -468,7 +468,7 @@ func (sh *shell) meta(line string) bool {
 		sh.runScript(string(text))
 	case "\\mix":
 		if sh.remote != nil {
-			fmt.Fprintln(sh.out, "\\mix is embedded-only; drive a server with qpipe-bench -fig server")
+			fmt.Fprintln(sh.out, "\\mix is embedded-only")
 			break
 		}
 		sh.runMix()

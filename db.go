@@ -48,7 +48,8 @@ type Options struct {
 	// BufferCapacity bounds intermediate buffers, in batches (0 = 8).
 	BufferCapacity int
 	// ReplayWindow is the produced-tuple window retained for late OSP
-	// satellite attachment (0 = 1024).
+	// satellite attachment (0 = the default, 1024; 1 = the strictest, a
+	// satellite attaches until the host's second tuple; negative = unbounded).
 	ReplayWindow int
 	// WorkersPerEngine sizes each µEngine's worker pool (0 = elastic: one
 	// goroutine per packet).
@@ -63,7 +64,7 @@ type Options struct {
 	// DisableOptimizer turns off plan normalization, predicate pushdown and
 	// join reordering: queries run exactly as written (the pre-optimizer
 	// lowering). An escape hatch for debugging and for measuring what the
-	// optimizer buys (qpipe-bench -fig planshare -no-opt).
+	// optimizer buys (TestPlanShareMixSharesAtTheRoot is the A/B).
 	DisableOptimizer bool
 	// MaxConcurrentQueries caps how many queries execute at once (admission
 	// control). Excess submissions park in a bounded FIFO wait queue; once
@@ -144,7 +145,7 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		mgr = sm.NewSharedDisk(d, poolPages, nil)
+		mgr = sm.NewSharedDisk(d, poolPages)
 	} else {
 		mgr = sm.New(sm.Config{Disk: disk.Config{BlockSize: opts.BlockSize}, PoolPages: poolPages})
 	}
@@ -197,7 +198,7 @@ func (db *DB) Close() {
 func (db *DB) Checkpoint() error { return db.mgr.Checkpoint() }
 
 // Engine exposes the underlying engine for advanced callers (precompiled
-// plans, harnesses). Everyday embedders never need it.
+// plans, the benchmark). Everyday embedders never need it.
 func (db *DB) Engine() *Engine { return db.eng }
 
 // ---- Catalog / DDL -----------------------------------------------------------

@@ -19,10 +19,17 @@ import (
 // waitStat polls a Stats gauge until it reaches want.
 func waitStat(t *testing.T, db *DB, get func(Stats) int64, want int64, what string) {
 	t.Helper()
+	waitCount(t, what, want, func() int64 { return get(db.Stats()) })
+}
+
+// waitCount polls a counter until it reads want, and gives up after ten
+// seconds: it waits for a state, it does not measure a time.
+func waitCount(t *testing.T, what string, want int64, get func() int64) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for get(db.Stats()) != want {
+	for get() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want %d (timed out)", what, get(db.Stats()), want)
+			t.Fatalf("%s = %d, want %d (timed out)", what, get(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -40,8 +40,10 @@ type Config struct {
 	// DefaultBatchSize). One knob: emitters, cursors and the pool agree.
 	BatchSize int
 	// ReplayWindow is the number of produced tuples a packet retains for
-	// late satellite attachment — the buffering enhancement of §3.2
-	// (default 1024; 0 gives strict step/spike semantics).
+	// late satellite attachment — the buffering enhancement of §3.2. 0 means
+	// the default, 1024; 1 is the strictest window a Config can ask for (a
+	// satellite attaches until the host's second tuple: step/spike
+	// semantics); negative retains everything a packet produces.
 	ReplayWindow int
 	// DeadlockInterval is the Waits-For scan period (default 25ms;
 	// negative disables the detector).

@@ -458,16 +458,19 @@ func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
 
 		rt.SM.Pool.Invalidate()
 		rt.SM.Disk.ResetStats()
+		// Either may host. The filter keeps a row of every page, so a host
+		// that nobody reads yet is held a buffer's worth of pages in,
+		// whichever of the two it is.
 		_, b1, d1 := start(nil)
-		_, b2, d2 := start(expr.LT(expr.Col(0), expr.CInt(1000)))
+		_, b2, d2 := start(expr.EQ(expr.Col(1), expr.CInt(0)))
 		waitForJoin(1)
 		got2 := make(chan int64)
 		go func() { got2 <- count(b2) }()
 		if got := count(b1); got != n {
 			t.Fatalf("P=%d: the unfiltered scan returned %d rows, want %d", par, got, n)
 		}
-		if got := <-got2; got != 1000 {
-			t.Fatalf("P=%d: the filtered scan returned %d rows, want 1000", par, got)
+		if got := <-got2; got != (n+6)/7 {
+			t.Fatalf("P=%d: the filtered scan returned %d rows, want %d", par, got, (n+6)/7)
 		}
 		if err := <-d1; err != nil {
 			t.Fatal(err)

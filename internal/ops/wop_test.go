@@ -1,0 +1,265 @@
+// The paper's windows of opportunity (§3.2, Figure 4a) and the sharing
+// experiments of §5 (Figures 8-11) as counters. An arrival is scripted by
+// back-pressure, never by a clock: a query whose result is not read holds
+// its whole pipeline, and a held bare scan holds the table's scanner and
+// with it every query scanning that table. So "the second query arrives
+// while the first is at this point" is a state the test puts the engine in,
+// the same on any box under any load.
+package ops
+
+import (
+	"context"
+	"fmt"
+	"maps"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"qpipe/internal/core"
+	"qpipe/internal/plan"
+	"qpipe/internal/storage/disk"
+	"qpipe/internal/storage/sm"
+	"qpipe/internal/tuple"
+	"qpipe/internal/volcano"
+	"qpipe/internal/workload/tpch"
+	"qpipe/internal/workload/wisconsin"
+)
+
+const wopPool = 32 // pages: less than any table a row scans
+
+func wopTPCH(t *testing.T) *sm.Manager {
+	t.Helper()
+	mgr := sm.New(sm.Config{Disk: disk.Config{Spindles: 1}, PoolPages: wopPool})
+	if _, err := tpch.Load(mgr, 0.002, 11, true); err != nil {
+		t.Fatal(err)
+	}
+	return mgr
+}
+
+func wopWisconsin(t *testing.T) *sm.Manager {
+	t.Helper()
+	mgr := sm.New(sm.Config{Disk: disk.Config{Spindles: 1}, PoolPages: wopPool})
+	if _, err := wisconsin.Load(mgr, 3000, 0, 11); err != nil {
+		t.Fatal(err)
+	}
+	return mgr
+}
+
+// wopConfig is the default configuration with everything a held prefix
+// depends on stated, so that the bounds below are the same on any box.
+func wopConfig(edit func(*core.Config)) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.ScanParallelism = 2
+	cfg.BufferCapacity = 2
+	cfg.BatchSize = 16
+	if edit != nil {
+		edit(&cfg)
+	}
+	return cfg
+}
+
+// bareScan is the plan that pins a table's circular scanner while its result
+// is not read: every row, so that every page makes a batch, of one column.
+func bareScan(mgr *sm.Manager, table string) plan.Node {
+	return plan.NewTableScan(table, mgr.MustTable(table).Schema, nil, []int{0}, false)
+}
+
+// belowSort takes TPC-H Q4's join from under its sort and group-by, so that
+// its output can be held.
+func belowSort(q4 plan.Node) plan.Node { return q4.Children()[0].Children()[0] }
+
+func TestWindowsOfOpportunity(t *testing.T) {
+	tpchMgr, wiscMgr := wopTPCH(t), wopWisconsin(t)
+	p := tpch.DefaultParams()
+	varied := func(n int) []plan.Node { // Figure 8's clients: qgen draws each one's predicates
+		rng := rand.New(rand.NewSource(11))
+		qs := make([]plan.Node, n)
+		for i := range qs {
+			qs[i] = tpch.Q6(tpch.RandomParams(rng))
+		}
+		return qs
+	}
+	wisc := &wisconsin.DB{BigN: 3000}
+	hashJoin := func() plan.Node { return belowSort(tpch.Q4HashJoin(p)) }
+	// Figure 9's join over ordered clustered index scans, without Q4's
+	// filters: a filtered ordered scan shares by materialization whether its
+	// join waited for it or not (TestMaterializedOrderedShare), so the split
+	// is the only way in exactly when the scans keep every row. LINEITEM,
+	// the relation worth sharing, is the first input because the split takes
+	// the first input that has a scan in progress.
+	mergeJoin := func() plan.Node {
+		ls, os := tpch.LineitemSchema, tpch.OrdersSchema
+		return plan.NewMergeJoin(
+			plan.NewIndexScan("LINEITEM", ls, "l_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
+				[]int{ls.MustColIndex("l_orderkey"), ls.MustColIndex("l_linenumber")}),
+			plan.NewIndexScan("ORDERS", os, "o_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
+				[]int{os.MustColIndex("o_orderkey"), os.MustColIndex("o_orderpriority")}),
+			0, 0, false)
+	}
+	noOSP := func(c *core.Config) { c.OSP = false }
+
+	for _, row := range []struct {
+		name string
+		mgr  *sm.Manager
+		cfg  core.Config
+		// pin names tables whose scanner a held bare scan pins before the
+		// host is sent; host is read hold batches of its result and no
+		// further before the others are sent, in order.
+		pin    []string
+		host   plan.Node
+		hold   int
+		others []plan.Node
+		// serial drains each of the others before the next is sent: without
+		// OSP nothing ties them to the held host, and side by side they
+		// would find each other's pages in the pool by luck.
+		serial bool
+		shares map[plan.OpType]int64 // SharesByOp when all is drained, exactly
+		// scans bounds the blocks read of a table in whole scans of it: at
+		// least [0] (less a pool's worth for every scan after the first), at
+		// most [1] (plus the prefix a held scan was at when the others
+		// attached, which its wrap reads again).
+		scans map[string][2]int64
+	}{
+		// Linear (Figures 4a and 8): a count with a predicate of its own
+		// attaches to a scan in progress wherever it is, and the wrap reads
+		// for it the prefix it missed; three ride as cheaply as one.
+		{name: "linear-1", mgr: tpchMgr, cfg: wopConfig(nil),
+			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(1),
+			shares: map[plan.OpType]int64{plan.OpTableScan: 1},
+			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
+		{name: "linear-3", mgr: tpchMgr, cfg: wopConfig(nil),
+			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(3),
+			shares: map[plan.OpType]int64{plan.OpTableScan: 3},
+			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
+		// The same arrivals with OSP off: every count reads the table itself.
+		{name: "linear-osp-off", mgr: tpchMgr, cfg: wopConfig(noOSP),
+			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(3), serial: true,
+			shares: map[plan.OpType]int64{},
+			scans:  map[string][2]int64{"LINEITEM": {4, 4}}},
+		// Full (Figure 4a): a second, identical aggregate shares the first's
+		// whole lifetime. Each query's scan attaches to the pinned scanner as
+		// it is dispatched, leaves first; then the second aggregate finds the
+		// first.
+		{name: "full-aggregate", mgr: tpchMgr, cfg: wopConfig(nil),
+			pin: []string{"LINEITEM"}, host: tpch.Q6(p), others: []plan.Node{tpch.Q6(p)},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 2, plan.OpAggregate: 1},
+			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
+		// Full (Figure 10): two sort-merge joins with the same BIG1 and BIG2
+		// predicates and another for SMALL share both BIG sorts and the join
+		// over them, nothing above, and every table is read once.
+		{name: "full-sort-merge", mgr: wiscMgr, cfg: wopConfig(nil),
+			pin: []string{"BIG1", "BIG2", "SMALL"}, host: wisc.ThreeWayJoinQuery(60, 40),
+			others: []plan.Node{wisc.ThreeWayJoinQuery(60, 60)},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 6, plan.OpSort: 2, plan.OpMergeJoin: 1},
+			scans:  map[string][2]int64{"BIG1": {1, 1}, "BIG2": {1, 1}, "SMALL": {1, 1}}},
+		// Step (Figure 11): a hash join one batch past its first output is
+		// still shared whole while that output fits the replay window; with
+		// a window of one tuple only its probe scan is (the build scan is
+		// over).
+		{name: "step", mgr: tpchMgr, cfg: wopConfig(nil),
+			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
+		{name: "step-window-1", mgr: tpchMgr,
+			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
+			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 1}},
+		// Ordered scans (Figure 9): with the step window shut, late
+		// activation lets the second merge join split onto the first's scan
+		// in progress; without it the scans start before the join can choose,
+		// and an ordered scan that keeps every row joins nothing mid-flight.
+		{name: "ordered-scans", mgr: tpchMgr,
+			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
+			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
+			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
+		{name: "ordered-scans-no-late-activation", mgr: tpchMgr,
+			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1; c.LateActivation = false }),
+			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
+			shares: map[plan.OpType]int64{}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rt := core.NewRuntime(row.mgr, row.cfg, All())
+			defer rt.Close()
+			if err := row.mgr.Pool.Invalidate(); err != nil {
+				t.Fatal(err)
+			}
+			row.mgr.Disk.ResetStats()
+			ctx := context.Background()
+
+			var plans []plan.Node
+			for _, table := range row.pin {
+				plans = append(plans, bareScan(row.mgr, table))
+			}
+			nheld := len(plans) + 1 // the pins and the host: held until everything is sent
+			plans = append(append(plans, row.host), row.others...)
+			queries := make([]*core.Query, len(plans))
+			got := make([][]tuple.Tuple, len(plans))
+			take := func(i, batches int) {
+				for ; batches > 0; batches-- {
+					b, err := queries[i].Result.Get()
+					if err != nil {
+						t.Fatalf("plan %d: held result: %v", i, err)
+					}
+					got[i] = append(got[i], b...)
+				}
+			}
+			for i, pl := range plans {
+				q, err := rt.Submit(ctx, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries[i] = q
+				switch {
+				case i < len(row.pin):
+					take(i, 1) // its scanner is registered and in flight
+				case i == len(row.pin):
+					take(i, row.hold)
+				case row.serial:
+					if got[i], err = sdDrain(q); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, len(plans))
+			for i, q := range queries {
+				if i >= nheld && row.serial {
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rest, err := sdDrain(q)
+					got[i], errs[i] = append(got[i], rest...), err
+				}()
+			}
+			wg.Wait()
+			reads, shares := row.mgr.Disk.Stats().ByFile, rt.Stats().SharesByOp
+
+			if !maps.Equal(shares, row.shares) {
+				t.Errorf("shares by operator %v, want %v", shares, row.shares)
+			}
+			// What a held scan had read when the others attached: the batches
+			// the test took, a full result buffer, and a page in each
+			// partition's hands.
+			prefix := int64(1 + row.cfg.BufferCapacity + row.cfg.ScanParallelism)
+			for table, n := range row.scans {
+				f := row.mgr.MustTable(table).Heap
+				lo, hi := n[0]*f.NumPages()-(n[0]-1)*wopPool, n[1]*f.NumPages()+prefix
+				if got := reads[f.Name]; got < lo || got > hi {
+					t.Errorf("%d blocks of %s read, want %d to %d (%d pages)", got, table, lo, hi, f.NumPages())
+				}
+			}
+			oracle := volcano.New(row.mgr)
+			for i, pl := range plans {
+				if errs[i] != nil {
+					t.Fatalf("plan %d: %v", i, errs[i])
+				}
+				want, err := oracle.Run(ctx, pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sdCompare(t, fmt.Sprintf("plan %d", i), pl, got[i], sdSorted(want))
+			}
+		})
+	}
+}

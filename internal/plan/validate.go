@@ -1,7 +1,7 @@
 // Plan validation: structural checks run before a plan is admitted. The
 // builder layer resolves column *names*; this hook guards the positional
-// layer underneath it (and hand-built plans from the workload packages, the
-// harness and embedders) so an out-of-range column reference fails at submit
+// layer underneath it (and hand-built plans from the workload packages and
+// embedders) so an out-of-range column reference fails at submit
 // with a typed error instead of panicking inside a µEngine worker.
 package plan
 

@@ -1,8 +1,7 @@
-// Replacement policies. The paper's §2.1 surveys LRU, LRU-K [22], 2Q [18]
-// and ARC [21] as the state of the art in page-level sharing; we implement
-// the full family so the "buffer pool alone" baseline can be ablated
-// (BenchmarkBufferPolicies). Policies are NOT thread-safe on their own; the
-// Pool serializes all policy calls under its mutex.
+// The replacement policy. The paper's §2.1 surveys LRU, LRU-K, 2Q and ARC as
+// the state of the art in page-level sharing; its prototype ran on
+// BerkeleyDB's LRU, and so does every pool here. A policy is NOT thread-safe
+// on its own; the Pool serializes all policy calls under its mutex.
 package buffer
 
 import "container/list"
@@ -14,14 +13,11 @@ import "container/list"
 //   - Evict to pick an unpinned victim (evictable reports pin status),
 //   - Remove when a page leaves the pool (after eviction or invalidation).
 type Policy interface {
-	Name() string
 	Insert(id PageID)
 	Touch(id PageID)
 	Evict(evictable func(PageID) bool) (PageID, bool)
 	Remove(id PageID)
 }
-
-// ---- LRU -------------------------------------------------------------------
 
 // LRU evicts the least-recently-used page. This is the policy BerkeleyDB
 // (the paper's storage manager) effectively provides, and is what both
@@ -35,9 +31,6 @@ type LRU struct {
 func NewLRU() *LRU {
 	return &LRU{ll: list.New(), elems: make(map[PageID]*list.Element)}
 }
-
-// Name implements Policy.
-func (l *LRU) Name() string { return "lru" }
 
 // Insert implements Policy.
 func (l *LRU) Insert(id PageID) {
@@ -72,100 +65,4 @@ func (l *LRU) Remove(id PageID) {
 		l.ll.Remove(e)
 		delete(l.elems, id)
 	}
-}
-
-// ---- CLOCK -----------------------------------------------------------------
-
-// Clock is the classic second-chance approximation of LRU: resident pages
-// sit on a ring with a reference bit; the hand clears bits until it finds an
-// unreferenced, unpinned victim.
-type Clock struct {
-	ring  *list.List // circular order; hand = element to examine next
-	hand  *list.Element
-	elems map[PageID]*clockEntry
-}
-
-type clockEntry struct {
-	el  *list.Element
-	ref bool
-}
-
-// NewClock creates a CLOCK policy.
-func NewClock() *Clock {
-	return &Clock{ring: list.New(), elems: make(map[PageID]*clockEntry)}
-}
-
-// Name implements Policy.
-func (c *Clock) Name() string { return "clock" }
-
-// Insert implements Policy.
-func (c *Clock) Insert(id PageID) {
-	if e, ok := c.elems[id]; ok {
-		e.ref = true
-		return
-	}
-	el := c.ring.PushBack(id)
-	c.elems[id] = &clockEntry{el: el, ref: true}
-	if c.hand == nil {
-		c.hand = el
-	}
-}
-
-// Touch implements Policy.
-func (c *Clock) Touch(id PageID) {
-	if e, ok := c.elems[id]; ok {
-		e.ref = true
-	}
-}
-
-func (c *Clock) advance(el *list.Element) *list.Element {
-	next := el.Next()
-	if next == nil {
-		next = c.ring.Front()
-	}
-	return next
-}
-
-// Evict implements Policy.
-func (c *Clock) Evict(evictable func(PageID) bool) (PageID, bool) {
-	n := c.ring.Len()
-	if n == 0 {
-		return PageID{}, false
-	}
-	// Two full sweeps suffice: the first may clear every ref bit, the second
-	// must then find a victim unless everything is pinned.
-	for i := 0; i < 2*n; i++ {
-		if c.hand == nil {
-			c.hand = c.ring.Front()
-		}
-		id := c.hand.Value.(PageID)
-		e := c.elems[id]
-		if e.ref {
-			e.ref = false
-			c.hand = c.advance(c.hand)
-			continue
-		}
-		if evictable(id) {
-			c.hand = c.advance(c.hand)
-			return id, true
-		}
-		c.hand = c.advance(c.hand)
-	}
-	return PageID{}, false
-}
-
-// Remove implements Policy.
-func (c *Clock) Remove(id PageID) {
-	e, ok := c.elems[id]
-	if !ok {
-		return
-	}
-	if c.hand == e.el {
-		c.hand = c.advance(e.el)
-		if c.hand == e.el {
-			c.hand = nil
-		}
-	}
-	c.ring.Remove(e.el)
-	delete(c.elems, id)
 }

@@ -1,7 +1,6 @@
 // Package buffer implements the buffer-pool manager that sits between the
 // access methods and the simulated disk. It supports pin/unpin semantics,
-// dirty-page write-back and pluggable replacement policies (LRU, CLOCK,
-// LRU-K, 2Q, ARC — the family the paper surveys in §2.1).
+// dirty-page write-back and LRU replacement.
 //
 // The pool is the *only* sharing mechanism available to the baseline systems
 // in the paper's experiments: if two queries' page requests are far enough
@@ -57,8 +56,9 @@ type Pool struct {
 	evictions atomic.Int64
 }
 
-// NewPool creates a pool of the given page capacity using the policy.
-// A nil policy defaults to LRU.
+// NewPool creates a pool of the given page capacity. A nil policy is LRU,
+// and nil is what every caller passes: the parameter is still here only
+// because bench/kernels.go, which is frozen, passes it.
 func NewPool(d *disk.Disk, capacity int, policy Policy) *Pool {
 	if capacity <= 0 {
 		capacity = 64
@@ -79,9 +79,6 @@ func (p *Pool) Disk() *disk.Disk { return p.d }
 
 // Capacity returns the pool capacity in pages.
 func (p *Pool) Capacity() int { return p.capacity }
-
-// PolicyName returns the replacement policy's name.
-func (p *Pool) PolicyName() string { return p.policy.Name() }
 
 // Pin fetches the page, reading from disk on a miss, and pins it in memory.
 // The returned bytes alias the pool frame: callers must treat them as
@@ -134,11 +131,6 @@ func (p *Pool) makeRoomLocked() error {
 			return fmt.Errorf("buffer: all %d frames pinned, cannot evict", p.capacity)
 		}
 		f := p.frames[victim]
-		if f == nil {
-			// Policy ghost entry not resident; just forget it.
-			p.policy.Remove(victim)
-			continue
-		}
 		if f.dirty {
 			if err := p.d.Write(victim.File, victim.Block, f.data); err != nil {
 				return fmt.Errorf("buffer: write-back of %s failed: %w", victim, err)
@@ -210,8 +202,8 @@ func (p *Pool) Flush() error {
 	return nil
 }
 
-// Invalidate drops every resident page (write-back first). Used between
-// harness runs to cold-start the cache.
+// Invalidate drops every resident page (write-back first): a cold start of
+// the cache.
 func (p *Pool) Invalidate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

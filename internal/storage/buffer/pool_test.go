@@ -162,129 +162,38 @@ func TestConcurrentPinUnpin(t *testing.T) {
 	wg.Wait()
 }
 
-func TestPoolPolicyNames(t *testing.T) {
-	d := newDisk(t, "f", 1)
-	for _, tc := range []struct {
-		pol  Policy
-		name string
-	}{
-		{NewLRU(), "lru"},
-		{NewClock(), "clock"},
-		{NewLRUK(2), "lru-2"},
-		{NewLRUK(3), "lru-k"},
-		{NewTwoQ(8), "2q"},
-		{NewARC(8), "arc"},
-	} {
-		p := NewPool(d, 8, tc.pol)
-		if p.PolicyName() != tc.name {
-			t.Errorf("policy name: got %q want %q", p.PolicyName(), tc.name)
-		}
-	}
-	if NewPool(d, 8, nil).PolicyName() != "lru" {
-		t.Error("nil policy should default to LRU")
-	}
-}
-
-// runTrace plays an access trace against a pool of the given capacity and
-// returns the hit count.
-func runTrace(t *testing.T, pol func() Policy, capacity int, trace []int64) int64 {
-	t.Helper()
-	d := disk.New(disk.Config{BlockSize: 64})
-	d.Create("f")
-	maxBlk := int64(0)
-	for _, b := range trace {
-		if b > maxBlk {
-			maxBlk = b
-		}
-	}
-	for i := int64(0); i <= maxBlk; i++ {
-		d.Append("f", []byte{byte(i)})
-	}
-	p := NewPool(d, capacity, pol())
-	for _, b := range trace {
-		id := PageID{File: "f", Block: b}
-		if _, err := p.Pin(id); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(id)
-	}
-	return p.Stats().Hits
-}
-
-// TestScanResistance: a working set re-referenced between large sequential
-// scans. Scan-resistant policies (2Q, ARC, LRU-2) must keep the working set
-// resident; plain LRU flushes it on every scan pass.
-func TestScanResistance(t *testing.T) {
-	var trace []int64
-	// Working set: blocks 0..3 (hot), referenced twice per round (the second
-	// reference is a resident hit — the frequency signal). Between rounds, a
-	// capacity-sized scan of fresh blocks washes through the pool. Plain LRU
-	// evicts the hot set every round; scan-resistant policies keep it.
-	for round := int64(0); round < 8; round++ {
-		for b := int64(0); b < 4; b++ {
-			trace = append(trace, b, b)
-		}
-		for b := int64(0); b < 8; b++ {
-			trace = append(trace, 10+round*8+b)
-		}
-	}
-	cap := 8
-	lruHits := runTrace(t, func() Policy { return NewLRU() }, cap, trace)
-	twoqHits := runTrace(t, func() Policy { return NewTwoQ(cap) }, cap, trace)
-	arcHits := runTrace(t, func() Policy { return NewARC(cap) }, cap, trace)
-	lrukHits := runTrace(t, func() Policy { return NewLRUK(2) }, cap, trace)
-	if twoqHits <= lruHits {
-		t.Errorf("2Q (%d hits) should beat LRU (%d hits) on scan-heavy trace", twoqHits, lruHits)
-	}
-	if arcHits <= lruHits {
-		t.Errorf("ARC (%d hits) should beat LRU (%d hits)", arcHits, lruHits)
-	}
-	if lrukHits <= lruHits {
-		t.Errorf("LRU-2 (%d hits) should beat LRU (%d hits)", lrukHits, lruHits)
-	}
-}
-
-// TestPoliciesCorrectUnderRandomTrace cross-checks every policy against a
-// straightforward trace: whatever is evicted must be re-readable and content
-// must always match (the policy can be arbitrary, the pool must be correct).
+// TestPoliciesCorrectUnderRandomTrace: whatever is evicted must be re-readable
+// and content must always match (the pool must be correct whichever page the
+// policy gives up).
 func TestPoliciesCorrectUnderRandomTrace(t *testing.T) {
-	policies := map[string]func() Policy{
-		"lru":   func() Policy { return NewLRU() },
-		"clock": func() Policy { return NewClock() },
-		"lru2":  func() Policy { return NewLRUK(2) },
-		"2q":    func() Policy { return NewTwoQ(6) },
-		"arc":   func() Policy { return NewARC(6) },
-	}
-	for name, mk := range policies {
-		t.Run(name, func(t *testing.T) {
-			d := newDisk(t, "f", 32)
-			p := NewPool(d, 6, mk())
-			// Deterministic pseudo-random walk.
-			x := int64(1)
-			for i := 0; i < 3000; i++ {
-				x = (x*1103515245 + 12345) % 32
-				if x < 0 {
-					x += 32
-				}
-				id := PageID{File: "f", Block: x}
-				b, err := p.Pin(id)
-				if err != nil {
-					t.Fatalf("step %d: %v", i, err)
-				}
-				if b[0] != byte(x) {
-					t.Fatalf("step %d: content mismatch block %d got %d", i, x, b[0])
-				}
-				p.Unpin(id)
+	t.Run("lru", func(t *testing.T) {
+		d := newDisk(t, "f", 32)
+		p := NewPool(d, 6, nil)
+		// Deterministic pseudo-random walk.
+		x := int64(1)
+		for i := 0; i < 3000; i++ {
+			x = (x*1103515245 + 12345) % 32
+			if x < 0 {
+				x += 32
 			}
-			st := p.Stats()
-			if st.Resident > 6 {
-				t.Errorf("resident %d exceeds capacity", st.Resident)
+			id := PageID{File: "f", Block: x}
+			b, err := p.Pin(id)
+			if err != nil {
+				t.Fatalf("step %d: %v", i, err)
 			}
-			if st.Hits+st.Misses != 3000 {
-				t.Errorf("hits+misses = %d", st.Hits+st.Misses)
+			if b[0] != byte(x) {
+				t.Fatalf("step %d: content mismatch block %d got %d", i, x, b[0])
 			}
-		})
-	}
+			p.Unpin(id)
+		}
+		st := p.Stats()
+		if st.Resident > 6 {
+			t.Errorf("resident %d exceeds capacity", st.Resident)
+		}
+		if st.Hits+st.Misses != 3000 {
+			t.Errorf("hits+misses = %d", st.Hits+st.Misses)
+		}
+	})
 }
 
 func TestPageIDString(t *testing.T) {

@@ -24,11 +24,10 @@ import (
 // Config controls the latency model. Zero latencies make the device a plain
 // in-memory store, which is what the unit tests use for determinism.
 type Config struct {
-	BlockSize  int           // bytes per block (default 8192)
-	SeqRead    time.Duration // latency charged for a sequential block read
-	RandRead   time.Duration // latency charged for a non-sequential block read
-	Write      time.Duration // latency charged per block write
-	LatencyDiv int           // charge latency once per LatencyDiv blocks (batching; default 1)
+	BlockSize int           // bytes per block (default 8192)
+	SeqRead   time.Duration // latency charged for a sequential block read
+	RandRead  time.Duration // latency charged for a non-sequential block read
+	Write     time.Duration // latency charged per block write
 	// Spindles bounds how many latency charges proceed in parallel,
 	// modelling aggregate device bandwidth (the paper's testbed was a
 	// 4-disk RAID-0 array — Spindles=4). Default 4.
@@ -59,7 +58,7 @@ type Stats struct {
 type Disk struct {
 	cfg Config
 
-	// Latencies are runtime-adjustable (SetLatency) so the harness can bulk
+	// Latencies are runtime-adjustable (SetLatency) so the benchmark can bulk
 	// load at full speed and then enable the latency model for measurement.
 	seqLat   atomic.Int64
 	randLat  atomic.Int64
@@ -278,18 +277,12 @@ type file struct {
 	// lastRead tracks the most recent block read for sequential detection.
 	lastRead atomic.Int64
 	reads    atomic.Int64
-	// pending accumulates blocks read since the last latency charge when
-	// LatencyDiv batching is enabled.
-	pending atomic.Int64
 }
 
 // New creates a device with the given configuration.
 func New(cfg Config) *Disk {
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = DefaultBlockSize
-	}
-	if cfg.LatencyDiv <= 0 {
-		cfg.LatencyDiv = 1
 	}
 	if cfg.Spindles <= 0 {
 		cfg.Spindles = 4
@@ -315,8 +308,8 @@ func Open(cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-// SetLatency changes the latency model at run time (harnesses load data
-// with zero latency, then enable the model for the measured phase).
+// SetLatency changes the latency model at run time (the benchmark loads data
+// with zero latency, then enables the model for the measured phase).
 func (d *Disk) SetLatency(seq, rand, write time.Duration) {
 	d.seqLat.Store(int64(seq))
 	d.randLat.Store(int64(rand))
@@ -490,17 +483,7 @@ func (d *Disk) Read(name string, blockNo int64) ([]byte, error) {
 		lat = time.Duration(d.seqLat.Load())
 	}
 	if lat > 0 {
-		if d.cfg.LatencyDiv > 1 {
-			// Batch the sleep: charge LatencyDiv blocks' worth at once so the
-			// OS sleep granularity does not dominate tiny per-block latencies.
-			if p := f.pending.Add(1); p%int64(d.cfg.LatencyDiv) == 0 {
-				d.charge(lat * time.Duration(d.cfg.LatencyDiv))
-			} else {
-				d.sleepNS.Add(int64(lat)) // accounted but deferred
-			}
-		} else {
-			d.charge(lat)
-		}
+		d.charge(lat)
 	}
 	return b, nil
 }
@@ -557,7 +540,7 @@ func (d *Disk) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes all counters (per-experiment isolation in the harness).
+// ResetStats zeroes all counters.
 func (d *Disk) ResetStats() {
 	d.reads.Store(0)
 	d.writes.Store(0)
@@ -566,7 +549,6 @@ func (d *Disk) ResetStats() {
 	d.mu.RLock()
 	for _, f := range d.files {
 		f.reads.Store(0)
-		f.pending.Store(0)
 	}
 	d.mu.RUnlock()
 }

@@ -104,23 +104,6 @@ func TestLatencyCharged(t *testing.T) {
 	}
 }
 
-func TestLatencyBatching(t *testing.T) {
-	d := New(Config{BlockSize: 32, SeqRead: 100 * time.Microsecond, RandRead: 100 * time.Microsecond, LatencyDiv: 10})
-	d.Create("f")
-	for i := 0; i < 20; i++ {
-		d.Append("f", []byte{byte(i)})
-	}
-	for i := int64(0); i < 20; i++ {
-		if _, err := d.Read("f", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 20 reads at 100µs each = 2ms accounted regardless of batching.
-	if st := d.Stats(); st.SleepTotal < 2*time.Millisecond {
-		t.Errorf("SleepTotal = %v, want >= 2ms", st.SleepTotal)
-	}
-}
-
 func TestRemove(t *testing.T) {
 	d := New(Config{})
 	d.Create("f")

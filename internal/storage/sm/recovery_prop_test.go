@@ -56,7 +56,7 @@ func runRecoveryIteration(t *testing.T, seed int64) {
 	crashAt := int64(1 + seedRng.Intn(crashSites))
 
 	d := disk.New(disk.Config{BlockSize: 512})
-	m := NewSharedDisk(d, 128, nil)
+	m := NewSharedDisk(d, 128)
 	l, err := wal.Open(d, wal.Options{SegmentBlocks: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func runRecoveryIteration(t *testing.T, seed int64) {
 	// The world has stopped (every worker returned); take the crash image
 	// and recover into a fresh manager.
 	d.CrashSeeded(mode, seed)
-	m2 := NewSharedDisk(d, 128, nil)
+	m2 := NewSharedDisk(d, 128)
 	l2, err := wal.Open(d, wal.Options{SegmentBlocks: 8})
 	if err != nil {
 		t.Fatalf("seed %d: reopening WAL: %v", seed, err)

@@ -102,8 +102,8 @@ type Manager struct {
 	tempSeq int64
 
 	// wal, when non-nil, makes every catalog and data mutation durable
-	// (EnableWAL). The engine's internal harnesses leave it nil — pure
-	// in-memory benchmarking pays no logging cost.
+	// (EnableWAL). Engine-level tests leave it nil — a purely in-memory
+	// database pays no logging cost.
 	wal  *wal.Log
 	txid atomic.Int64
 
@@ -117,9 +117,8 @@ type Manager struct {
 
 // Config sizes a storage manager.
 type Config struct {
-	Disk       disk.Config
-	PoolPages  int           // buffer-pool capacity in pages
-	PoolPolicy buffer.Policy // nil = LRU
+	Disk      disk.Config
+	PoolPages int // buffer-pool capacity in pages
 }
 
 // New creates a storage manager with a fresh disk and pool.
@@ -127,19 +126,19 @@ func New(cfg Config) *Manager {
 	d := disk.New(cfg.Disk)
 	return &Manager{
 		Disk:   d,
-		Pool:   buffer.NewPool(d, cfg.PoolPages, cfg.PoolPolicy),
+		Pool:   buffer.NewPool(d, cfg.PoolPages, nil),
 		Locks:  lock.NewManager(),
 		tables: make(map[string]*Table),
 	}
 }
 
 // NewSharedDisk creates a manager with its own pool and locks over an
-// existing disk. The harness uses this to give QPipe and Volcano separate
-// buffer pools over identical data, as the paper's three systems had.
-func NewSharedDisk(d *disk.Disk, poolPages int, policy buffer.Policy) *Manager {
+// existing disk: a second view of the same data with nothing cached, and
+// what a reopened database recovers into.
+func NewSharedDisk(d *disk.Disk, poolPages int) *Manager {
 	return &Manager{
 		Disk:   d,
-		Pool:   buffer.NewPool(d, poolPages, policy),
+		Pool:   buffer.NewPool(d, poolPages, nil),
 		Locks:  lock.NewManager(),
 		tables: make(map[string]*Table),
 	}

@@ -155,7 +155,7 @@ func TestSharedDiskAttach(t *testing.T) {
 	m1.Pool.Flush()
 
 	// Second manager (separate pool) over the same disk.
-	m2 := NewSharedDisk(m1.Disk, 16, nil)
+	m2 := NewSharedDisk(m1.Disk, 16)
 	tb2, err := m2.AttachTable("t", schema2())
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func walManager(t *testing.T) *Manager {
 func reopen(t *testing.T, m *Manager, mode disk.CrashMode) *Manager {
 	t.Helper()
 	m.Disk.Crash(mode)
-	m2 := NewSharedDisk(m.Disk, 64, nil)
+	m2 := NewSharedDisk(m.Disk, 64)
 	l, err := wal.Open(m.Disk, wal.Options{SegmentBlocks: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,7 @@ func Run(t *testing.T, site string, mode disk.CrashMode, seed int64) {
 	t.Helper()
 	h := &harness{t: t, site: site, nth: 1 + int(seed%3), mode: mode, model: make(map[int64]string)}
 	h.d = disk.New(disk.Config{BlockSize: blockSize})
-	h.m = sm.NewSharedDisk(h.d, poolPages, nil)
+	h.m = sm.NewSharedDisk(h.d, poolPages)
 	l, err := wal.Open(h.d, wal.Options{SegmentBlocks: segBlocks})
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func Run(t *testing.T, site string, mode disk.CrashMode, seed int64) {
 	// The kill: surviving state is the durable image plus (keep-volatile
 	// only) unsynced writes. Re-open everything from the device alone.
 	h.d.CrashSeeded(h.mode, seed)
-	m2 := sm.NewSharedDisk(h.d, poolPages, nil)
+	m2 := sm.NewSharedDisk(h.d, poolPages)
 	l2, err := wal.Open(h.d, wal.Options{SegmentBlocks: segBlocks})
 	if err != nil {
 		t.Fatalf("re-opening WAL after crash at %s: %v", h.site, err)

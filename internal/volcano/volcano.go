@@ -4,11 +4,8 @@
 // in for the unnamed commercial "DBMS X" in the experiments: queries
 // execute independently in their caller's goroutine, share nothing but the
 // buffer pool, and evaluate plans tuple-at-a-time through Open/Next/Close
-// iterators.
-//
-// Per the paper's observation that X's buffer pool shared better than
-// BerkeleyDB's LRU, the harness configures this engine's pool with a
-// scan-resistant policy (2Q) — see DESIGN.md §5.
+// iterators. Sharing no execution code with the µEngines is what makes it
+// the oracle the engine's answers are compared against.
 package volcano
 
 import (

@@ -6,9 +6,8 @@
 -- each group to one signature, so concurrent clients share at the aggregate,
 -- join and sort µEngines (the wide windows of opportunity, paper §4.3).
 --
--- Run it yourself:
---   go run ./cmd/qpipe-bench -fig planshare
---   go run ./cmd/qpipe-bench -fig planshare -no-opt     # optimizer off, both arms
+-- TestPlanShareMixSharesAtTheRoot (root package) submits the twelve in this
+-- order with both tables' scanners held, with and without the optimizer.
 
 SET batch_size = 64;
 

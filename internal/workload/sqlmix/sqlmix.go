@@ -2,9 +2,8 @@
 // statements dealt round-robin to concurrent clients through db.Query, with
 // SET statements folded into a qpipe.Session. It is the SQL-text successor
 // to the hand-built plan mixes — the tpchmix scenario (examples/tpchmix,
-// qpipe-bench -fig sqlmix, the shell's -demo dataset) runs from the
-// embedded tpchmix.sql instead of Go code, so new mixes are a text file
-// away.
+// the shell's -demo dataset) runs from the embedded tpchmix.sql instead of
+// Go code, so new mixes are a text file away.
 package sqlmix
 
 import (

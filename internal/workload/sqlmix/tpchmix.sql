@@ -6,7 +6,6 @@
 --
 -- Run it yourself:
 --   go run ./cmd/qpipe-shell -demo -f internal/workload/sqlmix/tpchmix.sql
---   go run ./cmd/qpipe-bench -fig sqlmix
 
 SET batch_size = 64;
 

@@ -326,8 +326,7 @@ func Load(mgr *sm.Manager, sf float64, seed int64, withClustered bool) (*DB, err
 }
 
 // Attach opens the TPC-H tables on a storage manager sharing the loaded
-// disk (separate buffer pool — how the harness gives each system its own
-// pool over identical data).
+// disk (a separate buffer pool over identical data).
 func Attach(mgr *sm.Manager, withClustered bool) error {
 	for _, spec := range []struct {
 		name   string

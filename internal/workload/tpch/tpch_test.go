@@ -126,7 +126,7 @@ func TestClusteredIndexesBuilt(t *testing.T) {
 
 func TestAttachSharedDisk(t *testing.T) {
 	mgr, _ := loadTiny(t, true)
-	m2 := sm.NewSharedDisk(mgr.Disk, 32, nil)
+	m2 := sm.NewSharedDisk(mgr.Disk, 32)
 	if err := Attach(m2, true); err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"qpipe"
+	"qpipe/internal/plan"
 	"qpipe/internal/workload/sqlmix"
 	"qpipe/sql"
 )
@@ -90,6 +92,11 @@ func runSorted(t *testing.T, db *qpipe.DB, text string) []string {
 	if err != nil {
 		t.Fatalf("drain %q: %v", text, err)
 	}
+	return renderSorted(rows)
+}
+
+// renderSorted renders rows for an order-insensitive comparison.
+func renderSorted(rows []qpipe.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = fmt.Sprint(r)
@@ -331,6 +338,95 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 		}
 		if n != rows {
 			t.Fatalf("iter %d: satellite rows = %d, want %d", iter, n, rows)
+		}
+	}
+}
+
+// TestPlanShareMixSharesAtTheRoot is what the optimizer buys OSP: the
+// planshare mix writes each of four queries three ways, and the spellings
+// share only where they fold to one plan. Both tables' scanners are pinned by
+// a held bare scan, so every statement is still in flight when the next is
+// sent, in file order: with the optimizer each group's later spellings attach
+// at the root of its first (12 - 4 = 8 shares there), lowered as written
+// fewer do — and each statement's rows are the same either way.
+func TestPlanShareMixSharesAtTheRoot(t *testing.T) {
+	mix, err := sqlmix.Parse(sqlmix.PlanShareMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	arm := func(disableOpt bool) (rootShares int64, rows [][]string) {
+		db, err := qpipe.Open(qpipe.Options{PoolPages: 128, BlockSize: 1024, BufferCapacity: 2,
+			ScanParallelism: 1, DisableOptimizer: disableOpt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		// 997 orders: amount = oid % 997 has no ties, so the mix's ORDER BY
+		// amount … LIMIT 10 has one answer.
+		if err := sqlmix.Populate(db, 997, 300); err != nil {
+			t.Fatal(err)
+		}
+		var held []*qpipe.Result
+		for _, pin := range []string{"SELECT * FROM orders", "SELECT * FROM customers"} {
+			res, err := db.Query(ctx, pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.Next(); err != nil { // its scanner is registered and in flight
+				t.Fatal(err)
+			}
+			held = append(held, res)
+		}
+		roots := map[plan.OpType]bool{}
+		for _, text := range mix.Queries {
+			q, err := db.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := q.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			roots[p.Op()] = true
+			res, err := q.Run(ctx, mix.Session.Options()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, res)
+		}
+		for op := range roots {
+			rootShares += db.Stats().SharesByOp[op]
+		}
+		// Release: a satellite's rows come through its host, so everything
+		// is drained side by side.
+		rows = make([][]string, len(held))
+		var wg sync.WaitGroup
+		for i, res := range held {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				all, err := res.All()
+				if err != nil {
+					t.Errorf("statement %d: %v", i, err)
+				}
+				rows[i] = renderSorted(all)
+			}()
+		}
+		wg.Wait()
+		return rootShares, rows[2:]
+	}
+	opt, optRows := arm(false)
+	lit, litRows := arm(true)
+	if want := int64(len(mix.Queries) - 4); opt != want {
+		t.Errorf("optimizer on: %d shares at the statements' roots, want %d", opt, want)
+	}
+	if lit >= opt {
+		t.Errorf("lowered as written: %d shares at the statements' roots, want fewer than the optimizer's %d", lit, opt)
+	}
+	for i := range mix.Queries {
+		if len(optRows[i]) == 0 || !equalRows(optRows[i], litRows[i]) {
+			t.Errorf("statement %d: rows differ between the arms:\n optimized %v\n as written %v", i+1, optRows[i], litRows[i])
 		}
 	}
 }

@@ -2,13 +2,14 @@ package qpipe
 
 import (
 	"context"
+	"io"
 	"testing"
-	"time"
 
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/heap"
+	"qpipe/internal/storage/lock"
 	"qpipe/internal/storage/sm"
 	"qpipe/internal/storage/wal"
 	"qpipe/internal/tuple"
@@ -21,22 +22,24 @@ import (
 //
 // Every committed state of the table has val = k (a version number) in all
 // rows, so sum(val) = rows*k exactly; a scan that observed a half-applied
-// commit would report something in between. Each round is deterministic:
-// the host starts over a slow disk, the satellite attaches mid-scan, and
-// only then does the writer begin a transaction bumping every row to the
-// next version — its first table touch queues behind both queries' shared
-// locks, so both scans MUST report the round's starting version. The test
-// also requires that satellite attachment actually happened, otherwise the
-// scenario under test never occurred.
+// commit would report something in between. Each round is scripted by
+// back-pressure: the host is a bare scan read two batches and no further
+// (its sum is taken from its rows here), so it is mid-scan when the satellite
+// — the aggregate — attaches, and both are still there when the writer
+// begins a transaction bumping every row to the next version. Its first
+// table touch queues behind both queries' shared locks, and only once it is
+// seen queued is anything drained, so both scans MUST report the round's
+// starting version. The test also requires that the satellite attached in
+// every round, otherwise the scenario under test never occurred.
 func TestOSPSnapshotConsistency(t *testing.T) {
 	const (
 		rows   = 5000
 		rounds = 6
 	)
 	d := disk.New(disk.Config{BlockSize: 1024})
-	// Pool much smaller than the table so scans go to the (slow) disk and
-	// the second query has no buffer-pool shortcut — it must attach.
-	m := sm.NewSharedDisk(d, 8, nil)
+	// Pool much smaller than the table: the second query has no buffer-pool
+	// shortcut — it must attach.
+	m := sm.NewSharedDisk(d, 8)
 	l, err := wal.Open(d, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -53,16 +56,13 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 	if err := m.Load("tt", initial); err != nil {
 		t.Fatal(err)
 	}
-	d.SetLatency(200*time.Microsecond, 0, 0)
-	defer d.SetLatency(0, 0, 0)
-
 	eng := New(m, DefaultConfig())
 	defer eng.Close()
 
 	ctx := context.Background()
+	scan := func() plan.Node { return plan.NewTableScan("tt", schema, nil, nil, false) }
 	mk := func() plan.Node {
-		scan := plan.NewTableScan("tt", schema, nil, nil, false)
-		return plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(1)}})
+		return plan.NewAggregate(scan(), []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(1)}})
 	}
 	sum := func(res *Result) (int64, error) {
 		out, err := res.All()
@@ -70,6 +70,23 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 			return 0, err
 		}
 		return int64(out[0][0].F), nil
+	}
+	// sumRows adds up val over the batches a bare scan returns.
+	sumRows := func(res *Result, batches int) (int64, error) {
+		var s int64
+		for ; batches != 0; batches-- {
+			b, err := res.Next()
+			if err == io.EOF {
+				return s, res.Err()
+			}
+			if err != nil {
+				return s, err
+			}
+			for _, row := range b {
+				s += row[1].I
+			}
+		}
+		return s, nil
 	}
 	// writeTx commits one transaction setting every row's val to version k.
 	// Its first table touch takes the X lock, so against live readers the
@@ -99,21 +116,33 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		version := int64(round + 1) // committed state entering this round
-		res1, err := eng.Query(ctx, mk())
+		res1, err := eng.Query(ctx, scan())
 		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(3 * time.Millisecond)  // host mid-scan (two partitions finish ~100 pages in about 11 ms)
+		s1, err := sumRows(res1, 2) // host mid-scan, and held there
+		if err != nil {
+			t.Fatal(err)
+		}
 		res2, err := eng.Query(ctx, mk()) // shared lock held once Query returns
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Both queries hold their shared locks now; the writer's exclusive
-		// request queues behind them, racing the live scan group.
+		// request queues behind them. A queued writer turns new readers
+		// away, which is how it is seen.
 		done := make(chan error, 1)
 		go func() { done <- writeTx(version + 1) }()
+		waitCount(t, "writer queued", 1, func() int64 {
+			if m.Locks.TryLock("tt", lock.Shared) {
+				m.Locks.Unlock("tt", lock.Shared)
+				return 0
+			}
+			return 1
+		})
 
-		s1, err1 := sum(res1)
+		rest, err1 := sumRows(res1, -1)
+		s1 += rest
 		s2, err2 := sum(res2)
 		if err1 != nil || err2 != nil {
 			// A TornScanError here would mean a commit slid under a live
@@ -132,7 +161,6 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 
 	// Serial-run parity: after all rounds the table must be exactly at the
 	// final version.
-	d.SetLatency(0, 0, 0)
 	res, err := eng.Query(ctx, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +172,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 	if want := int64(rows * (rounds + 1)); final != want {
 		t.Fatalf("final sum %d, want %d", final, want)
 	}
-	if eng.Stats().SharesByOp[plan.OpTableScan] == 0 {
-		t.Fatal("no satellite ever attached mid-scan — the scenario under test never occurred")
+	if got := eng.Stats().SharesByOp[plan.OpTableScan]; got != rounds {
+		t.Fatalf("%d satellites attached mid-scan in %d rounds — the scenario under test did not occur in each", got, rounds)
 	}
 }

@@ -40,7 +40,7 @@
 //
 // # Engine layer
 //
-// Advanced embedders (and this module's harness) can drive the engine with
+// Advanced embedders (and this module's tests) can drive the engine with
 // precompiled plans directly: New assembles an Engine over a storage
 // manager, Engine.Query submits a plan.Node. Two engines ship in this
 // module: this package (QPipe, with OSP on or off — the paper's "QPipe
@@ -86,8 +86,8 @@ func New(mgr *sm.Manager, cfg Config) *Engine {
 	return &Engine{rt: core.NewRuntime(mgr, cfg, ops.All())}
 }
 
-// Runtime exposes the underlying runtime for advanced callers (harness,
-// tests).
+// Runtime exposes the underlying runtime for advanced callers (the
+// benchmark, tests).
 func (e *Engine) Runtime() *core.Runtime { return e.rt }
 
 // Stats snapshots runtime counters (shares per µEngine, deadlocks resolved,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
@@ -354,83 +353,90 @@ func TestConcurrentIdenticalQueriesShare(t *testing.T) {
 	}
 }
 
-// TestCircularScanSharesIO: with OSP, a second scan arriving mid-flight
-// must not re-read pages the scanner is currently producing — total disk
-// reads stay well below 2 full scans.
-func TestCircularScanSharesIO(t *testing.T) {
+// heldScan starts a bare scan of "t" on a tiny pool (so there is no
+// buffer-pool sharing) and reads k batches of its result and no further. A
+// query whose result is not read holds its whole pipeline, so the scan stops
+// where the test left it — k batches taken, a full result buffer, and one
+// page in each partition's hands — and a second query sent now arrives while
+// the first is exactly there, on any box under any load. It returns the
+// engine, the held result, the rows taken so far, and the table's pages and
+// the blocks read of it so far.
+func heldScan(t *testing.T, cfg Config, k int) (eng *Engine, res *Result, taken, full, prefix int64) {
+	t.Helper()
 	mgr := newTestDB(t, 5000)
-	// Tiny pool so there is no buffer-pool sharing; slow disk so the second
-	// query arrives mid-scan.
-	mgr2 := sm.NewSharedDisk(mgr.Disk, 8, nil)
+	mgr2 := sm.NewSharedDisk(mgr.Disk, 8)
 	if _, err := mgr2.AttachTable("t", tableSchema(mgr)); err != nil {
 		t.Fatal(err)
 	}
 	mgr2.Disk.ResetStats()
-	mgr2.Disk.SetLatency(200*time.Microsecond, 200*time.Microsecond, 0)
-	defer mgr2.Disk.SetLatency(0, 0, 0)
+	cfg.ScanParallelism = 2
+	eng = New(mgr2, cfg)
+	t.Cleanup(eng.Close)
+	res, err := eng.Query(context.Background(), plan.NewTableScan("t", tableSchema(mgr), nil, nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		b, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken += int64(len(b))
+	}
+	prefix = int64(k + eng.Runtime().Cfg.BufferCapacity + cfg.ScanParallelism)
+	waitCount(t, "blocks read by the held scan", prefix, func() int64 { return mgr2.Disk.Stats().Reads })
+	return eng, res, taken, int64(mgr2.MustTable("t").Heap.NumPages()), prefix
+}
 
-	eng := New(mgr2, DefaultConfig())
-	defer eng.Close()
-	schema := tableSchema(mgr)
-	mk := func(pred expr.Pred) plan.Node {
-		scan := plan.NewTableScan("t", schema, pred, nil, false)
-		return plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggCount}})
+// TestCircularScanSharesIO: with OSP, a second scan arriving mid-flight
+// must not re-read pages the scanner is currently producing — it attaches
+// where the scanner is, and the wrap reads for it the prefix it missed and
+// nothing else.
+func TestCircularScanSharesIO(t *testing.T) {
+	eng, res1, taken, full, prefix := heldScan(t, DefaultConfig(), 3)
+	schema := res1.Schema()
+	// Second query (different predicate!) arrives mid-scan.
+	res2, err := eng.Query(context.Background(), plan.NewAggregate(
+		plan.NewTableScan("t", schema, expr.LT(expr.Col(0), expr.CInt(100)), nil, false),
+		[]expr.AggSpec{{Kind: expr.AggCount}}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := int64(mgr2.MustTable("t").Heap.NumPages())
-
-	// First query starts; second (different predicate!) arrives mid-scan.
-	res1, _ := eng.Query(context.Background(), mk(nil))
-	time.Sleep(10 * time.Millisecond)
-	res2, _ := eng.Query(context.Background(), mk(expr.LT(expr.Col(0), expr.CInt(100))))
-	n1, err1 := res1.Discard()
-	n2, err2 := res2.Discard()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	if n, err := res1.Discard(); err != nil || taken+n != 5000 {
+		t.Fatalf("host scan returned %d rows, want 5000 (%v)", taken+n, err)
 	}
-	if n1 != 1 || n2 != 1 {
-		t.Fatalf("result rows: %d %d", n1, n2)
+	rows2, err := res2.All()
+	if err != nil || len(rows2) != 1 || rows2[0][0].I != 100 {
+		t.Fatalf("satellite count: %v %v", rows2, err)
 	}
-	reads := mgr2.Disk.Stats().Reads
-	if reads < full {
-		t.Fatalf("reads %d below one full scan %d", reads, full)
+	if reads := eng.Runtime().SM.Disk.Stats().Reads; reads != full+prefix {
+		t.Fatalf("%d reads for 2 scans of %d pages, want one scan and the %d-page prefix the second missed", reads, full, prefix)
 	}
-	if reads >= 2*full {
-		t.Fatalf("no sharing: %d reads for 2 scans of %d pages", reads, full)
-	}
-	if eng.Stats().SharesByOp[plan.OpTableScan] == 0 {
-		t.Fatal("expected a circular-scan share")
+	if got := eng.Stats().SharesByOp[plan.OpTableScan]; got != 1 {
+		t.Fatalf("%d circular-scan shares, want 1", got)
 	}
 }
 
-// TestBaselineNoSharing: with OSP off, the same scenario reads ~2 full
-// scans.
+// TestBaselineNoSharing: with OSP off, the same scenario reads 2 full
+// scans, less what the second finds of the first's prefix in the pool.
 func TestBaselineNoSharing(t *testing.T) {
-	mgr := newTestDB(t, 5000)
-	mgr2 := sm.NewSharedDisk(mgr.Disk, 8, nil)
-	if _, err := mgr2.AttachTable("t", tableSchema(mgr)); err != nil {
+	eng, res1, taken, full, _ := heldScan(t, BaselineConfig(), 3)
+	res2, err := eng.Query(context.Background(), plan.NewAggregate(
+		plan.NewTableScan("t", res1.Schema(), nil, nil, false), []expr.AggSpec{{Kind: expr.AggCount}}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mgr2.Disk.ResetStats()
-	mgr2.Disk.SetLatency(200*time.Microsecond, 200*time.Microsecond, 0)
-	defer mgr2.Disk.SetLatency(0, 0, 0)
-	eng := New(mgr2, BaselineConfig())
-	defer eng.Close()
-	schema := tableSchema(mgr)
-	mk := func() plan.Node {
-		scan := plan.NewTableScan("t", schema, nil, nil, false)
-		return plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggCount}})
+	// Nothing ties the second query to the held one: it runs to its end.
+	rows2, err := res2.All()
+	if err != nil || len(rows2) != 1 || rows2[0][0].I != 5000 {
+		t.Fatalf("second count: %v %v", rows2, err)
 	}
-	full := int64(mgr2.MustTable("t").Heap.NumPages())
-	res1, _ := eng.Query(context.Background(), mk())
-	time.Sleep(10 * time.Millisecond)
-	res2, _ := eng.Query(context.Background(), mk())
-	res1.Discard()
-	res2.Discard()
-	reads := mgr2.Disk.Stats().Reads
-	// The 8-page pool plus scheduling jitter can save a few reads, but the
-	// baseline must stay close to two full scans (no proactive sharing).
-	if reads < 2*full*9/10 {
-		t.Fatalf("baseline should read ~2 full scans: %d vs %d", reads, 2*full)
+	if n, err := res1.Discard(); err != nil || taken+n != 5000 {
+		t.Fatalf("first scan returned %d rows, want 5000 (%v)", taken+n, err)
+	}
+	pool := int64(eng.Runtime().SM.Pool.Capacity())
+	if reads := eng.Runtime().SM.Disk.Stats().Reads; reads < 2*full-pool || reads > 2*full {
+		t.Fatalf("baseline should read 2 full scans: %d reads, want %d to %d", reads, 2*full-pool, 2*full)
 	}
 	if eng.Stats().SharesByOp[plan.OpTableScan] != 0 {
 		t.Fatal("baseline must not share")

@@ -625,3 +625,81 @@ func TestServerConcurrentConns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestServerSharesWithAnEmbeddedQuery: OSP does not stop at the socket. An
+// embedded query is held mid-scan by not reading its result; the same
+// statement sent over the wire then attaches to it, which the wire's own
+// osp_shares counter shows — and does not when the client opts out. All
+// three get the same rows.
+func TestServerSharesWithAnEmbeddedQuery(t *testing.T) {
+	_, db, addr := startServer(t, 3000, qpipe.Options{BufferCapacity: 2, ScanParallelism: 1}, qpipe.ServerOptions{})
+	ctx := context.Background()
+	const stmt = "SELECT id, amount FROM t"
+	held, err := db.Query(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := held.Next() // mid-scan, and held there
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Connect(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	counters, err := client.Connect(ctx, addr) // a connection is busy while its rows stream
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer counters.Close()
+	shares := func() int64 {
+		t.Helper()
+		stats, err := counters.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats["osp_shares"]
+	}
+
+	before := shares()
+	alone, err := conn.Query(ctx, stmt, client.WithoutOSP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shares() - before; got != 0 {
+		t.Fatalf("osp_shares rose by %d for a query that opted out", got)
+	}
+	aloneRows, err := alone.All() // nothing ties it to the held query
+	if err != nil {
+		t.Fatal(err)
+	}
+	riding, err := conn.Query(ctx, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := shares() - before; got < 1 {
+		t.Fatalf("osp_shares rose by %d: the wire query did not attach to the embedded one", got)
+	}
+	rest := make(chan []qpipe.Row, 1)
+	go func() {
+		all, err := held.All()
+		if err != nil {
+			t.Error(err)
+		}
+		rest <- all
+	}()
+	ridingRows, err := riding.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderSorted(append(first, <-rest...))
+	if len(want) != 3000 {
+		t.Fatalf("embedded query returned %d rows, want 3000", len(want))
+	}
+	for name, got := range map[string][]qpipe.Row{"opted out": aloneRows, "attached": ridingRows} {
+		if !equalRows(renderSorted(got), want) {
+			t.Errorf("the %s wire query's %d rows differ from the embedded query's", name, len(got))
+		}
+	}
+}

@@ -9,7 +9,7 @@
 #      tools/..., and bare *.go/*.md/*.sql/*.sh/*.json filenames) name real
 #      files — bare filenames may live anywhere in the tree.
 #   3. '-flag' tokens in fenced shell blocks exist as defined flags in the
-#      cmd/ binaries (or are standard 'go test' flags).
+#      benchmark or the cmd/ binaries (or are standard 'go test' flags).
 set -euo pipefail
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -44,7 +44,7 @@ done
 
 # 2. Path-like tokens anywhere in the docs.
 for doc in "${docs[@]}"; do
-    { grep -oE '(\./)?(cmd|internal|examples|sql|tools)/[A-Za-z0-9_./-]+|[A-Za-z0-9_-]+\.(go|md|sql|sh|json|yml)' "$doc" || true; } \
+    { grep -oE '(\./)?(cmd|internal|examples|sql|tools)/[A-Za-z0-9_./-]+|[A-Za-z0-9_-]+\.(go|md|sql|sh|json|yml)\b' "$doc" || true; } \
         | sed 's|^\./||; s|[/.]$||' | sort -u | while read -r tok; do
         if is_ignored "$tok"; then continue; fi
         case "$tok" in
@@ -67,8 +67,8 @@ for doc in "${docs[@]}"; do
 done
 
 # 3. CLI flags in fenced shell blocks.
-known_flags=$(grep -ohE 'flag\.[A-Za-z]+\("[a-z_-]+"' cmd/qpipe-bench/main.go cmd/qpipe-shell/main.go cmd/qpipe-server/main.go \
-    | sed 's/.*("\([a-z_-]*\)".*/\1/' | sort -u)
+known_flags=$(grep -ohE 'flag\.[A-Za-z0-9]+\((&[A-Za-z_.]+, )?"[a-z_-]+"' bench/main.go cmd/qpipe-shell/main.go cmd/qpipe-server/main.go \
+    | sed 's/.*"\([a-z_-]*\)"$/\1/' | sort -u)
 go_test_flags="bench benchtime benchmem run race fuzz fuzztime update v count timeout cover"
 
 for doc in "${docs[@]}"; do
@@ -80,7 +80,7 @@ for doc in "${docs[@]}"; do
             if [ "$f" = "$k" ]; then found=1; break; fi
         done
         if [ "$found" = 0 ]; then
-            echo "$doc: unknown CLI flag -> -$f (not defined in cmd/qpipe-bench, cmd/qpipe-shell or cmd/qpipe-server)"
+            echo "$doc: unknown CLI flag -> -$f (not defined in bench, cmd/qpipe-shell or cmd/qpipe-server)"
             touch "$repo/.doccheck-failed"
         fi
     done
