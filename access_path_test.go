@@ -12,6 +12,7 @@ import (
 
 	"qpipe"
 	"qpipe/client"
+	"qpipe/internal/core"
 	"qpipe/internal/plan"
 	"qpipe/internal/volcano"
 	"qpipe/sql"
@@ -200,7 +201,7 @@ type apStatement struct {
 func apDrawStatement(rng *rand.Rand) apStatement {
 	tb := apTables[rng.Intn(len(apTables))]
 	p := apDrawPred(rng, 2)
-	switch rng.Intn(5) {
+	switch rng.Intn(8) {
 	case 0:
 		return apStatement{fmt.Sprintf("SELECT * FROM %s WHERE %s", tb, p.sql),
 			func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b) }}
@@ -213,7 +214,7 @@ func apDrawStatement(rng *rand.Rand) apStatement {
 				return db.Scan(tb).Filter(p.b).GroupBy([]string{"g"},
 					qpipe.Count().As("n"), qpipe.Sum(qpipe.Col("f")).As("sf"), qpipe.Min(qpipe.Col("s")).As("lo"))
 			}}
-	default:
+	case 4:
 		// The join order is the cost-based reordering's; the builder spelling
 		// follows whichever side the SQL plan made the build side.
 		return apStatement{fmt.Sprintf("SELECT label, count(*) AS n, max(k) AS hi FROM %s JOIN dim ON g = gid WHERE %s GROUP BY label", tb, p.sql),
@@ -224,7 +225,61 @@ func apDrawStatement(rng *rand.Rand) apStatement {
 				}
 				return q.Filter(p.b).GroupBy([]string{"label"}, qpipe.Count().As("n"), qpipe.Max(qpipe.Col("k")).As("hi"))
 			}}
+	default:
+		return apDrawAggregate(rng, tb, p)
 	}
+}
+
+// apDrawAggregate draws an aggregation straight over a scan of tb — what the
+// scan µEngine folds on the page bytes when the scan is served page by page:
+// scalar or grouped by one or two columns of any kind, every kind of
+// aggregate over a column or an expression, and now and then no row at all.
+func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
+	if rng.Intn(6) == 0 {
+		p = apPred{"(" + p.sql + " AND id < 0)", qpipe.And(p.b, qpipe.Col("id").Lt(qpipe.Int(0)))}
+	}
+	numbers := []struct {
+		sql string
+		e   qpipe.Expr
+	}{
+		{"k", qpipe.Col("k")}, {"f", qpipe.Col("f")}, {"id", qpipe.Col("id")},
+		{"f * 4.0", qpipe.Col("f").Mul(qpipe.Float(4))}, {"k + g", qpipe.Col("k").Add(qpipe.Col("g"))},
+		{"id - k * 2", qpipe.Col("id").Sub(qpipe.Col("k").Mul(qpipe.Int(2)))},
+	}
+	var keys []string
+	for _, col := range []string{"g", "s", "d", "k"} {
+		if len(keys) < 2 && rng.Intn(4) == 0 {
+			keys = append(keys, col)
+		}
+	}
+	list, aggs := append([]string(nil), keys...), []qpipe.Agg{}
+	add := func(text string, a qpipe.Agg) {
+		name := fmt.Sprintf("a%d", len(aggs))
+		list, aggs = append(list, text+" AS "+name), append(aggs, a.As(name))
+	}
+	add("count(*)", qpipe.Count())
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		x := numbers[rng.Intn(len(numbers))]
+		any := []string{"k", "f", "d", "s"}[rng.Intn(4)]
+		switch kind := rng.Intn(4); {
+		case kind == 0:
+			add("sum("+x.sql+")", qpipe.Sum(x.e))
+		case kind == 1:
+			add("avg("+x.sql+")", qpipe.Avg(x.e))
+		case len(keys) == 0: // a MIN of no row is no value the wire carries
+			add("sum("+x.sql+")", qpipe.Sum(x.e))
+		case kind == 2:
+			add("min("+any+")", qpipe.Min(qpipe.Col(any)))
+		default:
+			add("max("+any+")", qpipe.Max(qpipe.Col(any)))
+		}
+	}
+	text := fmt.Sprintf("SELECT %s FROM %s WHERE %s", strings.Join(list, ", "), tb, p.sql)
+	if len(keys) == 0 {
+		return apStatement{text, func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).Aggregate(aggs...) }}
+	}
+	return apStatement{text + " GROUP BY " + strings.Join(keys, ", "),
+		func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).GroupBy(keys, aggs...) }}
 }
 
 // apLeaves returns the plan's scan nodes, left to right.
@@ -382,6 +437,17 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		if used[path] < 3 {
 			t.Errorf("only %d statements used access path %q: %v", used[path], path, used)
 		}
+	}
+	// And the aggregates among them what became of their hand-over to the
+	// scan below (the joins' key filters are in the same counts).
+	st := db.Stats()
+	refused := -st.HandOvers[core.HandOverInstalled]
+	for _, n := range st.HandOvers {
+		refused += n
+	}
+	t.Logf("hand-overs: %d folds and %d key filters installed, %d refused %v", st.Folds, st.KeyFilters, refused, st.HandOvers)
+	if st.Folds < 20 || refused < 3 {
+		t.Errorf("%d folds installed and %d hand-overs refused %v: want at least 20 and 3", st.Folds, refused, st.HandOvers)
 	}
 }
 

@@ -483,6 +483,10 @@ func (sh *shell) meta(line string) bool {
 			st.InFlight, st.AdmissionQueued, st.Shed, st.DeadlineTimeouts, st.Panics)
 		d := sh.db.DiskStats()
 		fmt.Fprintf(sh.out, "disk: %d blocks read (%d sequential), %d written\n", d.Reads, d.SeqReads, d.Writes)
+		// What joins and aggregates handed down to their scans, by outcome.
+		for why, n := range st.HandOvers {
+			fmt.Fprintf(sh.out, "  %-28s %d\n", "handover."+qpipe.HandOver(why).String(), n)
+		}
 	case "\\help":
 		fmt.Fprint(sh.out, `statements end with ';' (multi-line input is fine):
   SELECT ... / EXPLAIN SELECT ...      query (through db.Query)

@@ -22,6 +22,10 @@ import (
 // Stats aggregates engine and sharing counters (see core.RuntimeStats).
 type Stats = core.RuntimeStats
 
+// HandOver indexes Stats.HandOvers: how a hash join's or an aggregate's
+// hand-over to the scan below it ended (its String is the reason).
+type HandOver = core.HandOver
+
 // CacheStats snapshots the result cache's counters.
 type CacheStats = qcache.Stats
 

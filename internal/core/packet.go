@@ -67,10 +67,10 @@ type Packet struct {
 	cancelled atomic.Bool
 
 	satMu      sync.Mutex
-	satellites []*Packet // packets absorbed by this host
-	satSealed  bool      // host finished/finishing or narrowed; no more satellites
-	hosted     bool      // a satellite was absorbed at some point
-	keys       atomic.Pointer[KeyFilter]
+	satellites []*Packet    // packets absorbed by this host
+	satSealed  bool         // host finished/finishing or handed something; no more satellites
+	hosted     bool         // a satellite was absorbed at some point
+	handed     atomic.Value // the one *KeyFilter or fold handOver installed
 }
 
 // KeyFilter is a hash join's build keys as its probe scan sees them: bit
@@ -83,28 +83,63 @@ type KeyFilter struct {
 	Bits  []uint64
 }
 
-// Narrow lets a scan packet's only reader — a hash join holding its finished
-// build side — tell the scan which rows it will throw away: the scanner
-// serving the packet loads Keys with the packet's filter and leaves out rows
-// whose key the filter excludes (it may keep others: the join still
-// compares). It refuses a packet that is or ever hosted a satellite, whose
-// output somebody else reads, and seals the packet: a later packet of the
-// same signature is not absorbed but admitted to the scan as a consumer of
-// its own, so the pages are still read once.
-func (p *Packet) Narrow(rt *Runtime, f *KeyFilter) bool {
-	p.satMu.Lock()
-	defer p.satMu.Unlock()
-	if p.hosted || p.satSealed || p.State() == PacketSatellite {
-		return false
-	}
-	p.satSealed = true
-	p.keys.Store(f)
-	rt.keyFilters.Add(1)
-	return true
+// HandOver says how handing something down to a scan packet ended: installed,
+// or why not — the packet's own three reasons (handOver), then those for which
+// a µEngine never gets as far as asking (Runtime.NoteHandOver).
+type HandOver uint8
+
+const (
+	HandOverInstalled HandOver = iota
+	HandOverSatellite
+	HandOverEverHosted
+	HandOverSealed
+	HandOverNotAScan
+	HandOverBoundedIndexRange
+	HandOverTextKey
+	HandOverBuildTooLarge
+	NumHandOvers
+)
+
+func (h HandOver) String() string {
+	return [...]string{"installed", "satellite", "ever-hosted", "sealed",
+		"not-a-scan", "bounded-index-range", "text-key", "build-too-large"}[h]
 }
 
-// Keys returns the filter Narrow installed, or nil.
-func (p *Packet) Keys() *KeyFilter { return p.keys.Load() }
+// handOver is the one rule by which a scan packet's only reader changes what
+// the scan does for it. It refuses a packet that is or ever hosted a
+// satellite, whose output somebody else reads, and seals the one it accepts: a
+// later packet of the same signature is not absorbed but admitted to the scan
+// as a consumer of its own, so the pages are still read once.
+func (p *Packet) handOver(rt *Runtime, what any, installed *atomic.Int64) HandOver {
+	p.satMu.Lock()
+	defer p.satMu.Unlock()
+	why := HandOverInstalled
+	switch {
+	case p.State() == PacketSatellite:
+		why = HandOverSatellite
+	case p.hosted:
+		why = HandOverEverHosted
+	case p.satSealed:
+		why = HandOverSealed
+	default:
+		p.satSealed = true
+		p.handed.Store(what)
+		installed.Add(1)
+	}
+	rt.NoteHandOver(why)
+	return why
+}
+
+// Narrow lets a hash join holding its finished build side tell its probe scan
+// which rows it will throw away (the scan may keep others: the join compares).
+func (p *Packet) Narrow(rt *Runtime, f *KeyFilter) HandOver { return p.handOver(rt, f, &rt.keyFilters) }
+
+// SetFold lets an aggregate hand its accumulators (the ops package's) to its
+// input scan, which then adds the rows it keeps to them instead of building.
+func (p *Packet) SetFold(rt *Runtime, fold any) HandOver { return p.handOver(rt, fold, &rt.folds) }
+
+// Handed returns what Narrow or SetFold installed, or nil; the scanner loads it.
+func (p *Packet) Handed() any { return p.handed.Load() }
 
 // AbsorbSatellite atomically commits sat as a satellite of this host: the
 // port attach and the satellite-list append happen under the same lock that
@@ -267,6 +302,8 @@ type QueryStats struct {
 	// KeyFilterRows counts rows this query's scans did not build because
 	// the hash join above them had no build key for them (Packet.Narrow).
 	KeyFilterRows atomic.Int64
+	// FoldedRows counts rows this query's scans added up unbuilt (Packet.SetFold).
+	FoldedRows atomic.Int64
 }
 
 // QueryOptions carries per-query execution knobs. Options travel with the

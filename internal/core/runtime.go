@@ -118,7 +118,9 @@ func BaselineConfig() Config {
 type RuntimeStats struct {
 	Queries       int64
 	SharesByOp    map[plan.OpType]int64
-	KeyFilters    int64 // hash joins that handed their build keys to the probe scan
+	KeyFilters    int64               // hash joins that handed their build keys to the probe scan
+	Folds         int64               // aggregates that handed their accumulators to the scan below
+	HandOvers     [NumHandOvers]int64 // both kinds by how they ended: [HandOverInstalled] = KeyFilters + Folds
 	EngineStats   map[plan.OpType]EngineStats
 	DeadlocksSeen int64
 	Materialized  int64 // buffers switched to unbounded by the detector
@@ -164,6 +166,8 @@ type Runtime struct {
 	materialized atomic.Int64
 	timeouts     atomic.Int64
 	keyFilters   atomic.Int64
+	folds        atomic.Int64
+	handOvers    [NumHandOvers]atomic.Int64
 
 	detector *detector
 }
@@ -489,6 +493,9 @@ func (rt *Runtime) noteShare(op plan.OpType) {
 	rt.shareMu.Unlock()
 }
 
+// NoteHandOver counts a hand-over to a scan packet by how it ended.
+func (rt *Runtime) NoteHandOver(why HandOver) { rt.handOvers[why].Add(1) }
+
 // liveQueries snapshots active queries (deadlock detector input).
 func (rt *Runtime) liveQueries() []*Query {
 	rt.mu.Lock()
@@ -506,12 +513,16 @@ func (rt *Runtime) Stats() RuntimeStats {
 		Queries:          rt.nQueries.Load(),
 		SharesByOp:       make(map[plan.OpType]int64),
 		KeyFilters:       rt.keyFilters.Load(),
+		Folds:            rt.folds.Load(),
 		EngineStats:      make(map[plan.OpType]EngineStats),
 		DeadlocksSeen:    rt.deadlocks.Load(),
 		Materialized:     rt.materialized.Load(),
 		AdmissionQueued:  rt.admit.Queued(),
 		Shed:             rt.admit.Shed(),
 		DeadlineTimeouts: rt.timeouts.Load(),
+	}
+	for why := range st.HandOvers {
+		st.HandOvers[why] = rt.handOvers[why].Load()
 	}
 	rt.mu.Lock()
 	st.InFlight = int64(len(rt.queries))

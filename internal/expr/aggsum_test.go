@@ -130,3 +130,53 @@ func TestMinMaxKeepTheirOwnExtreme(t *testing.T) {
 		t.Fatalf("min %v max %v", lo.Result(), hi.Result())
 	}
 }
+
+// An accumulator fed encoded values, or a row count, ends in the state Add
+// leaves it in — whatever the kinds, NaNs, infinities and strings included.
+func TestAddEncodedIsAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	draw := func() tuple.Value {
+		switch rng.Intn(8) {
+		case 0:
+			return tuple.F64([]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e300}[rng.Intn(5)])
+		case 1:
+			return tuple.Str([]string{"", "a", "ab", "b"}[rng.Intn(4)])
+		case 2:
+			return tuple.Date(int64(rng.Intn(9) - 4))
+		case 3, 4:
+			return tuple.I64(int64(rng.Intn(9) - 4))
+		default:
+			return tuple.F64(float64(rng.Intn(4000)-2000) / 7)
+		}
+	}
+	for round := 0; round < 2000; round++ {
+		vals := make([]tuple.Value, rng.Intn(12))
+		for i := range vals {
+			vals[i] = draw()
+		}
+		for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax, AggAvg} {
+			rows, enc := NewAggState(AggSpec{Kind: kind, Arg: Col(0)}), NewAggState(AggSpec{Kind: kind, Arg: Col(0)})
+			for _, v := range vals {
+				rows.Add(tuple.Tuple{v})
+				enc.AddEncoded(append(tuple.Tuple{v}.Encode(nil), 0x7f)) // trailing bytes: the rest of a row
+			}
+			got, want := enc.Result(), rows.Result()
+			if got.K != want.K || got.I != want.I || got.S != want.S || math.Float64bits(got.F) != math.Float64bits(want.F) {
+				t.Fatalf("%v over %v: fed encoded %#v, fed rows %#v", kind, vals, got, want)
+			}
+		}
+		star, counted := NewAggState(AggSpec{Kind: AggCount}), NewAggState(AggSpec{Kind: AggCount})
+		for range vals {
+			star.Add(nil)
+		}
+		counted.AddCount(int64(len(vals)))
+		if star.Result() != counted.Result() {
+			t.Fatalf("count(*) of %d rows: AddCount says %v", len(vals), counted.Result())
+		}
+	}
+	s, b := NewAggState(AggSpec{Kind: AggMax, Arg: Col(0)}), tuple.Tuple{tuple.Str("kept where it lies")}.Encode(nil)
+	s.AddEncoded(b)
+	if n := testing.AllocsPerRun(100, func() { s.AddEncoded(b) }); n != 0 {
+		t.Fatalf("AddEncoded of a string that is no new extreme allocates %v times", n)
+	}
+}

@@ -485,17 +485,51 @@ func NewAggState(spec AggSpec) *AggState { return &AggState{spec: spec} }
 
 // Add folds one input tuple into the accumulator.
 func (s *AggState) Add(t tuple.Tuple) {
-	s.count++
-	if s.spec.Arg == nil {
+	if s.spec.Arg == nil || s.spec.Kind == AggCount {
+		s.count++
 		return
 	}
+	s.AddValue(s.spec.Arg.Eval(t))
+}
+
+// AddValue folds one value of the argument.
+func (s *AggState) AddValue(v tuple.Value) {
+	s.count++
 	switch s.spec.Kind {
 	case AggSum, AggAvg:
-		s.addFloat(s.spec.Arg.Eval(t).AsFloat())
+		s.addFloat(v.AsFloat())
 	case AggMin, AggMax:
-		s.addExtreme(s.spec.Arg.Eval(t))
+		s.addExtreme(v)
 	}
 }
+
+// AddEncoded is AddValue of the encoded value at the start of b (one
+// tuple.ValueWidth accepted), read where it lies: a sum takes the number's
+// payload, a MIN or MAX compares in place and decodes only a new extreme.
+func (s *AggState) AddEncoded(b []byte) {
+	s.count++
+	switch s.spec.Kind {
+	case AggSum, AggAvg:
+		switch k, bits, ok := tuple.EncodedNumber(b); {
+		case k == tuple.KindFloat:
+			s.addFloat(math.Float64frombits(bits))
+		case ok:
+			s.addFloat(float64(int64(bits)))
+		} // a string adds nothing, as Value.AsFloat has it
+	case AggMin, AggMax:
+		if s.seen {
+			c := tuple.CompareEncoded(b, s.ext)
+			if c == 0 || (c < 0) != (s.spec.Kind == AggMin) {
+				return
+			}
+		}
+		s.ext, s.seen = tuple.DecodeValue(b), true
+	}
+}
+
+// AddCount counts n input rows: all an aggregate without argument wants of
+// them.
+func (s *AggState) AddCount(n int64) { s.count += n }
 
 // addExtreme keeps v when it beats the extreme held so far.
 func (s *AggState) addExtreme(v tuple.Value) {
@@ -510,7 +544,18 @@ func (s *AggState) addExtreme(v tuple.Value) {
 
 // addFloat adds x to the partials exactly: each two-sum passes the rounded
 // sum upward and keeps the rounding error, when there is one, as a partial.
+// While every addition is exact — integer-valued floats — it is one two-sum.
 func (s *AggState) addFloat(x float64) {
+	if len(s.lows) == 0 {
+		if hi, lo := twoSum(x, s.hi); lo == 0 && hi-hi == 0 { // exact, and neither NaN nor infinite
+			s.hi = hi
+			return
+		}
+	}
+	s.addInexact(x)
+}
+
+func (s *AggState) addInexact(x float64) {
 	if math.IsInf(x, 0) || math.IsNaN(x) {
 		s.special += x
 		return

@@ -61,9 +61,12 @@ func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	return emitResult(em.flush())
 }
 
-// splitCandidate finds a gated ordered clustered full scan child with an
-// in-progress host scan, returning its index and progress.
-func (o *MergeJoinOp) splitCandidate(node *plan.MergeJoin, pkt *core.Packet) (idx int, is *plan.IndexScan, pos, total int64, ok bool) {
+// splitCandidate finds the gated ordered clustered full scan child worth
+// splitting onto: of those with a host scan in progress, the one whose shared
+// suffix saves the most pages over one more read of the other input — the
+// cost check of §4.3.2 — if any saves at all. It returns the child's index.
+func (o *MergeJoinOp) splitCandidate(rt *core.Runtime, node *plan.MergeJoin, pkt *core.Packet) (idx int, is *plan.IndexScan) {
+	best := int64(0)
 	for i, c := range node.Children() {
 		cis, isScan := c.(*plan.IndexScan)
 		if !isScan || !cis.Clustered || !cis.Ordered || cis.Lo.IsValid() || cis.Hi.IsValid() {
@@ -72,12 +75,15 @@ func (o *MergeJoinOp) splitCandidate(node *plan.MergeJoin, pkt *core.Packet) (id
 		if pkt.Children[i].State() != core.PacketGated {
 			continue
 		}
-		p, t, live := o.iscan.ScanProgress(cis.Table, cis.Col)
-		if live {
-			return i, cis, p, t, true
+		pos, total, live := o.iscan.ScanProgress(cis.Table, cis.Col)
+		if !live {
+			continue
+		}
+		if gain := total - pos - o.otherSideCost(rt, node.Children()[1-i]); gain > best {
+			idx, is, best = i, cis, gain
 		}
 	}
-	return 0, nil, 0, 0, false
+	return idx, is
 }
 
 // otherSideCost estimates the page count of re-reading the non-shared input
@@ -104,17 +110,13 @@ func (o *MergeJoinOp) otherSideCost(rt *core.Runtime, other plan.Node) int64 {
 // split ran (err carries its outcome); done=false falls back to normal
 // evaluation.
 func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.MergeJoin) (bool, error) {
-	idx, sharedScan, pos, total, ok := o.splitCandidate(node, pkt)
-	if !ok {
+	// Sharing saves re-reading the suffix of the shared relation but costs
+	// one extra read of the non-shared relation.
+	idx, sharedScan := o.splitCandidate(rt, node, pkt)
+	if sharedScan == nil {
 		return false, nil
 	}
 	otherNode := node.Children()[1-idx]
-	// Cost check (§4.3.2): sharing saves re-reading the suffix of the
-	// shared relation but costs one extra read of the non-shared relation.
-	saved := total - pos
-	if saved <= o.otherSideCost(rt, otherNode) {
-		return false, nil
-	}
 
 	q := pkt.Query
 	// Attach the suffix consumer to the in-progress scan.
@@ -283,6 +285,7 @@ func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		narrowProbeScan(rt, pkt, node, build)
 		return o.probeInMemory(rt, pkt, node, build, par)
 	}
+	rt.NoteHandOver(core.HandOverBuildTooLarge)
 	return o.partitionedJoin(rt, pkt, node, build, overflow, lcur, par)
 }
 
@@ -567,18 +570,11 @@ func probeTable(build *hashTable, node *plan.HashJoin, em *emitter, arena *tuple
 // probe side the join would otherwise throw away. Nothing is installed for
 // a TEXT key (the scan hashes numbers in place only), for a probe child that
 // is anything but a scan, or for a scan packet that shares its output; the
-// join compares keys either way.
+// join compares keys either way. What became of it is counted by reason.
 func narrowProbeScan(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable) {
-	var project []int
-	switch scan := node.Right.(type) {
-	case *plan.TableScan:
-		project = scan.Project
-	case *plan.IndexScan:
-		if !scan.Clustered || scan.Lo.IsValid() || scan.Hi.IsValid() {
-			return // not served page by page
-		}
-		project = scan.Project
-	default:
+	project, why := pagedScan(node.Right)
+	if why != core.HandOverInstalled {
+		rt.NoteHandOver(why)
 		return
 	}
 	f := &core.KeyFilter{Col: node.RKey, Shift: 64 - 6}
@@ -591,6 +587,7 @@ func narrowProbeScan(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, bu
 	f.Bits = make([]uint64, 1<<(64-f.Shift)/64)
 	for i, b := range build.rows {
 		if b[node.LKey].K == tuple.KindString {
+			rt.NoteHandOver(core.HandOverTextKey)
 			return
 		}
 		bit := build.hash[i] >> f.Shift

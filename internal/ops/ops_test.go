@@ -66,6 +66,18 @@ func runPlan(t *testing.T, rt *core.Runtime, p plan.Node) []tuple.Tuple {
 	return out
 }
 
+// eventually waits for a state the engine reaches on its own — a packet its
+// µEngine has picked up — before the test goes on. No test asserts how long
+// that took.
+func eventually(t *testing.T, what string, reached func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !reached(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not after 20 s", what)
+		}
+	}
+}
+
 func TestCursorPeekNext(t *testing.T) {
 	b := tbuf.New(4)
 	b.Put(tbuf.Batch{{tuple.I64(1)}, {tuple.I64(2)}})
@@ -219,62 +231,104 @@ func TestHashJoinPartitionedPath(t *testing.T) {
 	}
 }
 
+// An aggregation of no rows: grouped, no row; scalar, one row of zeros — by
+// the one accumulate path, serial and with sub-workers, whether the scan
+// below folds (and the aggregate's input stays empty: the table is held until
+// both folds are seen installed) or something stands in between and the input
+// is rows.
 func TestGroupByEmptyInput(t *testing.T) {
-	rt := newRT(t, 100, core.DefaultConfig())
-	scan := plan.NewTableScan("t", testSchema(), expr.LT(expr.Col(0), expr.CInt(-1)), nil, false)
-	rows := runPlan(t, rt, plan.NewGroupBy(scan, []int{1}, []expr.AggSpec{{Kind: expr.AggCount}}))
-	if len(rows) != 0 {
-		t.Fatalf("groupby of empty input: %d rows", len(rows))
-	}
-	// Aggregate of empty input still emits one row.
-	rows = runPlan(t, rt, plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggCount}}))
-	if len(rows) != 1 || rows[0][0].I != 0 {
-		t.Fatalf("aggregate of empty input: %v", rows)
+	rt := newRT(t, 1000, core.DefaultConfig())
+	specs := []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(2)}, {Kind: expr.AggAvg, Arg: expr.Col(2)}, {Kind: expr.AggMin, Arg: expr.Col(0)}}
+	zeros := fmt.Sprint(tuple.Tuple{tuple.I64(0), tuple.F64(0), tuple.F64(0), {}})
+	none := expr.LT(expr.Col(0), expr.CInt(-1))
+	for _, par := range []int{1, 4} {
+		for why, input := range map[core.HandOver]plan.Node{
+			core.HandOverInstalled: plan.NewTableScan("t", testSchema(), none, nil, false),
+			core.HandOverNotAScan:  plan.NewFilter(plan.NewTableScan("t", testSchema(), nil, nil, false), none),
+		} {
+			before := rt.Stats().HandOvers[why]
+			held, _ := startBlockedScan(t, rt)
+			var queries [2]*core.Query
+			for i, p := range []plan.Node{plan.NewGroupBy(input, []int{1}, specs), plan.NewAggregate(input, specs)} {
+				q, err := rt.SubmitOpts(context.Background(), p, core.QueryOptions{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries[i] = q
+			}
+			eventually(t, fmt.Sprint("two hand-overs ", why), func() bool { return rt.Stats().HandOvers[why] == before+2 })
+			if _, err := sdDrain(held); err != nil {
+				t.Fatal(err)
+			}
+			grouped, err := sdDrain(queries[0])
+			if err != nil || len(grouped) != 0 {
+				t.Errorf("parallelism %d, %v: groupby of empty input: %v, %v", par, why, grouped, err)
+			}
+			scalar, err := sdDrain(queries[1])
+			if err != nil || len(scalar) != 1 || fmt.Sprint(scalar[0]) != zeros {
+				t.Errorf("parallelism %d, %v: aggregate of empty input: %v, %v, want %s", par, why, scalar, err, zeros)
+			}
+		}
 	}
 }
 
+// Five counts with predicates of their own ride one circular scan and fold
+// its pages: a held bare scan pins the table's scanner, the five are sent and
+// seen attached to it with their folds installed, then the hold is released.
+// Each sees every row it asked for exactly once, and the table is read once
+// (plus the prefix the held scan was at, which its wrap reads again for the
+// five).
 func TestCircularScanManyConsumers(t *testing.T) {
-	// Several staggered scans share one scanner; each must still see every
-	// row exactly once.
-	rt := newRT(t, 4000, core.DefaultConfig())
-	rt.SM.Disk.SetLatency(20*time.Microsecond, 30*time.Microsecond, 0)
-	defer rt.SM.Disk.SetLatency(0, 0, 0)
-	const clients = 5
-	type result struct {
-		n   int64
-		err error
+	cfg := core.DefaultConfig()
+	cfg.ScanParallelism = 2
+	rt := newRT(t, 4000, cfg)
+	if err := rt.SM.Pool.Invalidate(); err != nil {
+		t.Fatal(err)
 	}
-	results := make(chan result, clients)
-	for i := 0; i < clients; i++ {
+	rt.SM.Disk.ResetStats()
+	held, first := startBlockedScan(t, rt)
+	const clients = 5
+	var queries [clients]*core.Query
+	for i := range queries {
 		// Different predicates -> page-level sharing only.
-		pred := expr.GE(expr.Col(0), expr.CInt(int64(i)))
 		p := plan.NewAggregate(
-			plan.NewTableScan("t", testSchema(), pred, nil, false),
+			plan.NewTableScan("t", testSchema(), expr.GE(expr.Col(0), expr.CInt(int64(i))), nil, false),
 			[]expr.AggSpec{{Kind: expr.AggCount}})
 		q, err := rt.Submit(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() {
-			b, err := q.Result.Get()
-			if err != nil {
-				results <- result{0, err}
-				return
-			}
-			q.Result.Drain()
-			results <- result{b[0][0].I, q.Wait()}
-		}()
-		time.Sleep(3 * time.Millisecond)
+		queries[i] = q
 	}
-	for i := 0; i < clients; i++ {
-		r := <-results
-		if r.err != nil {
-			t.Fatal(r.err)
+	eventually(t, "five scans attached, five folds installed", func() bool {
+		st := rt.Stats()
+		return st.SharesByOp[plan.OpTableScan] == clients && st.HandOvers[core.HandOverInstalled] == clients
+	})
+	if rows, err := sdDrain(held); err != nil || int(first)+len(rows) != 4000 {
+		t.Fatalf("the held scan: %d rows after its first %d, %v", len(rows), first, err)
+	}
+	for i, q := range queries {
+		rows, err := sdDrain(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Each count must be exactly 4000 - pred_i... collect and check set.
-		if r.n < 4000-int64(clients) || r.n > 4000 {
-			t.Fatalf("consumer count out of range: %d", r.n)
+		if len(rows) != 1 || rows[0][0].I != int64(4000-i) {
+			t.Errorf("consumer %d counted %v, want %d", i, rows, 4000-i)
 		}
+		// A page or two served between the attach and the hand-over reached
+		// the count as rows; the rest never were rows.
+		folded, built := q.Stats.FoldedRows.Load(), q.Packets()[1].Out.Produced()
+		if folded == 0 || folded+built != int64(4000-i) {
+			t.Errorf("consumer %d: %d rows folded and %d built, want %d together", i, folded, built, 4000-i)
+		}
+	}
+	pages := rt.SM.MustTable("t").Heap.NumPages()
+	prefix := int64(1 + cfg.BufferCapacity + cfg.ScanParallelism) // wop_test.go: what a held scan had read
+	if reads := rt.SM.Disk.Stats().Reads; reads < pages || reads > pages+prefix {
+		t.Errorf("%d blocks read for six scans of a %d-page table, want one scan and at most the held prefix of %d", reads, pages, prefix)
+	}
+	if st := rt.Stats(); st.Folds != clients || st.HandOvers[core.HandOverInstalled] != clients {
+		t.Errorf("hand-overs %v, folds %d: want %d installed and nothing else", st.HandOvers, st.Folds, clients)
 	}
 }
 

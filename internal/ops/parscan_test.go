@@ -2,6 +2,8 @@ package ops
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
+	"qpipe/internal/volcano"
 )
 
 func parCfg(par int) core.Config {
@@ -333,6 +336,150 @@ func TestPartitionedScanCancelSatelliteMidScan(t *testing.T) {
 		t.Fatalf("host rows after satellite cancel: %d, want %d", got, n)
 	}
 	<-q2.Root.Done()
+}
+
+// TestFoldInstalledMidScan drives a scanner directly. Its one consumer is not
+// read, so the first pages reach a buffer that fills as rows; then the fold is
+// handed down, the buffer read, and the rest of the table folded. The rows
+// added and the partials absorbed are together the whole table's answer,
+// every partial is registered when the packet completes, and what was folded
+// is exactly the pages that were not rows.
+func TestFoldInstalledMidScan(t *testing.T) {
+	const n = 3000
+	keys := []int{1}
+	specs := []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(2)}, {Kind: expr.AggMin, Arg: expr.Col(0)},
+		{Kind: expr.AggAvg, Arg: expr.Mul(expr.Col(2), expr.CFloat(0.1))}}
+	for _, par := range []int{1, 4} {
+		rt := newRT(t, n, parCfg(par))
+		carrier, perPage := startBlockedScan(t, rt) // the packets need a live query to belong to
+		node := plan.NewTableScan("t", testSchema(), nil, nil, false)
+		want, err := volcano.New(rt.SM).Run(context.Background(), plan.NewGroupBy(node, keys, specs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := heapSource{f: rt.SM.MustTable("t").Heap}
+		pkt, buf := rt.NewInternalPacket(carrier, node)
+		s := newScanner(pkt.ID, src, true, par)
+		s.pool = rt.BatchPool()
+		if _, ok := s.attach(&scanConsumer{pkt: pkt}, false); !ok {
+			t.Fatal("attach refused")
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.run() }()
+		eventually(t, "the scanner blocked on the full buffer", func() bool { return buf.Snapshot().PutBlocked })
+
+		fold := newScanFold(keys, specs, node.Project)
+		if why := pkt.SetFold(rt, fold); why != core.HandOverInstalled {
+			t.Fatalf("P=%d: the hand-over ended %v", par, why)
+		}
+		// A second consumer of the same scan keeps the worker busy past this
+		// one's completion: it wants rows of the pages it missed only, which
+		// the wrap serves last, into a buffer nobody reads yet. (With four
+		// partitions those pages are not one worker's, so it only rides.)
+		latePkt, lateBuf := rt.NewInternalPacket(carrier, node)
+		if _, ok := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !ok {
+			t.Fatal("the second attach was refused")
+		}
+		total, asRows := newGroupTable(keys, specs), 0
+		for {
+			b, err := buf.Get()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range b {
+				total.add(r)
+			}
+			asRows += len(b)
+		}
+		// EOF: the packet has completed, so every partial is registered —
+		// while the worker that filled it is still at work for the other
+		// consumer, blocked on its buffer.
+		if par == 1 {
+			eventually(t, "the scanner blocked on the late consumer's buffer", func() bool { return lateBuf.Snapshot().PutBlocked })
+		}
+		fold.mu.Lock()
+		partials := len(fold.partials)
+		for _, p := range fold.partials {
+			total.absorb(p)
+		}
+		fold.mu.Unlock()
+		late := 0
+		for b, err := lateBuf.Get(); err != io.EOF; b, err = lateBuf.Get() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			late += len(b)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if want := (rt.Cfg.BufferCapacity + 1) * int(perPage); late != want {
+			t.Errorf("P=%d: the late consumer got %d rows, want %d", par, late, want)
+		}
+		sdCompare(t, fmt.Sprintf("P=%d, %d rows added and %d partials absorbed", par, asRows, partials),
+			node, groupTuples(total), sdSorted(want))
+		if folded := carrier.Stats.FoldedRows.Load(); asRows == 0 || folded == 0 || int64(asRows)+folded != n || partials < 1 || partials > par {
+			t.Errorf("P=%d: %d rows built, %d folded into %d partials: want all %d between them", par, asRows, folded, partials, n)
+		}
+		if par == 1 {
+			// One worker, blocked with a page in hand behind a full buffer:
+			// the pages that were rows are exactly those.
+			built := 0
+			for ord := 0; ord <= rt.Cfg.BufferCapacity; ord++ {
+				src.visitPage(int64(ord), nil, func(rows [][]byte) error { built += len(rows); return nil })
+			}
+			if asRows != built {
+				t.Errorf("%d rows were built, want the %d of the first %d pages", asRows, built, rt.Cfg.BufferCapacity+1)
+			}
+		}
+		if _, err := sdDrain(carrier); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A cancelled consumer that folds never Puts, so its port never tells the
+// scanner it is gone; the scanner's probe does (PruneDead), at the first page
+// it is owed after the cancellation. Its packets all finish and its runtime
+// closes: no worker is left folding for it.
+func TestCancelledFoldingConsumerIsDetached(t *testing.T) {
+	rt := newRT(t, 3000, parCfg(1))
+	held, perPage := startBlockedScan(t, rt)
+	eventually(t, "the held scan blocked on its full buffer", func() bool { return held.Result.Snapshot().PutBlocked })
+	// (a column of the table: with every column its scan would be the held
+	// one's to the letter, and ride it as a satellite that is handed nothing)
+	q, err := rt.Submit(context.Background(), plan.NewAggregate(
+		plan.NewTableScan("t", testSchema(), nil, []int{2}, false), []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(0)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the count's scan attached and its fold installed", func() bool {
+		st := rt.Stats()
+		return st.SharesByOp[plan.OpTableScan] == 1 && st.Folds == 1
+	})
+	q.Cancel()
+	if got := drainCount(t, held); got+perPage != 3000 {
+		t.Fatalf("the held scan returned %d rows, want 3000", got+perPage)
+	}
+	if err := q.Wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("the cancelled aggregate ended with %v", err)
+	}
+	for _, p := range q.Packets() {
+		select {
+		case <-p.Done():
+		default:
+			t.Errorf("%v is not done", p)
+		}
+	}
+	// The one page the scanner was about to serve when the query was
+	// cancelled, no more — of the hundred that followed.
+	if folded := q.Stats.FoldedRows.Load(); folded > perPage {
+		t.Errorf("%d rows were folded for a cancelled query, want at most a page of %d", folded, perPage)
+	}
+	rt.Close()
 }
 
 // A scan blocked on its consumer's buffer holds no frame: every batch of a

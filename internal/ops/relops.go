@@ -1,13 +1,15 @@
 // Pass-through µEngines (filter, project), aggregation µEngines (scalar
 // aggregate: full overlap; hash group-by: step overlap) and the update
 // µEngine (no OSP, table X locks — paper §4.3.4). The aggregation engines
-// are intra-operator parallel: input batches deal out to sub-workers that
-// accumulate partial aggregate states, merged at the end via AggState.Merge.
+// share one accumulate path: partial group tables, filled by sub-workers
+// from input batches and by the scan below from its pages, merged at the end
+// via AggState.Merge.
 package ops
 
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
@@ -91,88 +93,10 @@ func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	}
 }
 
-// AggregateOp computes scalar aggregates — the canonical full-overlap
-// operator: it emits nothing until the very end, so an identical packet can
-// attach at any point of its lifetime and save 100% of the work. With
-// parallelism > 1 input batches deal out to sub-workers accumulating
-// partial states, merged before the single-row emit.
-type AggregateOp struct{}
-
-// NewAggregateOp creates the scalar-aggregate µEngine implementation.
-func NewAggregateOp() *AggregateOp { return &AggregateOp{} }
-
-// Op implements core.Operator.
-func (*AggregateOp) Op() plan.OpType { return plan.OpAggregate }
-
-// TryShare implements signature-exact sharing (full WoP).
-func (*AggregateOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
-// Run implements core.Operator.
-func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
-	node := pkt.Node.(*plan.Aggregate)
-	par := rt.ParallelismFor(pkt.Query, node.Parallelism)
-	newStates := func() []*expr.AggState {
-		states := make([]*expr.AggState, len(node.Specs))
-		for i, s := range node.Specs {
-			states[i] = expr.NewAggState(s)
-		}
-		return states
-	}
-	partials := make([][]*expr.AggState, par)
-	if par <= 1 {
-		partials[0] = newStates()
-		cur := newCursor(pkt.Inputs[0])
-		for {
-			t, ok, err := cur.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			for _, st := range partials[0] {
-				st.Add(t)
-			}
-		}
-	} else {
-		err := parFeed(subSpawner(rt, plan.OpAggregate), par, par,
-			func(k int, ch <-chan tbuf.Batch) error {
-				partials[k] = newStates()
-				for b := range ch {
-					for _, t := range b {
-						for _, st := range partials[k] {
-							st.Add(t)
-						}
-					}
-					pkt.Inputs[0].Recycle(b)
-				}
-				return nil
-			}, feedInput(pkt.Inputs[0]))
-		if err != nil {
-			return err
-		}
-	}
-	for k := 1; k < par; k++ {
-		for i, st := range partials[0] {
-			st.Merge(partials[k][i])
-		}
-	}
-	row := make(tuple.Tuple, len(partials[0]))
-	for i, st := range partials[0] {
-		row[i] = st.Result()
-	}
-	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-	if err := em.add(row); err != nil {
-		return emitResult(err)
-	}
-	return emitResult(em.flush())
-}
-
 // groupTable is one worker's (partial) hash-grouped aggregation state: the
 // table's rows are the groups' projected keys, in order of first sight, and
-// states[i] the accumulators of group i.
+// states[i] the accumulators of group i. A scalar aggregate is a table
+// without key: one group, of every row.
 type groupTable struct {
 	keys   []int
 	specs  []expr.AggSpec
@@ -201,28 +125,34 @@ next:
 	return -1
 }
 
+// newGroup starts the group of key, which hashes to h, and returns its
+// number.
+func (gt *groupTable) newGroup(h uint64, key tuple.Tuple) int {
+	states := make([]*expr.AggState, len(gt.specs))
+	for i, s := range gt.specs {
+		states[i] = expr.NewAggState(s)
+	}
+	gt.states = append(gt.states, states)
+	return gt.groups.add(h, key)
+}
+
 // add folds one input tuple into its group, creating the group on first
 // sight.
 func (gt *groupTable) add(t tuple.Tuple) {
 	h := tuple.HashAt(t, gt.keys)
 	g := gt.lookup(h, t, gt.keys)
 	if g < 0 {
-		g = gt.groups.add(h, t.Project(gt.keys))
-		states := make([]*expr.AggState, len(gt.specs))
-		for i, s := range gt.specs {
-			states[i] = expr.NewAggState(s)
-		}
-		gt.states = append(gt.states, states)
+		g = gt.newGroup(h, t.Project(gt.keys))
 	}
 	for _, st := range gt.states[g] {
 		st.Add(t)
 	}
 }
 
-// absorb merges another worker's partial table into gt: groups present in
+// absorb merges another worker's partial table into gt — a sub-worker's,
+// filled from rows, or a scan worker's, filled from pages: groups present in
 // both merge state-wise (AggState.Merge combines the accumulators exactly —
-// sums add, counts add, min/max compare), groups unique to o transfer
-// whole.
+// sums add, counts add, min/max compare), groups unique to o transfer whole.
 func (gt *groupTable) absorb(o *groupTable) {
 	whole := make([]int, len(gt.keys))
 	for i := range whole {
@@ -242,28 +172,132 @@ func (gt *groupTable) absorb(o *groupTable) {
 	}
 }
 
-// emit streams every group's result row (rows carve from one arena).
-func (gt *groupTable) emit(em *emitter) error {
-	var arena tuple.RowArena
-	for g, key := range gt.groups.rows {
-		row := arena.Make(len(key) + len(gt.states[g]))
-		copy(row, key)
-		for i, st := range gt.states[g] {
-			row[len(key)+i] = st.Result()
+// aggregate is the one accumulate path of the two aggregation µEngines: pkt's
+// whole input grouped by keys (a scalar aggregate has none, and one group even
+// of no row), emitted. Partial tables come from rows — added here, or with
+// parallelism > 1 by sub-workers over dealt input batches — and from the scan:
+// an input served page by page is handed the accumulators
+// (core.Packet.SetFold) and its workers add the rows they keep to partials of
+// their own without building them. Late is harmless: pages delivered before
+// arrive as rows, and every partial is registered before the scan packet
+// completes, so all are there at EOF. absorb is the single merge.
+func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggSpec, hint int, scalar bool) error {
+	var fold *scanFold
+	if project, why := pagedScan(pkt.Node.Children()[0]); why != core.HandOverInstalled {
+		rt.NoteHandOver(why)
+	} else if f := newScanFold(keys, specs, project); pkt.Children[0].SetFold(rt, f) == core.HandOverInstalled {
+		fold = f
+	}
+	in, par := pkt.Inputs[0], rt.ParallelismFor(pkt.Query, hint)
+	total, tables := newGroupTable(keys, specs), make([]*groupTable, par)
+	add := func(gt *groupTable, b tbuf.Batch) {
+		for _, t := range b {
+			gt.add(t)
 		}
-		if err := em.add(row); err != nil {
+		in.Recycle(b)
+	}
+	// A folded aggregate's input is usually empty: no feeder starts before
+	// a first batch is there.
+	switch b, err := in.Get(); {
+	case err == io.EOF:
+	case err != nil:
+		return err
+	case par <= 1:
+		for ; err == nil; b, err = in.Get() {
+			add(total, b)
+		}
+		if err != io.EOF {
+			return err
+		}
+	default:
+		err := parFeed(subSpawner(rt, pkt.Node.Op()), par, par,
+			func(k int, ch <-chan tbuf.Batch) error {
+				tables[k] = newGroupTable(keys, specs)
+				for b := range ch {
+					add(tables[k], b)
+				}
+				return nil
+			},
+			func(ch chan<- tbuf.Batch, stop func() bool) error {
+				ch <- b
+				return feedInput(in)(ch, stop)
+			})
+		if err != nil {
 			return err
 		}
 	}
-	return nil
+	if fold != nil { // the scan packet has completed: its workers are done with these
+		fold.mu.Lock()
+		tables = append(tables, fold.partials...)
+		fold.mu.Unlock()
+	}
+	for _, t := range tables {
+		if t != nil {
+			total.absorb(t)
+		}
+	}
+	if scalar && len(total.states) == 0 {
+		total.newGroup(tuple.HashSeed, nil) // count(*) of nothing is still 0
+	}
+	// Every group's result row, in one carve.
+	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
+	var arena tuple.RowArena
+	arena.Grow(len(total.states) * (len(keys) + len(specs)))
+	for g, key := range total.groups.rows {
+		row := arena.Make(len(key) + len(specs))
+		copy(row, key)
+		for i, st := range total.states[g] {
+			row[len(key)+i] = st.Result()
+		}
+		if err := em.add(row); err != nil {
+			return emitResult(err)
+		}
+	}
+	return emitResult(em.flush())
+}
+
+// pagedScan reports whether n is a scan the scanner serves page by page — a
+// table scan or a full clustered index scan, the inputs a consumer can hand
+// something down to — with its projection, or why not.
+func pagedScan(n plan.Node) (project []int, why core.HandOver) {
+	switch scan := n.(type) {
+	case *plan.TableScan:
+		return scan.Project, core.HandOverInstalled
+	case *plan.IndexScan:
+		if !scan.Clustered || scan.Lo.IsValid() || scan.Hi.IsValid() {
+			return nil, core.HandOverBoundedIndexRange
+		}
+		return scan.Project, core.HandOverInstalled
+	}
+	return nil, core.HandOverNotAScan
+}
+
+// AggregateOp computes scalar aggregates — the canonical full-overlap
+// operator: it emits nothing until the very end, so an identical packet can
+// attach at any point of its lifetime and save 100% of the work.
+type AggregateOp struct{}
+
+// NewAggregateOp creates the scalar-aggregate µEngine implementation.
+func NewAggregateOp() *AggregateOp { return &AggregateOp{} }
+
+// Op implements core.Operator.
+func (*AggregateOp) Op() plan.OpType { return plan.OpAggregate }
+
+// TryShare implements signature-exact sharing (full WoP).
+func (*AggregateOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
+	return defaultTryShare(host, sat)
+}
+
+// Run implements core.Operator.
+func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
+	node := pkt.Node.(*plan.Aggregate)
+	return aggregate(rt, pkt, nil, node.Specs, node.Parallelism, true)
 }
 
 // GroupByOp computes hash-grouped aggregates (step overlap: attachable
 // until results start flowing; the burst emit at the end plus the replay
 // window give satellites nearly the whole lifetime in practice, which is
 // the paper's "buffering can significantly increase the WoP for group-by").
-// With parallelism > 1, sub-workers build partial group tables over dealt
-// input batches; the tables merge via AggState.Merge before the burst emit.
 type GroupByOp struct{}
 
 // NewGroupByOp creates the hash group-by µEngine implementation.
@@ -278,47 +312,9 @@ func (*GroupByOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 }
 
 // Run implements core.Operator.
-func (o *GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
+func (*GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.GroupBy)
-	par := rt.ParallelismFor(pkt.Query, node.Parallelism)
-	tables := make([]*groupTable, par)
-	if par <= 1 {
-		tables[0] = newGroupTable(node.Keys, node.Specs)
-		cur := newCursor(pkt.Inputs[0])
-		for {
-			t, ok, err := cur.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			tables[0].add(t)
-		}
-	} else {
-		err := parFeed(subSpawner(rt, plan.OpGroupBy), par, par,
-			func(k int, ch <-chan tbuf.Batch) error {
-				tables[k] = newGroupTable(node.Keys, node.Specs)
-				for b := range ch {
-					for _, t := range b {
-						tables[k].add(t)
-					}
-					pkt.Inputs[0].Recycle(b)
-				}
-				return nil
-			}, feedInput(pkt.Inputs[0]))
-		if err != nil {
-			return err
-		}
-	}
-	for k := 1; k < par; k++ {
-		tables[0].absorb(tables[k])
-	}
-	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-	if err := tables[0].emit(em); err != nil {
-		return emitResult(err)
-	}
-	return emitResult(em.flush())
+	return aggregate(rt, pkt, node.Keys, node.Specs, node.Parallelism, false)
 }
 
 // UpdateOp runs table mutations (INSERT/UPDATE/DELETE) as storage-manager

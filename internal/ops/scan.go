@@ -291,12 +291,22 @@ func (s *scanner) runPartition(k int) {
 		p.pos++
 		// Only this worker decrements remaining[k], so who is owed the page
 		// is settled here, under the lock that guards attach — and with it
-		// whether the consumer's join has narrowed it by now.
+		// whether the consumer's join has narrowed it, or its aggregate handed
+		// its accumulators down, by now. A partial table is registered with its
+		// fold here, before the page it is first used for is settled.
 		served, tasks = served[:0], tasks[:0]
 		for _, c := range s.consumers {
-			if c.remaining[k] > 0 {
-				served, tasks = append(served, c), append(tasks, pageTask{prog: c.prog, keys: c.pkt.Keys()})
+			if c.remaining[k] <= 0 {
+				continue
 			}
+			t := pageTask{prog: c.prog}
+			switch h := c.pkt.Handed().(type) {
+			case *core.KeyFilter:
+				t.keys = h
+			case *scanFold:
+				t.fold, t.part = h, h.partial(k)
+			}
+			served, tasks = append(served, c), append(tasks, t)
 		}
 		s.mu.Unlock()
 
@@ -309,6 +319,9 @@ func (s *scanner) runPartition(k int) {
 		for i, c := range served {
 			if n := tasks[i].skipped; n > 0 {
 				c.pkt.Query.Stats.KeyFilterRows.Add(int64(n))
+			}
+			if n := tasks[i].folded; n > 0 {
+				c.pkt.Query.Stats.FoldedRows.Add(int64(n))
 			}
 			s.deliver(c, k, tasks[i].out)
 			served[i], tasks[i] = nil, pageTask{}

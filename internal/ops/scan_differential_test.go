@@ -240,6 +240,36 @@ func sdScan(rng *rand.Rand, filter expr.Pred, project []int) (run []plan.Node, r
 	return []plan.Node{ref}, ref
 }
 
+// sdAggregate draws an aggregation over input, whose output has width
+// columns: scalar or grouped by one or two of them, every kind of aggregate,
+// over a column, an expression or nothing.
+func sdAggregate(rng *rand.Rand, input plan.Node, width int) plan.Node {
+	var specs []expr.AggSpec
+	for kind := expr.AggCount; kind <= expr.AggAvg; kind++ {
+		if width == 0 || rng.Intn(6) == 0 {
+			specs = append(specs, expr.AggSpec{Kind: expr.AggCount}) // count(*)
+			continue
+		}
+		arg, other := expr.Col(rng.Intn(width)), expr.Col(rng.Intn(width))
+		switch rng.Intn(5) {
+		case 0:
+			specs = append(specs, expr.AggSpec{Kind: kind, Arg: expr.Mul(arg, expr.CFloat(1.5))})
+		case 1:
+			specs = append(specs, expr.AggSpec{Kind: kind, Arg: expr.Sub(expr.Add(arg, expr.CInt(int64(rng.Intn(50)))), other)})
+		default:
+			specs = append(specs, expr.AggSpec{Kind: kind, Arg: arg})
+		}
+	}
+	if width == 0 || rng.Intn(3) == 0 {
+		return plan.NewAggregate(input, specs)
+	}
+	keys := []int{rng.Intn(width)}
+	if rng.Intn(2) == 0 {
+		keys = append(keys, rng.Intn(width))
+	}
+	return plan.NewGroupBy(input, keys, specs)
+}
+
 func sdSorted(rows []tuple.Tuple) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -288,7 +318,23 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 		if rng.Intn(10) > 0 {
 			filter = sdFilter(rng)
 		}
-		run, p := sdScan(rng, filter, sdProject(rng))
+		project := sdProject(rng)
+		run, p := sdScan(rng, filter, project)
+		// One statement in three aggregates what the scan keeps — an empty
+		// result included — mostly straight over the scan: the scan µEngine
+		// then folds the rows where they lie (core.Packet.SetFold) unless the
+		// scan is not served page by page, or something stands in between.
+		if len(run) == 1 && i%3 == 0 {
+			width := len(project)
+			if project == nil {
+				width = sdSchema().Len()
+			}
+			if rng.Intn(8) == 0 {
+				p = plan.NewFilter(p, expr.True{})
+			}
+			p = sdAggregate(rng, p, width)
+			run = []plan.Node{p}
+		}
 		ref, err := oracle.Run(ctx, p)
 		if err != nil {
 			t.Fatalf("iterator engine: %v\n%s", err, plan.Explain(p))
@@ -316,6 +362,15 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	if kept == 0 {
 		t.Fatal("no drawn scan kept a row")
 	}
+	st := rt.Stats()
+	refused := -st.HandOvers[core.HandOverInstalled]
+	for _, n := range st.HandOvers {
+		refused += n
+	}
+	t.Logf("hand-overs: %d folds installed, %d refused (%v)", st.Folds, refused, st.HandOvers)
+	if st.Folds < 20 || refused < 3 || st.HandOvers[core.HandOverNotAScan] == 0 || st.HandOvers[core.HandOverBoundedIndexRange] == 0 {
+		t.Fatalf("the draws covered %d folds installed and %d refused %v: want at least 20 and 3, of both reasons", st.Folds, refused, st.HandOvers)
+	}
 }
 
 // Two and three consumers with different predicates and projections ride
@@ -340,7 +395,15 @@ func TestScanConsumersAttachedMidFlightMatchIteratorEngine(t *testing.T) {
 			}
 			plans := []plan.Node{table(nil, nil)} // the host keeps every row: it blocks on its buffer
 			for n := 1 + rng.Intn(2); n > 0; n-- {
-				plans = append(plans, table(sdFilter(rng), sdProject(rng)))
+				project := sdProject(rng)
+				p := table(sdFilter(rng), project)
+				if project != nil && rng.Intn(2) == 0 {
+					// The rider folds: what reached it as rows before its
+					// aggregate handed its accumulators down, and what was
+					// folded after, together are its answer.
+					p = sdAggregate(rng, p, len(project))
+				}
+				plans = append(plans, p)
 			}
 			shares := rt.TotalShares()
 			queries := make([]*core.Query, len(plans))

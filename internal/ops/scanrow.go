@@ -6,13 +6,15 @@
 // literal` conjunct, comparing the encoded column where it lies (and one more
 // loop when a hash join handed its build keys over), runs the rest of its
 // filter on the survivors only, and has all of them carved from the worker's
-// arena at once and decoded column by column.
+// arena at once and decoded column by column — or, when the consumer is an
+// aggregate that handed its accumulators down, added to those where they lie.
 package ops
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
@@ -82,20 +84,70 @@ func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
 	return p
 }
 
+// scanFold is an aggregate's accumulators as its input scan sees them
+// (core.Packet.SetFold): the group keys and the aggregates' arguments in table
+// columns, and the partial table each of the scan's partition workers fills. A
+// worker registers its partial before it settles the first page it folds into
+// it, so all are here when the scan packet completes.
+type scanFold struct {
+	keys  []int
+	specs []expr.AggSpec
+
+	mu       sync.Mutex
+	partials []*groupTable // by scan partition
+}
+
+// newScanFold restates an aggregation over a scan's output columns (project
+// as the scan node has it: nil keeps every column) in its table columns.
+func newScanFold(keys []int, specs []expr.AggSpec, project []int) *scanFold {
+	if project == nil {
+		return &scanFold{keys: keys, specs: specs}
+	}
+	col := func(out int) int { return project[out] }
+	f := &scanFold{specs: slices.Clone(specs)}
+	for _, k := range keys {
+		f.keys = append(f.keys, col(k))
+	}
+	for i, s := range specs {
+		if s.Arg != nil {
+			f.specs[i].Arg = expr.MapExprRefs(s.Arg, col)
+		}
+	}
+	return f
+}
+
+// partial returns scan partition k's partial table, registered on first use.
+func (f *scanFold) partial(k int) *groupTable {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.partials) <= k {
+		f.partials = append(f.partials, nil)
+	}
+	if f.partials[k] == nil {
+		f.partials[k] = newGroupTable(f.keys, f.specs)
+	}
+	return f.partials[k]
+}
+
 // pageTask is one consumer's share of a page: what it wants of the rows
-// going in; its batch, and how many rows its join's keys excluded, coming
-// out.
+// going in — built, or added to part when its aggregate handed fold down;
+// its batch, how many rows its join's keys excluded and how many were folded,
+// coming out.
 type pageTask struct {
 	prog    *rowProgram
 	keys    *core.KeyFilter // nil: no join narrowed this consumer
+	fold    *scanFold       // nil: the consumer wants rows
+	part    *groupTable     // the worker's partial table of fold
 	out     tbuf.Batch
 	skipped int
+	folded  int
 }
 
 // pageKernel is what one scanning goroutine owns to turn a page of encoded
 // rows into tuples: the page's rows and their offsets table, the selection
-// vector of the consumer being served, a scratch row the residual predicates
-// read (never published), and the arena kept rows are carved from. The arena
+// vector of the consumer being served (and each selected row's group, when it
+// folds), a scratch row the residual predicates and aggregate arguments read
+// (never published), and the arena kept rows are carved from. The arena
 // lives across pages and consumers — a chunk is garbage once no row carved
 // from it is referenced — so a page costs no allocation of its own.
 type pageKernel struct {
@@ -103,6 +155,7 @@ type pageKernel struct {
 	stride  int      // ncols + 1
 	offs    []int    // column c of rows[r] starts at offs[r*stride+c]
 	sel     []int32
+	groups  []int32
 	scratch tuple.Tuple
 	arena   tuple.RowArena
 }
@@ -143,6 +196,11 @@ func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) 
 		if len(sel) == 0 {
 			continue
 		}
+		// Build or fold.
+		if t.fold != nil {
+			k.fold(t, sel)
+			continue
+		}
 		// One carve for the page: the rows are slices of it.
 		w := len(t.prog.out)
 		vals := k.arena.Make(len(sel) * w)
@@ -157,6 +215,70 @@ func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) 
 		}
 	}
 	return nil
+}
+
+// fold adds the loaded page's rows sel to t's partial table from their bytes:
+// each row's group is found first — the key hashed (tuple.HashEncoded is
+// tuple.HashAt of the decoded key) and compared where it lies, decoded once
+// when it starts a group — then every aggregate is fed in a loop of its own:
+// a count, the encoded column, or an expression on the scratch row.
+func (k *pageKernel) fold(t *pageTask, sel []int32) {
+	f, part := t.fold, t.part
+	if cap(k.groups) < len(sel) {
+		k.groups = make([]int32, len(k.rows))
+	}
+	groups := k.groups[:len(sel)]
+	if len(f.keys) == 0 { // a scalar aggregate: every row is of group 0
+		if len(part.states) == 0 {
+			part.newGroup(tuple.HashSeed, nil)
+		}
+		clear(groups)
+	} else {
+		for i, r := range sel {
+			h := tuple.HashSeed
+			for _, col := range f.keys {
+				h = tuple.HashEncoded(h, k.at(r, col))
+			}
+			g := part.groups.first(h)
+		next:
+			for ; g >= 0; g = part.groups.after(g, h) {
+				for j, col := range f.keys {
+					if tuple.CompareEncoded(k.at(r, col), part.groups.rows[g][j]) != 0 {
+						continue next
+					}
+				}
+				break
+			}
+			if g < 0 {
+				key := make(tuple.Tuple, len(f.keys))
+				for j, col := range f.keys {
+					tuple.DecodeInto(&key[j], k.at(r, col))
+				}
+				g = part.newGroup(h, key)
+			}
+			groups[i] = int32(g)
+		}
+	}
+	for j, s := range f.specs {
+		switch col, bare := s.Arg.(*expr.ColRef); {
+		case s.Arg == nil || s.Kind == expr.AggCount: // a count does not look at its argument
+			for _, g := range groups {
+				part.states[g][j].AddCount(1)
+			}
+		case bare:
+			for i, r := range sel {
+				part.states[groups[i]][j].AddEncoded(k.at(r, col.Ix))
+			}
+		default:
+			for i, r := range sel {
+				for _, c := range t.prog.out {
+					k.scratch[c] = tuple.DecodeValue(k.at(r, c))
+				}
+				part.states[groups[i]][j].AddValue(s.Arg.Eval(k.scratch))
+			}
+		}
+	}
+	t.folded = len(sel)
 }
 
 // at returns row r of the loaded page from its column col on.

@@ -30,9 +30,10 @@ func (r rawPageSource) visitPage(_ int64, rows [][]byte, fn func(rows [][]byte) 
 
 // FuzzScanPageBytes hands the encoded-row walk arbitrary page bytes. The
 // outcome is every consumer's rows — then exactly what decoding the whole
-// page and filtering the decoded rows gives — or a typed error with no
-// consumer handed anything: never a panic, an out-of-range slice or a
-// half-built row.
+// page and filtering the decoded rows gives, and for the consumer that folds,
+// its partial merged equal to aggregating those — or a typed error with no
+// consumer handed anything: never a panic, an out-of-range slice, a
+// half-built row or a half-folded page.
 func FuzzScanPageBytes(f *testing.F) {
 	const width = 4
 	pg := page.New(256)
@@ -62,10 +63,18 @@ func FuzzScanPageBytes(f *testing.F) {
 		expr.OrOf(expr.EQ(expr.Col(1), expr.Col(0)), expr.NotOf(expr.InOf(expr.Col(2), tuple.Str("s1")))),
 	}
 	projects := [][]int{nil, {2}, {3, 0, 0}, {1, 2}}
+	// The last consumer wants the fourth's rows as groups: a TEXT and a FLOAT
+	// key under every kind of aggregate.
+	filters, projects = append(filters, filters[3]), append(projects, projects[3])
+	keys := []int{1, 0}
+	specs := []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(0)}, {Kind: expr.AggMin, Arg: expr.Col(1)},
+		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.CInt(1))}, {Kind: expr.AggAvg, Arg: expr.Col(1)}}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		src := rawPageSource{buf: raw, width: width}
 		progs := programs(width, filters, projects)
+		fold := newScanFold(keys, specs, projects[4])
+		progs[4].fold, progs[4].part = fold, fold.partial(0)
 		err := buildPage(src, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
@@ -81,6 +90,9 @@ func FuzzScanPageBytes(f *testing.F) {
 				if out != nil {
 					t.Fatalf("consumer %d was handed %d rows of a page that failed: %v", i, len(out), err)
 				}
+			}
+			if len(progs[4].part.states) != 0 {
+				t.Fatalf("%d groups were folded from a page that failed: %v", len(progs[4].part.states), err)
 			}
 			return
 		}
@@ -100,6 +112,17 @@ func FuzzScanPageBytes(f *testing.F) {
 					r = r.Project(projects[i])
 				}
 				want = append(want, r)
+			}
+			if i == 4 {
+				merged, added := newGroupTable(keys, specs), newGroupTable(keys, specs)
+				merged.absorb(progs[4].part)
+				for _, r := range want {
+					added.add(r)
+				}
+				if got, want := fmt.Sprint(groupRows(merged)), fmt.Sprint(groupRows(added)); got != want || outs[4] != nil {
+					t.Fatalf("folded then merged: %s\ndecoded, filtered, aggregated: %s (and %d rows handed out)", got, want, len(outs[4]))
+				}
+				continue
 			}
 			if len(outs[i]) != len(want) {
 				t.Fatalf("consumer %d: %d rows, decode-then-filter gives %d", i, len(outs[i]), len(want))

@@ -183,8 +183,116 @@ func TestPageKernelKeyFilter(t *testing.T) {
 	}
 }
 
+// groupRows renders a group table: one line a group, in order of first sight,
+// the key then every aggregate's result, NaNs and the sign of a zero included.
+func groupRows(gt *groupTable) []string {
+	var out []string
+	for _, row := range groupTuples(gt) {
+		out = append(out, fmt.Sprintf("%#v", []tuple.Value(row)))
+	}
+	return out
+}
+
+// groupTuples is the rows a group table would emit.
+func groupTuples(gt *groupTable) []tuple.Tuple {
+	var out []tuple.Tuple
+	for g, key := range gt.groups.rows {
+		row := append(tuple.Tuple{}, key...)
+		for _, st := range gt.states[g] {
+			row = append(row, st.Result())
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// TestPageKernelFold holds the fold branch to the build branch: the partial
+// table a folding consumer's page leaves is the table groupTable.add makes of
+// the rows the same page gives a consumer that builds them — same groups in
+// the same order, every result bit for bit — and the folding consumer is
+// handed no row.
+func TestPageKernelFold(t *testing.T) {
+	I, F, S, D := tuple.I64, tuple.F64, tuple.Str, tuple.Date
+	count := expr.AggSpec{Kind: expr.AggCount}
+	agg := func(kind expr.AggKind, arg expr.Expr) expr.AggSpec { return expr.AggSpec{Kind: kind, Arg: arg} }
+	everyKind := func(col int) []expr.AggSpec {
+		return []expr.AggSpec{count, agg(expr.AggCount, expr.Col(col)), agg(expr.AggSum, expr.Col(col)),
+			agg(expr.AggMin, expr.Col(col)), agg(expr.AggMax, expr.Col(col)), agg(expr.AggAvg, expr.Col(col))}
+	}
+	// id, an INT/FLOAT/DATE mix of equal numbers, a fractional FLOAT, a DATE, TEXT.
+	rows := make([]tuple.Tuple, 36)
+	for i := range rows {
+		same := []tuple.Value{I(int64(i % 3)), F(float64(i % 3)), D(int64(i % 3))}[i/3%3]
+		rows[i] = tuple.Tuple{I(int64(i)), same, F(float64(i*i%23) / 7), D(int64(19000 + i%4)), S(fmt.Sprint("name-", i%5))}
+	}
+	special := make([]tuple.Tuple, 12)
+	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e308, 1e308, -1e308, 0.1, 0.2, -0.3, 1e-300} {
+		special[i] = tuple.Tuple{I(int64(i % 4)), F(f), S("")}
+	}
+
+	cases := []struct {
+		name    string
+		width   int
+		rows    []tuple.Tuple
+		dead    []int
+		filter  expr.Pred
+		project []int
+		keys    []int // in the scan's output columns, as the specs' arguments are
+		specs   []expr.AggSpec
+	}{
+		{"scalar, every kind over a fractional float", 5, rows, nil, nil, nil, nil, everyKind(2)},
+		{"count(*) of a zero-column projection", 5, rows, []int{3}, expr.GE(expr.Col(0), expr.CInt(10)), []int{}, nil, []expr.AggSpec{count}},
+		{"INT key", 5, rows, nil, nil, []int{0, 2}, []int{0}, everyKind(1)},
+		{"INT, FLOAT and DATE of one value are one group", 5, rows, nil, nil, []int{2, 1}, []int{1}, everyKind(0)},
+		{"DATE key through a projection, TEXT argument", 5, rows, []int{0, 7}, expr.NE(expr.Col(0), expr.CInt(5)), []int{4, 3, 3}, []int{2}, everyKind(0)},
+		{"TEXT key, DATE argument", 5, rows, nil, expr.OrOf(expr.LT(expr.Col(0), expr.CInt(9)), expr.GT(expr.Col(2), expr.CFloat(1.5))), []int{3, 4}, []int{1}, everyKind(0)},
+		{"two keys, one of them TEXT", 5, rows, nil, nil, nil, []int{4, 3}, everyKind(2)},
+		{"expression arguments", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(30)), []int{0, 2, 3}, []int{2},
+			[]expr.AggSpec{agg(expr.AggSum, expr.Mul(expr.Col(1), expr.Sub(expr.CInt(1), expr.Col(0)))), agg(expr.AggMax, expr.Add(expr.Col(0), expr.Col(2))),
+				agg(expr.AggCount, expr.Div(expr.Col(0), expr.CInt(0))), agg(expr.AggAvg, expr.CFloat(0.1))}},
+		{"NaN, infinities, -0 and sums that overflow", 3, special, nil, nil, nil, nil, everyKind(1)},
+		{"the same, grouped", 3, special, nil, nil, []int{1, 0}, []int{1}, everyKind(0)},
+		{"a NaN and a -0 as group keys", 3, special, nil, nil, nil, []int{1}, []expr.AggSpec{count, agg(expr.AggMin, expr.Col(0))}},
+		{"a TEXT argument summed", 3, special, nil, nil, nil, []int{0}, []expr.AggSpec{agg(expr.AggSum, expr.Col(2)), agg(expr.AggAvg, expr.Col(2))}},
+		{"no survivor", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, []int{4}, everyKind(2)},
+		{"no survivor, scalar", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, nil, everyKind(2)},
+		{"one group per row", 5, rows, []int{35}, nil, nil, []int{0}, everyKind(4)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			raw := pageOf(t, c.rows, c.dead...)
+			tasks := programs(c.width, []expr.Pred{c.filter, c.filter, c.filter}, [][]int{c.project, c.project, c.project})
+			fold := newScanFold(c.keys, c.specs, c.project)
+			tasks[1].fold, tasks[1].part = fold, fold.partial(0)
+			if err := buildPage(rawPageSource{buf: raw, width: c.width}, 0, newPageKernel(c.width), tasks, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := newGroupTable(c.keys, c.specs)
+			for _, r := range tasks[0].out {
+				want.add(r)
+			}
+			got, added := groupRows(tasks[1].part), groupRows(want)
+			for g := range max(len(got), len(added)) {
+				if g >= len(got) || g >= len(added) || got[g] != added[g] {
+					t.Fatalf("group %d of %d folded, %d added row by row:\nfolded %v\nadded  %v", g, len(got), len(added), got[g:min(g+1, len(got))], added[g:min(g+1, len(added))])
+				}
+			}
+			if tasks[1].out != nil || tasks[1].folded != len(tasks[0].out) {
+				t.Fatalf("the folding consumer was handed %d rows and folded %d of %d", len(tasks[1].out), tasks[1].folded, len(tasks[0].out))
+			}
+			if len(tasks[2].out) != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
+				t.Fatalf("the consumers beside it: %d and %d rows, %d folded", len(tasks[0].out), len(tasks[2].out), tasks[0].folded+tasks[2].folded)
+			}
+			if len(fold.partials) != 1 || fold.partials[0] != tasks[1].part {
+				t.Fatalf("%d partials registered with the fold", len(fold.partials))
+			}
+		})
+	}
+}
+
 // TestPageKernelDamagedPage: a slot, a tag or a length that is not what the
-// layout says gives the typed error, and no consumer a batch.
+// layout says gives the typed error, no consumer a batch and the consumer that
+// folds an untouched partial table.
 func TestPageKernelDamagedPage(t *testing.T) {
 	rows := []tuple.Tuple{
 		{tuple.I64(1), tuple.Str("abc")}, {tuple.I64(2), tuple.Str("defgh")}, {tuple.I64(3), tuple.Str("")},
@@ -204,6 +312,8 @@ func TestPageKernelDamagedPage(t *testing.T) {
 		raw := append([]byte(nil), good...)
 		hurt(raw)
 		tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil}, [][]int{nil, {1}, {}})
+		fold := newScanFold([]int{1}, []expr.AggSpec{{Kind: expr.AggCount}}, nil)
+		tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
 		err := buildPage(rawPageSource{buf: raw, width: 2}, 0, newPageKernel(2), tasks, nil)
 		var ee *tuple.EncodingError
 		var ce *page.CorruptError
@@ -214,6 +324,9 @@ func TestPageKernelDamagedPage(t *testing.T) {
 			if tasks[i].out != nil {
 				t.Errorf("%s: consumer %d was handed %d rows of a damaged page", name, i, len(tasks[i].out))
 			}
+		}
+		if n := len(tasks[0].part.states); n != 0 || tasks[0].folded != 0 {
+			t.Errorf("%s: %d groups were folded from a damaged page", name, n)
 		}
 	}
 }

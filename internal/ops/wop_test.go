@@ -84,18 +84,21 @@ func TestWindowsOfOpportunity(t *testing.T) {
 	// Figure 9's join over ordered clustered index scans, without Q4's
 	// filters: a filtered ordered scan shares by materialization whether its
 	// join waited for it or not (TestMaterializedOrderedShare), so the split
-	// is the only way in exactly when the scans keep every row. LINEITEM,
-	// the relation worth sharing, is the first input because the split takes
-	// the first input that has a scan in progress.
-	mergeJoin := func() plan.Node {
+	// is the only way in exactly when the scans keep every row. LINEITEM is
+	// the relation worth sharing whichever input it is: the split checks the
+	// cost of each input that has a scan in progress.
+	mergeJoinOf := func(lineitemFirst bool) plan.Node {
 		ls, os := tpch.LineitemSchema, tpch.OrdersSchema
-		return plan.NewMergeJoin(
-			plan.NewIndexScan("LINEITEM", ls, "l_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
-				[]int{ls.MustColIndex("l_orderkey"), ls.MustColIndex("l_linenumber")}),
-			plan.NewIndexScan("ORDERS", os, "o_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
-				[]int{os.MustColIndex("o_orderkey"), os.MustColIndex("o_orderpriority")}),
-			0, 0, false)
+		l := plan.NewIndexScan("LINEITEM", ls, "l_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
+			[]int{ls.MustColIndex("l_orderkey"), ls.MustColIndex("l_linenumber")})
+		o := plan.NewIndexScan("ORDERS", os, "o_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil,
+			[]int{os.MustColIndex("o_orderkey"), os.MustColIndex("o_orderpriority")})
+		if lineitemFirst {
+			return plan.NewMergeJoin(l, o, 0, 0, false)
+		}
+		return plan.NewMergeJoin(o, l, 0, 0, false)
 	}
+	mergeJoin := func() plan.Node { return mergeJoinOf(true) }
 	noOSP := func(c *core.Config) { c.OSP = false }
 
 	for _, row := range []struct {
@@ -170,6 +173,13 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		{name: "ordered-scans", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
+			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
+		// With ORDERS as the first input — the first with a scan in progress,
+		// and not worth one more read of LINEITEM — the split still finds
+		// LINEITEM.
+		{name: "ordered-scans-orders-first", mgr: tpchMgr,
+			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
+			host: mergeJoinOf(false), hold: 1, others: []plan.Node{mergeJoinOf(false)},
 			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
 		{name: "ordered-scans-no-late-activation", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1; c.LateActivation = false }),

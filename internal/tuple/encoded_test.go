@@ -59,6 +59,32 @@ func TestCompareEncodedMatchesCompare(t *testing.T) {
 	}
 }
 
+// The encoded hash is HashAt of the decoded row, whatever the kinds and
+// however many key columns: the scan µEngine groups on page bytes into the
+// tables the group-by fills from rows.
+func TestHashEncodedMatchesHashAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	for i := 0; i < 20000; i++ {
+		row := make(Tuple, 1+rng.Intn(3))
+		keys := make([]int, len(row))
+		h := HashSeed
+		for c := range row {
+			for !row[c].IsValid() {
+				row[c] = drawValue(rng)
+			}
+			keys[c] = c
+			h = HashEncoded(h, append(Tuple{row[c]}.Encode(nil), 0xFF, 0x01)) // trailing bytes: the rest of a row
+		}
+		if want := HashAt(row, keys); h != want {
+			t.Fatalf("HashEncoded over %v = %#x, HashAt = %#x", row, h, want)
+		}
+	}
+	long := Tuple{Str("a string of more than two whole words")}.Encode(nil)
+	if n := testing.AllocsPerRun(100, func() { HashEncoded(HashSeed, long) }); n != 0 {
+		t.Fatalf("HashEncoded allocates %v times per call", n)
+	}
+}
+
 func TestCompareEncodedAllocatesNothing(t *testing.T) {
 	enc := Tuple{Str("a string long enough not to be interned")}.Encode(nil)
 	probe := Str("a string long enough not to be interned!")

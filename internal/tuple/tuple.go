@@ -375,6 +375,34 @@ func HashEncodedNumber(b []byte) (h uint64, ok bool) {
 	return hashNumber(hashSeed, float64(int64(bits))), true
 }
 
+// HashSeed is the state HashAt starts from.
+const HashSeed = hashSeed
+
+// HashEncoded folds the encoded value at the start of b (one ValueWidth
+// accepted) into the hash state h exactly as HashAt folds the decoded value:
+// from HashSeed over a row's encoded key columns it is HashAt of the decoded
+// row. A string is hashed over its bytes where they lie (hashValue's loop, on
+// a []byte).
+func HashEncoded(h uint64, b []byte) uint64 {
+	switch k, bits, ok := EncodedNumber(b); {
+	case k == KindFloat:
+		return hashNumber(h, math.Float64frombits(bits))
+	case ok:
+		return hashNumber(h, float64(int64(bits)))
+	}
+	n, w := binary.Uvarint(b[1:])
+	s := b[1+w : 1+w+int(n)]
+	h ^= uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(s)) * hashMul
+		h ^= h >> 32
+	}
+	for _, c := range s {
+		h = (h ^ uint64(c)) * hashMul
+	}
+	return mix64(h)
+}
+
 // Column describes one schema column.
 type Column struct {
 	Name string

@@ -573,6 +573,9 @@ func (c *serverConn) serveStats() error {
 		{Name: "errors_sent", Value: ss.ErrorsSent},
 		{Name: "protocol_errors", Value: ss.ProtocolErrors},
 	}}
+	for why, n := range es.HandOvers {
+		msg.Stats = append(msg.Stats, wire.Stat{Name: "handover." + HandOver(why).String(), Value: n})
+	}
 	return c.send(wire.MsgStatsResult, msg.Encode(c.encBuf[:0]))
 }
 

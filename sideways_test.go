@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qpipe"
+	"qpipe/internal/core"
 	"qpipe/internal/plan"
 	"qpipe/internal/volcano"
 )
@@ -272,36 +273,154 @@ func TestNarrowedScanBesideAPlainOne(t *testing.T) {
 	t.Log(outcomes)
 }
 
-// TestNarrowedJoinBesideAWriter is TestScansBesideAWriter's arm for the
-// sideways keys: the join's reply equals the model of the two tables as of one
-// commit between the last acknowledged before the statement was sent and the
-// last begun before its reply was complete — the rows the scan left unbuilt
-// are rows that state does not join.
-func TestNarrowedJoinBesideAWriter(t *testing.T) {
+// TestFoldedScanBesideAPlainOne is the same hazard for the fold: the
+// benchmark's scan_agg reads orders through the scan of `SELECT amount FROM
+// orders WHERE amount < 500` to the letter, and an aggregate that hands its
+// accumulators down gets no rows — which a statement sharing that scan
+// packet's output would then not get either. Every arrival is a state, not a
+// moment: something is held by its unread result while the rest is sent.
+//
+//   - The plain scan, held inside its replay window, then the aggregate: the
+//     aggregate's scan is absorbed as the plain one's satellite, the hand-over
+//     is refused (reason satellite) and the aggregate adds rows.
+//   - The plain scan, held past its window, then the aggregate: its scan rides
+//     the plain one's circular scan as a consumer of its own, and folds.
+//   - A bare scan of another signature, held, pins the table's scanner; the
+//     aggregate, its fold seen installed; then the plain scan: both ride the
+//     pinned scan, each a consumer of its own.
+//   - The scan µEngine's one worker is held by a scan of another table; the
+//     aggregate — its scan packet waits in the queue, and is handed the fold
+//     there —; then the plain scan, which finds that packet in the queue and
+//     must not become the satellite of a packet that produces no row.
+//
+// In every order both answers are the iterator engine's, and the table is
+// read less than twice wherever two scans of it could run side by side.
+func TestFoldedScanBesideAPlainOne(t *testing.T) {
 	ctx := context.Background()
-	db := apOpen(t, qpipe.Options{})
-	if _, err := db.Exec(ctx, "CREATE TABLE c (cid INT, seg INT); CREATE TABLE o (id INT, k INT, v FLOAT)"); err != nil {
+	agg, plain := apBenchScans[0], "SELECT amount FROM orders WHERE amount < 500"
+	arrivals := []struct {
+		how   string
+		opts  qpipe.Options
+		held  string // sent first, one batch of it read: holds what it scans
+		first string // of agg and plain
+		why   core.HandOver
+	}{
+		{"plain held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, plain, plain, core.HandOverSatellite},
+		{"plain held past its replay window, aggregate", qpipe.Options{ReplayWindow: 1}, plain, plain, core.HandOverInstalled},
+		{"orders pinned, aggregate, its fold installed, plain", qpipe.Options{}, "SELECT oid FROM orders", agg, core.HandOverInstalled},
+		{"the scan worker held, aggregate, its fold installed, plain", qpipe.Options{WorkersPerEngine: 1}, "SELECT * FROM events", agg, core.HandOverInstalled},
+	}
+	for _, arr := range arrivals {
+		arr.opts.PoolPages = 16
+		db := apBenchDB(t, arr.opts, false)
+		if a, b := apLeaves(cpPlan(t, db, agg))[0].Signature(), apLeaves(cpPlan(t, db, plain))[0].Signature(); a != b {
+			t.Fatalf("the aggregate's scan and the plain one differ: %s, %s", a, b)
+		}
+		want := map[string][]string{agg: skVolcano(t, db, cpPlan(t, db, agg)), plain: skVolcano(t, db, cpPlan(t, db, plain))}
+		pages := cpHeapPages(t, db, "orders")
+		for _, par := range []int{1, 4} {
+			if err := db.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			db.ResetDiskStats()
+			before := db.Stats()
+			results := map[string]*qpipe.Result{}
+			send := func(text string) *qpipe.Result {
+				t.Helper()
+				if results[text] == nil {
+					res, err := db.Query(ctx, text, qpipe.WithParallelism(par))
+					if err != nil {
+						t.Fatal(err)
+					}
+					results[text] = res
+				}
+				return results[text]
+			}
+			taken, err := send(arr.held).Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers := map[string][]qpipe.Row{arr.held: append([]qpipe.Row(nil), taken...)}
+			send(arr.first)
+			for deadline := time.Now().Add(20 * time.Second); arr.first == agg && db.Stats().Folds == before.Folds; time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("P=%d, %s: the aggregate installed no fold", par, arr.how)
+				}
+			}
+			send(agg)
+			send(plain)
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			for text, res := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rows, err := res.All()
+					if err != nil {
+						t.Errorf("P=%d, %s: %s: %v", par, arr.how, text, err)
+					}
+					mu.Lock()
+					answers[text] = append(answers[text], rows...)
+					mu.Unlock()
+				}()
+			}
+			wg.Wait()
+			for _, text := range []string{agg, plain} {
+				if got := apSorted(answers[text]); !equalRows(got, want[text]) {
+					t.Errorf("P=%d, %s: %s returned %d rows, want %d", par, arr.how, text, len(got), len(want[text]))
+				}
+			}
+			after := db.Stats()
+			for why := range after.HandOvers {
+				n := int64(0)
+				if core.HandOver(why) == arr.why {
+					n = 1
+				}
+				if got := after.HandOvers[why] - before.HandOvers[why]; got != n {
+					t.Errorf("P=%d, %s: %d hand-overs ended %v, want %d", par, arr.how, got, core.HandOver(why), n)
+				}
+			}
+			shared := results[plain].Stats().HostedSatellites.Load() + results[agg].Stats().HostedSatellites.Load()
+			folded, byPlain := results[agg].Stats().FoldedRows.Load(), results[plain].Stats().FoldedRows.Load()
+			if installed := arr.why == core.HandOverInstalled; installed != (folded > 0) || installed == (shared > 0) || byPlain != 0 {
+				t.Errorf("P=%d, %s: %d rows folded for the aggregate, %d for the plain scan, %d satellites hosted", par, arr.how, folded, byPlain, shared)
+			}
+			// (a late arrival is owed the pages it missed: the scan wraps; one
+			// worker runs the two scans one after the other)
+			if reads := db.DiskStats().ByFile["tbl:orders"]; reads < pages || (reads >= 2*pages && arr.opts.WorkersPerEngine != 1) {
+				t.Errorf("P=%d, %s: %d blocks of orders read for the statements of a %d-page table: no page stream was shared", par, arr.how, reads, pages)
+			}
+		}
+	}
+}
+
+// skOrder is the model's copy of one row of o (id INT, k INT, v FLOAT).
+type skOrder struct {
+	k int64
+	v float64 // quarters: sums are exact in any order
+}
+
+// skBesideAWriter is TestScansBesideAWriter's shape for statements over
+// o(id INT, k INT, v FLOAT), which it creates with 3 000 rows in db: a writer
+// commits UPDATEs that change the key, DELETEs and INSERTs, one for each
+// statement draw returns, and every reply must equal the statement's answer on
+// the model of the table as of one commit between the last acknowledged before
+// the statement was sent and the last begun before its reply was complete
+// (Berkholz et al.: what a reader is handed equals recomputation from the
+// stored rows at one instant). Statements alternate parallelism 1 and 4, with
+// OSP and without.
+func skBesideAWriter(t *testing.T, db *qpipe.DB, rng *rand.Rand, draw func(n int) (text string, answer func(map[int64]skOrder) []string)) {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := db.Exec(ctx, "CREATE TABLE o (id INT, k INT, v FLOAT)"); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(20261001))
-	seg := map[int64]int64{}
-	var crows, orows []qpipe.Row
-	for cid := int64(0); cid < 200; cid++ {
-		seg[cid] = int64(rng.Intn(4))
-		crows = append(crows, qpipe.R(cid, seg[cid]))
-	}
-	type orow struct {
-		k int64
-		v float64
-	}
-	model := map[int64]orow{}
+	model := map[int64]skOrder{}
+	var orows []qpipe.Row
 	for id := int64(0); id < 3000; id++ {
-		r := orow{k: int64(rng.Intn(220)), v: float64(rng.Intn(400)) / 4}
+		r := skOrder{k: int64(rng.Intn(220)), v: float64(rng.Intn(400)) / 4}
 		model[id] = r
 		orows = append(orows, qpipe.R(id, r.k, r.v))
-	}
-	if err := db.Load("c", crows); err != nil {
-		t.Fatal(err)
 	}
 	if err := db.Load("o", orows); err != nil {
 		t.Fatal(err)
@@ -309,25 +428,9 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 	if _, err := db.Exec(ctx, "ANALYZE"); err != nil {
 		t.Fatal(err)
 	}
-	text := "SELECT seg, sum(v) AS s, count(*) AS n FROM c JOIN o ON cid = k WHERE seg = 1 GROUP BY seg"
-	if side := apBuildSide(cpPlan(t, db, text)); side != "c" {
-		t.Fatalf("the join builds on %s", side)
-	}
-	answer := func(state map[int64]orow) []string {
-		n, sum := int64(0), 0.0 // quarters: exact in any order
-		for _, r := range state {
-			if s, ok := seg[r.k]; ok && s == 1 {
-				n, sum = n+1, sum+r.v
-			}
-		}
-		if n == 0 {
-			return nil
-		}
-		return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(1), qpipe.FloatValue(sum), qpipe.IntValue(n)})}
-	}
 
 	const commits = 90
-	history := make([]atomic.Pointer[map[int64]orow], commits+1)
+	history := make([]atomic.Pointer[map[int64]skOrder], commits+1)
 	history[0].Store(&model)
 	var begun, acked atomic.Int64
 	release, writerDone := make(chan struct{}), make(chan struct{})
@@ -339,18 +442,18 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 			if _, ok := <-release; !ok {
 				return
 			}
-			next := make(map[int64]orow, len(model))
+			next := make(map[int64]skOrder, len(model))
 			for id, r := range *history[i-1].Load() {
 				next[id] = r
 			}
 			var stmt string
 			switch i % 3 {
-			case 0: // rows change the key they join on
+			case 0: // rows change the key they join on, and group by
 				from := int64(wrng.Intn(220))
 				stmt = fmt.Sprintf("UPDATE o SET k = k + 1, v = v + 0.25 WHERE k = %d", from)
 				for id, r := range next {
 					if r.k == from {
-						next[id] = orow{r.k + 1, r.v + 0.25}
+						next[id] = skOrder{r.k + 1, r.v + 0.25}
 					}
 				}
 			case 1:
@@ -360,7 +463,7 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 					delete(next, id)
 				}
 			default:
-				r := orow{k: int64(wrng.Intn(220)), v: float64(wrng.Intn(400)) / 4}
+				r := skOrder{k: int64(wrng.Intn(220)), v: float64(wrng.Intn(400)) / 4}
 				stmt = fmt.Sprintf("INSERT INTO o VALUES (%d, %d, %s)", nextID, r.k, apFloat(r.v))
 				next[nextID] = r
 				nextID++
@@ -376,6 +479,7 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 	}()
 
 	for n := 0; n < commits && !t.Failed(); n++ {
+		text, answer := draw(n)
 		opts := []qpipe.QueryOption{qpipe.WithParallelism(1 + 3*(n%2))}
 		if n%4 >= 2 {
 			opts = append(opts, qpipe.WithoutOSP())
@@ -393,13 +497,107 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 			matched = equalRows(got, answer(*history[i].Load()))
 		}
 		if !matched {
-			t.Fatalf("reply %v matches no table state between commits %d and %d (%v then, %v now)",
-				got, first, last, answer(*history[first].Load()), answer(*history[last].Load()))
+			t.Fatalf("%s: reply %v matches no table state between commits %d and %d (%v then, %v now)",
+				text, got, first, last, answer(*history[first].Load()), answer(*history[last].Load()))
 		}
 	}
 	close(release)
 	<-writerDone
+}
+
+// TestNarrowedJoinBesideAWriter is TestScansBesideAWriter's arm for the
+// sideways keys: the rows the scan left unbuilt are rows the state the reply
+// equals does not join.
+func TestNarrowedJoinBesideAWriter(t *testing.T) {
+	db := apOpen(t, qpipe.Options{})
+	if _, err := db.Exec(context.Background(), "CREATE TABLE c (cid INT, seg INT)"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20261001))
+	seg := map[int64]int64{}
+	var crows []qpipe.Row
+	for cid := int64(0); cid < 200; cid++ {
+		seg[cid] = int64(rng.Intn(4))
+		crows = append(crows, qpipe.R(cid, seg[cid]))
+	}
+	if err := db.Load("c", crows); err != nil {
+		t.Fatal(err)
+	}
+	text := "SELECT seg, sum(v) AS s, count(*) AS n FROM c JOIN o ON cid = k WHERE seg = 1 GROUP BY seg"
+	answer := func(state map[int64]skOrder) []string {
+		n, sum := int64(0), 0.0
+		for _, r := range state {
+			if s, ok := seg[r.k]; ok && s == 1 {
+				n, sum = n+1, sum+r.v
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(1), qpipe.FloatValue(sum), qpipe.IntValue(n)})}
+	}
+	skBesideAWriter(t, db, rng, func(n int) (string, func(map[int64]skOrder) []string) {
+		if n == 0 { // the tables are loaded and analyzed
+			if side := apBuildSide(cpPlan(t, db, text)); side != "c" {
+				t.Fatalf("the join builds on %s", side)
+			}
+		}
+		return text, answer
+	})
 	if db.Stats().KeyFilters == 0 {
 		t.Error("no join handed its keys to its scan: the test did not exercise the mechanism")
+	}
+}
+
+// TestFoldedAggregateBesideAWriter is the same arm for the fold: scalar and
+// grouped aggregates the scan adds up on its pages — the pages of one
+// committed state, whatever the writer does meanwhile.
+func TestFoldedAggregateBesideAWriter(t *testing.T) {
+	db := apOpen(t, qpipe.Options{})
+	rng := rand.New(rand.NewSource(20261003))
+	skBesideAWriter(t, db, rng, func(n int) (string, func(map[int64]skOrder) []string) {
+		bound := int64(rng.Intn(240) - 10) // now and then below every key
+		if n%2 == 0 {
+			return fmt.Sprintf("SELECT count(*) AS n, sum(v * 4.0) AS quarters, avg(v) AS a FROM o WHERE k < %d", bound),
+				func(state map[int64]skOrder) []string {
+					n, quarters, sum := int64(0), 0.0, 0.0
+					for _, r := range state {
+						if r.k < bound {
+							n, quarters, sum = n+1, quarters+r.v*4, sum+r.v
+						}
+					}
+					avg := 0.0
+					if n > 0 {
+						avg = sum / float64(n)
+					}
+					return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(n), qpipe.FloatValue(quarters), qpipe.FloatValue(avg)})}
+				}
+		}
+		return fmt.Sprintf("SELECT k, count(*) AS n, sum(v) AS s, min(id) AS first, max(v) AS hi FROM o WHERE k >= %d GROUP BY k", bound),
+			func(state map[int64]skOrder) []string {
+				type group struct {
+					n, first int64
+					s, hi    float64
+				}
+				groups := map[int64]group{}
+				for id, r := range state {
+					if r.k < bound {
+						continue
+					}
+					g, seen := groups[r.k]
+					if !seen {
+						g = group{first: id, hi: r.v}
+					}
+					groups[r.k] = group{g.n + 1, min(g.first, id), g.s + r.v, max(g.hi, r.v)}
+				}
+				var out []qpipe.Row
+				for k, g := range groups {
+					out = append(out, qpipe.Row{qpipe.IntValue(k), qpipe.IntValue(g.n), qpipe.FloatValue(g.s), qpipe.IntValue(g.first), qpipe.FloatValue(g.hi)})
+				}
+				return apSorted(out)
+			}
+	})
+	if st := db.Stats(); st.Folds == 0 {
+		t.Errorf("no aggregate handed its accumulators to its scan %v: the test did not exercise the mechanism", st.HandOvers)
 	}
 }
