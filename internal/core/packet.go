@@ -304,6 +304,22 @@ type QueryStats struct {
 	KeyFilterRows atomic.Int64
 	// FoldedRows counts rows this query's scans added up unbuilt (Packet.SetFold).
 	FoldedRows atomic.Int64
+	// PagesVisited counts the pages this query's scan consumers were served;
+	// PagesLocated those among them whose layout the visit had to derive, no
+	// earlier scan of the resident page having left one (buffer.Layout). A
+	// page serving several consumers counts for each: the counters say what a
+	// query's scans were served from, the pool's Layouts what is resident.
+	PagesVisited atomic.Int64
+	PagesLocated atomic.Int64
+}
+
+// NotePage counts one page served to one of the query's scan consumers;
+// fresh says the visit derived the page's layout.
+func (s *QueryStats) NotePage(fresh bool) {
+	s.PagesVisited.Add(1)
+	if fresh {
+		s.PagesLocated.Add(1)
+	}
 }
 
 // QueryOptions carries per-query execution knobs. Options travel with the

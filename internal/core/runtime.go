@@ -121,6 +121,8 @@ type RuntimeStats struct {
 	KeyFilters    int64               // hash joins that handed their build keys to the probe scan
 	Folds         int64               // aggregates that handed their accumulators to the scan below
 	HandOvers     [NumHandOvers]int64 // both kinds by how they ended: [HandOverInstalled] = KeyFilters + Folds
+	PagesVisited  int64               // QueryStats.PagesVisited of every finished query, summed
+	PagesLocated  int64               // and QueryStats.PagesLocated: visits that had to derive the page's layout
 	EngineStats   map[plan.OpType]EngineStats
 	DeadlocksSeen int64
 	Materialized  int64 // buffers switched to unbounded by the detector
@@ -168,6 +170,8 @@ type Runtime struct {
 	keyFilters   atomic.Int64
 	folds        atomic.Int64
 	handOvers    [NumHandOvers]atomic.Int64
+	pagesVisited atomic.Int64
+	pagesLocated atomic.Int64
 
 	detector *detector
 }
@@ -277,6 +281,8 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 		for _, tb := range tables {
 			rt.SM.Locks.Unlock(tb, lock.Shared)
 		}
+		rt.pagesVisited.Add(q.Stats.PagesVisited.Load())
+		rt.pagesLocated.Add(q.Stats.PagesLocated.Load())
 		close(q.finished)
 		// Release the query's cancel context so long-lived parent contexts
 		// don't accumulate a child registration per completed query.
@@ -514,6 +520,8 @@ func (rt *Runtime) Stats() RuntimeStats {
 		SharesByOp:       make(map[plan.OpType]int64),
 		KeyFilters:       rt.keyFilters.Load(),
 		Folds:            rt.folds.Load(),
+		PagesVisited:     rt.pagesVisited.Load(),
+		PagesLocated:     rt.pagesLocated.Load(),
 		EngineStats:      make(map[plan.OpType]EngineStats),
 		DeadlocksSeen:    rt.deadlocks.Load(),
 		Materialized:     rt.materialized.Load(),

@@ -24,6 +24,7 @@ import (
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/btree"
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
@@ -39,31 +40,34 @@ type leafSource struct {
 
 func (l *leafSource) numPages() int64 { return int64(len(l.pnos)) }
 func (l *leafSource) ncols() int      { return l.width }
-func (l *leafSource) visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	return l.tree.VisitLeaf(l.pnos[ord], rows, fn)
+func (l *leafSource) pinPage(ord int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	return l.tree.PinLeaf(l.pnos[ord], l.width)
 }
 
 // pageStream sends whole pages of src through one consumer's filter and
 // projection into an emitter, without hosting a scan group: the direct path
 // of partial and prefix scans.
 type pageStream struct {
-	src  pageSource
-	pool *tbuf.BatchPool
-	kern *pageKernel
-	task [1]pageTask
+	src   pageSource
+	pool  *tbuf.BatchPool
+	stats *core.QueryStats
+	kern  *pageKernel
+	task  [1]pageTask
 }
 
-func newPageStream(src pageSource, pool *tbuf.BatchPool, filter expr.Pred, project []int) *pageStream {
-	ps := &pageStream{src: src, pool: pool, kern: newPageKernel(src.ncols())}
+func newPageStream(src pageSource, rt *core.Runtime, pkt *core.Packet, filter expr.Pred, project []int) *pageStream {
+	ps := &pageStream{src: src, pool: rt.BatchPool(), stats: &pkt.Query.Stats, kern: newPageKernel(src.ncols())}
 	ps.task[0].prog = compileRowProgram(filter, project, src.ncols())
 	return ps
 }
 
 // emit builds page ord's rows under its pin and adds them to em after it.
 func (ps *pageStream) emit(em *emitter, ord int) error {
-	if err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:], ps.pool); err != nil {
+	fresh, err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:], ps.pool)
+	if err != nil {
 		return err
 	}
+	ps.stats.NotePage(fresh)
 	return ps.flush(em)
 }
 
@@ -80,12 +84,14 @@ type IndexScanOp struct {
 
 	// leafCache memoizes each clustered tree's leaf-page-number list as of
 	// one commit sequence of its table: a committed insert may split a leaf,
-	// so a list from an earlier sequence is walked again.
+	// so a list from an earlier sequence is walked again — as is the list of
+	// an earlier tree of the same name, which a re-index replaced.
 	leafMu    sync.Mutex
 	leafCache map[string]leafList
 }
 
 type leafList struct {
+	tree *btree.Tree
 	seq  int64 // the table's CommitSeq the list was read at
 	pnos []int64
 }
@@ -172,8 +178,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 	// Phase 1: read the missed prefix [0, start) fresh, in key order,
 	// streaming straight to the consumer.
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-	pool := rt.BatchPool()
-	ps := newPageStream(&leafSource{tree: tb.Clustered, pnos: pnos, width: tb.Schema.Len()}, pool, node.Filter, node.Project)
+	ps := newPageStream(&leafSource{tree: tb.Clustered, pnos: pnos, width: tb.Schema.Len()}, rt, pkt, node.Filter, node.Project)
 	for ord := 0; ord < start && ord < len(pnos); ord++ {
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
 			return cerr
@@ -195,7 +200,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 		if err != nil {
 			return err
 		}
-		if err := emitBatch(em, pool, batch); err != nil {
+		if err := emitBatch(em, ps.pool, batch); err != nil {
 			return emitResult(err)
 		}
 	}
@@ -214,7 +219,7 @@ func (o *IndexScanOp) leaves(tb *sm.Table) ([]int64, error) {
 	o.leafMu.Lock()
 	l, ok := o.leafCache[tr.Name]
 	o.leafMu.Unlock()
-	if ok && l.seq == seq {
+	if ok && l.tree == tr && l.seq == seq {
 		return l.pnos, nil
 	}
 	pnos, err := tr.LeafPageNos()
@@ -222,7 +227,7 @@ func (o *IndexScanOp) leaves(tb *sm.Table) ([]int64, error) {
 		return nil, err
 	}
 	o.leafMu.Lock()
-	o.leafCache[tr.Name] = leafList{seq: seq, pnos: pnos}
+	o.leafCache[tr.Name] = leafList{tree: tr, seq: seq, pnos: pnos}
 	o.leafMu.Unlock()
 	return pnos, nil
 }
@@ -301,16 +306,17 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		// Bounded clustered scan: stream the B+tree range directly (no
 		// page-stream sharing; signature-identical packets still dedupe).
 		// Each entry goes through the page kernel as a page of one row: its
-		// bytes are valid for the callback only.
+		// bytes (a u16 says how many) are valid for the callback only, and
+		// its layout is this scratch one, not a frame's.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-		ps := newPageStream(src, rt.BatchPool(), node.Filter, node.Project)
-		one := make([][]byte, 1)
+		ps := newPageStream(src, rt, pkt, node.Filter, node.Project)
+		one := buffer.Layout{Rows: 1, Offs: make([]uint16, src.width+1)}
 		var derr error
 		err := tr.Range(node.Lo, node.Hi, func(_ tuple.Value, payload []byte) bool {
-			one[0] = payload
-			if derr = ps.kern.run(one, ps.task[:], ps.pool); derr != nil {
+			if derr = tuple.Offsets(payload, 0, one.Offs); derr != nil {
 				return false
 			}
+			ps.kern.run(payload, &one, ps.task[:], ps.pool)
 			return !pkt.Cancelled() && ps.flush(em) == nil
 		})
 		if err != nil {
@@ -343,7 +349,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if lo > 0 || hi < len(pnos) {
 		// Partial scans stream their range directly and never host sharing.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-		ps := newPageStream(src, rt.BatchPool(), node.Filter, node.Project)
+		ps := newPageStream(src, rt, pkt, node.Filter, node.Project)
 		for ord := lo; ord < hi; ord++ {
 			if cerr := pkt.Query.CancelErr(); cerr != nil {
 				return cerr

@@ -3,7 +3,6 @@ package ops
 import (
 	"context"
 	"testing"
-	"time"
 
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
@@ -58,16 +57,14 @@ func TestUnclusteredOrderedFetch(t *testing.T) {
 // prefix read fresh) and still deliver complete results in key order.
 func TestMaterializedOrderedShare(t *testing.T) {
 	rt := newIndexedRT(t, 6000, core.DefaultConfig())
-	rt.SM.Disk.SetLatency(25*time.Microsecond, 35*time.Microsecond, 0)
-	defer rt.SM.Disk.SetLatency(0, 0, 0)
 
-	// Q1: unfiltered ordered scan (slow, hosts the scanner).
+	// Q1: unfiltered ordered scan (hosts the scanner).
 	q1Plan := plan.NewIndexScan("t", testSchema(), "k", tuple.Value{}, tuple.Value{}, true, true, nil, nil)
 	q1, err := rt.Submit(context.Background(), q1Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let Q1 progress a bit.
+	// Let Q1 progress a bit, then see it held mid-flight by its unread result.
 	got := int64(0)
 	for got < 1500 {
 		b, err := q1.Result.Get()
@@ -76,6 +73,7 @@ func TestMaterializedOrderedShare(t *testing.T) {
 		}
 		got += int64(len(b))
 	}
+	eventually(t, "Q1's scan blocked on its unread result", func() bool { return q1.Result.Snapshot().PutBlocked })
 	// Q2: selective ordered scan, different signature (filter differs).
 	pred := expr.EQ(expr.Col(1), expr.CInt(3)) // g == 3: 1/7 of rows
 	q2Plan := plan.NewIndexScan("t", testSchema(), "k", tuple.Value{}, tuple.Value{}, true, true, pred, nil)
@@ -132,8 +130,6 @@ func TestMaterializedOrderedShare(t *testing.T) {
 // relation would save nothing).
 func TestSpikeNoShareWithoutFilter(t *testing.T) {
 	rt := newIndexedRT(t, 5000, core.DefaultConfig())
-	rt.SM.Disk.SetLatency(25*time.Microsecond, 35*time.Microsecond, 0)
-	defer rt.SM.Disk.SetLatency(0, 0, 0)
 	mk := func(proj []int) plan.Node {
 		return plan.NewIndexScan("t", testSchema(), "k", tuple.Value{}, tuple.Value{}, true, true, nil, proj)
 	}
@@ -146,6 +142,7 @@ func TestSpikeNoShareWithoutFilter(t *testing.T) {
 		}
 		got += int64(len(b))
 	}
+	eventually(t, "Q1's scan blocked on its unread result", func() bool { return q1.Result.Snapshot().PutBlocked })
 	// Different projection -> different signature, no filter -> spike.
 	q2, _ := rt.Submit(context.Background(), mk([]int{0}))
 	n2, err := q2.Result.Drain()

@@ -12,7 +12,9 @@ import (
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/storage/disk"
+	"qpipe/internal/storage/page"
 	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
 )
@@ -370,18 +372,6 @@ func TestUpdateSerializedAgainstScan(t *testing.T) {
 	}
 }
 
-// encSource is a pageSource over encoded rows held in memory.
-type encSource struct {
-	pages [][][]byte
-	width int
-}
-
-func (e encSource) numPages() int64 { return int64(len(e.pages)) }
-func (e encSource) ncols() int      { return e.width }
-func (e encSource) visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	return fn(append(rows[:0], e.pages[ord]...))
-}
-
 // programs makes one task per (filter, project) pair for rows of width
 // columns.
 func programs(width int, filters []expr.Pred, projects [][]int) []pageTask {
@@ -397,12 +387,20 @@ func TestBuildPageLease(t *testing.T) {
 	// array (so each advances and recycles independently) holding fresh rows
 	// — never views of the page bytes or of another consumer's rows — and a
 	// consumer that keeps no row takes no lease at all.
-	enc := tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil)
-	src := encSource{pages: [][][]byte{{enc}}, width: 2}
+	row := tuple.Tuple{tuple.I64(1), tuple.I64(2)}
+	// The second page holds a row that is not a row.
+	bad := page.New(2048)
+	if _, err := bad.InsertTuple(row); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Insert([]byte{byte(tuple.KindInt), 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	src := rawHeap(t, 2, pageOf(t, []tuple.Tuple{row}), bad.Bytes())
 	k := newPageKernel(2)
 	tasks := programs(2, []expr.Pred{nil, nil, expr.EQ(expr.Col(0), expr.CInt(5)), nil}, [][]int{nil, nil, nil, {1}})
-	if err := buildPage(src, 0, k, tasks, nil); err != nil {
-		t.Fatal(err)
+	if fresh, err := buildPage(src, 0, k, tasks, nil); err != nil || !fresh {
+		t.Fatalf("first visit: fresh %v, %v", fresh, err)
 	}
 	outs := make([]tbuf.Batch, len(tasks))
 	for i := range tasks {
@@ -422,16 +420,20 @@ func TestBuildPageLease(t *testing.T) {
 	if len(outs[3]) != 1 || len(outs[3][0]) != 1 || outs[3][0][0].I != 2 {
 		t.Fatalf("projection: %v", outs[3])
 	}
-	clear(enc)
+	fr, err := src.f.Pool().PinFrame(buffer.PageID{File: src.f.Name, Block: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(fr.Data()[4:]) // everything but the slot count and the free offset
+	fr.Unpin()
 	if outs[1][0][1].I != 2 || outs[3][0][0].I != 2 {
 		t.Fatal("a built row aliases the page bytes")
 	}
 	// A row that is not a row fails the page, and no consumer keeps part of it.
-	src.pages[0] = [][]byte{tuple.Tuple{tuple.I64(1), tuple.I64(2)}.Encode(nil), {byte(tuple.KindInt), 1, 2}}
 	for i := range tasks {
 		tasks[i].out = nil
 	}
-	err := buildPage(src, 0, k, tasks, nil)
+	_, err = buildPage(src, 1, k, tasks, nil)
 	var ee *tuple.EncodingError
 	if !errors.As(err, &ee) {
 		t.Fatalf("hostile row: got %v, want a *tuple.EncodingError", err)

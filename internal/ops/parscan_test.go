@@ -27,9 +27,11 @@ func parCfg(par int) core.Config {
 
 type fakeSource struct{ n int64 }
 
-func (f fakeSource) numPages() int64                                       { return f.n }
-func (f fakeSource) ncols() int                                            { return 0 }
-func (f fakeSource) visitPage(int64, [][]byte, func([][]byte) error) error { return nil }
+func (f fakeSource) numPages() int64 { return f.n }
+func (f fakeSource) ncols() int      { return 0 }
+func (f fakeSource) pinPage(int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	return nil, nil, false, errors.New("a source of page counts only")
+}
 
 func TestPartitionBoundaries(t *testing.T) {
 	for _, tc := range []struct {
@@ -429,7 +431,12 @@ func TestFoldInstalledMidScan(t *testing.T) {
 			// the pages that were rows are exactly those.
 			built := 0
 			for ord := 0; ord <= rt.Cfg.BufferCapacity; ord++ {
-				src.visitPage(int64(ord), nil, func(rows [][]byte) error { built += len(rows); return nil })
+				fr, l, _, err := src.pinPage(int64(ord))
+				if err != nil {
+					t.Fatal(err)
+				}
+				built += l.Rows
+				fr.Unpin()
 			}
 			if asRows != built {
 				t.Errorf("%d rows were built, want the %d of the first %d pages", asRows, built, rt.Cfg.BufferCapacity+1)
@@ -665,5 +672,84 @@ func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
 		if err := rt.SM.Pool.Invalidate(); err != nil {
 			t.Fatalf("P=%d: %v", par, err)
 		}
+	}
+}
+
+// TestTwoWorkersLocateOnePage: two scans that share nothing (OSP off), four
+// partition workers each, are let go together on a cold table whose pages all
+// fit the pool. Both may find a frame without a layout and both derive it —
+// either store is kept, both were right — so both answers are exact, the
+// pages located are between one table's and two, every frame ends up holding
+// a layout, and a third scan locates none.
+func TestTwoWorkersLocateOnePage(t *testing.T) {
+	const n = 6000
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 512})
+	if _, err := mgr.CreateTable("t", testSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.I64(int64(i % 7)), tuple.F64(float64(i))}
+	}
+	if err := mgr.Load("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Pool.Invalidate(); err != nil {
+		t.Fatal(err)
+	}
+	pages := mgr.MustTable("t").Heap.NumPages()
+	cfg := core.BaselineConfig()
+	cfg.ScanParallelism = 4
+	rt := core.NewRuntime(mgr, cfg, All())
+	t.Cleanup(rt.Close)
+
+	// scan returns the sum of the keys a full scan delivers, and its query.
+	scan := func() (int64, *core.Query, error) {
+		q, err := rt.Submit(context.Background(), plan.NewTableScan("t", testSchema(), nil, []int{0}, false))
+		if err != nil {
+			return 0, nil, err
+		}
+		var sum int64
+		for {
+			b, err := q.Result.Get()
+			if err == io.EOF {
+				return sum, q, q.Wait()
+			}
+			if err != nil {
+				return 0, q, err
+			}
+			for _, r := range b {
+				sum += r[0].I
+			}
+		}
+	}
+	const want = int64(n) * (n - 1) / 2
+	hold := make(chan struct{})
+	located := make(chan int64, 2)
+	for range 2 {
+		go func() {
+			<-hold
+			sum, q, err := scan()
+			if err != nil || sum != want {
+				t.Errorf("a scan beside another on a cold table: sum %d (want %d), %v", sum, want, err)
+				located <- 0
+				return
+			}
+			if v := q.Stats.PagesVisited.Load(); v != pages {
+				t.Errorf("%d pages visited, the table has %d", v, pages)
+			}
+			located <- q.Stats.PagesLocated.Load()
+		}()
+	}
+	close(hold)
+	if sum := <-located + <-located; sum < pages || sum > 2*pages {
+		t.Errorf("the two scans located %d pages between them, want %d to %d", sum, pages, 2*pages)
+	}
+	if st := mgr.Pool.Stats(); int64(st.Layouts) != pages {
+		t.Errorf("%d of the table's %d resident pages hold a layout", st.Layouts, pages)
+	}
+	sum, q, err := scan()
+	if err != nil || sum != want || q.Stats.PagesLocated.Load() != 0 || q.Stats.PagesVisited.Load() != pages {
+		t.Errorf("the third scan: sum %d, %v, %d of %d pages located", sum, err, q.Stats.PagesLocated.Load(), q.Stats.PagesVisited.Load())
 	}
 }

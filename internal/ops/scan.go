@@ -11,7 +11,7 @@
 // stream — which is exactly why QPipe keeps saving I/O in the full-workload
 // experiment (Figure 12) even though qgen randomizes every query's selection
 // predicates. They are applied to the encoded rows of the pinned page
-// (scanrow.go): one pin and one walk of each row serve every attached
+// (scanrow.go): one pin and the frame's layout serve every attached
 // consumer, each paying for the columns it reads and the rows it keeps, and
 // the pin ends before any batch is delivered. Ordered scans require page
 // order and always run with a single partition.
@@ -25,19 +25,20 @@ import (
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/sm"
 )
 
 // pageSource abstracts the page-granular data under a scan: heap files for
-// table scans, B+tree leaf chains for clustered index scans. visitPage pins
-// page ord and calls fn once with its live encoded rows of ncols columns in
-// stored order, collected into rows[:0]; the bytes alias the pinned frame and
-// are valid for the call only, and the pin ends when visitPage returns.
+// table scans, B+tree leaf chains for clustered index scans. pinPage pins
+// page ord and returns its frame with the layout of its live rows of ncols
+// columns in stored order, fresh when this visit derived it; the caller
+// indexes the frame until it unpins it.
 type pageSource interface {
 	numPages() int64
 	ncols() int
-	visitPage(ord int64, rows [][]byte, fn func(rows [][]byte) error) error
+	pinPage(ord int64) (fr *buffer.Frame, l *buffer.Layout, fresh bool, err error)
 }
 
 // partition is one contiguous page range [lo, hi) of a scan group, with its
@@ -310,13 +311,15 @@ func (s *scanner) runPartition(k int) {
 		}
 		s.mu.Unlock()
 
-		if err := buildPage(s.src, pg, kern, tasks, s.pool); err != nil {
+		fresh, err := buildPage(s.src, pg, kern, tasks, s.pool)
+		if err != nil {
 			s.fail(err)
 			return
 		}
 		// The page is unpinned: a consumer blocked on its buffer below holds
 		// no frame.
 		for i, c := range served {
+			c.pkt.Query.Stats.NotePage(fresh)
 			if n := tasks[i].skipped; n > 0 {
 				c.pkt.Query.Stats.KeyFilterRows.Add(int64(n))
 			}
@@ -524,8 +527,8 @@ type heapSource struct{ f *heap.File }
 
 func (h heapSource) numPages() int64 { return h.f.NumPages() }
 func (h heapSource) ncols() int      { return h.f.Schema.Len() }
-func (h heapSource) visitPage(p int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	return h.f.VisitPage(p, rows, fn)
+func (h heapSource) pinPage(p int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	return h.f.PinPage(p)
 }
 
 // TableScanOp is the file-scan µEngine with partitioned circular-scan

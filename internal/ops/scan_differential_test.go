@@ -51,7 +51,9 @@ func sdRow(rng *rand.Rand, id int) tuple.Tuple {
 func sdRuntime(t *testing.T, seed int64, cfg core.Config) *core.Runtime {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 16})
+	// Both tables, the tree and what the writes add fit the pool: between
+	// two writes a scan is served from the layouts an earlier one left.
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 1024})
 	for _, name := range []string{"h", "c"} {
 		if _, err := mgr.CreateTable(name, sdSchema()); err != nil {
 			t.Fatal(err)
@@ -306,6 +308,34 @@ func sdCompare(t *testing.T, how string, p plan.Node, got []tuple.Tuple, want []
 	}
 }
 
+// sdWrite commits one drawn write to each table: h takes an UPDATE of the
+// same width, one that grows a TEXT (refused whole when its page has no room),
+// a DELETE or an INSERT into the open tail; c, which is clustered, an INSERT,
+// whose leaf now and then splits.
+func sdWrite(t *testing.T, rt *core.Runtime, rng *rand.Rand) {
+	t.Helper()
+	one := expr.EQ(expr.Col(0), expr.CInt(int64(rng.Intn(1200))))
+	kind := rng.Intn(4)
+	mut := []plan.Node{
+		plan.NewUpdateWhere("h", one, []plan.Assign{{Col: 1, E: expr.Add(expr.Col(1), expr.CFloat(0.25))}}),
+		plan.NewUpdateWhere("h", one, []plan.Assign{{Col: 3, E: expr.CStr("grown-while-the-pool-was-warm")}}),
+		plan.NewDelete("h", one),
+		nil,
+	}[kind]
+	if mut == nil {
+		if err := rt.SM.Insert("h", sdRow(rng, 1200+rng.Intn(100))); err != nil {
+			t.Fatal(err)
+		}
+	} else if q, err := rt.Submit(context.Background(), mut); err != nil {
+		t.Fatal(err)
+	} else if _, err := sdDrain(q); err != nil && kind != 1 { // a grown row that does not fit is refused whole
+		t.Fatal(err)
+	}
+	if err := rt.SM.Insert("c", sdRow(rng, rng.Intn(1200))); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	const seed = 20260930
 	rt := sdRuntime(t, seed, core.DefaultConfig())
@@ -313,7 +343,16 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	kept := 0
+	// Scans of pages served after a write to their table: from layouts that
+	// outlived it, all of them, and with some derived afresh.
+	servedWarm, servedAfresh := 0, 0
 	for i := 0; i < 400; i++ {
+		// The writer arm: every other statement follows a commit to both
+		// tables, and is answered as of it.
+		wrote := i%2 == 1
+		if wrote {
+			sdWrite(t, rt, rng)
+		}
 		var filter expr.Pred
 		if rng.Intn(10) > 0 {
 			filter = sdFilter(rng)
@@ -344,6 +383,7 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			for _, noOSP := range []bool{false, true} {
 				var got []tuple.Tuple
+				var visited, located int64
 				for _, part := range run {
 					q, err := rt.SubmitOpts(ctx, part, core.QueryOptions{Parallelism: par, DisableOSP: noOSP})
 					if err != nil {
@@ -354,13 +394,25 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 						t.Fatalf("parallelism %d, osp off %v: %v\n%s", par, noOSP, err, plan.Explain(part))
 					}
 					got = append(got, rows...)
+					visited, located = visited+q.Stats.PagesVisited.Load(), located+q.Stats.PagesLocated.Load()
 				}
 				sdCompare(t, fmt.Sprintf("statement %d, parallelism %d, osp off %v", i, par, noOSP), p, got, want)
+				switch {
+				case !wrote || visited == 0: // (a bounded range is served entry by entry)
+				case located == 0:
+					servedWarm++
+				default:
+					servedAfresh++
+				}
 			}
 		}
 	}
 	if kept == 0 {
 		t.Fatal("no drawn scan kept a row")
+	}
+	t.Logf("after a write to its table: %d scans located no page, %d located some", servedWarm, servedAfresh)
+	if servedWarm < 50 || servedAfresh < 50 {
+		t.Fatalf("after a write to its table %d scans located no page and %d some: want at least 50 of each", servedWarm, servedAfresh)
 	}
 	st := rt.Stats()
 	refused := -st.HandOvers[core.HandOverInstalled]

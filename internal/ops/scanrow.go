@@ -1,7 +1,8 @@
 // From encoded rows to consumer rows: the part of the scan µEngine that
 // decides, per consumer, whether a stored row becomes a tuple at all. A page
-// is worked on as a whole, under its one pin: an offsets table locates every
-// column of every live row once for all consumers; each consumer then
+// is worked on as a whole, under its one pin: the frame's layout locates every
+// column of every live row — once for all consumers and, while the page stays
+// resident and unwritten, for all scans; each consumer then
 // narrows a selection vector of row numbers with one loop per `col op
 // literal` conjunct, comparing the encoded column where it lies (and one more
 // loop when a hash join handed its build keys over), runs the rest of its
@@ -19,6 +20,7 @@ import (
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/tuple"
 )
 
@@ -144,16 +146,17 @@ type pageTask struct {
 }
 
 // pageKernel is what one scanning goroutine owns to turn a page of encoded
-// rows into tuples: the page's rows and their offsets table, the selection
-// vector of the consumer being served (and each selected row's group, when it
+// rows into tuples: the pinned frame's bytes and layout, the selection vector
+// of the consumer being served (and each selected row's group, when it
 // folds), a scratch row the residual predicates and aggregate arguments read
 // (never published), and the arena kept rows are carved from. The arena
 // lives across pages and consumers — a chunk is garbage once no row carved
 // from it is referenced — so a page costs no allocation of its own.
 type pageKernel struct {
-	rows    [][]byte // alias the pinned frame
+	buf     []byte   // the pinned frame
 	stride  int      // ncols + 1
-	offs    []int    // column c of rows[r] starts at offs[r*stride+c]
+	offs    []uint16 // column c of row r starts at buf[offs[r*stride+c]]
+	nrows   int
 	sel     []int32
 	groups  []int32
 	scratch tuple.Tuple
@@ -166,30 +169,26 @@ func newPageKernel(ncols int) *pageKernel {
 
 // buildPage visits page ord of src once, under one pin, and leaves in each
 // task's out the rows its consumer keeps, in stored order, in an array leased
-// from pool (none for a consumer that keeps no row). The pin has ended when
-// buildPage returns, so the caller may block delivering the batches without
-// holding a frame. A page that fails — a damaged slot or row — fails before
-// the first lease: no consumer is handed part of a page.
-func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool *tbuf.BatchPool) error {
-	return src.visitPage(ord, k.rows, func(rows [][]byte) error {
-		if err := k.run(rows, tasks, pool); err != nil {
-			return fmt.Errorf("ops: page %d: %w", ord, err)
-		}
-		return nil
-	})
+// from pool (none for a consumer that keeps no row); fresh says the visit
+// derived the page's layout. The pin has ended when buildPage returns, so the
+// caller may block delivering the batches without holding a frame. A page
+// that fails — a damaged slot or row — fails where its layout is derived,
+// before the first lease: no consumer is handed part of a page.
+func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool *tbuf.BatchPool) (fresh bool, err error) {
+	fr, l, fresh, err := src.pinPage(ord)
+	if err != nil {
+		return false, fmt.Errorf("ops: page %d: %w", ord, err)
+	}
+	k.run(fr.Data(), l, tasks, pool)
+	fr.Unpin()
+	return fresh, nil
 }
 
-// run is buildPage on rows already at hand (valid for the call).
-func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) error {
-	k.rows = rows
-	if n := len(rows) * k.stride; cap(k.offs) < n {
-		k.offs = make([]int, n)
-	}
-	for r, enc := range rows {
-		if err := tuple.Offsets(enc, k.offs[r*k.stride:(r+1)*k.stride]); err != nil {
-			return err
-		}
-	}
+// run is buildPage on bytes and their layout already at hand (valid for the
+// call). Nothing in it can fail: the layout's maker checked every byte it
+// will read.
+func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *tbuf.BatchPool) {
+	k.buf, k.offs, k.nrows = buf, l.Offs, l.Rows
 	for ti := range tasks {
 		t := &tasks[ti]
 		sel := k.selected(t)
@@ -214,7 +213,6 @@ func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) 
 			}
 		}
 	}
-	return nil
 }
 
 // fold adds the loaded page's rows sel to t's partial table from their bytes:
@@ -225,7 +223,7 @@ func (k *pageKernel) run(rows [][]byte, tasks []pageTask, pool *tbuf.BatchPool) 
 func (k *pageKernel) fold(t *pageTask, sel []int32) {
 	f, part := t.fold, t.part
 	if cap(k.groups) < len(sel) {
-		k.groups = make([]int32, len(k.rows))
+		k.groups = make([]int32, k.nrows)
 	}
 	groups := k.groups[:len(sel)]
 	if len(f.keys) == 0 { // a scalar aggregate: every row is of group 0
@@ -283,17 +281,17 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 
 // at returns row r of the loaded page from its column col on.
 func (k *pageKernel) at(r int32, col int) []byte {
-	return k.rows[r][k.offs[int(r)*k.stride+col]:]
+	return k.buf[k.offs[int(r)*k.stride+col]:]
 }
 
 // selected returns the numbers of the loaded page's rows that t's consumer
 // keeps. Every step compacts the vector in place: the write index never
 // passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
-	if cap(k.sel) < len(k.rows) {
-		k.sel = make([]int32, len(k.rows))
+	if cap(k.sel) < k.nrows {
+		k.sel = make([]int32, k.nrows)
 	}
-	sel := k.sel[:len(k.rows)]
+	sel := k.sel[:k.nrows]
 	for r := range sel {
 		sel[r] = int32(r)
 	}

@@ -11,29 +11,14 @@ import (
 	"qpipe/internal/tuple"
 )
 
-// rawPageSource serves one buffer as the only page of a heap of width
-// columns, the way heap.File.VisitPage serves a pinned frame.
-type rawPageSource struct {
-	buf   []byte
-	width int
-}
-
-func (r rawPageSource) numPages() int64 { return 1 }
-func (r rawPageSource) ncols() int      { return r.width }
-func (r rawPageSource) visitPage(_ int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	rows, err := page.FromBytes(r.buf).Rows(rows[:0])
-	if err != nil {
-		return err
-	}
-	return fn(rows)
-}
-
-// FuzzScanPageBytes hands the encoded-row walk arbitrary page bytes. The
-// outcome is every consumer's rows — then exactly what decoding the whole
-// page and filtering the decoded rows gives, and for the consumer that folds,
-// its partial merged equal to aggregating those — or a typed error with no
-// consumer handed anything: never a panic, an out-of-range slice, a
-// half-built row or a half-folded page.
+// FuzzScanPageBytes hands a scan arbitrary bytes as the one page of a heap, on
+// a device and through a pool, twice: the first visit derives the layout, the
+// second is served from the frame's. The outcome of each is every consumer's
+// rows — then exactly what decoding the whole page and filtering the decoded
+// rows gives, and for the consumer that folds, its partial merged equal to
+// aggregating those — or a typed error with no consumer handed anything and
+// no layout published: never a panic, an out-of-range slice, a half-built row
+// or a half-folded page.
 func FuzzScanPageBytes(f *testing.F) {
 	const width = 4
 	pg := page.New(256)
@@ -71,11 +56,24 @@ func FuzzScanPageBytes(f *testing.F) {
 		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.CInt(1))}, {Kind: expr.AggAvg, Arg: expr.Col(1)}}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		src := rawPageSource{buf: raw, width: width}
+		if len(raw) == 0 {
+			return // a device has no blocks of no bytes (page.FuzzLocate has them)
+		}
+		src := rawHeap(t, width, raw)
+		for _, warm := range []bool{false, true} {
+			fuzzVisit(t, src, raw, warm, filters, projects, keys, specs)
+		}
+	})
+}
+
+// fuzzVisit is one visit of FuzzScanPageBytes' page, held to the decoder.
+func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []expr.Pred, projects [][]int, keys []int, specs []expr.AggSpec) {
+	const width = 4
+	{
 		progs := programs(width, filters, projects)
 		fold := newScanFold(keys, specs, projects[4])
 		progs[4].fold, progs[4].part = fold, fold.partial(0)
-		err := buildPage(src, 0, newPageKernel(width), progs, nil)
+		fresh, err := buildPage(src, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
 			outs[i] = progs[i].out
@@ -94,7 +92,13 @@ func FuzzScanPageBytes(f *testing.F) {
 			if len(progs[4].part.states) != 0 {
 				t.Fatalf("%d groups were folded from a page that failed: %v", len(progs[4].part.states), err)
 			}
+			if n := src.f.Pool().Stats().Layouts; n != 0 {
+				t.Fatalf("%d layouts published of a page that failed: %v", n, err)
+			}
 			return
+		}
+		if n := src.f.Pool().Stats().Layouts; fresh == warm || n != 1 {
+			t.Fatalf("warm %v: the visit derived a layout: %v; %d published", warm, fresh, n)
 		}
 		// The walk accepted every live slot, so the whole-page decoder can
 		// read the same bytes.
@@ -133,5 +137,5 @@ func FuzzScanPageBytes(f *testing.F) {
 				}
 			}
 		}
-	})
+	}
 }

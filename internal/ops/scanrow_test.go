@@ -8,6 +8,9 @@ import (
 
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
+	"qpipe/internal/storage/buffer"
+	"qpipe/internal/storage/disk"
+	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/page"
 	"qpipe/internal/tuple"
 )
@@ -28,6 +31,36 @@ func pageOf(t *testing.T, rows []tuple.Tuple, dead ...int) []byte {
 		}
 	}
 	return pg.Bytes()
+}
+
+// rawHeap puts each of blocks, as it is, on a device of its own as one page of
+// a heap of width columns, and returns the source a table scan reads them
+// through, over a cold pool of its own.
+func rawHeap(t testing.TB, width int, blocks ...[]byte) heapSource {
+	t.Helper()
+	pool := buffer.NewPool(disk.New(disk.Config{BlockSize: len(blocks[0])}), 8, nil)
+	pool.Disk().Create("raw")
+	for _, b := range blocks {
+		if _, err := pool.Disk().Append("raw", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := heap.Open(pool, "raw", tuple.NewSchema(make([]tuple.Column, width)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return heapSource{f: f}
+}
+
+// runLocated is the kernel on one page's bytes, located here: what a scan's
+// first visit of a cold page does, without a pool.
+func runLocated(raw []byte, width int, tasks []pageTask) error {
+	l, err := page.Locate(raw, width)
+	if err != nil {
+		return err
+	}
+	newPageKernel(width).run(raw, l, tasks, nil)
+	return nil
 }
 
 // TestPageKernel holds the kernel to its specification: each consumer of a
@@ -108,7 +141,7 @@ func TestPageKernel(t *testing.T) {
 				t.Fatal(err)
 			}
 			tasks := programs(c.width, c.filters, c.projects)
-			if err := buildPage(rawPageSource{buf: raw, width: c.width}, 0, newPageKernel(c.width), tasks, nil); err != nil {
+			if err := runLocated(raw, c.width, tasks); err != nil {
 				t.Fatal(err)
 			}
 			for i := range tasks {
@@ -157,7 +190,7 @@ func TestPageKernelKeyFilter(t *testing.T) {
 	}
 	tasks := programs(3, []expr.Pred{expr.LT(expr.Col(0), expr.CInt(50)), nil}, [][]int{{1, 0}, {0}})
 	tasks[0].keys = keys
-	if err := buildPage(rawPageSource{buf: raw, width: 3}, 0, newPageKernel(3), tasks, nil); err != nil {
+	if err := runLocated(raw, 3, tasks); err != nil {
 		t.Fatal(err)
 	}
 	matches := 0
@@ -175,7 +208,7 @@ func TestPageKernelKeyFilter(t *testing.T) {
 		t.Fatalf("the consumer beside it: %d rows, %d skipped, want all 60", len(tasks[1].out), tasks[1].skipped)
 	}
 	tasks[1].keys, tasks[1].out = keys, nil
-	if err := buildPage(rawPageSource{buf: raw, width: 3}, 0, newPageKernel(3), tasks[1:], nil); err != nil {
+	if err := runLocated(raw, 3, tasks[1:]); err != nil {
 		t.Fatal(err)
 	}
 	if last := tasks[1].out[len(tasks[1].out)-1]; last[0].I != 59 {
@@ -264,7 +297,7 @@ func TestPageKernelFold(t *testing.T) {
 			tasks := programs(c.width, []expr.Pred{c.filter, c.filter, c.filter}, [][]int{c.project, c.project, c.project})
 			fold := newScanFold(c.keys, c.specs, c.project)
 			tasks[1].fold, tasks[1].part = fold, fold.partial(0)
-			if err := buildPage(rawPageSource{buf: raw, width: c.width}, 0, newPageKernel(c.width), tasks, nil); err != nil {
+			if err := runLocated(raw, c.width, tasks); err != nil {
 				t.Fatal(err)
 			}
 			want := newGroupTable(c.keys, c.specs)
@@ -291,8 +324,11 @@ func TestPageKernelFold(t *testing.T) {
 }
 
 // TestPageKernelDamagedPage: a slot, a tag or a length that is not what the
-// layout says gives the typed error, no consumer a batch and the consumer that
-// folds an untouched partial table.
+// layout says — on a page that is resident and already located, damaged
+// through the write path (MarkDirty, then the bytes) or on the device (and the
+// pool emptied) — gives the typed error at the next visit, no consumer a batch
+// and the consumer that folds an untouched partial table; nothing is
+// published, so the visit after that fails the same way.
 func TestPageKernelDamagedPage(t *testing.T) {
 	rows := []tuple.Tuple{
 		{tuple.I64(1), tuple.Str("abc")}, {tuple.I64(2), tuple.Str("defgh")}, {tuple.I64(3), tuple.Str("")},
@@ -309,24 +345,57 @@ func TestPageKernelDamagedPage(t *testing.T) {
 		"number as a tag": func(b []byte) { b[last+9] = byte(tuple.KindInt) },
 	}
 	for name, hurt := range damage {
-		raw := append([]byte(nil), good...)
-		hurt(raw)
-		tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil}, [][]int{nil, {1}, {}})
-		fold := newScanFold([]int{1}, []expr.AggSpec{{Kind: expr.AggCount}}, nil)
-		tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
-		err := buildPage(rawPageSource{buf: raw, width: 2}, 0, newPageKernel(2), tasks, nil)
-		var ee *tuple.EncodingError
-		var ce *page.CorruptError
-		if !errors.As(err, &ee) && !errors.As(err, &ce) {
-			t.Errorf("%s: got %v, want a *tuple.EncodingError or a *page.CorruptError", name, err)
-		}
-		for i := range tasks {
-			if tasks[i].out != nil {
-				t.Errorf("%s: consumer %d was handed %d rows of a damaged page", name, i, len(tasks[i].out))
+		for _, through := range []string{"the write path", "the device"} {
+			src := rawHeap(t, 2, good)
+			pool, id := src.f.Pool(), buffer.PageID{File: src.f.Name}
+			k := newPageKernel(2)
+			visit := func() ([]pageTask, error) {
+				tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil}, [][]int{nil, {1}, {}})
+				fold := newScanFold([]int{1}, []expr.AggSpec{{Kind: expr.AggCount}}, nil)
+				tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
+				_, err := buildPage(src, 0, k, tasks, nil)
+				return tasks, err
 			}
-		}
-		if n := len(tasks[0].part.states); n != 0 || tasks[0].folded != 0 {
-			t.Errorf("%s: %d groups were folded from a damaged page", name, n)
+			if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || pool.Stats().Layouts != 1 {
+				t.Fatalf("%s: the undamaged page: %v, %d rows, %d layouts", name, err, len(tasks[1].out), pool.Stats().Layouts)
+			}
+			if through == "the device" {
+				raw := append([]byte(nil), good...)
+				hurt(raw)
+				if err := pool.Disk().Write(id.File, 0, raw); err != nil {
+					t.Fatal(err)
+				}
+				if err := pool.Invalidate(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				fr, err := pool.PinFrame(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool.MarkDirty(id)
+				hurt(fr.Data())
+				fr.Unpin()
+			}
+			for _, nth := range []string{"next", "one after"} {
+				tasks, err := visit()
+				var ee *tuple.EncodingError
+				var ce *page.CorruptError
+				if !errors.As(err, &ee) && !errors.As(err, &ce) {
+					t.Errorf("%s through %s, the %s visit: got %v, want a *tuple.EncodingError or a *page.CorruptError", name, through, nth, err)
+				}
+				for i := range tasks {
+					if tasks[i].out != nil {
+						t.Errorf("%s through %s: consumer %d was handed %d rows of a damaged page", name, through, i, len(tasks[i].out))
+					}
+				}
+				if n := len(tasks[0].part.states); n != 0 || tasks[0].folded != 0 {
+					t.Errorf("%s through %s: %d groups were folded from a damaged page", name, through, n)
+				}
+				if n := pool.Stats().Layouts; n != 0 {
+					t.Errorf("%s through %s: %d layouts are published of a damaged page", name, through, n)
+				}
+			}
 		}
 	}
 }

@@ -21,7 +21,7 @@
 //	key:            one tuple-encoded value (kind tag, then 8 bytes, or a
 //	                uvarint length and the string bytes)
 //
-// The read path (findLeaf, Search, Range, VisitLeaf, ReadLeafTuples)
+// The read path (findLeaf, Search, Range, PinLeaf, ReadLeafTuples)
 // binary-searches the slot directory of the pinned page and compares the
 // probe against the encoded key bytes (tuple.CompareEncoded): no node is
 // decoded, no payload copied. Insert, splits
@@ -41,7 +41,6 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -66,8 +65,13 @@ type Tree struct {
 // Create makes an empty tree in a new disk file.
 func Create(pool *buffer.Pool, name string) (*Tree, error) {
 	d := pool.Disk()
-	if d.BlockSize() > 1<<16 {
-		return nil, fmt.Errorf("btree: block size %d exceeds the 64 KiB a u16 slot offset addresses", d.BlockSize())
+	if d.BlockSize() >= 1<<16 {
+		return nil, fmt.Errorf("btree: block size %d: a u16 offset must address every byte of a node and its end", d.BlockSize())
+	}
+	// A tree built over a name (a re-index) replaces the file: what the pool
+	// holds of the old one must not be read as the new one's pages.
+	if err := pool.DropFile(name); err != nil {
+		return nil, err
 	}
 	d.Create(name)
 	t := &Tree{Name: name, pool: pool}
@@ -138,8 +142,8 @@ func (t *Tree) Fits(k tuple.Value, payloadLen int) bool {
 // pin pins page pno and returns the view of its bytes; the caller unpins id.
 func (t *Tree) pin(pno int64) (page, buffer.PageID, error) {
 	id := buffer.PageID{File: t.Name, Block: pno}
-	if pno < 1 || pno >= t.npages && pno >= t.filePages() {
-		return page{}, id, t.at(pno, corruptf("page pointer outside the file's %d pages", t.filePages()))
+	if err := t.checkPointer(pno); err != nil {
+		return page{}, id, err
 	}
 	raw, err := t.pool.Pin(id)
 	if err != nil {
@@ -151,6 +155,14 @@ func (t *Tree) pin(pno int64) (page, buffer.PageID, error) {
 		return page{}, id, t.at(pno, err)
 	}
 	return p, id, nil
+}
+
+// checkPointer reports a page pointer that leaves the file as corruption.
+func (t *Tree) checkPointer(pno int64) error {
+	if pno < 1 || pno >= t.npages && pno >= t.filePages() {
+		return t.at(pno, corruptf("page pointer outside the file's %d pages", t.filePages()))
+	}
+	return nil
 }
 
 // filePages is the file's length on the device. It can exceed npages when
@@ -184,11 +196,8 @@ func (t *Tree) writeNode(pno int64, n *node) error {
 		return err
 	}
 	defer t.pool.Unpin(id)
-	if err := n.encode(raw); err != nil {
-		return err
-	}
-	t.pool.MarkDirty(id)
-	return nil
+	t.pool.MarkDirty(id) // before the first byte moves: see buffer's package comment
+	return n.encode(raw)
 }
 
 func (t *Tree) appendNode(n *node) (int64, error) {
@@ -414,7 +423,7 @@ func (t *Tree) RangeFrom(lo, hi tuple.Value, skipLeaves int, fn func(key tuple.V
 
 // ScanLeaves iterates leaves in key order, invoking fn once per leaf with
 // the leaf ordinal and its entries (payloads valid for the call). For
-// validation and tests; scans stream through Range or VisitLeaf.
+// validation and tests; scans stream through Range or PinLeaf.
 func (t *Tree) ScanLeaves(fn func(ord int, keys []tuple.Value, payloads [][]byte) bool) error {
 	pnos, err := t.LeafPageNos()
 	if err != nil {
@@ -463,28 +472,16 @@ func (t *Tree) LeafPageNos() ([]int64, error) {
 	return out, nil
 }
 
-// VisitLeaf pins leaf pno and calls fn once with its entries' payloads in
-// key order — for a clustered index, the encoded rows — collected into
-// rows[:0]. The bytes alias the pinned frame and are valid for the call
-// only; the pin ends when VisitLeaf returns. fn's error is returned as it is.
-func (t *Tree) VisitLeaf(pno int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	p, id, err := t.pin(pno)
-	if err != nil {
-		return err
+// PinLeaf pins leaf pno of a clustered index for a scan and returns its frame
+// with the layout of its entries' payloads — the encoded rows of ncols columns
+// — in key order, derived here, fresh, when no earlier visit of the resident
+// page left one (buffer.Pool.PinLocated). The caller indexes the frame's bytes
+// through it until it unpins the frame.
+func (t *Tree) PinLeaf(pno int64, ncols int) (fr *buffer.Frame, l *buffer.Layout, fresh bool, err error) {
+	if err := t.checkPointer(pno); err != nil {
+		return nil, nil, false, err
 	}
-	defer t.pool.Unpin(id)
-	if !p.leaf {
-		return t.at(pno, corruptf("not a leaf"))
-	}
-	rows = slices.Grow(rows[:0], p.n)
-	for i := 0; i < p.n; i++ {
-		_, payload, err := p.entry(i)
-		if err != nil {
-			return t.at(pno, err)
-		}
-		rows = append(rows, payload)
-	}
-	return fn(rows)
+	return t.pool.PinLocated(buffer.PageID{File: t.Name, Block: pno}, ncols, locateLeaf)
 }
 
 // ReadLeafTuples reads one leaf page and decodes each payload as a tuple of

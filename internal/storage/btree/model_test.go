@@ -405,12 +405,33 @@ func FuzzNodeBytes(f *testing.F) {
 		}
 		_, err := tr.ReadLeafTuples(pno, 2)
 		accept(err)
-		accept(tr.VisitLeaf(pno, nil, func(rows [][]byte) error {
-			for _, payload := range rows {
-				_ = payload[:len(payload):len(payload)] // in range, or this panics
+		// The leaf's layout: every located value is one the decoder accepts,
+		// inside the page, and published — or a typed error and nothing published.
+		id := buffer.PageID{File: "ix", Block: pno}
+		fr, l, fresh, err := tr.PinLeaf(pno, 2)
+		var ee *tuple.EncodingError
+		if err != nil && !errors.As(err, &ee) {
+			accept(err)
+		}
+		if err == nil {
+			if !fresh || fr.Layout() != l || len(l.Offs) != 3*l.Rows {
+				t.Fatalf("fresh %v, published %v, %d offsets for %d rows", fresh, fr.Layout() == l, len(l.Offs), l.Rows)
 			}
-			return nil
-		}))
+			for i, off := range l.Offs {
+				if i%3 == 2 {
+					continue // a row's end
+				}
+				if w, err := tuple.ValueWidth(fr.Data()[off:]); err != nil || int(off)+w > int(l.Offs[i+1]) {
+					t.Fatalf("offset %d (%d): width %d, %v; the next is %d", i, off, w, err, l.Offs[i+1])
+				}
+			}
+			fr.Unpin()
+		} else if fr, perr := pool.PinFrame(id); perr == nil {
+			if fr.Layout() != nil {
+				t.Fatalf("a leaf that failed (%v) has a layout", err)
+			}
+			fr.Unpin()
+		}
 		_, err = tr.LeafPageNos()
 		accept(err)
 		_, err = tr.Count()

@@ -3,7 +3,9 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/tuple"
 )
 
@@ -89,6 +91,35 @@ func (p page) entry(i int) (key, val []byte, err error) {
 		return nil, nil, corruptf("slot %d: payload of %d bytes overruns the page", i, n)
 	}
 	return key, rest[plenSize : plenSize+n], nil
+}
+
+// locateLeaf derives the layout of a leaf whose payloads are rows of ncols
+// columns: every check entry makes of every entry, and tuple.Offsets' of
+// every row, made once for whoever indexes the page through the result.
+func locateLeaf(b []byte, ncols int) (*buffer.Layout, error) {
+	if len(b) > math.MaxUint16 {
+		return nil, corruptf("%d bytes are more than a 16-bit offset addresses", len(b))
+	}
+	p, err := viewPage(b)
+	if err != nil {
+		return nil, err
+	}
+	if !p.leaf {
+		return nil, corruptf("not a leaf")
+	}
+	stride := ncols + 1
+	l := &buffer.Layout{Rows: p.n, Offs: make([]uint16, p.n*stride)}
+	for i := 0; i < p.n; i++ {
+		key, payload, err := p.entry(i)
+		if err != nil {
+			return nil, err
+		}
+		at := int(binary.LittleEndian.Uint16(b[hdrSize+slotSize*i:])) + len(key) + plenSize
+		if err := tuple.Offsets(payload, at, l.Offs[i*stride:(i+1)*stride]); err != nil {
+			return nil, err
+		}
+	}
+	return l, nil
 }
 
 func (p page) child(i int) (int64, error) {

@@ -7,6 +7,20 @@
 // apart in time that the first query's pages have been evicted, the second
 // query pays the full I/O again ("data sharing miss", Definition 1). QPipe's
 // OSP layer sits above this pool and removes that timing sensitivity.
+//
+// A frame also keeps what a scan derived from its bytes — its Layout — so a
+// later scan of the resident page reuses the earlier one's parse as it reuses
+// its read. A layout's whole life is stated here and nowhere else:
+//
+//   - it is published by PinLocated only, after the page kind's locate
+//     function has validated the whole page (two scan workers may both derive
+//     it: the results are equal, and whichever store lands is kept);
+//   - it is dropped before the first byte of a write: every write site calls
+//     MarkDirty first, under the pin it already holds, and MarkDirty clears it
+//     (the table's X lock, which excludes scans for the length of the write,
+//     keeps a scan from deriving one of the bytes in between);
+//   - it dies with its frame — on eviction, Invalidate and DropFile, which is
+//     what creating a file over a name or removing one calls.
 package buffer
 
 import (
@@ -25,11 +39,40 @@ type PageID struct {
 
 func (id PageID) String() string { return fmt.Sprintf("%s:%d", id.File, id.Block) }
 
-type frame struct {
-	id    PageID
-	data  []byte
-	pins  int
-	dirty bool
+// Layout locates the rows of one page: column c of live row r starts at byte
+// Offs[r*stride+c] of the frame, where stride is the rows' column count plus
+// one, a row's last entry being the byte just past it. It is immutable once
+// made and holds no pointer but the slice's own, so the collector never scans
+// it: 2·stride bytes a live row beside the page's bytes.
+type Layout struct {
+	Rows int
+	Offs []uint16
+}
+
+// Frame is one resident page: its bytes and the layout derived from them.
+// A caller holds it from PinFrame (or PinLocated) to Unpin.
+type Frame struct {
+	pool   *Pool
+	data   []byte
+	pins   int  // guarded by pool.mu
+	dirty  bool // guarded by pool.mu
+	layout atomic.Pointer[Layout]
+}
+
+// Data returns the page bytes. They alias the pool's frame: read-only unless
+// the caller has called MarkDirty first.
+func (f *Frame) Data() []byte { return f.data }
+
+// Layout returns the frame's published layout, nil when it has none.
+func (f *Frame) Layout() *Layout { return f.layout.Load() }
+
+// Unpin releases the caller's pin.
+func (f *Frame) Unpin() {
+	f.pool.mu.Lock()
+	if f.pins > 0 {
+		f.pins--
+	}
+	f.pool.mu.Unlock()
 }
 
 // Stats is a snapshot of pool counters.
@@ -39,6 +82,7 @@ type Stats struct {
 	Evictions int64
 	Capacity  int
 	Resident  int
+	Layouts   int // resident frames holding a layout
 }
 
 // Pool is a fixed-capacity page cache over a Disk. All methods are safe for
@@ -48,7 +92,7 @@ type Pool struct {
 	capacity int
 
 	mu     sync.Mutex
-	frames map[PageID]*frame
+	frames map[PageID]*Frame
 	policy Policy
 
 	hits      atomic.Int64
@@ -69,7 +113,7 @@ func NewPool(d *disk.Disk, capacity int, policy Policy) *Pool {
 	return &Pool{
 		d:        d,
 		capacity: capacity,
-		frames:   make(map[PageID]*frame, capacity),
+		frames:   make(map[PageID]*Frame, capacity),
 		policy:   policy,
 	}
 }
@@ -80,17 +124,46 @@ func (p *Pool) Disk() *disk.Disk { return p.d }
 // Capacity returns the pool capacity in pages.
 func (p *Pool) Capacity() int { return p.capacity }
 
-// Pin fetches the page, reading from disk on a miss, and pins it in memory.
-// The returned bytes alias the pool frame: callers must treat them as
-// read-only unless they also call MarkDirty, and must Unpin when done.
+// Pin is PinFrame for callers that want the bytes only; they release the pin
+// with Unpin(id).
 func (p *Pool) Pin(id PageID) ([]byte, error) {
+	f, err := p.PinFrame(id)
+	if err != nil {
+		return nil, err
+	}
+	return f.data, nil
+}
+
+// PinLocated pins the page and returns its frame with the layout of its rows
+// of ncols columns: the published one, or — fresh — the one locate derives
+// from the bytes here, published once locate has accepted the whole page. A
+// page locate rejects publishes nothing, is not left pinned, and fails again
+// on the next visit.
+func (p *Pool) PinLocated(id PageID, ncols int, locate func(data []byte, ncols int) (*Layout, error)) (f *Frame, l *Layout, fresh bool, err error) {
+	if f, err = p.PinFrame(id); err != nil {
+		return nil, nil, false, err
+	}
+	if l = f.layout.Load(); l != nil {
+		return f, l, false, nil
+	}
+	if l, err = locate(f.data, ncols); err != nil {
+		f.Unpin()
+		return nil, nil, false, fmt.Errorf("%s: %w", id, err)
+	}
+	f.layout.Store(l)
+	return f, l, true, nil
+}
+
+// PinFrame fetches the page, reading from disk on a miss, and pins it in
+// memory until the frame's Unpin.
+func (p *Pool) PinFrame(id PageID) (*Frame, error) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
 		f.pins++
 		p.policy.Touch(id)
 		p.mu.Unlock()
 		p.hits.Add(1)
-		return f.data, nil
+		return f, nil
 	}
 	p.mu.Unlock()
 
@@ -109,15 +182,15 @@ func (p *Pool) Pin(id PageID) ([]byte, error) {
 		// Someone else cached it while we were reading.
 		f.pins++
 		p.policy.Touch(id)
-		return f.data, nil
+		return f, nil
 	}
 	if err := p.makeRoomLocked(); err != nil {
 		return nil, err
 	}
-	f := &frame{id: id, data: data, pins: 1}
+	f := &Frame{pool: p, data: data, pins: 1}
 	p.frames[id] = f
 	p.policy.Insert(id)
-	return f.data, nil
+	return f, nil
 }
 
 // makeRoomLocked evicts frames until at least one slot is free.
@@ -152,13 +225,37 @@ func (p *Pool) Unpin(id PageID) {
 	}
 }
 
-// MarkDirty flags the page for write-back on eviction or Flush.
+// MarkDirty announces a write to the page, which the caller has pinned and
+// has not yet touched: the frame's layout is dropped — no scan indexes bytes
+// that are about to move — and the page is flagged for write-back on eviction
+// or Flush.
 func (p *Pool) MarkDirty(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		f.dirty = true
+		f.layout.Store(nil)
 	}
+}
+
+// DropFile forgets the frames of a file that is being removed or created
+// over: they leave the pool and the replacement order without write-back,
+// their bytes (and layouts) being those of a file that no longer exists. A
+// frame still pinned stays, and is an error.
+func (p *Pool) DropFile(name string) (err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id, f := range p.frames {
+		switch {
+		case id.File != name:
+		case f.pins > 0:
+			err = fmt.Errorf("buffer: %s still pinned, its file dropped", id)
+		default:
+			delete(p.frames, id)
+			p.policy.Remove(id)
+		}
+	}
+	return err
 }
 
 // Contains reports whether the page is currently resident (used by tests and
@@ -225,7 +322,12 @@ func (p *Pool) Invalidate() error {
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	resident := len(p.frames)
+	resident, layouts := len(p.frames), 0
+	for _, f := range p.frames {
+		if f.layout.Load() != nil {
+			layouts++
+		}
+	}
 	p.mu.Unlock()
 	return Stats{
 		Hits:      p.hits.Load(),
@@ -233,6 +335,7 @@ func (p *Pool) Stats() Stats {
 		Evictions: p.evictions.Load(),
 		Capacity:  p.capacity,
 		Resident:  resident,
+		Layouts:   layouts,
 	}
 }
 

@@ -46,8 +46,14 @@ type File struct {
 	tailOpen bool
 }
 
-// Create makes a new empty heap file on the pool's disk.
+// Create makes a new empty heap file on the pool's disk, replacing a file of
+// the same name and whatever the pool still holds of it.
 func Create(pool *buffer.Pool, name string, schema *tuple.Schema) *File {
+	if err := pool.DropFile(name); err != nil {
+		// A page of the file being replaced is pinned: its reader was not
+		// excluded, which only a bug in the caller's locking does.
+		panic(err)
+	}
 	pool.Disk().Create(name)
 	return &File{Name: name, Schema: schema, pool: pool}
 }
@@ -78,7 +84,7 @@ func (f *File) NumPages() int64 {
 
 // Append inserts a tuple at the end of the file and returns its RID. While
 // the tail page a Sync put on the device is open and has room, the tuple
-// goes into that page through the buffer pool (Pin, page.Insert, MarkDirty
+// goes into that page through the buffer pool (Pin, MarkDirty, page.Insert
 // — the ReplaceAt/DeleteAt discipline; the caller holds the table X lock),
 // so small commits share a page instead of taking one each. Otherwise it
 // goes into a private page that is written straight to disk when full,
@@ -128,10 +134,10 @@ func (f *File) insertIntoTailLocked(enc []byte) (slot int, ok bool, err error) {
 	if !p.HasRoomFor(len(enc)) {
 		return 0, false, nil
 	}
+	f.pool.MarkDirty(id) // before the first byte moves: see buffer's package comment
 	if slot, err = p.Insert(enc); err != nil {
 		return 0, false, err
 	}
-	f.pool.MarkDirty(id)
 	return slot, true, nil
 }
 
@@ -198,21 +204,13 @@ func (f *File) ReadPage(pno int64) ([]tuple.Tuple, error) {
 	return p.Tuples(f.Schema.Len())
 }
 
-// VisitPage pins page pno and calls fn once with the encodings of its live
-// rows in slot order (tombstones skipped), collected into rows[:0]. The bytes
-// alias the pinned frame and are valid for the call only; the pin ends when
-// VisitPage returns, so whatever fn keeps it must have copied out.
-func (f *File) VisitPage(pno int64, rows [][]byte, fn func(rows [][]byte) error) error {
-	id := buffer.PageID{File: f.Name, Block: pno}
-	raw, err := f.pool.Pin(id)
-	if err != nil {
-		return err
-	}
-	defer f.pool.Unpin(id)
-	if rows, err = page.FromBytes(raw).Rows(rows[:0]); err != nil {
-		return err
-	}
-	return fn(rows)
+// PinPage pins page pno for a scan and returns its frame with the layout of
+// its live rows in slot order (tombstones skipped) — derived here, fresh, when
+// no earlier visit of the resident page left one (buffer.Pool.PinLocated,
+// page.Locate). The caller indexes the frame's bytes through it until it
+// unpins the frame; whatever it keeps it has copied out.
+func (f *File) PinPage(pno int64) (fr *buffer.Frame, l *buffer.Layout, fresh bool, err error) {
+	return f.pool.PinLocated(buffer.PageID{File: f.Name, Block: pno}, f.Schema.Len(), page.Locate)
 }
 
 // ErrDeleted is returned by ReadTuple for a tombstoned RID. Unclustered
@@ -238,7 +236,7 @@ func (f *File) ReadTuple(rid RID) (tuple.Tuple, error) {
 }
 
 // ReplaceAt overwrites the tuple at rid in place (same RID after the
-// update). The page is mutated through the buffer pool and marked dirty;
+// update). The page is marked dirty, then mutated through the buffer pool;
 // durability comes from the WAL, not from an immediate disk write. Only
 // flushed pages can be mutated — the storage manager syncs tails at commit,
 // so every committed row lives in a flushed page (possibly the open tail).
@@ -252,12 +250,8 @@ func (f *File) ReplaceAt(rid RID, t tuple.Tuple) error {
 		return err
 	}
 	defer f.pool.Unpin(id)
-	p := page.FromBytes(raw)
-	if err := p.ReplaceAt(rid.Slot, t.Encode(nil)); err != nil {
-		return err
-	}
 	f.pool.MarkDirty(id)
-	return nil
+	return page.FromBytes(raw).ReplaceAt(rid.Slot, t.Encode(nil))
 }
 
 // DeleteAt tombstones the tuple at rid. Deleting an already-deleted slot is
@@ -272,12 +266,8 @@ func (f *File) DeleteAt(rid RID) error {
 		return err
 	}
 	defer f.pool.Unpin(id)
-	p := page.FromBytes(raw)
-	if err := p.DeleteAt(rid.Slot); err != nil {
-		return err
-	}
 	f.pool.MarkDirty(id)
-	return nil
+	return page.FromBytes(raw).DeleteAt(rid.Slot)
 }
 
 // CheckMutations reports, without changing anything, whether DeleteAt for

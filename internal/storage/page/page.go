@@ -16,8 +16,9 @@ package page
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
+	"math"
 
+	"qpipe/internal/storage/buffer"
 	"qpipe/internal/tuple"
 )
 
@@ -254,31 +255,42 @@ type CorruptError struct{ Reason string }
 // Error implements error.
 func (e *CorruptError) Error() string { return "page: corrupt: " + e.Reason }
 
-// Rows appends to dst the payload of every live slot in slot order,
-// skipping tombstones, and returns it. The payloads alias the page buffer:
-// they are valid while the caller keeps the page's frame pinned. A directory
-// or slot that overruns the buffer is a *CorruptError, never an
-// out-of-range slice.
-func (p *Page) Rows(dst [][]byte) ([][]byte, error) {
-	if len(p.buf) < headerSize {
-		return nil, &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(p.buf))}
+// Locate derives the layout of a page of rows of ncols columns: every live
+// slot in slot order, tombstones skipped, each column located in the page
+// (tuple.Offsets). It makes every check a reader of the bytes needs, once — a
+// directory or slot that overruns the buffer is a *CorruptError, a value with
+// a bad tag or a truncated width a *tuple.EncodingError — so whoever holds
+// the result indexes the page unchecked. The buffer pool keeps it beside the
+// frame (buffer.Pool.PinLocated).
+func Locate(buf []byte, ncols int) (*buffer.Layout, error) {
+	if len(buf) < headerSize {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(buf))}
 	}
+	if len(buf) > math.MaxUint16 {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d bytes are more than a 16-bit offset addresses", len(buf))}
+	}
+	p := Page{buf: buf}
 	n := p.NumSlots()
-	if headerSize+n*slotSize > len(p.buf) {
-		return nil, &CorruptError{Reason: fmt.Sprintf("directory of %d slots overruns the %d-byte page", n, len(p.buf))}
+	if headerSize+n*slotSize > len(buf) {
+		return nil, &CorruptError{Reason: fmt.Sprintf("directory of %d slots overruns the %d-byte page", n, len(buf))}
 	}
-	dst = slices.Grow(dst, n)
+	stride := ncols + 1
+	l := &buffer.Layout{Offs: make([]uint16, 0, n*stride)}
 	for i := 0; i < n; i++ {
 		off, ln := p.slot(i)
 		if off == 0 && ln == 0 {
 			continue
 		}
-		if int(off)+int(ln) > len(p.buf) {
-			return nil, &CorruptError{Reason: fmt.Sprintf("slot %d (%d bytes at %d) overruns the %d-byte page", i, ln, off, len(p.buf))}
+		if int(off)+int(ln) > len(buf) {
+			return nil, &CorruptError{Reason: fmt.Sprintf("slot %d (%d bytes at %d) overruns the %d-byte page", i, ln, off, len(buf))}
 		}
-		dst = append(dst, p.buf[off:off+ln])
+		l.Offs = l.Offs[:len(l.Offs)+stride]
+		if err := tuple.Offsets(buf[off:off+ln], int(off), l.Offs[l.Rows*stride:]); err != nil {
+			return nil, err
+		}
+		l.Rows++
 	}
-	return dst, nil
+	return l, nil
 }
 
 // Tuples decodes every live tuple in the page, skipping tombstoned slots
@@ -286,9 +298,9 @@ func (p *Page) Rows(dst [][]byte) ([][]byte, error) {
 // numbers — use Tombstone/Tuple for RID-accurate iteration). All rows carve
 // out of one arena chunk (one allocation per page rather than one per row);
 // they are independent of the page buffer and immutable. The scan µEngine
-// does not come through here (it works on the encoded rows, see Rows); the
-// callers are the iterator engine, spill readers, victim search and the
-// benchmark's kernels.
+// does not come through here (it works on the encoded rows, see Locate, with
+// which this shares no code); the callers are the iterator engine, spill
+// readers, victim search and the benchmark's kernels.
 func (p *Page) Tuples(ncols int) ([]tuple.Tuple, error) {
 	n := p.NumSlots()
 	out := make([]tuple.Tuple, 0, n)

@@ -187,6 +187,9 @@ func (m *Manager) Recover() error {
 			return err
 		}
 		for _, e := range entries {
+			if err := m.Pool.DropFile("tbl:" + e.name); err != nil {
+				return fmt.Errorf("sm: recover %q: %w", e.name, err)
+			}
 			if err := m.Disk.Truncate("tbl:"+e.name, e.nblocks); err != nil {
 				return fmt.Errorf("sm: recover %q: %w", e.name, err)
 			}
@@ -399,7 +402,7 @@ func (m *Manager) removeStrayFiles(tables []string) {
 	for _, prefix := range []string{"tbl:", "cix:", "uix:", "tmp:"} {
 		for _, f := range m.Disk.FilesWithPrefix(prefix) {
 			if !known[f] {
-				m.Disk.Remove(f)
+				m.DropTemp(f)
 			}
 		}
 	}

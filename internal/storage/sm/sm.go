@@ -468,8 +468,15 @@ func (m *Manager) TempName(prefix string) string {
 	return fmt.Sprintf("tmp:%s:%d", prefix, n)
 }
 
-// DropTemp removes a temporary file.
-func (m *Manager) DropTemp(name string) { m.Disk.Remove(name) }
+// DropTemp removes a temporary file (or, at recovery, a stray one) and what
+// the pool holds of it.
+func (m *Manager) DropTemp(name string) {
+	// A frame a reader still pins — DropFile's only error — is at worst space
+	// until LRU reaches it: nothing reads a removed file, and one created
+	// over the name drops it again.
+	_ = m.Pool.DropFile(name)
+	m.Disk.Remove(name)
+}
 
 // EncodeRID encodes a heap RID as a B+tree payload.
 func EncodeRID(r heap.RID) []byte {

@@ -104,13 +104,16 @@ func TestOffsetsWalkMatchesDecode(t *testing.T) {
 				row[c] = drawValue(rng)
 			}
 		}
-		enc := row.Encode(nil)
-		offs := make([]int, len(row)+1)
-		if err := Offsets(enc, offs); err != nil {
+		// The row lies base bytes into its page, and the offsets are the page's.
+		base := rng.Intn(100)
+		pg := row.Encode(make([]byte, base))
+		enc := pg[base:]
+		offs := make([]uint16, len(row)+1)
+		if err := Offsets(enc, base, offs); err != nil {
 			t.Fatalf("%v: %v", row, err)
 		}
-		if offs[len(row)] != len(enc) {
-			t.Fatalf("%v: the walk ends at %d of %d bytes", row, offs[len(row)], len(enc))
+		if int(offs[len(row)]) != len(pg) {
+			t.Fatalf("%v: the walk ends at %d of %d bytes", row, offs[len(row)], len(pg))
 		}
 		want, _, err := Decode(enc, len(row))
 		if err != nil {
@@ -118,8 +121,8 @@ func TestOffsetsWalkMatchesDecode(t *testing.T) {
 		}
 		got := make(Tuple, len(row))
 		for c := range got {
-			DecodeInto(&got[c], enc[offs[c]:])
-			if w, err := ValueWidth(enc[offs[c]:]); err != nil || w != offs[c+1]-offs[c] {
+			DecodeInto(&got[c], pg[offs[c]:])
+			if w, err := ValueWidth(pg[offs[c]:]); err != nil || w != int(offs[c+1]-offs[c]) {
 				t.Fatalf("%v column %d: ValueWidth %d, %v; the walk says %d", row, c, w, err, offs[c+1]-offs[c])
 			}
 		}
@@ -128,13 +131,13 @@ func TestOffsetsWalkMatchesDecode(t *testing.T) {
 		}
 		for cut := 0; cut < len(enc); cut++ {
 			var ee *EncodingError
-			if err := Offsets(enc[:cut], offs); !errors.As(err, &ee) {
+			if err := Offsets(enc[:cut], base, offs); !errors.As(err, &ee) {
 				t.Fatalf("%v cut at %d: got %v, want an *EncodingError", row, cut, err)
 			}
 		}
-		enc[offs[rng.Intn(len(row))]] = byte(5 + rng.Intn(250))
+		pg[offs[rng.Intn(len(row))]] = byte(5 + rng.Intn(250))
 		var ee *EncodingError
-		if err := Offsets(enc, offs); !errors.As(err, &ee) {
+		if err := Offsets(enc, base, offs); !errors.As(err, &ee) {
 			t.Fatalf("%v with a damaged tag: got %v, want an *EncodingError", row, err)
 		}
 	}

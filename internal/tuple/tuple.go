@@ -566,11 +566,14 @@ func valueWidth(b []byte) (int, string) {
 	}
 }
 
-// Offsets walks one encoded row of len(offs)-1 columns: offs[i] becomes the
-// offset of column i in b and the last entry the offset just past the row.
-// After a nil return every column is a value ValueWidth accepted, so
-// DecodeInto, DecodeValue and CompareEncoded may read b[offs[i]:] unchecked.
-func Offsets(b []byte, offs []int) error {
+// Offsets walks one encoded row of len(offs)-1 columns that starts at byte
+// base of its page: offs[i] becomes the page offset of column i and the last
+// entry the offset just past the row (the caller sees to it that
+// base+len(b) fits a uint16). After a nil return every column is a value
+// ValueWidth accepted, so DecodeInto, DecodeValue and CompareEncoded may read
+// the page from offs[i] on unchecked. It is what the page layouts are derived
+// with (page.Locate, the B+tree's leaves), once per resident page.
+func Offsets(b []byte, base int, offs []uint16) error {
 	if n := len(offs) - 1; len(b) == 9*n {
 		// As long as n numbers: if every tag agrees, the offsets are
 		// arithmetic (a page of a numbers-only table takes this path for
@@ -578,17 +581,17 @@ func Offsets(b []byte, offs []int) error {
 		const numbers = 1<<KindInt | 1<<KindFloat | 1<<KindDate
 		other := byte(0) // becomes non-zero at a tag that is not a number's
 		for i := 0; i < n; i++ {
-			offs[i] = 9 * i
+			offs[i] = uint16(base + 9*i)
 			tag := b[9*i]
 			other |= tag>>3 | ^(numbers>>(tag&7))&1
 		}
-		if offs[n] = 9 * n; other == 0 {
+		if offs[n] = uint16(base + 9*n); other == 0 {
 			return nil
 		}
 	}
 	off := 0
 	for i := 0; i < len(offs)-1; i++ {
-		offs[i] = off
+		offs[i] = uint16(base + off)
 		if len(b)-off >= 9 && kindGroup(Kind(b[off])) == 1 {
 			off += 9 // a number: valueWidth's common case, without the call
 			continue
@@ -599,7 +602,7 @@ func Offsets(b []byte, offs []int) error {
 		}
 		off += w
 	}
-	offs[len(offs)-1] = off
+	offs[len(offs)-1] = uint16(base + off)
 	return nil
 }
 

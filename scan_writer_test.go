@@ -138,7 +138,11 @@ func swDraw(rng *rand.Rand) swQuery {
 // commit between the last acknowledged before the statement was sent and
 // the last begun before its reply was complete (Berkholz et al.: what a
 // reader is handed equals recomputation from the stored rows at one
-// instant).
+// instant). The pool holds the whole table, so between two commits a scan is
+// served from the layouts an earlier scan left in the frames: after each
+// commit is acknowledged the statement is asked twice more with no writer
+// beside it — both replies are that commit's answer, and the second derives
+// no page's layout.
 func TestScansBesideAWriter(t *testing.T) {
 	ctx := context.Background()
 	db := apOpen(t, qpipe.Options{})
@@ -164,6 +168,7 @@ func TestScansBesideAWriter(t *testing.T) {
 	history[0].Store(&model)
 	var begun, acked atomic.Int64
 	release, writerDone := make(chan struct{}), make(chan struct{})
+	committed := make(chan struct{}, 1) // one token a commit acknowledged (or refused whole)
 	go func() {
 		defer close(writerDone)
 		wrng := rand.New(rand.NewSource(7))
@@ -220,10 +225,14 @@ func TestScansBesideAWriter(t *testing.T) {
 				history[i].Store(prev)
 			}
 			acked.Store(int64(i))
+			committed <- struct{}{}
 		}
 	}()
 
 	conn := apServe(t, db)
+	// Scans sent after a write to the table: those that located no page, and
+	// those that had to locate some.
+	servedWarm, servedAfresh := 0, 0
 	for n := 0; n < commits && !t.Failed(); n++ {
 		q := swDraw(rng)
 		par := 1 + 3*(n%2)
@@ -236,6 +245,11 @@ func TestScansBesideAWriter(t *testing.T) {
 		}
 		var got []qpipe.Row
 		var err error
+		opts := []qpipe.QueryOption{qpipe.WithParallelism(par)}
+		if !osp {
+			opts = append(opts, qpipe.WithoutOSP())
+		}
+		afresh := false // some scan since the commit located a page
 		if n%3 == 0 {
 			copts := []client.Option{client.WithParallelism(par)}
 			if !osp {
@@ -246,13 +260,10 @@ func TestScansBesideAWriter(t *testing.T) {
 				got, err = wr.All()
 			}
 		} else {
-			opts := []qpipe.QueryOption{qpipe.WithParallelism(par)}
-			if !osp {
-				opts = append(opts, qpipe.WithoutOSP())
-			}
 			var res *qpipe.Result
 			if res, err = db.Query(ctx, q.text, opts...); err == nil {
 				got, err = res.All()
+				afresh = res.Stats().PagesLocated.Load() > 0
 			}
 		}
 		if err != nil {
@@ -267,7 +278,38 @@ func TestScansBesideAWriter(t *testing.T) {
 			t.Fatalf("%s (parallelism %d, osp %v): the reply's %d rows match no table state between commits %d and %d (%d rows then, %d now)",
 				q.text, par, osp, len(got), first, last, len(q.answer(*history[first].Load())), len(q.answer(*history[last].Load())))
 		}
+		// The commit is in; nothing is written until the next release.
+		select {
+		case <-committed:
+		case <-writerDone:
+			continue
+		}
+		for _, nth := range []string{"first", "second"} {
+			res, err := db.Query(ctx, q.text, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", q.text, err)
+			}
+			if got, err = res.All(); err != nil {
+				t.Fatalf("%s: %v", q.text, err)
+			}
+			if want := q.answer(*history[acked.Load()].Load()); !equalRows(apSorted(got), want) {
+				t.Fatalf("%s (parallelism %d, osp %v), the %s time after commit %d: %d rows, want %d", q.text, par, osp, nth, acked.Load(), len(got), len(want))
+			}
+			located := res.Stats().PagesLocated.Load()
+			afresh = afresh || located > 0
+			if nth == "second" && (located != 0 || res.Stats().PagesVisited.Load() == 0) {
+				t.Fatalf("%s, the second time after commit %d: %d of %d pages located", q.text, acked.Load(), located, res.Stats().PagesVisited.Load())
+			}
+		}
+		servedWarm++
+		if afresh {
+			servedAfresh++
+		}
 	}
 	close(release)
 	<-writerDone
+	t.Logf("after a write to the table: %d scans located no page; after %d of the commits one located some", servedWarm, servedAfresh)
+	if servedWarm < 50 || servedAfresh < 50 {
+		t.Fatalf("after a write to the table %d scans located no page and after %d commits one located some: want at least 50 of each", servedWarm, servedAfresh)
+	}
 }

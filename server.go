@@ -572,6 +572,8 @@ func (c *serverConn) serveStats() error {
 		{Name: "batches_sent", Value: ss.BatchesSent},
 		{Name: "errors_sent", Value: ss.ErrorsSent},
 		{Name: "protocol_errors", Value: ss.ProtocolErrors},
+		{Name: "scan.pages_visited", Value: es.PagesVisited},
+		{Name: "scan.pages_located", Value: es.PagesLocated},
 	}}
 	for why, n := range es.HandOvers {
 		msg.Stats = append(msg.Stats, wire.Stat{Name: "handover." + HandOver(why).String(), Value: n})
