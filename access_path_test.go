@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qpipe"
 	"qpipe/client"
@@ -192,10 +193,13 @@ func apDrawPred(rng *rand.Rand, depth int) apPred {
 	return apPred{"(" + x.sql + " AND " + y.sql + ")", qpipe.And(x.b, y.b)}
 }
 
-// apStatement is one query in both spellings.
+// apStatement is one query in both spellings — and, when it joins, a third:
+// the join as a nested loop (both inequalities for the equality), which
+// compares and never hashes.
 type apStatement struct {
 	sql     string
 	builder func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query
+	loop    string
 }
 
 func apDrawStatement(rng *rand.Rand) apStatement {
@@ -203,27 +207,16 @@ func apDrawStatement(rng *rand.Rand) apStatement {
 	p := apDrawPred(rng, 2)
 	switch rng.Intn(8) {
 	case 0:
-		return apStatement{fmt.Sprintf("SELECT * FROM %s WHERE %s", tb, p.sql),
-			func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b) }}
+		return apStatement{sql: fmt.Sprintf("SELECT * FROM %s WHERE %s", tb, p.sql),
+			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b) }}
 	case 1, 2:
-		return apStatement{fmt.Sprintf("SELECT id, k, s FROM %s WHERE %s", tb, p.sql),
-			func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).Select("id", "k", "s") }}
+		return apStatement{sql: fmt.Sprintf("SELECT id, k, s FROM %s WHERE %s", tb, p.sql),
+			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).Select("id", "k", "s") }}
 	case 3:
-		return apStatement{fmt.Sprintf("SELECT g, count(*) AS n, sum(f) AS sf, min(s) AS lo FROM %s WHERE %s GROUP BY g", tb, p.sql),
-			func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+		return apStatement{sql: fmt.Sprintf("SELECT g, count(*) AS n, sum(f) AS sf, min(s) AS lo FROM %s WHERE %s GROUP BY g", tb, p.sql),
+			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
 				return db.Scan(tb).Filter(p.b).GroupBy([]string{"g"},
 					qpipe.Count().As("n"), qpipe.Sum(qpipe.Col("f")).As("sf"), qpipe.Min(qpipe.Col("s")).As("lo"))
-			}}
-	case 4:
-		// The join order is the cost-based reordering's; the builder spelling
-		// follows whichever side the SQL plan made the build side.
-		return apStatement{fmt.Sprintf("SELECT label, count(*) AS n, max(k) AS hi FROM %s JOIN dim ON g = gid WHERE %s GROUP BY label", tb, p.sql),
-			func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query {
-				q := db.Scan(tb).Join(db.Scan("dim"), "g", "gid")
-				if apBuildSide(sqlPlan) == "dim" {
-					q = db.Scan("dim").Join(db.Scan(tb), "gid", "g")
-				}
-				return q.Filter(p.b).GroupBy([]string{"label"}, qpipe.Count().As("n"), qpipe.Max(qpipe.Col("k")).As("hi"))
 			}}
 	default:
 		return apDrawAggregate(rng, tb, p)
@@ -234,20 +227,30 @@ func apDrawStatement(rng *rand.Rand) apStatement {
 // scan µEngine folds on the page bytes when the scan is served page by page:
 // scalar or grouped by one or two columns of any kind, every kind of
 // aggregate over a column or an expression, and now and then no row at all.
+// One in two joins dim first (the scan of tb is then the probe side, and the
+// fold goes through the join): keys and arguments come from either side, an
+// expression from both.
 func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
 	if rng.Intn(6) == 0 {
 		p = apPred{"(" + p.sql + " AND id < 0)", qpipe.And(p.b, qpipe.Col("id").Lt(qpipe.Int(0)))}
 	}
-	numbers := []struct {
+	type arg struct {
 		sql string
 		e   qpipe.Expr
-	}{
+	}
+	numbers := []arg{
 		{"k", qpipe.Col("k")}, {"f", qpipe.Col("f")}, {"id", qpipe.Col("id")},
 		{"f * 4.0", qpipe.Col("f").Mul(qpipe.Float(4))}, {"k + g", qpipe.Col("k").Add(qpipe.Col("g"))},
 		{"id - k * 2", qpipe.Col("id").Sub(qpipe.Col("k").Mul(qpipe.Int(2)))},
 	}
+	keyCols, anyCols := []string{"g", "s", "d", "k"}, []string{"k", "f", "d", "s"}
+	joined := rng.Intn(2) == 0
+	if joined {
+		numbers = append(numbers, arg{"gid", qpipe.Col("gid")}, arg{"f * 2.0 - gid", qpipe.Col("f").Mul(qpipe.Float(2)).Sub(qpipe.Col("gid"))})
+		keyCols, anyCols = []string{"label", "s", "gid", "d"}, append(anyCols, "label")
+	}
 	var keys []string
-	for _, col := range []string{"g", "s", "d", "k"} {
+	for _, col := range keyCols {
 		if len(keys) < 2 && rng.Intn(4) == 0 {
 			keys = append(keys, col)
 		}
@@ -260,7 +263,7 @@ func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
 	add("count(*)", qpipe.Count())
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		x := numbers[rng.Intn(len(numbers))]
-		any := []string{"k", "f", "d", "s"}[rng.Intn(4)]
+		any := anyCols[rng.Intn(len(anyCols))]
 		switch kind := rng.Intn(4); {
 		case kind == 0:
 			add("sum("+x.sql+")", qpipe.Sum(x.e))
@@ -274,12 +277,30 @@ func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
 			add("max("+any+")", qpipe.Max(qpipe.Col(any)))
 		}
 	}
-	text := fmt.Sprintf("SELECT %s FROM %s WHERE %s", strings.Join(list, ", "), tb, p.sql)
-	if len(keys) == 0 {
-		return apStatement{text, func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).Aggregate(aggs...) }}
+	// The join order is the cost-based reordering's; the builder spelling
+	// follows whichever side the SQL plan made the build side.
+	from := func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query {
+		switch {
+		case !joined:
+			return db.Scan(tb).Filter(p.b)
+		case apBuildSide(sqlPlan) == "dim":
+			return db.Scan("dim").Join(db.Scan(tb), "gid", "g").Filter(p.b)
+		}
+		return db.Scan(tb).Join(db.Scan("dim"), "g", "gid").Filter(p.b)
 	}
-	return apStatement{text + " GROUP BY " + strings.Join(keys, ", "),
-		func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).GroupBy(keys, aggs...) }}
+	text, loop := fmt.Sprintf("SELECT %s FROM %s WHERE %s", strings.Join(list, ", "), tb, p.sql), ""
+	if joined {
+		text = fmt.Sprintf("SELECT %s FROM %s JOIN dim ON g = gid WHERE %s", strings.Join(list, ", "), tb, p.sql)
+		loop = fmt.Sprintf("SELECT %s FROM %s, dim WHERE g <= gid AND g >= gid AND %s", strings.Join(list, ", "), tb, p.sql)
+	}
+	if len(keys) == 0 {
+		return apStatement{text, func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query { return from(db, sqlPlan).Aggregate(aggs...) }, loop}
+	}
+	group := " GROUP BY " + strings.Join(keys, ", ")
+	if joined {
+		loop += group
+	}
+	return apStatement{text + group, func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query { return from(db, sqlPlan).GroupBy(keys, aggs...) }, loop}
 }
 
 // apLeaves returns the plan's scan nodes, left to right.
@@ -353,6 +374,10 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 	const statements = 160
 	rng := rand.New(rand.NewSource(seed))
 	used := map[string]int{} // access paths seen, by table and kind
+	// What became of the hand-overs of the drawn aggregates over a join, by
+	// reason, and how many of their runs had pairs added up by the scan.
+	var throughJoin [core.NumHandOvers]int64
+	foldedThroughJoin := 0
 	for i := 0; i < statements; i++ {
 		st := apDrawStatement(rng)
 		fromSQL, err := db.Prepare(st.sql)
@@ -404,6 +429,17 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		}
 		vr, err := oracle.Run(ctx, p)
 		check("volcano on the chosen plan", vr, err)
+		if st.loop != "" {
+			if strings.Contains(plan.Explain(cpPlan(t, db, st.loop)), "HashJoin") {
+				t.Fatalf("%s is planned with a hash join", st.loop)
+			}
+			res, err := db.Query(ctx, st.loop)
+			if err != nil {
+				t.Fatalf("%s: %v", st.loop, err)
+			}
+			rows, err := res.All()
+			check("the join as a nested loop: "+st.loop, rows, err)
+		}
 		for _, par := range []int{1, 4} {
 			for _, osp := range []bool{true, false} {
 				how := fmt.Sprintf("parallelism %d, osp %v", par, osp)
@@ -417,7 +453,16 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 					if err != nil {
 						return nil, err
 					}
-					return res.All()
+					rows, err := res.All()
+					if st.loop != "" {
+						for why := range throughJoin {
+							throughJoin[why] += res.Stats().HandOvers[why].Load()
+						}
+						if res.Stats().FoldedRows.Load() > 0 {
+							foldedThroughJoin++
+						}
+					}
+					return rows, err
 				}
 				rows, err := all(db.Query(ctx, st.sql, opts...))
 				check("SQL, "+how, rows, err)
@@ -439,15 +484,32 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		}
 	}
 	// And the aggregates among them what became of their hand-over to the
-	// scan below (the joins' key filters are in the same counts).
-	st := db.Stats()
+	// scan below (the joins' key filters are in the same counts; a statement's
+	// are summed a moment after its reply).
+	var st qpipe.Stats
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st = db.Stats(); st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters {
+			break
+		}
+	}
 	refused := -st.HandOvers[core.HandOverInstalled]
 	for _, n := range st.HandOvers {
 		refused += n
 	}
 	t.Logf("hand-overs: %d folds and %d key filters installed, %d refused %v", st.Folds, st.KeyFilters, refused, st.HandOvers)
-	if st.Folds < 20 || refused < 3 {
-		t.Errorf("%d folds installed and %d hand-overs refused %v: want at least 20 and 3", st.Folds, refused, st.HandOvers)
+	if st.Folds < 20 || refused < 3 || st.HandOvers[core.HandOverInstalled] != st.Folds+st.KeyFilters {
+		t.Errorf("%d folds and %d key filters installed, %d hand-overs refused %v: want at least 20 folds, 3 refused, and installed their sum", st.Folds, st.KeyFilters, refused, st.HandOvers)
+	}
+	// Over a join, one statement at a time, what can occur is installed (the
+	// fold on the join's packet; the join's keys when the fold was late), the
+	// bounded index range nobody hands anything to, and what the scheduler
+	// decides — late, and sealed for a scan that had finished — which is
+	// printed, not required.
+	t.Logf("aggregates over a join (SQL and builder runs): %d had pairs added up by the scan; hand-overs %v", foldedThroughJoin, throughJoin)
+	for _, why := range []core.HandOver{core.HandOverInstalled, core.HandOverBoundedIndexRange} {
+		if throughJoin[why] < 3 || foldedThroughJoin < 3 {
+			t.Errorf("aggregates over a join: %d hand-overs ended %v and %d runs had pairs added up, want at least 3 of each (%v)", throughJoin[why], why, foldedThroughJoin, throughJoin)
+		}
 	}
 }
 

@@ -70,6 +70,7 @@ type Packet struct {
 	satellites []*Packet    // packets absorbed by this host
 	satSealed  bool         // host finished/finishing or handed something; no more satellites
 	hosted     bool         // a satellite was absorbed at some point
+	taken      bool         // TakeHanded read the slot: nothing is installed any more
 	handed     atomic.Value // the one *KeyFilter or fold handOver installed
 }
 
@@ -83,9 +84,9 @@ type KeyFilter struct {
 	Bits  []uint64
 }
 
-// HandOver says how handing something down to a scan packet ended: installed,
-// or why not — the packet's own three reasons (handOver), then those for which
-// a µEngine never gets as far as asking (Runtime.NoteHandOver).
+// HandOver says how handing something down to a packet ended: installed, or
+// why not — the packet's own four reasons (handOver), then those for which a
+// µEngine never gets as far as asking (Runtime.NoteHandOver).
 type HandOver uint8
 
 const (
@@ -93,23 +94,24 @@ const (
 	HandOverSatellite
 	HandOverEverHosted
 	HandOverSealed
+	HandOverLate
 	HandOverNotAScan
 	HandOverBoundedIndexRange
-	HandOverTextKey
 	HandOverBuildTooLarge
 	NumHandOvers
 )
 
 func (h HandOver) String() string {
-	return [...]string{"installed", "satellite", "ever-hosted", "sealed",
-		"not-a-scan", "bounded-index-range", "text-key", "build-too-large"}[h]
+	return [...]string{"installed", "satellite", "ever-hosted", "sealed", "late",
+		"not-a-scan", "bounded-index-range", "build-too-large"}[h]
 }
 
-// handOver is the one rule by which a scan packet's only reader changes what
-// the scan does for it. It refuses a packet that is or ever hosted a
-// satellite, whose output somebody else reads, and seals the one it accepts: a
-// later packet of the same signature is not absorbed but admitted to the scan
-// as a consumer of its own, so the pages are still read once.
+// handOver is the one rule by which a packet's only reader changes what the
+// packet does for it. It refuses a packet that is or ever hosted a satellite,
+// whose output somebody else reads, and one that looked already (TakeHanded),
+// and seals the one it accepts: a later packet of the same signature is not
+// absorbed but runs on its own — a scan as one more consumer of the same
+// scanner, so the pages are still read once.
 func (p *Packet) handOver(rt *Runtime, what any, installed *atomic.Int64) HandOver {
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
@@ -121,12 +123,17 @@ func (p *Packet) handOver(rt *Runtime, what any, installed *atomic.Int64) HandOv
 		why = HandOverEverHosted
 	case p.satSealed:
 		why = HandOverSealed
+	case p.taken:
+		why = HandOverLate
 	default:
 		p.satSealed = true
 		p.handed.Store(what)
+		if installed == nil { // a fold a join passes on: counted when the join's packet took it
+			return why
+		}
 		installed.Add(1)
 	}
-	rt.NoteHandOver(why)
+	rt.NoteHandOver(p.Query, why)
 	return why
 }
 
@@ -135,11 +142,24 @@ func (p *Packet) handOver(rt *Runtime, what any, installed *atomic.Int64) HandOv
 func (p *Packet) Narrow(rt *Runtime, f *KeyFilter) HandOver { return p.handOver(rt, f, &rt.keyFilters) }
 
 // SetFold lets an aggregate hand its accumulators (the ops package's) to its
-// input scan, which then adds the rows it keeps to them instead of building.
+// input: a scan, which then adds the rows it keeps to them instead of building,
+// or a hash join, which passes them on to its probe scan with its build side.
 func (p *Packet) SetFold(rt *Runtime, fold any) HandOver { return p.handOver(rt, fold, &rt.folds) }
 
-// Handed returns what Narrow or SetFold installed, or nil; the scanner loads it.
+// PassFold is that join's SetFold.
+func (p *Packet) PassFold(rt *Runtime, fold any) HandOver { return p.handOver(rt, fold, nil) }
+
+// Handed returns what was installed, or nil; the scanner loads it page by page.
 func (p *Packet) Handed() any { return p.handed.Load() }
+
+// TakeHanded is Handed for a reader that looks once, a hash join whose build
+// has ended: the read closes the slot, and a later SetFold is refused as late.
+func (p *Packet) TakeHanded() any {
+	p.satMu.Lock()
+	defer p.satMu.Unlock()
+	p.taken = true
+	return p.handed.Load()
+}
 
 // AbsorbSatellite atomically commits sat as a satellite of this host: the
 // port attach and the satellite-list append happen under the same lock that
@@ -302,8 +322,10 @@ type QueryStats struct {
 	// KeyFilterRows counts rows this query's scans did not build because
 	// the hash join above them had no build key for them (Packet.Narrow).
 	KeyFilterRows atomic.Int64
-	// FoldedRows counts rows this query's scans added up unbuilt (Packet.SetFold).
+	// FoldedRows counts rows (through a join: pairs) this query's scans added up unbuilt (Packet.SetFold).
 	FoldedRows atomic.Int64
+	// HandOvers counts this query's hand-overs by how they ended.
+	HandOvers [NumHandOvers]atomic.Int64
 	// PagesVisited counts the pages this query's scan consumers were served;
 	// PagesLocated those among them whose layout the visit had to derive, no
 	// earlier scan of the resident page having left one (buffer.Layout). A

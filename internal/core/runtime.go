@@ -120,7 +120,7 @@ type RuntimeStats struct {
 	SharesByOp    map[plan.OpType]int64
 	KeyFilters    int64               // hash joins that handed their build keys to the probe scan
 	Folds         int64               // aggregates that handed their accumulators to the scan below
-	HandOvers     [NumHandOvers]int64 // both kinds by how they ended: [HandOverInstalled] = KeyFilters + Folds
+	HandOvers     [NumHandOvers]int64 // QueryStats.HandOvers of every finished query, summed: [HandOverInstalled] = its KeyFilters + Folds
 	PagesVisited  int64               // QueryStats.PagesVisited of every finished query, summed
 	PagesLocated  int64               // and QueryStats.PagesLocated: visits that had to derive the page's layout
 	EngineStats   map[plan.OpType]EngineStats
@@ -283,6 +283,9 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 		}
 		rt.pagesVisited.Add(q.Stats.PagesVisited.Load())
 		rt.pagesLocated.Add(q.Stats.PagesLocated.Load())
+		for why := range q.Stats.HandOvers {
+			rt.handOvers[why].Add(q.Stats.HandOvers[why].Load())
+		}
 		close(q.finished)
 		// Release the query's cancel context so long-lived parent contexts
 		// don't accumulate a child registration per completed query.
@@ -499,8 +502,8 @@ func (rt *Runtime) noteShare(op plan.OpType) {
 	rt.shareMu.Unlock()
 }
 
-// NoteHandOver counts a hand-over to a scan packet by how it ended.
-func (rt *Runtime) NoteHandOver(why HandOver) { rt.handOvers[why].Add(1) }
+// NoteHandOver counts one of q's hand-overs by how it ended.
+func (rt *Runtime) NoteHandOver(q *Query, why HandOver) { q.Stats.HandOvers[why].Add(1) }
 
 // liveQueries snapshots active queries (deadlock detector input).
 func (rt *Runtime) liveQueries() []*Query {

@@ -281,11 +281,10 @@ func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		}
 		build.add(tuple.Hash1(t, node.LKey), t)
 	}
+	handDown(rt, pkt, node, build, small)
 	if small {
-		narrowProbeScan(rt, pkt, node, build)
 		return o.probeInMemory(rt, pkt, node, build, par)
 	}
-	rt.NoteHandOver(core.HandOverBuildTooLarge)
 	return o.partitionedJoin(rt, pkt, node, build, overflow, lcur, par)
 }
 
@@ -563,37 +562,53 @@ func probeTable(build *hashTable, node *plan.HashJoin, em *emitter, arena *tuple
 	return nil
 }
 
-// narrowProbeScan hands a finished in-memory build side sideways: when the
-// probe input comes straight from a table or index scan, the scan gets a
-// bitmap of 16 bits per build row over the keys' hashes (core.Packet.Narrow)
-// and stops building rows no build key can match — three quarters of a
-// probe side the join would otherwise throw away. Nothing is installed for
-// a TEXT key (the scan hashes numbers in place only), for a probe child that
-// is anything but a scan, or for a scan packet that shares its output; the
-// join compares keys either way. What became of it is counted by reason.
-func narrowProbeScan(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable) {
+// handDown is the one place a hash join whose build has ended decides what
+// its probe input is handed, and why nothing. A probe input served page by
+// page (pagedScan) gets a finished in-memory build side sideways: a bitmap of
+// 16 bits per build row over the keys' hashes, by which the scan stops
+// building rows no build key can match — three quarters of a probe side the
+// join would otherwise throw away (core.Packet.Narrow). When the join's reader
+// is an aggregate that handed its accumulators to the join's packet, they go
+// down in its place, completed with the build table and the bitmap as their
+// first step (PassFold): the scan then adds each pair up where it lies and the
+// join is sent no row. The join looks once — the read closes the slot, so an
+// aggregate that comes later is refused as late and adds the join's rows. The
+// join compares keys whatever became of it; that is counted by reason.
+func handDown(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable, small bool) {
+	fold, _ := pkt.TakeHanded().(*scanFold)
 	project, why := pagedScan(node.Right)
+	if why == core.HandOverInstalled && !small {
+		why = core.HandOverBuildTooLarge
+	}
 	if why != core.HandOverInstalled {
-		rt.NoteHandOver(why)
+		rt.NoteHandOver(pkt.Query, why)
 		return
 	}
-	f := &core.KeyFilter{Col: node.RKey, Shift: 64 - 6}
+	col := node.RKey
 	if project != nil {
-		f.Col = project[node.RKey]
+		col = project[col]
 	}
+	if fold == nil {
+		pkt.Children[1].Narrow(rt, buildKeys(build, col))
+		return
+	}
+	fold.build, fold.lkey, fold.width, fold.probe = build, node.LKey, node.Left.Schema().Len(), buildKeys(build, col)
+	pkt.Children[1].PassFold(rt, fold)
+}
+
+// buildKeys is a build side's keys as a scan whose table column col is the
+// probe key sees them: 16 bits a build row, at least 64.
+func buildKeys(build *hashTable, col int) *core.KeyFilter {
+	f := &core.KeyFilter{Col: col, Shift: 64 - 6}
 	for 1<<(64-f.Shift) < 16*len(build.rows) {
 		f.Shift--
 	}
 	f.Bits = make([]uint64, 1<<(64-f.Shift)/64)
-	for i, b := range build.rows {
-		if b[node.LKey].K == tuple.KindString {
-			rt.NoteHandOver(core.HandOverTextKey)
-			return
-		}
-		bit := build.hash[i] >> f.Shift
+	for _, h := range build.hash {
+		bit := h >> f.Shift
 		f.Bits[bit>>6] |= 1 << (bit & 63)
 	}
-	pkt.Children[1].Narrow(rt, f)
+	return f
 }
 
 // ---- Nested-loop join -----------------------------------------------------------

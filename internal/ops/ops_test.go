@@ -248,7 +248,6 @@ func TestGroupByEmptyInput(t *testing.T) {
 			core.HandOverInstalled: plan.NewTableScan("t", testSchema(), none, nil, false),
 			core.HandOverNotAScan:  plan.NewFilter(plan.NewTableScan("t", testSchema(), nil, nil, false), none),
 		} {
-			before := rt.Stats().HandOvers[why]
 			held, _ := startBlockedScan(t, rt)
 			var queries [2]*core.Query
 			for i, p := range []plan.Node{plan.NewGroupBy(input, []int{1}, specs), plan.NewAggregate(input, specs)} {
@@ -258,7 +257,9 @@ func TestGroupByEmptyInput(t *testing.T) {
 				}
 				queries[i] = q
 			}
-			eventually(t, fmt.Sprint("two hand-overs ", why), func() bool { return rt.Stats().HandOvers[why] == before+2 })
+			eventually(t, fmt.Sprint("two hand-overs ", why), func() bool {
+				return queries[0].Stats.HandOvers[why].Load() == 1 && queries[1].Stats.HandOvers[why].Load() == 1
+			})
 			if _, err := sdDrain(held); err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +305,7 @@ func TestCircularScanManyConsumers(t *testing.T) {
 	}
 	eventually(t, "five scans attached, five folds installed", func() bool {
 		st := rt.Stats()
-		return st.SharesByOp[plan.OpTableScan] == clients && st.HandOvers[core.HandOverInstalled] == clients
+		return st.SharesByOp[plan.OpTableScan] == clients && st.Folds == clients
 	})
 	if rows, err := sdDrain(held); err != nil || int(first)+len(rows) != 4000 {
 		t.Fatalf("the held scan: %d rows after its first %d, %v", len(rows), first, err)
@@ -323,15 +324,22 @@ func TestCircularScanManyConsumers(t *testing.T) {
 		if folded == 0 || folded+built != int64(4000-i) {
 			t.Errorf("consumer %d: %d rows folded and %d built, want %d together", i, folded, built, 4000-i)
 		}
+		for why := range q.Stats.HandOvers {
+			if n := q.Stats.HandOvers[why].Load(); (n != 0) != (core.HandOver(why) == core.HandOverInstalled) || n > 1 {
+				t.Errorf("consumer %d: %d hand-overs ended %v, want its one fold installed and nothing else", i, n, core.HandOver(why))
+			}
+		}
 	}
 	pages := rt.SM.MustTable("t").Heap.NumPages()
 	prefix := int64(1 + cfg.BufferCapacity + cfg.ScanParallelism) // wop_test.go: what a held scan had read
 	if reads := rt.SM.Disk.Stats().Reads; reads < pages || reads > pages+prefix {
 		t.Errorf("%d blocks read for six scans of a %d-page table, want one scan and at most the held prefix of %d", reads, pages, prefix)
 	}
-	if st := rt.Stats(); st.Folds != clients || st.HandOvers[core.HandOverInstalled] != clients {
-		t.Errorf("hand-overs %v, folds %d: want %d installed and nothing else", st.HandOvers, st.Folds, clients)
-	}
+	// The runtime sums a query's hand-overs when the query has finished.
+	eventually(t, "five folds installed, summed", func() bool {
+		st := rt.Stats()
+		return st.Folds == clients && st.HandOvers[core.HandOverInstalled] == clients
+	})
 }
 
 func TestMergeJoinDuplicateGroups(t *testing.T) {

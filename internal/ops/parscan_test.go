@@ -370,7 +370,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		go func() { done <- s.run() }()
 		eventually(t, "the scanner blocked on the full buffer", func() bool { return buf.Snapshot().PutBlocked })
 
-		fold := newScanFold(keys, specs, node.Project)
+		fold := &scanFold{keys: keys, specs: specs}
 		if why := pkt.SetFold(rt, fold); why != core.HandOverInstalled {
 			t.Fatalf("P=%d: the hand-over ended %v", par, why)
 		}
@@ -450,43 +450,76 @@ func TestFoldInstalledMidScan(t *testing.T) {
 
 // A cancelled consumer that folds never Puts, so its port never tells the
 // scanner it is gone; the scanner's probe does (PruneDead), at the first page
-// it is owed after the cancellation. Its packets all finish and its runtime
-// closes: no worker is left folding for it.
+// it is owed after the cancellation — whether it folds for an aggregate right
+// above it or, through a join that is sent no row either, for one above that.
+// Its packets all finish and its runtime closes: no worker is left folding for
+// it.
 func TestCancelledFoldingConsumerIsDetached(t *testing.T) {
-	rt := newRT(t, 3000, parCfg(1))
-	held, perPage := startBlockedScan(t, rt)
-	eventually(t, "the held scan blocked on its full buffer", func() bool { return held.Result.Snapshot().PutBlocked })
-	// (a column of the table: with every column its scan would be the held
+	sum := []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(0)}}
+	// (a column of the table: with every column the scan would be the held
 	// one's to the letter, and ride it as a satellite that is handed nothing)
-	q, err := rt.Submit(context.Background(), plan.NewAggregate(
-		plan.NewTableScan("t", testSchema(), nil, []int{2}, false), []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(0)}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "the count's scan attached and its fold installed", func() bool {
-		st := rt.Stats()
-		return st.SharesByOp[plan.OpTableScan] == 1 && st.Folds == 1
-	})
-	q.Cancel()
-	if got := drainCount(t, held); got+perPage != 3000 {
-		t.Fatalf("the held scan returned %d rows, want 3000", got+perPage)
-	}
-	if err := q.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("the cancelled aggregate ended with %v", err)
-	}
-	for _, p := range q.Packets() {
-		select {
-		case <-p.Done():
-		default:
-			t.Errorf("%v is not done", p)
+	scan := plan.NewTableScan("t", testSchema(), nil, []int{2}, false)
+	for how, p := range map[string]plan.Node{
+		"over the scan": plan.NewAggregate(scan, sum),
+		"over a join":   plan.NewAggregate(plan.NewHashJoin(plan.NewTableScan("dim", testSchema(), nil, []int{2}, false), scan, 0, 0), sum),
+	} {
+		rt := newRT(t, 3000, parCfg(1))
+		if _, err := rt.SM.CreateTable("dim", testSchema()); err != nil {
+			t.Fatal(err)
 		}
+		dim := make([]tuple.Tuple, 1000)
+		for i := range dim {
+			dim[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.I64(0), tuple.F64(float64(3 * i))}
+		}
+		if err := rt.SM.Load("dim", dim); err != nil {
+			t.Fatal(err)
+		}
+		// Both tables are held: no build ends before the fold is in the join's
+		// slot, no page of t is served before it is in the scan's.
+		heldDim, err := rt.Submit(context.Background(), plan.NewTableScan("dim", testSchema(), nil, nil, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, perPage := startBlockedScan(t, rt)
+		eventually(t, "the held scans blocked on their full buffers", func() bool {
+			return held.Result.Snapshot().PutBlocked && heldDim.Result.Snapshot().PutBlocked
+		})
+		q, err := rt.Submit(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := q.Packets() // in pre-order: the aggregate, what it reads, ..., the scan of t
+		eventually(t, how+": the scan of t attached, the fold handed down", func() bool {
+			return rt.Stats().SharesByOp[plan.OpTableScan] >= 1 && pkts[1].Handed() != nil
+		})
+		if n := drainCount(t, heldDim); n != int64(len(dim)) {
+			t.Fatalf("%s: the held scan of dim returned %d rows", how, n)
+		}
+		eventually(t, how+": the fold in the slot of t's scan", func() bool {
+			fold, _ := pkts[len(pkts)-1].Handed().(*scanFold)
+			return fold != nil && (fold.build != nil) == (how == "over a join")
+		})
+		q.Cancel()
+		if got := drainCount(t, held); got+perPage != 3000 {
+			t.Fatalf("%s: the held scan returned %d rows, want 3000", how, got+perPage)
+		}
+		if err := q.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: the cancelled aggregate ended with %v", how, err)
+		}
+		for _, p := range pkts {
+			select {
+			case <-p.Done():
+			default:
+				t.Errorf("%s: %v is not done", how, p)
+			}
+		}
+		// The one page the scanner was about to serve when the query was
+		// cancelled, no more — of the hundred that followed.
+		if folded := q.Stats.FoldedRows.Load(); folded > perPage {
+			t.Errorf("%s: %d rows were folded for a cancelled query, want at most a page of %d", how, folded, perPage)
+		}
+		rt.Close()
 	}
-	// The one page the scanner was about to serve when the query was
-	// cancelled, no more — of the hundred that followed.
-	if folded := q.Stats.FoldedRows.Load(); folded > perPage {
-		t.Errorf("%d rows were folded for a cancelled query, want at most a page of %d", folded, perPage)
-	}
-	rt.Close()
 }
 
 // A scan blocked on its consumer's buffer holds no frame: every batch of a

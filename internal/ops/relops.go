@@ -178,14 +178,20 @@ func (gt *groupTable) absorb(o *groupTable) {
 // parallelism > 1 by sub-workers over dealt input batches — and from the scan:
 // an input served page by page is handed the accumulators
 // (core.Packet.SetFold) and its workers add the rows they keep to partials of
-// their own without building them. Late is harmless: pages delivered before
-// arrive as rows, and every partial is registered before the scan packet
-// completes, so all are there at EOF. absorb is the single merge.
+// their own without building them; so is a hash join over such a probe input,
+// which passes them on with its build side (HashJoinOp.handDown) and builds no
+// probe row. Late is harmless: pages delivered before arrive as rows, and
+// every partial is registered before the scan packet completes, so all are
+// there at EOF. absorb is the single merge.
 func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggSpec, hint int, scalar bool) error {
 	var fold *scanFold
-	if project, why := pagedScan(pkt.Node.Children()[0]); why != core.HandOverInstalled {
-		rt.NoteHandOver(why)
-	} else if f := newScanFold(keys, specs, project); pkt.Children[0].SetFold(rt, f) == core.HandOverInstalled {
+	scan := pkt.Node.Children()[0]
+	if join, through := scan.(*plan.HashJoin); through {
+		scan = join.Right
+	}
+	if _, why := pagedScan(scan); why != core.HandOverInstalled {
+		rt.NoteHandOver(pkt.Query, why)
+	} else if f := (&scanFold{keys: keys, specs: specs}); pkt.Children[0].SetFold(rt, f) == core.HandOverInstalled {
 		fold = f
 	}
 	in, par := pkt.Inputs[0], rt.ParallelismFor(pkt.Query, hint)

@@ -305,7 +305,7 @@ func (s *scanner) runPartition(k int) {
 			case *core.KeyFilter:
 				t.keys = h
 			case *scanFold:
-				t.fold, t.part = h, h.partial(k)
+				t.fold, t.part, t.keys = h, h.partial(k), h.probe
 			}
 			served, tasks = append(served, c), append(tasks, t)
 		}

@@ -272,6 +272,41 @@ func sdAggregate(rng *rand.Rand, input plan.Node, width int) plan.Node {
 	return plan.NewGroupBy(input, keys, specs)
 }
 
+// sdJoin draws a hash join with probe, whose output has width columns, as its
+// probe side: the build side a few rows of h — now and then none — or of c,
+// with or without a projection, the keys mostly one column on both sides and
+// otherwise any two (INT = FLOAT = DATE, or no match at all). It returns the
+// join, the same join spelled as a nested loop — which compares and never
+// hashes — and the build side's width.
+func sdJoin(rng *rand.Rand, probe plan.Node, project []int, width int) (join, loop plan.Node, wl int) {
+	rkey := rng.Intn(width)
+	lkey := rkey
+	if project != nil {
+		lkey = project[rkey]
+	}
+	if rng.Intn(3) == 0 {
+		lkey = rng.Intn(5)
+	}
+	few := expr.LT(expr.Col(0), expr.CInt(int64(rng.Intn(90)-10)))
+	var cols []int
+	if wl = 5; rng.Intn(2) == 0 {
+		cols, lkey, wl = []int{lkey, 3, 1}, 0, 3
+	}
+	var build plan.Node = plan.NewTableScan("h", sdSchema(), few, cols, false)
+	if rng.Intn(3) == 0 {
+		build = plan.NewIndexScan("c", sdSchema(), "id", tuple.Value{}, tuple.Value{}, true, false, few, cols)
+	}
+	return plan.NewHashJoin(build, probe, lkey, rkey), plan.NewNLJoin(build, probe, expr.EQ(expr.Col(lkey), expr.Col(wl+rkey))), wl
+}
+
+// sdReaggregate is the aggregation agg over another input.
+func sdReaggregate(agg, input plan.Node) plan.Node {
+	if g, grouped := agg.(*plan.GroupBy); grouped {
+		return plan.NewGroupBy(input, g.Keys, g.Specs)
+	}
+	return plan.NewAggregate(input, agg.(*plan.Aggregate).Specs)
+}
+
 func sdSorted(rows []tuple.Tuple) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -346,6 +381,10 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	// Scans of pages served after a write to their table: from layouts that
 	// outlived it, all of them, and with some derived afresh.
 	servedWarm, servedAfresh := 0, 0
+	// What became of the hand-overs of the aggregates over a join, by reason,
+	// and how many of them had pairs added up by the scan.
+	var throughJoin [core.NumHandOvers]int64
+	foldedThroughJoin := 0
 	for i := 0; i < 400; i++ {
 		// The writer arm: every other statement follows a commit to both
 		// tables, and is answered as of it.
@@ -362,7 +401,10 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 		// One statement in three aggregates what the scan keeps — an empty
 		// result included — mostly straight over the scan: the scan µEngine
 		// then folds the rows where they lie (core.Packet.SetFold) unless the
-		// scan is not served page by page, or something stands in between.
+		// scan is not served page by page, or something stands in between. In a
+		// third of those a hash join stands in between, with the scan as its
+		// probe side: the fold goes through it.
+		var loop plan.Node // the statement with its join spelled as a nested loop
 		if len(run) == 1 && i%3 == 0 {
 			width := len(project)
 			if project == nil {
@@ -371,7 +413,16 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				p = plan.NewFilter(p, expr.True{})
 			}
+			var nested plan.Node
+			if width > 0 && rng.Intn(3) == 0 {
+				var wl int
+				p, nested, wl = sdJoin(rng, p, project, width)
+				width += wl
+			}
 			p = sdAggregate(rng, p, width)
+			if nested != nil {
+				loop = sdReaggregate(p, nested)
+			}
 			run = []plan.Node{p}
 		}
 		ref, err := oracle.Run(ctx, p)
@@ -379,6 +430,13 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 			t.Fatalf("iterator engine: %v\n%s", err, plan.Explain(p))
 		}
 		want := sdSorted(ref)
+		if loop != nil {
+			nested, err := oracle.Run(ctx, loop)
+			if err != nil {
+				t.Fatalf("iterator engine: %v\n%s", err, plan.Explain(loop))
+			}
+			sdCompare(t, fmt.Sprintf("statement %d, its join as a nested loop", i), loop, nested, want)
+		}
 		kept += len(want)
 		for _, par := range []int{1, 4} {
 			for _, noOSP := range []bool{false, true} {
@@ -395,6 +453,14 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 					}
 					got = append(got, rows...)
 					visited, located = visited+q.Stats.PagesVisited.Load(), located+q.Stats.PagesLocated.Load()
+					if loop != nil {
+						for why := range throughJoin {
+							throughJoin[why] += q.Stats.HandOvers[why].Load()
+						}
+						if q.Stats.FoldedRows.Load() > 0 {
+							foldedThroughJoin++
+						}
+					}
 				}
 				sdCompare(t, fmt.Sprintf("statement %d, parallelism %d, osp off %v", i, par, noOSP), p, got, want)
 				switch {
@@ -414,14 +480,29 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	if servedWarm < 50 || servedAfresh < 50 {
 		t.Fatalf("after a write to its table %d scans located no page and %d some: want at least 50 of each", servedWarm, servedAfresh)
 	}
-	st := rt.Stats()
+	var st core.RuntimeStats
+	eventually(t, "every query's hand-overs summed", func() bool {
+		st = rt.Stats()
+		return st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters
+	})
 	refused := -st.HandOvers[core.HandOverInstalled]
 	for _, n := range st.HandOvers {
 		refused += n
 	}
-	t.Logf("hand-overs: %d folds installed, %d refused (%v)", st.Folds, refused, st.HandOvers)
+	t.Logf("hand-overs: %d folds and %d key filters installed, %d refused (%v)", st.Folds, st.KeyFilters, refused, st.HandOvers)
 	if st.Folds < 20 || refused < 3 || st.HandOvers[core.HandOverNotAScan] == 0 || st.HandOvers[core.HandOverBoundedIndexRange] == 0 {
 		t.Fatalf("the draws covered %d folds installed and %d refused %v: want at least 20 and 3, of both reasons", st.Folds, refused, st.HandOvers)
+	}
+	// Over a join every run hands over twice: the aggregate's fold and, when
+	// that did not reach the join in time or at all, the join's key filter.
+	// One statement at a time, no packet is shared: what can occur is installed,
+	// the two reasons for which nobody asks, and late (which the scheduler
+	// decides: printed, not required).
+	t.Logf("aggregates over a join: %d had pairs folded; hand-overs %v", foldedThroughJoin, throughJoin)
+	for _, why := range []core.HandOver{core.HandOverInstalled, core.HandOverNotAScan, core.HandOverBoundedIndexRange} {
+		if throughJoin[why] < 3 || foldedThroughJoin < 3 {
+			t.Fatalf("aggregates over a join: %d hand-overs ended %v and %d runs folded pairs, want at least 3 of each (%v)", throughJoin[why], why, foldedThroughJoin, throughJoin)
+		}
 	}
 }
 

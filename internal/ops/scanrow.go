@@ -86,36 +86,27 @@ func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
 	return p
 }
 
-// scanFold is an aggregate's accumulators as its input scan sees them
-// (core.Packet.SetFold): the group keys and the aggregates' arguments in table
-// columns, and the partial table each of the scan's partition workers fills. A
-// worker registers its partial before it settles the first page it folds into
-// it, so all are here when the scan packet completes.
+// scanFold is an aggregate's accumulators as the scan below it sees them
+// (core.Packet.SetFold): the group keys and the aggregates' arguments in the
+// aggregate's input columns, and the partial table each of the scan's
+// partition workers fills. The input is the scan's output row — or, when the
+// fold went through a hash join (HashJoinOp.handDown, which sets the second
+// group of fields before the scan sees any of it), a build row of width
+// columns followed by the scan's output row: one pair for every build row whose
+// key the scanned row's equals. A worker registers its partial before it
+// settles the first page it folds into it, so all are here when the scan
+// packet completes.
 type scanFold struct {
 	keys  []int
 	specs []expr.AggSpec
 
+	build *hashTable      // nil: the aggregate reads the scan itself
+	lkey  int             // the build rows' key column
+	width int             // and how many columns they have
+	probe *core.KeyFilter // the build keys' bitmap, with the probe key's table column
+
 	mu       sync.Mutex
 	partials []*groupTable // by scan partition
-}
-
-// newScanFold restates an aggregation over a scan's output columns (project
-// as the scan node has it: nil keeps every column) in its table columns.
-func newScanFold(keys []int, specs []expr.AggSpec, project []int) *scanFold {
-	if project == nil {
-		return &scanFold{keys: keys, specs: specs}
-	}
-	col := func(out int) int { return project[out] }
-	f := &scanFold{specs: slices.Clone(specs)}
-	for _, k := range keys {
-		f.keys = append(f.keys, col(k))
-	}
-	for i, s := range specs {
-		if s.Arg != nil {
-			f.specs[i].Arg = expr.MapExprRefs(s.Arg, col)
-		}
-	}
-	return f
 }
 
 // partial returns scan partition k's partial table, registered on first use.
@@ -133,8 +124,9 @@ func (f *scanFold) partial(k int) *groupTable {
 
 // pageTask is one consumer's share of a page: what it wants of the rows
 // going in — built, or added to part when its aggregate handed fold down;
-// its batch, how many rows its join's keys excluded and how many were folded,
-// coming out.
+// its batch, how many rows its join's keys excluded (by the bitmap or, in a
+// fold through the join, by the compare) and how many rows or pairs were
+// folded, coming out.
 type pageTask struct {
 	prog    *rowProgram
 	keys    *core.KeyFilter // nil: no join narrowed this consumer
@@ -148,16 +140,20 @@ type pageTask struct {
 // pageKernel is what one scanning goroutine owns to turn a page of encoded
 // rows into tuples: the pinned frame's bytes and layout, the selection vector
 // of the consumer being served (and each selected row's group, when it
-// folds), a scratch row the residual predicates and aggregate arguments read
-// (never published), and the arena kept rows are carved from. The arena
-// lives across pages and consumers — a chunk is garbage once no row carved
-// from it is referenced — so a page costs no allocation of its own.
+// folds, after its build row when it folds through a join), a scratch row the
+// residual predicates (in table columns) and then the aggregate arguments (in
+// the aggregate's input columns) read, never published, and the arena kept
+// rows are carved from. The arena lives across pages and consumers — a chunk
+// is garbage once no row carved from it is referenced — so a page costs no
+// allocation of its own.
 type pageKernel struct {
 	buf     []byte   // the pinned frame
 	stride  int      // ncols + 1
 	offs    []uint16 // column c of row r starts at buf[offs[r*stride+c]]
 	nrows   int
 	sel     []int32
+	pairs   []int32 // the probe row of each (probe row, build row) pair
+	builds  []int32 // and its build row
 	groups  []int32
 	scratch tuple.Tuple
 	arena   tuple.RowArena
@@ -215,33 +211,72 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *t
 	}
 }
 
-// fold adds the loaded page's rows sel to t's partial table from their bytes:
-// each row's group is found first — the key hashed (tuple.HashEncoded is
-// tuple.HashAt of the decoded key) and compared where it lies, decoded once
-// when it starts a group — then every aggregate is fed in a loop of its own:
-// a count, the encoded column, or an expression on the scratch row.
+// fold adds the loaded page's rows sel to t's partial table from their bytes.
+// Through a join each row first becomes its (probe row, build row) pairs: the
+// key is hashed and compared where it lies against the build rows of its chain,
+// so duplicate build keys give several pairs and a false positive of the
+// bitmap none. Then each input row's group is found — the key hashed in the
+// aggregate's key order (tuple.HashValue of a build column, tuple.HashEncoded
+// of a scanned one: together tuple.HashAt of the row the join would have
+// built, so absorb merges partials from pages and from rows) and compared
+// where it lies, decoded once when it starts a group — and every aggregate is
+// fed in a loop of its own, from the side its argument lives on: a count, a
+// build column's Value, the encoded column, or an expression on the scratch
+// row. Input column c of a row is build column c when c < wl, else table
+// column out[c-wl]; without a build side wl is 0 and the rows are sel.
 func (k *pageKernel) fold(t *pageTask, sel []int32) {
-	f, part := t.fold, t.part
-	if cap(k.groups) < len(sel) {
-		k.groups = make([]int32, k.nrows)
+	f, part, out, wl := t.fold, t.part, t.prog.out, t.fold.width
+	rows, builds := sel, []int32(nil)
+	if f.build != nil {
+		rows, builds = k.pairs[:0], k.builds[:0]
+		for _, r := range sel {
+			key, n := k.at(r, f.probe.Col), len(rows)
+			h := tuple.HashEncoded(tuple.HashSeed, key)
+			for i := f.build.first(h); i >= 0; i = f.build.after(i, h) {
+				if tuple.CompareEncoded(key, f.build.rows[i][f.lkey]) == 0 {
+					rows, builds = append(rows, r), append(builds, int32(i))
+				}
+			}
+			if len(rows) == n {
+				t.skipped++
+			}
+		}
+		if k.pairs, k.builds = rows, builds; len(rows) == 0 {
+			return
+		}
 	}
-	groups := k.groups[:len(sel)]
+	if cap(k.groups) < len(rows) {
+		k.groups = make([]int32, max(len(rows), k.nrows))
+	}
+	groups := k.groups[:len(rows)]
 	if len(f.keys) == 0 { // a scalar aggregate: every row is of group 0
 		if len(part.states) == 0 {
 			part.newGroup(tuple.HashSeed, nil)
 		}
 		clear(groups)
 	} else {
-		for i, r := range sel {
+		var b tuple.Tuple
+		for i, r := range rows {
+			if builds != nil {
+				b = f.build.rows[builds[i]]
+			}
 			h := tuple.HashSeed
-			for _, col := range f.keys {
-				h = tuple.HashEncoded(h, k.at(r, col))
+			for _, c := range f.keys {
+				if c < wl {
+					h = tuple.HashValue(h, &b[c])
+				} else {
+					h = tuple.HashEncoded(h, k.at(r, out[c-wl]))
+				}
 			}
 			g := part.groups.first(h)
 		next:
 			for ; g >= 0; g = part.groups.after(g, h) {
-				for j, col := range f.keys {
-					if tuple.CompareEncoded(k.at(r, col), part.groups.rows[g][j]) != 0 {
+				for j, c := range f.keys {
+					if c < wl {
+						if !tuple.Equal(b[c], part.groups.rows[g][j]) {
+							continue next
+						}
+					} else if tuple.CompareEncoded(k.at(r, out[c-wl]), part.groups.rows[g][j]) != 0 {
 						continue next
 					}
 				}
@@ -249,8 +284,12 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 			}
 			if g < 0 {
 				key := make(tuple.Tuple, len(f.keys))
-				for j, col := range f.keys {
-					tuple.DecodeInto(&key[j], k.at(r, col))
+				for j, c := range f.keys {
+					if c < wl {
+						key[j] = b[c]
+					} else {
+						tuple.DecodeInto(&key[j], k.at(r, out[c-wl]))
+					}
 				}
 				g = part.newGroup(h, key)
 			}
@@ -263,20 +302,30 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 			for _, g := range groups {
 				part.states[g][j].AddCount(1)
 			}
+		case bare && col.Ix < wl:
+			for i, bi := range builds {
+				part.states[groups[i]][j].AddValue(f.build.rows[bi][col.Ix])
+			}
 		case bare:
-			for i, r := range sel {
-				part.states[groups[i]][j].AddEncoded(k.at(r, col.Ix))
+			for i, r := range rows {
+				part.states[groups[i]][j].AddEncoded(k.at(r, out[col.Ix-wl]))
 			}
 		default:
-			for i, r := range sel {
-				for _, c := range t.prog.out {
-					k.scratch[c] = tuple.DecodeValue(k.at(r, c))
+			if len(k.scratch) < wl+len(out) {
+				k.scratch = make(tuple.Tuple, wl+len(out))
+			}
+			for i, r := range rows {
+				if builds != nil {
+					copy(k.scratch, f.build.rows[builds[i]])
+				}
+				for o, c := range out {
+					k.scratch[wl+o] = tuple.DecodeValue(k.at(r, c))
 				}
 				part.states[groups[i]][j].AddValue(s.Arg.Eval(k.scratch))
 			}
 		}
 	}
-	t.folded = len(sel)
+	t.folded = len(rows)
 }
 
 // at returns row r of the loaded page from its column col on.
@@ -301,13 +350,9 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 	if f := t.keys; f != nil {
 		n := 0
 		for _, r := range sel {
-			keep := uint64(1) // a key that is not a number is left to the join
-			if h, ok := tuple.HashEncodedNumber(k.at(r, f.Col)); ok {
-				bit := h >> f.Shift
-				keep = f.Bits[bit>>6] >> (bit & 63) & 1
-			}
+			bit := tuple.HashEncoded(tuple.HashSeed, k.at(r, f.Col)) >> f.Shift
 			sel[n] = r
-			n += int(keep)
+			n += int(f.Bits[bit>>6] >> (bit & 63) & 1)
 		}
 		t.skipped, sel = len(sel)-n, sel[:n]
 	}

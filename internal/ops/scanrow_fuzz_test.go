@@ -15,10 +15,11 @@ import (
 // a device and through a pool, twice: the first visit derives the layout, the
 // second is served from the frame's. The outcome of each is every consumer's
 // rows — then exactly what decoding the whole page and filtering the decoded
-// rows gives, and for the consumer that folds, its partial merged equal to
-// aggregating those — or a typed error with no consumer handed anything and
-// no layout published: never a panic, an out-of-range slice, a half-built row
-// or a half-folded page.
+// rows gives, for the consumer that folds, its partial merged equal to
+// aggregating those, and for the one that folds through a build table, to
+// aggregating what probeTable makes of those — or a typed error with no
+// consumer handed anything and no layout published: never a panic, an
+// out-of-range slice, a half-built row or a half-folded page.
 func FuzzScanPageBytes(f *testing.F) {
 	const width = 4
 	pg := page.New(256)
@@ -55,6 +56,11 @@ func FuzzScanPageBytes(f *testing.F) {
 	specs := []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(0)}, {Kind: expr.AggMin, Arg: expr.Col(1)},
 		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.CInt(1))}, {Kind: expr.AggAvg, Arg: expr.Col(1)}}
 
+	// And one more the second's rows as (id, s, f), joined on id with a build
+	// side of every kind of key, one of them twice, and grouped by a column of
+	// either side.
+	filters, projects = append(filters, filters[1]), append(projects, []int{0, 2, 1})
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return // a device has no blocks of no bytes (page.FuzzLocate has them)
@@ -66,13 +72,26 @@ func FuzzScanPageBytes(f *testing.F) {
 	})
 }
 
+// The sixth consumer's join and aggregation, in build columns (key, tag) then
+// the scan's output columns.
+var (
+	fuzzBuild = []tuple.Tuple{{tuple.F64(3), tuple.Str("three")}, {tuple.I64(4), tuple.Str("four")}, {tuple.I64(3), tuple.Str("again")},
+		{tuple.Str("s1"), tuple.Str("text")}, {tuple.Date(19001), tuple.Str("date")}, {tuple.F64(0.5), tuple.Str("half")}}
+	fuzzJoinKeys  = []int{1, 2 + 1}
+	fuzzJoinSpecs = []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(2 + 2)}, {Kind: expr.AggMin, Arg: expr.Col(0)},
+		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.Col(2+2))}, {Kind: expr.AggAvg, Arg: expr.Col(2 + 0)}}
+)
+
 // fuzzVisit is one visit of FuzzScanPageBytes' page, held to the decoder.
 func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []expr.Pred, projects [][]int, keys []int, specs []expr.AggSpec) {
 	const width = 4
 	{
 		progs := programs(width, filters, projects)
-		fold := newScanFold(keys, specs, projects[4])
+		fold := &scanFold{keys: keys, specs: specs}
 		progs[4].fold, progs[4].part = fold, fold.partial(0)
+		joined := &scanFold{keys: fuzzJoinKeys, specs: fuzzJoinSpecs}
+		joinedFold(joined, fuzzBuild, 2, 0, 0, projects[5])
+		progs[5].fold, progs[5].part, progs[5].keys = joined, joined.partial(0), joined.probe
 		fresh, err := buildPage(src, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
@@ -89,8 +108,8 @@ func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []ex
 					t.Fatalf("consumer %d was handed %d rows of a page that failed: %v", i, len(out), err)
 				}
 			}
-			if len(progs[4].part.states) != 0 {
-				t.Fatalf("%d groups were folded from a page that failed: %v", len(progs[4].part.states), err)
+			if n := len(progs[4].part.states) + len(progs[5].part.states); n != 0 {
+				t.Fatalf("%d groups were folded from a page that failed: %v", n, err)
 			}
 			if n := src.f.Pool().Stats().Layouts; n != 0 {
 				t.Fatalf("%d layouts published of a page that failed: %v", n, err)
@@ -117,14 +136,18 @@ func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []ex
 				}
 				want = append(want, r)
 			}
-			if i == 4 {
+			if i >= 4 {
+				keys, specs := keys, specs
+				if i == 5 {
+					keys, specs, want = fuzzJoinKeys, fuzzJoinSpecs, probed(t, joined.build, 0, 0, want)
+				}
 				merged, added := newGroupTable(keys, specs), newGroupTable(keys, specs)
-				merged.absorb(progs[4].part)
+				merged.absorb(progs[i].part)
 				for _, r := range want {
 					added.add(r)
 				}
-				if got, want := fmt.Sprint(groupRows(merged)), fmt.Sprint(groupRows(added)); got != want || outs[4] != nil {
-					t.Fatalf("folded then merged: %s\ndecoded, filtered, aggregated: %s (and %d rows handed out)", got, want, len(outs[4]))
+				if got, want := fmt.Sprint(groupRows(merged)), fmt.Sprint(groupRows(added)); got != want || outs[i] != nil {
+					t.Fatalf("consumer %d folded then merged: %s\ndecoded, filtered, aggregated: %s (and %d rows handed out)", i, got, want, len(outs[i]))
 				}
 				continue
 			}

@@ -3,11 +3,15 @@ package ops
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"qpipe/internal/core"
+	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
+	"qpipe/internal/plan"
 	"qpipe/internal/storage/buffer"
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/heap"
@@ -173,18 +177,19 @@ func TestPageKernel(t *testing.T) {
 }
 
 // TestPageKernelKeyFilter: a join's build keys are one more selection loop.
-// A row whose key's bit is clear is not built and is counted; a key the
-// kernel does not hash in place (TEXT) and a false positive are left to the
-// join; the consumer beside it on the same page is not affected.
+// A row whose key's bit is clear is not built and is counted, whatever the
+// key's kind — a TEXT key is hashed on its bytes where it lies; a false
+// positive is left to the join; the consumer beside it on the same page is not
+// affected.
 func TestPageKernelKeyFilter(t *testing.T) {
 	rows := make([]tuple.Tuple, 60)
 	for i := range rows {
 		rows[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.F64(float64(i % 10)), tuple.Str("x")}
 	}
-	rows[59][1] = tuple.Str("a text key")
+	rows[58][1], rows[59][1] = tuple.Str("a text key, longer than a word"), tuple.Str("not a key")
 	raw := pageOf(t, rows)
 	keys := &core.KeyFilter{Col: 1, Shift: 64 - 10, Bits: make([]uint64, 1<<10/64)}
-	for _, k := range []tuple.Value{tuple.I64(3), tuple.F64(7), tuple.Date(8)} { // any numeric kind
+	for _, k := range []tuple.Value{tuple.I64(3), tuple.F64(7), tuple.Date(8), rows[58][1]} { // any kind
 		bit := tuple.Hash1(tuple.Tuple{k}, 0) >> keys.Shift
 		keys.Bits[bit>>6] |= 1 << (bit & 63)
 	}
@@ -199,7 +204,7 @@ func TestPageKernelKeyFilter(t *testing.T) {
 			matches++
 		}
 	}
-	// 15 of the 50 rows the filter keeps have a build key; at 3 keys in 1024
+	// 15 of the 50 rows the filter keeps have a build key; at 4 keys in 1024
 	// bits a false positive or two may ride along.
 	if matches != 15 || len(tasks[0].out) > 20 || tasks[0].skipped != 50-len(tasks[0].out) {
 		t.Fatalf("narrowed consumer: %d rows (%d with a build key), %d skipped", len(tasks[0].out), matches, tasks[0].skipped)
@@ -211,8 +216,14 @@ func TestPageKernelKeyFilter(t *testing.T) {
 	if err := runLocated(raw, 3, tasks[1:]); err != nil {
 		t.Fatal(err)
 	}
-	if last := tasks[1].out[len(tasks[1].out)-1]; last[0].I != 59 {
-		t.Fatalf("the row with a TEXT key was not left to the join: last row %v", last)
+	text := 0
+	for _, r := range tasks[1].out {
+		if r[0].I == 58 {
+			text++
+		}
+	}
+	if n := len(tasks[1].out); text != 1 || n < 18 || n > 22 || tasks[1].skipped != 60-n {
+		t.Fatalf("TEXT keys: the row with the build key was kept %d times among %d rows (want 18 and a false positive or two), %d skipped", text, n, tasks[1].skipped)
 	}
 }
 
@@ -239,11 +250,56 @@ func groupTuples(gt *groupTable) []tuple.Tuple {
 	return out
 }
 
+// joinedFold completes fold as a hash join does that took it (handDown): with
+// a build side of rows of width columns, keyed by their column lkey, probed by
+// the scan's output column rkey.
+func joinedFold(fold *scanFold, rows []tuple.Tuple, width, lkey, rkey int, project []int) {
+	build := &hashTable{}
+	for _, b := range rows {
+		build.add(tuple.Hash1(b, lkey), b)
+	}
+	col := rkey
+	if project != nil {
+		col = project[rkey]
+	}
+	fold.build, fold.lkey, fold.width, fold.probe = build, lkey, width, buildKeys(build, col)
+}
+
+// probed is what the hash join makes of probe rows ts that reach it as rows:
+// probeTable's output, through an emitter of its own.
+func probed(t testing.TB, build *hashTable, lkey, rkey int, ts []tuple.Tuple) []tuple.Tuple {
+	t.Helper()
+	buf := tbuf.New(1)
+	buf.SetUnbounded()
+	em := &emitter{out: tbuf.NewSharedOut(buf, 0), size: 64}
+	var arena tuple.RowArena
+	for _, r := range ts {
+		if err := probeTable(build, &plan.HashJoin{LKey: lkey, RKey: rkey}, em, &arena, r, tuple.Hash1(r, rkey)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := em.flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.Close(nil)
+	var out []tuple.Tuple
+	for b, err := buf.Get(); err != io.EOF; b, err = buf.Get() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
 // TestPageKernelFold holds the fold branch to the build branch: the partial
 // table a folding consumer's page leaves is the table groupTable.add makes of
 // the rows the same page gives a consumer that builds them — same groups in
 // the same order, every result bit for bit — and the folding consumer is
-// handed no row.
+// handed no row. Through a join, the rows are what probeTable makes of those
+// the same page gives a consumer that builds them: build columns first, the
+// keys and arguments in those terms, a row once for every build row of its key
+// and never for a key the bitmap or the hash alone let through.
 func TestPageKernelFold(t *testing.T) {
 	I, F, S, D := tuple.I64, tuple.F64, tuple.Str, tuple.Date
 	count := expr.AggSpec{Kind: expr.AggCount}
@@ -263,7 +319,7 @@ func TestPageKernelFold(t *testing.T) {
 		special[i] = tuple.Tuple{I(int64(i % 4)), F(f), S("")}
 	}
 
-	cases := []struct {
+	type foldCase struct {
 		name    string
 		width   int
 		rows    []tuple.Tuple
@@ -272,7 +328,16 @@ func TestPageKernelFold(t *testing.T) {
 		project []int
 		keys    []int // in the scan's output columns, as the specs' arguments are
 		specs   []expr.AggSpec
-	}{
+	}
+	// Through a join: build rows of bw columns, their key column and the scan's
+	// output column it equals; keys and arguments count the build row's columns
+	// first.
+	type joinCase struct {
+		foldCase
+		build          []tuple.Tuple
+		bw, lkey, rkey int
+	}
+	plain := []foldCase{
 		{"scalar, every kind over a fractional float", 5, rows, nil, nil, nil, nil, everyKind(2)},
 		{"count(*) of a zero-column projection", 5, rows, []int{3}, expr.GE(expr.Col(0), expr.CInt(10)), []int{}, nil, []expr.AggSpec{count}},
 		{"INT key", 5, rows, nil, nil, []int{0, 2}, []int{0}, everyKind(1)},
@@ -291,17 +356,60 @@ func TestPageKernelFold(t *testing.T) {
 		{"no survivor, scalar", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, nil, everyKind(2)},
 		{"one group per row", 5, rows, []int{35}, nil, nil, []int{0}, everyKind(4)},
 	}
+	// (key, label, w): the keys 0 as an INT and 1 as a FLOAT meet the scan's
+	// INT/FLOAT/DATE mix; its 2 has no build row, 5 no scanned one.
+	dims := []tuple.Tuple{{I(0), S("zero"), F(0.5)}, {F(1), S("one"), F(1.25)}, {I(5), S("five"), F(5)}}
+	cases := []joinCase{
+		{foldCase{"join on INT = FLOAT = DATE, group by a build column", 5, rows, nil, nil, nil, []int{1}, everyKind(3 + 2)}, dims, 3, 0, 1},
+		{foldCase{"group by a scanned column, arguments of the build side", 5, rows, []int{4}, expr.GT(expr.Col(0), expr.CInt(2)), []int{4, 1, 0}, []int{3 + 0},
+			append(everyKind(2), everyKind(1)...)}, dims, 3, 0, 1},
+		{foldCase{"keys of both sides, the scanned one first", 5, rows, nil, nil, []int{0, 1, 4}, []int{3 + 2, 1}, everyKind(3 + 0)}, dims, 3, 0, 1},
+		{foldCase{"keys of both sides, the build one first and again last", 5, rows, nil, nil, []int{0, 1, 4}, []int{1, 3 + 2, 1}, everyKind(2)}, dims, 3, 0, 1},
+		{foldCase{"expressions over both sides", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(30)), []int{1, 2, 0}, []int{1},
+			[]expr.AggSpec{agg(expr.AggSum, expr.Mul(expr.Col(2), expr.Col(3+1))), agg(expr.AggMax, expr.Add(expr.Col(0), expr.Col(3+2))),
+				agg(expr.AggMin, expr.Sub(expr.Col(3+2), expr.CInt(1))), agg(expr.AggAvg, expr.Col(2)), count}}, dims, 3, 0, 0},
+		{foldCase{"scalar over the join", 5, rows, nil, nil, []int{2, 1}, nil, append(everyKind(2), everyKind(3+0)...)}, dims, 3, 0, 1},
+		{foldCase{"duplicate build keys: a row pairs with each", 5, rows, nil, nil, nil, []int{1, 3 + 0}, everyKind(2)},
+			append([]tuple.Tuple{{F(1), S("again"), F(8)}, {D(1), S("x"), F(-8)}}, dims...), 3, 0, 1},
+		{foldCase{"TEXT keys", 5, rows, nil, nil, []int{4, 2}, []int{1}, everyKind(2 + 1)},
+			[]tuple.Tuple{{S("name-3"), I(30)}, {S("name-1"), I(10)}, {S("name-7"), I(70)}, {S("name-3"), I(31)}}, 2, 0, 0},
+		// Ints beyond 2^53 that round to one float64 share a hash: the bitmap and
+		// the chain's stored hash both let the row through, the key compare does not.
+		{foldCase{"a false positive of the bitmap and of the hash", 2, []tuple.Tuple{{I(1<<60 + 1), I(1)}, {I(1 << 60), I(2)}, {I(1<<60 + 2), I(3)}, {I(7), I(4)}},
+			nil, nil, nil, []int{1 + 0}, everyKind(1 + 1)}, []tuple.Tuple{{I(1 << 60)}, {I(8)}}, 1, 0, 0},
+		{foldCase{"no row has a build key", 5, rows, nil, nil, nil, []int{1}, everyKind(3)}, []tuple.Tuple{{I(77), S("x"), F(1)}}, 3, 0, 0},
+		{foldCase{"empty build side", 5, rows, nil, nil, nil, []int{3 + 4}, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
+		{foldCase{"empty build side, scalar", 5, rows, nil, nil, nil, nil, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
+	}
+	for _, c := range plain {
+		cases = append(cases, joinCase{foldCase: c})
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			raw := pageOf(t, c.rows, c.dead...)
 			tasks := programs(c.width, []expr.Pred{c.filter, c.filter, c.filter}, [][]int{c.project, c.project, c.project})
-			fold := newScanFold(c.keys, c.specs, c.project)
-			tasks[1].fold, tasks[1].part = fold, fold.partial(0)
+			fold := &scanFold{keys: c.keys, specs: c.specs}
+			if c.build != nil {
+				joinedFold(fold, c.build, c.bw, c.lkey, c.rkey, c.project)
+			}
+			tasks[1].fold, tasks[1].part, tasks[1].keys = fold, fold.partial(0), fold.probe
 			if err := runLocated(raw, c.width, tasks); err != nil {
 				t.Fatal(err)
 			}
+			// What the aggregate is fed when the page's rows are built: the
+			// rows, or the join's output for them.
+			fed, unmatched := tasks[0].out, 0
+			if c.build != nil {
+				fed = probed(t, fold.build, c.lkey, c.rkey, tasks[0].out)
+				for _, r := range tasks[0].out {
+					if !slices.ContainsFunc(c.build, func(b tuple.Tuple) bool { return tuple.Equal(b[c.lkey], r[c.rkey]) }) {
+						unmatched++
+					}
+				}
+			}
+			t.Logf("%d rows kept, the aggregate is fed %d, %d have no build row", len(tasks[0].out), len(fed), unmatched)
 			want := newGroupTable(c.keys, c.specs)
-			for _, r := range tasks[0].out {
+			for _, r := range fed {
 				want.add(r)
 			}
 			got, added := groupRows(tasks[1].part), groupRows(want)
@@ -310,8 +418,15 @@ func TestPageKernelFold(t *testing.T) {
 					t.Fatalf("group %d of %d folded, %d added row by row:\nfolded %v\nadded  %v", g, len(got), len(added), got[g:min(g+1, len(got))], added[g:min(g+1, len(added))])
 				}
 			}
-			if tasks[1].out != nil || tasks[1].folded != len(tasks[0].out) {
-				t.Fatalf("the folding consumer was handed %d rows and folded %d of %d", len(tasks[1].out), tasks[1].folded, len(tasks[0].out))
+			// The partial merges with one filled from rows: a group's hash is
+			// HashAt of the row the aggregate would have been fed, whichever
+			// side its key columns come from.
+			want.absorb(tasks[1].part)
+			if len(want.states) != len(added) {
+				t.Fatalf("absorbing the folded partial into the table of the rows added made %d groups of %d", len(want.states), len(added))
+			}
+			if tasks[1].out != nil || tasks[1].folded != len(fed) || tasks[1].skipped != unmatched {
+				t.Fatalf("the folding consumer was handed %d rows, folded %d of %d and left out %d of %d", len(tasks[1].out), tasks[1].folded, len(fed), tasks[1].skipped, unmatched)
 			}
 			if len(tasks[2].out) != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
 				t.Fatalf("the consumers beside it: %d and %d rows, %d folded", len(tasks[0].out), len(tasks[2].out), tasks[0].folded+tasks[2].folded)
@@ -327,8 +442,9 @@ func TestPageKernelFold(t *testing.T) {
 // layout says — on a page that is resident and already located, damaged
 // through the write path (MarkDirty, then the bytes) or on the device (and the
 // pool emptied) — gives the typed error at the next visit, no consumer a batch
-// and the consumer that folds an untouched partial table; nothing is
-// published, so the visit after that fails the same way.
+// and the consumers that fold, one of them through a join, an untouched
+// partial table; nothing is published, so the visit after that fails the same
+// way.
 func TestPageKernelDamagedPage(t *testing.T) {
 	rows := []tuple.Tuple{
 		{tuple.I64(1), tuple.Str("abc")}, {tuple.I64(2), tuple.Str("defgh")}, {tuple.I64(3), tuple.Str("")},
@@ -350,14 +466,17 @@ func TestPageKernelDamagedPage(t *testing.T) {
 			pool, id := src.f.Pool(), buffer.PageID{File: src.f.Name}
 			k := newPageKernel(2)
 			visit := func() ([]pageTask, error) {
-				tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil}, [][]int{nil, {1}, {}})
-				fold := newScanFold([]int{1}, []expr.AggSpec{{Kind: expr.AggCount}}, nil)
+				tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil, nil}, [][]int{nil, {1}, {}, nil})
+				fold := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggCount}}}
 				tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
+				joined := &scanFold{keys: []int{1, 2 + 1}, specs: []expr.AggSpec{{Kind: expr.AggMax, Arg: expr.Col(2 + 0)}}}
+				joinedFold(joined, []tuple.Tuple{{tuple.I64(2), tuple.Str("two")}, {tuple.F64(3), tuple.Str("three")}}, 2, 0, 0, nil)
+				tasks[3].fold, tasks[3].part, tasks[3].keys = joined, joined.partial(0), joined.probe // and the last, through a join
 				_, err := buildPage(src, 0, k, tasks, nil)
 				return tasks, err
 			}
-			if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || pool.Stats().Layouts != 1 {
-				t.Fatalf("%s: the undamaged page: %v, %d rows, %d layouts", name, err, len(tasks[1].out), pool.Stats().Layouts)
+			if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || tasks[3].folded != 2 || pool.Stats().Layouts != 1 {
+				t.Fatalf("%s: the undamaged page: %v, %d rows, %d pairs folded, %d layouts", name, err, len(tasks[1].out), tasks[3].folded, pool.Stats().Layouts)
 			}
 			if through == "the device" {
 				raw := append([]byte(nil), good...)
@@ -389,8 +508,10 @@ func TestPageKernelDamagedPage(t *testing.T) {
 						t.Errorf("%s through %s: consumer %d was handed %d rows of a damaged page", name, through, i, len(tasks[i].out))
 					}
 				}
-				if n := len(tasks[0].part.states); n != 0 || tasks[0].folded != 0 {
-					t.Errorf("%s through %s: %d groups were folded from a damaged page", name, through, n)
+				for _, i := range []int{0, 3} {
+					if n := len(tasks[i].part.states); n != 0 || tasks[i].folded != 0 || tasks[i].skipped != 0 {
+						t.Errorf("%s through %s: consumer %d folded %d groups from a damaged page", name, through, i, n)
+					}
 				}
 				if n := pool.Stats().Layouts; n != 0 {
 					t.Errorf("%s through %s: %d layouts are published of a damaged page", name, through, n)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
@@ -120,11 +119,11 @@ func TestTopNWritesNoTempFile(t *testing.T) {
 
 // Two equal Top-N packets share by the default rule for as long as the host
 // consumes its input; two that differ only in n have different signatures
-// and share below the sort, at the scan.
+// and share below the sort, at the scan. The host is mid-input for as long as
+// the test likes: a bare scan of the table, its result unread, holds the
+// scanner every other scan of the table rides.
 func TestTopNSharing(t *testing.T) {
 	rt := newRT(t, 3000, core.DefaultConfig())
-	rt.SM.Disk.SetLatency(100*time.Microsecond, 100*time.Microsecond, 0)
-	defer rt.SM.Disk.SetLatency(0, 0, 0)
 	ctx := context.Background()
 	submit := func(n int64) *core.Query {
 		t.Helper()
@@ -142,14 +141,24 @@ func TestTopNSharing(t *testing.T) {
 		}
 		return rows
 	}
+	hold := func() *core.Query {
+		t.Helper()
+		held, _ := startBlockedScan(t, rt)
+		eventually(t, "the held scan blocked on its full buffer", func() bool { return held.Result.Snapshot().PutBlocked })
+		return held
+	}
 
-	host, sat := submit(10), submit(10) // the scan is ~3 ms a pool's worth of pages: the host is mid-input
+	held := hold()
+	host := submit(10)
+	eventually(t, "the host's scan riding the held one", func() bool { return rt.Stats().SharesByOp[plan.OpTableScan] == 1 })
+	sat := submit(10)
+	drain(held)
 	a, b := drain(host), drain(sat)
 	if len(a) != 10 || fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("host and satellite disagree:\n%v\n%v", a, b)
 	}
 	// Packets are dispatched leaves first, so the satellite's scan attached
-	// to the host's scan before its sort attached to the host's sort.
+	// to the held scan before its sort attached to the host's sort.
 	if got := host.Stats.HostedSatellites.Load(); got < 1 {
 		t.Fatal("the host hosted no satellite")
 	}
@@ -158,7 +167,9 @@ func TestTopNSharing(t *testing.T) {
 	}
 
 	scanShares := rt.Stats().SharesByOp[plan.OpTableScan]
+	held = hold()
 	ten, twenty := submit(10), submit(20)
+	drain(held)
 	a, b = drain(ten), drain(twenty)
 	if len(a) != 10 || len(b) != 20 || fmt.Sprint(a) != fmt.Sprint(b[:10]) {
 		t.Fatalf("top 10 and top 20 disagree:\n%v\n%v", a, b)
@@ -166,7 +177,7 @@ func TestTopNSharing(t *testing.T) {
 	if got := rt.Stats().SharesByOp[plan.OpSort]; got != 1 {
 		t.Fatalf("sorts that differ in n shared at the sort (%d shares)", got)
 	}
-	if rt.Stats().SharesByOp[plan.OpTableScan] == scanShares {
-		t.Fatal("sorts that differ in n did not share their scan")
+	if got := rt.Stats().SharesByOp[plan.OpTableScan] - scanShares; got != 2 {
+		t.Fatalf("sorts that differ in n: %d of their two scans rode the table's one page stream", got)
 	}
 }

@@ -319,9 +319,10 @@ func hashNumber(h uint64, f float64) uint64 {
 	return mix64(h ^ math.Float64bits(f+0)) // -0 + 0 is +0
 }
 
-// hashValue folds one value into a hash state, a string eight bytes at a
-// time. No hash is persisted, so the values may change between versions.
-func hashValue(h uint64, v *Value) uint64 {
+// HashValue folds one value into a hash state, a string eight bytes at a
+// time: HashAt's step, for a key whose columns lie in more than one place. No
+// hash is persisted, so the values may change between versions.
+func HashValue(h uint64, v *Value) uint64 {
 	switch v.K {
 	case KindInt, KindDate:
 		return hashNumber(h, float64(v.I))
@@ -349,7 +350,7 @@ func hashValue(h uint64, v *Value) uint64 {
 func HashAt(t Tuple, keys []int) uint64 {
 	h := hashSeed
 	for _, k := range keys {
-		h = hashValue(h, &t[k])
+		h = HashValue(h, &t[k])
 	}
 	return h
 }
@@ -358,21 +359,7 @@ func HashAt(t Tuple, keys []int) uint64 {
 // otherwise build a one-element key slice per tuple. Hash1(t, k) ==
 // HashAt(t, []int{k}).
 func Hash1(t Tuple, key int) uint64 {
-	return hashValue(hashSeed, &t[key])
-}
-
-// HashEncodedNumber is Hash1 of the encoded value at the start of b (one
-// ValueWidth accepted) when that value is a number; ok is false for a
-// string, which a caller hashing in place has to decode.
-func HashEncodedNumber(b []byte) (h uint64, ok bool) {
-	k, bits, ok := EncodedNumber(b)
-	if !ok {
-		return 0, false
-	}
-	if k == KindFloat {
-		return hashNumber(hashSeed, math.Float64frombits(bits)), true
-	}
-	return hashNumber(hashSeed, float64(int64(bits))), true
+	return HashValue(hashSeed, &t[key])
 }
 
 // HashSeed is the state HashAt starts from.
@@ -381,7 +368,7 @@ const HashSeed = hashSeed
 // HashEncoded folds the encoded value at the start of b (one ValueWidth
 // accepted) into the hash state h exactly as HashAt folds the decoded value:
 // from HashSeed over a row's encoded key columns it is HashAt of the decoded
-// row. A string is hashed over its bytes where they lie (hashValue's loop, on
+// row. A string is hashed over its bytes where they lie (HashValue's loop, on
 // a []byte).
 func HashEncoded(h uint64, b []byte) uint64 {
 	switch k, bits, ok := EncodedNumber(b); {

@@ -206,7 +206,7 @@ func TestTupleString(t *testing.T) {
 
 func TestHashEqualValuesHashEqually(t *testing.T) {
 	// Whatever Equal calls equal hashes equally: a number by its value, not
-	// its kind. Hash1, HashAt and the in-place HashEncodedNumber agree.
+	// its kind. Hash1, HashAt, the in-place HashEncoded and HashValue's step agree.
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		n := rng.Int63n(1<<53) - 1<<52
@@ -225,8 +225,11 @@ func TestHashEqualValuesHashEqually(t *testing.T) {
 			if got := HashAt(same, []int{k}); got != want {
 				t.Fatalf("HashAt(%v, [%d]) = %#x, Hash1 = %#x", same, k, got, want)
 			}
-			if got, ok := HashEncodedNumber(Tuple{v}.Encode(nil)); !ok || got != want {
-				t.Fatalf("HashEncodedNumber(%v) = %#x %v, Hash1 = %#x", v, got, ok, want)
+			if got := HashEncoded(HashSeed, Tuple{v}.Encode(nil)); got != want {
+				t.Fatalf("HashEncoded(%v) = %#x, Hash1 = %#x", v, got, want)
+			}
+			if got := HashValue(HashSeed, &v); got != want {
+				t.Fatalf("HashValue(%v) = %#x, Hash1 = %#x", v, got, want)
 			}
 		}
 	}
@@ -238,9 +241,6 @@ func TestHashEqualValuesHashEqually(t *testing.T) {
 	big := Tuple{I64(1<<60 + 1), I64(1 << 60)}
 	if Equal(big[0], big[1]) {
 		t.Fatal("distinct big ints compare equal")
-	}
-	if _, ok := HashEncodedNumber(Tuple{Str("x")}.Encode(nil)); ok {
-		t.Fatal("HashEncodedNumber accepted a string")
 	}
 	row := Tuple{I64(3), Str("a longer string, past one word"), F64(2.5), {}}
 	for i := 0; i < 200; i++ {

@@ -3,7 +3,9 @@ package qpipe_test
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,34 +130,76 @@ func TestJoinOnIntAndFloatKeys(t *testing.T) {
 	}
 }
 
+// skReasons is what became of a statement's hand-overs, by reason; reasons it
+// does not name did not occur.
+type skReasons map[core.HandOver]int64
+
+// skHandOvers holds a finished statement's own hand-over counters to one of
+// the outcomes it may have (more than one where the scheduler decides between
+// them) and returns the one it had.
+func skHandOvers(t *testing.T, how string, res *qpipe.Result, may ...skReasons) skReasons {
+	t.Helper()
+	got := skReasons{}
+	for why := range res.Stats().HandOvers {
+		if n := res.Stats().HandOvers[why].Load(); n != 0 {
+			got[core.HandOver(why)] = n
+		}
+	}
+	for _, want := range may {
+		if maps.Equal(got, want) {
+			return want
+		}
+	}
+	t.Errorf("%s: hand-overs ended %v, want %v", how, got, may)
+	return got
+}
+
 // TestSidewaysKeysInstallOnlyWhereTheyHelp walks the cases around the
-// mechanism: what installs a filter, what does not, and that the answer is
-// the iterator engine's either way.
+// mechanism: what installs a filter, what does not and for which reason —
+// read from the statement's own counters —, and that the answer is the
+// iterator engine's either way.
 func TestSidewaysKeysInstallOnlyWhereTheyHelp(t *testing.T) {
 	db := skOpen(t, qpipe.Options{PoolPages: 4096})
 	asWritten := skOpen(t, qpipe.Options{DisableOptimizer: true})
 	bigPages := cpHeapPages(t, db, "big")
+	installed := skReasons{core.HandOverInstalled: 1}
 
-	run := func(db *qpipe.DB, text string, wantFilters int64, opts ...qpipe.QueryOption) *qpipe.Result {
+	run := func(db *qpipe.DB, text string, want skReasons, opts ...qpipe.QueryOption) *qpipe.Result {
 		t.Helper()
-		before := db.Stats().KeyFilters
 		got, res := skAnswer(t, db, text, opts...)
 		if want := skVolcano(t, db, cpPlan(t, db, text)); !equalRows(got, want) {
 			t.Errorf("%s: %d rows, the iterator engine has %d\ngot  %.200v\nwant %.200v", text, len(got), len(want), got, want)
 		}
-		if n := db.Stats().KeyFilters - before; n != wantFilters {
-			t.Errorf("%s: %d key filters installed, want %d", text, n, wantFilters)
-		}
+		skHandOvers(t, text, res, want)
 		return res
+	}
+	built := func(q *qpipe.Query, how string, want skReasons) {
+		t.Helper()
+		res, err := q.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := res.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := q.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := apSorted(rows), skVolcano(t, asWritten, p); !equalRows(got, want) || len(got) == 0 {
+			t.Errorf("%s: %v, the iterator engine has %v", how, got, want)
+		}
+		skHandOvers(t, how, res, want)
 	}
 
 	// The ordinary case: five build rows against 70 000.
 	join := "SELECT p, q FROM small JOIN big ON small.y = big.x"
-	if res := run(db, join, 1); res.Stats().KeyFilterRows.Load() < 60000 {
+	if res := run(db, join, installed); res.Stats().KeyFilterRows.Load() < 60000 {
 		t.Errorf("%s: %d rows left unbuilt, want most of 70 000", join, res.Stats().KeyFilterRows.Load())
 	}
 	for _, opt := range []qpipe.QueryOption{qpipe.WithoutOSP(), qpipe.WithParallelism(4), qpipe.WithBatchSize(7)} {
-		run(db, join, 1, opt)
+		run(db, join, installed, opt)
 	}
 	// An empty build side joins nothing, and the probe is still read, once.
 	if err := db.DropCaches(); err != nil {
@@ -163,122 +207,225 @@ func TestSidewaysKeysInstallOnlyWhereTheyHelp(t *testing.T) {
 	}
 	db.ResetDiskStats()
 	empty := "SELECT p, q FROM small JOIN big ON small.y = big.x WHERE q > 99"
-	if res := run(db, empty, 1); res.Stats().KeyFilterRows.Load() < 60000 {
+	if res := run(db, empty, installed); res.Stats().KeyFilterRows.Load() < 60000 {
 		t.Errorf("%s: %d rows left unbuilt", empty, res.Stats().KeyFilterRows.Load())
 	}
 	// (the reference run on the iterator engine found the pages in the pool)
 	if reads := db.DiskStats().ByFile["tbl:big"]; reads != bigPages {
 		t.Errorf("%s: %d blocks of big read, want its %d pages once (%v)", empty, reads, bigPages, db.DiskStats().ByFile)
 	}
-	// A TEXT key is not hashed in place: nothing is installed.
-	run(db, "SELECT v, w FROM tags JOIN names ON m = n", 0)
-	// Nor for a build side too big to stay in memory (the plan as written
-	// builds on big), nor by a join whose probe side is not a scan: of the
-	// two joins below only the inner one has a scan to narrow.
-	run(asWritten, "SELECT p, q FROM big JOIN small ON big.x = small.y", 0)
-	nested := asWritten.Scan("small").Join(asWritten.Scan("tags").Join(asWritten.Scan("names"), "w", "v"), "q", "w")
-	before := asWritten.Stats().KeyFilters
-	res, err := nested.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	// A TEXT key is hashed where it lies, like any other: 429 tags narrow the
+	text := "SELECT v, w FROM tags JOIN names ON m = n"
+	// scan of 3 000 names (of which most pages are out before the build ends).
+	if res := run(db, text, installed); apBuildSide(cpPlan(t, db, text)) != "tags" {
+		t.Errorf("%s builds on %s", text, apBuildSide(cpPlan(t, db, text)))
+	} else {
+		t.Logf("%s: %d rows left unbuilt", text, res.Stats().KeyFilterRows.Load())
 	}
-	rows, err := res.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := nested.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := apSorted(rows), skVolcano(t, asWritten, p); !equalRows(got, want) || len(got) == 0 {
-		t.Errorf("join of joins: %v, the iterator engine has %v", got, want)
-	}
-	if n := asWritten.Stats().KeyFilters - before; n != 1 {
-		t.Errorf("join of joins: %d key filters installed, want the inner join's only", n)
-	}
+	// Nothing is installed for a build side too big to stay in memory (the plan
+	// as written builds on big) — the fold of an aggregate above such a join
+	// gets as far as the join and no further —, nor by a join whose probe side
+	// is not a scan, whatever the size of its build side: of the two joins of
+	// each statement below only the inner one has a scan to narrow.
+	run(asWritten, "SELECT p, q FROM big JOIN small ON big.x = small.y", skReasons{core.HandOverBuildTooLarge: 1})
+	run(asWritten, "SELECT count(*) AS n, sum(q) AS s FROM big JOIN small ON big.x = small.y", skReasons{core.HandOverInstalled: 1, core.HandOverBuildTooLarge: 1})
+	inner := func() *qpipe.Query { return asWritten.Scan("tags").Join(asWritten.Scan("names"), "w", "v") }
+	notAScan := skReasons{core.HandOverInstalled: 1, core.HandOverNotAScan: 1}
+	built(asWritten.Scan("small").Join(inner(), "q", "w"), "join of joins", notAScan)
+	built(asWritten.Scan("big").Join(inner(), "x", "w"), "join of joins, the outer build side too big", notAScan)
 }
 
-// TestNarrowedScanBesideAPlainOne pins the hazard: the benchmark's
-// join_groupby probes orders through a scan of cols=[cust amount], which is
-// the scan of `SELECT cust, amount FROM orders` to the letter — same
-// signature. Released together, either the two packets share one output, and
-// then the join must not narrow it, or the join narrows its own and the other
-// rides the same circular scan as a consumer of its own. In both arrival
-// orders the plain statement gets every row, and the table is read once.
-func TestNarrowedScanBesideAPlainOne(t *testing.T) {
-	ctx := context.Background()
-	db := apBenchDB(t, qpipe.Options{PoolPages: 16}, false)
-	join, plain := apBenchScans[2], "SELECT cust, amount FROM orders"
-	if a, b := apLeaves(cpPlan(t, db, join))[1].Signature(), apLeaves(cpPlan(t, db, plain))[0].Signature(); a != b {
-		t.Fatalf("the probe scan and the plain one differ: %s, %s", a, b)
-	}
-	want := map[string][]string{join: skVolcano(t, db, cpPlan(t, db, join)), plain: skVolcano(t, db, cpPlan(t, db, plain))}
-	pages := cpHeapPages(t, db, "orders")
-	db.SetDiskLatency(200*time.Microsecond, 200*time.Microsecond, 0)
-	defer db.SetDiskLatency(0, 0, 0)
+// skArrival scripts one arrival order of two statements: a, which hands
+// something down, and b, a plain statement one of whose packets has the
+// signature of the packet a changes. Every arrival is a state, not a moment:
+// each of held is sent and one batch of its result read — in batches of 16
+// rows, so that even a small table's scan blocks on its full result buffer: it
+// holds what it scans, or the worker it runs on, until the test reads on —,
+// then first, then, once ready holds of a's result, the other (unless a runs
+// solo); then everything is read to the end.
+type skArrival struct {
+	how   string
+	opts  qpipe.Options
+	held  []string                   // a or b among them holds itself
+	first string                     // a or b
+	ready func(a *qpipe.Result) bool // nil: nothing to wait for
+	may   []skReasons                // what may become of a's hand-overs
+	solo  bool                       // b is not sent
+}
 
-	// Three arrivals: the join and the plain statement back to back, in both
-	// orders, and the plain statement once the join has narrowed its scan.
-	arrivals := []struct {
-		how   string
-		first string
-		late  bool
-	}{{"join, plain", join, false}, {"plain, join", plain, false}, {"join, its keys handed over, plain", join, true}}
-	outcomes := map[string]int{}
-	for _, par := range []int{1, 4} {
-		for _, arr := range arrivals {
+// skHeld reports whether a statement whose result is not being read has come
+// to rest: every one of its packets has finished or waits to put into a full
+// buffer — down to the scanner, which then settles no page for anybody until
+// the test reads on.
+func skHeld(res *qpipe.Result) bool {
+	for _, b := range qpipe.QueryOf(res).Buffers() {
+		if s := b.Snapshot(); !s.PutBlocked && !s.Closed {
+			return false
+		}
+	}
+	return true
+}
+
+// skPacket is the packet of res's plan node nth in pre-order: the root is 0,
+// the last the rightmost leaf (a hash join's probe scan).
+func skPacket(res *qpipe.Result, nth int) *core.Packet {
+	pkts := qpipe.QueryOf(res).Packets()
+	if nth < 0 {
+		nth += len(pkts)
+	}
+	return pkts[nth]
+}
+
+// skArrivals runs every arrival at parallelism 1 and 4 on a database of its
+// own (the benchmark's tables, a pool of 16 pages): both answers must be the
+// iterator engine's, a's hand-overs one of the outcomes the arrival allows
+// (check then looks at the two results' other counters; rb is nil when a ran
+// solo), and table read less than twice wherever two scans of it can run side
+// by side.
+func skArrivals(t *testing.T, a, b, table string, arrivals []skArrival, check func(how string, outcome skReasons, ra, rb *qpipe.Result)) {
+	t.Helper()
+	ctx := context.Background()
+	for _, arr := range arrivals {
+		arr.opts.PoolPages = 16
+		db := apBenchDB(t, arr.opts, false)
+		texts := append(append([]string(nil), arr.held...), a, b)
+		want := map[string][]string{}
+		for _, text := range texts {
+			want[text] = skVolcano(t, db, cpPlan(t, db, text))
+		}
+		pages := cpHeapPages(t, db, table)
+		for _, par := range []int{1, 4} {
+			how := fmt.Sprintf("P=%d, %s", par, arr.how)
 			if err := db.DropCaches(); err != nil {
 				t.Fatal(err)
 			}
 			db.ResetDiskStats()
-			filters := db.Stats().KeyFilters
-			results := map[string]*qpipe.Result{}
-			var wg sync.WaitGroup
-			for _, text := range []string{arr.first, map[string]string{join: plain, plain: join}[arr.first]} {
-				res, err := db.Query(ctx, text, qpipe.WithParallelism(par))
+			results, answers := map[string]*qpipe.Result{}, map[string][]qpipe.Row{}
+			send := func(text string, opts ...qpipe.QueryOption) *qpipe.Result {
+				t.Helper()
+				if results[text] == nil {
+					res, err := db.Query(ctx, text, append(opts, qpipe.WithParallelism(par))...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					results[text] = res
+				}
+				return results[text]
+			}
+			for _, text := range arr.held {
+				res := send(text, qpipe.WithBatchSize(16))
+				taken, err := res.Next()
 				if err != nil {
 					t.Fatal(err)
 				}
-				results[text] = res
+				answers[text] = append([]qpipe.Row(nil), taken...)
+				for !skHeld(res) {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+			send(arr.first)
+			for deadline := time.Now().Add(20 * time.Second); arr.ready != nil && !arr.ready(send(a)); time.Sleep(100 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: not ready after 20 s\n%s", how, db.Engine().Runtime().DumpState())
+				}
+			}
+			send(a)
+			if !arr.solo {
+				send(b)
+			}
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			for text, res := range results {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					rows, err := res.All()
 					if err != nil {
-						t.Errorf("%s: %v", text, err)
-					} else if got := apSorted(rows); !equalRows(got, want[text]) {
-						t.Errorf("P=%d, %s: %s returned %d rows, want %d", par, arr.how, text, len(got), len(want[text]))
+						t.Errorf("%s: %s: %v", how, text, err)
 					}
+					mu.Lock()
+					answers[text] = append(answers[text], rows...)
+					mu.Unlock()
 				}()
-				for deadline := time.Now().Add(10 * time.Second); arr.late && db.Stats().KeyFilters == filters && time.Now().Before(deadline); {
-					time.Sleep(100 * time.Microsecond)
-				}
 			}
 			wg.Wait()
-			shared := results[join].Stats().HostedSatellites.Load()+results[plain].Stats().HostedSatellites.Load() > 0
-			narrowed := db.Stats().KeyFilters > filters
-			if shared == narrowed || (arr.late && !narrowed) {
-				t.Errorf("P=%d, %s: one output shared %v, scan narrowed %v: want exactly one", par, arr.how, shared, narrowed)
+			for text := range results {
+				if got := apSorted(answers[text]); !equalRows(got, want[text]) {
+					t.Errorf("%s: %s returned %d rows, want %d", how, text, len(got), len(want[text]))
+				}
 			}
-			if unbuilt := results[join].Stats().KeyFilterRows.Load(); (unbuilt > 0) != narrowed || results[plain].Stats().KeyFilterRows.Load() != 0 {
-				t.Errorf("P=%d, %s: the join left %d rows unbuilt (narrowed %v), the plain scan %d", par, arr.how, unbuilt, narrowed, results[plain].Stats().KeyFilterRows.Load())
+			check(how, skHandOvers(t, how, results[a], arr.may...), results[a], results[b])
+			// (a late arrival is owed the pages it missed: the scan wraps; one
+			// worker runs two scans one after the other)
+			if reads := db.DiskStats().ByFile["tbl:"+table]; reads < pages || (reads >= 2*pages && arr.opts.WorkersPerEngine != 1) {
+				t.Errorf("%s: %d blocks of %s read for the statements of a %d-page table: no page stream was shared", how, reads, table, pages)
 			}
-			// (a late arrival is owed the pages it missed: the scan wraps)
-			if reads := db.DiskStats().ByFile["tbl:orders"]; reads < pages || reads >= 2*pages {
-				t.Errorf("P=%d, %s: %d blocks of orders read for two statements of a %d-page table: no page stream was shared", par, arr.how, reads, pages)
-			}
-			outcomes[fmt.Sprintf("%s: narrowed %v", arr.how, narrowed)]++
 		}
 	}
-	t.Log(outcomes)
+}
+
+// skHandedProbe reports whether the probe scan of a's join — its plan's
+// rightmost leaf — has been handed something: it is sealed then, and no packet
+// can be absorbed by it any more.
+func skHandedProbe(a *qpipe.Result) bool { return skPacket(a, -1).Handed() != nil }
+
+// TestNarrowedScanBesideAPlainOne pins the hazard of changing what a scan
+// packet produces: the benchmark's join_groupby probes orders through a scan of
+// cols=[cust amount], which is the scan of `SELECT cust, amount FROM orders` to
+// the letter — same signature. Whether the join above it is read by a
+// projection and narrows the scan to its build keys, or by the aggregate and
+// passes that one's fold on, either the two packets share one output, and then
+// the hand-over is refused and rows flow, or the scan is handed what it is
+// handed and the plain statement rides the same circular scan as a consumer of
+// its own. In every arrival order the plain statement gets every row, and the
+// table is read once.
+func TestNarrowedScanBesideAPlainOne(t *testing.T) {
+	narrowed, folded := "SELECT segment, amount FROM customers c JOIN orders o ON c.cid = o.cust WHERE segment = 1", apBenchScans[2]
+	plain := "SELECT cust, amount FROM orders"
+	sigs := apBenchDB(t, qpipe.Options{}, false)
+	for _, join := range []string{narrowed, folded} {
+		if a, b := apLeaves(cpPlan(t, sigs, join))[1].Signature(), apLeaves(cpPlan(t, sigs, plain))[0].Signature(); a != b {
+			t.Fatalf("the probe scan and the plain one differ: %s, %s", a, b)
+		}
+	}
+	for _, join := range []string{narrowed, folded} {
+		// The join hands down what it has when its build ends: its keys, or the
+		// fold that reached it — unless the aggregate's packet started later
+		// than that (the scheduler decides): then its keys, and the fold is late.
+		handed, refused := []skReasons{{core.HandOverInstalled: 1}}, []skReasons{{core.HandOverSatellite: 1}}
+		if join == folded {
+			handed = append(handed, skReasons{core.HandOverInstalled: 1, core.HandOverLate: 1})
+			refused = []skReasons{{core.HandOverInstalled: 1, core.HandOverSatellite: 1}, {core.HandOverSatellite: 1, core.HandOverLate: 1}}
+		}
+		outcomes := map[string]int{}
+		skArrivals(t, join, plain, "orders", []skArrival{
+			{"plain held inside its replay window, join", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, refused, false},
+			{"plain held past its replay window, join", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, handed, false},
+			{"orders pinned, join, its scan handed what the join has, plain", qpipe.Options{ReplayWindow: 1}, []string{"SELECT oid FROM orders"}, join, skHandedProbe, handed, false},
+		}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+			shared := ra.Stats().HostedSatellites.Load()+rb.Stats().HostedSatellites.Load() > 0
+			unbuilt, added := ra.Stats().KeyFilterRows.Load(), ra.Stats().FoldedRows.Load()
+			handedFold := join == folded && outcome[core.HandOverLate]+outcome[core.HandOverSatellite] == 0
+			if shared != (outcome[core.HandOverSatellite] == 1) || (unbuilt > 0) == shared || (added > 0) != handedFold {
+				t.Errorf("%s: %v: one output shared %v, %d rows left unbuilt, %d pairs added up", how, outcome, shared, unbuilt, added)
+			}
+			if n := rb.Stats().KeyFilterRows.Load() + rb.Stats().FoldedRows.Load(); n != 0 {
+				t.Errorf("%s: %d rows of the plain scan were left unbuilt", how, n)
+			}
+			outcomes[fmt.Sprint(outcome)]++
+		})
+		t.Log(join, outcomes)
+		if join == folded && outcomes[fmt.Sprint(handed[0])] == 0 {
+			t.Errorf("no arrival had the fold reach the scan: %v", outcomes)
+		}
+	}
 }
 
 // TestFoldedScanBesideAPlainOne is the same hazard for the fold: the
 // benchmark's scan_agg reads orders through the scan of `SELECT amount FROM
 // orders WHERE amount < 500` to the letter, and an aggregate that hands its
 // accumulators down gets no rows — which a statement sharing that scan
-// packet's output would then not get either. Every arrival is a state, not a
-// moment: something is held by its unread result while the rest is sent.
+// packet's output would then not get either.
 //
 //   - The plain scan, held inside its replay window, then the aggregate: the
 //     aggregate's scan is absorbed as the plain one's satellite, the hand-over
@@ -296,102 +443,110 @@ func TestNarrowedScanBesideAPlainOne(t *testing.T) {
 // In every order both answers are the iterator engine's, and the table is
 // read less than twice wherever two scans of it could run side by side.
 func TestFoldedScanBesideAPlainOne(t *testing.T) {
-	ctx := context.Background()
 	agg, plain := apBenchScans[0], "SELECT amount FROM orders WHERE amount < 500"
-	arrivals := []struct {
-		how   string
-		opts  qpipe.Options
-		held  string // sent first, one batch of it read: holds what it scans
-		first string // of agg and plain
-		why   core.HandOver
-	}{
-		{"plain held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, plain, plain, core.HandOverSatellite},
-		{"plain held past its replay window, aggregate", qpipe.Options{ReplayWindow: 1}, plain, plain, core.HandOverInstalled},
-		{"orders pinned, aggregate, its fold installed, plain", qpipe.Options{}, "SELECT oid FROM orders", agg, core.HandOverInstalled},
-		{"the scan worker held, aggregate, its fold installed, plain", qpipe.Options{WorkersPerEngine: 1}, "SELECT * FROM events", agg, core.HandOverInstalled},
+	sigs := apBenchDB(t, qpipe.Options{}, false)
+	if a, b := apLeaves(cpPlan(t, sigs, agg))[0].Signature(), apLeaves(cpPlan(t, sigs, plain))[0].Signature(); a != b {
+		t.Fatalf("the aggregate's scan and the plain one differ: %s, %s", a, b)
 	}
-	for _, arr := range arrivals {
-		arr.opts.PoolPages = 16
-		db := apBenchDB(t, arr.opts, false)
-		if a, b := apLeaves(cpPlan(t, db, agg))[0].Signature(), apLeaves(cpPlan(t, db, plain))[0].Signature(); a != b {
-			t.Fatalf("the aggregate's scan and the plain one differ: %s, %s", a, b)
+	installed := []skReasons{{core.HandOverInstalled: 1}}
+	seenInstalled := func(a *qpipe.Result) bool { return a.Stats().HandOvers[core.HandOverInstalled].Load() == 1 }
+	skArrivals(t, agg, plain, "orders", []skArrival{
+		{"plain held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}, false},
+		{"plain held past its replay window, aggregate", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, installed, false},
+		{"orders pinned, aggregate, its fold installed, plain", qpipe.Options{}, []string{"SELECT oid FROM orders"}, agg, seenInstalled, installed, false},
+		{"the scan worker held, aggregate, its fold installed, plain", qpipe.Options{WorkersPerEngine: 1}, []string{"SELECT * FROM events"}, agg, seenInstalled, installed, false},
+	}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+		shared := rb.Stats().HostedSatellites.Load() + ra.Stats().HostedSatellites.Load()
+		folded, byPlain := ra.Stats().FoldedRows.Load(), rb.Stats().FoldedRows.Load()
+		if installed := outcome[core.HandOverInstalled] == 1; installed != (folded > 0) || installed == (shared > 0) || byPlain != 0 {
+			t.Errorf("%s: %d rows folded for the aggregate, %d for the plain scan, %d satellites hosted", how, folded, byPlain, shared)
 		}
-		want := map[string][]string{agg: skVolcano(t, db, cpPlan(t, db, agg)), plain: skVolcano(t, db, cpPlan(t, db, plain))}
-		pages := cpHeapPages(t, db, "orders")
-		for _, par := range []int{1, 4} {
-			if err := db.DropCaches(); err != nil {
-				t.Fatal(err)
-			}
-			db.ResetDiskStats()
-			before := db.Stats()
-			results := map[string]*qpipe.Result{}
-			send := func(text string) *qpipe.Result {
-				t.Helper()
-				if results[text] == nil {
-					res, err := db.Query(ctx, text, qpipe.WithParallelism(par))
-					if err != nil {
-						t.Fatal(err)
-					}
-					results[text] = res
-				}
-				return results[text]
-			}
-			taken, err := send(arr.held).Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers := map[string][]qpipe.Row{arr.held: append([]qpipe.Row(nil), taken...)}
-			send(arr.first)
-			for deadline := time.Now().Add(20 * time.Second); arr.first == agg && db.Stats().Folds == before.Folds; time.Sleep(100 * time.Microsecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("P=%d, %s: the aggregate installed no fold", par, arr.how)
-				}
-			}
-			send(agg)
-			send(plain)
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			for text, res := range results {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rows, err := res.All()
-					if err != nil {
-						t.Errorf("P=%d, %s: %s: %v", par, arr.how, text, err)
-					}
-					mu.Lock()
-					answers[text] = append(answers[text], rows...)
-					mu.Unlock()
-				}()
-			}
-			wg.Wait()
-			for _, text := range []string{agg, plain} {
-				if got := apSorted(answers[text]); !equalRows(got, want[text]) {
-					t.Errorf("P=%d, %s: %s returned %d rows, want %d", par, arr.how, text, len(got), len(want[text]))
-				}
-			}
-			after := db.Stats()
-			for why := range after.HandOvers {
-				n := int64(0)
-				if core.HandOver(why) == arr.why {
-					n = 1
-				}
-				if got := after.HandOvers[why] - before.HandOvers[why]; got != n {
-					t.Errorf("P=%d, %s: %d hand-overs ended %v, want %d", par, arr.how, got, core.HandOver(why), n)
-				}
-			}
-			shared := results[plain].Stats().HostedSatellites.Load() + results[agg].Stats().HostedSatellites.Load()
-			folded, byPlain := results[agg].Stats().FoldedRows.Load(), results[plain].Stats().FoldedRows.Load()
-			if installed := arr.why == core.HandOverInstalled; installed != (folded > 0) || installed == (shared > 0) || byPlain != 0 {
-				t.Errorf("P=%d, %s: %d rows folded for the aggregate, %d for the plain scan, %d satellites hosted", par, arr.how, folded, byPlain, shared)
-			}
-			// (a late arrival is owed the pages it missed: the scan wraps; one
-			// worker runs the two scans one after the other)
-			if reads := db.DiskStats().ByFile["tbl:orders"]; reads < pages || (reads >= 2*pages && arr.opts.WorkersPerEngine != 1) {
-				t.Errorf("P=%d, %s: %d blocks of orders read for the statements of a %d-page table: no page stream was shared", par, arr.how, reads, pages)
-			}
+	})
+}
+
+// skJoinNode is the (one) hash join of text's plan.
+func skJoinNode(t *testing.T, db *qpipe.DB, text string) plan.Node {
+	t.Helper()
+	var join plan.Node
+	plan.Walk(cpPlan(t, db, text), func(n plan.Node) {
+		if _, ok := n.(*plan.HashJoin); ok {
+			join = n
 		}
+	})
+	return join
+}
+
+// TestFoldedJoinBesideAPlainOne is the hazard one level up: a join packet that
+// takes its reader's fold builds no probe row, so its output is partial — the
+// rows that reached it before the hand-over — and `SELECT segment, amount FROM
+// customers c JOIN orders o ON c.cid = o.cust WHERE segment = 1` has that
+// join's signature to the letter.
+//
+//   - The plain join, held by its unread result inside its replay window, then
+//     the aggregate: the aggregate's join is absorbed as the plain one's
+//     satellite, the fold is refused (satellite) and the aggregate adds rows.
+//   - The plain join, held past its window, then the aggregate: its join runs
+//     on its own, its probe scan rides the plain one's held circular scan, and
+//     every row of orders is folded or left out — none is built.
+//   - customers pinned by a held scan of another signature, so no build ends;
+//     the aggregate, until its join packet shows the fold; then the plain join,
+//     which finds that packet running and must not become the satellite of a
+//     join that will stop producing: it runs its own, and gets every row.
+//   - The group-by µEngine's one worker and customers both held; the aggregate,
+//     whose packet waits in the queue; the plain join, absorbed by the
+//     aggregate's join, which has produced nothing; then, released, the fold
+//     arrives at a join that hosts: refused (ever-hosted), rows flow to both.
+//   - The group-by worker held; the aggregate, alone, until its join has ended
+//     its build and looked — found nothing, and handed its keys down instead;
+//     released, the fold arrives late: refused under that reason and never
+//     counted installed.
+//
+// In every order the answers are the iterator engine's.
+func TestFoldedJoinBesideAPlainOne(t *testing.T) {
+	agg, plain := apBenchScans[2], "SELECT segment, amount FROM customers c JOIN orders o ON c.cid = o.cust WHERE segment = 1"
+	sigs := apBenchDB(t, qpipe.Options{}, false)
+	if a, b := skJoinNode(t, sigs, agg).Signature(), skJoinNode(t, sigs, plain).Signature(); a != b {
+		t.Fatalf("the aggregate's join and the plain one differ: %s, %s", a, b)
 	}
+	matches, orders := int64(len(skVolcano(t, sigs, cpPlan(t, sigs, plain)))), int64(20000)
+	manyGroups, pin := "SELECT oid, count(*) AS n FROM orders GROUP BY oid", "SELECT balance FROM customers"
+	foldInJoin := func(a *qpipe.Result) bool {
+		return skPacket(a, 1).Handed() != nil && skPacket(a, -1).Out.Produced() > 1
+	}
+	joinLooked := func(a *qpipe.Result) bool { return a.Stats().HandOvers[core.HandOverInstalled].Load() == 1 }
+	folds := skReasons{core.HandOverInstalled: 1}
+	late := skReasons{core.HandOverInstalled: 1, core.HandOverLate: 1} // the keys went in, the fold came after
+	skArrivals(t, agg, plain, "orders", []skArrival{
+		{"plain join held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}, false},
+		{"plain join held past its replay window, aggregate, its probe scan handed what the join has", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, skHandedProbe, []skReasons{folds, late}, false},
+		{"customers pinned, aggregate, the fold in its join's slot, plain join", qpipe.Options{ReplayWindow: 1}, []string{pin}, agg, foldInJoin, []skReasons{folds}, false},
+		// (the plain join's scan of orders was absorbed by the aggregate's before
+		// its join was: that scan packet has hosted too, and refuses the keys)
+		{"the group-by worker held and customers pinned, aggregate, plain join: the join hosts before the fold arrives", qpipe.Options{WorkersPerEngine: 1}, []string{manyGroups, pin}, agg, nil,
+			[]skReasons{{core.HandOverEverHosted: 2}}, false},
+		// (alone: a second join queued behind this one on the join µEngine's one
+		// worker, its scan riding this one's, would stall the scanner both need)
+		{"the group-by worker held, aggregate until its join has looked: late", qpipe.Options{WorkersPerEngine: 1}, []string{manyGroups}, agg, joinLooked, []skReasons{late}, true},
+	}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+		added, unbuilt := ra.Stats().FoldedRows.Load(), ra.Stats().KeyFilterRows.Load()
+		shared := ra.Stats().HostedSatellites.Load() > 0 || (rb != nil && rb.Stats().HostedSatellites.Load() > 0)
+		throughJoin := maps.Equal(outcome, folds)
+		if (added > 0) != throughJoin || shared != (outcome[core.HandOverSatellite]+outcome[core.HandOverEverHosted] > 0) {
+			t.Errorf("%s: %v: %d pairs added up, one join's output shared %v", how, outcome, added, shared)
+		}
+		if !throughJoin {
+			return
+		}
+		// Every row of orders was built, a pair added up (cid is unique) or left
+		// out by the bitmap or the compare; every match was a pair added up or a
+		// row the join probed. With one scan worker, held behind the plain join's
+		// scan from its first page on, the probe scan builds no row at all.
+		built, joined := skPacket(ra, -1).Out.Produced(), skPacket(ra, 1).Out.Produced()
+		if added+joined != matches || added+unbuilt+built != orders || (strings.HasPrefix(how, "P=1, plain join held past") && built != 0) {
+			t.Errorf("%s: %d pairs added up, %d rows left out, %d built of which %d joined: want the %d matches and %d rows between them",
+				how, added, unbuilt, built, joined, matches, orders)
+		}
+	})
 }
 
 // skOrder is the model's copy of one row of o (id INT, k INT, v FLOAT).
@@ -505,15 +660,13 @@ func skBesideAWriter(t *testing.T, db *qpipe.DB, rng *rand.Rand, draw func(n int
 	<-writerDone
 }
 
-// TestNarrowedJoinBesideAWriter is TestScansBesideAWriter's arm for the
-// sideways keys: the rows the scan left unbuilt are rows the state the reply
-// equals does not join.
-func TestNarrowedJoinBesideAWriter(t *testing.T) {
-	db := apOpen(t, qpipe.Options{})
+// skSegments creates c(cid INT, seg INT), 200 customers for o's keys to join,
+// and returns each one's segment.
+func skSegments(t *testing.T, db *qpipe.DB, rng *rand.Rand) map[int64]int64 {
+	t.Helper()
 	if _, err := db.Exec(context.Background(), "CREATE TABLE c (cid INT, seg INT)"); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(20261001))
 	seg := map[int64]int64{}
 	var crows []qpipe.Row
 	for cid := int64(0); cid < 200; cid++ {
@@ -523,19 +676,13 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 	if err := db.Load("c", crows); err != nil {
 		t.Fatal(err)
 	}
-	text := "SELECT seg, sum(v) AS s, count(*) AS n FROM c JOIN o ON cid = k WHERE seg = 1 GROUP BY seg"
-	answer := func(state map[int64]skOrder) []string {
-		n, sum := int64(0), 0.0
-		for _, r := range state {
-			if s, ok := seg[r.k]; ok && s == 1 {
-				n, sum = n+1, sum+r.v
-			}
-		}
-		if n == 0 {
-			return nil
-		}
-		return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(1), qpipe.FloatValue(sum), qpipe.IntValue(n)})}
-	}
+	return seg
+}
+
+// skJoinBesideAWriter runs text, a join of c and o that builds on c, beside
+// the writer, every reply held to answer.
+func skJoinBesideAWriter(t *testing.T, db *qpipe.DB, rng *rand.Rand, text string, answer func(map[int64]skOrder) []string) {
+	t.Helper()
 	skBesideAWriter(t, db, rng, func(n int) (string, func(map[int64]skOrder) []string) {
 		if n == 0 { // the tables are loaded and analyzed
 			if side := apBuildSide(cpPlan(t, db, text)); side != "c" {
@@ -544,8 +691,52 @@ func TestNarrowedJoinBesideAWriter(t *testing.T) {
 		}
 		return text, answer
 	})
+}
+
+// TestNarrowedJoinBesideAWriter is TestScansBesideAWriter's arm for the
+// sideways keys: the rows the scan left unbuilt are rows the state the reply
+// equals does not join.
+func TestNarrowedJoinBesideAWriter(t *testing.T) {
+	db := apOpen(t, qpipe.Options{})
+	rng := rand.New(rand.NewSource(20261001))
+	seg := skSegments(t, db, rng)
+	skJoinBesideAWriter(t, db, rng, "SELECT seg, v FROM c JOIN o ON cid = k WHERE seg = 1", func(state map[int64]skOrder) []string {
+		var out []qpipe.Row
+		for _, r := range state {
+			if s, ok := seg[r.k]; ok && s == 1 {
+				out = append(out, qpipe.Row{qpipe.IntValue(1), qpipe.FloatValue(r.v)})
+			}
+		}
+		return apSorted(out)
+	})
 	if db.Stats().KeyFilters == 0 {
 		t.Error("no join handed its keys to its scan: the test did not exercise the mechanism")
+	}
+}
+
+// TestFoldedJoinBesideAWriter is the arm for the fold that goes through the
+// join: the pairs the scan added up are the pairs of one committed state of o,
+// whatever the writer does meanwhile (Berkholz et al.: every reply equals
+// recomputation at one commit between send and reply).
+func TestFoldedJoinBesideAWriter(t *testing.T) {
+	db := apOpen(t, qpipe.Options{})
+	rng := rand.New(rand.NewSource(20261004))
+	seg := skSegments(t, db, rng)
+	skJoinBesideAWriter(t, db, rng, "SELECT seg, sum(v) AS s, count(*) AS n, min(k) AS lo FROM c JOIN o ON cid = k WHERE seg = 1 GROUP BY seg", func(state map[int64]skOrder) []string {
+		n, sum, lo := int64(0), 0.0, int64(1<<62)
+		for _, r := range state {
+			if s, ok := seg[r.k]; ok && s == 1 {
+				n, sum, lo = n+1, sum+r.v, min(lo, r.k)
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		return []string{fmt.Sprint(qpipe.Row{qpipe.IntValue(1), qpipe.FloatValue(sum), qpipe.IntValue(n), qpipe.IntValue(lo)})}
+	})
+	// (Folds counts the folds a join's packet took; FoldedRows is per query)
+	if st := db.Stats(); st.Folds == 0 {
+		t.Errorf("no aggregate handed its accumulators to its join %v: the test did not exercise the mechanism", st.HandOvers)
 	}
 }
 
