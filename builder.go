@@ -22,8 +22,8 @@ import (
 )
 
 // Plan is a compiled physical plan — the engine's input format. Builders
-// produce plans; Engine.Query and Explain accept them. Embedders normally
-// never construct plans directly.
+// and the SQL front end produce plans; Query.Plan returns one for
+// inspection. Embedders never construct plans directly.
 type Plan = plan.Node
 
 // ---- Scalar expressions ------------------------------------------------------
@@ -742,5 +742,9 @@ func (q *Query) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return q.db.run(ctx, p, limit, opts)
+	o, err := resolveOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	return q.db.run(ctx, p, limit, o)
 }

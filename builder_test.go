@@ -129,14 +129,13 @@ func TestBuilderDuplicateColumns(t *testing.T) {
 }
 
 func TestOptionConflicts(t *testing.T) {
-	db := openTestDB(t, 10, Options{PoolPages: 32}) // no result cache
+	db := openTestDB(t, 10, Options{PoolPages: 32})
 	q := db.Scan("t")
 	cases := map[string][]QueryOption{
 		"zero parallelism":       {WithParallelism(0)},
 		"negative parallelism":   {WithParallelism(-2)},
 		"zero batch":             {WithBatchSize(0)},
 		"sharedscan without osp": {WithoutOSP(), WithSharedScan()},
-		"cache not configured":   {WithResultCache()},
 	}
 	for what, opts := range cases {
 		_, err := q.Run(context.Background(), opts...)
@@ -144,13 +143,6 @@ func TestOptionConflicts(t *testing.T) {
 		if !errors.As(err, &oe) {
 			t.Errorf("%s: err = %v, want *OptionError", what, err)
 		}
-	}
-	// Limit conflicts with the result cache (it stores complete results).
-	db2 := openTestDB(t, 10, Options{PoolPages: 32, ResultCacheTuples: 1000})
-	_, err := db2.Scan("t").Limit(3).Run(context.Background(), WithResultCache())
-	var oe *OptionError
-	if !errors.As(err, &oe) || oe.Option != "WithResultCache" {
-		t.Fatalf("cache+limit err = %v, want *OptionError{WithResultCache}", err)
 	}
 }
 
@@ -195,7 +187,7 @@ func TestPlanValidationHook(t *testing.T) {
 	bad := plan.NewFilter(
 		plan.NewTableScan("t", s, nil, nil, false),
 		expr.GT(expr.Col(99), expr.CInt(0)))
-	_, err := db.Engine().Query(context.Background(), bad)
+	_, err := db.run(context.Background(), bad, -1, queryOpts{})
 	var ve *plan.ValidationError
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %v, want *plan.ValidationError", err)
@@ -464,7 +456,7 @@ func TestWithBatchSizeBoundsBatches(t *testing.T) {
 			t.Fatalf("batch of %d rows with WithBatchSize(4)", len(b))
 		}
 		total += len(b)
-		res.recycle(b)
+		res.Recycle(b)
 	}
 	if total != 1000 {
 		t.Fatalf("delivered %d rows, want 1000", total)
@@ -489,7 +481,7 @@ func TestWithBatchSizeBoundsBatchesOfARootScan(t *testing.T) {
 				break
 			}
 			most, total = max(most, len(b)), total+len(b)
-			res.recycle(b)
+			res.Recycle(b)
 		}
 		if total != 1000 {
 			t.Fatalf("delivered %d rows, want 1000", total)
@@ -508,70 +500,6 @@ func TestWithBatchSizeBoundsBatchesOfARootScan(t *testing.T) {
 		}
 		if most := largest(q, WithParallelism(1)); most <= 64 { // the runtime default
 			t.Errorf("%s: largest batch %d rows without a batch size: a page's rows were cut up", name, most)
-		}
-	}
-}
-
-func TestWithResultCacheRoundTrip(t *testing.T) {
-	db := openTestDB(t, 500, Options{PoolPages: 32, ResultCacheTuples: 10_000})
-	report := db.Scan("t").GroupBy([]string{"grp"}, Count().As("n")).Sort("grp")
-	r1, err := report.Run(context.Background(), WithResultCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows1, err := r1.All()
-	if err != nil || r1.CacheHit() {
-		t.Fatalf("first run: hit=%v err=%v", r1.CacheHit(), err)
-	}
-	r2, err := report.Run(context.Background(), WithResultCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cached result streams through the same iterator surface.
-	var rows2 []Row
-	for row := range r2.Rows() {
-		rows2 = append(rows2, row)
-	}
-	if err := r2.Err(); err != nil || !r2.CacheHit() {
-		t.Fatalf("second run: hit=%v err=%v", r2.CacheHit(), err)
-	}
-	if len(rows1) != len(rows2) || rows1[0][1].I != rows2[0][1].I {
-		t.Fatalf("cached result differs: %v vs %v", rows1, rows2)
-	}
-	// Insert invalidates.
-	if err := db.Insert(context.Background(), "t", R(99999, 0, 1.0, "x")); err != nil {
-		t.Fatal(err)
-	}
-	r3, err := report.Run(context.Background(), WithResultCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows3, err := r3.All()
-	if err != nil || r3.CacheHit() {
-		t.Fatalf("post-insert run: hit=%v err=%v", r3.CacheHit(), err)
-	}
-	if rows3[0][1].I != rows1[0][1].I+1 {
-		t.Fatalf("post-insert group 0 count %v, want %v+1", rows3[0][1], rows1[0][1])
-	}
-}
-
-// TestWithResultCacheEmptyResult: a cached execution whose result set is
-// empty must stream clean EOF through every drain style (regression: the
-// materialized branch used to fall through to the nil streaming query).
-func TestWithResultCacheEmptyResult(t *testing.T) {
-	db := openTestDB(t, 50, Options{PoolPages: 32, ResultCacheTuples: 1000})
-	empty := db.Scan("t").Filter(Col("k").Lt(Int(0)))
-	for pass := 1; pass <= 2; pass++ { // miss, then hit
-		res, err := empty.Run(context.Background(), WithResultCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for range res.Rows() {
-			n++
-		}
-		if err := res.Err(); err != nil || n != 0 {
-			t.Fatalf("pass %d: n=%d err=%v", pass, n, err)
 		}
 	}
 }
@@ -605,26 +533,49 @@ func TestLoadValidatesRows(t *testing.T) {
 	}
 }
 
-// TestRunBatchTeardown covers the QueryBatch satellite on the DB surface: a
-// failing member yields a typed *BatchError and the submitted members are
-// cancelled and drained.
+// TestRunBatchTeardown: a member that fails to submit yields a typed
+// *BatchError, and the members submitted before it are cancelled and waited
+// out before RunBatch returns — whether the failure is the member's own (a
+// builder error) or the engine's (admission sheds it while an earlier member
+// holds the only slot).
 func TestRunBatchTeardown(t *testing.T) {
-	db := openTestDB(t, 2000, Options{PoolPages: 32})
-	good := db.Scan("t").Aggregate(Count().As("n"))
-	bad := db.Scan("t").Select("missing") // builder error surfaces at submit
-	_, err := db.RunBatch(context.Background(), []*Query{good, bad})
-	var be *BatchError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *BatchError", err)
-	}
-	if be.Index != 1 {
-		t.Fatalf("failing index = %d, want 1", be.Index)
-	}
-	var uce *UnknownColumnError
-	if !errors.As(err, &uce) {
-		t.Fatal("BatchError must unwrap to the member's typed cause")
-	}
-	if len(be.Teardown) != 0 {
-		t.Fatalf("clean teardown expected, got %v", be.Teardown)
-	}
+	t.Run("member error", func(t *testing.T) {
+		db := openTestDB(t, 2000, Options{PoolPages: 32})
+		good := db.Scan("t").Aggregate(Count().As("n"))
+		bad := db.Scan("t").Select("missing") // builder error surfaces at submit
+		_, err := db.RunBatch(context.Background(), []*Query{good, bad})
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != 1 {
+			t.Fatalf("err = %v, want *BatchError at index 1", err)
+		}
+		if !errors.As(err, new(*UnknownColumnError)) {
+			t.Fatal("BatchError must unwrap to the member's typed cause")
+		}
+		if len(be.Teardown) != 0 {
+			t.Fatalf("clean teardown expected, got %v", be.Teardown)
+		}
+	})
+	t.Run("shed at submit", func(t *testing.T) {
+		// Member 0's result outgrows its 8-batch buffer, so it holds the only
+		// admission slot until it is drained; with no queue, member 1 is shed.
+		db := openTestDB(t, 20_000, Options{MaxConcurrentQueries: 1, AdmissionQueue: -1})
+		_, err := db.RunBatch(context.Background(), []*Query{db.Scan("t"), db.Scan("t").Aggregate(Count())})
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != 1 {
+			t.Fatalf("err = %v, want *BatchError at index 1", err)
+		}
+		if !errors.As(err, new(*OverloadedError)) {
+			t.Fatalf("err = %v, want it to unwrap to *OverloadedError", err)
+		}
+		if len(be.Teardown) != 0 {
+			t.Fatalf("clean teardown expected, got %v", be.Teardown)
+		}
+		// Member 0 was waited out, not just cancelled: none of its packets is
+		// still queued or running. The runtime gives its slot back a moment
+		// after the query ends.
+		if st := db.rt.DumpState(); strings.Contains(st, " queued]") || strings.Contains(st, " running]") {
+			t.Fatalf("a batch member still runs after RunBatch returned:\n%s", st)
+		}
+		waitStat(t, db, func(s Stats) int64 { return s.InFlight }, 0, "InFlight")
+	})
 }

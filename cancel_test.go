@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 )
@@ -37,8 +38,8 @@ func TestHashJoinCancelMidProbe(t *testing.T) {
 	// Build side larger than the in-memory limit so the hybrid partitioned
 	// path runs and spills hjb/hjp partition files.
 	mgr := newTestDB(t, 70_000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	// Slow the disk down so the cancel lands mid-join, not post-completion.
 	mgr.Pool.Invalidate()
 	mgr.Disk.SetLatency(20*time.Microsecond, 30*time.Microsecond, 0)
@@ -48,7 +49,7 @@ func TestHashJoinCancelMidProbe(t *testing.T) {
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 2}, false)
 	j := plan.NewHashJoin(l, r, 0, 0).WithParallelism(4)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, err := eng.Query(context.Background(), agg)
+	res, err := db.run(context.Background(), agg, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +83,8 @@ func TestHashJoinCancelMidProbe(t *testing.T) {
 
 func TestGroupByCancelMidAggregation(t *testing.T) {
 	mgr := newTestDB(t, 40_000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Pool.Invalidate()
 	mgr.Disk.SetLatency(30*time.Microsecond, 45*time.Microsecond, 0)
 	defer mgr.Disk.SetLatency(0, 0, 0)
@@ -93,7 +94,7 @@ func TestGroupByCancelMidAggregation(t *testing.T) {
 		{Kind: expr.AggCount},
 		{Kind: expr.AggSum, Arg: expr.Col(2)},
 	}).WithParallelism(4)
-	res, err := eng.Query(context.Background(), gb)
+	res, err := db.run(context.Background(), gb, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +122,14 @@ func TestGroupByCancelMidAggregation(t *testing.T) {
 // materialized output file must be cleaned up when the query dies mid-sort.
 func TestSortCancelLeavesNoSpills(t *testing.T) {
 	mgr := newTestDB(t, 40_000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Pool.Invalidate()
 	mgr.Disk.SetLatency(30*time.Microsecond, 45*time.Microsecond, 0)
 	defer mgr.Disk.SetLatency(0, 0, 0)
 
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), plan.NewSort(scan, []int{2}, false))
+	res, err := db.run(context.Background(), plan.NewSort(scan, []int{2}, false), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 	mgr := newTestDB(t, initial)
 	mgr.Disk.SetLatency(5*time.Microsecond, 8*time.Microsecond, 0)
 	defer mgr.Disk.SetLatency(0, 0, 0)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	schema := tableSchema(mgr)
 
 	var inserted atomic.Int64
@@ -79,7 +79,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 				p = plan.NewAggregate(plan.NewHashJoin(l, r, 0, 0),
 					[]expr.AggSpec{{Kind: expr.AggCount}})
 			}
-			res, err := eng.Query(context.Background(), p)
+			res, err := db.run(context.Background(), p, -1, queryOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -116,7 +116,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 			p := plan.NewAggregate(
 				plan.NewTableScan("t", schema, nil, nil, false),
 				[]expr.AggSpec{{Kind: expr.AggCount}})
-			res, err := eng.Query(ctx, p)
+			res, err := db.run(ctx, p, -1, queryOpts{})
 			if err != nil {
 				cancel()
 				errs <- err
@@ -143,7 +143,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 				id := int64(1_000_000) + seed*10_000 + int64(iter*10+i)
 				rows[i] = tuple.Tuple{tuple.I64(id), tuple.I64(0), tuple.F64(0), tuple.Str("chaos")}
 			}
-			res, err := eng.Query(context.Background(), plan.NewUpdate("t", rows))
+			res, err := db.run(context.Background(), plan.NewUpdate("t", rows), -1, queryOpts{})
 			if err != nil {
 				errs <- err
 				return
@@ -178,7 +178,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	case <-deadline:
-		t.Fatalf("chaos workload hung; runtime state:\n%s", eng.Runtime().DumpState())
+		t.Fatalf("chaos workload hung; runtime state:\n%s", db.rt.DumpState())
 	}
 	select {
 	case err := <-errs:
@@ -188,9 +188,9 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 
 	// Final consistency: exact count (time-bounded so a stuck pipeline
 	// yields a state dump instead of a test-harness timeout).
-	res, _ := eng.Query(context.Background(), plan.NewAggregate(
+	res, _ := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", schema, nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	type countResult struct {
 		rows []tuple.Tuple
 		err  error
@@ -206,7 +206,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 	case r := <-final:
 		rows, err = r.rows, r.err
 	case <-time.After(30 * time.Second):
-		t.Fatalf("final count hung; runtime state:\n%s", eng.Runtime().DumpState())
+		t.Fatalf("final count hung; runtime state:\n%s", db.rt.DumpState())
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 	if got, want := rows[0][0].I, int64(initial)+inserted.Load(); got != want {
 		t.Fatalf("final count %d, want %d", got, want)
 	}
-	st := eng.Stats()
+	st := db.Stats()
 	t.Logf("chaos: %d queries, shares=%v, deadlocks=%d materialized=%d",
 		st.Queries, st.SharesByOp, st.DeadlocksSeen, st.Materialized)
 }
@@ -244,11 +244,11 @@ func TestChaosGovernanceStorm(t *testing.T) {
 	})
 	defer mgr.Disk.ClearFaults()
 
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.MaxConcurrentQueries = 4
 	cfg.AdmissionQueue = 6
-	eng := New(mgr, cfg)
-	defer eng.Close()
+	db := newDB(mgr, cfg)
+	defer db.Close()
 	schema := tableSchema(mgr)
 
 	// tolerated reports whether an error is one the governance layer is
@@ -298,7 +298,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(seed))
 		for iter := 0; iter < 25; iter++ {
-			res, err := eng.Query(context.Background(), mkRead(rng))
+			res, err := db.run(context.Background(), mkRead(rng), -1, queryOpts{})
 			if err != nil {
 				if !tolerated(err) {
 					errs <- fmt.Errorf("reader %d iter %d submit: %w", seed, iter, err)
@@ -321,7 +321,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for iter := 0; iter < 25; iter++ {
 			d := time.Duration(1+rng.Intn(20)) * time.Millisecond
-			q, err := eng.Runtime().SubmitOpts(context.Background(), mkRead(rng),
+			q, err := db.rt.SubmitOpts(context.Background(), mkRead(rng),
 				core.QueryOptions{Timeout: d})
 			if err != nil {
 				if !tolerated(err) {
@@ -357,7 +357,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for iter := 0; iter < 15; iter++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			res, err := eng.Query(ctx, mkRead(rng))
+			res, err := db.run(ctx, mkRead(rng), -1, queryOpts{})
 			if err != nil {
 				cancel()
 				if !tolerated(err) {
@@ -392,7 +392,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 				id := int64(2_000_000) + seed*10_000 + int64(iter*10+i)
 				rows[i] = tuple.Tuple{tuple.I64(id), tuple.I64(0), tuple.F64(0), tuple.Str("storm")}
 			}
-			res, err := eng.Query(context.Background(), plan.NewUpdate("t", rows))
+			res, err := db.run(context.Background(), plan.NewUpdate("t", rows), -1, queryOpts{})
 			if err != nil {
 				var oe *OverloadedError
 				if !errors.As(err, &oe) {
@@ -435,7 +435,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	case <-deadline:
-		t.Fatalf("governance storm hung; runtime state:\n%s", eng.Runtime().DumpState())
+		t.Fatalf("governance storm hung; runtime state:\n%s", db.rt.DumpState())
 	}
 	select {
 	case err := <-errs:
@@ -450,22 +450,22 @@ func TestChaosGovernanceStorm(t *testing.T) {
 
 	stDeadline := time.Now().Add(10 * time.Second)
 	for {
-		st := eng.Stats()
+		st := db.Stats()
 		if st.InFlight == 0 && st.AdmissionQueued == 0 {
 			break
 		}
 		if time.Now().After(stDeadline) {
 			t.Fatalf("governance gauges did not converge: in-flight=%d queued=%d\n%s",
-				st.InFlight, st.AdmissionQueued, eng.Runtime().DumpState())
+				st.InFlight, st.AdmissionQueued, db.rt.DumpState())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	waitNoTempFiles(t, func() []string { return mgr.Disk.FilesWithPrefix("tmp:") }, "spill")
 
 	// Exact final count: every successful insert is present, no torn writes.
-	res, err := eng.Query(context.Background(), plan.NewAggregate(
+	res, err := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", schema, nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestChaosGovernanceStorm(t *testing.T) {
 	if got, want := rows[0][0].I, int64(initial)+inserted.Load(); got != want {
 		t.Fatalf("final count %d, want %d", got, want)
 	}
-	st := eng.Stats()
+	st := db.Stats()
 	if st.Shed == 0 && st.DeadlineTimeouts == 0 {
 		t.Fatal("storm never exercised the governance layer (no sheds, no timeouts)")
 	}

@@ -6,12 +6,13 @@ package qpipe
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"qpipe/internal/core"
+	"qpipe/internal/ops"
 	"qpipe/internal/plan"
-	"qpipe/internal/qcache"
 	"qpipe/internal/stats"
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/sm"
@@ -26,14 +27,11 @@ type Stats = core.RuntimeStats
 // hand-over to the scan below it ended (its String is the reason).
 type HandOver = core.HandOver
 
-// CacheStats snapshots the result cache's counters.
-type CacheStats = qcache.Stats
-
 // DiskStats snapshots the simulated disk's I/O counters.
 type DiskStats = disk.Stats
 
 // Options configures a DB. The zero value is a sensible default: OSP on,
-// a 1024-page buffer pool, GOMAXPROCS scan parallelism, no result cache.
+// a 1024-page buffer pool, GOMAXPROCS scan parallelism.
 type Options struct {
 	// PoolPages is the buffer-pool capacity in pages (default 1024).
 	PoolPages int
@@ -58,13 +56,6 @@ type Options struct {
 	// WorkersPerEngine sizes each µEngine's worker pool (0 = elastic: one
 	// goroutine per packet).
 	WorkersPerEngine int
-	// ResultCacheTuples enables the query-result cache, bounding it to this
-	// many cached tuples in total (0 = cache disabled). Queries opt in per
-	// Run with WithResultCache.
-	ResultCacheTuples int64
-	// ResultCacheMaxEntry caps a single admitted result's tuples
-	// (0 = ResultCacheTuples/4).
-	ResultCacheMaxEntry int64
 	// DisableOptimizer turns off plan normalization, predicate pushdown and
 	// join reordering: queries run exactly as written (the pre-optimizer
 	// lowering). An escape hatch for debugging and for measuring what the
@@ -101,7 +92,7 @@ type Options struct {
 // DB is an embedded QPipe database: storage manager plus engine.
 type DB struct {
 	mgr     *sm.Manager
-	eng     *Engine
+	rt      *core.Runtime
 	stats   *stats.Registry
 	noOpt   bool
 	durable bool
@@ -115,9 +106,9 @@ func Open(opts Options) (*DB, error) {
 	if poolPages <= 0 {
 		poolPages = 1024
 	}
-	cfg := DefaultConfig()
+	cfg := core.DefaultConfig()
 	if opts.DisableOSP {
-		cfg = BaselineConfig()
+		cfg = core.BaselineConfig()
 	}
 	if opts.ScanParallelism != 0 {
 		cfg.ScanParallelism = opts.ScanParallelism
@@ -158,26 +149,28 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	mgr.EnableWAL(l)
-	reg := stats.NewRegistry()
 	if opts.Dir != "" {
 		if err := mgr.Recover(); err != nil {
 			_ = mgr.Disk.Close() // the failed open must not keep the log's file handle
 			return nil, fmt.Errorf("qpipe: recovering %q: %w", opts.Dir, err)
 		}
-		// Recovered tables get empty stats (persisting them is out of scope);
-		// ANALYZE refreshes the optimizer's view.
-		for _, name := range mgr.Tables() {
-			if t, err := mgr.Table(name); err == nil {
-				reg.Create(name, t.Schema.Len())
-			}
+	}
+	db := newDB(mgr, cfg)
+	db.noOpt, db.durable = opts.DisableOptimizer, opts.Dir != ""
+	return db, nil
+}
+
+// newDB starts the engine over a storage manager. Tables the manager already
+// holds (recovered ones) get empty stats — persisting them is out of scope;
+// ANALYZE refreshes the optimizer's view.
+func newDB(mgr *sm.Manager, cfg core.Config) *DB {
+	reg := stats.NewRegistry()
+	for _, name := range mgr.Tables() {
+		if t, err := mgr.Table(name); err == nil {
+			reg.Create(name, t.Schema.Len())
 		}
 	}
-	eng := New(mgr, cfg)
-	if opts.ResultCacheTuples > 0 {
-		eng.EnableResultCache(opts.ResultCacheTuples, opts.ResultCacheMaxEntry)
-	}
-	return &DB{mgr: mgr, eng: eng, stats: reg,
-		noOpt: opts.DisableOptimizer, durable: opts.Dir != ""}, nil
+	return &DB{mgr: mgr, rt: core.NewRuntime(mgr, cfg, ops.All()), stats: reg}
 }
 
 // Close shuts the engine down gracefully: new queries are rejected with
@@ -186,7 +179,7 @@ func Open(opts Options) (*DB, error) {
 // checkpointed on the way out (best-effort — an unclean exit recovers from
 // the WAL anyway).
 func (db *DB) Close() {
-	db.eng.Close()
+	db.rt.Close()
 	if db.durable {
 		_ = db.mgr.Checkpoint()
 		// Release the log's backing-file handle; everything it wrote was
@@ -201,9 +194,9 @@ func (db *DB) Close() {
 // durable database (Options.Dir), but harmless on an in-memory one.
 func (db *DB) Checkpoint() error { return db.mgr.Checkpoint() }
 
-// Engine exposes the underlying engine for advanced callers (precompiled
-// plans, the benchmark). Everyday embedders never need it.
-func (db *DB) Engine() *Engine { return db.eng }
+// Engine exposes the runtime view the benchmark reads. Embedders never need
+// it.
+func (db *DB) Engine() *Engine { return &Engine{rt: db.rt} }
 
 // ---- Catalog / DDL -----------------------------------------------------------
 
@@ -264,7 +257,7 @@ func checkRows(table string, s *Schema, rows []Row) error {
 // takes the table's exclusive lock, so it is safe on a live database —
 // concurrent readers see either none or all of the rows — but Insert is
 // the better fit for small concurrent writes. Rows are validated against
-// the schema. Cached results over the table are invalidated.
+// the schema.
 func (db *DB) Load(table string, rows []Row) error {
 	t, err := db.mgr.Table(table)
 	if err != nil {
@@ -277,15 +270,11 @@ func (db *DB) Load(table string, rows []Row) error {
 		return err
 	}
 	db.stats.Add(table, rows)
-	if db.eng.cache != nil {
-		db.eng.cache.InvalidateTable(table)
-	}
 	return nil
 }
 
 // Insert appends rows through the update µEngine: it serializes against
-// concurrent readers via the lock manager, maintains the table's indexes,
-// and invalidates cached results over the table.
+// concurrent readers via the lock manager and maintains the table's indexes.
 func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
 	t, err := db.mgr.Table(table)
 	if err != nil {
@@ -294,7 +283,7 @@ func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
 	if err := checkRows(table, t.Schema, rows); err != nil {
 		return err
 	}
-	res, err := db.eng.Query(ctx, plan.NewUpdate(table, rows))
+	res, err := db.run(ctx, plan.NewUpdate(table, rows), -1, queryOpts{})
 	if err != nil {
 		return err
 	}
@@ -302,9 +291,6 @@ func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
 		return err
 	}
 	db.stats.Add(table, rows)
-	if db.eng.cache != nil {
-		db.eng.cache.InvalidateTable(table)
-	}
 	return nil
 }
 
@@ -331,29 +317,10 @@ func (db *DB) TablePages(table string) (int64, error) {
 
 // ---- Execution ---------------------------------------------------------------
 
-// run executes a compiled plan with resolved options (the builder's Run and
-// RunBatch funnel here).
-func (db *DB) run(ctx context.Context, p plan.Node, limit int64, opts []QueryOption) (*Result, error) {
-	o, err := resolveOpts(opts)
-	if err != nil {
-		return nil, err
-	}
-	if o.useCache {
-		if db.eng.cache == nil {
-			return nil, &OptionError{Option: "WithResultCache",
-				Reason: "no result cache configured (set Options.ResultCacheTuples at Open)"}
-		}
-		if limit >= 0 {
-			return nil, &OptionError{Option: "WithResultCache",
-				Reason: "conflicts with Limit: the cache stores complete results"}
-		}
-		rows, hit, err := db.eng.queryCached(ctx, p, o.core)
-		if err != nil {
-			return nil, err
-		}
-		return newCachedResult(rows, p.Schema(), hit), nil
-	}
-	q, err := db.eng.rt.SubmitOpts(ctx, p, o.core)
+// run submits a compiled plan with resolved options: every query, mutation
+// and batch member the DB executes is submitted here.
+func (db *DB) run(ctx context.Context, p plan.Node, limit int64, o queryOpts) (*Result, error) {
+	q, err := db.rt.SubmitOpts(ctx, p, o.core)
 	if err != nil {
 		return nil, err
 	}
@@ -361,18 +328,18 @@ func (db *DB) run(ctx context.Context, p plan.Node, limit int64, opts []QueryOpt
 }
 
 // RunBatch submits several built queries together — the multi-query-
-// optimizer entry point (§2.4): common subtrees across the batch carry
-// identical signatures, so OSP shares them at the µEngines, pipelining each
+// optimizer entry point (§2.4: "QPipe can efficiently evaluate plans
+// produced by a multi-query optimizer, since it always pipelines shared
+// intermediate results"). No static common-subexpression analysis is
+// needed: common subtrees across the batch carry identical signatures, so
+// OSP shares them at the µEngines, pipelining — not materializing — each
 // shared intermediate result to all consumers. The options apply to every
 // member. If any member fails to submit, the already-submitted ones are
-// cancelled and drained, and the typed *BatchError reports the failure.
+// cancelled and waited out, and the typed *BatchError reports the failure.
 func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOption) ([]*Result, error) {
 	o, err := resolveOpts(opts)
 	if err != nil {
 		return nil, err
-	}
-	if o.useCache {
-		return nil, &OptionError{Option: "WithResultCache", Reason: "batches are not cacheable"}
 	}
 	out := make([]*Result, 0, len(queries))
 	for i, q := range queries {
@@ -389,11 +356,7 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 			var limit int64
 			p, limit, err = q.compile()
 			if err == nil {
-				var sq *core.Query
-				sq, err = db.eng.rt.SubmitOpts(ctx, p, o.core)
-				if err == nil {
-					res = newStreamResult(sq, p.Schema(), limit)
-				}
+				res, err = db.run(ctx, p, limit, o)
 			}
 		}
 		if err != nil {
@@ -404,18 +367,33 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 	return out, nil
 }
 
+// teardownBatch cancels the batch members submitted before member idx failed
+// to submit and waits each one out, returning the typed joined error. The
+// cancel hands the batch arrays queued in a member's result buffer back to
+// the engine's pool; the wait returns once the member's root packet has
+// finished.
+func teardownBatch(out []*Result, idx int, submitErr error) *BatchError {
+	be := &BatchError{Index: idx, Submit: submitErr}
+	for _, r := range out {
+		r.Cancel()
+		// Cancelling one's own query ends it with context.Canceled (Wait
+		// reports a torn-down buffer as that); anything else is an error of
+		// the teardown.
+		if err := r.q.Wait(); err != nil && !errors.Is(err, context.Canceled) {
+			be.Teardown = append(be.Teardown, err)
+		}
+	}
+	return be
+}
+
 // ---- Instrumentation ---------------------------------------------------------
 
 // Stats snapshots the engine's runtime counters (queries admitted, OSP
 // shares per µEngine, deadlocks resolved).
-func (db *DB) Stats() Stats { return db.eng.Stats() }
+func (db *DB) Stats() Stats { return db.rt.Stats() }
 
 // TotalShares sums OSP sharing events across all µEngines.
-func (db *DB) TotalShares() int64 { return db.eng.rt.TotalShares() }
-
-// CacheStats snapshots the result-cache counters (zero value when the cache
-// is disabled).
-func (db *DB) CacheStats() CacheStats { return db.eng.CacheStats() }
+func (db *DB) TotalShares() int64 { return db.rt.TotalShares() }
 
 // SetDiskLatency configures the simulated disk's per-block latencies
 // (sequential read, random read, write). Zero disables the simulation;

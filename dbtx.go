@@ -110,19 +110,9 @@ func (tx *Tx) Insert(ctx context.Context, table string, rows ...Row) error {
 
 // Commit makes the transaction's writes durable and visible: the net effect
 // is logged as one WAL batch, flushed (the commit point), and applied to the
-// heaps and indexes before the table locks release. Cached results over the
-// written tables are invalidated. Committing a finished transaction is a
-// *sm.TxDoneError.
-func (tx *Tx) Commit(ctx context.Context) error {
-	tables := tx.tx.Tables()
-	if err := tx.tx.Commit(ctx); err != nil {
-		return err
-	}
-	for _, t := range tables {
-		tx.db.invalidateTable(t)
-	}
-	return nil
-}
+// heaps and indexes before the table locks release. Committing a finished
+// transaction is a *sm.TxDoneError.
+func (tx *Tx) Commit(ctx context.Context) error { return tx.tx.Commit(ctx) }
 
 // Rollback discards the staged writes and releases the transaction's locks.
 // Safe to call on a finished transaction (no-op), so "defer tx.Rollback()"
@@ -186,17 +176,13 @@ func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int6
 	return affected, nil
 }
 
-// GuardQuery rejects a SELECT that would self-deadlock against the
-// session's open transaction (see guardQuery). Front ends that pair
-// db.Query with session transactions — the network server, the shell —
-// call this before submitting.
-func (s *Session) GuardQuery(stmt sql.Statement) error { return s.guardQuery(stmt) }
-
-// guardQuery rejects a SELECT that would self-deadlock: inside an open
+// GuardQuery rejects a SELECT that would self-deadlock: inside an open
 // transaction, reading a table the transaction has written would wait
 // forever on the session's own exclusive lock. Reads of untouched tables
-// (committed state) pass through.
-func (s *Session) guardQuery(stmt sql.Statement) error {
+// (committed state) pass through. Front ends that pair db.Query with
+// session transactions — the network server, the shell — call this before
+// submitting.
+func (s *Session) GuardQuery(stmt sql.Statement) error {
 	if s.tx == nil {
 		return nil
 	}

@@ -158,8 +158,8 @@ func TestExecSessionTransactions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.guardQuery(stmts[0]); !errors.As(err, new(*TxConflictError)) {
-		t.Fatalf("guardQuery: got %v", err)
+	if err := sess.GuardQuery(stmts[0]); !errors.As(err, new(*TxConflictError)) {
+		t.Fatalf("GuardQuery: got %v", err)
 	}
 	// Double BEGIN is a typed state error.
 	if _, err := db.ExecSession(ctx, &sess, "BEGIN"); !errors.As(err, new(*TxStateError)) {

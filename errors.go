@@ -113,8 +113,7 @@ func (e *StatementError) Error() string {
 }
 
 // OptionError reports an invalid per-query option value or a conflicting
-// option combination (e.g. WithSharedScan with WithoutOSP, or
-// WithResultCache on a query with a Limit).
+// option combination (e.g. WithSharedScan with WithoutOSP).
 type OptionError struct {
 	Option string
 	Reason string
@@ -125,17 +124,16 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("qpipe: option %s: %s", e.Option, e.Reason)
 }
 
-// BatchError is the typed joined error QueryBatch returns when submitting
+// BatchError is the typed joined error RunBatch returns when submitting
 // one of the batch's plans fails: the already-submitted members are
-// cancelled and fully drained (their buffers and batch leases released)
-// before it is returned. Unwrap exposes the submit failure first, then any
-// teardown errors, so errors.Is/As see through it.
+// cancelled and waited out before it is returned. Unwrap exposes the submit
+// failure first, then any teardown errors, so errors.Is/As see through it.
 type BatchError struct {
 	// Index is the position of the plan whose submission failed.
 	Index int
 	// Submit is the submission failure itself.
 	Submit error
-	// Teardown holds non-cancellation errors observed while draining the
+	// Teardown holds non-cancellation errors observed while waiting out the
 	// already-submitted members (normally empty: a cancelled member's
 	// context.Canceled is expected and not recorded).
 	Teardown []error

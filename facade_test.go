@@ -12,83 +12,7 @@ import (
 	"qpipe/internal/tuple"
 )
 
-// Facade tests: the cache-fronted and batch entry points, exercised through
-// the public DB/builder surface (with Engine-level checks where the engine
-// API is itself the contract).
-
-func TestQueryCachedHitAndMiss(t *testing.T) {
-	db := openTestDB(t, 500, Options{PoolPages: 64, ResultCacheTuples: 10_000, ResultCacheMaxEntry: 5_000})
-	eng := db.Engine()
-	p, err := db.Scan("t").Aggregate(Sum(Col("k"))).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows1, hit1, err := eng.QueryCached(context.Background(), p)
-	if err != nil || hit1 {
-		t.Fatalf("first query: hit=%v err=%v", hit1, err)
-	}
-	rows2, hit2, err := eng.QueryCached(context.Background(), p)
-	if err != nil || !hit2 {
-		t.Fatalf("second query should hit: hit=%v err=%v", hit2, err)
-	}
-	if rows1[0][0].F != rows2[0][0].F {
-		t.Fatalf("cached result differs: %v vs %v", rows1[0], rows2[0])
-	}
-	st := db.CacheStats()
-	if st.Hits != 1 || st.Insertions != 1 {
-		t.Fatalf("cache stats: %+v", st)
-	}
-	// Mutating the returned rows must not corrupt the cache.
-	rows2[0][0] = FloatValue(-1)
-	rows3, _, _ := eng.QueryCached(context.Background(), p)
-	if rows3[0][0].F == -1 {
-		t.Fatal("cache entry was mutated through a returned row")
-	}
-}
-
-func TestQueryCachedInvalidatedByUpdate(t *testing.T) {
-	db := openTestDB(t, 100, Options{PoolPages: 64, ResultCacheTuples: 10_000, ResultCacheMaxEntry: 5_000})
-	count := func() int64 {
-		res, err := db.Scan("t").Aggregate(Count()).Run(context.Background(), WithResultCache())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows, err := res.All()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows[0][0].I
-	}
-	if count() != 100 {
-		t.Fatal("initial count")
-	}
-	// An update plan through the cache-fronted engine path invalidates.
-	up := plan.NewUpdate("t", []tuple.Tuple{R(9999, 0, 0.0, "x")})
-	if _, _, err := db.Engine().QueryCached(context.Background(), up); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(); got != 101 {
-		t.Fatalf("post-update count: %d (stale cache?)", got)
-	}
-	if db.CacheStats().Invalidation == 0 {
-		t.Fatal("no invalidations recorded")
-	}
-}
-
-func TestQueryCachedWithoutCacheEnabled(t *testing.T) {
-	db := openTestDB(t, 50, Options{PoolPages: 64})
-	p, err := db.Scan("t").Aggregate(Count()).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, hit, err := db.Engine().QueryCached(context.Background(), p)
-	if err != nil || hit || rows[0][0].I != 50 {
-		t.Fatalf("cache-disabled path: %v %v %v", rows, hit, err)
-	}
-	if st := db.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("zero stats expected, got %+v", st)
-	}
-}
+// Facade tests: batches and EXPLAIN through the public DB/builder surface.
 
 // TestRunBatchSharesCommonSubtrees: an MQO-style batch whose queries share
 // a common subexpression must execute the common part once.
@@ -150,17 +74,14 @@ func TestExplain(t *testing.T) {
 	}
 }
 
-// TestQueryBatchErrorDrainsPrior: the QueryBatch satellite at the Engine
-// surface — a failing member must cancel AND drain the already-submitted
-// ones and return the typed *BatchError.
+// TestQueryBatchErrorDrainsPrior: a batch member the runtime refuses at
+// submit (an operator type no µEngine serves) must cancel AND drain the
+// already-submitted members and return the typed *BatchError.
 func TestQueryBatchErrorDrainsPrior(t *testing.T) {
 	db := openTestDB(t, 2000, Options{PoolPages: 32})
-	eng := db.Engine()
-	s, _ := db.Schema("t")
-	good := plan.NewTableScan("t", s, nil, nil, false)
-	// A plan with an unknown operator type triggers a submit error; the
-	// already-submitted batch members must be cancelled and drained.
-	results, err := eng.QueryBatch(context.Background(), []plan.Node{good, badPlanNode{}})
+	good := db.Scan("t")
+	bad := &Query{db: db, node: badPlanNode{}, limit: -1}
+	results, err := db.RunBatch(context.Background(), []*Query{good, bad})
 	if err == nil {
 		for _, r := range results {
 			r.Cancel()
@@ -177,6 +98,7 @@ func TestQueryBatchErrorDrainsPrior(t *testing.T) {
 	if len(be.Teardown) != 0 {
 		t.Fatalf("teardown of the good member should be clean, got %v", be.Teardown)
 	}
+	waitStat(t, db, func(s Stats) int64 { return s.InFlight }, 0, "InFlight")
 }
 
 // badPlanNode is a plan node with an operator type no µEngine serves.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/volcano"
@@ -19,12 +20,12 @@ var errInjected = errors.New("injected disk fault")
 
 func TestScanErrorPropagates(t *testing.T) {
 	mgr := newTestDB(t, 2000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Pool.Invalidate()
 	mgr.Disk.InjectReadFaults("tbl:t", 1, errInjected)
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), scan)
+	res, err := db.run(context.Background(), scan, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +33,9 @@ func TestScanErrorPropagates(t *testing.T) {
 		t.Fatalf("scan should fail with injected error, got %v", err)
 	}
 	// Engine stays healthy.
-	res2, _ := eng.Query(context.Background(), plan.NewAggregate(
+	res2, _ := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	rows, err := res2.All()
 	if err != nil || rows[0][0].I != 2000 {
 		t.Fatalf("engine unusable after fault: %v %v", rows, err)
@@ -44,8 +45,8 @@ func TestScanErrorPropagates(t *testing.T) {
 func TestErrorReachesAllSharingQueries(t *testing.T) {
 	// When a shared scan fails, every attached query must see the error.
 	mgr := newTestDB(t, 8000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Pool.Invalidate()
 	// Fail deep into the scan so the second query attaches first.
 	mgr.Disk.InjectReadFaults("tbl:t", 0, nil)
@@ -53,11 +54,11 @@ func TestErrorReachesAllSharingQueries(t *testing.T) {
 		scan := plan.NewTableScan("t", tableSchema(mgr), expr.GE(expr.Col(0), expr.CInt(c)), nil, false)
 		return plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggCount}})
 	}
-	res1, err := eng.Query(context.Background(), mk(0))
+	res1, err := db.run(context.Background(), mk(0), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := eng.Query(context.Background(), mk(1))
+	res2, err := db.run(context.Background(), mk(1), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +80,12 @@ func TestErrorReachesAllSharingQueries(t *testing.T) {
 
 func TestSortSpillErrorPropagates(t *testing.T) {
 	mgr := newTestDB(t, 2000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	// Fault every temp-file read: the sorted-run readback must fail.
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 	srt := plan.NewSort(scan, []int{0}, false)
-	res, err := eng.Query(context.Background(), srt)
+	res, err := db.run(context.Background(), srt, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +106,13 @@ func TestSortSpillWriteFaultFailsClean(t *testing.T) {
 	// fail the query cleanly: the error surfaces to the caller, every temp
 	// file written so far is dropped, and the engine keeps serving.
 	mgr := newTestDB(t, 20_000) // > sortRunSize so run files spill
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Disk.InjectWriteFaults("tmp:sortrun:", 1, errInjected)
 	defer mgr.Disk.ClearFaults()
 
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), plan.NewSort(scan, []int{0}, false))
+	res, err := db.run(context.Background(), plan.NewSort(scan, []int{0}, false), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +125,9 @@ func TestSortSpillWriteFaultFailsClean(t *testing.T) {
 
 	// Engine stays healthy once the fault is cleared.
 	mgr.Disk.ClearFaults()
-	res2, err := eng.Query(context.Background(), plan.NewAggregate(
+	res2, err := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +144,8 @@ func TestHashJoinSpillWriteFaultFailsClean(t *testing.T) {
 		t.Skip("large build side")
 	}
 	mgr := newTestDB(t, 70_000) // large enough to take the partitioned path
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Disk.InjectWriteFaults("tmp:hjb:", 1, errInjected)
 	defer mgr.Disk.ClearFaults()
 
@@ -152,7 +153,7 @@ func TestHashJoinSpillWriteFaultFailsClean(t *testing.T) {
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 2}, false)
 	j := plan.NewHashJoin(l, r, 0, 0).WithParallelism(4)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, err := eng.Query(context.Background(), agg)
+	res, err := db.run(context.Background(), agg, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +165,9 @@ func TestHashJoinSpillWriteFaultFailsClean(t *testing.T) {
 	waitNoTempFiles(t, func() []string { return mgr.Disk.FilesWithPrefix("tmp:hjp:") }, "probe-side")
 
 	mgr.Disk.ClearFaults()
-	res2, err := eng.Query(context.Background(), plan.NewAggregate(
+	res2, err := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,15 +197,15 @@ func TestVolcanoErrorPropagates(t *testing.T) {
 
 func TestJoinInputErrorPropagates(t *testing.T) {
 	mgr := newTestDB(t, 3000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mgr.Pool.Invalidate()
 	mgr.Disk.InjectReadFaults("tbl:t", 1, errInjected)
 	l := plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 0}, false)
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 2}, false)
 	j := plan.NewHashJoin(l, r, 0, 0)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, err := eng.Query(context.Background(), agg)
+	res, err := db.run(context.Background(), agg, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,20 +237,20 @@ func TestSatelliteRescuedFromTimedOutHost(t *testing.T) {
 	mgr.Pool.Invalidate()
 	mgr.Disk.SetLatency(time.Millisecond, time.Millisecond, 0)
 	defer mgr.Disk.SetLatency(0, 0, 0)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mk := func() plan.Node {
 		return plan.NewAggregate(
 			plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
 			[]expr.AggSpec{{Kind: expr.AggCount}})
 	}
-	qH, err := eng.Runtime().SubmitOpts(context.Background(), mk(),
+	qH, err := db.rt.SubmitOpts(context.Background(), mk(),
 		core.QueryOptions{Timeout: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond) // let the host aggregate start
-	qS, err := eng.Runtime().Submit(context.Background(), mk())
+	qS, err := db.rt.Submit(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,7 @@
 // execute at once (Config.MaxConcurrentQueries), parks a bounded FIFO queue
 // of waiters behind them (Config.AdmissionQueue), and sheds load with a
 // typed *OverloadedError once the queue is full — queued-but-bounded
-// behavior as an engine property, mirroring the admission/eviction
-// discipline the result cache already applies to memory.
+// behavior as an engine property.
 package core
 
 import (

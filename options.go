@@ -1,7 +1,7 @@
 // Functional per-query options. Options travel with the query through the
 // engine (core.QueryOptions) instead of being scattered across plan-node
 // methods and the global Config, so concurrent queries on one DB can run
-// with different parallelism, batch size, OSP participation and caching.
+// with different parallelism, batch size, OSP participation and deadlines.
 package qpipe
 
 import (
@@ -16,7 +16,6 @@ type QueryOption func(*queryOpts)
 type queryOpts struct {
 	core core.QueryOptions
 
-	useCache   bool
 	sharedScan bool
 
 	// validation bookkeeping (checked in resolve)
@@ -63,15 +62,6 @@ func WithBatchSize(n int) QueryOption {
 		o.core.BatchSize = n
 		o.badBatch = n < 1
 	}
-}
-
-// WithResultCache routes the query through the DB's result cache: a
-// signature-exact hit returns the stored rows without executing; a miss
-// executes (still sharing via OSP), materializes, and admits the result.
-// Requires a cache configured via Options.ResultCacheTuples; combining with
-// Limit is rejected (the cache stores complete results).
-func WithResultCache() QueryOption {
-	return func(o *queryOpts) { o.useCache = true }
 }
 
 // WithTimeout bounds the query's execution to a relative budget measured

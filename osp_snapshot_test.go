@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/disk"
@@ -56,8 +57,8 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 	if err := m.Load("tt", initial); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(m, DefaultConfig())
-	defer eng.Close()
+	db := newDB(m, core.DefaultConfig())
+	defer db.Close()
 
 	ctx := context.Background()
 	scan := func() plan.Node { return plan.NewTableScan("tt", schema, nil, nil, false) }
@@ -116,7 +117,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		version := int64(round + 1) // committed state entering this round
-		res1, err := eng.Query(ctx, scan())
+		res1, err := db.run(ctx, scan(), -1, queryOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res2, err := eng.Query(ctx, mk()) // shared lock held once Query returns
+		res2, err := db.run(ctx, mk(), -1, queryOpts{}) // shared lock held once Query returns
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 
 	// Serial-run parity: after all rounds the table must be exactly at the
 	// final version.
-	res, err := eng.Query(ctx, mk())
+	res, err := db.run(ctx, mk(), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 	if want := int64(rows * (rounds + 1)); final != want {
 		t.Fatalf("final sum %d, want %d", final, want)
 	}
-	if got := eng.Stats().SharesByOp[plan.OpTableScan]; got != rounds {
+	if got := db.Stats().SharesByOp[plan.OpTableScan]; got != rounds {
 		t.Fatalf("%d satellites attached mid-scan in %d rounds — the scenario under test did not occur in each", got, rounds)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/disk"
@@ -44,10 +45,10 @@ func tableSchema(mgr *sm.Manager) *tuple.Schema { return mgr.MustTable("t").Sche
 
 func TestScanAll(t *testing.T) {
 	mgr := newTestDB(t, 500)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	p := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), p)
+	res, err := db.run(context.Background(), p, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestScanAll(t *testing.T) {
 
 func TestScanWithFilterAndProject(t *testing.T) {
 	mgr := newTestDB(t, 300)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	pred := expr.LT(expr.Col(0), expr.CInt(50))
 	p := plan.NewTableScan("t", tableSchema(mgr), pred, []int{0, 2}, false)
-	res, _ := eng.Query(context.Background(), p)
+	res, _ := db.run(context.Background(), p, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -86,8 +87,8 @@ func TestScanWithFilterAndProject(t *testing.T) {
 
 func TestAggregate(t *testing.T) {
 	mgr := newTestDB(t, 100)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 	agg := plan.NewAggregate(scan, []expr.AggSpec{
 		{Kind: expr.AggCount},
@@ -95,7 +96,7 @@ func TestAggregate(t *testing.T) {
 		{Kind: expr.AggMin, Arg: expr.Col(0)},
 		{Kind: expr.AggMax, Arg: expr.Col(0)},
 	})
-	res, _ := eng.Query(context.Background(), agg)
+	res, _ := db.run(context.Background(), agg, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +112,11 @@ func TestAggregate(t *testing.T) {
 
 func TestGroupBy(t *testing.T) {
 	mgr := newTestDB(t, 100)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 	gb := plan.NewGroupBy(scan, []int{1}, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, _ := eng.Query(context.Background(), gb)
+	res, _ := db.run(context.Background(), gb, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +133,11 @@ func TestGroupBy(t *testing.T) {
 
 func TestSortOrdersOutput(t *testing.T) {
 	mgr := newTestDB(t, 200)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 	srt := plan.NewSort(scan, []int{3}, false) // sort by name (string)
-	res, _ := eng.Query(context.Background(), srt)
+	res, _ := db.run(context.Background(), srt, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -153,14 +154,14 @@ func TestSortOrdersOutput(t *testing.T) {
 
 func TestHashJoin(t *testing.T) {
 	mgr := newTestDB(t, 100)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	// Self-join on grp: each of 100 rows matches 10 rows → 1000.
 	l := plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 0}, false)
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 2}, false)
 	j := plan.NewHashJoin(l, r, 0, 0)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, _ := eng.Query(context.Background(), agg)
+	res, _ := db.run(context.Background(), agg, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -172,13 +173,13 @@ func TestHashJoin(t *testing.T) {
 
 func TestMergeJoinOverSortedInputs(t *testing.T) {
 	mgr := newTestDB(t, 120)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	l := plan.NewSort(plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 0}, false), []int{0}, false)
 	r := plan.NewSort(plan.NewTableScan("t", tableSchema(mgr), nil, []int{1, 2}, false), []int{0}, false)
 	j := plan.NewMergeJoin(l, r, 0, 0, false)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, _ := eng.Query(context.Background(), agg)
+	res, _ := db.run(context.Background(), agg, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -191,13 +192,13 @@ func TestMergeJoinOverSortedInputs(t *testing.T) {
 
 func TestNLJoin(t *testing.T) {
 	mgr := newTestDB(t, 40)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	l := plan.NewTableScan("t", tableSchema(mgr), expr.LT(expr.Col(0), expr.CInt(5)), []int{0}, false)
 	r := plan.NewTableScan("t", tableSchema(mgr), expr.LT(expr.Col(0), expr.CInt(8)), []int{0}, false)
 	j := plan.NewNLJoin(l, r, expr.LT(expr.Col(0), expr.Col(1)))
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, _ := eng.Query(context.Background(), agg)
+	res, _ := db.run(context.Background(), agg, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +211,12 @@ func TestNLJoin(t *testing.T) {
 
 func TestFilterAndProjectNodes(t *testing.T) {
 	mgr := newTestDB(t, 60)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 	f := plan.NewFilter(scan, expr.GE(expr.Col(0), expr.CInt(50)))
 	pr := plan.NewProject(f, []expr.Expr{expr.Mul(expr.Col(0), expr.CInt(2))}, []string{"k2"})
-	res, _ := eng.Query(context.Background(), pr)
+	res, _ := db.run(context.Background(), pr, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -234,13 +235,13 @@ func TestFilterAndProjectNodes(t *testing.T) {
 
 func TestUpdateThenScan(t *testing.T) {
 	mgr := newTestDB(t, 10)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	up := plan.NewUpdate("t", []tuple.Tuple{
 		{tuple.I64(1000), tuple.I64(0), tuple.F64(1), tuple.Str("new1")},
 		{tuple.I64(1001), tuple.I64(1), tuple.F64(2), tuple.Str("new2")},
 	})
-	res, _ := eng.Query(context.Background(), up)
+	res, _ := db.run(context.Background(), up, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +250,7 @@ func TestUpdateThenScan(t *testing.T) {
 		t.Fatalf("update count: %v", rows[0])
 	}
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res2, _ := eng.Query(context.Background(), scan)
+	res2, _ := db.run(context.Background(), scan, -1, queryOpts{})
 	all, _ := res2.All()
 	if len(all) != 12 {
 		t.Fatalf("rows after insert: %d", len(all))
@@ -261,10 +262,10 @@ func TestClusteredIndexScan(t *testing.T) {
 	if err := mgr.BuildClustered("t", "k"); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	p := plan.NewIndexScan("t", tableSchema(mgr), "k", tuple.Value{}, tuple.Value{}, true, true, nil, nil)
-	res, _ := eng.Query(context.Background(), p)
+	res, _ := db.run(context.Background(), p, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +280,7 @@ func TestClusteredIndexScan(t *testing.T) {
 	}
 	// Bounded scan.
 	p2 := plan.NewIndexScan("t", tableSchema(mgr), "k", tuple.I64(10), tuple.I64(19), true, true, nil, nil)
-	res2, _ := eng.Query(context.Background(), p2)
+	res2, _ := db.run(context.Background(), p2, -1, queryOpts{})
 	rows2, err := res2.All()
 	if err != nil || len(rows2) != 10 {
 		t.Fatalf("bounded clustered scan: %d %v", len(rows2), err)
@@ -291,10 +292,10 @@ func TestUnclusteredIndexScan(t *testing.T) {
 	if err := mgr.BuildUnclustered("t", "grp"); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	p := plan.NewIndexScan("t", tableSchema(mgr), "grp", tuple.I64(3), tuple.I64(4), false, false, nil, nil)
-	res, _ := eng.Query(context.Background(), p)
+	res, _ := db.run(context.Background(), p, -1, queryOpts{})
 	rows, err := res.All()
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +315,8 @@ func TestUnclusteredIndexScan(t *testing.T) {
 // becomes a satellite) and produce identical results.
 func TestConcurrentIdenticalQueriesShare(t *testing.T) {
 	mgr := newTestDB(t, 2000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	mkPlan := func() plan.Node {
 		scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
 		return plan.NewAggregate(scan, []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(0)}})
@@ -328,7 +329,7 @@ func TestConcurrentIdenticalQueriesShare(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := eng.Query(context.Background(), mkPlan())
+			res, err := db.run(context.Background(), mkPlan(), -1, queryOpts{})
 			if err != nil {
 				errs[i] = err
 				return
@@ -359,9 +360,9 @@ func TestConcurrentIdenticalQueriesShare(t *testing.T) {
 // where the test left it — k batches taken, a full result buffer, and one
 // page in each partition's hands — and a second query sent now arrives while
 // the first is exactly there, on any box under any load. It returns the
-// engine, the held result, the rows taken so far, and the table's pages and
+// database, the held result, the rows taken so far, and the table's pages and
 // the blocks read of it so far.
-func heldScan(t *testing.T, cfg Config, k int) (eng *Engine, res *Result, taken, full, prefix int64) {
+func heldScan(t *testing.T, cfg core.Config, k int) (db *DB, res *Result, taken, full, prefix int64) {
 	t.Helper()
 	mgr := newTestDB(t, 5000)
 	mgr2 := sm.NewSharedDisk(mgr.Disk, 8)
@@ -370,9 +371,9 @@ func heldScan(t *testing.T, cfg Config, k int) (eng *Engine, res *Result, taken,
 	}
 	mgr2.Disk.ResetStats()
 	cfg.ScanParallelism = 2
-	eng = New(mgr2, cfg)
-	t.Cleanup(eng.Close)
-	res, err := eng.Query(context.Background(), plan.NewTableScan("t", tableSchema(mgr), nil, nil, false))
+	db = newDB(mgr2, cfg)
+	t.Cleanup(db.Close)
+	res, err := db.run(context.Background(), plan.NewTableScan("t", tableSchema(mgr), nil, nil, false), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +384,9 @@ func heldScan(t *testing.T, cfg Config, k int) (eng *Engine, res *Result, taken,
 		}
 		taken += int64(len(b))
 	}
-	prefix = int64(k + eng.Runtime().Cfg.BufferCapacity + cfg.ScanParallelism)
+	prefix = int64(k + db.rt.Cfg.BufferCapacity + cfg.ScanParallelism)
 	waitCount(t, "blocks read by the held scan", prefix, func() int64 { return mgr2.Disk.Stats().Reads })
-	return eng, res, taken, int64(mgr2.MustTable("t").Heap.NumPages()), prefix
+	return db, res, taken, int64(mgr2.MustTable("t").Heap.NumPages()), prefix
 }
 
 // TestCircularScanSharesIO: with OSP, a second scan arriving mid-flight
@@ -393,12 +394,12 @@ func heldScan(t *testing.T, cfg Config, k int) (eng *Engine, res *Result, taken,
 // where the scanner is, and the wrap reads for it the prefix it missed and
 // nothing else.
 func TestCircularScanSharesIO(t *testing.T) {
-	eng, res1, taken, full, prefix := heldScan(t, DefaultConfig(), 3)
+	db, res1, taken, full, prefix := heldScan(t, core.DefaultConfig(), 3)
 	schema := res1.Schema()
 	// Second query (different predicate!) arrives mid-scan.
-	res2, err := eng.Query(context.Background(), plan.NewAggregate(
+	res2, err := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", schema, expr.LT(expr.Col(0), expr.CInt(100)), nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +410,10 @@ func TestCircularScanSharesIO(t *testing.T) {
 	if err != nil || len(rows2) != 1 || rows2[0][0].I != 100 {
 		t.Fatalf("satellite count: %v %v", rows2, err)
 	}
-	if reads := eng.Runtime().SM.Disk.Stats().Reads; reads != full+prefix {
+	if reads := db.rt.SM.Disk.Stats().Reads; reads != full+prefix {
 		t.Fatalf("%d reads for 2 scans of %d pages, want one scan and the %d-page prefix the second missed", reads, full, prefix)
 	}
-	if got := eng.Stats().SharesByOp[plan.OpTableScan]; got != 1 {
+	if got := db.Stats().SharesByOp[plan.OpTableScan]; got != 1 {
 		t.Fatalf("%d circular-scan shares, want 1", got)
 	}
 }
@@ -420,9 +421,9 @@ func TestCircularScanSharesIO(t *testing.T) {
 // TestBaselineNoSharing: with OSP off, the same scenario reads 2 full
 // scans, less what the second finds of the first's prefix in the pool.
 func TestBaselineNoSharing(t *testing.T) {
-	eng, res1, taken, full, _ := heldScan(t, BaselineConfig(), 3)
-	res2, err := eng.Query(context.Background(), plan.NewAggregate(
-		plan.NewTableScan("t", res1.Schema(), nil, nil, false), []expr.AggSpec{{Kind: expr.AggCount}}))
+	db, res1, taken, full, _ := heldScan(t, core.BaselineConfig(), 3)
+	res2, err := db.run(context.Background(), plan.NewAggregate(
+		plan.NewTableScan("t", res1.Schema(), nil, nil, false), []expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,21 +435,21 @@ func TestBaselineNoSharing(t *testing.T) {
 	if n, err := res1.Discard(); err != nil || taken+n != 5000 {
 		t.Fatalf("first scan returned %d rows, want 5000 (%v)", taken+n, err)
 	}
-	pool := int64(eng.Runtime().SM.Pool.Capacity())
-	if reads := eng.Runtime().SM.Disk.Stats().Reads; reads < 2*full-pool || reads > 2*full {
+	pool := int64(db.rt.SM.Pool.Capacity())
+	if reads := db.rt.SM.Disk.Stats().Reads; reads < 2*full-pool || reads > 2*full {
 		t.Fatalf("baseline should read 2 full scans: %d reads, want %d to %d", reads, 2*full-pool, 2*full)
 	}
-	if eng.Stats().SharesByOp[plan.OpTableScan] != 0 {
+	if db.Stats().SharesByOp[plan.OpTableScan] != 0 {
 		t.Fatal("baseline must not share")
 	}
 }
 
 func TestQueryCancel(t *testing.T) {
 	mgr := newTestDB(t, 20000)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("t", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), scan)
+	res, err := db.run(context.Background(), scan, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,9 +459,9 @@ func TestQueryCancel(t *testing.T) {
 	}
 	res.Cancel()
 	// Engine must stay usable.
-	res2, _ := eng.Query(context.Background(), plan.NewAggregate(
+	res2, _ := db.run(context.Background(), plan.NewAggregate(
 		plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
-		[]expr.AggSpec{{Kind: expr.AggCount}}))
+		[]expr.AggSpec{{Kind: expr.AggCount}}), -1, queryOpts{})
 	rows, err := res2.All()
 	if err != nil {
 		t.Fatal(err)
@@ -472,10 +473,10 @@ func TestQueryCancel(t *testing.T) {
 
 func TestUnknownTableFails(t *testing.T) {
 	mgr := newTestDB(t, 10)
-	eng := New(mgr, DefaultConfig())
-	defer eng.Close()
+	db := newDB(mgr, core.DefaultConfig())
+	defer db.Close()
 	scan := plan.NewTableScan("missing", tableSchema(mgr), nil, nil, false)
-	res, err := eng.Query(context.Background(), scan)
+	res, err := db.run(context.Background(), scan, -1, queryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,11 +24,9 @@ type Result struct {
 	q      *core.Query
 	schema *Schema // output schema (column names and kinds)
 
-	// Materialized mode (result-cache hits and cached executions): rows are
-	// served from memory, q is nil.
+	// Materialized mode (EXPLAIN): rows are served from memory, q is nil.
 	mat     []Row
 	matDone bool
-	hit     bool
 
 	// limit < 0 = unlimited. Tracked across Next calls; once delivered
 	// rows reach the limit the query is cancelled and the result reports
@@ -46,14 +44,10 @@ func newStreamResult(q *core.Query, schema *Schema, limit int64) *Result {
 	return &Result{q: q, schema: schema, limit: limit}
 }
 
-// newCachedResult wraps materialized rows (result-cache path).
-func newCachedResult(rows []Row, schema *Schema, hit bool) *Result {
-	return &Result{mat: rows, schema: schema, hit: hit, limit: -1}
+// newRowsResult wraps materialized rows (EXPLAIN's plan text).
+func newRowsResult(rows []Row, schema *Schema) *Result {
+	return &Result{mat: rows, schema: schema, limit: -1}
 }
-
-// CacheHit reports whether the result was served from the result cache
-// (always false for plain Run/Query executions).
-func (r *Result) CacheHit() bool { return r.hit }
 
 // Schema returns the result's output schema: the column names and kinds the
 // rows follow, in order. Clients rendering results (the qpipe-shell REPL,
@@ -68,7 +62,7 @@ func (r *Result) Schema() *Schema { return r.schema }
 // queries, so mutating a returned row corrupts other queries' results.
 // Callers that need to modify a row must Clone it first.
 func (r *Result) Next() ([]Row, error) {
-	if r.q == nil { // materialized mode (result-cache paths)
+	if r.q == nil { // materialized mode
 		if r.matDone || len(r.mat) == 0 {
 			return nil, io.EOF
 		}
@@ -123,9 +117,6 @@ func (r *Result) Recycle(b []Row) {
 	}
 }
 
-// recycle is the internal spelling (All/Discard/Rows predate Recycle).
-func (r *Result) recycle(b []Row) { r.Recycle(b) }
-
 // finish resolves the result's terminal error after EOF: nil for
 // materialized results and satisfied limits, the query's own terminal error
 // otherwise.
@@ -172,13 +163,13 @@ func (r *Result) Rows() iter.Seq[Row] {
 					// Early break: the caller is done. Recycling here is
 					// safe — rows already yielded are never recycled, and
 					// the unyielded remainder was never handed out.
-					r.recycle(b)
+					r.Recycle(b)
 					r.Cancel()
 					r.setErr(nil)
 					return
 				}
 			}
-			r.recycle(b)
+			r.Recycle(b)
 		}
 	}
 }
@@ -207,7 +198,7 @@ func (r *Result) All() ([]Row, error) {
 			return out, r.setErr(err)
 		}
 		out = append(out, b...)
-		r.recycle(b)
+		r.Recycle(b)
 	}
 }
 
@@ -224,7 +215,7 @@ func (r *Result) Discard() (int64, error) {
 			return n, r.setErr(err)
 		}
 		n += int64(len(b))
-		r.recycle(b)
+		r.Recycle(b)
 	}
 }
 

@@ -493,11 +493,11 @@ func (c *serverConn) serveQuery(q wire.Query) error {
 	}
 	// Inside an open transaction, a SELECT over a table the transaction has
 	// written would block on the session's own lock — reject it typed.
-	if err := c.sess.guardQuery(stmt); err != nil {
+	if err := c.sess.GuardQuery(stmt); err != nil {
 		return c.sendError(err)
 	}
 	c.srv.queriesServed.Add(1)
-	res, err := c.srv.db.Query(c.ctx, q.SQL, c.execOptions(q.Opts)...)
+	res, err := c.srv.db.queryStmt(c.ctx, stmt, c.execOptions(q.Opts))
 	if err != nil {
 		return c.sendError(err)
 	}

@@ -38,6 +38,12 @@ func (db *DB) Query(ctx context.Context, text string, opts ...QueryOption) (*Res
 	if err != nil {
 		return nil, err
 	}
+	return db.queryStmt(ctx, stmt, opts)
+}
+
+// queryStmt is Query over a parsed statement (the server parses once to
+// catch SET and guard the session, then hands the statement here).
+func (db *DB) queryStmt(ctx context.Context, stmt sql.Statement, opts []QueryOption) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
 		q, err := db.compileSelect(s)
@@ -121,7 +127,7 @@ func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error
 		rows[i] = Row{StringValue(l)}
 	}
 	schema := NewSchema(ColDef("plan", KindString))
-	return newCachedResult(rows, schema, false), nil
+	return newRowsResult(rows, schema), nil
 }
 
 // annotateOpts renders the non-default per-query options an EXPLAIN ran
@@ -136,9 +142,6 @@ func annotateOpts(o queryOpts) string {
 	}
 	if o.core.DisableOSP {
 		parts = append(parts, "osp=off")
-	}
-	if o.useCache {
-		parts = append(parts, "result_cache=on")
 	}
 	if len(parts) == 0 {
 		return ""
@@ -305,7 +308,7 @@ func (db *DB) compileDelete(d *sql.Delete) (*plan.Update, error) {
 // execMutation runs an UPDATE/DELETE plan through the update µEngine (which
 // wraps it in an autocommit transaction) and returns the affected-row count.
 func (db *DB) execMutation(ctx context.Context, node *plan.Update) (int64, error) {
-	res, err := db.eng.Query(ctx, node)
+	res, err := db.run(ctx, node, -1, queryOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -317,15 +320,7 @@ func (db *DB) execMutation(ctx context.Context, node *plan.Update) (int64, error
 	if len(rows) == 1 && len(rows[0]) == 1 {
 		n = rows[0][0].I
 	}
-	db.invalidateTable(node.Table)
 	return n, nil
-}
-
-// invalidateTable drops cached results over a mutated table.
-func (db *DB) invalidateTable(table string) {
-	if db.eng.cache != nil {
-		db.eng.cache.InvalidateTable(table)
-	}
 }
 
 // sqlKind maps a normalized SQL type name to a column kind.

@@ -34,7 +34,7 @@ import (
 )
 
 func main() {
-	db, err := qpipe.Open(qpipe.Options{PoolPages: 64, ResultCacheTuples: 1000})
+	db, err := qpipe.Open(qpipe.Options{PoolPages: 64})
 	if err != nil {
 		log.Fatal(err)
 	}
