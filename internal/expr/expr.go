@@ -7,6 +7,7 @@
 package expr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -504,19 +505,16 @@ func (s *AggState) AddValue(v tuple.Value) {
 }
 
 // AddEncoded is AddValue of the encoded value at the start of b (one
-// tuple.ValueWidth accepted), read where it lies: a sum takes the number's
-// payload, a MIN or MAX compares in place and decodes only a new extreme.
+// tuple.ValueWidth accepted), read where it lies: a number is AddNumber of its
+// payload, a string compared in place by a MIN or MAX and decoded only as a new
+// extreme.
 func (s *AggState) AddEncoded(b []byte) {
-	s.count++
-	switch s.spec.Kind {
-	case AggSum, AggAvg:
-		switch k, bits, ok := tuple.EncodedNumber(b); {
-		case k == tuple.KindFloat:
-			s.addFloat(math.Float64frombits(bits))
-		case ok:
-			s.addFloat(float64(int64(bits)))
-		} // a string adds nothing, as Value.AsFloat has it
-	case AggMin, AggMax:
+	if k := tuple.Kind(b[0]); k != tuple.KindString {
+		s.AddNumber(k, binary.LittleEndian.Uint64(b[1:]))
+		return
+	}
+	s.count++ // a string adds nothing to a sum, as Value.AsFloat has it
+	if s.spec.Kind == AggMin || s.spec.Kind == AggMax {
 		if s.seen {
 			c := tuple.CompareEncoded(b, s.ext)
 			if c == 0 || (c < 0) != (s.spec.Kind == AggMin) {
@@ -524,6 +522,30 @@ func (s *AggState) AddEncoded(b []byte) {
 			}
 		}
 		s.ext, s.seen = tuple.DecodeValue(b), true
+	}
+}
+
+// AddNumber is AddValue of the number of kind k with payload bits (an entry
+// of a page's number vector, tuple.Vectors): a sum takes it as a float, a MIN
+// or MAX compares it as it is and makes a Value only of a new extreme.
+func (s *AggState) AddNumber(k tuple.Kind, bits uint64) {
+	s.count++
+	switch s.spec.Kind {
+	case AggSum, AggAvg:
+		if k == tuple.KindFloat {
+			s.addFloat(math.Float64frombits(bits))
+		} else {
+			s.addFloat(float64(int64(bits)))
+		}
+	case AggMin, AggMax:
+		if s.seen {
+			c := tuple.CompareNumber(k, bits, s.ext)
+			if c == 0 || (c < 0) != (s.spec.Kind == AggMin) {
+				return
+			}
+		}
+		s.ext, s.seen = tuple.Value{}, true
+		tuple.SetNumber(&s.ext, k, bits)
 	}
 }
 

@@ -71,6 +71,23 @@ func (ps *pageStream) emit(em *emitter, ord int) error {
 	return ps.flush(em)
 }
 
+// emitRange is emit of pages [lo, hi) in order, stopping for a cancelled query
+// (its error) or packet (nil).
+func (ps *pageStream) emitRange(em *emitter, pkt *core.Packet, lo, hi int) error {
+	for ord := lo; ord < hi; ord++ {
+		if cerr := pkt.Query.CancelErr(); cerr != nil {
+			return cerr
+		}
+		if pkt.Cancelled() {
+			return nil
+		}
+		if err := ps.emit(em, ord); err != nil {
+			return emitResult(err)
+		}
+	}
+	return nil
+}
+
 // flush adds the rows the last page (or run) left in the task to em.
 func (ps *pageStream) flush(em *emitter) error {
 	out := ps.task[0].out
@@ -123,23 +140,9 @@ func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
 	if !node.Clustered || node.Lo.IsValid() || node.Hi.IsValid() {
 		return false
 	}
-	attached := o.reg.visit(o.key(node), func(s *scanner) bool {
-		requireStart := node.Ordered || !s.circular
-		c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-		_, ok := s.attach(c, requireStart)
-		return ok
-	})
-	if !attached && node.Ordered && node.Filter != nil {
-		attached = o.tryMaterializedOrderedShare(rt, pkt)
-	}
-	if attached {
-		pkt.Query.Stats.SatelliteAttaches.Add(1)
-		rt.NoteShare(plan.OpIndexScan)
-		for _, ch := range pkt.Children {
-			ch.CancelSubtree()
-		}
-	}
-	return attached
+	attached := o.reg.admit(o.key(node), pkt, node.Filter, node.Project, node.Ordered) ||
+		node.Ordered && node.Filter != nil && o.tryMaterializedOrderedShare(rt, pkt)
+	return attached && admitted(rt, pkt)
 }
 
 // tryMaterializedOrderedShare implements the §4.3.2 materialization path
@@ -179,16 +182,8 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 	// streaming straight to the consumer.
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	ps := newPageStream(&leafSource{tree: tb.Clustered, pnos: pnos, width: tb.Schema.Len()}, rt, pkt, node.Filter, node.Project)
-	for ord := 0; ord < start && ord < len(pnos); ord++ {
-		if cerr := pkt.Query.CancelErr(); cerr != nil {
-			return cerr
-		}
-		if pkt.Cancelled() {
-			return nil
-		}
-		if err := ps.emit(em, ord); err != nil {
-			return emitResult(err)
-		}
+	if err := ps.emitRange(em, pkt, 0, min(start, len(pnos))); err != nil || pkt.Cancelled() {
+		return err
 	}
 	// Phase 2: the saved suffix results arrive (and are drained) in leaf
 	// order == key order; append them after the prefix.
@@ -281,19 +276,12 @@ func (o *IndexScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	// Runtime.Submit's query-level read locking). The fence mirrors the
 	// table-scan one: index scans and their satellites read one committed
 	// state, pinned by the commit counter.
-	fence := tb.CommitSeq()
-	if node.Clustered {
-		err = o.runClustered(rt, pkt, tb, node)
-	} else {
-		err = o.runUnclustered(rt, pkt, tb, node)
-	}
-	if err != nil {
-		return err
-	}
-	if end := tb.CommitSeq(); end != fence {
-		return &sm.TornScanError{Table: node.Table, Start: fence, End: end}
-	}
-	return nil
+	return fenced(tb, func() error {
+		if node.Clustered {
+			return o.runClustered(rt, pkt, tb, node)
+		}
+		return o.runUnclustered(rt, pkt, tb, node)
+	})
 }
 
 func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Table, node *plan.IndexScan) error {
@@ -350,16 +338,8 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		// Partial scans stream their range directly and never host sharing.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 		ps := newPageStream(src, rt, pkt, node.Filter, node.Project)
-		for ord := lo; ord < hi; ord++ {
-			if cerr := pkt.Query.CancelErr(); cerr != nil {
-				return cerr
-			}
-			if pkt.Cancelled() {
-				return nil
-			}
-			if err := ps.emit(em, ord); err != nil {
-				return emitResult(err)
-			}
+		if err := ps.emitRange(em, pkt, lo, hi); err != nil || pkt.Cancelled() {
+			return err
 		}
 		return emitResult(em.flush())
 	}
@@ -442,9 +422,3 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 	}
 	return emitResult(em.flush())
 }
-
-var _ interface {
-	core.Operator
-	core.Sharer
-	core.Admitter
-} = (*IndexScanOp)(nil)

@@ -116,8 +116,6 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 	if sharedScan == nil {
 		return false, nil
 	}
-	otherNode := node.Children()[1-idx]
-
 	q := pkt.Query
 	// Attach the suffix consumer to the in-progress scan.
 	sufPkt, sufBuf := rt.NewInternalPacket(q, sharedScan)
@@ -135,35 +133,32 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	// Packet 1: suffix of the shared relation ⋈ fresh read of the other.
-	other1, _ := rt.DispatchSubtree(q, otherNode)
-	err1 := o.mergeSides(idx, sufBuf, other1, node, em)
-	// Whatever the outcome, release producers still feeding these buffers.
-	sufBuf.Abandon()
-	other1.Abandon()
-	if err1 != nil {
-		return true, emitResult(err1)
+	if err := mergeSides(rt, q, idx, sufBuf, node, em); err != nil {
+		return true, emitResult(err)
 	}
 	// Packet 2: the missed prefix (leaves [0, start)) ⋈ the other side
 	// again (the worst-case second read the cost model accounted for).
 	prefix := *sharedScan
 	prefix.LeafFrom, prefix.LeafTo = 0, int(start)
 	prefixBuf, _ := rt.DispatchSubtree(q, &prefix)
-	other2, _ := rt.DispatchSubtree(q, otherNode)
-	err2 := o.mergeSides(idx, prefixBuf, other2, node, em)
-	prefixBuf.Abandon()
-	other2.Abandon()
-	if err2 != nil {
-		return true, emitResult(err2)
+	if err := mergeSides(rt, q, idx, prefixBuf, node, em); err != nil {
+		return true, emitResult(err)
 	}
 	return true, emitResult(em.flush())
 }
 
-// mergeSides runs one merge placing the shared stream on the correct side.
-func (o *MergeJoinOp) mergeSides(sharedIdx int, shared, other *tbuf.Buffer, node *plan.MergeJoin, em *emitter) error {
-	if sharedIdx == 0 {
-		return mergeJoin(newCursor(shared), newCursor(other), node.LKey, node.RKey, em)
+// mergeSides merges the shared stream, on side sharedIdx, with a fresh read of
+// the join's other input. Whatever the outcome, it releases the producers
+// still feeding both buffers.
+func mergeSides(rt *core.Runtime, q *core.Query, sharedIdx int, shared *tbuf.Buffer, node *plan.MergeJoin, em *emitter) error {
+	other, _ := rt.DispatchSubtree(q, node.Children()[1-sharedIdx])
+	defer other.Abandon()
+	defer shared.Abandon()
+	l, r := newCursor(shared), newCursor(other)
+	if sharedIdx == 1 {
+		l, r = r, l
 	}
-	return mergeJoin(newCursor(other), newCursor(shared), node.LKey, node.RKey, em)
+	return mergeJoin(l, r, node.LKey, node.RKey, em)
 }
 
 // mergeJoin is the standard ordered merge with duplicate-group handling.
@@ -194,29 +189,13 @@ func mergeJoin(l, r *cursor, lkey, rkey int, em *emitter) error {
 				return err
 			}
 		default:
-			key := lt[lkey]
-			var lg, rg []tuple.Tuple
-			for {
-				t, ok, err := l.peek()
-				if err != nil {
-					return err
-				}
-				if !ok || !tuple.Equal(t[lkey], key) {
-					break
-				}
-				l.next()
-				lg = append(lg, t)
+			lg, err := l.group(lkey, lt[lkey])
+			if err != nil {
+				return err
 			}
-			for {
-				t, ok, err := r.peek()
-				if err != nil {
-					return err
-				}
-				if !ok || !tuple.Equal(t[rkey], key) {
-					break
-				}
-				r.next()
-				rg = append(rg, t)
+			rg, err := r.group(rkey, lt[lkey])
+			if err != nil {
+				return err
 			}
 			for _, a := range lg {
 				for _, b := range rg {
@@ -226,6 +205,18 @@ func mergeJoin(l, r *cursor, lkey, rkey int, em *emitter) error {
 				}
 			}
 		}
+	}
+}
+
+// group takes the run of rows at the cursor whose column key equals v.
+func (c *cursor) group(key int, v tuple.Value) (g []tuple.Tuple, err error) {
+	for {
+		t, ok, err := c.peek()
+		if err != nil || !ok || !tuple.Equal(t[key], v) {
+			return g, err
+		}
+		c.next()
+		g = append(g, t)
 	}
 }
 
@@ -656,16 +647,3 @@ func (*NLJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		}
 	}
 }
-
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*MergeJoinOp)(nil)
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*HashJoinOp)(nil)
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*NLJoinOp)(nil)

@@ -24,3 +24,11 @@ func All() []core.Operator {
 		NewUpdateOp(),
 	}
 }
+
+// Every µEngine but the update one shares by signature; the two scans also
+// admit packets onto a running scan.
+var (
+	_ = []core.Sharer{(*TableScanOp)(nil), (*IndexScanOp)(nil), (*FilterOp)(nil), (*ProjectOp)(nil), (*SortOp)(nil),
+		(*MergeJoinOp)(nil), (*HashJoinOp)(nil), (*NLJoinOp)(nil), (*AggregateOp)(nil), (*GroupByOp)(nil)}
+	_ = []core.Admitter{(*TableScanOp)(nil), (*IndexScanOp)(nil)}
+)

@@ -372,37 +372,25 @@ func StageMutation(ctx context.Context, tx *sm.Tx, node *plan.Update) (int64, er
 			}
 		}
 		return int64(len(node.Rows)), nil
-	case plan.MutUpdate:
+	case plan.MutUpdate, plan.MutDelete:
 		var n int64
 		var stageErr error
 		err := tx.ScanEffective(ctx, node.Table, func(rid heap.RID, row tuple.Tuple) bool {
 			if node.Where != nil && !node.Where.Test(row) {
 				return true
 			}
-			// All assignments evaluate against the old row (SQL semantics:
-			// SET a=b, b=a swaps).
-			newRow := row.Clone()
-			for _, a := range node.Set {
-				newRow[a.Col] = a.E.Eval(row)
+			if node.Kind == plan.MutDelete {
+				stageErr = tx.StageDelete(ctx, node.Table, rid)
+			} else {
+				// All assignments evaluate against the old row (SQL semantics:
+				// SET a=b, b=a swaps).
+				newRow := row.Clone()
+				for _, a := range node.Set {
+					newRow[a.Col] = a.E.Eval(row)
+				}
+				stageErr = tx.StageUpdate(ctx, node.Table, rid, newRow)
 			}
-			if stageErr = tx.StageUpdate(ctx, node.Table, rid, newRow); stageErr != nil {
-				return false
-			}
-			n++
-			return true
-		})
-		if err == nil {
-			err = stageErr
-		}
-		return n, err
-	case plan.MutDelete:
-		var n int64
-		var stageErr error
-		err := tx.ScanEffective(ctx, node.Table, func(rid heap.RID, row tuple.Tuple) bool {
-			if node.Where != nil && !node.Where.Test(row) {
-				return true
-			}
-			if stageErr = tx.StageDelete(ctx, node.Table, rid); stageErr != nil {
+			if stageErr != nil {
 				return false
 			}
 			n++

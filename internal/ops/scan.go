@@ -97,27 +97,14 @@ type scanner struct {
 // partition: interleaved partition output would break page order.
 func newScanner(hostID int64, src pageSource, circular bool, parallelism int) *scanner {
 	n := src.numPages()
-	if !circular || parallelism < 1 {
+	if !circular {
 		parallelism = 1
 	}
-	if int64(parallelism) > n {
-		parallelism = int(n)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = int(max(1, min(int64(parallelism), n)))
 	s := &scanner{hostID: hostID, src: src, n: n, circular: circular}
 	s.cond = sync.NewCond(&s.mu)
-	per := n / int64(parallelism)
-	rem := n % int64(parallelism)
-	lo := int64(0)
-	for k := 0; k < parallelism; k++ {
-		hi := lo + per
-		if int64(k) < rem {
-			hi++
-		}
-		s.parts = append(s.parts, partition{lo: lo, hi: hi, pos: lo})
-		lo = hi
+	for k, p := int64(0), int64(parallelism); k < p; k++ {
+		s.parts = append(s.parts, partition{lo: n * k / p, hi: n * (k + 1) / p, pos: n * k / p})
 	}
 	return s
 }
@@ -507,6 +494,28 @@ func (r *scanRegistry) remove(key string, s *scanner) {
 	r.mu.Unlock()
 }
 
+// admit attaches pkt, a consumer of filter and project, to a live scanner of
+// key that can still serve it whole. Ordered consumers have a spike WoP;
+// unordered ones can join a circular scan group anywhere but a one-shot
+// (ordered) scanner only at its very start.
+func (r *scanRegistry) admit(key string, pkt *core.Packet, filter expr.Pred, project []int, ordered bool) bool {
+	return r.visit(key, func(s *scanner) bool {
+		_, ok := s.attach(&scanConsumer{pkt: pkt, filter: filter, project: project}, ordered || !s.circular)
+		return ok
+	})
+}
+
+// admitted counts pkt's attach to a running scan as a share and cancels the
+// inputs it no longer needs.
+func admitted(rt *core.Runtime, pkt *core.Packet) bool {
+	pkt.Query.Stats.SatelliteAttaches.Add(1)
+	rt.NoteShare(pkt.Node.Op())
+	for _, ch := range pkt.Children {
+		ch.CancelSubtree()
+	}
+	return true
+}
+
 // visit iterates live scanners for a key until fn returns true.
 func (r *scanRegistry) visit(key string, fn func(*scanner) bool) bool {
 	r.mu.Lock()
@@ -556,23 +565,7 @@ func (o *TableScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 // page still in memory" case).
 func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
 	node := pkt.Node.(*plan.TableScan)
-	attached := o.reg.visit("tbl:"+node.Table, func(s *scanner) bool {
-		// Ordered consumers have a spike WoP; unordered consumers can join a
-		// circular scan group anywhere but a one-shot (ordered) scanner only
-		// at its very start.
-		requireStart := node.Ordered || !s.circular
-		c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-		_, ok := s.attach(c, requireStart)
-		return ok
-	})
-	if attached {
-		pkt.Query.Stats.SatelliteAttaches.Add(1)
-		rt.NoteShare(plan.OpTableScan)
-		for _, ch := range pkt.Children {
-			ch.CancelSubtree()
-		}
-	}
-	return attached
+	return o.reg.admit("tbl:"+node.Table, pkt, node.Filter, node.Project, node.Ordered) && admitted(rt, pkt)
 }
 
 // Run implements core.Operator: the packet becomes the host of a new scan
@@ -593,24 +586,23 @@ func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	// own shared lock, so the group's page reads stay covered even after
 	// the host query finishes.
 	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	// Snapshot fence: the scan group (host plus any satellites that attach
-	// mid-flight) must observe one committed state of the table. The overlap
-	// chain of query-level shared locks excludes committing writers for the
-	// group's whole life; checking the commit counter turns a violation of
-	// that invariant into a hard error instead of silently torn results.
+	return fenced(tb, func() error {
+		return o.reg.run(rt, "tbl:"+node.Table, c, node.Ordered, heapSource{f: tb.Heap}, rt.ParallelismFor(pkt.Query, node.Parallelism))
+	})
+}
+
+// fenced runs scan of tb's rows. The scan group (host plus any satellites that
+// attach mid-flight) must observe one committed state of the table: the
+// overlap chain of query-level shared locks excludes committing writers for
+// the group's whole life, and checking the commit counter turns a violation
+// of that invariant into a hard error instead of silently torn results.
+func fenced(tb *sm.Table, scan func() error) error {
 	fence := tb.CommitSeq()
-	err = o.reg.run(rt, "tbl:"+node.Table, c, node.Ordered, heapSource{f: tb.Heap}, rt.ParallelismFor(pkt.Query, node.Parallelism))
-	if err != nil {
+	if err := scan(); err != nil {
 		return err
 	}
 	if end := tb.CommitSeq(); end != fence {
-		return &sm.TornScanError{Table: node.Table, Start: fence, End: end}
+		return &sm.TornScanError{Table: tb.Name, Start: fence, End: end}
 	}
 	return nil
 }
-
-var _ interface {
-	core.Operator
-	core.Sharer
-	core.Admitter
-} = (*TableScanOp)(nil)

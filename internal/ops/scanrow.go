@@ -1,14 +1,15 @@
 // From encoded rows to consumer rows: the part of the scan µEngine that
 // decides, per consumer, whether a stored row becomes a tuple at all. A page
 // is worked on as a whole, under its one pin: the frame's layout locates every
-// column of every live row — once for all consumers and, while the page stays
-// resident and unwritten, for all scans; each consumer then
-// narrows a selection vector of row numbers with one loop per `col op
-// literal` conjunct, comparing the encoded column where it lies (and one more
-// loop when a hash join handed its build keys over), runs the rest of its
-// filter on the survivors only, and has all of them carved from the worker's
-// arena at once and decoded column by column — or, when the consumer is an
-// aggregate that handed its accumulators down, added to those where they lie.
+// column of every live row and holds each kind-uniform numeric column decoded
+// into a vector — once for all consumers and, while the page stays resident
+// and unwritten, for all scans; each consumer then narrows a selection vector
+// of row numbers with one loop per `col op literal` conjunct, on the column's
+// vector or its bytes (and one more, on one hash a row, when a hash join
+// handed its build keys over), runs the rest of its filter on the survivors
+// only, and has all of them carved from the worker's arena at once and filled
+// column by column — or, when the consumer is an aggregate that handed its
+// accumulators down, added to those where they lie.
 package ops
 
 import (
@@ -42,7 +43,7 @@ type rowProgram struct {
 type encCmp struct {
 	col    int
 	lit    tuple.Value
-	litNum bool // the literal is a number: numbers are compared in place
+	litNum bool // the literal is a number: a vector is compared as numbers
 	holds  uint8
 }
 
@@ -123,7 +124,8 @@ func (f *scanFold) partial(k int) *groupTable {
 }
 
 // pageTask is one consumer's share of a page: what it wants of the rows
-// going in — built, or added to part when its aggregate handed fold down;
+// going in — built, or added to part when its aggregate handed fold down (keys
+// is then the fold's probe bitmap when the fold went through a join);
 // its batch, how many rows its join's keys excluded (by the bitmap or, in a
 // fold through the join, by the compare) and how many rows or pairs were
 // folded, coming out.
@@ -138,12 +140,12 @@ type pageTask struct {
 }
 
 // pageKernel is what one scanning goroutine owns to turn a page of encoded
-// rows into tuples: the pinned frame's bytes and layout, the selection vector
-// of the consumer being served (and each selected row's group, when it
-// folds, after its build row when it folds through a join), a scratch row the
-// residual predicates (in table columns) and then the aggregate arguments (in
-// the aggregate's input columns) read, never published, and the arena kept
-// rows are carved from. The arena lives across pages and consumers — a chunk
+// rows into tuples: the pinned frame's bytes and layout, each column's number
+// vector (nil: none) and kind, the selection vector of the consumer being
+// served with a hash and, when it folds, a group a row (after its build row
+// through a join), a scratch row the residual predicates (in table columns)
+// and then the aggregate arguments (in the aggregate's input columns) read,
+// never published, and the arena kept rows are carved from. The arena lives across pages and consumers — a chunk
 // is garbage once no row carved from it is referenced — so a page costs no
 // allocation of its own.
 type pageKernel struct {
@@ -151,7 +153,10 @@ type pageKernel struct {
 	stride  int      // ncols + 1
 	offs    []uint16 // column c of row r starts at buf[offs[r*stride+c]]
 	nrows   int
+	kinds   []tuple.Kind
+	vecs    [][]uint64
 	sel     []int32
+	hs      []uint64
 	pairs   []int32 // the probe row of each (probe row, build row) pair
 	builds  []int32 // and its build row
 	groups  []int32
@@ -160,7 +165,7 @@ type pageKernel struct {
 }
 
 func newPageKernel(ncols int) *pageKernel {
-	return &pageKernel{stride: ncols + 1, scratch: make(tuple.Tuple, ncols)}
+	return &pageKernel{stride: ncols + 1, kinds: make([]tuple.Kind, ncols), vecs: make([][]uint64, ncols), scratch: make(tuple.Tuple, ncols)}
 }
 
 // buildPage visits page ord of src once, under one pin, and leaves in each
@@ -185,6 +190,10 @@ func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool 
 // will read.
 func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *tbuf.BatchPool) {
 	k.buf, k.offs, k.nrows = buf, l.Offs, l.Rows
+	for c := range k.vecs {
+		kind, vec := l.Vec(c)
+		k.kinds[c], k.vecs[c] = tuple.Kind(kind), vec
+	}
 	for ti := range tasks {
 		t := &tasks[ti]
 		sel := k.selected(t)
@@ -204,6 +213,12 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *t
 			t.out = append(t.out, vals[i*w:(i+1)*w:(i+1)*w])
 		}
 		for j, col := range t.prog.out {
+			if kind, vec := k.kinds[col], k.vecs[col]; vec != nil {
+				for i, r := range sel {
+					tuple.SetNumber(&vals[i*w+j], kind, vec[r])
+				}
+				continue
+			}
 			for i, r := range sel {
 				tuple.DecodeInto(&vals[i*w+j], k.at(r, col))
 			}
@@ -211,30 +226,30 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *t
 	}
 }
 
-// fold adds the loaded page's rows sel to t's partial table from their bytes.
-// Through a join each row first becomes its (probe row, build row) pairs: the
-// key is hashed and compared where it lies against the build rows of its chain,
-// so duplicate build keys give several pairs and a false positive of the
-// bitmap none. Then each input row's group is found — the key hashed in the
-// aggregate's key order (tuple.HashValue of a build column, tuple.HashEncoded
-// of a scanned one: together tuple.HashAt of the row the join would have
-// built, so absorb merges partials from pages and from rows) and compared
-// where it lies, decoded once when it starts a group — and every aggregate is
-// fed in a loop of its own, from the side its argument lives on: a count, a
-// build column's Value, the encoded column, or an expression on the scratch
-// row. Input column c of a row is build column c when c < wl, else table
-// column out[c-wl]; without a build side wl is 0 and the rows are sel.
+// fold adds the loaded page's rows sel to t's partial table. Through a join
+// each row first becomes its (probe row, build row) pairs: the chain of the
+// key's hash — the one selected computed for the bitmap — is walked and the
+// key compared against each build row's, so duplicate build keys give several
+// pairs and a false positive of the bitmap none. Then each input row's group
+// is found — the key hashed in the aggregate's key order, a column at a time
+// (tuple.HashValue of a build column, k.hash of a scanned one: together
+// tuple.HashAt of the row the join would have built, so absorb merges partials
+// from pages and from rows) and compared, made a Value once when it starts a
+// group — and every aggregate is fed in a loop of its own, from the side its
+// argument lives on: a count, a build column's Value, the scanned column's
+// vector or encoded bytes, or an expression on the scratch row. Input column c
+// of a row is build column c when c < wl, else table column out[c-wl]; without
+// a build side wl is 0 and the rows are sel.
 func (k *pageKernel) fold(t *pageTask, sel []int32) {
 	f, part, out, wl := t.fold, t.part, t.prog.out, t.fold.width
 	rows, builds := sel, []int32(nil)
 	if f.build != nil {
 		rows, builds = k.pairs[:0], k.builds[:0]
-		for _, r := range sel {
-			key, n := k.at(r, f.probe.Col), len(rows)
-			h := tuple.HashEncoded(tuple.HashSeed, key)
-			for i := f.build.first(h); i >= 0; i = f.build.after(i, h) {
-				if tuple.CompareEncoded(key, f.build.rows[i][f.lkey]) == 0 {
-					rows, builds = append(rows, r), append(builds, int32(i))
+		for i, r := range sel {
+			h, n := k.hs[i], len(rows)
+			for b := f.build.first(h); b >= 0; b = f.build.after(b, h) {
+				if k.equal(r, f.probe.Col, f.build.rows[b][f.lkey]) {
+					rows, builds = append(rows, r), append(builds, int32(b))
 				}
 			}
 			if len(rows) == n {
@@ -255,28 +270,26 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 		}
 		clear(groups)
 	} else {
+		hs := k.seeded(len(rows))
+		for _, c := range f.keys {
+			if c >= wl {
+				k.hash(hs, rows, out[c-wl])
+				continue
+			}
+			for i, b := range builds {
+				hs[i] = tuple.HashValue(hs[i], &f.build.rows[b][c])
+			}
+		}
 		var b tuple.Tuple
 		for i, r := range rows {
 			if builds != nil {
 				b = f.build.rows[builds[i]]
 			}
-			h := tuple.HashSeed
-			for _, c := range f.keys {
-				if c < wl {
-					h = tuple.HashValue(h, &b[c])
-				} else {
-					h = tuple.HashEncoded(h, k.at(r, out[c-wl]))
-				}
-			}
-			g := part.groups.first(h)
+			g := part.groups.first(hs[i])
 		next:
-			for ; g >= 0; g = part.groups.after(g, h) {
+			for ; g >= 0; g = part.groups.after(g, hs[i]) {
 				for j, c := range f.keys {
-					if c < wl {
-						if !tuple.Equal(b[c], part.groups.rows[g][j]) {
-							continue next
-						}
-					} else if tuple.CompareEncoded(k.at(r, out[c-wl]), part.groups.rows[g][j]) != 0 {
+					if c < wl && !tuple.Equal(b[c], part.groups.rows[g][j]) || c >= wl && !k.equal(r, out[c-wl], part.groups.rows[g][j]) {
 						continue next
 					}
 				}
@@ -288,16 +301,17 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 					if c < wl {
 						key[j] = b[c]
 					} else {
-						tuple.DecodeInto(&key[j], k.at(r, out[c-wl]))
+						key[j] = k.value(r, out[c-wl])
 					}
 				}
-				g = part.newGroup(h, key)
+				g = part.newGroup(hs[i], key)
 			}
 			groups[i] = int32(g)
 		}
 	}
 	for j, s := range f.specs {
-		switch col, bare := s.Arg.(*expr.ColRef); {
+		col, bare := s.Arg.(*expr.ColRef)
+		switch {
 		case s.Arg == nil || s.Kind == expr.AggCount: // a count does not look at its argument
 			for _, g := range groups {
 				part.states[g][j].AddCount(1)
@@ -305,6 +319,11 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 		case bare && col.Ix < wl:
 			for i, bi := range builds {
 				part.states[groups[i]][j].AddValue(f.build.rows[bi][col.Ix])
+			}
+		case bare && k.vecs[out[col.Ix-wl]] != nil:
+			kind, vec := k.kinds[out[col.Ix-wl]], k.vecs[out[col.Ix-wl]]
+			for i, r := range rows {
+				part.states[groups[i]][j].AddNumber(kind, vec[r])
 			}
 		case bare:
 			for i, r := range rows {
@@ -319,7 +338,7 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 					copy(k.scratch, f.build.rows[builds[i]])
 				}
 				for o, c := range out {
-					k.scratch[wl+o] = tuple.DecodeValue(k.at(r, c))
+					k.scratch[wl+o] = k.value(r, c)
 				}
 				part.states[groups[i]][j].AddValue(s.Arg.Eval(k.scratch))
 			}
@@ -333,12 +352,57 @@ func (k *pageKernel) at(r int32, col int) []byte {
 	return k.buf[k.offs[int(r)*k.stride+col]:]
 }
 
+// value returns column col of row r: from the column's vector, or decoded.
+func (k *pageKernel) value(r int32, col int) (v tuple.Value) {
+	if vec := k.vecs[col]; vec != nil {
+		tuple.SetNumber(&v, k.kinds[col], vec[r])
+		return v
+	}
+	return tuple.DecodeValue(k.at(r, col))
+}
+
+// equal reports whether column col of row r equals v, as tuple.Equal would.
+func (k *pageKernel) equal(r int32, col int, v tuple.Value) bool {
+	if vec := k.vecs[col]; vec != nil {
+		return tuple.CompareNumber(k.kinds[col], vec[r], v) == 0
+	}
+	return tuple.CompareEncoded(k.at(r, col), v) == 0
+}
+
+// seeded returns n hash states at tuple.HashSeed, in k.hs.
+func (k *pageKernel) seeded(n int) []uint64 {
+	if cap(k.hs) < n {
+		k.hs = make([]uint64, n)
+	}
+	hs := k.hs[:n]
+	for i := range hs {
+		hs[i] = tuple.HashSeed
+	}
+	return hs
+}
+
+// hash folds column col of each of rows into its state in hs — the one hash
+// pass of the page kernel: the bitmap's, the probe's (the same hashes) and the
+// group keys' — as tuple.HashAt folds the decoded value.
+func (k *pageKernel) hash(hs []uint64, rows []int32, col int) {
+	if kind, vec := k.kinds[col], k.vecs[col]; vec != nil {
+		for i, r := range rows {
+			hs[i] = tuple.HashNumber(hs[i], kind, vec[r])
+		}
+		return
+	}
+	for i, r := range rows {
+		hs[i] = tuple.HashEncoded(hs[i], k.at(r, col))
+	}
+}
+
 // selected returns the numbers of the loaded page's rows that t's consumer
-// keeps. Every step compacts the vector in place: the write index never
-// passes the read index.
+// keeps and, when a join's keys narrowed it, leaves each kept row's key hash
+// at the same index of k.hs. Every step compacts the vector in place: the
+// write index never passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
 	if cap(k.sel) < k.nrows {
-		k.sel = make([]int32, k.nrows)
+		k.sel, k.hs = make([]int32, k.nrows), make([]uint64, k.nrows)
 	}
 	sel := k.sel[:k.nrows]
 	for r := range sel {
@@ -348,22 +412,23 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 		sel = k.compare(sel, &t.prog.cmps[i])
 	}
 	if f := t.keys; f != nil {
-		n := 0
-		for _, r := range sel {
-			bit := tuple.HashEncoded(tuple.HashSeed, k.at(r, f.Col)) >> f.Shift
-			sel[n] = r
+		hs, n := k.seeded(len(sel)), 0
+		k.hash(hs, sel, f.Col)
+		for i, r := range sel {
+			bit := hs[i] >> f.Shift
+			sel[n], hs[n] = r, hs[i]
 			n += int(f.Bits[bit>>6] >> (bit & 63) & 1)
 		}
 		t.skipped, sel = len(sel)-n, sel[:n]
 	}
 	if p := t.prog; p.residual != nil {
 		n := 0
-		for _, r := range sel {
+		for i, r := range sel {
 			for _, col := range p.resCols {
-				k.scratch[col] = tuple.DecodeValue(k.at(r, col))
+				k.scratch[col] = k.value(r, col)
 			}
+			sel[n], k.hs[n] = r, k.hs[i]
 			if p.residual.Test(k.scratch) {
-				sel[n] = r
 				n++
 			}
 		}
@@ -373,40 +438,34 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 }
 
 // compare narrows sel to the rows whose column c.col stands to the literal as
-// the operator asks. A number against a numeric literal is compared where it
-// lies, the way tuple.Compare would (as floats if either is one); anything
-// else goes through tuple.CompareEncoded. The append is branch-free: the row
-// number is always written and the length moves by the outcome.
+// the operator asks: a column with a vector against a numeric literal in one
+// loop of its pair of kinds, the way tuple.Compare would (as floats if either
+// is one); anything else through tuple.CompareEncoded. The append is
+// branch-free: the row number is always written and the length moves by the
+// outcome.
 func (k *pageKernel) compare(sel []int32, c *encCmp) []int32 {
-	n := 0
-	litF, litIsF := c.lit.AsFloat(), c.lit.K == tuple.KindFloat
-	for _, r := range sel {
-		b := k.at(r, c.col)
-		var o int
-		switch kind, bits, num := tuple.EncodedNumber(b); {
-		case !num || !c.litNum:
-			o = tuple.CompareEncoded(b, c.lit) + 1
-		case kind == tuple.KindFloat:
-			o = order(math.Float64frombits(bits), litF)
-		case litIsF:
-			o = order(float64(int64(bits)), litF)
-		default:
-			o = order(int64(bits), c.lit.I)
+	n, vec, litF := 0, k.vecs[c.col], c.lit.AsFloat()
+	switch {
+	case vec == nil || !c.litNum:
+		for _, r := range sel {
+			sel[n] = r
+			n += int(c.holds >> (tuple.CompareEncoded(k.at(r, c.col), c.lit) + 1) & 1)
 		}
-		sel[n] = r
-		n += int(c.holds >> o & 1)
+	case k.kinds[c.col] == tuple.KindFloat:
+		for _, r := range sel {
+			sel[n] = r
+			n += int(c.holds >> (tuple.Sign(math.Float64frombits(vec[r]), litF) + 1) & 1)
+		}
+	case c.lit.K == tuple.KindFloat:
+		for _, r := range sel {
+			sel[n] = r
+			n += int(c.holds >> (tuple.Sign(float64(int64(vec[r])), litF) + 1) & 1)
+		}
+	default:
+		for _, r := range sel {
+			sel[n] = r
+			n += int(c.holds >> (tuple.Sign(int64(vec[r]), c.lit.I) + 1) & 1)
+		}
 	}
 	return sel[:n]
-}
-
-// order is 0, 1 or 2 for a below, equal to (or unordered with) or above b.
-func order[T int64 | float64](a, b T) int {
-	o := 1
-	if a < b {
-		o = 0
-	}
-	if a > b {
-		o = 2
-	}
-	return o
 }

@@ -12,8 +12,10 @@ import (
 )
 
 // FuzzScanPageBytes hands a scan arbitrary bytes as the one page of a heap, on
-// a device and through a pool, twice: the first visit derives the layout, the
-// second is served from the frame's. The outcome of each is every consumer's
+// a device and through a pool, three times: the first visit derives the
+// layout, the second is served from the frame's, the third from the frame's
+// stripped of its number vectors — and must come out exactly as the second
+// did. The outcome of each is every consumer's
 // rows — then exactly what decoding the whole page and filtering the decoded
 // rows gives, for the consumer that folds, its partial merged equal to
 // aggregating those, and for the one that folds through a build table, to
@@ -41,6 +43,13 @@ func FuzzScanPageBytes(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0, 0})
+	floats := page.New(256) // the join's probe key a FLOAT column: its vector is hashed and probed
+	for i := 0; i < 5; i++ {
+		if _, err := floats.InsertTuple(tuple.Tuple{tuple.F64(float64(i)), tuple.I64(int64(i % 2)), tuple.Str("s"), tuple.Date(19000)}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(floats.Bytes())
 
 	filters := []expr.Pred{
 		nil,
@@ -66,8 +75,10 @@ func FuzzScanPageBytes(f *testing.F) {
 			return // a device has no blocks of no bytes (page.FuzzLocate has them)
 		}
 		src := rawHeap(t, width, raw)
-		for _, warm := range []bool{false, true} {
-			fuzzVisit(t, src, raw, warm, filters, projects, keys, specs)
+		fuzzVisit(t, src, src, raw, false, filters, projects, keys, specs)
+		onVectors := fuzzVisit(t, src, src, raw, true, filters, projects, keys, specs)
+		if onBytes := fuzzVisit(t, src, encodedOnly{src}, raw, true, filters, projects, keys, specs); onBytes != onVectors {
+			t.Fatalf("the kernel on the bytes: %s\non the vectors: %s", onBytes, onVectors)
 		}
 	})
 }
@@ -82,8 +93,9 @@ var (
 		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.Col(2+2))}, {Kind: expr.AggAvg, Arg: expr.Col(2 + 0)}}
 )
 
-// fuzzVisit is one visit of FuzzScanPageBytes' page, held to the decoder.
-func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []expr.Pred, projects [][]int, keys []int, specs []expr.AggSpec) {
+// fuzzVisit is one visit of FuzzScanPageBytes' page through from, held to the
+// decoder; it returns what every consumer got (or the error).
+func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm bool, filters []expr.Pred, projects [][]int, keys []int, specs []expr.AggSpec) string {
 	const width = 4
 	{
 		progs := programs(width, filters, projects)
@@ -92,7 +104,7 @@ func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []ex
 		joined := &scanFold{keys: fuzzJoinKeys, specs: fuzzJoinSpecs}
 		joinedFold(joined, fuzzBuild, 2, 0, 0, projects[5])
 		progs[5].fold, progs[5].part, progs[5].keys = joined, joined.partial(0), joined.probe
-		fresh, err := buildPage(src, 0, newPageKernel(width), progs, nil)
+		fresh, err := buildPage(from, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
 			outs[i] = progs[i].out
@@ -114,7 +126,7 @@ func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []ex
 			if n := src.f.Pool().Stats().Layouts; n != 0 {
 				t.Fatalf("%d layouts published of a page that failed: %v", n, err)
 			}
-			return
+			return err.Error()
 		}
 		if n := src.f.Pool().Stats().Layouts; fresh == warm || n != 1 {
 			t.Fatalf("warm %v: the visit derived a layout: %v; %d published", warm, fresh, n)
@@ -160,5 +172,6 @@ func fuzzVisit(t *testing.T, src heapSource, raw []byte, warm bool, filters []ex
 				}
 			}
 		}
+		return fmt.Sprintf("%#v %v %v", outs[:4], groupRows(progs[4].part), groupRows(progs[5].part))
 	}
 }

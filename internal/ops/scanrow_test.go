@@ -57,21 +57,70 @@ func rawHeap(t testing.TB, width int, blocks ...[]byte) heapSource {
 }
 
 // runLocated is the kernel on one page's bytes, located here: what a scan's
-// first visit of a cold page does, without a pool.
-func runLocated(raw []byte, width int, tasks []pageTask) error {
+// first visit of a cold page does, without a pool — on the layout as located,
+// or with its number vectors stripped (every column read from its bytes).
+func runLocated(raw []byte, width int, tasks []pageTask, vectors bool) error {
 	l, err := page.Locate(raw, width)
 	if err != nil {
 		return err
 	}
+	if !vectors {
+		l = stripped(l)
+	}
 	newPageKernel(width).run(raw, l, tasks, nil)
 	return nil
+}
+
+// stripped is l without its number vectors.
+func stripped(l *buffer.Layout) *buffer.Layout { return &buffer.Layout{Rows: l.Rows, Offs: l.Offs} }
+
+// encodedOnly is a page source whose layouts are stripped of their vectors.
+type encodedOnly struct{ pageSource }
+
+func (s encodedOnly) pinPage(ord int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	fr, l, fresh, err := s.pageSource.pinPage(ord)
+	if err == nil {
+		l = stripped(l)
+	}
+	return fr, l, fresh, err
+}
+
+// vectorCols checks that Locate gave a column of the page a number vector
+// exactly when its live values are numbers of one kind, and returns those
+// columns.
+func vectorCols(t *testing.T, raw []byte, width int) []int {
+	t.Helper()
+	l, err := page.Locate(raw, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := page.FromBytes(raw).Tuples(width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []int
+	for c := 0; c < width; c++ {
+		uniform := len(rows) > 0 && rows[0][c].K != tuple.KindString
+		for _, r := range rows {
+			uniform = uniform && r[c].K == rows[0][c].K
+		}
+		if kind, vec := l.Vec(c); (vec != nil) != uniform || vec != nil && tuple.Kind(kind) != rows[0][c].K {
+			t.Fatalf("column %d: a vector of kind %d (%d numbers); kind-uniform %v", c, kind, len(vec), uniform)
+		}
+		if uniform {
+			cols = append(cols, c)
+		}
+	}
+	return cols
 }
 
 // TestPageKernel holds the kernel to its specification: each consumer of a
 // page gets, in stored order, exactly Filter.Test and Project of the rows the
 // whole-page decoder (the iterator engine's, which shares no code with the
 // kernel) reads from the same bytes — whatever the page holds and however
-// the filter splits into in-place comparisons and a residual.
+// the filter splits into in-place comparisons and a residual, and whether it
+// reads a column from its number vector or from its bytes: every case runs on
+// the layout as located and with the vectors stripped.
 func TestPageKernel(t *testing.T) {
 	I, F, S, D := tuple.I64, tuple.F64, tuple.Str, tuple.Date
 	numbers := make([]tuple.Tuple, 40)
@@ -88,6 +137,29 @@ func TestPageKernel(t *testing.T) {
 	mixed := []tuple.Tuple{
 		{S("a"), I(1)}, {S("seven77"), I(2)}, {S("a much longer string than the others"), I(3)}, {S(""), I(4)},
 	}
+	// Columns that get no vector: INT and FLOAT in one, a DATE among INTs in
+	// another; beside an INT column that does.
+	intAndFloat := make([]tuple.Tuple, 24)
+	for i := range intAndFloat {
+		intAndFloat[i] = tuple.Tuple{I(int64(i)), F(float64(i) + 0.5), I(int64(i % 3))}
+		if i%3 == 0 {
+			intAndFloat[i][1], intAndFloat[i][2] = I(int64(i)), D(int64(i%3))
+		}
+	}
+	// Ints either side of 2^53, where float64 stops telling them apart.
+	var big []tuple.Tuple
+	for _, v := range []int64{1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, 1<<60 + 1, -(1<<60 + 1), 7} {
+		big = append(big, tuple.Tuple{I(v), D(v % 1000)})
+	}
+	var odd []tuple.Tuple // NaNs, zeros of both signs, infinities
+	for _, f := range []float64{math.NaN(), 0, math.Copysign(0, -1), 1, math.Inf(1), math.Inf(-1), math.NaN(), -2.5} {
+		odd = append(odd, tuple.Tuple{F(f), I(int64(len(odd)))})
+	}
+	everyOp := func(col int, lit expr.Expr) []expr.Pred {
+		return []expr.Pred{expr.EQ(expr.Col(col), lit), expr.NE(expr.Col(col), lit), expr.LT(expr.Col(col), lit),
+			expr.LE(expr.Col(col), lit), expr.GT(expr.Col(col), lit), expr.GE(expr.Col(col), lit)}
+	}
+	six := [][]int{nil, {0}, {1}, nil, {1, 0}, {0}}
 
 	cases := []struct {
 		name     string
@@ -136,6 +208,23 @@ func TestPageKernel(t *testing.T) {
 				expr.AndOf(expr.BetweenOf(expr.Col(0), I(4), F(20.5)), expr.NotOf(expr.EQ(expr.Col(2), expr.Col(2))), expr.NE(expr.Col(3), expr.CInt(9))),
 			},
 			[][]int{{3}, nil, {0, 0}}},
+		{"INT and FLOAT in one column, a DATE among INTs: no vector", 3, intAndFloat, []int{4},
+			[]expr.Pred{
+				expr.AndOf(expr.LT(expr.Col(1), expr.CInt(12)), expr.GE(expr.Col(2), expr.CInt(1))),
+				expr.EQ(expr.Col(1), expr.CFloat(9)),
+				expr.OrOf(expr.GT(expr.Col(1), expr.CFloat(20.25)), expr.EQ(expr.Col(2), expr.CDate(0))),
+			},
+			[][]int{{1, 2}, nil, {2, 0}}},
+		{"ints beyond 2^53 against a FLOAT literal", 2, big, nil,
+			append(everyOp(0, expr.CFloat(1<<53)), expr.LT(expr.Col(0), expr.CFloat(1<<60)), expr.EQ(expr.Col(0), expr.CInt(1<<53+1))),
+			append(six, []int{0}, nil)},
+		{"NaN against every operator", 2, odd, []int{7}, everyOp(0, expr.CFloat(math.NaN())), six},
+		{"NaN, -0 and the infinities against a number", 2, odd, nil,
+			append(everyOp(0, expr.CInt(0)), expr.LT(expr.Col(0), expr.CFloat(math.Inf(1))), expr.GE(expr.Col(0), expr.CDate(-3))),
+			append(six, nil, []int{1})},
+		{"DATE against DATE, INT and FLOAT literals", 2, big, []int{0},
+			append(everyOp(1, expr.CDate(993)), expr.LT(expr.Col(1), expr.CInt(500)), expr.GE(expr.Col(1), expr.CFloat(992.5))),
+			append(six, []int{1}, nil)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -144,86 +233,113 @@ func TestPageKernel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tasks := programs(c.width, c.filters, c.projects)
-			if err := runLocated(raw, c.width, tasks); err != nil {
-				t.Fatal(err)
-			}
-			for i := range tasks {
-				var want []tuple.Tuple
-				for _, r := range decoded {
-					if c.filters[i] != nil && !c.filters[i].Test(r) {
-						continue
-					}
-					if c.projects[i] != nil {
-						r = r.Project(c.projects[i])
-					}
-					want = append(want, r)
-				}
-				got := tasks[i].out
-				if len(got) != len(want) {
-					t.Fatalf("consumer %d: %d rows, decode-then-filter gives %d", i, len(got), len(want))
-				}
-				for j := range got {
-					if fmt.Sprintf("%#v", got[j]) != fmt.Sprintf("%#v", want[j]) {
-						t.Fatalf("consumer %d row %d: %#v, decode-then-filter gives %#v", i, j, got[j], want[j])
-					}
-				}
-				if len(want) == 0 && got != nil {
-					t.Fatalf("consumer %d leased an array for no row", i)
-				}
+			t.Logf("columns with a vector: %v", vectorCols(t, raw, c.width))
+			for _, vectors := range []bool{true, false} {
+				pageKernelCase(t, raw, c.width, decoded, c.filters, c.projects, vectors)
 			}
 		})
 	}
 }
 
+// pageKernelCase is one run of a TestPageKernel case: every consumer's rows
+// are exactly decode-then-filter's.
+func pageKernelCase(t *testing.T, raw []byte, width int, decoded []tuple.Tuple, filters []expr.Pred, projects [][]int, vectors bool) {
+	tasks := programs(width, filters, projects)
+	if err := runLocated(raw, width, tasks, vectors); err != nil {
+		t.Fatal(err)
+	}
+	for i := range tasks {
+		var want []tuple.Tuple
+		for _, r := range decoded {
+			if filters[i] != nil && !filters[i].Test(r) {
+				continue
+			}
+			if projects[i] != nil {
+				r = r.Project(projects[i])
+			}
+			want = append(want, r)
+		}
+		got := tasks[i].out
+		if len(got) != len(want) {
+			t.Fatalf("vectors %v, consumer %d: %d rows, decode-then-filter gives %d", vectors, i, len(got), len(want))
+		}
+		for j := range got {
+			if fmt.Sprintf("%#v", got[j]) != fmt.Sprintf("%#v", want[j]) {
+				t.Fatalf("vectors %v, consumer %d row %d: %#v, decode-then-filter gives %#v", vectors, i, j, got[j], want[j])
+			}
+		}
+		if len(want) == 0 && got != nil {
+			t.Fatalf("vectors %v, consumer %d leased an array for no row", vectors, i)
+		}
+	}
+}
+
 // TestPageKernelKeyFilter: a join's build keys are one more selection loop.
 // A row whose key's bit is clear is not built and is counted, whatever the
-// key's kind — a TEXT key is hashed on its bytes where it lies; a false
-// positive is left to the join; the consumer beside it on the same page is not
-// affected.
+// key's kind — a TEXT key is hashed on its bytes where it lies, a number from
+// its column's vector when it has one; a false positive is left to the join;
+// the consumer beside it on the same page is not affected. Both kernels keep
+// the same rows.
 func TestPageKernelKeyFilter(t *testing.T) {
 	rows := make([]tuple.Tuple, 60)
 	for i := range rows {
 		rows[i] = tuple.Tuple{tuple.I64(int64(i)), tuple.F64(float64(i % 10)), tuple.Str("x")}
 	}
-	rows[58][1], rows[59][1] = tuple.Str("a text key, longer than a word"), tuple.Str("not a key")
-	raw := pageOf(t, rows)
+	// A FLOAT key column and an INT one (each a vector), and one with TEXT in
+	// it (none).
+	ints := make([]tuple.Tuple, len(rows))
+	for i, r := range rows {
+		ints[i] = tuple.Tuple{r[0], tuple.I64(int64(i % 10)), r[2]}
+	}
+	texts := append([]tuple.Tuple(nil), rows...)
+	texts[58] = tuple.Tuple{texts[58][0], tuple.Str("a text key, longer than a word"), texts[58][2]}
+	texts[59] = tuple.Tuple{texts[59][0], tuple.Str("not a key"), texts[59][2]}
 	keys := &core.KeyFilter{Col: 1, Shift: 64 - 10, Bits: make([]uint64, 1<<10/64)}
-	for _, k := range []tuple.Value{tuple.I64(3), tuple.F64(7), tuple.Date(8), rows[58][1]} { // any kind
+	for _, k := range []tuple.Value{tuple.I64(3), tuple.F64(7), tuple.Date(8), texts[58][1]} { // any kind
 		bit := tuple.Hash1(tuple.Tuple{k}, 0) >> keys.Shift
 		keys.Bits[bit>>6] |= 1 << (bit & 63)
 	}
-	tasks := programs(3, []expr.Pred{expr.LT(expr.Col(0), expr.CInt(50)), nil}, [][]int{{1, 0}, {0}})
-	tasks[0].keys = keys
-	if err := runLocated(raw, 3, tasks); err != nil {
-		t.Fatal(err)
-	}
-	matches := 0
-	for _, r := range tasks[0].out {
-		if k := r[0].F; k == 3 || k == 7 || k == 8 {
-			matches++
+	var kept [2][]string
+	for v, vectors := range []bool{true, false} {
+		for _, rows := range [][]tuple.Tuple{rows, ints, texts} {
+			raw := pageOf(t, rows)
+			tasks := programs(3, []expr.Pred{expr.LT(expr.Col(0), expr.CInt(50)), nil}, [][]int{{1, 0}, {0}})
+			tasks[0].keys = keys
+			if err := runLocated(raw, 3, tasks, vectors); err != nil {
+				t.Fatal(err)
+			}
+			matches := 0
+			for _, r := range tasks[0].out {
+				if k := r[0].AsFloat(); k == 3 || k == 7 || k == 8 {
+					matches++
+				}
+			}
+			// 15 of the 50 rows the filter keeps have a build key; at 4 keys in 1024
+			// bits a false positive or two may ride along.
+			if matches != 15 || len(tasks[0].out) > 20 || tasks[0].skipped != 50-len(tasks[0].out) {
+				t.Fatalf("vectors %v: narrowed consumer: %d rows (%d with a build key), %d skipped", vectors, len(tasks[0].out), matches, tasks[0].skipped)
+			}
+			if len(tasks[1].out) != 60 || tasks[1].skipped != 0 {
+				t.Fatalf("vectors %v: the consumer beside it: %d rows, %d skipped, want all 60", vectors, len(tasks[1].out), tasks[1].skipped)
+			}
+			tasks[1].keys, tasks[1].out = keys, nil
+			if err := runLocated(raw, 3, tasks[1:], vectors); err != nil {
+				t.Fatal(err)
+			}
+			text := 0
+			for _, r := range tasks[1].out {
+				if r[0].I == 58 {
+					text++
+				}
+			}
+			if n := len(tasks[1].out); &rows[0] == &texts[0] && text != 1 || n < 18 || n > 22 || tasks[1].skipped != 60-n {
+				t.Fatalf("vectors %v: the row with the TEXT build key was kept %d times among %d rows (want 18 and a false positive or two), %d skipped", vectors, text, n, tasks[1].skipped)
+			}
+			kept[v] = append(kept[v], fmt.Sprint(tasks[0].out, tasks[1].out))
 		}
 	}
-	// 15 of the 50 rows the filter keeps have a build key; at 4 keys in 1024
-	// bits a false positive or two may ride along.
-	if matches != 15 || len(tasks[0].out) > 20 || tasks[0].skipped != 50-len(tasks[0].out) {
-		t.Fatalf("narrowed consumer: %d rows (%d with a build key), %d skipped", len(tasks[0].out), matches, tasks[0].skipped)
-	}
-	if len(tasks[1].out) != 60 || tasks[1].skipped != 0 {
-		t.Fatalf("the consumer beside it: %d rows, %d skipped, want all 60", len(tasks[1].out), tasks[1].skipped)
-	}
-	tasks[1].keys, tasks[1].out = keys, nil
-	if err := runLocated(raw, 3, tasks[1:]); err != nil {
-		t.Fatal(err)
-	}
-	text := 0
-	for _, r := range tasks[1].out {
-		if r[0].I == 58 {
-			text++
-		}
-	}
-	if n := len(tasks[1].out); text != 1 || n < 18 || n > 22 || tasks[1].skipped != 60-n {
-		t.Fatalf("TEXT keys: the row with the build key was kept %d times among %d rows (want 18 and a false positive or two), %d skipped", text, n, tasks[1].skipped)
+	if !slices.Equal(kept[0], kept[1]) {
+		t.Fatalf("the kernel on vectors kept\n%v\nand on the bytes\n%v", kept[0], kept[1])
 	}
 }
 
@@ -314,6 +430,8 @@ func TestPageKernelFold(t *testing.T) {
 		same := []tuple.Value{I(int64(i % 3)), F(float64(i % 3)), D(int64(i % 3))}[i/3%3]
 		rows[i] = tuple.Tuple{I(int64(i)), same, F(float64(i*i%23) / 7), D(int64(19000 + i%4)), S(fmt.Sprint("name-", i%5))}
 	}
+	// -0 and +0 as FLOAT keys, beside INT zeros: one group, one hash.
+	zeros := []tuple.Tuple{{F(math.Copysign(0, -1)), I(1), I(0)}, {F(0), I(2), I(0)}, {F(math.Copysign(0, -1)), I(3), I(0)}}
 	special := make([]tuple.Tuple, 12)
 	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e308, 1e308, -1e308, 0.1, 0.2, -0.3, 1e-300} {
 		special[i] = tuple.Tuple{I(int64(i % 4)), F(f), S("")}
@@ -355,6 +473,7 @@ func TestPageKernelFold(t *testing.T) {
 		{"no survivor", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, []int{4}, everyKind(2)},
 		{"no survivor, scalar", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, nil, everyKind(2)},
 		{"one group per row", 5, rows, []int{35}, nil, nil, []int{0}, everyKind(4)},
+		{"-0 and +0 keys: one group", 3, zeros, nil, nil, nil, []int{0, 2}, append(everyKind(0), everyKind(1)...)},
 	}
 	// (key, label, w): the keys 0 as an INT and 1 as a FLOAT meet the scan's
 	// INT/FLOAT/DATE mix; its 2 has no build row, 5 no scanned one.
@@ -377,6 +496,8 @@ func TestPageKernelFold(t *testing.T) {
 		// the chain's stored hash both let the row through, the key compare does not.
 		{foldCase{"a false positive of the bitmap and of the hash", 2, []tuple.Tuple{{I(1<<60 + 1), I(1)}, {I(1 << 60), I(2)}, {I(1<<60 + 2), I(3)}, {I(7), I(4)}},
 			nil, nil, nil, []int{1 + 0}, everyKind(1 + 1)}, []tuple.Tuple{{I(1 << 60)}, {I(8)}}, 1, 0, 0},
+		{foldCase{"-0 and +0 probe keys against an INT 0 and a FLOAT -0", 3, zeros, nil, nil, []int{0, 1}, []int{1 + 0, 0}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(0)}, {F(math.Copysign(0, -1))}}, 1, 0, 0},
 		{foldCase{"no row has a build key", 5, rows, nil, nil, nil, []int{1}, everyKind(3)}, []tuple.Tuple{{I(77), S("x"), F(1)}}, 3, 0, 0},
 		{foldCase{"empty build side", 5, rows, nil, nil, nil, []int{3 + 4}, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
 		{foldCase{"empty build side, scalar", 5, rows, nil, nil, nil, nil, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
@@ -387,52 +508,59 @@ func TestPageKernelFold(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			raw := pageOf(t, c.rows, c.dead...)
-			tasks := programs(c.width, []expr.Pred{c.filter, c.filter, c.filter}, [][]int{c.project, c.project, c.project})
-			fold := &scanFold{keys: c.keys, specs: c.specs}
-			if c.build != nil {
-				joinedFold(fold, c.build, c.bw, c.lkey, c.rkey, c.project)
-			}
-			tasks[1].fold, tasks[1].part, tasks[1].keys = fold, fold.partial(0), fold.probe
-			if err := runLocated(raw, c.width, tasks); err != nil {
-				t.Fatal(err)
-			}
-			// What the aggregate is fed when the page's rows are built: the
-			// rows, or the join's output for them.
-			fed, unmatched := tasks[0].out, 0
-			if c.build != nil {
-				fed = probed(t, fold.build, c.lkey, c.rkey, tasks[0].out)
-				for _, r := range tasks[0].out {
-					if !slices.ContainsFunc(c.build, func(b tuple.Tuple) bool { return tuple.Equal(b[c.lkey], r[c.rkey]) }) {
-						unmatched++
+			var runs []string
+			for _, vectors := range []bool{true, false} {
+				tasks := programs(c.width, []expr.Pred{c.filter, c.filter, c.filter}, [][]int{c.project, c.project, c.project})
+				fold := &scanFold{keys: c.keys, specs: c.specs}
+				if c.build != nil {
+					joinedFold(fold, c.build, c.bw, c.lkey, c.rkey, c.project)
+				}
+				tasks[1].fold, tasks[1].part, tasks[1].keys = fold, fold.partial(0), fold.probe
+				if err := runLocated(raw, c.width, tasks, vectors); err != nil {
+					t.Fatal(err)
+				}
+				// What the aggregate is fed when the page's rows are built: the
+				// rows, or the join's output for them.
+				fed, unmatched := tasks[0].out, 0
+				if c.build != nil {
+					fed = probed(t, fold.build, c.lkey, c.rkey, tasks[0].out)
+					for _, r := range tasks[0].out {
+						if !slices.ContainsFunc(c.build, func(b tuple.Tuple) bool { return tuple.Equal(b[c.lkey], r[c.rkey]) }) {
+							unmatched++
+						}
 					}
 				}
-			}
-			t.Logf("%d rows kept, the aggregate is fed %d, %d have no build row", len(tasks[0].out), len(fed), unmatched)
-			want := newGroupTable(c.keys, c.specs)
-			for _, r := range fed {
-				want.add(r)
-			}
-			got, added := groupRows(tasks[1].part), groupRows(want)
-			for g := range max(len(got), len(added)) {
-				if g >= len(got) || g >= len(added) || got[g] != added[g] {
-					t.Fatalf("group %d of %d folded, %d added row by row:\nfolded %v\nadded  %v", g, len(got), len(added), got[g:min(g+1, len(got))], added[g:min(g+1, len(added))])
+				t.Logf("vectors %v: %d rows kept, the aggregate is fed %d, %d have no build row", vectors, len(tasks[0].out), len(fed), unmatched)
+				want := newGroupTable(c.keys, c.specs)
+				for _, r := range fed {
+					want.add(r)
 				}
+				got, added := groupRows(tasks[1].part), groupRows(want)
+				for g := range max(len(got), len(added)) {
+					if g >= len(got) || g >= len(added) || got[g] != added[g] {
+						t.Fatalf("group %d of %d folded, %d added row by row:\nfolded %v\nadded  %v", g, len(got), len(added), got[g:min(g+1, len(got))], added[g:min(g+1, len(added))])
+					}
+				}
+				// The partial merges with one filled from rows: a group's hash is
+				// HashAt of the row the aggregate would have been fed, whichever
+				// side its key columns come from.
+				want.absorb(tasks[1].part)
+				if len(want.states) != len(added) {
+					t.Fatalf("absorbing the folded partial into the table of the rows added made %d groups of %d", len(want.states), len(added))
+				}
+				if tasks[1].out != nil || tasks[1].folded != len(fed) || tasks[1].skipped != unmatched {
+					t.Fatalf("the folding consumer was handed %d rows, folded %d of %d and left out %d of %d", len(tasks[1].out), tasks[1].folded, len(fed), tasks[1].skipped, unmatched)
+				}
+				if len(tasks[2].out) != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
+					t.Fatalf("the consumers beside it: %d and %d rows, %d folded", len(tasks[0].out), len(tasks[2].out), tasks[0].folded+tasks[2].folded)
+				}
+				if len(fold.partials) != 1 || fold.partials[0] != tasks[1].part {
+					t.Fatalf("%d partials registered with the fold", len(fold.partials))
+				}
+				runs = append(runs, fmt.Sprint(groupRows(tasks[1].part)))
 			}
-			// The partial merges with one filled from rows: a group's hash is
-			// HashAt of the row the aggregate would have been fed, whichever
-			// side its key columns come from.
-			want.absorb(tasks[1].part)
-			if len(want.states) != len(added) {
-				t.Fatalf("absorbing the folded partial into the table of the rows added made %d groups of %d", len(want.states), len(added))
-			}
-			if tasks[1].out != nil || tasks[1].folded != len(fed) || tasks[1].skipped != unmatched {
-				t.Fatalf("the folding consumer was handed %d rows, folded %d of %d and left out %d of %d", len(tasks[1].out), tasks[1].folded, len(fed), tasks[1].skipped, unmatched)
-			}
-			if len(tasks[2].out) != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
-				t.Fatalf("the consumers beside it: %d and %d rows, %d folded", len(tasks[0].out), len(tasks[2].out), tasks[0].folded+tasks[2].folded)
-			}
-			if len(fold.partials) != 1 || fold.partials[0] != tasks[1].part {
-				t.Fatalf("%d partials registered with the fold", len(fold.partials))
+			if runs[0] != runs[1] {
+				t.Fatalf("folded on vectors %s, on the bytes %s", runs[0], runs[1])
 			}
 		})
 	}
@@ -444,7 +572,7 @@ func TestPageKernelFold(t *testing.T) {
 // pool emptied) — gives the typed error at the next visit, no consumer a batch
 // and the consumers that fold, one of them through a join, an untouched
 // partial table; nothing is published, so the visit after that fails the same
-// way.
+// way — with the layout's vectors and without.
 func TestPageKernelDamagedPage(t *testing.T) {
 	rows := []tuple.Tuple{
 		{tuple.I64(1), tuple.Str("abc")}, {tuple.I64(2), tuple.Str("defgh")}, {tuple.I64(3), tuple.Str("")},
@@ -462,59 +590,65 @@ func TestPageKernelDamagedPage(t *testing.T) {
 	}
 	for name, hurt := range damage {
 		for _, through := range []string{"the write path", "the device"} {
-			src := rawHeap(t, 2, good)
-			pool, id := src.f.Pool(), buffer.PageID{File: src.f.Name}
-			k := newPageKernel(2)
-			visit := func() ([]pageTask, error) {
-				tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil, nil}, [][]int{nil, {1}, {}, nil})
-				fold := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggCount}}}
-				tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
-				joined := &scanFold{keys: []int{1, 2 + 1}, specs: []expr.AggSpec{{Kind: expr.AggMax, Arg: expr.Col(2 + 0)}}}
-				joinedFold(joined, []tuple.Tuple{{tuple.I64(2), tuple.Str("two")}, {tuple.F64(3), tuple.Str("three")}}, 2, 0, 0, nil)
-				tasks[3].fold, tasks[3].part, tasks[3].keys = joined, joined.partial(0), joined.probe // and the last, through a join
-				_, err := buildPage(src, 0, k, tasks, nil)
-				return tasks, err
-			}
-			if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || tasks[3].folded != 2 || pool.Stats().Layouts != 1 {
-				t.Fatalf("%s: the undamaged page: %v, %d rows, %d pairs folded, %d layouts", name, err, len(tasks[1].out), tasks[3].folded, pool.Stats().Layouts)
-			}
-			if through == "the device" {
-				raw := append([]byte(nil), good...)
-				hurt(raw)
-				if err := pool.Disk().Write(id.File, 0, raw); err != nil {
-					t.Fatal(err)
+			for _, vectors := range []bool{true, false} {
+				src := rawHeap(t, 2, good)
+				var from pageSource = src
+				if !vectors {
+					from = encodedOnly{src}
 				}
-				if err := pool.Invalidate(); err != nil {
-					t.Fatal(err)
+				pool, id := src.f.Pool(), buffer.PageID{File: src.f.Name}
+				k := newPageKernel(2)
+				visit := func() ([]pageTask, error) {
+					tasks := programs(2, []expr.Pred{nil, expr.GT(expr.Col(0), expr.CInt(1)), nil, nil}, [][]int{nil, {1}, {}, nil})
+					fold := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggCount}}}
+					tasks[0].fold, tasks[0].part = fold, fold.partial(0) // the first served folds
+					joined := &scanFold{keys: []int{1, 2 + 1}, specs: []expr.AggSpec{{Kind: expr.AggMax, Arg: expr.Col(2 + 0)}}}
+					joinedFold(joined, []tuple.Tuple{{tuple.I64(2), tuple.Str("two")}, {tuple.F64(3), tuple.Str("three")}}, 2, 0, 0, nil)
+					tasks[3].fold, tasks[3].part, tasks[3].keys = joined, joined.partial(0), joined.probe // and the last, through a join
+					_, err := buildPage(from, 0, k, tasks, nil)
+					return tasks, err
 				}
-			} else {
-				fr, err := pool.PinFrame(id)
-				if err != nil {
-					t.Fatal(err)
+				if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || tasks[3].folded != 2 || pool.Stats().Layouts != 1 {
+					t.Fatalf("%s, vectors %v: the undamaged page: %v, %d rows, %d pairs folded, %d layouts", name, vectors, err, len(tasks[1].out), tasks[3].folded, pool.Stats().Layouts)
 				}
-				pool.MarkDirty(id)
-				hurt(fr.Data())
-				fr.Unpin()
-			}
-			for _, nth := range []string{"next", "one after"} {
-				tasks, err := visit()
-				var ee *tuple.EncodingError
-				var ce *page.CorruptError
-				if !errors.As(err, &ee) && !errors.As(err, &ce) {
-					t.Errorf("%s through %s, the %s visit: got %v, want a *tuple.EncodingError or a *page.CorruptError", name, through, nth, err)
-				}
-				for i := range tasks {
-					if tasks[i].out != nil {
-						t.Errorf("%s through %s: consumer %d was handed %d rows of a damaged page", name, through, i, len(tasks[i].out))
+				if through == "the device" {
+					raw := append([]byte(nil), good...)
+					hurt(raw)
+					if err := pool.Disk().Write(id.File, 0, raw); err != nil {
+						t.Fatal(err)
 					}
-				}
-				for _, i := range []int{0, 3} {
-					if n := len(tasks[i].part.states); n != 0 || tasks[i].folded != 0 || tasks[i].skipped != 0 {
-						t.Errorf("%s through %s: consumer %d folded %d groups from a damaged page", name, through, i, n)
+					if err := pool.Invalidate(); err != nil {
+						t.Fatal(err)
 					}
+				} else {
+					fr, err := pool.PinFrame(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pool.MarkDirty(id)
+					hurt(fr.Data())
+					fr.Unpin()
 				}
-				if n := pool.Stats().Layouts; n != 0 {
-					t.Errorf("%s through %s: %d layouts are published of a damaged page", name, through, n)
+				for _, nth := range []string{"next", "one after"} {
+					tasks, err := visit()
+					var ee *tuple.EncodingError
+					var ce *page.CorruptError
+					if !errors.As(err, &ee) && !errors.As(err, &ce) {
+						t.Errorf("%s through %s (vectors %v), the %s visit: got %v, want a *tuple.EncodingError or a *page.CorruptError", name, through, vectors, nth, err)
+					}
+					for i := range tasks {
+						if tasks[i].out != nil {
+							t.Errorf("%s through %s (vectors %v): consumer %d was handed %d rows of a damaged page", name, through, vectors, i, len(tasks[i].out))
+						}
+					}
+					for _, i := range []int{0, 3} {
+						if n := len(tasks[i].part.states); n != 0 || tasks[i].folded != 0 || tasks[i].skipped != 0 {
+							t.Errorf("%s through %s (vectors %v): consumer %d folded %d groups from a damaged page", name, through, vectors, i, n)
+						}
+					}
+					if n := pool.Stats().Layouts; n != 0 {
+						t.Errorf("%s through %s (vectors %v): %d layouts are published of a damaged page", name, through, vectors, n)
+					}
 				}
 			}
 		}

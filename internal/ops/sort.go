@@ -378,8 +378,3 @@ func (o *SortOp) mergeRuns(rt *core.Runtime, runNames []string, ncols int, less 
 	}
 	return nil
 }
-
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*SortOp)(nil)

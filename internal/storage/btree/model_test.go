@@ -425,6 +425,18 @@ func FuzzNodeBytes(f *testing.F) {
 					t.Fatalf("offset %d (%d): width %d, %v; the next is %d", i, off, w, err, l.Offs[i+1])
 				}
 			}
+			// And its number vectors (tuple.Vectors, as page.Locate's): each entry
+			// is the value at its offset.
+			for c := 0; c < 2; c++ {
+				kind, vec := l.Vec(c)
+				for r, bits := range vec {
+					var v tuple.Value
+					tuple.SetNumber(&v, tuple.Kind(kind), bits)
+					if got := tuple.DecodeValue(fr.Data()[l.Offs[r*3+c]:]); fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", v) {
+						t.Fatalf("column %d row %d: the vector holds %#v, the page %#v", c, r, v, got)
+					}
+				}
+			}
 			fr.Unpin()
 		} else if fr, perr := pool.PinFrame(id); perr == nil {
 			if fr.Layout() != nil {

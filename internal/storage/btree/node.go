@@ -95,7 +95,8 @@ func (p page) entry(i int) (key, val []byte, err error) {
 
 // locateLeaf derives the layout of a leaf whose payloads are rows of ncols
 // columns: every check entry makes of every entry, and tuple.Offsets' of
-// every row, made once for whoever indexes the page through the result.
+// every row, made once for whoever indexes the page through the result, and
+// the rows' number vectors (tuple.Vectors, as page.Locate derives them).
 func locateLeaf(b []byte, ncols int) (*buffer.Layout, error) {
 	if len(b) > math.MaxUint16 {
 		return nil, corruptf("%d bytes are more than a 16-bit offset addresses", len(b))
@@ -119,6 +120,7 @@ func locateLeaf(b []byte, ncols int) (*buffer.Layout, error) {
 			return nil, err
 		}
 	}
+	l.Kinds, l.Vecs = tuple.Vectors(b, l.Offs, l.Rows, ncols)
 	return l, nil
 }
 

@@ -8,9 +8,11 @@
 // query pays the full I/O again ("data sharing miss", Definition 1). QPipe's
 // OSP layer sits above this pool and removes that timing sensitivity.
 //
-// A frame also keeps what a scan derived from its bytes — its Layout — so a
-// later scan of the resident page reuses the earlier one's parse as it reuses
-// its read. A layout's whole life is stated here and nowhere else:
+// A frame also keeps what a scan derived from its bytes — its Layout: where
+// each row's columns lie, and each kind-uniform numeric column decoded into a
+// vector — so a later scan of the resident page reuses the earlier one's parse
+// and decode as it reuses its read. A layout's whole life (its vectors' too)
+// is stated here and nowhere else:
 //
 //   - it is published by PinLocated only, after the page kind's locate
 //     function has validated the whole page (two scan workers may both derive
@@ -41,12 +43,33 @@ func (id PageID) String() string { return fmt.Sprintf("%s:%d", id.File, id.Block
 
 // Layout locates the rows of one page: column c of live row r starts at byte
 // Offs[r*stride+c] of the frame, where stride is the rows' column count plus
-// one, a row's last entry being the byte just past it. It is immutable once
-// made and holds no pointer but the slice's own, so the collector never scans
-// it: 2·stride bytes a live row beside the page's bytes.
+// one, a row's last entry being the byte just past it. Beside the offsets it
+// carries the page's numbers decoded once (tuple.Vectors): Kinds[c] is the
+// tuple.Kind of every value of column c when they are all numbers of one
+// kind, 0 when not, and Vecs their payloads, column after column of a kind,
+// one a row. It is immutable once made and its arrays hold no pointer, so the
+// collector never scans them: 2·stride bytes a live row, plus 8 bytes a
+// numeric cell, beside the page's bytes.
 type Layout struct {
-	Rows int
-	Offs []uint16
+	Rows  int
+	Offs  []uint16
+	Kinds []uint8  // nil: no column has a vector
+	Vecs  []uint64 // column-major
+}
+
+// Vec returns column c's numbers and their kind, or 0 and nil when the column
+// has no vector.
+func (l *Layout) Vec(c int) (kind uint8, vec []uint64) {
+	if c >= len(l.Kinds) || l.Kinds[c] == 0 {
+		return 0, nil
+	}
+	i := 0
+	for _, k := range l.Kinds[:c] {
+		if k != 0 {
+			i++
+		}
+	}
+	return l.Kinds[c], l.Vecs[i*l.Rows : (i+1)*l.Rows]
 }
 
 // Frame is one resident page: its bytes and the layout derived from them.

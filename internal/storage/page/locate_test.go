@@ -47,12 +47,20 @@ func TestLocateMatchesTuples(t *testing.T) {
 			}
 		}
 	}
+	// Every column but the one with TEXT in it is numbers of one kind.
+	for c, want := range []tuple.Kind{tuple.KindInt, 0, tuple.KindFloat, tuple.KindDate} {
+		if kind, vec := l.Vec(c); tuple.Kind(kind) != want || (vec == nil) != (want == 0) || vec != nil && len(vec) != l.Rows {
+			t.Fatalf("column %d: %d numbers of kind %v, want kind %v", c, len(vec), tuple.Kind(kind), want)
+		}
+	}
 }
 
 // FuzzLocate hands Locate arbitrary bytes as a page of three-column rows: a
 // layout whose every offset lies inside the buffer, in ascending order within
-// a row, at a value tuple.ValueWidth accepts, one row a live slot — or a typed
-// error; never a panic or an out-of-range slice.
+// a row, at a value tuple.ValueWidth accepts, one row a live slot, and a
+// number vector for a column exactly when its values are numbers of one kind,
+// entry r being row r's value — or a typed error; never a panic or an
+// out-of-range slice.
 func FuzzLocate(f *testing.F) {
 	const ncols = 3
 	p := New(256)
@@ -65,6 +73,14 @@ func FuzzLocate(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(p.Bytes())
+	numbers := New(256) // a kind-uniform column of each kind, and an INT/FLOAT one
+	for i := 0; i < 5; i++ {
+		mixed := []tuple.Value{tuple.I64(int64(i)), tuple.F64(float64(i))}[i%2]
+		if _, err := numbers.InsertTuple(tuple.Tuple{tuple.Date(int64(i)), tuple.F64(float64(i) / 4), mixed}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(numbers.Bytes())
 	for _, at := range []int{0, 4, 6, 255 - 9, 255 - 12} { // slot count, a slot, a kind tag, a string length
 		torn := append([]byte(nil), p.Bytes()...)
 		torn[at] ^= 0xff
@@ -105,8 +121,26 @@ func FuzzLocate(f *testing.F) {
 			}
 		}
 		// What Locate accepts, the whole-page decoder reads too.
-		if _, err := pg.Tuples(ncols); err != nil {
+		rows, err := pg.Tuples(ncols)
+		if err != nil {
 			t.Fatalf("located a page the decoder rejects: %v", err)
+		}
+		for c := 0; c < ncols; c++ {
+			uniform := len(rows) > 0 && rows[0][c].K != tuple.KindString
+			for _, r := range rows {
+				uniform = uniform && r[c].K == rows[0][c].K
+			}
+			kind, vec := l.Vec(c)
+			if (vec != nil) != uniform || len(vec) != len(rows) && vec != nil {
+				t.Fatalf("column %d: %d numbers of kind %d; kind-uniform %v over %d rows", c, len(vec), kind, uniform, len(rows))
+			}
+			for r, bits := range vec {
+				var v tuple.Value
+				tuple.SetNumber(&v, tuple.Kind(kind), bits)
+				if fmt.Sprintf("%#v", v) != fmt.Sprintf("%#v", rows[r][c]) {
+					t.Fatalf("column %d row %d: the vector holds %#v, the decoder reads %#v", c, r, v, rows[r][c])
+				}
+			}
 		}
 	})
 }

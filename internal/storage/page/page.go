@@ -260,8 +260,9 @@ func (e *CorruptError) Error() string { return "page: corrupt: " + e.Reason }
 // (tuple.Offsets). It makes every check a reader of the bytes needs, once — a
 // directory or slot that overruns the buffer is a *CorruptError, a value with
 // a bad tag or a truncated width a *tuple.EncodingError — so whoever holds
-// the result indexes the page unchecked. The buffer pool keeps it beside the
-// frame (buffer.Pool.PinLocated).
+// the result indexes the page unchecked — and decodes the numbers of every
+// kind-uniform column into the layout's vectors (tuple.Vectors). The buffer
+// pool keeps it beside the frame (buffer.Pool.PinLocated).
 func Locate(buf []byte, ncols int) (*buffer.Layout, error) {
 	if len(buf) < headerSize {
 		return nil, &CorruptError{Reason: fmt.Sprintf("%d bytes are shorter than the header", len(buf))}
@@ -290,6 +291,7 @@ func Locate(buf []byte, ncols int) (*buffer.Layout, error) {
 		}
 		l.Rows++
 	}
+	l.Kinds, l.Vecs = tuple.Vectors(buf, l.Offs, l.Rows, ncols)
 	return l, nil
 }
 

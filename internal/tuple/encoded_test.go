@@ -85,6 +85,37 @@ func TestHashEncodedMatchesHashAt(t *testing.T) {
 	}
 }
 
+// A number read from its payload — a page's number vector holds the eight
+// bytes after the tag — is the decoded number: SetNumber makes the Value
+// DecodeInto makes, CompareNumber orders it as Compare does, HashNumber
+// hashes it as HashValue does.
+func TestNumberFromPayloadIsTheDecodedNumber(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261015))
+	for i := 0; i < 200000; i++ {
+		a, b := drawValue(rng), drawValue(rng)
+		if a.K == KindInvalid || a.K == KindString {
+			continue
+		}
+		enc := Tuple{a}.Encode(nil)
+		bits := uint64(0)
+		for j := 8; j >= 1; j-- {
+			bits = bits<<8 | uint64(enc[j])
+		}
+		var got, want Value
+		SetNumber(&got, a.K, bits)
+		DecodeInto(&want, enc)
+		if got.K != want.K || got.I != want.I || math.Float64bits(got.F) != math.Float64bits(want.F) {
+			t.Fatalf("SetNumber(%v) = %#v, DecodeInto gives %#v", a, got, want)
+		}
+		if c, want := CompareNumber(a.K, bits, b), Compare(a, b); c != want {
+			t.Fatalf("CompareNumber(%v, %v) = %d, Compare says %d", a, b, c, want)
+		}
+		if h, want := HashNumber(HashSeed, a.K, bits), HashValue(HashSeed, &a); h != want {
+			t.Fatalf("HashNumber(%v) = %#x, HashValue = %#x", a, h, want)
+		}
+	}
+}
+
 func TestCompareEncodedAllocatesNothing(t *testing.T) {
 	enc := Tuple{Str("a string long enough not to be interned")}.Encode(nil)
 	probe := Str("a string long enough not to be interned!")

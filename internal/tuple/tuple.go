@@ -8,7 +8,6 @@
 package tuple
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -365,17 +364,25 @@ func Hash1(t Tuple, key int) uint64 {
 // HashSeed is the state HashAt starts from.
 const HashSeed = hashSeed
 
+// HashNumber folds the number of kind k with payload bits (an int64 for an
+// int or a date, the IEEE bits of a float: an entry of a page's number
+// vector) into h exactly as HashValue folds the Value.
+func HashNumber(h uint64, k Kind, bits uint64) uint64 {
+	f := float64(int64(bits))
+	if k == KindFloat {
+		f = math.Float64frombits(bits)
+	}
+	return hashNumber(h, f)
+}
+
 // HashEncoded folds the encoded value at the start of b (one ValueWidth
 // accepted) into the hash state h exactly as HashAt folds the decoded value:
 // from HashSeed over a row's encoded key columns it is HashAt of the decoded
 // row. A string is hashed over its bytes where they lie (HashValue's loop, on
 // a []byte).
 func HashEncoded(h uint64, b []byte) uint64 {
-	switch k, bits, ok := EncodedNumber(b); {
-	case k == KindFloat:
-		return hashNumber(h, math.Float64frombits(bits))
-	case ok:
-		return hashNumber(h, float64(int64(bits)))
+	if k := Kind(b[0]); k != KindString {
+		return HashNumber(h, k, binary.LittleEndian.Uint64(b[1:]))
 	}
 	n, w := binary.Uvarint(b[1:])
 	s := b[1+w : 1+w+int(n)]
@@ -593,15 +600,48 @@ func Offsets(b []byte, base int, offs []uint16) error {
 	return nil
 }
 
-// EncodedNumber returns the kind of the encoded value at the start of b (one
-// ValueWidth accepted) and, if it is a number, its eight payload bytes: an
-// int64 for an int or a date, the IEEE bits of a float. The scan µEngine's
-// filter loops compare numbers through it without a call per row.
-func EncodedNumber(b []byte) (k Kind, bits uint64, ok bool) {
-	if k = Kind(b[0]); kindGroup(k) != 1 {
-		return k, 0, false
+// Vectors derives a located page's number vectors — its rows' column
+// offsets offs (Offsets' output, rows rows of ncols columns over buf) given —
+// once, for every reader of the resident page: kinds[c] is the kind of column
+// c's values when they are all numbers of that one kind (INT, FLOAT or DATE)
+// and 0 otherwise, and vecs holds, column after column, the payloads of the
+// columns of a kind, one a row in row order: an int64 for an int or a date,
+// the IEEE bits of a float. A page of no rows, or of no such column, has none
+// (nil, nil).
+func Vectors(buf []byte, offs []uint16, rows, ncols int) (kinds []uint8, vecs []uint64) {
+	stride, n := ncols+1, 0
+	kinds = make([]uint8, ncols)
+	for c := 0; c < ncols && rows > 0; c++ {
+		k := buf[offs[c]]
+		for r := 1; r < rows && k != 0; r++ {
+			if buf[offs[r*stride+c]] != k {
+				k = 0
+			}
+		}
+		if kindGroup(Kind(k)) == 1 {
+			kinds[c], n = k, n+1
+		}
 	}
-	return k, binary.LittleEndian.Uint64(b[1:]), true
+	if n == 0 {
+		return nil, nil
+	}
+	vecs = make([]uint64, 0, n*rows)
+	for c, k := range kinds {
+		for r := 0; r < rows && k != 0; r++ {
+			vecs = append(vecs, binary.LittleEndian.Uint64(buf[offs[r*stride+c]+1:]))
+		}
+	}
+	return kinds, vecs
+}
+
+// SetNumber is DecodeInto of the number of kind k with payload bits: dst must
+// be the zero Value, and only the fields the kind uses are written.
+func SetNumber(dst *Value, k Kind, bits uint64) {
+	if dst.K = k; k == KindFloat {
+		dst.F = math.Float64frombits(bits)
+	} else {
+		dst.I = int64(bits)
+	}
 }
 
 // DecodeValue materializes the encoded value at the start of b (one
@@ -616,15 +656,12 @@ func DecodeValue(b []byte) Value {
 // column of a row RowArena.Make just carved): only the fields the kind uses
 // are written, so a number costs two stores and no pointer write.
 func DecodeInto(dst *Value, b []byte) {
-	switch k := Kind(b[0]); k {
-	case KindString:
-		n, w := binary.Uvarint(b[1:])
-		dst.K, dst.S = k, string(b[1+w:1+w+int(n)])
-	case KindFloat:
-		dst.K, dst.F = k, math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))
-	default:
-		dst.K, dst.I = k, int64(binary.LittleEndian.Uint64(b[1:]))
+	if k := Kind(b[0]); k != KindString {
+		SetNumber(dst, k, binary.LittleEndian.Uint64(b[1:]))
+		return
 	}
+	n, w := binary.Uvarint(b[1:])
+	dst.K, dst.S = KindString, string(b[1+w:1+w+int(n)])
 }
 
 // CompareEncoded orders the encoded value at the start of b (one ValueWidth
@@ -633,44 +670,58 @@ func DecodeInto(dst *Value, b []byte) {
 // Value or a string. It is the one encoded-vs-Value comparison: B+tree key
 // search and the scan µEngine's in-place filters both use it.
 func CompareEncoded(b []byte, v Value) int {
-	k := Kind(b[0])
-	if k == KindString {
-		if v.K != KindString {
-			return 1 // strings order after every other kind
-		}
-		n, w := binary.Uvarint(b[1:])
-		s := b[1+w : 1+w+int(n)]
-		// The conversions do not allocate: the compiler compares the bytes.
-		switch {
-		case string(s) < v.S:
-			return -1
-		case string(s) > v.S:
-			return 1
-		}
-		return 0
+	if k := Kind(b[0]); k != KindString {
+		return CompareNumber(k, binary.LittleEndian.Uint64(b[1:]), v)
 	}
+	if v.K != KindString {
+		return 1 // strings order after every other kind
+	}
+	n, w := binary.Uvarint(b[1:])
+	s := b[1+w : 1+w+int(n)]
+	// The conversions do not allocate: the compiler compares the bytes.
+	switch {
+	case string(s) < v.S:
+		return -1
+	case string(s) > v.S:
+		return 1
+	}
+	return 0
+}
+
+// CompareNumber is CompareEncoded of the number of kind k with payload bits
+// (SetNumber's arguments): it orders that number against v as Compare would.
+func CompareNumber(k Kind, bits uint64, v Value) int {
 	if kindGroup(v.K) != 1 {
 		if v.K == KindString {
 			return -1
 		}
 		return 1 // a number orders after the invalid value
 	}
-	u := binary.LittleEndian.Uint64(b[1:])
 	if k != KindFloat && v.K != KindFloat {
-		return cmp.Compare(int64(u), v.I)
+		return Sign(int64(bits), v.I)
 	}
-	af, bf := float64(int64(u)), v.AsFloat()
+	af, bf := float64(int64(bits)), float64(v.I) // (not v.AsFloat(): it would copy v)
 	if k == KindFloat {
-		af = math.Float64frombits(u)
+		af = math.Float64frombits(bits)
 	}
-	// As Compare: a NaN is neither below nor above anything.
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
+	if v.K == KindFloat {
+		bf = v.F
 	}
-	return 0
+	return Sign(af, bf) // as Compare: a NaN is neither below nor above anything
+}
+
+// Sign is -1, 0 or +1 for a below, equal to (or unordered with: a NaN) or
+// above b, without a branch: a scan compares a column of unsorted values
+// through it, as Compare orders two numbers of one kind.
+func Sign[T int64 | float64](a, b T) int {
+	o := 0
+	if a < b {
+		o = -1
+	}
+	if a > b {
+		o = 1
+	}
+	return o
 }
 
 // Decode parses a tuple with ncols columns from b, returning the tuple and

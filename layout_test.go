@@ -274,3 +274,49 @@ func lyWriteBetweenScans(t *testing.T, c lyCase, opts core.QueryOptions) {
 		t.Fatalf("the scan after that: %d of %d pages visited, %d located", v, after, l)
 	}
 }
+
+// TestVectorsDroppedByAWrite: a warm page's numbers are read from the vectors
+// its layout carries, and an UPDATE that rewrites a filtered, summed and
+// grouped-by number of a heap in place — same width, so every offset stays
+// right — must drop them with the layout, as must an INSERT into a clustered
+// index's leaf: the scans after them, at parallelism 1 and 4, cold and warm
+// again, equal the iterator engine.
+func TestVectorsDroppedByAWrite(t *testing.T) {
+	db := apOpen(t, qpipe.Options{})
+	lyExec(t, db, "CREATE TABLE h (k INT, g INT, f FLOAT, s TEXT); CREATE TABLE c (k INT, g INT, f FLOAT, s TEXT)")
+	var rows []qpipe.Row
+	for i := 0; i < 1500; i++ {
+		rows = append(rows, lyRow(i))
+	}
+	for _, tb := range []string{"h", "c"} {
+		if err := db.Load(tb, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lyExec(t, db, "CREATE CLUSTERED INDEX ON c (k); ANALYZE")
+	scans := func(when string, warm bool) {
+		t.Helper()
+		for _, tb := range []string{"h", "c"} {
+			for _, text := range []string{
+				"SELECT k, f FROM " + tb + " WHERE f < 3.5",
+				"SELECT g, sum(f) AS s, min(f) AS lo, count(*) AS n FROM " + tb + " WHERE f >= 2 GROUP BY g",
+				"SELECT f, count(*) AS n FROM " + tb + " GROUP BY f",
+			} {
+				for _, par := range []int{1, 4} {
+					got, res := skAnswer(t, db, text, qpipe.WithParallelism(par))
+					if want := skVolcano(t, db, cpPlan(t, db, text)); !equalRows(got, want) {
+						t.Fatalf("%s, P=%d, %s: %d rows, the iterator engine has %d", when, par, text, len(got), len(want))
+					}
+					if located := res.Stats().PagesLocated.Load(); warm && located != 0 {
+						t.Fatalf("%s, P=%d, %s: %d pages located, want a warm scan", when, par, text, located)
+					}
+				}
+			}
+		}
+	}
+	scans("cold", false)
+	scans("warm", true)
+	lyExec(t, db, "UPDATE h SET f = f + 5 WHERE g = 4; INSERT INTO c VALUES (300, 4, 0.25, 'x')")
+	scans("after the UPDATE", false)
+	scans("warm again", true)
+}

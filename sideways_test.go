@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -487,7 +486,9 @@ func skJoinNode(t *testing.T, db *qpipe.DB, text string) plan.Node {
 //     satellite, the fold is refused (satellite) and the aggregate adds rows.
 //   - The plain join, held past its window, then the aggregate: its join runs
 //     on its own, its probe scan rides the plain one's held circular scan, and
-//     every row of orders is folded or left out — none is built.
+//     every row of orders is folded, left out or built (the rows that were out
+//     before the fold landed: how many depends on the scheduler, so it is not
+//     asserted).
 //   - customers pinned by a held scan of another signature, so no build ends;
 //     the aggregate, until its join packet shows the fold; then the plain join,
 //     which finds that packet running and must not become the satellite of a
@@ -539,10 +540,11 @@ func TestFoldedJoinBesideAPlainOne(t *testing.T) {
 		}
 		// Every row of orders was built, a pair added up (cid is unique) or left
 		// out by the bitmap or the compare; every match was a pair added up or a
-		// row the join probed. With one scan worker, held behind the plain join's
-		// scan from its first page on, the probe scan builds no row at all.
+		// row the join probed. How many were built before the fold landed is the
+		// scheduler's to decide, even with one scan worker held behind the plain
+		// join's scan: only the two sums are the state's to guarantee.
 		built, joined := skPacket(ra, -1).Out.Produced(), skPacket(ra, 1).Out.Produced()
-		if added+joined != matches || added+unbuilt+built != orders || (strings.HasPrefix(how, "P=1, plain join held past") && built != 0) {
+		if added+joined != matches || added+unbuilt+built != orders {
 			t.Errorf("%s: %d pairs added up, %d rows left out, %d built of which %d joined: want the %d matches and %d rows between them",
 				how, added, unbuilt, built, joined, matches, orders)
 		}
