@@ -134,7 +134,9 @@ func TestOptionConflicts(t *testing.T) {
 	cases := map[string][]QueryOption{
 		"zero parallelism":       {WithParallelism(0)},
 		"negative parallelism":   {WithParallelism(-2)},
+		"parallelism past bound": {WithParallelism(maxParallelism + 1)},
 		"zero batch":             {WithBatchSize(0)},
+		"batch past bound":       {WithBatchSize(maxBatchSize + 1)},
 		"sharedscan without osp": {WithoutOSP(), WithSharedScan()},
 	}
 	for what, opts := range cases {

@@ -16,9 +16,9 @@ import (
 // (Before the ErrConsumersGone sentinel, operators swallowed every output
 // error as "consumers gone" and a cancelled join could finish clean.)
 
-// waitNoTempFiles polls until no temp file with the prefix remains (operator
-// cleanup defers run as the packet's Run returns, slightly after the query's
-// own completion is observable).
+// waitNoTempFiles polls until no temp file with the prefix remains (the
+// µEngine drops a packet's temp files as its Run returns, which for a packet
+// below the root is after the query's own completion is observable).
 func waitNoTempFiles(t *testing.T, files func() []string, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -47,9 +47,9 @@ func TestHashJoinCancelMidProbe(t *testing.T) {
 
 	l := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 1}, false)
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 2}, false)
-	j := plan.NewHashJoin(l, r, 0, 0).WithParallelism(4)
+	j := plan.NewHashJoin(l, r, 0, 0)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, err := db.run(context.Background(), agg, -1, queryOpts{})
+	res, err := db.run(context.Background(), agg, -1, queryOpts{core: core.QueryOptions{Parallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestGroupByCancelMidAggregation(t *testing.T) {
 	gb := plan.NewGroupBy(scan, []int{1}, []expr.AggSpec{
 		{Kind: expr.AggCount},
 		{Kind: expr.AggSum, Arg: expr.Col(2)},
-	}).WithParallelism(4)
-	res, err := db.run(context.Background(), gb, -1, queryOpts{})
+	})
+	res, err := db.run(context.Background(), gb, -1, queryOpts{core: core.QueryOptions{Parallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,38 +1,19 @@
 // Command qpipe-lint runs the qpipe engine-invariant analyzer suite
-// (internal/lint) over Go packages. It operates in two modes:
-//
-// Standalone, over package patterns resolved through the go tool:
+// (internal/lint) over Go packages resolved through the go tool, type-checking
+// the whole module from source:
 //
 //	qpipe-lint ./...
-//	qpipe-lint -analyzers leaselint,spilllint ./internal/ops/
-//
-// And as a vet tool, speaking the cmd/go unitchecker protocol (-V=full,
-// -flags, and a single *.cfg argument describing one compilation unit):
-//
-//	go vet -vettool=$(which qpipe-lint) ./...
+//	qpipe-lint -analyzers leaselint,emitlint ./internal/ops/
 //
 // Exit status: 0 for a clean run, 1 for usage or infrastructure errors,
 // 2 when diagnostics were reported (the go vet convention).
-//
-// In vettool mode each package is checked in isolation from export data, so
-// siglint's cross-package fact propagation degrades to in-package analysis;
-// the standalone mode type-checks the whole module from source and is the
-// authoritative run (and the one CI enforces).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"qpipe/internal/lint"
@@ -48,31 +29,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		list      = fs.Bool("list", false, "list the analyzers in the suite and exit")
 		analyzers = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		version   = fs.String("V", "", "internal: unitchecker version handshake (-V=full)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: qpipe-lint [-list] [-analyzers a,b] [packages]\n")
 		fs.PrintDefaults()
 	}
-
-	// The cmd/go vettool handshake probes -V=full and -flags before any
-	// normal invocation; answer them before flag parsing can object.
-	if len(args) == 1 {
-		switch args[0] {
-		case "-V=full", "--V=full":
-			printVersion(stdout)
-			return 0
-		case "-flags", "--flags":
-			return printFlagsJSON(fs, stdout, stderr)
-		}
-	}
-
 	if err := fs.Parse(args); err != nil {
 		return 1
-	}
-	if *version != "" {
-		printVersion(stdout)
-		return 0
 	}
 
 	suite := lint.All()
@@ -94,11 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	// Unitchecker mode: exactly one argument naming a *.cfg file.
-	if fs.NArg() == 1 && strings.HasSuffix(fs.Arg(0), ".cfg") {
-		return runUnit(fs.Arg(0), suite, stderr)
 	}
 
 	patterns := fs.Args()
@@ -123,192 +81,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return 0
-}
-
-func progname() string {
-	return strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-}
-
-// printVersion answers the cmd/go -V=full handshake. A "devel" version must
-// carry a trailing buildID= field; hashing the executable makes go vet's
-// result cache invalidate whenever the tool itself changes.
-func printVersion(stdout io.Writer) {
-	id := "static"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%02x", sum)
-		}
-	}
-	fmt.Fprintf(stdout, "%s version devel buildID=%s\n", progname(), id)
-}
-
-// printFlagsJSON answers the cmd/go -flags handshake: a JSON array
-// describing the tool's flags so go vet can validate pass-through options.
-func printFlagsJSON(fs *flag.FlagSet, stdout, stderr io.Writer) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var flags []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		isBool := false
-		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok {
-			isBool = b.IsBoolFlag()
-		}
-		flags = append(flags, jsonFlag{Name: f.Name, Bool: isBool, Usage: f.Usage})
-	})
-	data, err := json.Marshal(flags)
-	if err != nil {
-		fmt.Fprintf(stderr, "qpipe-lint: %v\n", err)
-		return 1
-	}
-	fmt.Fprintln(stdout, string(data))
-	return 0
-}
-
-// vetConfig is the subset of the cmd/go unitchecker config this tool needs:
-// one compilation unit's sources plus the export data of everything it
-// imports.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit checks one compilation unit described by a cmd/go-written cfg
-// file. The vetx output must exist afterwards in every outcome cmd/go
-// treats as success — it is the cache token for "this unit was vetted".
-func runUnit(cfgFile string, suite []*lint.Analyzer, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "qpipe-lint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "qpipe-lint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		// This tool keeps facts in-process per invocation; the vetx file
-		// carries none, but must exist for cmd/go's bookkeeping.
-		if err := os.WriteFile(cfg.VetxOutput, []byte("qpipe-lint: no serialized facts\n"), 0o666); err != nil {
-			fmt.Fprintf(stderr, "qpipe-lint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// go vet hands each package over as its test variant (library sources
-	// plus _test.go files in one unit). The engine invariants bind engine
-	// code proper — tests legitimately poke at batches and Put errors in
-	// ways the analyzers forbid — so only the non-test sources are
-	// analyzed, matching the standalone mode, which never loads test
-	// files. Library code cannot reference test declarations, so dropping
-	// the test files keeps the remainder type-checkable; an external-test
-	// unit (pkg_test) empties out entirely and is skipped.
-	goFiles := cfg.GoFiles[:0:0]
-	for _, name := range cfg.GoFiles {
-		if !strings.HasSuffix(name, "_test.go") {
-			goFiles = append(goFiles, name)
-		}
-	}
-	if len(goFiles) == 0 {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range goFiles {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintf(stderr, "qpipe-lint: %v\n", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	imp := &unitImporter{cfg: &cfg}
-	imp.gc = importer.ForCompiler(fset, "gc", imp.lookup)
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := &types.Config{Importer: imp}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "qpipe-lint: type-checking %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-
-	pkg := &lint.Package{
-		Path:      cfg.ImportPath,
-		Name:      tpkg.Name(),
-		Dir:       cfg.Dir,
-		Files:     files,
-		Fset:      fset,
-		Types:     tpkg,
-		TypesInfo: info,
-	}
-	diags, err := lint.Run([]*lint.Package{pkg}, suite)
-	if err != nil {
-		fmt.Fprintf(stderr, "qpipe-lint: %v\n", err)
-		return 1
-	}
-	diags = lint.ApplyDirectives([]*lint.Package{pkg}, diags, suite)
-	for _, d := range diags {
-		fmt.Fprintf(stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// unitImporter satisfies imports from the export data files cmd/go listed
-// in the unit config.
-type unitImporter struct {
-	cfg *vetConfig
-	gc  types.Importer
-}
-
-func (u *unitImporter) lookup(path string) (io.ReadCloser, error) {
-	file, ok := u.cfg.PackageFile[path]
-	if !ok || file == "" {
-		return nil, fmt.Errorf("no export data for %q in unit config", path)
-	}
-	return os.Open(file)
-}
-
-func (u *unitImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := u.cfg.ImportMap[path]; ok && mapped != "" {
-		path = mapped
-	}
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return u.gc.Import(path)
 }

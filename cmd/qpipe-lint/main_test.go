@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,10 +20,20 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d, stderr %q", code, stderr)
 	}
-	for _, name := range []string{"leaselint", "emitlint", "spilllint", "siglint", "ctxlint"} {
+	for _, name := range []string{"leaselint", "emitlint", "ctxlint", "deadlinelint", "walint"} {
 		if !strings.Contains(stdout, name+": ") {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)
 		}
+	}
+	if n := strings.Count(stdout, "\n"); n != 5 {
+		t.Errorf("-list printed %d analyzers, want 5:\n%s", n, stdout)
+	}
+}
+
+// TestOneDriver: the go vet handshake is gone, so -V is an unknown flag.
+func TestOneDriver(t *testing.T) {
+	if code, _, _ := runCmd("-V=full"); code != 1 {
+		t.Fatalf("-V=full exit %d, want 1 (usage error)", code)
 	}
 }
 
@@ -37,35 +46,6 @@ func TestUnknownAnalyzerName(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `unknown analyzer "nosuch"`) || !strings.Contains(stderr, "known:") {
 		t.Fatalf("unknown-analyzer error must name the typo and the known set, got %q", stderr)
-	}
-}
-
-func TestVersionHandshake(t *testing.T) {
-	code, stdout, _ := runCmd("-V=full")
-	if code != 0 {
-		t.Fatalf("-V=full exit %d", code)
-	}
-	fields := strings.Fields(stdout)
-	if len(fields) < 3 || fields[1] != "version" || !strings.HasPrefix(fields[len(fields)-1], "buildID=") {
-		t.Fatalf("-V=full output %q does not match the 'name version devel ... buildID=x' handshake", stdout)
-	}
-}
-
-func TestFlagsHandshake(t *testing.T) {
-	code, stdout, stderr := runCmd("-flags")
-	if code != 0 {
-		t.Fatalf("-flags exit %d, stderr %q", code, stderr)
-	}
-	var flags []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal([]byte(stdout), &flags); err != nil {
-		t.Fatalf("-flags output is not the JSON handshake: %v\n%s", err, stdout)
-	}
-	if len(flags) == 0 {
-		t.Fatal("-flags listed no flags")
 	}
 }
 
@@ -123,81 +103,5 @@ func emit(out *tbuf.SharedOut, b tbuf.Batch) {
 		if strings.Contains(stdout, c.substr) != c.want {
 			t.Errorf("%s: want contains(%q)=%v in output:\n%s", c.desc, c.substr, c.want, stdout)
 		}
-	}
-}
-
-// TestUnitcheckerMode exercises the go vet -vettool protocol: a cfg file
-// describing one compilation unit, diagnostics on stderr, exit 2, and a
-// vetx output file in every outcome.
-func TestUnitcheckerMode(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "spill.go")
-	if err := os.WriteFile(src, []byte(`package spill
-
-type disk struct{}
-
-func (d *disk) DropTemp(name string) {}
-
-type spillWriter struct{}
-
-func (w *spillWriter) add(v int) error { return nil }
-
-func newSpillWriter(d *disk, name string) *spillWriter { return &spillWriter{} }
-
-func leaky(d *disk) error {
-	w := newSpillWriter(d, "run-0")
-	return w.add(1)
-}
-`), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	vetx := filepath.Join(dir, "spill.vetx")
-	cfg := vetConfig{
-		ID:         "tmp/spill",
-		Compiler:   "gc",
-		Dir:        dir,
-		ImportPath: "tmp/spill",
-		GoFiles:    []string{src},
-		VetxOutput: vetx,
-	}
-	cfgFile := filepath.Join(dir, "spill.cfg")
-	data, err := json.Marshal(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfgFile, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	code, _, stderr := runCmd(cfgFile)
-	if code != 2 {
-		t.Fatalf("cfg run exit %d, want 2; stderr %q", code, stderr)
-	}
-	if !strings.Contains(stderr, "DropTemp") || !strings.Contains(stderr, "spill.go:14") {
-		t.Fatalf("cfg run must report the spilllint finding on stderr, got %q", stderr)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("vetx output missing after diagnostics: %v", err)
-	}
-
-	// VetxOnly units (dependencies of the vetted packages) are not
-	// analyzed, but the vetx token must still be written.
-	if err := os.Remove(vetx); err != nil {
-		t.Fatal(err)
-	}
-	cfg.VetxOnly = true
-	data, err = json.Marshal(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cfgFile, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr = runCmd(cfgFile)
-	if code != 0 || stderr != "" {
-		t.Fatalf("VetxOnly run: exit %d stderr %q, want clean", code, stderr)
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("vetx output missing after VetxOnly run: %v", err)
 	}
 }

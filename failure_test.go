@@ -151,9 +151,9 @@ func TestHashJoinSpillWriteFaultFailsClean(t *testing.T) {
 
 	l := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 1}, false)
 	r := plan.NewTableScan("t", tableSchema(mgr), nil, []int{0, 2}, false)
-	j := plan.NewHashJoin(l, r, 0, 0).WithParallelism(4)
+	j := plan.NewHashJoin(l, r, 0, 0)
 	agg := plan.NewAggregate(j, []expr.AggSpec{{Kind: expr.AggCount}})
-	res, err := db.run(context.Background(), agg, -1, queryOpts{})
+	res, err := db.run(context.Background(), agg, -1, queryOpts{core: core.QueryOptions{Parallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,9 @@ import (
 )
 
 // Operator is the relational code a µEngine runs per packet. Run consumes
-// pkt.Inputs and writes to pkt.Out; the engine closes pkt.Out when Run
-// returns (clean EOF on nil error).
+// pkt.Inputs and writes to pkt.Out; when Run returns (or panics) the engine
+// drops the temp files Runtime.TempFile drew for pkt, then closes pkt.Out
+// (clean EOF on nil error).
 type Operator interface {
 	// Op names the µEngine this operator serves.
 	Op() plan.OpType
@@ -252,6 +253,7 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 		}()
 		return e.impl.Run(e.rt, pkt)
 	}()
+	e.rt.dropTemps(pkt)
 	if err != nil {
 		// A cancelled query tears its buffers down underneath the operator,
 		// so Run surfaces whatever side it tripped over first (an abandoned

@@ -1,9 +1,11 @@
 // Exported hooks used by operator implementations (the ops package): packet
-// completion outside the engine loop and sharing statistics.
+// completion outside the engine loop, per-query knobs, temp files and
+// sharing statistics.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"qpipe/internal/core/tbuf"
@@ -35,21 +37,41 @@ func (rt *Runtime) BatchSizeFor(q *Query) int {
 	return rt.Cfg.BatchSize
 }
 
-// ParallelismFor resolves an operator's effective fan-out: a per-node hint
-// wins, then the query's WithParallelism option, then the runtime's
-// ScanParallelism default; anything below 1 is serial.
-func (rt *Runtime) ParallelismFor(q *Query, hint int) int {
-	p := hint
-	if p == 0 && q != nil {
+// ParallelismFor resolves the fan-out of every parallel operator of q: the
+// query's Parallelism option, else the runtime's ScanParallelism; anything
+// below 1 is serial. Fan-out belongs to the query, never to a plan node, so
+// no signature can see it and queries that differ only in it still share.
+func (rt *Runtime) ParallelismFor(q *Query) int {
+	p := rt.Cfg.ScanParallelism
+	if q != nil && q.Opts.Parallelism > 0 {
 		p = q.Opts.Parallelism
 	}
-	if p == 0 {
-		p = rt.Cfg.ScanParallelism
+	return max(p, 1)
+}
+
+// TempFile draws a temp-file name for pkt and records it on the packet before
+// the file exists: the µEngine drops every recorded file once Run returns,
+// however it returns, so an operator writes no cleanup of its own. TempFile
+// and KeepTemp are called by the goroutine running pkt's Run, which is the
+// one that drops.
+func (rt *Runtime) TempFile(pkt *Packet, prefix string) string {
+	name := rt.SM.TempName(prefix)
+	pkt.temps = append(pkt.temps, name)
+	return name
+}
+
+// KeepTemp takes name off pkt's temp files: it outlives Run, and whoever it
+// was handed to drops it.
+func (p *Packet) KeepTemp(name string) {
+	p.temps = slices.DeleteFunc(p.temps, func(n string) bool { return n == name })
+}
+
+// dropTemps drops the temp files still recorded on pkt.
+func (rt *Runtime) dropTemps(pkt *Packet) {
+	for _, name := range pkt.temps {
+		rt.SM.DropTemp(name)
 	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	pkt.temps = nil
 }
 
 // OSPAllowed reports whether a query participates in on-demand simultaneous

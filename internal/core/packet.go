@@ -72,6 +72,8 @@ type Packet struct {
 	hosted     bool         // a satellite was absorbed at some point
 	taken      bool         // TakeHanded read the slot: nothing is installed any more
 	handed     atomic.Value // the one *KeyFilter or fold handOver installed
+
+	temps []string // temp files Runtime.TempFile drew for this packet, dropped after Run
 }
 
 // KeyFilter is a hash join's build keys as its probe scan sees them: bit
@@ -350,9 +352,8 @@ func (s *QueryStats) NotePage(fresh bool) {
 // participation on one runtime. The zero value inherits every runtime
 // default.
 type QueryOptions struct {
-	// Parallelism overrides Config.ScanParallelism for every operator of
-	// this query that has no per-node fan-out hint (0 = inherit; per-node
-	// WithParallelism hints still win).
+	// Parallelism overrides Config.ScanParallelism for every parallel
+	// operator of this query (0 = inherit).
 	Parallelism int
 	// DisableOSP opts the query out of on-demand simultaneous pipelining in
 	// both directions: its packets never attach to in-progress work and

@@ -26,12 +26,13 @@ type Config struct {
 	// WorkersPerEngine sizes each µEngine's worker pool; <= 0 selects
 	// elastic mode (a goroutine per packet — see MicroEngine).
 	WorkersPerEngine int
-	// ScanParallelism is the partition fan-out for unordered table and
-	// clustered-index scans: the page range splits into that many contiguous
-	// partitions served concurrently by scan sub-workers, each with its own
-	// circular cursor. 1 (or negative) keeps the single-reader scanner; 0
-	// defaults to GOMAXPROCS. Plan nodes can override per scan via
-	// TableScan.Parallelism.
+	// ScanParallelism is the default fan-out of every parallel operator:
+	// unordered table and clustered-index scans split their page range into
+	// that many contiguous partitions served concurrently by scan
+	// sub-workers, each with its own circular cursor, and hash joins and
+	// aggregations deal their input to that many sub-workers. 1 (or negative)
+	// is serial; 0 defaults to GOMAXPROCS. A query overrides it with
+	// QueryOptions.Parallelism, never a plan node.
 	ScanParallelism int
 	// BufferCapacity bounds intermediate buffers, in batches (default 8).
 	BufferCapacity int

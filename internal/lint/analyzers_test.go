@@ -14,18 +14,6 @@ func TestEmitLint(t *testing.T) {
 	RunTest(t, "testdata", EmitLint, "emitlint")
 }
 
-func TestSpillLint(t *testing.T) {
-	RunTest(t, "testdata", SpillLint, "spilllint")
-}
-
-// TestSigLint loads the plan stand-in and a dependent package in one
-// session: the cross-package case (siguser.Wrapper) only fires if the
-// hint-taint fact exported while analyzing plan survives into the siguser
-// pass.
-func TestSigLint(t *testing.T) {
-	RunTest(t, "testdata", SigLint, "plan", "siguser")
-}
-
 func TestCtxLint(t *testing.T) {
 	RunTest(t, "testdata", CtxLint, "ctxlint")
 }

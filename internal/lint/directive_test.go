@@ -158,10 +158,10 @@ func f() {
 	diags := []Diagnostic{
 		diagAt("p.go", 4, "leaselint", "batch leaks"),
 		diagAt("p.go", 4, "emitlint", "error discarded"),
-		diagAt("p.go", 4, "spilllint", "temp leaks"),
+		diagAt("p.go", 4, "walint", "page mutated outside apply"),
 	}
 	out := applyOn(t, src, diags)
-	if len(out) != 1 || out[0].Analyzer != "spilllint" {
+	if len(out) != 1 || out[0].Analyzer != "walint" {
 		t.Fatalf("comma list must suppress exactly the named analyzers: %v", out)
 	}
 }

@@ -1,13 +1,15 @@
-// Package lint implements qpipe-lint: a suite of static analyzers that
-// mechanically enforce the engine invariants the README and three past PRs
-// otherwise leave to reviewers' heads — the batch-lease protocol, the
-// no-error-swallowing emitter idiom, temp-spill registration-before-write,
-// signature purity with respect to parallelism/batch hints, and context
-// threading into operator sub-workers.
+// Package lint implements qpipe-lint: five static analyzers for the engine
+// invariants the types do not yet make unwritable — the batch-lease protocol
+// (leaselint), the no-error-swallowing emitter idiom (emitlint), context
+// threading into operator sub-workers (ctxlint), contexts derived from the
+// query's wherever query state is held (deadlinelint), and heap-page
+// mutation only in the storage manager's logged apply step (walint). Fan-out and spill-file
+// cleanup need no analyzer: a plan node has no fan-out field, and a spill
+// file is created only through its packet, which drops it.
 //
 // The package mirrors the golang.org/x/tools/go/analysis vocabulary
-// (Analyzer, Pass, Diagnostic, object facts, an analysistest-style test
-// runner) but is built on the standard library alone: packages are loaded
+// (Analyzer, Pass, Diagnostic, an analysistest-style test runner) but is
+// built on the standard library alone: packages are loaded
 // with `go list` plus go/parser and go/types, and stdlib dependencies are
 // imported from build-cache export data. That keeps the linter runnable in
 // hermetic environments with nothing but the Go toolchain, and the API
@@ -65,7 +67,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	facts *FactStore
 	diags *[]Diagnostic
 }
 
@@ -78,51 +79,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ExportObjectFact attaches a fact about obj, visible to later passes of the
-// same analyzer over packages that import this one. Packages are analyzed in
-// dependency order, so facts flow strictly downstream.
-func (p *Pass) ExportObjectFact(obj types.Object, fact any) {
-	p.facts.set(p.Analyzer.Name, obj, fact)
-}
-
-// ImportObjectFact retrieves a fact previously exported about obj by this
-// analyzer (possibly while analyzing a dependency package).
-func (p *Pass) ImportObjectFact(obj types.Object) (any, bool) {
-	return p.facts.get(p.Analyzer.Name, obj)
-}
-
-// FactStore holds per-analyzer object facts across the packages of one run.
-// The loader type-checks every in-module package from source with one shared
-// FileSet and importer, so types.Object identities are stable across
-// packages and can key the store directly.
-type FactStore struct {
-	m map[string]map[types.Object]any
-}
-
-// NewFactStore returns an empty fact store.
-func NewFactStore() *FactStore { return &FactStore{m: map[string]map[types.Object]any{}} }
-
-func (s *FactStore) set(analyzer string, obj types.Object, fact any) {
-	byObj := s.m[analyzer]
-	if byObj == nil {
-		byObj = map[types.Object]any{}
-		s.m[analyzer] = byObj
-	}
-	byObj[obj] = fact
-}
-
-func (s *FactStore) get(analyzer string, obj types.Object) (any, bool) {
-	fact, ok := s.m[analyzer][obj]
-	return fact, ok
-}
-
-// Run executes every analyzer over every package, in the given package
-// order (the loader returns dependency order, which facts rely on), and
-// returns the raw diagnostics sorted by position. Ignore directives are NOT
-// applied here — see ApplyDirectives — so tests can assert on the unfiltered
-// stream.
+// Run executes every analyzer over every package and returns the raw
+// diagnostics sorted by position. Ignore directives are NOT applied here —
+// see ApplyDirectives — so tests can assert on the unfiltered stream.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := NewFactStore()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
@@ -132,7 +92,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.TypesInfo,
-				facts:     facts,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -1,9 +1,9 @@
 // Package loading without golang.org/x/tools/go/packages: module packages
 // are enumerated with `go list -json`, type-checked from source in
 // dependency order with one shared FileSet (so types.Object identities are
-// stable across packages and can carry analyzer facts), and standard-library
-// imports are satisfied from build-cache export data located with
-// `go list -export`. Works fully offline.
+// stable across packages), and standard-library imports are satisfied from
+// build-cache export data located with `go list -export`. Works fully
+// offline.
 
 package lint
 
@@ -214,9 +214,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // LoadFromSrcDir loads the packages at import paths pkgpaths whose source
 // trees live under srcdir (GOPATH style: srcdir/<pkgpath>/*.go), resolving
 // non-stdlib imports from sibling directories under srcdir. All packages
-// share one loader and FileSet, so analyzer facts flow between them exactly
-// as in a real run. This is how the analysistest runner loads testdata
-// packages without a go.mod.
+// share one loader and FileSet, as in a real run. This is how the
+// analysistest runner loads testdata packages without a go.mod.
 func LoadFromSrcDir(srcdir string, pkgpaths ...string) ([]*Package, error) {
 	l := newLoader()
 	if err := l.registerSrcTree(srcdir); err != nil {

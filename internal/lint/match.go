@@ -15,7 +15,6 @@ import (
 const (
 	tbufPath = "qpipe/internal/core/tbuf"
 	corePath = "qpipe/internal/core"
-	planPath = "qpipe/internal/plan"
 )
 
 // pkgMatches reports whether pkg is the engine package with canonical path
@@ -101,7 +100,6 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 type funcBody struct {
 	name string
 	body *ast.BlockStmt
-	decl *ast.FuncDecl // nil for literals
 }
 
 func fileFuncBodies(f *ast.File) []funcBody {
@@ -110,7 +108,7 @@ func fileFuncBodies(f *ast.File) []funcBody {
 		switch x := n.(type) {
 		case *ast.FuncDecl:
 			if x.Body != nil {
-				bodies = append(bodies, funcBody{name: x.Name.Name, body: x.Body, decl: x})
+				bodies = append(bodies, funcBody{name: x.Name.Name, body: x.Body})
 			}
 		case *ast.FuncLit:
 			bodies = append(bodies, funcBody{name: "func literal", body: x.Body})

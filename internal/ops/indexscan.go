@@ -347,7 +347,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	// is irrelevant to their consumers); ordered scans stay single-partition
 	// so the leaf stream keeps key order (newScanner enforces this).
 	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	return o.reg.run(rt, o.key(node), c, node.Ordered, src, rt.ParallelismFor(pkt.Query, 0))
+	return o.reg.run(rt, o.key(node), c, node.Ordered, src, rt.ParallelismFor(pkt.Query))
 }
 
 func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Table, node *plan.IndexScan) error {

@@ -246,7 +246,7 @@ func (*HashJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 // Run implements core.Operator.
 func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.HashJoin)
-	par := rt.ParallelismFor(pkt.Query, node.Parallelism)
+	par := rt.ParallelismFor(pkt.Query)
 
 	// Build phase: drain the left input. If it stays small, join in memory.
 	build := &hashTable{}
@@ -337,9 +337,9 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 // use partition-affine routing (worker k owns partitions p with p%par == k,
 // so each spill writer — and the partition-0 memory table, owned by worker
 // 0 — has exactly one writing worker), and the disk phase joins each
-// worker's partition set independently. Cleanup defers are installed
-// immediately after the writers are created: any failure in between (a
-// spill write, a close, a routed worker error) must not leak temp files.
+// worker's partition set independently. The partition files are the
+// packet's (newSpillWriter): the µEngine drops them after Run, whichever
+// write, close or routed worker fails.
 func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, mem *hashTable, overflow []tuple.Tuple, lcur *cursor, par int) error {
 	// Spill fan-out for partitions 1..parts. At least 8 (the seed's hybrid
 	// fan-out); wider when more workers want distinct partition sets.
@@ -358,13 +358,8 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 	home := func(h uint64) int { return partOf(h) % par }
 	buildFiles := make([]*spillWriter, parts+1)
 	for i := 1; i <= parts; i++ {
-		buildFiles[i] = newSpillWriter(rt.SM.Disk, rt.SM.TempName("hjb"))
+		buildFiles[i] = newSpillWriter(rt, pkt, "hjb")
 	}
-	defer func() {
-		for i := 1; i <= parts; i++ {
-			rt.SM.DropTemp(buildFiles[i].name)
-		}
-	}()
 	mem0 := &hashTable{}
 	buildOne := func(t tuple.Tuple, h uint64) error {
 		p := partOf(h)
@@ -430,13 +425,8 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 	// memory table), spill the rest.
 	probeFiles := make([]*spillWriter, parts+1)
 	for i := 1; i <= parts; i++ {
-		probeFiles[i] = newSpillWriter(rt.SM.Disk, rt.SM.TempName("hjp"))
+		probeFiles[i] = newSpillWriter(rt, pkt, "hjp")
 	}
-	defer func() {
-		for i := 1; i <= parts; i++ {
-			rt.SM.DropTemp(probeFiles[i].name)
-		}
-	}()
 	probeOne := func(em *emitter, arena *tuple.RowArena, t tuple.Tuple, h uint64) error {
 		p := partOf(h)
 		if p == 0 {

@@ -47,7 +47,14 @@ func newRT(t *testing.T, n int, cfg core.Config) *core.Runtime {
 
 func runPlan(t *testing.T, rt *core.Runtime, p plan.Node) []tuple.Tuple {
 	t.Helper()
-	q, err := rt.Submit(context.Background(), p)
+	return runPar(t, rt, p, 0)
+}
+
+// runPar runs p with the query-level fan-out par (0: the runtime's): every
+// parallel operator of the plan, scans included, splits par ways.
+func runPar(t *testing.T, rt *core.Runtime, p plan.Node, par int) []tuple.Tuple {
+	t.Helper()
+	q, err := rt.SubmitOpts(context.Background(), p, core.QueryOptions{Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,48 +182,75 @@ func TestSortExternalRuns(t *testing.T) {
 
 func TestSortFileReuseSatellite(t *testing.T) {
 	// A second identical sort arriving during the host's emit phase must
-	// reuse the materialized sorted file (phase-2 materialization reuse).
-	rt := newRT(t, 3000, core.DefaultConfig())
-	mgr := rt.SM
-	mgr.Disk.SetLatency(30*time.Microsecond, 30*time.Microsecond, 0)
-	defer mgr.Disk.SetLatency(0, 0, 0)
-	mk := func() plan.Node {
-		return plan.NewSort(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{0}, false)
+	// reuse the materialized sorted file (phase-2 materialization reuse),
+	// whichever of the two finishes first, and leave no temp file behind.
+	for _, hostFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("host-first=%v", hostFirst), func(t *testing.T) {
+			rt := newRT(t, 3000, core.DefaultConfig())
+			mgr := rt.SM
+			mgr.Disk.SetLatency(30*time.Microsecond, 30*time.Microsecond, 0)
+			defer mgr.Disk.SetLatency(0, 0, 0)
+			mk := func() plan.Node {
+				return plan.NewSort(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{0}, false)
+			}
+			q1, err := rt.Submit(context.Background(), mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Consume a little of q1's output so the sort is in phase 2 with
+			// produced tuples beyond the replay window.
+			consumed := int64(0)
+			for consumed < 2000 {
+				b, err := q1.Result.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				consumed += int64(len(b))
+			}
+			q2, err := rt.Submit(context.Background(), mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One batch out: the satellite's file streamer is reading, and
+			// holds most of the file still to read.
+			first, err := q2.Result.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			drainHost := func() {
+				rest, err := q1.Result.Drain()
+				if err != nil || consumed+rest != 3000 {
+					t.Fatalf("host rows: %d %v", consumed+rest, err)
+				}
+				if err := q1.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if hostFirst {
+				// The host's Run returns under the satellite: the sorted
+				// file has left the host's packet for the satellite to read.
+				drainHost()
+			}
+			n2, err := q2.Result.Drain()
+			if err != nil || int64(len(first))+n2 != 3000 {
+				t.Fatalf("satellite rows: %d %v", int64(len(first))+n2, err)
+			}
+			if err := q2.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if !hostFirst {
+				drainHost()
+			}
+			if rt.Stats().SharesByOp[plan.OpSort] != 1 {
+				t.Fatalf("sort shares: %v", rt.Stats().SharesByOp)
+			}
+			// The host drops its runs as its Run returns, and the sorted file
+			// goes with the last of host and satellite, before it completes.
+			if files := mgr.Disk.FilesWithPrefix("tmp:"); len(files) != 0 {
+				t.Fatalf("temp files left after both finished: %v", files)
+			}
+		})
 	}
-	q1, err := rt.Submit(context.Background(), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consume a little of q1's output so the sort is in phase 2 with
-	// produced tuples beyond the replay window.
-	consumed := int64(0)
-	for consumed < 2000 {
-		b, err := q1.Result.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		consumed += int64(len(b))
-	}
-	q2, err := rt.Submit(context.Background(), mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := q2.Result.Drain()
-	if err != nil || n2 != 3000 {
-		t.Fatalf("satellite rows: %d %v", n2, err)
-	}
-	rest, err := q1.Result.Drain()
-	if err != nil || consumed+rest != 3000 {
-		t.Fatalf("host rows: %d %v", consumed+rest, err)
-	}
-	if err := q2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats().SharesByOp[plan.OpSort] != 1 {
-		t.Fatalf("sort shares: %v", rt.Stats().SharesByOp)
-	}
-	// Temp files must be cleaned up after both finish.
-	q1.Wait()
 }
 
 func TestHashJoinPartitionedPath(t *testing.T) {
@@ -454,8 +488,9 @@ func TestBuildPageLease(t *testing.T) {
 }
 
 func TestSpillRoundTrip(t *testing.T) {
-	d := disk.New(disk.Config{BlockSize: 512})
-	w := newSpillWriter(d, "spill")
+	rt := core.NewRuntime(sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8}), core.DefaultConfig(), nil)
+	defer rt.Close()
+	w := newSpillWriter(rt, &core.Packet{}, "spill")
 	const n = 300
 	for i := 0; i < n; i++ {
 		if err := w.add(tuple.Tuple{tuple.I64(int64(i)), tuple.Str(fmt.Sprintf("v%d", i))}); err != nil {
@@ -466,7 +501,7 @@ func TestSpillRoundTrip(t *testing.T) {
 	if err != nil || total != n {
 		t.Fatalf("close: %d %v", total, err)
 	}
-	r := newSpillReader(d, "spill", 2)
+	r := newSpillReader(rt.SM.Disk, w.name, 2)
 	for i := 0; i < n; i++ {
 		tp, ok, err := r.next()
 		if err != nil || !ok || tp[0].I != int64(i) {

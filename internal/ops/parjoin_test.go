@@ -42,17 +42,17 @@ func assertSameRows(t *testing.T, want, got []tuple.Tuple, label string) {
 // (in-memory) path: parallel probing must produce exactly the serial rows.
 func TestHashJoinParallelMatchesSerialInMemory(t *testing.T) {
 	rt := newRT(t, 3000, core.DefaultConfig())
-	mk := func(par int) plan.Node {
+	mk := func() plan.Node {
 		l := plan.NewTableScan("t", testSchema(), expr.LT(expr.Col(0), expr.CInt(1500)), []int{0, 1}, false)
 		r := plan.NewTableScan("t", testSchema(), nil, []int{0, 2}, false)
-		return plan.NewHashJoin(l, r, 0, 0).WithParallelism(par)
+		return plan.NewHashJoin(l, r, 0, 0)
 	}
-	serial := runPlan(t, rt, mk(1))
+	serial := runPar(t, rt, mk(), 1)
 	if len(serial) != 1500 {
 		t.Fatalf("serial join rows: %d", len(serial))
 	}
 	for _, par := range []int{2, 4, 8} {
-		assertSameRows(t, serial, runPlan(t, rt, mk(par)), fmt.Sprintf("par=%d", par))
+		assertSameRows(t, serial, runPar(t, rt, mk(), par), fmt.Sprintf("par=%d", par))
 	}
 }
 
@@ -65,23 +65,23 @@ func TestHashJoinParallelMatchesSerialPartitioned(t *testing.T) {
 		t.Skip("large build input")
 	}
 	rt := newRT(t, hashJoinMaxBuild+4096, core.DefaultConfig())
-	mk := func(par int) plan.Node {
+	mk := func() plan.Node {
 		l := plan.NewTableScan("t", testSchema(), nil, []int{0, 1}, false)
 		r := plan.NewTableScan("t", testSchema(), nil, []int{0, 2}, false)
 		// Count + per-key sum instead of materializing ~70k joined rows.
-		j := plan.NewHashJoin(l, r, 0, 0).WithParallelism(par)
+		j := plan.NewHashJoin(l, r, 0, 0)
 		return plan.NewAggregate(j, []expr.AggSpec{
 			{Kind: expr.AggCount},
 			{Kind: expr.AggSum, Arg: expr.Col(0)},
 			{Kind: expr.AggSum, Arg: expr.Col(3)},
 		})
 	}
-	serial := runPlan(t, rt, mk(1))
+	serial := runPar(t, rt, mk(), 1)
 	if serial[0][0].I != int64(hashJoinMaxBuild+4096) {
 		t.Fatalf("serial partitioned join count: %v", serial[0][0])
 	}
 	for _, par := range []int{2, 5, 8} {
-		assertSameRows(t, serial, runPlan(t, rt, mk(par)), fmt.Sprintf("par=%d", par))
+		assertSameRows(t, serial, runPar(t, rt, mk(), par), fmt.Sprintf("par=%d", par))
 	}
 	if files := rt.SM.Disk.FilesWithPrefix("tmp:hjb:"); len(files) != 0 {
 		t.Fatalf("leaked build spill files: %v", files)
@@ -102,16 +102,13 @@ func TestGroupByParallelMatchesSerial(t *testing.T) {
 		{Kind: expr.AggMax, Arg: expr.Col(2)},
 		{Kind: expr.AggAvg, Arg: expr.Col(2)},
 	}
-	mk := func(par int) plan.Node {
-		scan := plan.NewTableScan("t", testSchema(), nil, nil, false)
-		return plan.NewGroupBy(scan, []int{1}, specs).WithParallelism(par)
-	}
-	serial := runPlan(t, rt, mk(1))
+	groupBy := plan.NewGroupBy(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{1}, specs)
+	serial := runPar(t, rt, groupBy, 1)
 	if len(serial) != 7 {
 		t.Fatalf("serial group count: %d", len(serial))
 	}
 	for _, par := range []int{2, 4, 8} {
-		assertSameRows(t, serial, runPlan(t, rt, mk(par)), fmt.Sprintf("par=%d", par))
+		assertSameRows(t, serial, runPar(t, rt, groupBy, par), fmt.Sprintf("par=%d", par))
 	}
 }
 
@@ -126,34 +123,9 @@ func TestAggregateParallelMatchesSerial(t *testing.T) {
 		{Kind: expr.AggMax, Arg: expr.Col(0)},
 		{Kind: expr.AggAvg, Arg: expr.Col(2)},
 	}
-	mk := func(par int) plan.Node {
-		scan := plan.NewTableScan("t", testSchema(), nil, nil, false)
-		return plan.NewAggregate(scan, specs).WithParallelism(par)
-	}
-	serial := runPlan(t, rt, mk(1))
+	agg := plan.NewAggregate(plan.NewTableScan("t", testSchema(), nil, nil, false), specs)
+	serial := runPar(t, rt, agg, 1)
 	for _, par := range []int{2, 4, 8} {
-		assertSameRows(t, serial, runPlan(t, rt, mk(par)), fmt.Sprintf("par=%d", par))
-	}
-}
-
-// TestParallelismExcludedFromSignatures: fan-out hints change the execution
-// strategy, not the result, so they must not fragment OSP sharing.
-func TestParallelismExcludedFromSignatures(t *testing.T) {
-	l := plan.NewTableScan("t", testSchema(), nil, []int{0, 1}, false)
-	r := plan.NewTableScan("t", testSchema(), nil, []int{0, 2}, false)
-	j1 := plan.NewHashJoin(l, r, 0, 0)
-	j8 := plan.NewHashJoin(l, r, 0, 0).WithParallelism(8)
-	if j1.Signature() != j8.Signature() {
-		t.Fatal("HashJoin parallelism leaked into signature")
-	}
-	g1 := plan.NewGroupBy(l, []int{1}, []expr.AggSpec{{Kind: expr.AggCount}})
-	g8 := plan.NewGroupBy(l, []int{1}, []expr.AggSpec{{Kind: expr.AggCount}}).WithParallelism(8)
-	if g1.Signature() != g8.Signature() {
-		t.Fatal("GroupBy parallelism leaked into signature")
-	}
-	a1 := plan.NewAggregate(l, []expr.AggSpec{{Kind: expr.AggCount}})
-	a8 := plan.NewAggregate(l, []expr.AggSpec{{Kind: expr.AggCount}}).WithParallelism(8)
-	if a1.Signature() != a8.Signature() {
-		t.Fatal("Aggregate parallelism leaked into signature")
+		assertSameRows(t, serial, runPar(t, rt, agg, par), fmt.Sprintf("par=%d", par))
 	}
 }

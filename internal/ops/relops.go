@@ -183,7 +183,7 @@ func (gt *groupTable) absorb(o *groupTable) {
 // probe row. Late is harmless: pages delivered before arrive as rows, and
 // every partial is registered before the scan packet completes, so all are
 // there at EOF. absorb is the single merge.
-func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggSpec, hint int, scalar bool) error {
+func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggSpec, scalar bool) error {
 	var fold *scanFold
 	scan := pkt.Node.Children()[0]
 	if join, through := scan.(*plan.HashJoin); through {
@@ -194,7 +194,7 @@ func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggS
 	} else if f := (&scanFold{keys: keys, specs: specs}); pkt.Children[0].SetFold(rt, f) == core.HandOverInstalled {
 		fold = f
 	}
-	in, par := pkt.Inputs[0], rt.ParallelismFor(pkt.Query, hint)
+	in, par := pkt.Inputs[0], rt.ParallelismFor(pkt.Query)
 	total, tables := newGroupTable(keys, specs), make([]*groupTable, par)
 	add := func(gt *groupTable, b tbuf.Batch) {
 		for _, t := range b {
@@ -297,7 +297,7 @@ func (*AggregateOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 // Run implements core.Operator.
 func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Aggregate)
-	return aggregate(rt, pkt, nil, node.Specs, node.Parallelism, true)
+	return aggregate(rt, pkt, nil, node.Specs, true)
 }
 
 // GroupByOp computes hash-grouped aggregates (step overlap: attachable
@@ -320,7 +320,7 @@ func (*GroupByOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 // Run implements core.Operator.
 func (*GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.GroupBy)
-	return aggregate(rt, pkt, node.Keys, node.Specs, node.Parallelism, false)
+	return aggregate(rt, pkt, node.Keys, node.Specs, false)
 }
 
 // UpdateOp runs table mutations (INSERT/UPDATE/DELETE) as storage-manager

@@ -587,7 +587,7 @@ func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	// the host query finishes.
 	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
 	return fenced(tb, func() error {
-		return o.reg.run(rt, "tbl:"+node.Table, c, node.Ordered, heapSource{f: tb.Heap}, rt.ParallelismFor(pkt.Query, node.Parallelism))
+		return o.reg.run(rt, "tbl:"+node.Table, c, node.Ordered, heapSource{f: tb.Heap}, rt.ParallelismFor(pkt.Query))
 	})
 }
 

@@ -33,15 +33,15 @@ import (
 // sortRunSize is the number of tuples sorted in memory per spilled run.
 const sortRunSize = plan.SortRunSize
 
-// sortState tracks a host packet's materialized output for phase-2 reuse.
+// sortState tracks a host packet's materialized output, once whole, for
+// phase-2 reuse.
 type sortState struct {
-	mu        sync.Mutex
-	fileReady bool
-	fileName  string
-	ncols     int
-	readers   int
-	hostDone  bool
-	dropped   bool
+	mu       sync.Mutex
+	fileName string
+	ncols    int
+	readers  int
+	hostDone bool
+	dropped  bool
 }
 
 // SortOp is the sort µEngine implementation.
@@ -71,7 +71,7 @@ func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 		return false
 	}
 	st.mu.Lock()
-	if !st.fileReady || st.dropped {
+	if st.dropped {
 		st.mu.Unlock()
 		return false
 	}
@@ -86,17 +86,10 @@ func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 
 	go func() {
 		err := o.streamFile(rt, st, sat)
+		// The last reader drops the file before the satellite completes: a
+		// query that has its answer leaves no temp file behind.
+		o.release(rt, host.ID, st, func() { st.readers-- })
 		sat.Complete(err)
-		st.mu.Lock()
-		st.readers--
-		drop := st.hostDone && st.readers == 0 && !st.dropped
-		if drop {
-			st.dropped = true
-		}
-		st.mu.Unlock()
-		if drop {
-			o.drop(rt, host.ID, st)
-		}
 	}()
 	return true
 }
@@ -124,7 +117,17 @@ func (o *SortOp) streamFile(rt *core.Runtime, st *sortState, sat *core.Packet) e
 	return nil
 }
 
-func (o *SortOp) drop(rt *core.Runtime, hostID int64, st *sortState) {
+// release applies leave (a reader finishing, or the host) to st and drops the
+// sorted file if that left it with no host and no reader.
+func (o *SortOp) release(rt *core.Runtime, hostID int64, st *sortState, leave func()) {
+	st.mu.Lock()
+	leave()
+	drop := st.hostDone && st.readers == 0 && !st.dropped
+	st.dropped = st.dropped || drop
+	st.mu.Unlock()
+	if !drop {
+		return
+	}
 	rt.SM.DropTemp(st.fileName)
 	o.mu.Lock()
 	delete(o.states, hostID)
@@ -146,25 +149,17 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	}
 	less := func(a, b tuple.Tuple) bool { return order(a, b) < 0 }
 
-	// Phase 1a: consume input into sorted runs spilled to temp files. The
-	// cleanup defer is installed before the first run spills, and each run's
-	// name registers before its first write, so a failed write or close (or
-	// an input error mid-run) can never leak the temp files written so far.
+	// Phase 1a: consume input into sorted runs spilled to temp files — the
+	// packet's (newSpillWriter), dropped after Run however it ends.
 	var runNames []string
-	defer func() {
-		for _, name := range runNames {
-			rt.SM.DropTemp(name)
-		}
-	}()
 	var run []tuple.Tuple
 	spillRun := func() error {
 		if len(run) == 0 {
 			return nil
 		}
 		slices.SortStableFunc(run, order)
-		name := rt.SM.TempName("sortrun")
-		runNames = append(runNames, name)
-		w := newSpillWriter(rt.SM.Disk, name)
+		w := newSpillWriter(rt, pkt, "sortrun")
+		runNames = append(runNames, w.name)
 		for _, t := range run {
 			if err := w.add(t); err != nil {
 				return err
@@ -196,40 +191,23 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		return err
 	}
 
-	// Phase 1b: merge runs into the materialized sorted file. Until its
-	// ownership passes to the sortState (whose reader-counted teardown drops
-	// it), any error path must drop the file itself.
-	outName := rt.SM.TempName("sorted")
-	registered := false
-	defer func() {
-		if !registered {
-			rt.SM.DropTemp(outName)
-		}
-	}()
-	w := newSpillWriter(rt.SM.Disk, outName)
+	// Phase 1b: merge runs into the materialized sorted file. It is the
+	// packet's until it is whole; then it leaves the packet for the
+	// sortState, whose last reader (or the host) drops it.
+	w := newSpillWriter(rt, pkt, "sorted")
+	outName := w.name
 	if err := o.mergeRuns(rt, runNames, ncols, less, w); err != nil {
 		return err
 	}
 	if _, err := w.close(); err != nil {
 		return err
 	}
-	st := &sortState{fileReady: true, fileName: outName, ncols: ncols}
-	registered = true
+	st := &sortState{fileName: outName, ncols: ncols}
+	pkt.KeepTemp(outName)
 	o.mu.Lock()
 	o.states[pkt.ID] = st
 	o.mu.Unlock()
-	defer func() {
-		st.mu.Lock()
-		st.hostDone = true
-		drop := st.readers == 0 && !st.dropped
-		if drop {
-			st.dropped = true
-		}
-		st.mu.Unlock()
-		if drop {
-			o.drop(rt, pkt.ID, st)
-		}
-	}()
+	defer o.release(rt, pkt.ID, st, func() { st.hostDone = true })
 
 	// Phase 2: stream the sorted file (linear overlap; late arrivals read
 	// the same file through TryShare instead). A cancelled host with live

@@ -8,6 +8,7 @@ package ops
 import (
 	"fmt"
 
+	"qpipe/internal/core"
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/page"
 	"qpipe/internal/tuple"
@@ -24,7 +25,12 @@ type spillWriter struct {
 	scratch []byte
 }
 
-func newSpillWriter(d *disk.Disk, name string) *spillWriter {
+// newSpillWriter creates a temp file for pkt. Its name is recorded on the
+// packet before the file exists (Runtime.TempFile), so the µEngine drops it
+// after Run whatever happens to the writes; a file that must outlive Run
+// leaves the packet through Packet.KeepTemp.
+func newSpillWriter(rt *core.Runtime, pkt *core.Packet, prefix string) *spillWriter {
+	d, name := rt.SM.Disk, rt.TempFile(pkt, prefix)
 	d.Create(name)
 	return &spillWriter{d: d, name: name, pg: page.New(d.BlockSize())}
 }

@@ -112,6 +112,10 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		host   plan.Node
 		hold   int
 		others []plan.Node
+		// opts are the others' per-query options (the pins and the host run
+		// at the runtime's defaults): fan-out and batch size are the query's,
+		// no signature sees them, and they change no share.
+		opts core.QueryOptions
 		// serial drains each of the others before the next is sent: without
 		// OSP nothing ties them to the held host, and side by side they
 		// would find each other's pages in the pool by luck.
@@ -161,6 +165,12 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// over).
 		{name: "step", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
+		// The same arrival run at another fan-out and batch size shares the
+		// same: per-query options are no part of any signature.
+		{name: "step-other-options", mgr: tpchMgr, cfg: wopConfig(nil),
+			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			opts:   core.QueryOptions{Parallelism: 4, BatchSize: 7},
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
 		{name: "step-window-1", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
@@ -213,7 +223,11 @@ func TestWindowsOfOpportunity(t *testing.T) {
 				}
 			}
 			for i, pl := range plans {
-				q, err := rt.Submit(ctx, pl)
+				var opts core.QueryOptions
+				if i > len(row.pin) {
+					opts = row.opts
+				}
+				q, err := rt.SubmitOpts(ctx, pl, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

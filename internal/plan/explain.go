@@ -8,15 +8,6 @@ import (
 	"qpipe/internal/tuple"
 )
 
-// parSuffix renders an explicit intra-operator parallelism hint (0 — the
-// inherited runtime default — prints nothing).
-func parSuffix(p int) string {
-	if p > 0 {
-		return fmt.Sprintf(" par=%d", p)
-	}
-	return ""
-}
-
 // colsSuffix names, in list order, the table columns a projecting scan
 // produces (a nil projection — every column — prints nothing).
 func colsSuffix(s *tuple.Schema, project []int) string {
@@ -42,7 +33,7 @@ func describe(n Node) string {
 		if x.Filter != nil {
 			f = " filter=" + x.Filter.Signature()
 		}
-		return fmt.Sprintf("TableScan %s (%s)%s%s%s", x.Table, mode, colsSuffix(x.TableSchema, x.Project), f, parSuffix(x.Parallelism))
+		return fmt.Sprintf("TableScan %s (%s)%s%s", x.Table, mode, colsSuffix(x.TableSchema, x.Project), f)
 	case *IndexScan:
 		kind := "unclustered"
 		if x.Clustered {
@@ -78,7 +69,7 @@ func describe(n Node) string {
 	case *MergeJoin:
 		return fmt.Sprintf("MergeJoin L[%d]=R[%d]", x.LKey, x.RKey)
 	case *HashJoin:
-		return fmt.Sprintf("HashJoin build[%d]=probe[%d]%s", x.LKey, x.RKey, parSuffix(x.Parallelism))
+		return fmt.Sprintf("HashJoin build[%d]=probe[%d]", x.LKey, x.RKey)
 	case *NLJoin:
 		return "NLJoin " + x.Pred.Signature()
 	case *Aggregate:
@@ -86,9 +77,9 @@ func describe(n Node) string {
 		for i, s := range x.Specs {
 			parts[i] = s.Signature()
 		}
-		return "Aggregate " + strings.Join(parts, ", ") + parSuffix(x.Parallelism)
+		return "Aggregate " + strings.Join(parts, ", ")
 	case *GroupBy:
-		return fmt.Sprintf("GroupBy keys=%v (%d aggs)%s", x.Keys, len(x.Specs), parSuffix(x.Parallelism))
+		return fmt.Sprintf("GroupBy keys=%v (%d aggs)", x.Keys, len(x.Specs))
 	case *Update:
 		return fmt.Sprintf("Update %s (%d rows)", x.Table, len(x.Rows))
 	default:

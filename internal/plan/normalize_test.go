@@ -162,44 +162,6 @@ func TestNormalizeIdempotentOnPlans(t *testing.T) {
 	}
 }
 
-// Satellite regression: normalization must carry parallelism/batch hints
-// through to the rewritten nodes WITHOUT them leaking into signatures —
-// re-introducing PR-2's signature fragmentation here would silently kill
-// OSP sharing between queries that differ only in fan-out hints.
-func TestNormalizePreservesHintsOutsideSignature(t *testing.T) {
-	build := func(par int) Node {
-		scan := NewTableScan("orders", ordersSchema(), nil, nil, false).WithParallelism(par)
-		join := NewHashJoin(scan, NewTableScan("customers", customersSchema(), nil, nil, false), 1, 0)
-		join.Parallelism = par
-		agg := NewAggregate(NewFilter(join, expr.GT(expr.Col(2), expr.CFloat(50))),
-			[]expr.AggSpec{{Kind: expr.AggCount, Name: "n"}})
-		agg.Parallelism = par
-		return agg
-	}
-	hinted := Normalize(build(7))
-	plain := Normalize(build(0))
-
-	if hinted.Signature() != plain.Signature() {
-		t.Fatalf("parallelism hints leaked into normalized signatures:\n%s\n%s",
-			hinted.Signature(), plain.Signature())
-	}
-	agg := hinted.(*Aggregate)
-	if agg.Parallelism != 7 {
-		t.Fatalf("aggregate hint lost: %d", agg.Parallelism)
-	}
-	join := agg.Child.(*HashJoin)
-	if join.Parallelism != 7 {
-		t.Fatalf("join hint lost: %d", join.Parallelism)
-	}
-	scan := join.Left.(*TableScan)
-	if scan.Parallelism != 7 {
-		t.Fatalf("scan hint lost: %d", scan.Parallelism)
-	}
-	if scan.Filter == nil {
-		t.Fatal("filter should have been pushed into the hinted scan")
-	}
-}
-
 func TestNormalizeValidates(t *testing.T) {
 	// Normalized plans must still pass plan.Validate (refs stay in range
 	// after pushdown re-basing).

@@ -71,15 +71,6 @@ type TableScan struct {
 	Project     []int     // nil = all columns
 	Ordered     bool      // require page order (spike WoP)
 
-	// Parallelism is the partition fan-out hint for this scan: the heap's
-	// page range splits into that many contiguous partitions served by
-	// concurrent scan sub-workers (0 = use the runtime's ScanParallelism,
-	// 1 = serial; ignored for ordered scans, which need page order).
-	// Deliberately excluded from the signature: it changes the execution
-	// strategy, not the result, and must not prevent OSP sharing between
-	// scans that differ only in fan-out.
-	Parallelism int
-
 	out *tuple.Schema
 }
 
@@ -92,13 +83,6 @@ func NewTableScan(table string, schema *tuple.Schema, filter expr.Pred, project 
 		ts.out = schema.Project(project)
 	}
 	return ts
-}
-
-// WithParallelism sets the partition fan-out hint and returns the node
-// (builder style, so workload plan constructors stay one expression).
-func (s *TableScan) WithParallelism(p int) *TableScan {
-	s.Parallelism = p
-	return s
 }
 
 // Op implements Node.
@@ -349,27 +333,12 @@ type HashJoin struct {
 	Left, Right Node // Left = build side
 	LKey, RKey  int
 
-	// Parallelism is the intra-operator fan-out hint: the build input is
-	// hash-partitioned across that many join sub-workers, which then probe
-	// in parallel (0 = use the runtime's ScanParallelism, 1 = serial).
-	// Excluded from the signature — it changes the execution strategy, not
-	// the result, and must not prevent OSP sharing between joins that differ
-	// only in fan-out.
-	Parallelism int
-
 	out *tuple.Schema
 }
 
 // NewHashJoin builds a hash-join node (left input is the build side).
 func NewHashJoin(l, r Node, lkey, rkey int) *HashJoin {
 	return &HashJoin{Left: l, Right: r, LKey: lkey, RKey: rkey, out: l.Schema().Concat(r.Schema())}
-}
-
-// WithParallelism sets the join's fan-out hint and returns the node
-// (builder style, matching TableScan.WithParallelism).
-func (j *HashJoin) WithParallelism(p int) *HashJoin {
-	j.Parallelism = p
-	return j
 }
 
 // Op implements Node.
@@ -429,12 +398,6 @@ type Aggregate struct {
 	Child Node
 	Specs []expr.AggSpec
 
-	// Parallelism is the intra-operator fan-out hint: input batches are
-	// dealt to that many workers accumulating partial aggregate states,
-	// merged at the end (0 = runtime ScanParallelism, 1 = serial). Excluded
-	// from the signature, like every parallelism hint.
-	Parallelism int
-
 	out *tuple.Schema
 }
 
@@ -449,12 +412,6 @@ func NewAggregate(child Node, specs []expr.AggSpec) *Aggregate {
 		cols[i] = tuple.Column{Name: name, Kind: tuple.KindFloat}
 	}
 	return &Aggregate{Child: child, Specs: specs, out: &tuple.Schema{Cols: cols}}
-}
-
-// WithParallelism sets the aggregate's fan-out hint and returns the node.
-func (a *Aggregate) WithParallelism(p int) *Aggregate {
-	a.Parallelism = p
-	return a
 }
 
 // Op implements Node.
@@ -481,12 +438,6 @@ type GroupBy struct {
 	Keys  []int
 	Specs []expr.AggSpec
 
-	// Parallelism is the intra-operator fan-out hint: input batches are
-	// dealt to that many workers building partial group tables, merged via
-	// AggState.Merge at the end (0 = runtime ScanParallelism, 1 = serial).
-	// Excluded from the signature, like every parallelism hint.
-	Parallelism int
-
 	out *tuple.Schema
 }
 
@@ -506,12 +457,6 @@ func NewGroupBy(child Node, keys []int, specs []expr.AggSpec) *GroupBy {
 		cols = append(cols, tuple.Column{Name: name, Kind: tuple.KindFloat})
 	}
 	return &GroupBy{Child: child, Keys: keys, Specs: specs, out: &tuple.Schema{Cols: cols}}
-}
-
-// WithParallelism sets the group-by's fan-out hint and returns the node.
-func (g *GroupBy) WithParallelism(p int) *GroupBy {
-	g.Parallelism = p
-	return g
 }
 
 // Op implements Node.

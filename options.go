@@ -5,6 +5,7 @@
 package qpipe
 
 import (
+	"fmt"
 	"time"
 
 	"qpipe/internal/core"
@@ -19,20 +20,39 @@ type queryOpts struct {
 	sharedScan bool
 
 	// validation bookkeeping (checked in resolve)
-	badPar      bool
-	badBatch    bool
+	parErr      error
+	batchErr    error
 	badTimeout  bool
 	badDeadline bool
 }
 
+// maxParallelism and maxBatchSize bound what one query may ask for. Both
+// are allocated up front — par sub-workers, channels and partial tables (a
+// hash join also makes max(8, par) spill files per side), and a batch array
+// of n rows — so a value past them would be an out-of-memory crash, which no
+// error or panic quarantine can catch, rather than a slow query.
+const (
+	maxParallelism = 1024
+	maxBatchSize   = 65536
+)
+
+// checkCount is the one range check the per-query options and SET share:
+// n must lie in [1, limit].
+func checkCount(option, what string, n, limit int) error {
+	if n < 1 || n > limit {
+		return &OptionError{Option: option, Reason: fmt.Sprintf("%s must be an integer in [1, %d]", what, limit)}
+	}
+	return nil
+}
+
 // WithParallelism sets the intra-operator fan-out for every operator of this
 // query (partitioned scans, hash-join build/probe, group-by and aggregate
-// workers). 1 is serial. Per-node plan hints still take precedence. Values
-// below 1 yield an *OptionError at Run.
+// workers). 1 is serial. Values outside [1, 1024] yield an *OptionError at
+// Run.
 func WithParallelism(n int) QueryOption {
 	return func(o *queryOpts) {
 		o.core.Parallelism = n
-		o.badPar = n < 1
+		o.parErr = checkCount("WithParallelism", "parallelism", n, maxParallelism)
 	}
 }
 
@@ -56,11 +76,12 @@ func WithSharedScan() QueryOption {
 // for when producing output (smaller batches lower latency to first row;
 // larger batches amortize synchronization), and bounds the batches
 // Result.Next returns — also when the plan's root is a scan, which then cuts
-// each page's rows to size. Values below 1 yield an *OptionError at Run.
+// each page's rows to size. Values outside [1, 65536] yield an
+// *OptionError at Run.
 func WithBatchSize(n int) QueryOption {
 	return func(o *queryOpts) {
 		o.core.BatchSize = n
-		o.badBatch = n < 1
+		o.batchErr = checkCount("WithBatchSize", "batch size", n, maxBatchSize)
 	}
 }
 
@@ -95,10 +116,10 @@ func resolveOpts(opts []QueryOption) (queryOpts, error) {
 		fn(&o)
 	}
 	switch {
-	case o.badPar:
-		return o, &OptionError{Option: "WithParallelism", Reason: "parallelism must be >= 1"}
-	case o.badBatch:
-		return o, &OptionError{Option: "WithBatchSize", Reason: "batch size must be >= 1"}
+	case o.parErr != nil:
+		return o, o.parErr
+	case o.batchErr != nil:
+		return o, o.batchErr
 	case o.badTimeout:
 		return o, &OptionError{Option: "WithTimeout", Reason: "timeout must be > 0"}
 	case o.badDeadline:

@@ -197,11 +197,13 @@ func TestServerTypedErrors(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("misroute: got %[1]T %[1]v", err)
 	}
-	// Bad SET value.
-	_, err = conn.Query(ctx, "SET parallelism = 0")
+	// Bad SET values: out of range below, and far past the bound (one such
+	// SET must not let a client take the server down on its next GROUP BY).
 	var oe *qpipe.OptionError
-	if !errors.As(err, &oe) {
-		t.Fatalf("bad SET: got %[1]T %[1]v", err)
+	for _, bad := range []string{"SET parallelism = 0", "SET parallelism = 1000000000"} {
+		if _, err = conn.Query(ctx, bad); !errors.As(err, &oe) {
+			t.Fatalf("%s: got %[2]T %[2]v", bad, err)
+		}
 	}
 	// Statement timeout → typed DeadlineError that unwraps to
 	// context.DeadlineExceeded, exactly like the embedded API. The stall is

@@ -1197,15 +1197,15 @@ func (s *Session) Apply(st *sql.Set) error {
 	val := strings.ToLower(st.Value)
 	switch st.Name {
 	case "parallelism":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 {
-			return &OptionError{Option: "SET parallelism", Reason: "must be an integer >= 1"}
+		n, _ := strconv.Atoi(val) // not an integer: 0, out of range
+		if err := checkCount("SET parallelism", "parallelism", n, maxParallelism); err != nil {
+			return err
 		}
 		s.Parallelism = n
 	case "batch_size":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 {
-			return &OptionError{Option: "SET batch_size", Reason: "must be an integer >= 1"}
+		n, _ := strconv.Atoi(val)
+		if err := checkCount("SET batch_size", "batch size", n, maxBatchSize); err != nil {
+			return err
 		}
 		s.BatchSize = n
 	case "osp":

@@ -412,8 +412,13 @@ func TestSession(t *testing.T) {
 		t.Errorf("options = %d, want 4", n)
 	}
 	var oe *OptionError
-	if err := apply("SET parallelism = 0"); !errors.As(err, &oe) {
-		t.Errorf("bad parallelism: got %v", err)
+	for _, bad := range []string{"SET parallelism = 0", "SET parallelism = 1000000000", "SET batch_size = 1000000000"} {
+		if err := apply(bad); !errors.As(err, &oe) {
+			t.Errorf("%s: got %v", bad, err)
+		}
+	}
+	if got := s.String(); got != "parallelism=4 batch_size=128 osp=off statement_timeout=250ms" {
+		t.Errorf("a refused SET changed the session: %q", got)
 	}
 	if err := apply("SET nothing = 1"); !errors.As(err, &oe) {
 		t.Errorf("unknown setting: got %v", err)
@@ -433,9 +438,8 @@ func TestSession(t *testing.T) {
 	}
 }
 
-// TestSQLExplainAnnotations covers the par=N / OSP annotations the issue
-// calls out: plan-node parallelism hints print inside the tree, per-query
-// options as a trailing line.
+// TestSQLExplainAnnotations: per-query options (parallelism, OSP) print as
+// a trailing line under the plan tree.
 func TestSQLExplainAnnotations(t *testing.T) {
 	db := sqlTestDB(t)
 	res, err := db.Query(context.Background(),
