@@ -276,6 +276,10 @@ func (db *DB) Load(table string, rows []Row) error {
 // Insert appends rows through the update µEngine: it serializes against
 // concurrent readers via the lock manager and maintains the table's indexes.
 func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
+	return db.insert(ctx, table, rows, queryOpts{})
+}
+
+func (db *DB) insert(ctx context.Context, table string, rows []Row, o queryOpts) error {
 	t, err := db.mgr.Table(table)
 	if err != nil {
 		return &UnknownTableError{Table: table}
@@ -283,7 +287,7 @@ func (db *DB) Insert(ctx context.Context, table string, rows ...Row) error {
 	if err := checkRows(table, t.Schema, rows); err != nil {
 		return err
 	}
-	res, err := db.run(ctx, plan.NewUpdate(table, rows), -1, queryOpts{})
+	res, err := db.run(ctx, plan.NewUpdate(table, rows), -1, o)
 	if err != nil {
 		return err
 	}

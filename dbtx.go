@@ -124,9 +124,10 @@ func (tx *Tx) Rollback() { tx.tx.Rollback() }
 // ExecSession runs a SQL script with session state: SET folds into the
 // session, BEGIN/COMMIT/ROLLBACK control the session's transaction, and
 // INSERT/UPDATE/DELETE stage into it when one is open (autocommitting
-// through the engine otherwise). This is what the network server runs for
-// each Exec frame, giving remote clients transactions. Returns the total
-// rows affected by the script's mutations.
+// through the engine otherwise, with the session's options as its queries
+// have them: SET statement_timeout bounds a mutation too). This is what the
+// network server runs for each Exec frame, giving remote clients
+// transactions. Returns the total rows affected by the script's mutations.
 func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int64, error) {
 	stmts, err := sql.ParseScript(text)
 	if err != nil {
@@ -165,7 +166,10 @@ func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int6
 			if sess.tx != nil {
 				n, err = sess.tx.execStmt(ctx, stmt)
 			} else {
-				n, err = db.execStmt(ctx, stmt)
+				var o queryOpts
+				if o, err = resolveOpts(sess.Options()); err == nil {
+					n, err = db.execStmt(ctx, stmt, o)
+				}
 			}
 			if err != nil {
 				return affected, err

@@ -3,13 +3,14 @@ package qpipe
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
-	"qpipe/sql"
 )
 
 // Resource-governance tests: admission control (typed shedding, FIFO queue,
@@ -203,27 +204,118 @@ func TestDeadlineOptionValidation(t *testing.T) {
 
 func TestStatementTimeoutSession(t *testing.T) {
 	db := openTestDB(t, 8000, Options{PoolPages: 64, ScanParallelism: 1})
-	if err := db.DropCaches(); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	// Each row's statement outlives the session's 25ms timeout: the query on
+	// a cold, slow disk, an autocommit mutation on the table lock an open
+	// transaction holds. A timed-out mutation has no effect once it has
+	// ended: its kept query (if any) still reads 1.
+	slowDisk := func() (release func()) {
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		db.SetDiskLatency(2*time.Millisecond, 2*time.Millisecond, 0)
+		return func() { db.SetDiskLatency(0, 0, 0) }
 	}
-	db.SetDiskLatency(2*time.Millisecond, 2*time.Millisecond, 0)
-	defer db.SetDiskLatency(0, 0, 0)
+	heldLock := func() (release func()) {
+		tx := db.Begin()
+		if _, err := tx.Exec(ctx, "UPDATE t SET grp = 2 WHERE k = 0"); err != nil {
+			t.Fatal(err)
+		}
+		return tx.Rollback
+	}
+	exec := func(text string) func(*Session) error {
+		return func(sess *Session) error {
+			_, err := db.ExecSession(ctx, sess, text)
+			return err
+		}
+	}
+	var timeouts int64
+	for _, row := range []struct {
+		name  string
+		stall func() func()
+		run   func(*Session) error
+		kept  string
+	}{
+		{"query", slowDisk, func(sess *Session) error {
+			res, err := db.Query(ctx, "SELECT * FROM t ORDER BY k", sess.Options()...)
+			if err == nil {
+				_, err = res.All()
+			}
+			return err
+		}, ""},
+		{"update", heldLock, exec("UPDATE t SET grp = 3 WHERE k = 1"), "SELECT grp FROM t WHERE k = 1"},
+		{"delete", heldLock, exec("DELETE FROM t WHERE k = 2"), "SELECT count(*) AS n FROM t WHERE k = 2"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var sess Session
+			if _, err := db.ExecSession(ctx, &sess, "SET statement_timeout = 25"); err != nil {
+				t.Fatal(err)
+			}
+			// The stall ends after 15 s whatever happens, so the row fails
+			// instead of hanging: a statement the timeout does not bound is
+			// still waiting when waitStat gives up at 10 s.
+			release := sync.OnceFunc(row.stall())
+			defer release()
+			time.AfterFunc(15*time.Second, release)
+			if err := row.run(&sess); !errors.As(err, new(*DeadlineError)) {
+				t.Fatalf("got %v, want *DeadlineError", err)
+			}
+			// The statement itself has ended, not only its reply, while the
+			// stall still holds.
+			timeouts++
+			waitStat(t, db, func(s Stats) int64 { return s.DeadlineTimeouts }, timeouts, "DeadlineTimeouts")
+			release()
+			if row.kept == "" {
+				return
+			}
+			res, err := db.Query(ctx, row.kept)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, err := res.All(); err != nil || len(rows) != 1 || rows[0][0].I != 1 {
+				t.Fatalf("%s after the timed-out statement: %v, %v; want 1", row.kept, rows, err)
+			}
+		})
+	}
+}
+
+// A statement timeout that passes after an autocommit mutation's commit has
+// begun — here while the WAL stalls between writing the commit's records and
+// syncing them — comes too late: the UPDATE commits, and its reply says so.
+// A *DeadlineError there would invite a retry that applies grp = grp + 1
+// twice.
+func TestStatementTimeoutAfterCommitBegan(t *testing.T) {
+	db := openTestDB(t, 100, Options{PoolPages: 64, ScanParallelism: 1})
+	ctx := context.Background()
+	var stall atomic.Bool
+	db.mgr.WAL().Hook = func(site string) {
+		if site == "append:post-record-pre-fsync" && stall.Swap(false) {
+			time.Sleep(250 * time.Millisecond) // ten times the timeout
+		}
+	}
 	var sess Session
-	stmt, err := sql.Parse("SET statement_timeout = 25")
-	if err != nil {
+	if _, err := db.ExecSession(ctx, &sess, "SET statement_timeout = 25"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Apply(stmt.(*sql.Set)); err != nil {
-		t.Fatal(err)
+	stall.Store(true)
+	n, err := db.ExecSession(ctx, &sess, "UPDATE t SET grp = grp + 1 WHERE k = 1")
+	if stall.Load() {
+		t.Fatal("the UPDATE's commit never reached the WAL")
 	}
-	res, err := db.Query(context.Background(), "SELECT * FROM t ORDER BY k", sess.Options()...)
-	if err == nil {
-		_, err = res.All()
+	res, qerr := db.Query(ctx, "SELECT grp FROM t WHERE k = 1")
+	if qerr != nil {
+		t.Fatal(qerr)
 	}
-	if !errors.As(err, new(*DeadlineError)) {
-		t.Fatalf("SET statement_timeout query: got %v, want *DeadlineError", err)
+	rows, qerr := res.All()
+	if qerr != nil || len(rows) != 1 {
+		t.Fatalf("SELECT grp: %v, %v", rows, qerr)
 	}
-	waitStat(t, db, func(s Stats) int64 { return s.DeadlineTimeouts }, 1, "DeadlineTimeouts")
+	if grp := rows[0][0].I; err != nil || n != 1 || grp != 2 {
+		t.Fatalf("UPDATE replied (%d, %v) and left grp = %d; want (1, <nil>) and grp = 2", n, err, grp)
+	}
+	if got := db.Stats().DeadlineTimeouts; got != 0 {
+		t.Fatalf("DeadlineTimeouts = %d, want 0", got)
+	}
 }
 
 func TestSatelliteRescuedFromTimedOutHost(t *testing.T) {

@@ -5,6 +5,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -43,7 +44,7 @@ type EngineStats struct {
 	Enqueued   int64
 	Completed  int64
 	Satellites int64 // packets absorbed by OSP instead of executing
-	SubWorkers int64 // sub-workers spawned by running packets (scan partitions)
+	SubWorkers int64 // sub-workers run for packets by Runtime.Fan and Runtime.Serve
 	Errors     int64
 	Panics     int64 // operator panics quarantined (packet failed, µEngine kept serving)
 }
@@ -107,20 +108,89 @@ func (e *MicroEngine) Stats() EngineStats {
 	}
 }
 
-// SpawnSub runs fn as a sub-worker of this µEngine on behalf of a running
-// packet — the partitioned scan's fan-out (one sub-worker per extra
-// partition). Sub-workers are tracked by the engine's WaitGroup so close
-// waits for them, but they always run elastically (a fresh goroutine) even
-// when the engine uses a fixed pool: a partition queued behind the very
-// packet that spawned it would deadlock the scan group against pool sizing.
-// Callers must guarantee fn returns; the scan group's teardown does.
-func (e *MicroEngine) SpawnSub(fn func()) {
+// Fan runs fn(ctx, 0..p-1) concurrently on behalf of the running packet pkt:
+// fn(0) on the calling goroutine, the rest as sub-workers of pkt's µEngine —
+// the one way operator code runs on another goroutine. Sub-workers are
+// counted in EngineStats.SubWorkers and waited for by Close, and always run
+// on a fresh goroutine even when the engine uses a fixed pool: a sub-worker
+// queued behind the very packet that spawned it would deadlock against pool
+// sizing.
+//
+// Every worker's ctx is pkt's query context without its cancel, and is
+// cancelled, with the failure as its cause, as soon as any worker returns an
+// error or panics. The query's own cancel must not reach the workers: the
+// runtime releases a query's context as soon as its root finishes, while a
+// packet below may still serve another query's satellites (or, for a scan
+// group, other queries altogether); a genuine cancel reaches them through
+// the torn-down buffers, and Query.CancelErr tells the two apart.
+//
+// A panic, worker 0's included, becomes *PanicError{Op: pkt's operator},
+// counted in EngineStats.Panics. Fan returns the first failure once every
+// worker has returned. A runtime without pkt's engine (direct operator
+// tests) runs the same way, uncounted.
+func (rt *Runtime) Fan(pkt *Packet, p int, fn func(ctx context.Context, k int) error) error {
+	op := pkt.Node.Op()
+	e := rt.engines[op]
+	ctx, cancel := context.WithCancelCause(context.WithoutCancel(pkt.Query.Ctx()))
+	defer cancel(nil)
+	var (
+		once  sync.Once
+		first error
+		wg    sync.WaitGroup
+	)
+	run := func(k int) {
+		if err := e.quarantine(op, func() error { return fn(ctx, k) }); err != nil {
+			once.Do(func() { first = err; cancel(err) })
+		}
+	}
+	for k := 1; k < p; k++ {
+		wg.Add(1)
+		e.sub(func() {
+			defer wg.Done()
+			run(k)
+		})
+	}
+	run(0)
+	wg.Wait()
+	return first
+}
+
+// Serve runs fn as a detached sub-worker of pkt's µEngine, for work that
+// serves pkt after its spawner returns: tracked and quarantined like Fan's
+// workers, it completes pkt with fn's error.
+func (rt *Runtime) Serve(pkt *Packet, fn func() error) {
+	op := pkt.Node.Op()
+	e := rt.engines[op]
+	e.sub(func() { pkt.Complete(e.quarantine(op, fn)) })
+}
+
+// sub runs fn on a fresh goroutine as a sub-worker of e (uncounted when e is
+// nil).
+func (e *MicroEngine) sub(fn func()) {
+	if e == nil {
+		go fn()
+		return
+	}
 	e.subs.Add(1)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		fn()
 	}()
+}
+
+// quarantine runs fn, turning a panic into *PanicError{Op: op} counted on e
+// (uncounted when e is nil).
+func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Op: op, Value: r}
+			if e != nil {
+				e.panics.Add(1)
+			}
+		}
+	}()
+	return fn()
 }
 
 // Enqueue admits a packet: OSP overlap check first (paper §4.3: "every time
@@ -240,19 +310,10 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 		return
 	}
 	pkt.setState(PacketRunning)
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				// Panic quarantine: the packet fails with a typed error, its
-				// satellites are detached and rescued below exactly like the
-				// cancel path, and this worker returns normally so the µEngine
-				// keeps serving subsequent packets.
-				err = &PanicError{Op: e.op, Value: r}
-				e.panics.Add(1)
-			}
-		}()
-		return e.impl.Run(e.rt, pkt)
-	}()
+	// Panic quarantine: the packet fails with a typed error, its satellites
+	// are detached and rescued below exactly like the cancel path, and this
+	// worker returns normally so the µEngine keeps serving later packets.
+	err := e.quarantine(e.op, func() error { return e.impl.Run(e.rt, pkt) })
 	e.rt.dropTemps(pkt)
 	if err != nil {
 		// A cancelled query tears its buffers down underneath the operator,

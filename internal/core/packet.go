@@ -398,6 +398,9 @@ type Query struct {
 	// userCancelled marks caller-initiated teardown (Cancel), as opposed to
 	// the administrative context release after the query finishes.
 	userCancelled atomic.Bool
+	// committed marks a query past its point of no return (BeginCommit):
+	// Cancel no longer tears it down, and CancelErr reports nothing.
+	committed atomic.Bool
 
 	mu      sync.Mutex
 	packets []*Packet
@@ -445,12 +448,15 @@ func (q *Query) Ctx() context.Context { return q.ctx }
 // with a bare stop() after the query finishes, and that administrative
 // teardown must not read as a failure to packets legitimately outliving
 // the root (e.g. a producer a merge join abandoned after exhausting its
-// other side).
+// other side). A passed deadline is never that release, so it counts before
+// the context watcher's Cancel has run: an operator that stopped on the
+// query's context (a lock wait) ends with the typed error, not a bare one.
+// A query past BeginCommit reports none: it ends with its commit's outcome.
 func (q *Query) CancelErr() error {
-	if !q.userCancelled.Load() {
+	err := q.ctx.Err()
+	if q.committed.Load() || !q.userCancelled.Load() && !errors.Is(err, context.DeadlineExceeded) {
 		return nil
 	}
-	err := q.ctx.Err()
 	if err == nil {
 		err = context.Canceled
 	}
@@ -464,20 +470,44 @@ func (q *Query) CancelErr() error {
 }
 
 // Cancel aborts the query: all its buffers wake with abandonment so blocked
-// operators unwind.
+// operators unwind. A query past BeginCommit is not aborted.
 func (q *Query) Cancel() {
-	q.userCancelled.Store(true)
-	q.stop()
 	q.mu.Lock()
+	if q.committed.Load() {
+		q.mu.Unlock()
+		return
+	}
+	q.userCancelled.Store(true)
 	bufs := append([]*tbuf.Buffer(nil), q.buffers...)
 	packets := append([]*Packet(nil), q.packets...)
 	q.mu.Unlock()
+	q.stop()
 	for _, p := range packets {
 		p.cancelled.Store(true)
 	}
 	for _, b := range bufs {
 		b.Abandon()
 	}
+}
+
+// BeginCommit is the point of no return of a query that changes durable
+// state (the update µEngine calls it right before its commit is logged). It
+// fails with the cancellation error if the query was cancelled or its
+// deadline passed first — nothing is committed then. Once it succeeds, a
+// later cancel — the caller's, the deadline's, the runtime's — comes too
+// late: it is ignored, and the query ends with the commit's real outcome,
+// so a reply never calls a committed mutation failed.
+func (q *Query) BeginCommit() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if err := q.CancelErr(); err != nil {
+		return err
+	}
+	if err := q.ctx.Err(); err != nil {
+		return err // the caller's cancel, before its watcher ran Cancel
+	}
+	q.committed.Store(true)
+	return nil
 }
 
 func (q *Query) addPacket(p *Packet) {

@@ -5,8 +5,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		LeaseLint,
 		EmitLint,
-		CtxLint,
-		DeadlineLint,
 		WALLint,
 	}
 }

@@ -14,14 +14,6 @@ func TestEmitLint(t *testing.T) {
 	RunTest(t, "testdata", EmitLint, "emitlint")
 }
 
-func TestCtxLint(t *testing.T) {
-	RunTest(t, "testdata", CtxLint, "ctxlint")
-}
-
-func TestDeadlineLint(t *testing.T) {
-	RunTest(t, "testdata", DeadlineLint, "deadlinelint")
-}
-
 // TestWALLint loads the heap stand-in plus both halves of the contract:
 // the sm package (mutators legal only in apply functions) and an outside
 // package (mutators never legal).

@@ -181,9 +181,9 @@ func f() {
 }
 
 func TestByName(t *testing.T) {
-	sel, unknown, ok := ByName([]string{"leaselint", "ctxlint"})
+	sel, unknown, ok := ByName([]string{"leaselint", "walint"})
 	if !ok || unknown != "" || len(sel) != 2 {
-		t.Fatalf("ByName(leaselint,ctxlint) = %v, %q, %v", sel, unknown, ok)
+		t.Fatalf("ByName(leaselint,walint) = %v, %q, %v", sel, unknown, ok)
 	}
 	_, unknown, ok = ByName([]string{"leaselint", "nosuch"})
 	if ok || unknown != "nosuch" {

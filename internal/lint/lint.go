@@ -1,11 +1,12 @@
-// Package lint implements qpipe-lint: five static analyzers for the engine
+// Package lint implements qpipe-lint: three static analyzers for the engine
 // invariants the types do not yet make unwritable — the batch-lease protocol
-// (leaselint), the no-error-swallowing emitter idiom (emitlint), context
-// threading into operator sub-workers (ctxlint), contexts derived from the
-// query's wherever query state is held (deadlinelint), and heap-page
-// mutation only in the storage manager's logged apply step (walint). Fan-out and spill-file
-// cleanup need no analyzer: a plan node has no fan-out field, and a spill
-// file is created only through its packet, which drops it.
+// (leaselint), the no-error-swallowing emitter idiom (emitlint), and
+// heap-page mutation only in the storage manager's logged apply step
+// (walint). Fan-out, spill-file cleanup and sub-worker contexts need no
+// analyzer: a plan node has no fan-out field, a spill file is created only
+// through its packet, which drops it, and operator code runs on another
+// goroutine only through core.Runtime.Fan or Serve, which hand each worker
+// its context.
 //
 // The package mirrors the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic, an analysistest-style test runner) but is

@@ -11,11 +11,8 @@ import (
 	"strings"
 )
 
-// Canonical import paths of the engine packages the analyzers know about.
-const (
-	tbufPath = "qpipe/internal/core/tbuf"
-	corePath = "qpipe/internal/core"
-)
+// Canonical import path of the engine package the analyzers know about.
+const tbufPath = "qpipe/internal/core/tbuf"
 
 // pkgMatches reports whether pkg is the engine package with canonical path
 // full, or a testdata stand-in sharing its base name.

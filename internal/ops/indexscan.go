@@ -162,10 +162,9 @@ func (o *IndexScanOp) tryMaterializedOrderedShare(rt *core.Runtime, pkt *core.Pa
 		}
 		return false
 	}
-	go func() {
-		err := o.runMaterializedOrdered(rt, pkt, node, colBuf, int(start))
-		pkt.Complete(err)
-	}()
+	rt.Serve(pkt, func() error {
+		return o.runMaterializedOrdered(rt, pkt, node, colBuf, int(start))
+	})
 	return true
 }
 

@@ -15,6 +15,8 @@
 package ops
 
 import (
+	"context"
+
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
 	"qpipe/internal/plan"
@@ -311,20 +313,19 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 			}
 		}
 	}
-	err := parFeed(subSpawner(rt, plan.OpHashJoin), par, par,
-		func(k int, ch <-chan tbuf.Batch) error {
-			em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-			var arena tuple.RowArena
-			for b := range ch {
-				for _, t := range b {
-					if err := probe(em, &arena, t); err != nil {
-						return err
-					}
+	err := parFeed(rt, pkt, pkt.Inputs[1], nil, par, func(k int, ch <-chan tbuf.Batch) error {
+		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
+		var arena tuple.RowArena
+		for b := range ch {
+			for _, t := range b {
+				if err := probe(em, &arena, t); err != nil {
+					return err
 				}
-				pkt.Inputs[1].Recycle(b)
 			}
-			return em.flush()
-		}, feedInput(pkt.Inputs[1]))
+			pkt.Inputs[1].Recycle(b)
+		}
+		return em.flush()
+	})
 	return emitResult(err)
 }
 
@@ -349,7 +350,6 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 	}
 	lcols := node.Left.Schema().Len()
 	rcols := node.Right.Schema().Len()
-	spawn := subSpawner(rt, plan.OpHashJoin)
 	lkey, rkey := []int{node.LKey}, []int{node.RKey}
 
 	// Re-partition: the in-memory map keeps only tuples hashing to
@@ -400,7 +400,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			return err
 		}
 	} else {
-		err := routeAffine(spawn, par, home,
+		err := routeAffine(rt, pkt, par, home,
 			func(k int, ch <-chan []routed) error {
 				for items := range ch {
 					for _, it := range items {
@@ -459,7 +459,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			return emitResult(err)
 		}
 	} else {
-		err := routeAffine(spawn, par, home,
+		err := routeAffine(rt, pkt, par, home,
 			func(k int, ch <-chan []routed) error {
 				em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 				var arena tuple.RowArena
@@ -511,15 +511,18 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 			}
 		}
 	}
-	err := fanOut(spawn, par, func(k int) error {
+	err := rt.Fan(pkt, par, func(ctx context.Context, k int) error {
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 		var arena tuple.RowArena
 		for i := k + 1; i <= parts; i += par {
-			// A cancelled query must not grind through the remaining
-			// partition files; OSP-cancelled packets (flag only, live query)
-			// stop through the port instead.
+			// A cancelled query or a failed sibling must not grind through
+			// the remaining partition files; OSP-cancelled packets (flag
+			// only, live query) stop through the port instead.
 			if cerr := pkt.Query.CancelErr(); cerr != nil {
 				return cerr
+			}
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
 			}
 			if err := joinPart(em, &arena, i); err != nil {
 				return err

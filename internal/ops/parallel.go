@@ -2,10 +2,8 @@
 // aggregate µEngines. The paper makes per-operator parallelism a first-class
 // design axis (each µEngine owns "a pool of worker threads"); PR 1 exploited
 // it for scans, and these helpers extend the same sub-worker machinery
-// (MicroEngine.SpawnSub) up the pipeline:
+// (core.Runtime.Fan) up the pipeline:
 //
-//   - fanOut: run P independent shards of work, worker 0 on the packet's own
-//     worker (the disk phase of the partitioned hash join).
 //   - parFeed: one router (the packet's worker) drains the input buffer and
 //     deals raw batches to P sub-workers over a shared channel — for stages
 //     where any worker can process any tuple (probing a read-only table,
@@ -15,128 +13,48 @@
 //     per partition (spill writers, the hybrid join's memory-resident
 //     partition 0).
 //
-// All three propagate the first worker/router error and convert sub-worker
-// panics into errors (the µEngine's recover only covers the goroutine that
-// runs the packet).
+// Both run the router and the workers as one Fan: the first failure — a
+// worker's error or panic, or the router's own, such as the input buffer a
+// cancelled query tore down — cancels the worker ctx, on which the router
+// stops dealing and closes the channels, so the remaining workers drain them
+// and return.
 package ops
 
 import (
-	"errors"
-	"fmt"
+	"context"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
-	"qpipe/internal/plan"
 	"qpipe/internal/tuple"
 )
 
-// errParAborted is the router's internal stop signal once a worker failed;
-// it never escapes the helpers (the worker's own error is reported instead).
-var errParAborted = errors.New("ops: parallel stage aborted")
-
-// subSpawner returns the µEngine's sub-worker spawn hook for op, so parallel
-// operator stages are accounted to their engine (SubWorkers stat; close
-// waits for them). Runtimes without that engine (direct operator tests) fall
-// back to plain goroutines.
-func subSpawner(rt *core.Runtime, op plan.OpType) func(func()) {
-	if eng := rt.Engine(op); eng != nil {
-		return eng.SpawnSub
-	}
-	return func(fn func()) { go fn() }
-}
-
-// guard runs fn converting a panic into an error.
-func guard(k int, fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("ops: parallel worker %d panicked: %v", k, r)
+// parFeed deals in's batches — first, when not nil, then the rest until EOF —
+// to p sub-workers consuming one shared channel, and returns the first error.
+func parFeed(rt *core.Runtime, pkt *core.Packet, in *tbuf.Buffer, first tbuf.Batch, p int, work func(k int, ch <-chan tbuf.Batch) error) error {
+	ch := make(chan tbuf.Batch, p) // a batch queued per worker
+	return rt.Fan(pkt, p+1, func(ctx context.Context, k int) error {
+		if k > 0 {
+			return work(k-1, ch)
 		}
-	}()
-	return fn()
-}
-
-func firstErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// fanOut runs fn(0..p-1) concurrently — fn(0) on the calling worker, the
-// rest as µEngine sub-workers — and returns the first error.
-func fanOut(spawn func(func()), p int, fn func(k int) error) error {
-	if p <= 1 {
-		return guard(0, func() error { return fn(0) })
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for k := 1; k < p; k++ {
-		k := k
-		wg.Add(1)
-		spawn(func() {
-			defer wg.Done()
-			errs[k] = guard(k, func() error { return fn(k) })
-		})
-	}
-	errs[0] = guard(0, func() error { return fn(0) })
-	wg.Wait()
-	return firstErr(errs)
-}
-
-// parFeed spawns p sub-workers consuming items from one shared channel fed
-// by the calling worker. feed must stop when stop() reports a worker
-// failure; parFeed closes the channel, waits for the workers, and returns
-// the first error. A failed worker keeps draining the channel so the feeder
-// is never left blocked on a dead stage.
-func parFeed[T any](spawn func(func()), p, chCap int, work func(k int, ch <-chan T) error, feed func(ch chan<- T, stop func() bool) error) error {
-	ch := make(chan T, chCap)
-	var abort atomic.Bool
-	errs := make([]error, p+1)
-	var wg sync.WaitGroup
-	for k := 0; k < p; k++ {
-		k := k
-		wg.Add(1)
-		spawn(func() {
-			defer wg.Done()
-			err := guard(k, func() error { return work(k, ch) })
-			if err != nil {
-				abort.Store(true)
-				for range ch {
+		defer close(ch)
+		for b := first; ; b = nil {
+			if b == nil {
+				var err error
+				if b, err = in.Get(); err == io.EOF {
+					return nil
+				} else if err != nil {
+					return err
 				}
 			}
-			errs[k+1] = err
-		})
-	}
-	errs[0] = feed(ch, abort.Load)
-	close(ch)
-	wg.Wait()
-	return firstErr(errs)
-}
-
-// feedInput is the standard parFeed router loop: it drains the packet input
-// buffer into the worker channel until EOF, an input error or a worker
-// failure.
-func feedInput(in *tbuf.Buffer) func(ch chan<- tbuf.Batch, stop func() bool) error {
-	return func(ch chan<- tbuf.Batch, stop func() bool) error {
-		for {
-			if stop() {
-				return nil
+			select {
+			case ch <- b:
+			case <-ctx.Done():
+				in.Recycle(b)
+				return context.Cause(ctx)
 			}
-			b, err := in.Get()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			ch <- b
 		}
-	}
+	})
 }
 
 // routed is one tuple annotated with its join/partition hash, dealt from the
@@ -155,56 +73,50 @@ const routeBatch = 256
 // affinity: the router (calling worker) computes each tuple's hash through
 // feed's emit callback and deals it to worker home(h), so every piece of
 // partition-local state — a spill writer, the hybrid hash join's
-// memory-resident partition — has exactly one writing worker. Returns the
-// first router/worker error.
-func routeAffine(spawn func(func()), par int, home func(h uint64) int, work func(k int, ch <-chan []routed) error, feed func(emit func(tuple.Tuple, uint64) error) error) error {
+// memory-resident partition — has exactly one writing worker. The worker ctx
+// is polled once per routed batch, never per tuple. Returns the first
+// router/worker error.
+func routeAffine(rt *core.Runtime, pkt *core.Packet, par int, home func(h uint64) int, work func(k int, ch <-chan []routed) error, feed func(emit func(tuple.Tuple, uint64) error) error) error {
 	chans := make([]chan []routed, par)
 	for k := range chans {
 		chans[k] = make(chan []routed, 2)
 	}
-	var abort atomic.Bool
-	errs := make([]error, par+1)
-	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		k := k
-		wg.Add(1)
-		spawn(func() {
-			defer wg.Done()
-			err := guard(k, func() error { return work(k, chans[k]) })
-			if err != nil {
-				abort.Store(true)
-				for range chans[k] {
-				}
+	return rt.Fan(pkt, par+1, func(ctx context.Context, k int) error {
+		if k > 0 {
+			return work(k-1, chans[k-1])
+		}
+		defer func() {
+			for _, ch := range chans {
+				close(ch)
 			}
-			errs[k+1] = err
-		})
-	}
-	pending := make([][]routed, par)
-	ferr := feed(func(t tuple.Tuple, h uint64) error {
-		if abort.Load() {
-			return errParAborted
+		}()
+		send := func(k int, items []routed) error {
+			select {
+			case chans[k] <- items:
+				return nil
+			case <-ctx.Done():
+				return context.Cause(ctx)
+			}
 		}
-		k := home(h)
-		if pending[k] == nil {
-			pending[k] = make([]routed, 0, routeBatch)
-		}
-		pending[k] = append(pending[k], routed{t: t, h: h})
-		if len(pending[k]) >= routeBatch {
-			chans[k] <- pending[k]
+		pending := make([][]routed, par)
+		err := feed(func(t tuple.Tuple, h uint64) error {
+			k := home(h)
+			if pending[k] == nil {
+				pending[k] = make([]routed, 0, routeBatch)
+			}
+			pending[k] = append(pending[k], routed{t: t, h: h})
+			if len(pending[k]) < routeBatch {
+				return nil
+			}
+			items := pending[k]
 			pending[k] = nil
+			return send(k, items)
+		})
+		for k := 0; err == nil && k < par; k++ {
+			if len(pending[k]) > 0 {
+				err = send(k, pending[k])
+			}
 		}
-		return nil
+		return err
 	})
-	for k := 0; k < par; k++ {
-		if ferr == nil && len(pending[k]) > 0 {
-			chans[k] <- pending[k]
-		}
-		close(chans[k])
-	}
-	wg.Wait()
-	if errors.Is(ferr, errParAborted) {
-		ferr = nil
-	}
-	errs[0] = ferr
-	return firstErr(errs)
 }

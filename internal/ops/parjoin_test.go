@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -127,5 +128,71 @@ func TestAggregateParallelMatchesSerial(t *testing.T) {
 	serial := runPar(t, rt, agg, 1)
 	for _, par := range []int{2, 4, 8} {
 		assertSameRows(t, serial, runPar(t, rt, agg, par), fmt.Sprintf("par=%d", par))
+	}
+}
+
+// A merge join that exhausts its other side finishes its query while the
+// hash join below it still runs, and the runtime then releases the query's
+// context. The hash join's sub-workers must not take that release for a
+// cancel: the join also feeds a satellite of another query, which is owed
+// its full answer. Both the in-memory probe (parFeed) and the partitioned
+// path (routeAffine, then the disk phase) run with sub-workers here.
+func TestHashJoinOutlivesItsMergeJoinRoot(t *testing.T) {
+	for _, row := range []struct {
+		name       string
+		n          int
+		build      expr.Pred // the build side's filter; every probe row matches one build row
+		lkey, rkey int
+	}{
+		{"in-memory", 20000, expr.LT(expr.Col(0), expr.CInt(7)), 1, 1},
+		{"partitioned", hashJoinMaxBuild + 3000, nil, 0, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if testing.Short() && row.build == nil {
+				t.Skip("large build input")
+			}
+			cfg := parCfg(2)
+			cfg.BatchSize = 64
+			rt := newRT(t, row.n, cfg)
+			// The merge join's other side: one row, ordered, whose key sorts
+			// before every key of the join's output.
+			if _, err := rt.SM.CreateTable("u", testSchema()); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.SM.Load("u", []tuple.Tuple{{tuple.I64(-1), tuple.I64(0), tuple.F64(0)}}); err != nil {
+				t.Fatal(err)
+			}
+			join := func() plan.Node {
+				return plan.NewHashJoin(
+					plan.NewTableScan("t", testSchema(), row.build, nil, false),
+					plan.NewTableScan("t", testSchema(), nil, nil, false), row.lkey, row.rkey)
+			}
+			opts := core.QueryOptions{Parallelism: 2}
+			// Hold t, so that the second join attaches before the first has
+			// produced a row.
+			hold, _ := startBlockedScan(t, rt)
+			root, err := rt.SubmitOpts(context.Background(),
+				plan.NewMergeJoin(plan.NewTableScan("u", testSchema(), nil, nil, true), join(), 0, 0, false), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sat, err := rt.SubmitOpts(context.Background(), join(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := rt.Stats().SharesByOp[plan.OpHashJoin]; n != 1 {
+				t.Fatalf("hash join shares = %d, want 1", n)
+			}
+			drainCount(t, hold)
+			// The merge join reads one batch of the join and ends; the join
+			// then waits on the satellite's unread result.
+			if n := drainCount(t, root); n != 0 {
+				t.Fatalf("merge join rows = %d, want 0", n)
+			}
+			<-root.Ctx().Done() // the release
+			if n := drainCount(t, sat); n != int64(row.n) {
+				t.Fatalf("satellite rows = %d, want %d", n, row.n)
+			}
+		})
 	}
 }

@@ -367,7 +367,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 			t.Fatal("attach refused")
 		}
 		done := make(chan error, 1)
-		go func() { done <- s.run() }()
+		go func() { done <- s.run(rt, pkt) }()
 		eventually(t, "the scanner blocked on the full buffer", func() bool { return buf.Snapshot().PutBlocked })
 
 		fold := &scanFold{keys: keys, specs: specs}
@@ -784,5 +784,71 @@ func TestTwoWorkersLocateOnePage(t *testing.T) {
 	sum, q, err := scan()
 	if err != nil || sum != want || q.Stats.PagesLocated.Load() != 0 || q.Stats.PagesVisited.Load() != pages {
 		t.Errorf("the third scan: sum %d, %v, %d of %d pages located", sum, err, q.Stats.PagesLocated.Load(), q.Stats.PagesVisited.Load())
+	}
+}
+
+// corruptSource is a table's heap with one corrupt page: pinning it panics.
+type corruptSource struct {
+	heapSource
+	bad int64
+}
+
+func (c corruptSource) pinPage(ord int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	if ord == c.bad {
+		panic("corrupt page")
+	}
+	return c.heapSource.pinPage(ord)
+}
+
+// A panic on a page of either partition of a two-partition scan group fails
+// the whole group at once: both attached consumers end with *PanicError, the
+// panic is counted once, run returns it, and the runtime closes — no
+// partition is left waiting for pages its failed sibling owed.
+func TestPanicQuarantineScanPartition(t *testing.T) {
+	for _, part := range []int{0, 1} {
+		rt := newRT(t, 3000, parCfg(2))
+		carrier, _ := startBlockedScan(t, rt) // the packets need a live query to belong to
+		node := plan.NewTableScan("t", testSchema(), nil, nil, false)
+		heap := heapSource{f: rt.SM.MustTable("t").Heap}
+		s := newScanner(0, heap, true, 2)
+		s.src = corruptSource{heapSource: heap, bad: s.parts[part].lo + 1}
+		s.pool = rt.BatchPool()
+		host, hostBuf := rt.NewInternalPacket(carrier, node)
+		second, secondBuf := rt.NewInternalPacket(carrier, node)
+		for _, pkt := range []*core.Packet{host, second} {
+			if _, ok := s.attach(&scanConsumer{pkt: pkt}, false); !ok {
+				t.Fatal("attach refused")
+			}
+		}
+		run := make(chan error, 1)
+		go func() { run <- s.run(rt, host) }()
+		ends := make(chan error, 2)
+		for _, buf := range []*tbuf.Buffer{hostBuf, secondBuf} {
+			go func() {
+				_, err := buf.Drain()
+				ends <- err
+			}()
+		}
+		for _, ch := range []chan error{ends, ends, run} {
+			select {
+			case err := <-ch:
+				if !errors.As(err, new(*core.PanicError)) {
+					t.Fatalf("partition %d panicked: a consumer or run ended with %v, want *PanicError", part, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("partition %d panicked: a consumer or run still waiting after 10 s", part)
+			}
+		}
+		if n := rt.Stats().EngineStats[plan.OpTableScan].Panics; n != 1 {
+			t.Fatalf("partition %d panicked: %d panics counted, want 1", part, n)
+		}
+		drainCount(t, carrier)
+		closed := make(chan struct{})
+		go func() { rt.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("partition %d panicked: Close still blocked after 10 s", part)
+		}
 	}
 }

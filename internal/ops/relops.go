@@ -216,18 +216,13 @@ func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggS
 			return err
 		}
 	default:
-		err := parFeed(subSpawner(rt, pkt.Node.Op()), par, par,
-			func(k int, ch <-chan tbuf.Batch) error {
-				tables[k] = newGroupTable(keys, specs)
-				for b := range ch {
-					add(tables[k], b)
-				}
-				return nil
-			},
-			func(ch chan<- tbuf.Batch, stop func() bool) error {
-				ch <- b
-				return feedInput(in)(ch, stop)
-			})
+		err := parFeed(rt, pkt, in, b, par, func(k int, ch <-chan tbuf.Batch) error {
+			tables[k] = newGroupTable(keys, specs)
+			for b := range ch {
+				add(tables[k], b)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
@@ -337,12 +332,16 @@ func (*UpdateOp) Op() plan.OpType { return plan.OpUpdate }
 // Run implements core.Operator: stage the mutation in a fresh transaction
 // and commit it (the autocommit path — explicit transactions stage through
 // StageMutation with the session's transaction instead, bypassing the
-// engine).
+// engine). The query's cancel and deadline stop it up to the commit, not
+// after: the reply is the commit's outcome.
 func (*UpdateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Update)
 	ctx := pkt.Query.Ctx()
 	tx := rt.SM.Begin()
 	n, err := StageMutation(ctx, tx, node)
+	if err == nil {
+		err = pkt.Query.BeginCommit()
+	}
 	if err != nil {
 		tx.Rollback()
 		return err

@@ -18,6 +18,7 @@
 package ops
 
 import (
+	"context"
 	"errors"
 	"sync"
 
@@ -80,16 +81,12 @@ type scanner struct {
 	n        int64
 	parts    []partition
 	circular bool // wrap at partition end while consumers still need pages
-	// spawn runs a partition worker on the µEngine's sub-worker machinery;
-	// nil falls back to a plain goroutine (direct scanner tests).
-	spawn func(func())
 	// pool leases the per-consumer output batch arrays (nil in direct
 	// scanner tests: plain allocation).
 	pool *tbuf.BatchPool
 
 	consumers []*scanConsumer
-	done      bool
-	err       error
+	done      bool // every consumer served, gone, or failed
 }
 
 // newScanner builds a scan group over src split into up to parallelism
@@ -129,7 +126,7 @@ func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, bool) {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done || s.err != nil {
+	if s.done {
 		return 0, false
 	}
 	if requireStart && !(len(s.parts) == 1 && s.parts[0].pos == 0) {
@@ -161,7 +158,7 @@ func (s *scanner) attachSuffix(c *scanConsumer) (int64, bool) {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done || s.err != nil || s.circular || len(s.parts) != 1 {
+	if s.done || s.circular || len(s.parts) != 1 {
 		return 0, false
 	}
 	p := &s.parts[0]
@@ -183,7 +180,7 @@ func (s *scanner) attachSuffix(c *scanConsumer) (int64, bool) {
 func (s *scanner) progress() (pos, total int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done || s.err != nil || len(s.parts) != 1 {
+	if s.done || len(s.parts) != 1 {
 		return 0, 0, false
 	}
 	return s.parts[0].pos, s.n, true
@@ -192,7 +189,11 @@ func (s *scanner) progress() (pos, total int64, ok bool) {
 // run drives the scan group until every consumer is served (or gone). The
 // calling worker — the host packet's — drives partition 0 as the paper's
 // dedicated scanner thread; the remaining partitions fan out as sub-workers.
-func (s *scanner) run() error {
+// The group outlives its host query, which Fan's context allows for. A
+// partition that fails or panics fails the whole group
+// at once: every attached consumer completes with the error and every
+// partition exits.
+func (s *scanner) run(rt *core.Runtime, host *core.Packet) error {
 	s.mu.Lock()
 	if len(s.consumers) == 0 {
 		s.done = true
@@ -200,28 +201,19 @@ func (s *scanner) run() error {
 		s.mu.Unlock()
 		return nil
 	}
-	nparts := len(s.parts)
 	s.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for k := 1; k < nparts; k++ {
-		wg.Add(1)
-		work := func() {
-			defer wg.Done()
-			s.runPartition(k)
+	err := rt.Fan(host, len(s.parts), func(ctx context.Context, k int) error {
+		if k == 0 {
+			// Fan cancels ctx with the first failure as its cause, and as
+			// it returns, when the group has ended and fail does nothing.
+			context.AfterFunc(ctx, func() { s.fail(context.Cause(ctx)) })
 		}
-		if s.spawn != nil {
-			s.spawn(work)
-		} else {
-			go work()
-		}
+		return s.runPartition(k)
+	})
+	if err != nil {
+		s.fail(err)
 	}
-	s.runPartition(0)
-	wg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
+	return err
 }
 
 // hungryLocked reports whether any attached consumer still owes pages to
@@ -239,8 +231,9 @@ func (s *scanner) hungryLocked(k int) bool {
 // range (wrapping at the partition boundary on circular scans), building
 // under its one pin the batch of every consumer that still owes pages here,
 // then deliver the batches. With no hungry consumer the worker parks until
-// a satellite attaches or the group tears down.
-func (s *scanner) runPartition(k int) {
+// a satellite attaches or the group tears down. It returns the error of a
+// page it could not build.
+func (s *scanner) runPartition(k int) error {
 	kern := newPageKernel(s.src.ncols())
 	var (
 		served []*scanConsumer // consumers owed this page
@@ -249,9 +242,9 @@ func (s *scanner) runPartition(k int) {
 	for {
 		s.mu.Lock()
 		for {
-			if s.done || s.err != nil {
+			if s.done {
 				s.mu.Unlock()
-				return
+				return nil
 			}
 			if s.hungryLocked(k) {
 				break
@@ -271,7 +264,7 @@ func (s *scanner) runPartition(k int) {
 				for _, c := range consumers {
 					c.pkt.Complete(nil)
 				}
-				return
+				return nil
 			}
 			p.pos = p.lo
 		}
@@ -300,8 +293,7 @@ func (s *scanner) runPartition(k int) {
 
 		fresh, err := buildPage(s.src, pg, kern, tasks, s.pool)
 		if err != nil {
-			s.fail(err)
-			return
+			return err
 		}
 		// The page is unpinned: a consumer blocked on its buffer below holds
 		// no frame.
@@ -404,12 +396,17 @@ func (s *scanner) detach(c *scanConsumer, err error) {
 	c.pkt.Complete(err)
 }
 
+// fail ends a group that has not ended yet with err: every consumer still
+// attached completes with it, and every partition exits.
 func (s *scanner) fail(err error) {
 	s.mu.Lock()
+	if s.done {
+		s.mu.Unlock()
+		return
+	}
 	consumers := s.consumers
 	s.consumers = nil
 	s.done = true
-	s.err = err
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	for _, c := range consumers {
@@ -458,15 +455,12 @@ func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordere
 	newGroup := func() *scanner {
 		s := newScanner(pkt.ID, src, !ordered, par)
 		s.pool = rt.BatchPool()
-		if eng := rt.Engine(op); eng != nil {
-			s.spawn = eng.SpawnSub
-		}
 		return s
 	}
 	if !rt.OSPAllowed(pkt.Query) {
 		s := newGroup()
 		s.attach(c, false)
-		return s.run()
+		return s.run(rt, pkt)
 	}
 	s, host := r.hostOrJoin(key, c, ordered, newGroup)
 	if !host {
@@ -476,7 +470,7 @@ func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordere
 		return pkt.Err()
 	}
 	defer r.remove(key, s)
-	return s.run()
+	return s.run(rt, pkt)
 }
 
 func (r *scanRegistry) remove(key string, s *scanner) {

@@ -58,8 +58,8 @@ func (*SortOp) Op() plan.OpType { return plan.OpSort }
 
 // TryShare implements the sort µEngine's sharing mechanism. During phase 1
 // the default attach succeeds (no output yet). During phase 2 the satellite
-// reuses the host's materialized sorted file, streamed by a dedicated
-// goroutine; the satellite skips the entire sort cost.
+// reuses the host's materialized sorted file, streamed by a detached
+// sub-worker (Runtime.Serve); the satellite skips the entire sort cost.
 func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 	if defaultTryShare(host, sat) {
 		return true
@@ -84,13 +84,12 @@ func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 	host.Query.Stats.HostedSatellites.Add(1)
 	sat.Query.Stats.SatelliteAttaches.Add(1)
 
-	go func() {
-		err := o.streamFile(rt, st, sat)
+	rt.Serve(sat, func() error {
 		// The last reader drops the file before the satellite completes: a
 		// query that has its answer leaves no temp file behind.
-		o.release(rt, host.ID, st, func() { st.readers-- })
-		sat.Complete(err)
-	}()
+		defer o.release(rt, host.ID, st, func() { st.readers-- })
+		return o.streamFile(rt, st, sat)
+	})
 	return true
 }
 

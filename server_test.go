@@ -226,6 +226,24 @@ func TestServerTypedErrors(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout error lost its unwrap: %v", err)
 	}
+	// The session's SET statement_timeout bounds an autocommit mutation too:
+	// the UPDATE waits on the same held X lock past its budget.
+	tx = db.Begin()
+	if _, err := tx.Exec(ctx, "UPDATE t SET amount = amount + 1 WHERE id = 0"); err != nil {
+		t.Fatal(err)
+	}
+	// The lock goes after 5 s whatever happens: an UPDATE the timeout does
+	// not bound then succeeds, and the row fails instead of hanging.
+	release := sync.OnceFunc(tx.Rollback)
+	time.AfterFunc(5*time.Second, release)
+	_, err = conn.Exec(ctx, "SET statement_timeout = 25; UPDATE t SET amount = 0 WHERE id = 1")
+	release()
+	if !errors.As(err, &de) {
+		t.Fatalf("mutation timeout: got %[1]T %[1]v", err)
+	}
+	if _, err := conn.Exec(ctx, "SET statement_timeout = 0"); err != nil {
+		t.Fatal(err)
+	}
 	// The connection survived every one of those failures.
 	r, err := conn.Query(ctx, "SELECT count(*) AS n FROM t")
 	if err != nil {

@@ -76,7 +76,7 @@ func (db *DB) Exec(ctx context.Context, text string) (int64, error) {
 	}
 	var affected int64
 	for _, stmt := range stmts {
-		n, err := db.execStmt(ctx, stmt)
+		n, err := db.execStmt(ctx, stmt, queryOpts{})
 		if err != nil {
 			return affected, err
 		}
@@ -182,7 +182,9 @@ func statementName(stmt sql.Statement) string {
 
 // ---- DDL / DML execution -----------------------------------------------------
 
-func (db *DB) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
+// execStmt runs one statement; its INSERT, UPDATE and DELETE autocommit
+// through the engine with the options o.
+func (db *DB) execStmt(ctx context.Context, stmt sql.Statement, o queryOpts) (int64, error) {
 	switch s := stmt.(type) {
 	case *sql.CreateTable:
 		cols := make([]Column, len(s.Cols))
@@ -193,7 +195,7 @@ func (db *DB) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
 	case *sql.CreateIndex:
 		return 0, db.CreateIndex(s.Table, s.Column, s.Clustered)
 	case *sql.Insert:
-		return db.execInsert(ctx, s)
+		return db.execInsert(ctx, s, o)
 	case *sql.Analyze:
 		return 0, db.Analyze(s.Table)
 	case *sql.Update:
@@ -201,13 +203,13 @@ func (db *DB) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return db.execMutation(ctx, node)
+		return db.execMutation(ctx, node, o)
 	case *sql.Delete:
 		node, err := db.compileDelete(s)
 		if err != nil {
 			return 0, err
 		}
-		return db.execMutation(ctx, node)
+		return db.execMutation(ctx, node, o)
 	case *sql.Set:
 		return 0, &StatementError{Stmt: "SET",
 			Reason: "session statement — apply it to a qpipe.Session (the shell does this)"}
@@ -307,8 +309,8 @@ func (db *DB) compileDelete(d *sql.Delete) (*plan.Update, error) {
 
 // execMutation runs an UPDATE/DELETE plan through the update µEngine (which
 // wraps it in an autocommit transaction) and returns the affected-row count.
-func (db *DB) execMutation(ctx context.Context, node *plan.Update) (int64, error) {
-	res, err := db.run(ctx, node, -1, queryOpts{})
+func (db *DB) execMutation(ctx context.Context, node *plan.Update, o queryOpts) (int64, error) {
+	res, err := db.run(ctx, node, -1, o)
 	if err != nil {
 		return 0, err
 	}
@@ -337,7 +339,7 @@ func sqlKind(t string) Kind {
 	}
 }
 
-func (db *DB) execInsert(ctx context.Context, ins *sql.Insert) (int64, error) {
+func (db *DB) execInsert(ctx context.Context, ins *sql.Insert, o queryOpts) (int64, error) {
 	schema, err := db.Schema(ins.Table)
 	if err != nil {
 		return 0, err
@@ -346,7 +348,7 @@ func (db *DB) execInsert(ctx context.Context, ins *sql.Insert) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := db.Insert(ctx, ins.Table, rows...); err != nil {
+	if err := db.insert(ctx, ins.Table, rows, o); err != nil {
 		return 0, err
 	}
 	return int64(len(rows)), nil
