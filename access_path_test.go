@@ -198,7 +198,7 @@ func apDrawPred(rng *rand.Rand, depth int) apPred {
 // compares and never hashes.
 type apStatement struct {
 	sql     string
-	builder func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query
+	builder func(db *qpipe.DB) *qpipe.Query
 	loop    string
 }
 
@@ -208,13 +208,13 @@ func apDrawStatement(rng *rand.Rand) apStatement {
 	switch rng.Intn(8) {
 	case 0:
 		return apStatement{sql: fmt.Sprintf("SELECT * FROM %s WHERE %s", tb, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b) }}
+			builder: func(db *qpipe.DB) *qpipe.Query { return db.Scan(tb).Filter(p.b) }}
 	case 1, 2:
 		return apStatement{sql: fmt.Sprintf("SELECT id, k, s FROM %s WHERE %s", tb, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return db.Scan(tb).Filter(p.b).Select("id", "k", "s") }}
+			builder: func(db *qpipe.DB) *qpipe.Query { return db.Scan(tb).Filter(p.b).Select("id", "k", "s") }}
 	case 3:
 		return apStatement{sql: fmt.Sprintf("SELECT g, count(*) AS n, sum(f) AS sf, min(s) AS lo FROM %s WHERE %s GROUP BY g", tb, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+			builder: func(db *qpipe.DB) *qpipe.Query {
 				return db.Scan(tb).Filter(p.b).GroupBy([]string{"g"},
 					qpipe.Count().As("n"), qpipe.Sum(qpipe.Col("f")).As("sf"), qpipe.Min(qpipe.Col("s")).As("lo"))
 			}}
@@ -277,14 +277,10 @@ func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
 			add("max("+any+")", qpipe.Max(qpipe.Col(any)))
 		}
 	}
-	// The join order is the cost-based reordering's; the builder spelling
-	// follows whichever side the SQL plan made the build side.
-	from := func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query {
-		switch {
-		case !joined:
+	// The builder spells the join in FROM order: the planner orders both.
+	from := func(db *qpipe.DB) *qpipe.Query {
+		if !joined {
 			return db.Scan(tb).Filter(p.b)
-		case apBuildSide(sqlPlan) == "dim":
-			return db.Scan("dim").Join(db.Scan(tb), "gid", "g").Filter(p.b)
 		}
 		return db.Scan(tb).Join(db.Scan("dim"), "g", "gid").Filter(p.b)
 	}
@@ -294,13 +290,13 @@ func apDrawAggregate(rng *rand.Rand, tb string, p apPred) apStatement {
 		loop = fmt.Sprintf("SELECT %s FROM %s, dim WHERE g <= gid AND g >= gid AND %s", strings.Join(list, ", "), tb, p.sql)
 	}
 	if len(keys) == 0 {
-		return apStatement{text, func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query { return from(db, sqlPlan).Aggregate(aggs...) }, loop}
+		return apStatement{text, func(db *qpipe.DB) *qpipe.Query { return from(db).Aggregate(aggs...) }, loop}
 	}
 	group := " GROUP BY " + strings.Join(keys, ", ")
 	if joined {
 		loop += group
 	}
-	return apStatement{text + group, func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query { return from(db, sqlPlan).GroupBy(keys, aggs...) }, loop}
+	return apStatement{text + group, func(db *qpipe.DB) *qpipe.Query { return from(db).GroupBy(keys, aggs...) }, loop}
 }
 
 // apLeaves returns the plan's scan nodes, left to right.
@@ -388,7 +384,7 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", st.sql, err)
 		}
-		built := st.builder(db, p)
+		built := st.builder(db)
 		bp, err := built.Plan()
 		if err != nil {
 			t.Fatalf("builder spelling of %s: %v", st.sql, err)

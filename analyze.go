@@ -112,10 +112,5 @@ func (c accessCatalog) HeapPages(table string) int64 {
 }
 
 func (c accessCatalog) RangeRows(table string, col int, lo, hi Value) (match, rows float64) {
-	snap := c.db.stats.Snapshot(table)
-	if snap == nil || col >= len(snap.Cols) {
-		return 0, 0
-	}
-	rows = float64(snap.Rows)
-	return rows * stats.RangeSelectivity(snap.Cols[col], lo, hi), rows
+	return c.db.stats.Snapshot(table).RangeRows(col, lo, hi)
 }

@@ -532,7 +532,9 @@ func (q *Query) joinPre(r *Query) error {
 }
 
 // Join hash-joins q (build side) with r (probe side) on leftCol = rightCol.
-// The output schema is q's columns followed by r's.
+// The output schema is q's columns followed by r's. The sides are as written
+// only under DisableOptimizer: otherwise joins over scans are ordered by
+// estimated size, like their SQL spelling (see Plan).
 func (q *Query) Join(r *Query, leftCol, rightCol string) *Query {
 	if err := q.joinPre(r); err != nil {
 		return q.fail(err)
@@ -560,7 +562,7 @@ func (q *Query) MergeJoin(r *Query, leftCol, rightCol string) *Query {
 
 // JoinOn nested-loop joins q (outer) with r on an arbitrary predicate over
 // the concatenated row (columns of q first, then r's; names shared by both
-// sides resolve to q's column).
+// sides resolve to q's column). The order is Join's.
 func (q *Query) JoinOn(r *Query, on Pred) *Query {
 	if err := q.joinPre(r); err != nil {
 		return q.fail(err)
@@ -674,14 +676,15 @@ func (q *Query) Limit(n int64) *Query {
 // builder error). Unless the DB was opened with DisableOptimizer, the plan
 // is normalized first — predicates canonicalized and pushed into scans —
 // so equivalent queries converge on one Signature() and share work under
-// OSP; every scan is then projected to the columns the plan above it reads
-// (plan.PruneColumns, which also drops a Select the scan has made
-// redundant), and gets its access path: an index scan where the statistics
-// say a B+tree reads fewer pages than the heap (plan.ChooseAccessPaths; a
-// ScanIndex stays the path it names). Last, a limit the root Sort can hold
-// makes it a Top-N (see Limit). Both front
-// ends (this builder and db.Query SQL) funnel through here, which is what
-// keeps their plans byte-identical.
+// OSP; joins over scans are ordered by the estimates EXPLAIN prints
+// (plan.ReorderJoins); every scan is projected to the columns the plan
+// above it reads (plan.PruneColumns, which also drops a Select the scan has
+// made redundant), and gets its access path: an index scan where the
+// statistics say a B+tree reads fewer pages than the heap
+// (plan.ChooseAccessPaths; a ScanIndex stays the path it names). Last, a
+// limit the root Sort can hold makes it a Top-N (see Limit). Both front ends
+// (this builder and db.Query SQL) funnel through here, which is what keeps
+// their plans byte-identical.
 func (q *Query) Plan() (Plan, error) {
 	p, _, err := q.compile()
 	return p, err
@@ -698,7 +701,8 @@ func (q *Query) compile() (Plan, int64, error) {
 	case q.db == nil:
 		p = plan.Normalize(p)
 	case !q.db.noOpt:
-		p = plan.ChooseAccessPaths(plan.PruneColumns(plan.Normalize(p)), accessCatalog{q.db})
+		p = plan.ReorderJoins(plan.Normalize(p), q.db.estimator().Estimate)
+		p = plan.ChooseAccessPaths(plan.PruneColumns(p), accessCatalog{q.db})
 	}
 	if top, ok := plan.WithTopN(p, q.limit); ok {
 		return top, -1, nil

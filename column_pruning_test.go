@@ -144,40 +144,9 @@ func cpPred(rng *rand.Rand, tb cpTable, depth int) apPred {
 // sequence, not a multiset.
 type cpStatement struct {
 	sql     string
-	builder func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query
+	builder func(db *qpipe.DB) *qpipe.Query
 	ordered bool
 }
-
-func cpLeafTable(n plan.Node) string {
-	if is, ok := n.(*plan.IndexScan); ok {
-		return is.Table
-	}
-	return n.(*plan.TableScan).Table
-}
-
-// cpJoinChain spells the SQL plan's left-deep join order with the builder:
-// each next table joins what is already there on the condition (a pair of
-// column names, all unique across the tables) that connects it.
-func cpJoinChain(db *qpipe.DB, sqlPlan plan.Node, conds [][2]string, tableOf map[string]string) *qpipe.Query {
-	leaves := apLeaves(sqlPlan)
-	q := db.Scan(cpLeafTable(leaves[0]))
-	joined := map[string]bool{cpLeafTable(leaves[0]): true}
-	for _, leaf := range leaves[1:] {
-		tb := cpLeafTable(leaf)
-		for _, c := range conds {
-			switch {
-			case joined[tableOf[c[0]]] && tableOf[c[1]] == tb:
-				q = q.Join(db.Scan(tb), c[0], c[1])
-			case joined[tableOf[c[1]]] && tableOf[c[0]] == tb:
-				q = q.Join(db.Scan(tb), c[1], c[0])
-			}
-		}
-		joined[tb] = true
-	}
-	return q
-}
-
-var cpColumnTable = map[string]string{"cid": "customers", "cust": "orders", "priority": "orders", "k": "ledger"}
 
 func cpDrawStatement(rng *rand.Rand) cpStatement {
 	tb := cpTables[rng.Intn(len(cpTables))]
@@ -198,42 +167,42 @@ func cpDrawStatement(rng *rand.Rand) cpStatement {
 	switch rng.Intn(11) {
 	case 0:
 		return cpStatement{sql: from("* FROM %s WHERE %s", tb.name, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return scan(db) }}
+			builder: func(db *qpipe.DB) *qpipe.Query { return scan(db) }}
 	case 1, 2:
 		return cpStatement{sql: from("%s FROM %s WHERE %s", strings.Join(some, ", "), tb.name, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return scan(db).Select(some...) }}
+			builder: func(db *qpipe.DB) *qpipe.Query { return scan(db).Select(some...) }}
 	case 3:
 		return cpStatement{sql: from("%s, %s * 2 AS dbl, %s + %s AS plus FROM %s WHERE %s", id, tb.num, tb.num, id, tb.name, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+			builder: func(db *qpipe.DB) *qpipe.Query {
 				return scan(db).Project(qpipe.Col(id), qpipe.Col(tb.num).Mul(qpipe.Int(2)).As("dbl"),
 					qpipe.Col(tb.num).Add(qpipe.Col(id)).As("plus"))
 			}}
 	case 4:
 		return cpStatement{sql: from("count(*) AS n FROM %s WHERE %s", tb.name, p.sql),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query { return scan(db).Aggregate(qpipe.Count().As("n")) }}
+			builder: func(db *qpipe.DB) *qpipe.Query { return scan(db).Aggregate(qpipe.Count().As("n")) }}
 	case 5:
 		return cpStatement{sql: from("%s, count(*) AS n, sum(%s) AS total, min(%s) AS lo FROM %s WHERE %s GROUP BY %s", tb.group, tb.num, id, tb.name, p.sql, tb.group),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+			builder: func(db *qpipe.DB) *qpipe.Query {
 				return scan(db).GroupBy([]string{tb.group}, qpipe.Count().As("n"),
 					qpipe.Sum(qpipe.Col(tb.num)).As("total"), qpipe.Min(qpipe.Col(id)).As("lo"))
 			}}
 	case 6:
 		p := cpPred(rng, cpTables[0], 1)
 		return cpStatement{sql: from("segment, sum(amount) AS revenue, count(*) AS n FROM customers JOIN orders ON cid = cust WHERE %s GROUP BY segment", p.sql),
-			builder: func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query {
-				return cpJoinChain(db, sqlPlan, [][2]string{{"cid", "cust"}}, cpColumnTable).Filter(p.b).
+			builder: func(db *qpipe.DB) *qpipe.Query {
+				return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").Filter(p.b).
 					GroupBy([]string{"segment"}, qpipe.Sum(qpipe.Col("amount")).As("revenue"), qpipe.Count().As("n"))
 			}}
 	case 7:
 		p := cpPred(rng, cpTables[0], 1)
 		return cpStatement{sql: from("s, count(*) AS n, sum(balance) AS owed FROM customers, orders, ledger WHERE cid = cust AND priority = k AND %s GROUP BY s", p.sql),
-			builder: func(db *qpipe.DB, sqlPlan plan.Node) *qpipe.Query {
-				return cpJoinChain(db, sqlPlan, [][2]string{{"cid", "cust"}, {"priority", "k"}}, cpColumnTable).Filter(p.b).
+			builder: func(db *qpipe.DB) *qpipe.Query {
+				return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").Join(db.Scan("ledger"), "priority", "k").Filter(p.b).
 					GroupBy([]string{"s"}, qpipe.Count().As("n"), qpipe.Sum(qpipe.Col("balance")).As("owed"))
 			}}
 	case 8: // ORDER BY columns the select list may not hold: the Sort is then below the Project
 		return cpStatement{ordered: true, sql: from("%s FROM %s WHERE %s ORDER BY %s, %s", strings.Join(some, ", "), tb.name, p.sql, tb.num, id),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+			builder: func(db *qpipe.DB) *qpipe.Query {
 				if slices.Contains(some, id) && slices.Contains(some, tb.num) {
 					return scan(db).Select(some...).Sort(tb.num, id)
 				}
@@ -242,7 +211,7 @@ func cpDrawStatement(rng *rand.Rand) cpStatement {
 	default:
 		n := int64(1 + rng.Intn(40))
 		return cpStatement{ordered: true, sql: from("%s, %s FROM %s WHERE %s ORDER BY %s DESC, %s DESC LIMIT %d", id, tb.num, tb.name, p.sql, tb.num, id, n),
-			builder: func(db *qpipe.DB, _ plan.Node) *qpipe.Query {
+			builder: func(db *qpipe.DB) *qpipe.Query {
 				return scan(db).Select(id, tb.num).SortDesc(tb.num, id).Limit(n)
 			}}
 	}
@@ -261,7 +230,7 @@ func TestColumnPruningDoesNotChangeTheAnswer(t *testing.T) {
 	for i := 0; i < statements; i++ {
 		st := cpDrawStatement(rng)
 		p := cpPlan(t, db, st.sql)
-		built := st.builder(db, p)
+		built := st.builder(db)
 		bp, err := built.Plan()
 		if err != nil {
 			t.Fatalf("builder spelling of %s: %v", st.sql, err)

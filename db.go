@@ -56,10 +56,11 @@ type Options struct {
 	// WorkersPerEngine sizes each µEngine's worker pool (0 = elastic: one
 	// goroutine per packet).
 	WorkersPerEngine int
-	// DisableOptimizer turns off plan normalization, predicate pushdown and
-	// join reordering: queries run exactly as written (the pre-optimizer
-	// lowering). An escape hatch for debugging and for measuring what the
-	// optimizer buys (TestPlanShareMixSharesAtTheRoot is the A/B).
+	// DisableOptimizer turns off every plan pass — normalization, predicate
+	// pushdown, join ordering, column pruning, access paths: SQL and builder
+	// queries alike run exactly as written, joins in FROM order. An escape
+	// hatch for debugging and for measuring what the optimizer buys
+	// (TestPlanShareMixSharesAtTheRoot is the A/B).
 	DisableOptimizer bool
 	// MaxConcurrentQueries caps how many queries execute at once (admission
 	// control). Excess submissions park in a bounded FIFO wait queue; once

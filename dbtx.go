@@ -16,6 +16,7 @@ import (
 	"context"
 
 	"qpipe/internal/ops"
+	"qpipe/internal/plan"
 	"qpipe/internal/storage/sm"
 	"qpipe/sql"
 )
@@ -187,25 +188,28 @@ func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int6
 // session transactions — the network server, the shell — call this before
 // submitting.
 func (s *Session) GuardQuery(stmt sql.Statement) error {
-	if s.tx == nil {
-		return nil
-	}
 	sel, ok := stmt.(*sql.Select)
 	if !ok {
 		return nil
 	}
-	check := func(table string) error {
-		if s.tx.tx.Writes(table) {
-			return &TxConflictError{Table: table}
-		}
-		return nil
-	}
-	if err := check(sel.From.Table); err != nil {
-		return err
-	}
+	tables := []string{sel.From.Table}
 	for _, j := range sel.Joins {
-		if err := check(j.Ref.Table); err != nil {
-			return err
+		tables = append(tables, j.Ref.Table)
+	}
+	return s.guard(tables)
+}
+
+// guardPrepared is GuardQuery for a prepared statement, checked when it runs
+// (the transaction may have opened after the Prepare) against the tables its
+// plan reads.
+func (s *Session) guardPrepared(q *Query) error {
+	return s.guard(plan.Tables(q.node))
+}
+
+func (s *Session) guard(tables []string) error {
+	for _, table := range tables {
+		if s.tx != nil && s.tx.tx.Writes(table) {
+			return &TxConflictError{Table: table}
 		}
 	}
 	return nil

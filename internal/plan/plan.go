@@ -570,6 +570,20 @@ func Walk(n Node, fn func(Node)) {
 	fn(n)
 }
 
+// Tables returns the table of every scan in the plan, left to right.
+func Tables(n Node) []string {
+	var out []string
+	Walk(n, func(n Node) {
+		switch x := n.(type) {
+		case *TableScan:
+			out = append(out, x.Table)
+		case *IndexScan:
+			out = append(out, x.Table)
+		}
+	})
+	return out
+}
+
 // CountNodes returns the number of nodes in the plan.
 func CountNodes(n Node) int {
 	c := 0

@@ -123,78 +123,110 @@ func prune(n Node, need colSet) (Node, []int) {
 	case *Filter:
 		cneed := need.with()
 		expr.PredRefs(x.Pred, cneed.add)
-		if c, m := prune(x.Child, cneed); c != x.Child {
-			cp := *x
-			cp.Child, cp.Pred = c, rebasePred(x.Pred, m)
-			return &cp, m
-		}
+		return pruneOne(x, cneed)
 	case *Sort:
-		if c, m := prune(x.Child, need.with(x.Keys...)); c != x.Child {
-			cp := *x
-			cp.Child, cp.Keys = c, rebaseKeys(x.Keys, m)
-			return &cp, m
-		}
+		return pruneOne(x, need.with(x.Keys...))
 	case *Project:
 		cneed := make(colSet, x.Child.Schema().Len())
 		for _, e := range x.Exprs {
 			expr.ExprRefs(e, cneed.add)
 		}
 		if c, m := prune(x.Child, cneed); c != x.Child {
-			cp := *x
-			cp.Child = c
-			if m != nil {
-				cp.Exprs = make([]expr.Expr, len(x.Exprs))
-				for i, e := range x.Exprs {
-					cp.Exprs[i] = rebaseExpr(e, m)
-				}
-				if isIdentity(&cp) {
-					return c, nil
-				}
+			cp, _ := rebase(x, []Node{c}, [][]int{m})
+			if m != nil && isIdentity(cp.(*Project)) {
+				return c, nil
 			}
-			return &cp, nil
+			return cp, nil
 		}
 	case *Aggregate:
 		cneed := make(colSet, x.Child.Schema().Len())
 		specRefs(x.Specs, cneed)
-		if c, m := prune(x.Child, cneed); c != x.Child {
-			cp := *x
-			cp.Child, cp.Specs = c, rebaseSpecs(x.Specs, m)
-			return &cp, nil
-		}
+		return pruneOne(x, cneed)
 	case *GroupBy:
 		cneed := make(colSet, x.Child.Schema().Len()).with(x.Keys...)
 		specRefs(x.Specs, cneed)
-		if c, m := prune(x.Child, cneed); c != x.Child {
-			cp := *x
-			cp.Child, cp.Keys, cp.Specs = c, rebaseKeys(x.Keys, m), rebaseSpecs(x.Specs, m)
-			return &cp, nil
-		}
+		return pruneOne(x, cneed)
 	case *HashJoin:
-		lw := x.Left.Schema().Len()
-		if l, r, lm, rm := pruneSides(x.Left, x.Right, need.with(x.LKey, lw+x.RKey)); l != x.Left || r != x.Right {
-			cp := *x
-			cp.Left, cp.Right, cp.LKey, cp.RKey = l, r, at(lm, x.LKey), at(rm, x.RKey)
-			cp.out = l.Schema().Concat(r.Schema())
-			return &cp, concatMap(lm, rm, lw, len(need), l.Schema().Len())
-		}
+		return pruneSides(x, need.with(x.LKey, x.Left.Schema().Len()+x.RKey))
 	case *MergeJoin:
-		lw := x.Left.Schema().Len()
-		if l, r, lm, rm := pruneSides(x.Left, x.Right, need.with(x.LKey, lw+x.RKey)); l != x.Left || r != x.Right {
-			cp := *x
-			cp.Left, cp.Right, cp.LKey, cp.RKey = l, r, at(lm, x.LKey), at(rm, x.RKey)
-			cp.out = l.Schema().Concat(r.Schema())
-			return &cp, concatMap(lm, rm, lw, len(need), l.Schema().Len())
-		}
+		return pruneSides(x, need.with(x.LKey, x.Left.Schema().Len()+x.RKey))
 	case *NLJoin:
 		jneed := need.with()
 		expr.PredRefs(x.Pred, jneed.add)
-		if l, r, lm, rm := pruneSides(x.Left, x.Right, jneed); l != x.Left || r != x.Right {
-			m := concatMap(lm, rm, x.Left.Schema().Len(), len(need), l.Schema().Len())
-			cp := *x
-			cp.Left, cp.Right, cp.Pred = l, r, rebasePred(x.Pred, m)
-			cp.out = l.Schema().Concat(r.Schema())
-			return &cp, m
+		return pruneSides(x, jneed)
+	}
+	return n, nil
+}
+
+// pruneOne prunes a unary node's input to cneed and re-bases the node.
+func pruneOne(n Node, cneed colSet) (Node, []int) {
+	child := n.Children()[0]
+	if c, m := prune(child, cneed); c != child {
+		return rebase(n, []Node{c}, [][]int{m})
+	}
+	return n, nil
+}
+
+// pruneSides prunes a join's inputs with the join's need set split at the
+// left input's width, and re-bases the join.
+func pruneSides(j Node, need colSet) (Node, []int) {
+	left, right := j.Children()[0], j.Children()[1]
+	lw := left.Schema().Len()
+	l, lm := prune(left, need[:lw])
+	r, rm := prune(right, need[lw:])
+	if l == left && r == right {
+		return j, nil
+	}
+	return rebase(j, []Node{l, r}, [][]int{lm, rm})
+}
+
+// rebase returns n over new inputs, with every column reference n makes
+// re-based through its input's old→new position map (nil: that input's
+// positions did not change), and the position map of n's own output: the
+// input's through a Filter or a Sort, both inputs' through a join, nil
+// where n computes its columns itself. PruneColumns and ReorderJoins change
+// the inputs; this is what both do to the nodes above.
+func rebase(n Node, kids []Node, maps [][]int) (Node, []int) {
+	switch x := n.(type) {
+	case *Filter:
+		cp := *x
+		cp.Child, cp.Pred = kids[0], rebasePred(x.Pred, maps[0])
+		return &cp, maps[0]
+	case *Sort:
+		cp := *x
+		cp.Child, cp.Keys = kids[0], rebaseKeys(x.Keys, maps[0])
+		return &cp, maps[0]
+	case *Project:
+		cp := *x
+		cp.Child, cp.Exprs = kids[0], make([]expr.Expr, len(x.Exprs))
+		for i, e := range x.Exprs {
+			cp.Exprs[i] = rebaseExpr(e, maps[0])
 		}
+		return &cp, nil
+	case *Aggregate:
+		cp := *x
+		cp.Child, cp.Specs = kids[0], rebaseSpecs(x.Specs, maps[0])
+		return &cp, nil
+	case *GroupBy:
+		cp := *x
+		cp.Child, cp.Keys, cp.Specs = kids[0], rebaseKeys(x.Keys, maps[0]), rebaseSpecs(x.Specs, maps[0])
+		return &cp, nil
+	case *HashJoin:
+		cp := *x
+		cp.Left, cp.Right, cp.LKey, cp.RKey = kids[0], kids[1], at(maps[0], x.LKey), at(maps[1], x.RKey)
+		cp.out = kids[0].Schema().Concat(kids[1].Schema())
+		return &cp, concatMap(x, kids, maps)
+	case *MergeJoin:
+		cp := *x
+		cp.Left, cp.Right, cp.LKey, cp.RKey = kids[0], kids[1], at(maps[0], x.LKey), at(maps[1], x.RKey)
+		cp.out = kids[0].Schema().Concat(kids[1].Schema())
+		return &cp, concatMap(x, kids, maps)
+	case *NLJoin:
+		m := concatMap(x, kids, maps)
+		cp := *x
+		cp.Left, cp.Right, cp.Pred = kids[0], kids[1], rebasePred(x.Pred, m)
+		cp.out = kids[0].Schema().Concat(kids[1].Schema())
+		return &cp, m
 	}
 	return n, nil
 }
@@ -217,23 +249,15 @@ func scanCols(project []int, need colSet) (cols, m []int) {
 	return cols, m
 }
 
-// pruneSides prunes a join's inputs with the join's need set split at the
-// left input's width.
-func pruneSides(left, right Node, need colSet) (l, r Node, lm, rm []int) {
-	lw := left.Schema().Len()
-	l, lm = prune(left, need[:lw])
-	r, rm = prune(right, need[lw:])
-	return l, r, lm, rm
-}
-
-// concatMap is the position map of a join's output (width columns, the
-// first lw from the left input) given its inputs' maps and the left input's
-// new width.
-func concatMap(lm, rm []int, lw, width, newLW int) []int {
+// concatMap is the position map of join j's output given its new inputs
+// and their maps.
+func concatMap(j Node, kids []Node, maps [][]int) []int {
+	lm, rm := maps[0], maps[1]
 	if lm == nil && rm == nil {
 		return nil
 	}
-	m := make([]int, width)
+	lw, newLW := j.Children()[0].Schema().Len(), kids[0].Schema().Len()
+	m := make([]int, j.Schema().Len())
 	for i := range m {
 		switch {
 		case i < lw:

@@ -33,14 +33,19 @@ func NewEstimator(lookup func(table string) *TableStats) *Estimator {
 	return &Estimator{lookup: lookup, memo: make(map[plan.Node]nodeEst)}
 }
 
-// Rows returns the estimated output cardinality of n, rounded.
+// Rows returns the estimated output cardinality of n, rounded: what EXPLAIN
+// prints.
 func (e *Estimator) Rows(n plan.Node) int64 {
-	r := math.Round(e.est(n).rows)
+	r := math.Round(e.Estimate(n))
 	if r < 0 || math.IsNaN(r) {
 		r = 0
 	}
 	return int64(r)
 }
+
+// Estimate returns the estimated output cardinality of n, unrounded: what
+// plan.ReorderJoins prices join orders by.
+func (e *Estimator) Estimate(n plan.Node) float64 { return e.est(n).rows }
 
 func (e *Estimator) est(n plan.Node) nodeEst {
 	if v, ok := e.memo[n]; ok {

@@ -121,6 +121,17 @@ type TableStats struct {
 	Cols []ColStats
 }
 
+// RangeRows estimates how many rows have column col in [lo, hi] (see
+// RangeSelectivity), and how many rows there are; 0, 0 when ts is nil or
+// does not cover col.
+func (ts *TableStats) RangeRows(col int, lo, hi tuple.Value) (match, rows float64) {
+	if ts == nil || col >= len(ts.Cols) {
+		return 0, 0
+	}
+	rows = float64(ts.Rows)
+	return rows * RangeSelectivity(ts.Cols[col], lo, hi), rows
+}
+
 // Snapshot captures the current statistics as an immutable value the
 // planner can read without further locking.
 func (t *Table) Snapshot() *TableStats {

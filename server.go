@@ -526,6 +526,9 @@ func (c *serverConn) serveExecute(e wire.Execute) error {
 		return c.sendError(&StatementError{Stmt: "EXECUTE",
 			Reason: fmt.Sprintf("unknown prepared statement id %d", e.ID)})
 	}
+	if err := c.sess.guardPrepared(q); err != nil {
+		return c.sendError(err)
+	}
 	c.srv.queriesServed.Add(1)
 	res, err := q.Run(c.ctx, c.execOptions(e.Opts)...)
 	if err != nil {

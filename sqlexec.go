@@ -46,7 +46,7 @@ func (db *DB) Query(ctx context.Context, text string, opts ...QueryOption) (*Res
 func (db *DB) queryStmt(ctx context.Context, stmt sql.Statement, opts []QueryOption) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sql.Select:
-		q, err := db.compileSelect(s)
+		q, err := db.lowerSelect(s)
 		if err != nil {
 			return nil, err
 		}
@@ -97,13 +97,13 @@ func (db *DB) Prepare(text string) (*Query, error) {
 	if !ok {
 		return nil, &StatementError{Stmt: statementName(stmt), Reason: "only SELECT can be prepared"}
 	}
-	return db.compileSelect(sel)
+	return db.lowerSelect(sel)
 }
 
 // explainSelect compiles the SELECT and materializes its plan text (plus an
 // options annotation) as a one-column result.
 func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error) {
-	q, err := db.compileSelect(sel)
+	q, err := db.lowerSelect(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +229,7 @@ func (db *DB) mutationScope(table string) (*sqlScope, *Schema, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	scope := &sqlScope{entries: []scopeEntry{{qual: table, table: table, schema: schema}}}
+	scope := &sqlScope{entries: []scopeEntry{{qual: table, schema: schema}}}
 	return scope, schema, nil
 }
 
@@ -436,7 +436,6 @@ type sqlScope struct {
 
 type scopeEntry struct {
 	qual   string // alias if given, else the table name
-	table  string
 	schema *Schema
 }
 
@@ -472,15 +471,10 @@ func (sc *sqlScope) owners(name string) []string {
 }
 
 // resolve checks a column reference and returns the bare name the builder
-// should use. entryOf additionally reports which entry owns it (-1 when the
-// scope has been collapsed past the FROM tables).
+// should use.
 func (sc *sqlScope) resolve(ref *sql.ColumnRef) (string, error) {
-	_, err := sc.entryOf(ref)
+	_, err := sc.entryOfIn(ref, 0, len(sc.entries))
 	return ref.Name, err
-}
-
-func (sc *sqlScope) entryOf(ref *sql.ColumnRef) (int, error) {
-	return sc.entryOfIn(ref, 0, len(sc.entries))
 }
 
 // entryOfIn resolves a reference against the entry subrange [lo, hi). The
@@ -531,24 +525,6 @@ func (sc *sqlScope) entryOfIn(ref *sql.ColumnRef, lo, hi int) (int, error) {
 
 // ---- SELECT lowering ---------------------------------------------------------
 
-// compileSelect plans one SELECT: the cost-based phase first (reorderSelect
-// rewrites the FROM list by estimated cardinality, so smaller inputs become
-// hash-join build sides and equivalent queries converge on one join shape),
-// then lowering onto the builder. Reordering is best-effort — when the
-// rewritten form fails to lower (e.g. a qualified reference the new table
-// order shadows), planning falls back to the query exactly as written, so
-// the optimizer can never reject a query the unoptimized path accepts.
-func (db *DB) compileSelect(sel *sql.Select) (*Query, error) {
-	if !db.noOpt {
-		if re := db.reorderSelect(sel); re != nil {
-			if q, err := db.lowerSelect(re); err == nil {
-				return q, nil
-			}
-		}
-	}
-	return db.lowerSelect(sel)
-}
-
 // lowerSelect lowers one SELECT onto the builder in written order.
 func (db *DB) lowerSelect(sel *sql.Select) (*Query, error) {
 	// 1. FROM: open the scope and scan the first table.
@@ -562,7 +538,7 @@ func (db *DB) lowerSelect(sel *sql.Select) (*Query, error) {
 		if qual == "" {
 			qual = ref.Table
 		}
-		return scope.add(scopeEntry{qual: qual, table: ref.Table, schema: schema})
+		return scope.add(scopeEntry{qual: qual, schema: schema})
 	}
 	if err := addTable(sel.From); err != nil {
 		return nil, err

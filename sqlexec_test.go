@@ -74,6 +74,10 @@ func TestSQLMatchesBuilder(t *testing.T) {
 			return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").
 				Project(Col("name"), Col("amount"))
 		}},
+		{"join-swapped", "SELECT name, amount FROM customers JOIN orders ON cid = cust", func() *Query {
+			return db.Scan("orders").Join(db.Scan("customers"), "cust", "cid").
+				Project(Col("name"), Col("amount"))
+		}},
 		{"comma-join", "SELECT name, amount FROM customers c, orders o WHERE c.cid = o.cust AND o.amount > 20", func() *Query {
 			return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").
 				Filter(Col("amount").Gt(Int(20))).
@@ -303,6 +307,43 @@ func TestSQLTypedErrors(t *testing.T) {
 	var oe *OptionError
 	if _, err := db.Query(ctx, "SELECT oid FROM orders", WithParallelism(0)); !errors.As(err, &oe) {
 		t.Errorf("bad option through SQL path: got %v", err)
+	}
+}
+
+// TestAcceptanceDoesNotDependOnStatistics: a statement lowers once, in the
+// order it names its tables, so whether it is accepted does not depend on
+// which table is larger. Here b.x is shadowed by a.x, which the builder
+// resolves first: the reference is ambiguous whatever the sizes.
+func TestAcceptanceDoesNotDependOnStatistics(t *testing.T) {
+	ctx := context.Background()
+	for _, sizes := range [][2]int{{20, 5}, {5, 20}} {
+		db, err := Open(Options{PoolPages: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(db.Close)
+		if _, err := db.Exec(ctx, "CREATE TABLE a (k INT, k2 INT, x INT); CREATE TABLE b (k INT, x INT)"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sizes[0]; i++ {
+			if _, err := db.Exec(ctx, fmt.Sprintf("INSERT INTO a VALUES (%d, %d, 0)", i, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < sizes[1]; i++ {
+			x := 0
+			if i < 5 {
+				x = 1 // where the statement runs, its answer is 5
+			}
+			if _, err := db.Exec(ctx, fmt.Sprintf("INSERT INTO b VALUES (%d, %d)", i, x)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ac *AmbiguousColumnError
+		_, err = db.Query(ctx, "SELECT count(*) AS n FROM a, b WHERE a.k2 = b.k AND b.x = 1")
+		if !errors.As(err, &ac) || ac.Column != "x" {
+			t.Errorf("|a| = %d, |b| = %d: got %v, want *AmbiguousColumnError on x", sizes[0], sizes[1], err)
+		}
 	}
 }
 

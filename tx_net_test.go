@@ -5,8 +5,9 @@ package qpipe_test
 
 import (
 	"context"
-	"strings"
+	"errors"
 	"testing"
+	"time"
 
 	"qpipe"
 	"qpipe/client"
@@ -43,8 +44,8 @@ func TestRemoteTransactions(t *testing.T) {
 	}
 	// SELECT over the written table inside the transaction is the typed
 	// conflict, surfaced across the wire.
-	if _, err := conn.Query(ctx, "SELECT count(*) FROM t"); err == nil ||
-		!strings.Contains(err.Error(), "inside the transaction") {
+	var conflict *qpipe.TxConflictError
+	if _, err := conn.Query(ctx, "SELECT count(*) FROM t"); !errors.As(err, &conflict) || conflict.Table != "t" {
 		t.Fatalf("in-tx read of written table: got %v", err)
 	}
 	if err := conn.Rollback(ctx); err != nil {
@@ -69,17 +70,60 @@ func TestRemoteTransactions(t *testing.T) {
 	}
 
 	// Transaction-state errors round-trip.
-	if err := conn.Commit(ctx); err == nil || !strings.Contains(err.Error(), "no transaction is open") {
+	var state *qpipe.TxStateError
+	if err := conn.Commit(ctx); !errors.As(err, &state) || state.Open {
 		t.Fatalf("stray COMMIT: got %v", err)
 	}
 	if err := conn.Begin(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Begin(ctx); err == nil || !strings.Contains(err.Error(), "already open") {
+	if err := conn.Begin(ctx); !errors.As(err, &state) || !state.Open {
 		t.Fatalf("double BEGIN: got %v", err)
 	}
 	if err := conn.Rollback(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemotePreparedReadInsideTx: a prepared SELECT is guarded when it runs,
+// like a text one — the transaction opened after the Prepare — so a read of a
+// table the session's transaction has written is a *TxConflictError at once,
+// not a wait on the session's own lock.
+func TestRemotePreparedReadInsideTx(t *testing.T) {
+	_, _, addr := startServer(t, 100, qpipe.Options{}, qpipe.ServerOptions{})
+	ctx := context.Background()
+	conn, err := client.Connect(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stmt, err := conn.Prepare(ctx, "SELECT count(*) AS n FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Begin(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Exec(ctx, "INSERT INTO t VALUES (5000, 0, 1.5, 'tx')"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := stmt.Query(ctx, client.WithTimeout(time.Second))
+	if err == nil {
+		_, err = rows.All()
+	}
+	var conflict *qpipe.TxConflictError
+	if !errors.As(err, &conflict) || conflict.Table != "t" {
+		t.Fatalf("prepared in-tx read of written table: got %v", err)
+	}
+	if err := conn.Rollback(ctx); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = stmt.Query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all, err := rows.All(); err != nil || all[0][0].I != 100 {
+		t.Fatalf("after ROLLBACK: %v %v", all, err)
 	}
 }
 

@@ -55,6 +55,12 @@ const (
 	CodeOption
 	// CodeBatch: a batch submission failed (*qpipe.BatchError).
 	CodeBatch
+	// CodeTxState: BEGIN inside an open transaction, or COMMIT/ROLLBACK
+	// outside one (*qpipe.TxStateError).
+	CodeTxState
+	// CodeTxConflict: a read of a table the session's open transaction has
+	// written (*qpipe.TxConflictError).
+	CodeTxConflict
 )
 
 // Error is a typed engine error in transit. It implements error (rendering

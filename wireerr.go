@@ -54,6 +54,8 @@ func MarshalWireError(err error) *wire.Error {
 		st   *StatementError
 		op   *OptionError
 		cr   *CommitRejectedError
+		ts   *TxStateError
+		tc   *TxConflictError
 		be   *BatchError
 		wp   *wire.ProtocolError
 		wE   *wire.Error
@@ -110,6 +112,10 @@ func MarshalWireError(err error) *wire.Error {
 		set(wire.CodeStatement, "stmt", st.Stmt, "reason", st.Reason)
 	case errors.As(err, &op):
 		set(wire.CodeOption, "option", op.Option, "reason", op.Reason)
+	case errors.As(err, &ts):
+		set(wire.CodeTxState, "stmt", ts.Stmt, "open", strconv.FormatBool(ts.Open))
+	case errors.As(err, &tc):
+		set(wire.CodeTxConflict, "table", tc.Table)
 	case errors.As(err, &cr):
 		// No code of its own: a remote caller sees a *StatementError naming
 		// the COMMIT that was refused.
@@ -172,6 +178,10 @@ func UnmarshalWireError(we *wire.Error) error {
 		return &StatementError{Stmt: we.Field("stmt"), Reason: we.Field("reason")}
 	case wire.CodeOption:
 		return &OptionError{Option: we.Field("option"), Reason: we.Field("reason")}
+	case wire.CodeTxState:
+		return &TxStateError{Stmt: we.Field("stmt"), Open: we.Field("open") == "true"}
+	case wire.CodeTxConflict:
+		return &TxConflictError{Table: we.Field("table")}
 	case wire.CodeBatch:
 		e := &BatchError{Index: atoi("index")}
 		if s := we.Field("submit"); s != "" {

@@ -43,6 +43,9 @@ func TestWireErrorRoundTrips(t *testing.T) {
 			Submit:   &OverloadedError{MaxConcurrent: 4, QueueDepth: 0},
 			Teardown: []error{&DeadlineError{Timeout: time.Second}}}, wire.CodeBatch},
 		{"protocol", &wire.ProtocolError{Reason: "zero-length frame"}, wire.CodeProtocol},
+		{"tx-state-open", &TxStateError{Stmt: "BEGIN", Open: true}, wire.CodeTxState},
+		{"tx-state-none", &TxStateError{Stmt: "COMMIT"}, wire.CodeTxState},
+		{"tx-conflict", &TxConflictError{Table: "t"}, wire.CodeTxConflict},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
