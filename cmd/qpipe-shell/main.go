@@ -28,8 +28,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,39 +61,20 @@ func main() {
 			fatal(err)
 		}
 		defer conn.Close()
-		sh.remote = conn
-		switch {
-		case *command != "":
-			if !sh.runScript(*command) {
-				os.Exit(1)
-			}
-		case *script != "":
-			text, err := os.ReadFile(*script)
-			if err != nil {
+		sh.be = remote{conn}
+	} else {
+		db, err := qpipe.Open(qpipe.Options{PoolPages: *pool})
+		if err != nil {
+			fatal(err)
+		}
+		defer db.Close()
+		sh.db, sh.be = db, embedded{db: db, sess: &sh.sess}
+		defer sh.sess.Close() // roll back an abandoned transaction on exit
+		if *demo {
+			fmt.Fprintf(sh.out, "loading demo dataset: %d orders, %d customers ...\n", *demoRows, *demoCusts)
+			if err := sqlmix.Populate(db, *demoRows, *demoCusts); err != nil {
 				fatal(err)
 			}
-			if !sh.runScript(string(text)) {
-				os.Exit(1)
-			}
-		default:
-			fmt.Fprintf(sh.out, "connected to %s\n", *connect)
-			sh.repl()
-		}
-		return
-	}
-
-	db, err := qpipe.Open(qpipe.Options{PoolPages: *pool})
-	if err != nil {
-		fatal(err)
-	}
-	defer db.Close()
-
-	sh.db = db
-	defer sh.sess.Close() // roll back an abandoned transaction on exit
-	if *demo {
-		fmt.Fprintf(sh.out, "loading demo dataset: %d orders, %d customers ...\n", *demoRows, *demoCusts)
-		if err := sqlmix.Populate(db, *demoRows, *demoCusts); err != nil {
-			fatal(err)
 		}
 	}
 
@@ -110,7 +92,10 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		sh.repl()
+		if *connect != "" {
+			fmt.Fprintf(sh.out, "connected to %s\n", *connect)
+		}
+		sh.repl(os.Stdin)
 	}
 }
 
@@ -119,22 +104,71 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// shell holds the REPL's connection state: an embedded database OR a remote
-// connection (exactly one is set), the session settings SQL SET adjusts,
-// and the \timing toggle.
+// shell holds the REPL's state: the backend statements run on, the session
+// settings SQL SET adjusts (the backend's own session when embedded, a
+// mirror of the server-side one when remote), and the \timing toggle.
 type shell struct {
-	db     *qpipe.DB    // embedded mode
-	remote *client.Conn // -connect mode
+	be     backend
+	db     *qpipe.DB // embedded mode only: \d, \mix and the engine's \stats
 	sess   qpipe.Session
 	timing bool
-	out    *os.File
+	out    io.Writer
 }
 
-// repl reads statements from stdin: lines accumulate until a terminating
+// backend runs statement text under the shell's session: query for SELECT
+// and EXPLAIN, exec for everything else.
+type backend interface {
+	query(ctx context.Context, text string) (rows, error)
+	exec(ctx context.Context, text string) (int64, error)
+}
+
+// rows is a result stream as the printer reads it.
+type rows interface {
+	Schema() *qpipe.Schema
+	Next() ([]qpipe.Row, error)
+}
+
+// embedded runs statements through the database's router.
+type embedded struct {
+	db   *qpipe.DB
+	sess *qpipe.Session
+}
+
+func (e embedded) query(ctx context.Context, text string) (rows, error) {
+	res, err := e.db.QuerySession(ctx, e.sess, text)
+	return result{res}, err
+}
+
+func (e embedded) exec(ctx context.Context, text string) (int64, error) {
+	return e.db.ExecSession(ctx, e.sess, text)
+}
+
+// result ends a Result's stream with the query's terminal error, as the
+// Result's own drains do (a Discard past the end reads nothing, it waits).
+type result struct{ *qpipe.Result }
+
+func (r result) Next() ([]qpipe.Row, error) {
+	b, err := r.Result.Next()
+	if err == io.EOF {
+		if _, werr := r.Discard(); werr != nil {
+			return nil, werr
+		}
+	}
+	return b, err
+}
+
+// remote runs statements over a connection, under its server-side session.
+type remote struct{ *client.Conn }
+
+func (r remote) query(ctx context.Context, text string) (rows, error) { return r.Query(ctx, text) }
+
+func (r remote) exec(ctx context.Context, text string) (int64, error) { return r.Exec(ctx, text) }
+
+// repl reads statements from in: lines accumulate until a terminating
 // ';' (strings respected), '\'-prefixed meta commands run immediately.
-func (sh *shell) repl() {
+func (sh *shell) repl(in io.Reader) {
 	fmt.Fprintln(sh.out, "qpipe SQL shell — \\help for help, \\q to quit")
-	scanner := bufio.NewScanner(os.Stdin)
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var buf strings.Builder
 	for {
@@ -218,144 +252,55 @@ func (sh *shell) runScript(text string) bool {
 	return ok
 }
 
-// exec runs one parsed statement through the public API: SELECT/EXPLAIN via
-// db.Query (with the session's options), everything else — DDL, INSERT,
-// UPDATE/DELETE, BEGIN/COMMIT/ROLLBACK, SET — via db.ExecSession so the
-// shell's session carries transactions exactly like a server connection.
+// exec runs one parsed statement on the backend: SELECT and EXPLAIN
+// through query, everything else — DDL, mutations, BEGIN/COMMIT/ROLLBACK,
+// SET — through exec, so the shell's session carries transactions and
+// settings exactly like a server connection.
 func (sh *shell) exec(stmt sql.Statement) error {
-	if sh.remote != nil {
-		return sh.execRemote(stmt)
-	}
-	ctx := context.Background()
-	start := time.Now()
-	switch s := stmt.(type) {
-	case *sql.Set:
-		if err := sh.sess.Apply(s); err != nil {
+	ctx, start := context.Background(), time.Now()
+	switch stmt.(type) {
+	case *sql.Select, *sql.Explain:
+		rs, err := sh.be.query(ctx, stmt.String())
+		if err != nil {
 			return err
 		}
+		return sh.print(rs, stmt, start)
+	}
+	affected, err := sh.be.exec(ctx, stmt.String())
+	if err != nil {
+		return err
+	}
+	if set, ok := stmt.(*sql.Set); ok {
+		// Accepted: mirror it for \set (embedded, the backend's session is
+		// this one, and applying it again changes nothing).
+		_ = sh.sess.Apply(set)
 		fmt.Fprintln(sh.out, "SET —", sh.sess.String())
 		return nil
-	case *sql.Explain:
-		res, err := sh.db.Query(ctx, s.String(), sh.sess.Options()...)
-		if err != nil {
-			return err
-		}
-		rows, err := res.All()
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Fprintln(sh.out, r[0].S)
-		}
-		return nil
-	case *sql.Select:
-		if err := sh.sess.GuardQuery(s); err != nil {
-			return err
-		}
-		res, err := sh.db.Query(ctx, s.String(), sh.sess.Options()...)
-		if err != nil {
-			return err
-		}
-		n, err := sh.printResult(res)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(sh.out, "(%d rows)\n", n)
-		sh.reportTiming(start)
-		return nil
-	default:
-		affected, err := sh.db.ExecSession(ctx, &sh.sess, stmt.String())
-		if err != nil {
-			return err
-		}
-		sh.reportExec(stmt, affected)
-		sh.reportTiming(start)
-		return nil
 	}
+	sh.reportExec(stmt, affected)
+	sh.reportTiming(start)
+	return nil
 }
 
 // reportExec prints a mutation statement's tag the way psql does: the verb,
 // plus the affected-row count where one is meaningful.
 func (sh *shell) reportExec(stmt sql.Statement, affected int64) {
+	verb := strings.Fields(stmt.String())[0] // INSERT, UPDATE, DELETE, BEGIN, ...
 	switch stmt.(type) {
-	case *sql.Insert:
-		fmt.Fprintf(sh.out, "INSERT %d\n", affected)
-	case *sql.Update:
-		fmt.Fprintf(sh.out, "UPDATE %d\n", affected)
-	case *sql.Delete:
-		fmt.Fprintf(sh.out, "DELETE %d\n", affected)
-	case *sql.Begin:
-		fmt.Fprintln(sh.out, "BEGIN")
-	case *sql.Commit:
-		fmt.Fprintln(sh.out, "COMMIT")
-	case *sql.Rollback:
-		fmt.Fprintln(sh.out, "ROLLBACK")
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		fmt.Fprintf(sh.out, "%s %d\n", verb, affected)
+	case *sql.Begin, *sql.Commit, *sql.Rollback:
+		fmt.Fprintln(sh.out, verb)
 	default:
 		fmt.Fprintln(sh.out, "ok")
 	}
 }
 
-// execRemote runs one parsed statement over the wire: SELECT/EXPLAIN via
-// conn.Query, DDL/INSERT via conn.Exec. SET forwards to the server (its
-// session owns execution) and mirrors into the local session so \set shows
-// the settings without a round trip.
-func (sh *shell) execRemote(stmt sql.Statement) error {
-	ctx := context.Background()
-	start := time.Now()
-	switch s := stmt.(type) {
-	case *sql.Set:
-		if err := sh.sess.Apply(s); err != nil {
-			return err
-		}
-		rows, err := sh.remote.Query(ctx, s.String())
-		if err != nil {
-			return err
-		}
-		if _, err := rows.Discard(); err != nil {
-			return err
-		}
-		fmt.Fprintln(sh.out, "SET —", sh.sess.String())
-		return nil
-	case *sql.Explain:
-		rows, err := sh.remote.Query(ctx, s.String())
-		if err != nil {
-			return err
-		}
-		all, err := rows.All()
-		if err != nil {
-			return err
-		}
-		for _, r := range all {
-			fmt.Fprintln(sh.out, r[0].S)
-		}
-		return nil
-	case *sql.Select:
-		rows, err := sh.remote.Query(ctx, s.String())
-		if err != nil {
-			return err
-		}
-		n, err := sh.printRemote(rows)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(sh.out, "(%d rows)\n", n)
-		sh.reportTiming(start)
-		return nil
-	default:
-		affected, err := sh.remote.Exec(ctx, stmt.String())
-		if err != nil {
-			return err
-		}
-		sh.reportExec(stmt, affected)
-		sh.reportTiming(start)
-		return nil
-	}
-}
-
-// printRemote streams a remote result to the terminal, same rendering as
-// printResult.
-func (sh *shell) printRemote(rows *client.Rows) (int64, error) {
-	if s := rows.Schema(); s != nil && s.Len() > 0 {
+// print streams a result to the terminal. An EXPLAIN prints its plan lines;
+// a SELECT a header row from the result schema, its rows and their count.
+func (sh *shell) print(rs rows, stmt sql.Statement, start time.Time) error {
+	_, explain := stmt.(*sql.Explain)
+	if s := rs.Schema(); !explain && s != nil {
 		names := make([]string, s.Len())
 		for i, c := range s.Cols {
 			names[i] = c.Name
@@ -366,12 +311,12 @@ func (sh *shell) printRemote(rows *client.Rows) (int64, error) {
 	}
 	var n int64
 	for {
-		b, err := rows.Next()
+		b, err := rs.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return n, err
+			return err
 		}
 		for _, row := range b {
 			vals := make([]string, len(row))
@@ -382,31 +327,11 @@ func (sh *shell) printRemote(rows *client.Rows) (int64, error) {
 			n++
 		}
 	}
-	return n, nil
-}
-
-// printResult streams a result to the terminal with a header row from the
-// result schema.
-func (sh *shell) printResult(res *qpipe.Result) (int64, error) {
-	if s := res.Schema(); s != nil {
-		names := make([]string, s.Len())
-		for i, c := range s.Cols {
-			names[i] = c.Name
-		}
-		header := strings.Join(names, " | ")
-		fmt.Fprintln(sh.out, header)
-		fmt.Fprintln(sh.out, strings.Repeat("-", len(header)))
+	if !explain {
+		fmt.Fprintf(sh.out, "(%d rows)\n", n)
+		sh.reportTiming(start)
 	}
-	var n int64
-	for row := range res.Rows() {
-		vals := make([]string, len(row))
-		for i, v := range row {
-			vals[i] = v.String()
-		}
-		fmt.Fprintln(sh.out, strings.Join(vals, " | "))
-		n++
-	}
-	return n, res.Err()
+	return nil
 }
 
 func (sh *shell) reportTiming(start time.Time) {
@@ -428,7 +353,7 @@ func (sh *shell) meta(line string) bool {
 	case "\\set":
 		fmt.Fprintln(sh.out, sh.sess.String())
 	case "\\d":
-		if sh.remote != nil {
+		if sh.db == nil {
 			fmt.Fprintln(sh.out, "\\d is not available over -connect (catalog lives server-side)")
 			break
 		}
@@ -467,14 +392,14 @@ func (sh *shell) meta(line string) bool {
 		}
 		sh.runScript(string(text))
 	case "\\mix":
-		if sh.remote != nil {
+		if sh.db == nil {
 			fmt.Fprintln(sh.out, "\\mix is embedded-only")
 			break
 		}
 		sh.runMix()
 	case "\\stats":
-		if sh.remote != nil {
-			sh.remoteStats()
+		if r, ok := sh.be.(remote); ok {
+			r.printStats(sh.out)
 			break
 		}
 		st := sh.db.Stats()
@@ -491,18 +416,20 @@ func (sh *shell) meta(line string) bool {
 			fmt.Fprintf(sh.out, "  %-28s %d\n", "handover."+qpipe.HandOver(why).String(), n)
 		}
 	case "\\help":
-		fmt.Fprint(sh.out, `statements end with ';' (multi-line input is fine):
-  SELECT ... / EXPLAIN SELECT ...      query (through db.Query)
+		fmt.Fprint(sh.out, `statements end with ';' (multi-line input is fine) and run under the
+shell's session (with -connect, the connection's session on the server):
+  SELECT ... / EXPLAIN SELECT ...      query
   CREATE TABLE / CREATE INDEX / INSERT DDL and loading
   UPDATE ... / DELETE FROM ...         transactional mutations
-  BEGIN; ...; COMMIT | ROLLBACK        multi-statement transactions
+  BEGIN; ...; COMMIT | ROLLBACK        multi-statement transactions (reading a
+                                       table the transaction wrote is an error)
   ANALYZE [table]                      rebuild planner statistics
-  SET parallelism|batch_size|osp = v   session options for later queries
-  SET statement_timeout = '500ms'      per-query deadline (0 turns it off)
+  SET parallelism|batch_size|osp = v   session options for later statements
+  SET statement_timeout = '500ms'      per-statement deadline (0 turns it off)
 meta commands:
   \d [table]   list tables / show a table's schema and statistics
   \i FILE      run a .sql script
-  \mix         run the embedded tpchmix query mix (needs -demo tables)
+  \mix         run the embedded tpchmix query mix under the session (needs -demo tables)
   \set         show session settings
   \stats       engine and disk counters
   \timing      toggle per-statement timing
@@ -528,7 +455,7 @@ func (sh *shell) runMix() {
 	}
 	const clients, perClient = 6, 2
 	fmt.Fprintf(sh.out, "running %d queries: %d clients x %d ...\n", clients*perClient, clients, perClient)
-	res, err := m.Run(context.Background(), sh.db, clients, perClient, sh.sess.Options()...)
+	res, err := m.Run(context.Background(), sh.db, &sh.sess, clients, perClient)
 	if err != nil {
 		fmt.Fprintln(sh.out, "error:", err)
 		return
@@ -537,21 +464,16 @@ func (sh *shell) runMix() {
 		res.Queries, res.Rows, res.Elapsed.Round(time.Millisecond), res.BlocksRead, res.Shares)
 }
 
-// remoteStats fetches and prints the server's counters over the wire.
-func (sh *shell) remoteStats() {
-	stats, err := sh.remote.Stats(context.Background())
+// printStats fetches and prints the server's counters over the wire.
+func (r remote) printStats(out io.Writer) {
+	stats, err := r.Stats(context.Background())
 	if err != nil {
-		fmt.Fprintln(sh.out, "error:", err)
+		fmt.Fprintln(out, "error:", err)
 		return
 	}
-	names := make([]string, 0, len(stats))
-	for name := range stats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Fprintln(sh.out, "server counters:")
-	for _, name := range names {
-		fmt.Fprintf(sh.out, "  %-20s %d\n", name, stats[name])
+	fmt.Fprintln(out, "server counters:")
+	for _, name := range slices.Sorted(maps.Keys(stats)) {
+		fmt.Fprintf(out, "  %-20s %d\n", name, stats[name])
 	}
 }
 

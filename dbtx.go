@@ -1,21 +1,19 @@
 // Explicit transactions on the facade: db.Begin returns a Tx that stages
 // INSERT/UPDATE/DELETE across statements and commits them atomically — one
-// WAL batch, one durable flush, all-or-nothing visibility. ExecSession is
-// the session-aware script runner the network server uses: it routes
-// BEGIN/COMMIT/ROLLBACK to a per-session Tx and everything else to the
-// stateless paths.
+// WAL batch, one durable flush, all-or-nothing visibility. A Session owns at
+// most one Tx, which its BEGIN/COMMIT/ROLLBACK open and close through the
+// statement router (runStmt) that every SQL front end shares.
 //
 // Transactions take table exclusive locks at first touch and hold them to
-// Commit/Rollback. Reads do not go through the transaction: db.Query sees
-// committed state only (and a query over a table this transaction has
-// written would wait on its own lock — sessions catch that and return a
-// typed *TxConflictError instead).
+// Commit/Rollback. Reads do not go through the transaction: they see
+// committed state only, and a session's read of a table its transaction
+// has written — which would wait on its own lock — is a typed
+// *TxConflictError instead.
 package qpipe
 
 import (
 	"context"
 
-	"qpipe/internal/ops"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/sm"
 	"qpipe/sql"
@@ -43,52 +41,18 @@ func (db *DB) Begin() *Tx {
 // SELECT through db.Query. Returns the total number of rows affected so far
 // by this call.
 func (tx *Tx) Exec(ctx context.Context, text string) (int64, error) {
-	stmts, err := sql.ParseScript(text)
-	if err != nil {
-		return 0, err
-	}
-	var affected int64
-	for _, stmt := range stmts {
-		n, err := tx.execStmt(ctx, stmt)
-		if err != nil {
-			return affected, err
-		}
-		affected += n
-	}
-	return affected, nil
+	return tx.db.script(ctx, &Session{tx: tx}, text, txKind)
 }
 
-func (tx *Tx) execStmt(ctx context.Context, stmt sql.Statement) (int64, error) {
-	switch s := stmt.(type) {
-	case *sql.Insert:
-		schema, err := tx.db.Schema(s.Table)
-		if err != nil {
-			return 0, err
-		}
-		rows, err := buildInsertRows(schema, s)
-		if err != nil {
-			return 0, err
-		}
-		if err := tx.Insert(ctx, s.Table, rows...); err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
-	case *sql.Update:
-		node, err := tx.db.compileUpdate(s)
-		if err != nil {
-			return 0, err
-		}
-		return ops.StageMutation(ctx, tx.tx, node)
-	case *sql.Delete:
-		node, err := tx.db.compileDelete(s)
-		if err != nil {
-			return 0, err
-		}
-		return ops.StageMutation(ctx, tx.tx, node)
-	default:
-		return 0, &StatementError{Stmt: statementName(stmt),
-			Reason: "not allowed inside a transaction (only INSERT, UPDATE and DELETE stage)"}
+// txKind is Tx.Exec's kind check, and the router's for DDL inside a
+// session's transaction: a transaction stages only rows.
+func txKind(stmt sql.Statement) error {
+	switch stmt.(type) {
+	case *sql.Insert, *sql.Update, *sql.Delete:
+		return nil
 	}
+	return &StatementError{Stmt: statementName(stmt),
+		Reason: "not allowed inside a transaction (only INSERT, UPDATE and DELETE stage)"}
 }
 
 // Insert stages rows for the table (the programmatic equivalent of INSERT
@@ -122,93 +86,28 @@ func (tx *Tx) Rollback() { tx.tx.Rollback() }
 
 // ---- Session-aware execution ---------------------------------------------------
 
-// ExecSession runs a SQL script with session state: SET folds into the
-// session, BEGIN/COMMIT/ROLLBACK control the session's transaction, and
-// INSERT/UPDATE/DELETE stage into it when one is open (autocommitting
-// through the engine otherwise, with the session's options as its queries
-// have them: SET statement_timeout bounds a mutation too). This is what the
-// network server runs for each Exec frame, giving remote clients
-// transactions. Returns the total rows affected by the script's mutations.
+// ExecSession is Exec under a session: SET folds into it, BEGIN/COMMIT/
+// ROLLBACK control its transaction, and INSERT/UPDATE/DELETE stage into
+// that transaction when one is open (autocommitting otherwise, with the
+// session's options as its queries have them: SET statement_timeout bounds
+// a mutation too). This is what the network server runs for each Exec
+// frame, giving remote clients transactions. Returns the total rows
+// affected by the script's mutations. A nil sess is Exec.
 func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int64, error) {
-	stmts, err := sql.ParseScript(text)
-	if err != nil {
-		return 0, err
-	}
-	var affected int64
-	for _, stmt := range stmts {
-		switch s := stmt.(type) {
-		case *sql.Set:
-			if err := sess.Apply(s); err != nil {
-				return affected, err
-			}
-		case *sql.Begin:
-			if sess.tx != nil {
-				return affected, &TxStateError{Stmt: "BEGIN", Open: true}
-			}
-			sess.tx = db.Begin()
-		case *sql.Commit:
-			if sess.tx == nil {
-				return affected, &TxStateError{Stmt: "COMMIT"}
-			}
-			t := sess.tx
-			sess.tx = nil
-			if err := t.Commit(ctx); err != nil {
-				return affected, err
-			}
-		case *sql.Rollback:
-			if sess.tx == nil {
-				return affected, &TxStateError{Stmt: "ROLLBACK"}
-			}
-			sess.tx.Rollback()
-			sess.tx = nil
-		default:
-			var n int64
-			var err error
-			if sess.tx != nil {
-				n, err = sess.tx.execStmt(ctx, stmt)
-			} else {
-				var o queryOpts
-				if o, err = resolveOpts(sess.Options()); err == nil {
-					n, err = db.execStmt(ctx, stmt, o)
-				}
-			}
-			if err != nil {
-				return affected, err
-			}
-			affected += n
-		}
-	}
-	return affected, nil
+	return db.script(ctx, sess, text, execKind)
 }
 
-// GuardQuery rejects a SELECT that would self-deadlock: inside an open
-// transaction, reading a table the transaction has written would wait
-// forever on the session's own exclusive lock. Reads of untouched tables
-// (committed state) pass through. Front ends that pair db.Query with
-// session transactions — the network server, the shell — call this before
-// submitting.
-func (s *Session) GuardQuery(stmt sql.Statement) error {
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
+// guard rejects a read that would self-deadlock: inside an open transaction
+// (a non-nil tx), reading a table the transaction has written would wait
+// forever on its own exclusive lock. Reads of untouched tables (committed
+// state) pass through. It is checked when the query runs, against the
+// tables its plan reads.
+func (tx *Tx) guard(q *Query) error {
+	if tx == nil {
 		return nil
 	}
-	tables := []string{sel.From.Table}
-	for _, j := range sel.Joins {
-		tables = append(tables, j.Ref.Table)
-	}
-	return s.guard(tables)
-}
-
-// guardPrepared is GuardQuery for a prepared statement, checked when it runs
-// (the transaction may have opened after the Prepare) against the tables its
-// plan reads.
-func (s *Session) guardPrepared(q *Query) error {
-	return s.guard(plan.Tables(q.node))
-}
-
-func (s *Session) guard(tables []string) error {
-	for _, table := range tables {
-		if s.tx != nil && s.tx.tx.Writes(table) {
+	for _, table := range plan.Tables(q.node) {
+		if tx.tx.Writes(table) {
 			return &TxConflictError{Table: table}
 		}
 	}

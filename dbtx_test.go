@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"qpipe/internal/storage/sm"
-	"qpipe/sql"
 )
 
 // Facade transaction tests: SQL UPDATE/DELETE through db.Exec, explicit
@@ -154,12 +153,8 @@ func TestExecSessionTransactions(t *testing.T) {
 	}
 	// Reading a table this transaction wrote would self-deadlock; the guard
 	// turns it into a typed error.
-	stmts, err := sql.ParseScript("SELECT count(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.GuardQuery(stmts[0]); !errors.As(err, new(*TxConflictError)) {
-		t.Fatalf("GuardQuery: got %v", err)
+	if _, err := db.QuerySession(ctx, &sess, "SELECT count(*) FROM t"); !errors.As(err, new(*TxConflictError)) {
+		t.Fatalf("QuerySession: got %v", err)
 	}
 	// Double BEGIN is a typed state error.
 	if _, err := db.ExecSession(ctx, &sess, "BEGIN"); !errors.As(err, new(*TxStateError)) {

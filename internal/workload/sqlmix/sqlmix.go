@@ -1,9 +1,10 @@
 // Package sqlmix runs declarative SQL query mixes: a .sql file's SELECT
-// statements dealt round-robin to concurrent clients through db.Query, with
-// SET statements folded into a qpipe.Session. It is the SQL-text successor
-// to the hand-built plan mixes — the tpchmix scenario (examples/tpchmix,
-// the shell's -demo dataset) runs from the embedded tpchmix.sql instead of
-// Go code, so new mixes are a text file away.
+// statements dealt round-robin to concurrent clients through
+// db.QuerySession, with SET statements folded into a qpipe.Session. It is
+// the SQL-text successor to the hand-built plan mixes — the tpchmix
+// scenario (examples/tpchmix, the shell's -demo dataset) runs from the
+// embedded tpchmix.sql instead of Go code, so new mixes are a text file
+// away.
 package sqlmix
 
 import (
@@ -104,11 +105,13 @@ type Result struct {
 }
 
 // Run deals the mix's queries round-robin to clients concurrent workers,
-// each executing perClient queries through db.Query and discarding the
-// rows (the paper's experiments discard result tuples). extra options are
-// appended after the mix session's own (so a caller's WithoutOSP wins for
-// A/B runs). Counters are deltas over the run.
-func (m *Mix) Run(ctx context.Context, db *qpipe.DB, clients, perClient int, extra ...qpipe.QueryOption) (Result, error) {
+// each executing perClient queries through db.QuerySession under sess (nil:
+// none) and discarding the rows (the paper's experiments discard result
+// tuples). The mix session's options apply after sess's settings, and extra
+// options after both (so a caller's WithoutOSP wins for A/B runs). Inside
+// sess's open transaction, a query of a table it has written fails with a
+// *qpipe.TxConflictError. Counters are deltas over the run.
+func (m *Mix) Run(ctx context.Context, db *qpipe.DB, sess *qpipe.Session, clients, perClient int, extra ...qpipe.QueryOption) (Result, error) {
 	opts := append(m.Session.Options(), extra...)
 	sharesBefore := db.TotalShares()
 	readsBefore := db.DiskStats().Reads
@@ -123,7 +126,7 @@ func (m *Mix) Run(ctx context.Context, db *qpipe.DB, clients, perClient int, ext
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				res, err := db.Query(ctx, m.Queries[(c+i)%len(m.Queries)], opts...)
+				res, err := db.QuerySession(ctx, sess, m.Queries[(c+i)%len(m.Queries)], opts...)
 				var n int64
 				if err == nil {
 					n, err = res.Discard()

@@ -94,7 +94,7 @@ func TestMixEndToEnd(t *testing.T) {
 	if _, err := m.Compile(db); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(context.Background(), db, 4, 3)
+	res, err := m.Run(context.Background(), db, &qpipe.Session{Parallelism: 2}, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMixEndToEnd(t *testing.T) {
 		t.Error("mix drained zero rows")
 	}
 	// And an opted-out run still works (the bench's Baseline side).
-	if _, err := m.Run(context.Background(), db, 2, 2, qpipe.WithoutOSP()); err != nil {
+	if _, err := m.Run(context.Background(), db, nil, 2, 2, qpipe.WithoutOSP()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -458,10 +458,10 @@ func (c *serverConn) serve(f frame) (done bool, err error) {
 	}
 }
 
-// execOptions renders the session settings plus the request's wire options
-// as per-query options (wire options win, matching SET-then-override).
-func (c *serverConn) execOptions(o wire.ExecOpts) []QueryOption {
-	opts := c.sess.Options()
+// wireOptions renders a request's wire options as per-query options; they
+// apply after the session's settings, so they win (SET-then-override).
+func wireOptions(o wire.ExecOpts) []QueryOption {
+	var opts []QueryOption
 	if o.TimeoutMs > 0 {
 		opts = append(opts, WithTimeout(time.Duration(o.TimeoutMs)*time.Millisecond))
 	}
@@ -477,29 +477,26 @@ func (c *serverConn) execOptions(o wire.ExecOpts) []QueryOption {
 	return opts
 }
 
-// serveQuery answers a MsgQuery: SET folds into the session (bare
-// Complete), SELECT/EXPLAIN stream a result, anything else is the typed
-// StatementError the embedded API gives.
+// serveQuery answers a MsgQuery through the router under the connection's
+// session: SET folds into it (bare Complete), SELECT/EXPLAIN stream a
+// result, anything else is the typed StatementError the embedded API gives.
 func (c *serverConn) serveQuery(q wire.Query) error {
 	stmt, err := sql.Parse(q.SQL)
+	if err == nil {
+		err = queryKind(stmt)
+	}
 	if err != nil {
 		return c.sendError(err)
 	}
-	if set, ok := stmt.(*sql.Set); ok {
-		if err := c.sess.Apply(set); err != nil {
-			return c.sendError(err)
-		}
+	if _, set := stmt.(*sql.Set); !set {
+		c.srv.queriesServed.Add(1)
+	}
+	res, _, err := c.srv.db.runStmt(c.ctx, &c.sess, stmt, wireOptions(q.Opts))
+	if err != nil {
+		return c.sendError(err)
+	}
+	if res == nil {
 		return c.sendComplete(0)
-	}
-	// Inside an open transaction, a SELECT over a table the transaction has
-	// written would block on the session's own lock — reject it typed.
-	if err := c.sess.GuardQuery(stmt); err != nil {
-		return c.sendError(err)
-	}
-	c.srv.queriesServed.Add(1)
-	res, err := c.srv.db.queryStmt(c.ctx, stmt, c.execOptions(q.Opts))
-	if err != nil {
-		return c.sendError(err)
 	}
 	return c.stream(res)
 }
@@ -526,20 +523,20 @@ func (c *serverConn) serveExecute(e wire.Execute) error {
 		return c.sendError(&StatementError{Stmt: "EXECUTE",
 			Reason: fmt.Sprintf("unknown prepared statement id %d", e.ID)})
 	}
-	if err := c.sess.guardPrepared(q); err != nil {
+	if err := c.sess.tx.guard(q); err != nil {
 		return c.sendError(err)
 	}
 	c.srv.queriesServed.Add(1)
-	res, err := q.Run(c.ctx, c.execOptions(e.Opts)...)
+	res, err := q.Run(c.ctx, append(c.sess.Options(), wireOptions(e.Opts)...)...)
 	if err != nil {
 		return c.sendError(err)
 	}
 	return c.stream(res)
 }
 
-// serveExec runs a DDL/DML script through the session — so remote
-// BEGIN/COMMIT/ROLLBACK control a per-connection transaction — and answers
-// with the affected count.
+// serveExec runs a DDL/DML script through the router under the session —
+// so remote BEGIN/COMMIT/ROLLBACK control a per-connection transaction —
+// and answers with the affected count.
 func (c *serverConn) serveExec(e wire.Exec) error {
 	n, err := c.srv.db.ExecSession(c.ctx, &c.sess, e.SQL)
 	if err != nil {

@@ -451,13 +451,22 @@ func (a *Analyze) String() string {
 // per-query options via qpipe.Session.
 type Set struct {
 	Name  string
-	Value string // raw: an identifier, keyword or number rendering
+	Value string // raw: an identifier, keyword or number rendering, or a string's contents
 }
 
 func (*Set) isStatement() {}
 
-// String implements Statement.
-func (s *Set) String() string { return "SET " + s.Name + " = " + s.Value }
+// String implements Statement. A value that would not lex back to itself as
+// one word or number (500ms, a space, a quote) renders as a string literal,
+// so the rendering re-parses to the same statement.
+func (s *Set) String() string {
+	v := s.Value
+	toks, err := lex(v)
+	if err != nil || len(toks) != 2 || toks[0].Kind == tokSymbol || toks[0].Text != v {
+		v = (&StringLit{V: v}).String()
+	}
+	return "SET " + s.Name + " = " + v
+}
 
 // Assignment is one "col = expr" clause of an UPDATE's SET list.
 type Assignment struct {

@@ -63,6 +63,8 @@ var roundTrips = []struct {
 	{"rollback work", "ROLLBACK"},
 	{"SET parallelism = 8", ""},
 	{"set osp = off", "SET osp = off"},
+	{"SET statement_timeout = '500ms'", ""},
+	{"SET x = 'it''s'", ""},
 	{"SELECT a -- trailing comment\nFROM t /* block */ WHERE a = 1", "SELECT a FROM t WHERE a = 1"},
 }
 

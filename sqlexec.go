@@ -1,5 +1,6 @@
 // SQL execution: the planner that lowers qpipe/sql ASTs onto the
-// schema-aware builder, and the DB entry points Query, Exec and Prepare.
+// schema-aware builder, the DB entry points Query, QuerySession, Exec,
+// ExecSession and Prepare, and runStmt, the statement router they share.
 //
 // The lowering is deliberately thin — every SQL SELECT becomes exactly the
 // plan the equivalent fluent-builder chain would produce (Scan → Join* →
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"qpipe/internal/expr"
+	"qpipe/internal/ops"
 	"qpipe/internal/plan"
 	"qpipe/sql"
 )
@@ -31,35 +33,30 @@ import (
 // (returning its streaming Result) or an EXPLAIN (returning the lowered
 // physical plan as rows of a single "plan" text column, annotated with any
 // non-default per-query options). Other statements are a *StatementError —
-// use Exec for DDL and INSERT. The per-query options apply exactly as on
-// Query.Run.
+// use Exec for DDL and INSERT, and a Session for SET. The per-query options
+// apply exactly as on Query.Run.
 func (db *DB) Query(ctx context.Context, text string, opts ...QueryOption) (*Result, error) {
+	return db.QuerySession(ctx, nil, text, opts...)
+}
+
+// QuerySession is Query under a session: its settings apply before opts (so
+// opts win), a SET folds into it and returns an empty Result, and inside its
+// open transaction a SELECT of a table the transaction has written is a
+// *TxConflictError rather than a wait on the session's own lock. A nil
+// sess is Query.
+func (db *DB) QuerySession(ctx context.Context, sess *Session, text string, opts ...QueryOption) (*Result, error) {
 	stmt, err := sql.Parse(text)
+	if err == nil {
+		err = queryKind(stmt)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return db.queryStmt(ctx, stmt, opts)
-}
-
-// queryStmt is Query over a parsed statement (the server parses once to
-// catch SET and guard the session, then hands the statement here).
-func (db *DB) queryStmt(ctx context.Context, stmt sql.Statement, opts []QueryOption) (*Result, error) {
-	switch s := stmt.(type) {
-	case *sql.Select:
-		q, err := db.lowerSelect(s)
-		if err != nil {
-			return nil, err
-		}
-		return q.Run(ctx, opts...)
-	case *sql.Explain:
-		return db.explainSelect(s.Stmt, opts)
-	case *sql.Set:
-		return nil, &StatementError{Stmt: "SET",
-			Reason: "session statement — apply it to a qpipe.Session (the shell does this)"}
-	default:
-		return nil, &StatementError{Stmt: statementName(stmt),
-			Reason: "does not return rows; use Exec"}
+	res, _, err := db.runStmt(ctx, sess, stmt, opts)
+	if res == nil && err == nil {
+		res = newRowsResult(nil, NewSchema())
 	}
+	return res, err
 }
 
 // Exec parses and executes a SQL script of statements that do not return
@@ -70,19 +67,155 @@ func (db *DB) queryStmt(ctx context.Context, stmt sql.Statement, opts []QueryOpt
 // SELECT/EXPLAIN are a *StatementError (use Query), as are SET and
 // BEGIN/COMMIT/ROLLBACK (session statements belong to a qpipe.Session).
 func (db *DB) Exec(ctx context.Context, text string) (int64, error) {
+	return db.ExecSession(ctx, nil, text)
+}
+
+// queryKind and execKind are the entry points' kind checks: what Query
+// and Exec refuse before the router runs a statement.
+func queryKind(stmt sql.Statement) error {
+	switch stmt.(type) {
+	case *sql.Select, *sql.Explain, *sql.Set:
+		return nil
+	}
+	return &StatementError{Stmt: statementName(stmt), Reason: "does not return rows; use Exec"}
+}
+
+func execKind(stmt sql.Statement) error {
+	switch stmt.(type) {
+	case *sql.Select, *sql.Explain:
+		return &StatementError{Stmt: statementName(stmt), Reason: "returns rows; use Query"}
+	}
+	return nil
+}
+
+// script parses a script and runs its statements in order through the
+// router, each after check; it returns the rows their mutations affected.
+func (db *DB) script(ctx context.Context, sess *Session, text string, check func(sql.Statement) error) (int64, error) {
 	stmts, err := sql.ParseScript(text)
 	if err != nil {
 		return 0, err
 	}
 	var affected int64
 	for _, stmt := range stmts {
-		n, err := db.execStmt(ctx, stmt, queryOpts{})
+		if err := check(stmt); err != nil {
+			return affected, err
+		}
+		_, n, err := db.runStmt(ctx, sess, stmt, nil)
 		if err != nil {
 			return affected, err
 		}
 		affected += n
 	}
 	return affected, nil
+}
+
+// runStmt is the statement router: every SQL front end executes its
+// statements here, and nowhere else does a switch over statement kinds run
+// one. The session's settings apply before opts. A nil sess is the
+// sessionless DB surface, to which SET and transaction control are a
+// *StatementError. Inside the session's open transaction INSERT, UPDATE and
+// DELETE stage, DDL is refused, and a SELECT is guarded against the
+// transaction's own locks. SELECT and EXPLAIN return a Result, mutations
+// the rows they affected.
+func (db *DB) runStmt(ctx context.Context, sess *Session, stmt sql.Statement, opts []QueryOption) (*Result, int64, error) {
+	var tx *Tx
+	if sess != nil {
+		tx = sess.tx
+		opts = append(sess.Options(), opts...)
+	}
+	o, err := resolveOpts(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch stmt.(type) {
+	case *sql.CreateTable, *sql.CreateIndex, *sql.Analyze:
+		if tx != nil {
+			return nil, 0, txKind(stmt)
+		}
+	}
+	switch s := stmt.(type) {
+	case *sql.Select:
+		q, err := db.lowerSelect(s)
+		if err == nil {
+			err = tx.guard(q)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		p, limit, err := q.compile()
+		if err != nil {
+			return nil, 0, err
+		}
+		res, err := db.run(ctx, p, limit, o)
+		return res, 0, err
+	case *sql.Explain:
+		res, err := db.explainSelect(s.Stmt, o)
+		return res, 0, err
+	case *sql.Set:
+		if sess == nil {
+			return nil, 0, &StatementError{Stmt: "SET",
+				Reason: "session statement — apply it to a qpipe.Session (the shell does this)"}
+		}
+		return nil, 0, sess.Apply(s)
+	case *sql.Begin, *sql.Commit, *sql.Rollback:
+		name := statementName(stmt)
+		switch {
+		case sess == nil:
+			return nil, 0, &StatementError{Stmt: name,
+				Reason: "transaction statement — use db.Begin, or ExecSession with a qpipe.Session"}
+		case (tx != nil) == (name == "BEGIN"):
+			return nil, 0, &TxStateError{Stmt: name, Open: tx != nil}
+		case name == "BEGIN":
+			sess.tx = db.Begin()
+		case name == "COMMIT":
+			sess.tx = nil
+			return nil, 0, tx.Commit(ctx)
+		default:
+			sess.Close()
+		}
+		return nil, 0, nil
+	case *sql.Insert:
+		schema, err := db.Schema(s.Table)
+		if err != nil {
+			return nil, 0, err
+		}
+		rows, err := buildInsertRows(schema, s)
+		if err == nil && tx != nil {
+			err = tx.Insert(ctx, s.Table, rows...)
+		} else if err == nil {
+			err = db.insert(ctx, s.Table, rows, o)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		return nil, int64(len(rows)), nil
+	case *sql.Update:
+		node, err := db.compileUpdate(s)
+		if err != nil {
+			return nil, 0, err
+		}
+		n, err := db.execMutation(ctx, tx, node, o)
+		return nil, n, err
+	case *sql.Delete:
+		node, err := db.compileDelete(s)
+		if err != nil {
+			return nil, 0, err
+		}
+		n, err := db.execMutation(ctx, tx, node, o)
+		return nil, n, err
+	case *sql.CreateTable:
+		cols := make([]Column, len(s.Cols))
+		for i, c := range s.Cols {
+			cols[i] = ColDef(c.Name, sqlKind(c.Type))
+		}
+		return nil, 0, db.CreateTable(s.Name, NewSchema(cols...))
+	case *sql.CreateIndex:
+		return nil, 0, db.CreateIndex(s.Table, s.Column, s.Clustered)
+	case *sql.Analyze:
+		return nil, 0, db.Analyze(s.Table)
+	default:
+		return nil, 0, &StatementError{Stmt: statementName(stmt), Reason: "unsupported statement"}
+	}
 }
 
 // Prepare parses a SQL SELECT and compiles it to a reusable builder Query —
@@ -102,16 +235,12 @@ func (db *DB) Prepare(text string) (*Query, error) {
 
 // explainSelect compiles the SELECT and materializes its plan text (plus an
 // options annotation) as a one-column result.
-func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error) {
+func (db *DB) explainSelect(sel *sql.Select, o queryOpts) (*Result, error) {
 	q, err := db.lowerSelect(sel)
 	if err != nil {
 		return nil, err
 	}
 	p, limit, err := q.compile()
-	if err != nil {
-		return nil, err
-	}
-	o, err := resolveOpts(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -126,8 +255,7 @@ func (db *DB) explainSelect(sel *sql.Select, opts []QueryOption) (*Result, error
 	for i, l := range lines {
 		rows[i] = Row{StringValue(l)}
 	}
-	schema := NewSchema(ColDef("plan", KindString))
-	return newRowsResult(rows, schema), nil
+	return newRowsResult(rows, NewSchema(ColDef("plan", KindString))), nil
 }
 
 // annotateOpts renders the non-default per-query options an EXPLAIN ran
@@ -180,81 +308,33 @@ func statementName(stmt sql.Statement) string {
 	}
 }
 
-// ---- DDL / DML execution -----------------------------------------------------
-
-// execStmt runs one statement; its INSERT, UPDATE and DELETE autocommit
-// through the engine with the options o.
-func (db *DB) execStmt(ctx context.Context, stmt sql.Statement, o queryOpts) (int64, error) {
-	switch s := stmt.(type) {
-	case *sql.CreateTable:
-		cols := make([]Column, len(s.Cols))
-		for i, c := range s.Cols {
-			cols[i] = ColDef(c.Name, sqlKind(c.Type))
-		}
-		return 0, db.CreateTable(s.Name, NewSchema(cols...))
-	case *sql.CreateIndex:
-		return 0, db.CreateIndex(s.Table, s.Column, s.Clustered)
-	case *sql.Insert:
-		return db.execInsert(ctx, s, o)
-	case *sql.Analyze:
-		return 0, db.Analyze(s.Table)
-	case *sql.Update:
-		node, err := db.compileUpdate(s)
-		if err != nil {
-			return 0, err
-		}
-		return db.execMutation(ctx, node, o)
-	case *sql.Delete:
-		node, err := db.compileDelete(s)
-		if err != nil {
-			return 0, err
-		}
-		return db.execMutation(ctx, node, o)
-	case *sql.Set:
-		return 0, &StatementError{Stmt: "SET",
-			Reason: "session statement — apply it to a qpipe.Session (the shell does this)"}
-	case *sql.Begin, *sql.Commit, *sql.Rollback:
-		return 0, &StatementError{Stmt: statementName(stmt),
-			Reason: "transaction statement — use db.Begin, or ExecSession with a qpipe.Session"}
-	default:
-		return 0, &StatementError{Stmt: statementName(stmt), Reason: "returns rows; use Query"}
-	}
-}
-
 // ---- UPDATE / DELETE lowering --------------------------------------------------
 
-// mutationScope opens a single-table scope for UPDATE/DELETE lowering.
-func (db *DB) mutationScope(table string) (*sqlScope, *Schema, error) {
+// mutationWhere opens a single-table scope for UPDATE/DELETE lowering and
+// lowers the optional WHERE predicate over it to a positional expr.Pred
+// (nil = all rows).
+func (db *DB) mutationWhere(table string, w sql.Pred) (*sqlScope, *Schema, expr.Pred, error) {
 	schema, err := db.Schema(table)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	scope := &sqlScope{entries: []scopeEntry{{qual: table, schema: schema}}}
-	return scope, schema, nil
-}
-
-// lowerWhere lowers an optional WHERE predicate to a positional expr.Pred
-// over the table schema (nil = all rows).
-func lowerWhere(scope *sqlScope, schema *Schema, w sql.Pred) (expr.Pred, error) {
 	if w == nil {
-		return nil, nil
+		return scope, schema, nil, nil
 	}
 	p, err := lowerPred(scope, w)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return p.resolve(schema)
+	where, err := p.resolve(schema)
+	return scope, schema, where, err
 }
 
 // compileUpdate lowers UPDATE t SET ... WHERE ... to a mutation plan node.
 // Assignment expressions are evaluated against the pre-update row (standard
 // SQL swap semantics: UPDATE t SET a = b, b = a exchanges the columns).
 func (db *DB) compileUpdate(u *sql.Update) (*plan.Update, error) {
-	scope, schema, err := db.mutationScope(u.Table)
-	if err != nil {
-		return nil, err
-	}
-	where, err := lowerWhere(scope, schema, u.Where)
+	scope, schema, where, err := db.mutationWhere(u.Table, u.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -296,20 +376,20 @@ func (db *DB) compileUpdate(u *sql.Update) (*plan.Update, error) {
 
 // compileDelete lowers DELETE FROM t WHERE ... to a mutation plan node.
 func (db *DB) compileDelete(d *sql.Delete) (*plan.Update, error) {
-	scope, schema, err := db.mutationScope(d.Table)
-	if err != nil {
-		return nil, err
-	}
-	where, err := lowerWhere(scope, schema, d.Where)
+	_, _, where, err := db.mutationWhere(d.Table, d.Where)
 	if err != nil {
 		return nil, err
 	}
 	return plan.NewDelete(d.Table, where), nil
 }
 
-// execMutation runs an UPDATE/DELETE plan through the update µEngine (which
-// wraps it in an autocommit transaction) and returns the affected-row count.
-func (db *DB) execMutation(ctx context.Context, node *plan.Update, o queryOpts) (int64, error) {
+// execMutation stages an UPDATE/DELETE plan into tx, or outside one runs it
+// through the update µEngine (which wraps it in an autocommit transaction),
+// and returns the affected-row count.
+func (db *DB) execMutation(ctx context.Context, tx *Tx, node *plan.Update, o queryOpts) (int64, error) {
+	if tx != nil {
+		return ops.StageMutation(ctx, tx.tx, node)
+	}
 	res, err := db.run(ctx, node, -1, o)
 	if err != nil {
 		return 0, err
@@ -339,23 +419,8 @@ func sqlKind(t string) Kind {
 	}
 }
 
-func (db *DB) execInsert(ctx context.Context, ins *sql.Insert, o queryOpts) (int64, error) {
-	schema, err := db.Schema(ins.Table)
-	if err != nil {
-		return 0, err
-	}
-	rows, err := buildInsertRows(schema, ins)
-	if err != nil {
-		return 0, err
-	}
-	if err := db.insert(ctx, ins.Table, rows, o); err != nil {
-		return 0, err
-	}
-	return int64(len(rows)), nil
-}
-
 // buildInsertRows materializes an INSERT's VALUES rows in schema order
-// (shared by autocommit INSERT and INSERT inside an explicit transaction).
+// (for autocommit INSERT and INSERT inside an explicit transaction alike).
 func buildInsertRows(schema *Schema, ins *sql.Insert) ([]Row, error) {
 	// Column list: a reordering of the full schema (there are no NULLs, so
 	// every column must be provided).
@@ -1140,15 +1205,16 @@ func lowerNary(scope *sqlScope, ps []sql.Pred, combine func(...Pred) Pred) (Pred
 
 // ---- Session -----------------------------------------------------------------
 
-// Session holds the client-side per-session execution settings a SQL SET
-// statement adjusts — the engine itself is sessionless, so SET never
-// reaches it. The qpipe-shell REPL and the SQL workload runner keep one
-// Session per connection and pass Options() to every Query/Run call:
+// Session is one client's state across statements: the execution settings
+// SQL SET adjusts, and its open transaction. The engine itself is
+// sessionless; a front end (a server connection, the qpipe-shell REPL)
+// keeps one Session and runs its statements through QuerySession and
+// ExecSession, which apply the settings before each call's own options:
 //
-//	SET parallelism = 8;           -- WithParallelism(8)
-//	SET batch_size = 128;          -- WithBatchSize(128)
-//	SET osp = off;                 -- WithoutOSP()
-//	SET statement_timeout = 500ms; -- WithTimeout(500ms); bare ints are ms
+//	SET parallelism = 8;             -- WithParallelism(8)
+//	SET batch_size = 128;            -- WithBatchSize(128)
+//	SET osp = off;                   -- WithoutOSP()
+//	SET statement_timeout = '500ms'; -- WithTimeout(500ms); bare ints are ms
 //
 // The zero Session means "engine defaults" and yields no options.
 type Session struct {
@@ -1165,7 +1231,7 @@ type Session struct {
 	StatementTimeout time.Duration
 
 	// tx is the session's open explicit transaction (nil outside
-	// BEGIN..COMMIT/ROLLBACK). ExecSession maintains it; Close rolls it back.
+	// BEGIN..COMMIT/ROLLBACK). The router maintains it; Close rolls it back.
 	tx *Tx
 }
 

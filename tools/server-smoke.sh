@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Server integration smoke: builds qpipe-server, serves the demo dataset on
-# a loopback port, drives it with qpipe-shell -connect (a query and the
-# remote \stats meta command), then sends SIGTERM and requires a graceful
-# exit. Fails loudly on any step so CI catches a broken wire path, a broken
-# remote shell, or a hung drain.
+# a loopback port, drives it with qpipe-shell -connect (a query, the
+# remote \stats meta command and a SET), then sends SIGTERM and requires a
+# graceful exit. Fails loudly on any step so CI catches a broken wire path, a
+# broken remote shell, or a hung drain.
 set -euo pipefail
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -46,6 +46,20 @@ echo "$out" | grep -q '5000' || {
 printf '\\stats\n\\q\n' | "$bin/qpipe-shell" -connect "$addr" \
     | tee /dev/stderr | grep -q 'queries_served' || {
     echo "server-smoke: remote \\stats missing queries_served"
+    exit 1
+}
+
+# A SET the server must accept as sent (the value only re-parses quoted),
+# then \set shows what the session holds.
+out=$(printf "SET statement_timeout = '500ms';\n\\set\n\\q\n" \
+    | "$bin/qpipe-shell" -connect "$addr")
+echo "$out"
+if echo "$out" | grep -q 'error:'; then
+    echo "server-smoke: remote SET statement_timeout failed"
+    exit 1
+fi
+echo "$out" | grep -q 'statement_timeout=500ms' || {
+    echo "server-smoke: \\set does not show statement_timeout=500ms"
     exit 1
 }
 
