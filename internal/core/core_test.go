@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,23 +14,17 @@ import (
 	"qpipe/internal/tuple"
 )
 
-// fakeOp is a configurable operator for runtime tests.
+// fakeOp is a configurable operator for runtime tests. Its packets share by
+// the µEngine's signature-exact attach like every operator's, so packets of
+// different queries that must not share carry distinct signatures.
 type fakeOp struct {
-	op    plan.OpType
-	run   func(rt *Runtime, pkt *Packet) error
-	share func(rt *Runtime, host, sat *Packet) bool
+	op  plan.OpType
+	run func(rt *Runtime, pkt *Packet) error
 }
 
 func (f *fakeOp) Op() plan.OpType { return f.op }
 
 func (f *fakeOp) Run(rt *Runtime, pkt *Packet) error { return f.run(rt, pkt) }
-
-func (f *fakeOp) TryShare(rt *Runtime, host, sat *Packet) bool {
-	if f.share == nil {
-		return false
-	}
-	return f.share(rt, host, sat)
-}
 
 // fakeNode is a minimal leaf plan node with a controllable signature.
 type fakeNode struct {
@@ -116,9 +109,6 @@ func TestSignatureShareAbsorbsSatellite(t *testing.T) {
 			<-release
 			return pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(1)}})
 		},
-		share: func(rt *Runtime, host, sat *Packet) bool {
-			return host.AbsorbSatellite(sat)
-		},
 	}
 	rt := newTestRuntime(t, op)
 	node := &fakeNode{op: "x", sig: "same"}
@@ -149,61 +139,67 @@ func TestSignatureShareAbsorbsSatellite(t *testing.T) {
 	}
 }
 
-func TestNoShareAcrossSameQuery(t *testing.T) {
-	// Two identical nodes inside ONE query must not satellite each other.
-	release := make(chan struct{})
-	var runs atomic.Int32
-	op := &fakeOp{
-		op: "x",
-		run: func(rt *Runtime, pkt *Packet) error {
-			runs.Add(1)
-			<-release
-			return nil
-		},
-		share: func(rt *Runtime, host, sat *Packet) bool {
-			t.Error("TryShare must not be consulted for same-query packets")
-			return false
-		},
+// heldOp is a fake operator of type op whose every run announces itself on
+// started, then waits for release.
+func heldOp(op plan.OpType, started chan<- struct{}, release <-chan struct{}) *fakeOp {
+	return &fakeOp{op: op, run: func(rt *Runtime, pkt *Packet) error {
+		started <- struct{}{}
+		<-release
+		return nil
+	}}
+}
+
+// assertRunsTwice sends an identical packet twice, the second while the first
+// runs, and checks that the second was not absorbed — no share at any
+// operator, no satellite at the engine — but ran on its own.
+func assertRunsTwice(t *testing.T, rt *Runtime, op plan.OpType, started <-chan struct{}, send func()) {
+	t.Helper()
+	send()
+	<-started
+	send()
+	if st := rt.Stats(); len(st.SharesByOp) != 0 || st.EngineStats[op].Satellites != 0 {
+		t.Fatalf("shares: %v, satellites: %d", st.SharesByOp, st.EngineStats[op].Satellites)
 	}
-	rt := newTestRuntime(t, op)
-	q := newQuery(context.Background(), QueryOptions{})
-	buf1 := tbuf.New(2)
-	q.addBuffer(buf1)
-	node := &fakeNode{op: "x", sig: "same"}
-	rt.dispatch(q, node, buf1, false)
-	buf2 := tbuf.New(2)
-	q.addBuffer(buf2)
-	rt.dispatch(q, node, buf2, false)
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("runs: %d", got)
+	<-started
+}
+
+// submitter sends node to rt as a query of its own.
+func submitter(t *testing.T, rt *Runtime, node plan.Node) func() {
+	return func() {
+		if _, err := rt.Submit(context.Background(), node); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
+func TestNoShareAcrossSameQuery(t *testing.T) {
+	// Two identical nodes inside ONE query must not satellite each other.
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	defer close(release)
+	rt := newTestRuntime(t, heldOp("x", started, release))
+	q := newQuery(context.Background(), QueryOptions{})
+	assertRunsTwice(t, rt, "x", started, func() {
+		buf := tbuf.New(2)
+		q.addBuffer(buf)
+		rt.dispatch(q, &fakeNode{op: "x", sig: "same"}, buf, false)
+	})
+}
+
 func TestOSPDisabledNeverShares(t *testing.T) {
+	started, release := make(chan struct{}, 2), make(chan struct{})
 	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})
-	var shares int
-	op := &fakeOp{
-		op:  "x",
-		run: func(rt *Runtime, pkt *Packet) error { return nil },
-		share: func(rt *Runtime, host, sat *Packet) bool {
-			shares++
-			return true
-		},
-	}
-	rt := NewRuntime(mgr, Config{OSP: false}, []Operator{op})
+	rt := NewRuntime(mgr, Config{OSP: false}, []Operator{heldOp("x", started, release)})
 	defer rt.Close()
-	node := &fakeNode{op: "x", sig: "same"}
-	q1, _ := rt.Submit(context.Background(), node)
-	q2, _ := rt.Submit(context.Background(), node)
-	q1.Result.Drain()
-	q2.Result.Drain()
-	q1.Wait()
-	q2.Wait()
-	if shares != 0 {
-		t.Fatalf("OSP off but TryShare called %d times", shares)
-	}
+	defer close(release)
+	assertRunsTwice(t, rt, "x", started, submitter(t, rt, &fakeNode{op: "x", sig: "same"}))
+}
+
+func TestUpdatePacketsNeverShare(t *testing.T) {
+	// Updates are never shared (§4.3.4), whatever their signatures.
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	defer close(release)
+	rt := newTestRuntime(t, heldOp(plan.OpUpdate, started, release))
+	assertRunsTwice(t, rt, plan.OpUpdate, started, submitter(t, rt, &fakeNode{op: plan.OpUpdate, sig: "same"}))
 }
 
 func TestQueryCancelAbandonsBuffers(t *testing.T) {

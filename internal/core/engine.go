@@ -1,6 +1,6 @@
 // µEngine: the per-operator micro-engine (paper Figure 6a). Each µEngine
 // owns an incoming packet queue, a pool of worker goroutines (the paper's
-// "local thread pool"), and the OSP admission hook that scans in-progress
+// "local thread pool"), and the OSP attach decision that scans in-progress
 // work for overlap whenever a new packet queues up.
 package core
 
@@ -23,20 +23,13 @@ type Operator interface {
 	Run(rt *Runtime, pkt *Packet) error
 }
 
-// Sharer is implemented by operators supporting the default signature-based
-// OSP attach: when a new packet's signature matches an in-progress host,
-// TryShare attempts the attachment (checking the operator's window of
-// opportunity) and returns whether the new packet became a satellite.
-type Sharer interface {
-	TryShare(rt *Runtime, host, sat *Packet) bool
-}
-
-// Admitter is implemented by operators that control admission beyond
-// signature matching — the scan µEngines, whose circular scans share page
-// streams between packets with *different* predicates (§4.3.1). TryAdmit
-// returns true if the packet was absorbed without queueing.
+// Admitter is the optional hook of an operator whose window of opportunity
+// is wider than the signature-exact attach every µEngine makes itself:
+// circular scans (§4.3.1), ordered-scan materialization (§4.3.2), sorted-file
+// reuse (§3.2). TryAdmit gets the eligible same-signature hosts, none of
+// which took pkt, and reports whether it absorbed pkt instead of queueing.
 type Admitter interface {
-	TryAdmit(rt *Runtime, pkt *Packet) bool
+	TryAdmit(rt *Runtime, pkt *Packet, hosts []*Packet) bool
 }
 
 // EngineStats counts a µEngine's activity.
@@ -198,31 +191,8 @@ func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
 // packets to check for overlapping work"), then normal queueing.
 func (e *MicroEngine) Enqueue(pkt *Packet) {
 	e.enq.Add(1)
-	if e.rt.OSPAllowed(pkt.Query) {
-		// Signature-exact sharing against queued and running packets.
-		if sharer, ok := e.impl.(Sharer); ok {
-			e.mu.Lock()
-			hosts := append([]*Packet(nil), e.inflight[pkt.Sig]...)
-			e.mu.Unlock()
-			for _, host := range hosts {
-				// A host whose query opted out of OSP (WithoutOSP) must not
-				// serve satellites either — opting out is bidirectional.
-				if host.Query == pkt.Query || host.Cancelled() || host.Query.Opts.DisableOSP {
-					continue
-				}
-				if sharer.TryShare(e.rt, host, pkt) {
-					e.absorb(host, pkt)
-					return
-				}
-			}
-		}
-		// Operator-specific admission (circular scans etc.).
-		if adm, ok := e.impl.(Admitter); ok {
-			if adm.TryAdmit(e.rt, pkt) {
-				e.sats.Add(1)
-				return
-			}
-		}
+	if e.attach(pkt) {
+		return
 	}
 	pkt.setState(PacketQueued)
 	e.mu.Lock()
@@ -241,15 +211,41 @@ func (e *MicroEngine) Enqueue(pkt *Packet) {
 	e.cond.Signal()
 }
 
-// absorb completes the satellite bookkeeping after a successful TryShare:
-// the satellite's children are cancelled and the packet is parked on the
-// host (OSP coordinator steps 1-2, Figure 6b). The list/port commit itself
-// already happened atomically inside TryShare (Packet.AbsorbSatellite or an
-// operator-specific mechanism like the sort file streamer).
-func (e *MicroEngine) absorb(host, sat *Packet) {
-	// Terminate everything *beneath* the satellite — but not the satellite
-	// packet itself: its output port stays live (the host, or a
-	// materialization streamer, feeds it).
+// attach is the OSP coordinator's one attach decision. Eligible hosts are
+// queued and running packets of pkt's signature in another query, not
+// cancelled, with OSP on for both (opting out with WithoutOSP is
+// bidirectional). pkt becomes a satellite of the first that takes it, else
+// the Admitter may absorb it. Update packets never share (§4.3.4).
+func (e *MicroEngine) attach(pkt *Packet) bool {
+	if e.op == plan.OpUpdate || !e.rt.OSPAllowed(pkt.Query) {
+		return false
+	}
+	var hosts []*Packet
+	e.mu.Lock()
+	for _, h := range e.inflight[pkt.Sig] {
+		if h.Query != pkt.Query && !h.Cancelled() && e.rt.OSPAllowed(h.Query) {
+			hosts = append(hosts, h)
+		}
+	}
+	e.mu.Unlock()
+	for _, h := range hosts {
+		if h.absorbSatellite(pkt) {
+			e.absorb(pkt)
+			return true
+		}
+	}
+	if adm, ok := e.impl.(Admitter); ok && adm.TryAdmit(e.rt, pkt, hosts) {
+		e.absorb(pkt)
+		return true
+	}
+	return false
+}
+
+// absorb is the bookkeeping of every attach (OSP coordinator steps 1-2,
+// Figure 6b): it terminates everything beneath the satellite — not the
+// satellite itself, whose port a host, a scan group or a sorted-file
+// streamer feeds — and counts the share.
+func (e *MicroEngine) absorb(sat *Packet) {
 	for _, in := range sat.Inputs {
 		in.Abandon()
 	}
@@ -258,6 +254,7 @@ func (e *MicroEngine) absorb(host, sat *Packet) {
 		c.markDone(nil, PacketCancelled)
 		sat.Query.Stats.CancelledSubtreePackets.Add(1)
 	}
+	sat.Query.Stats.SatelliteAttaches.Add(1)
 	e.sats.Add(1)
 	e.rt.noteShare(e.op)
 }
@@ -350,7 +347,7 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 // produced output cannot be rescued from: its satellites hold that prefix,
 // and re-running would duplicate tuples — they stay absorbed and inherit the
 // host's terminal state. Must run before the host closes its port. Sealing
-// the satellite list first closes the absorb race: an AbsorbSatellite
+// the satellite list first closes the absorb race: an absorbSatellite
 // against this dying host after the seal fails, and its packet queues
 // normally instead of missing both rescue and finish.
 func (e *MicroEngine) rescueSatellites(pkt *Packet) {

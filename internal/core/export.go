@@ -20,9 +20,10 @@ func (p *Packet) Complete(err error) {
 	p.finish(err)
 }
 
-// NoteShare records one OSP sharing event at the given operator type
-// (exposed for operator-specific admission paths like circular scans; the
-// default signature-based path records automatically).
+// NoteShare records one OSP sharing event at the given operator type, for
+// sharing an operator arranges while it runs (a scan riding a group that
+// started a moment ago, the merge join's ordered-scan split); every attach
+// at enqueue is counted by the µEngine.
 func (rt *Runtime) NoteShare(op plan.OpType) { rt.noteShare(op) }
 
 // BatchSize returns the configured tuples-per-batch target for operators.

@@ -125,7 +125,6 @@ func TestPanicQuarantineRescuesSatellites(t *testing.T) {
 			}
 			return pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(1)}})
 		},
-		share: func(rt *Runtime, host, sat *Packet) bool { return host.AbsorbSatellite(sat) },
 	}
 	rt := newTestRuntime(t, op)
 	node := &fakeNode{op: "x", sig: "same"}

@@ -163,15 +163,18 @@ func (p *Packet) TakeHanded() any {
 	return p.handed.Load()
 }
 
-// AbsorbSatellite atomically commits sat as a satellite of this host: the
-// port attach and the satellite-list append happen under the same lock that
-// finish and the rescue path use to seal the list, so a committing absorb
-// can never interleave with the host's teardown — which would otherwise
-// strand the satellite (attached after the final sweep, done channel never
-// closed) or hand an innocent query the host's terminal error. Fails once
-// the host has sealed or its port stopped accepting consumers; the caller
-// then falls back to normal queueing.
-func (p *Packet) AbsorbSatellite(sat *Packet) bool {
+// absorbSatellite atomically commits sat as a satellite of this host, which
+// must not be done, cancelled or itself a satellite, and whose port must
+// still take a consumer: nothing produced yet, or all of it in the replay
+// window. The port attach and the list append happen under the lock that
+// finish and the rescue path seal the list with, so an absorb never
+// interleaves with the host's teardown — which would strand the satellite
+// (attached after the final sweep, done channel never closed) or hand an
+// innocent query the host's terminal error. On failure the caller queues sat.
+func (p *Packet) absorbSatellite(sat *Packet) bool {
+	if st := p.State(); st == PacketDone || st == PacketCancelled || st == PacketSatellite {
+		return false
+	}
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
 	if p.satSealed {
@@ -185,7 +188,6 @@ func (p *Packet) AbsorbSatellite(sat *Packet) bool {
 	p.hosted = true
 	p.satellites = append(p.satellites, sat)
 	p.Query.Stats.HostedSatellites.Add(1)
-	sat.Query.Stats.SatelliteAttaches.Add(1)
 	return true
 }
 
@@ -225,7 +227,7 @@ func (p *Packet) removeSatellite(sat *Packet) {
 }
 
 // sealSatellites closes the host's satellite list to further absorbs (a
-// late AbsorbSatellite fails and its packet falls back to normal queueing)
+// late absorbSatellite fails and its packet falls back to normal queueing)
 // and returns the current set. Idempotent.
 func (p *Packet) sealSatellites() []*Packet {
 	p.satMu.Lock()

@@ -173,19 +173,6 @@ func emitBatch(em *emitter, pool *tbuf.BatchPool, out tbuf.Batch) error {
 	return nil
 }
 
-// defaultTryShare is the signature-exact OSP attach used by operators whose
-// window of opportunity is fully captured by output timing: attach succeeds
-// while the host has produced nothing (full/step overlap) or while all its
-// output still fits the replay window (the buffering enhancement). The
-// commit is atomic against the host's teardown (see AbsorbSatellite).
-func defaultTryShare(host, sat *core.Packet) bool {
-	st := host.State()
-	if st == core.PacketDone || st == core.PacketCancelled || st == core.PacketSatellite {
-		return false
-	}
-	return host.AbsorbSatellite(sat)
-}
-
 // hashTable is the one hash table of the join and group-by µEngines: rows in
 // arrival order, each with its 64-bit hash, chained through next links off a
 // power-of-two slot directory. It stores a row per add (a join's build side

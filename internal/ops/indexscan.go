@@ -121,12 +121,6 @@ func NewIndexScanOp() *IndexScanOp {
 // Op implements core.Operator.
 func (o *IndexScanOp) Op() plan.OpType { return plan.OpIndexScan }
 
-// TryShare is the signature-exact attach (identical index scans dedupe; an
-// unclustered scan is shareable during its whole RID-building phase).
-func (o *IndexScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // TryAdmit admits clustered full scans onto in-progress scanners of the
 // same index (linear overlap when unordered, spike when ordered). For
 // ordered *selective* scans whose spike WoP has expired, it applies the
@@ -135,14 +129,13 @@ func (o *IndexScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 // qualifying suffix tuples out of order; when its own fresh scan of the
 // missed prefix completes (delivered in order), the saved results — which
 // are already in key order, being leaf-ordered — complete the stream.
-func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
+func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
 	node := pkt.Node.(*plan.IndexScan)
 	if !node.Clustered || node.Lo.IsValid() || node.Hi.IsValid() {
 		return false
 	}
-	attached := o.reg.admit(o.key(node), pkt, node.Filter, node.Project, node.Ordered) ||
+	return o.reg.admit(o.key(node), pkt, node.Filter, node.Project, node.Ordered) ||
 		node.Ordered && node.Filter != nil && o.tryMaterializedOrderedShare(rt, pkt)
-	return attached && admitted(rt, pkt)
 }
 
 // tryMaterializedOrderedShare implements the §4.3.2 materialization path
@@ -356,8 +349,8 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 	}
 	// Phase 1: probe the index, building the RID list (with each entry's
 	// key — see the ghost re-check below). Full overlap: any identical
-	// packet arriving now attaches via TryShare since no output has been
-	// produced.
+	// packet arriving now attaches by the µEngine's signature-exact attach
+	// since no output has been produced.
 	type entry struct {
 		rid heap.RID
 		key tuple.Value

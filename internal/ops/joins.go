@@ -37,11 +37,6 @@ func NewMergeJoinOp(iscan *IndexScanOp) *MergeJoinOp { return &MergeJoinOp{iscan
 // Op implements core.Operator.
 func (*MergeJoinOp) Op() plan.OpType { return plan.OpMergeJoin }
 
-// TryShare implements signature-exact sharing (step WoP + replay window).
-func (*MergeJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.MergeJoin)
@@ -228,7 +223,9 @@ func (c *cursor) group(key int, v tuple.Value) (g []tuple.Tuple, err error) {
 // partition to disk.
 const hashJoinMaxBuild = 1 << 16
 
-// HashJoinOp is the hybrid-hash-join µEngine.
+// HashJoinOp is the hybrid-hash-join µEngine. Core's signature-exact attach
+// gives it Figure 11's window: the whole build phase (a full overlap, nothing
+// is produced) and the probe while its output fits the replay window.
 type HashJoinOp struct{}
 
 // NewHashJoinOp creates the hash-join µEngine implementation.
@@ -236,14 +233,6 @@ func NewHashJoinOp() *HashJoinOp { return &HashJoinOp{} }
 
 // Op implements core.Operator.
 func (*HashJoinOp) Op() plan.OpType { return plan.OpHashJoin }
-
-// TryShare implements signature-exact sharing. The attach succeeds through
-// the entire build phase (full overlap — no output is produced while
-// building) and into the probe phase while output fits the replay window
-// (step overlap + buffering), reproducing Figure 11's WoP.
-func (*HashJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator.
 func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -605,11 +594,6 @@ func NewNLJoinOp() *NLJoinOp { return &NLJoinOp{} }
 
 // Op implements core.Operator.
 func (*NLJoinOp) Op() plan.OpType { return plan.OpNLJoin }
-
-// TryShare implements signature-exact sharing.
-func (*NLJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator: the inner (right) input is materialized in
 // memory, the outer streams.

@@ -25,10 +25,6 @@ func All() []core.Operator {
 	}
 }
 
-// Every µEngine but the update one shares by signature; the two scans also
-// admit packets onto a running scan.
-var (
-	_ = []core.Sharer{(*TableScanOp)(nil), (*IndexScanOp)(nil), (*FilterOp)(nil), (*ProjectOp)(nil), (*SortOp)(nil),
-		(*MergeJoinOp)(nil), (*HashJoinOp)(nil), (*NLJoinOp)(nil), (*AggregateOp)(nil), (*GroupByOp)(nil)}
-	_ = []core.Admitter{(*TableScanOp)(nil), (*IndexScanOp)(nil)}
-)
+// Every µEngine but the update one shares by signature, in core; these three
+// also admit packets that signature-exact attach cannot.
+var _ = []core.Admitter{(*TableScanOp)(nil), (*IndexScanOp)(nil), (*SortOp)(nil)}

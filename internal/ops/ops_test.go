@@ -253,6 +253,92 @@ func TestSortFileReuseSatellite(t *testing.T) {
 	}
 }
 
+// TestSortReuseEligibility holds a host sort in phase 2 — by its unread
+// result, past the replay window — and sends an identical sort, which reuses
+// the host's sorted file only if core's eligibility rule lets the two share
+// at all: another query, a host not cancelled, OSP on for both. A cancelled
+// host is cancelled the way OSP cancels the subtree of a packet that became a
+// satellite: its own stream ends early, still in order.
+func TestSortReuseEligibility(t *testing.T) {
+	const n = 3000
+	mk := func() plan.Node {
+		return plan.NewSort(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{0}, false)
+	}
+	drain := func(b *tbuf.Buffer) []tuple.Tuple {
+		var out []tuple.Tuple
+		for {
+			batch, err := b.Get()
+			if err == io.EOF {
+				return out
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, batch...)
+		}
+	}
+	inOrder := func(rows []tuple.Tuple) bool {
+		for i, r := range rows {
+			if r[0].I != int64(i) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name       string
+		hostOpts   core.QueryOptions
+		cancelHost bool
+		sameQuery  bool
+		shares     int64
+	}{
+		{name: "eligible", shares: 1},
+		{name: "host-without-osp", hostOpts: core.QueryOptions{DisableOSP: true}},
+		{name: "host-cancelled", cancelHost: true},
+		{name: "same-query", sameQuery: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRT(t, n, core.DefaultConfig())
+			q1, err := rt.SubmitOpts(context.Background(), mk(), tc.hostOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hostRows []tuple.Tuple
+			for len(hostRows) < 2000 {
+				b, err := q1.Result.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				hostRows = append(hostRows, b...)
+			}
+			eventually(t, "the host sort blocked on its unread result", func() bool { return q1.Result.Snapshot().PutBlocked })
+			if tc.cancelHost {
+				q1.Root.CancelSubtree()
+			}
+			var rows []tuple.Tuple
+			if tc.sameQuery {
+				buf, _ := rt.DispatchSubtree(q1, mk())
+				rows = drain(buf)
+			} else {
+				rows = runPlan(t, rt, mk())
+			}
+			hostRows = append(hostRows, drain(q1.Result)...)
+			if err := q1.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != n || !inOrder(rows) {
+				t.Fatalf("second sort: %d rows, in order %v", len(rows), inOrder(rows))
+			}
+			if !inOrder(hostRows) || len(hostRows) != n && !tc.cancelHost {
+				t.Fatalf("host sort: %d rows, in order %v", len(hostRows), inOrder(hostRows))
+			}
+			if got := rt.Stats().SharesByOp[plan.OpSort]; got != tc.shares {
+				t.Fatalf("sort shares: %d, want %d", got, tc.shares)
+			}
+		})
+	}
+}
+
 func TestHashJoinPartitionedPath(t *testing.T) {
 	// Build side above hashJoinMaxBuild forces the hybrid partitioned path.
 	n := hashJoinMaxBuild + 3000

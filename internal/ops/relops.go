@@ -29,11 +29,6 @@ func NewFilterOp() *FilterOp { return &FilterOp{} }
 // Op implements core.Operator.
 func (*FilterOp) Op() plan.OpType { return plan.OpFilter }
 
-// TryShare implements signature-exact sharing.
-func (*FilterOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (*FilterOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Filter)
@@ -63,11 +58,6 @@ func NewProjectOp() *ProjectOp { return &ProjectOp{} }
 
 // Op implements core.Operator.
 func (*ProjectOp) Op() plan.OpType { return plan.OpProject }
-
-// TryShare implements signature-exact sharing.
-func (*ProjectOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator.
 func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -284,11 +274,6 @@ func NewAggregateOp() *AggregateOp { return &AggregateOp{} }
 // Op implements core.Operator.
 func (*AggregateOp) Op() plan.OpType { return plan.OpAggregate }
 
-// TryShare implements signature-exact sharing (full WoP).
-func (*AggregateOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Aggregate)
@@ -307,11 +292,6 @@ func NewGroupByOp() *GroupByOp { return &GroupByOp{} }
 // Op implements core.Operator.
 func (*GroupByOp) Op() plan.OpType { return plan.OpGroupBy }
 
-// TryShare implements signature-exact sharing.
-func (*GroupByOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (*GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.GroupBy)
@@ -319,8 +299,8 @@ func (*GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 }
 
 // UpdateOp runs table mutations (INSERT/UPDATE/DELETE) as storage-manager
-// transactions. It deliberately implements neither Sharer nor Admitter:
-// mutation packets are never shared.
+// transactions. Its packets are never shared (§4.3.4): the µEngine's
+// attach decision leaves update packets out.
 type UpdateOp struct{}
 
 // NewUpdateOp creates the update µEngine implementation.

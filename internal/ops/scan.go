@@ -499,17 +499,6 @@ func (r *scanRegistry) admit(key string, pkt *core.Packet, filter expr.Pred, pro
 	})
 }
 
-// admitted counts pkt's attach to a running scan as a share and cancels the
-// inputs it no longer needs.
-func admitted(rt *core.Runtime, pkt *core.Packet) bool {
-	pkt.Query.Stats.SatelliteAttaches.Add(1)
-	rt.NoteShare(pkt.Node.Op())
-	for _, ch := range pkt.Children {
-		ch.CancelSubtree()
-	}
-	return true
-}
-
 // visit iterates live scanners for a key until fn returns true.
 func (r *scanRegistry) visit(key string, fn func(*scanner) bool) bool {
 	r.mu.Lock()
@@ -546,20 +535,15 @@ func NewTableScanOp() *TableScanOp { return &TableScanOp{reg: newScanRegistry()}
 // Op implements core.Operator.
 func (o *TableScanOp) Op() plan.OpType { return plan.OpTableScan }
 
-// TryShare implements the signature-exact fast path: two packets with
-// identical table, predicate and ordering dedupe completely.
-func (o *TableScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // TryAdmit implements circular-scan admission: an unordered scan packet
 // piggybacks on any in-progress scan group of the same table regardless of
-// predicates or partitioning. Ordered scans have a spike WoP — they may only
-// piggyback on a single-partition scanner still at page 0 (the "first output
-// page still in memory" case).
-func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
+// signature, predicates or partitioning, so the same-signature hosts do not
+// matter. Ordered scans have a spike WoP — they may only piggyback on a
+// single-partition scanner still at page 0 (the "first output page still in
+// memory" case).
+func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
 	node := pkt.Node.(*plan.TableScan)
-	return o.reg.admit("tbl:"+node.Table, pkt, node.Filter, node.Project, node.Ordered) && admitted(rt, pkt)
+	return o.reg.admit("tbl:"+node.Table, pkt, node.Filter, node.Project, node.Ordered)
 }
 
 // Run implements core.Operator: the packet becomes the host of a new scan

@@ -56,41 +56,40 @@ func NewSortOp() *SortOp { return &SortOp{states: make(map[int64]*sortState)} }
 // Op implements core.Operator.
 func (*SortOp) Op() plan.OpType { return plan.OpSort }
 
-// TryShare implements the sort µEngine's sharing mechanism. During phase 1
-// the default attach succeeds (no output yet). During phase 2 the satellite
-// reuses the host's materialized sorted file, streamed by a detached
-// sub-worker (Runtime.Serve); the satellite skips the entire sort cost.
-func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	if defaultTryShare(host, sat) {
+// TryAdmit implements phase-2 reuse: past the window of the µEngine's
+// signature-exact attach (phase 1, or the replay window after it), a
+// satellite reuses the sorted file of the first eligible host that has one,
+// streamed by a detached sub-worker (Runtime.Serve), and skips the entire
+// sort cost.
+func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Packet) bool {
+	for _, host := range hosts {
+		o.mu.Lock()
+		st := o.states[host.ID]
+		o.mu.Unlock()
+		if st == nil {
+			continue
+		}
+		st.mu.Lock()
+		if st.dropped {
+			st.mu.Unlock()
+			continue
+		}
+		st.readers++
+		st.mu.Unlock()
+		// The satellite is fed by the file streamer, not the host's port, so
+		// it is deliberately NOT on the host's satellite list — the host
+		// finishing (or dying) mid-stream must not complete it out from under
+		// the streamer. The host still counts it as hosted.
+		host.Query.Stats.HostedSatellites.Add(1)
+		rt.Serve(sat, func() error {
+			// The last reader drops the file before the satellite completes:
+			// a query that has its answer leaves no temp file behind.
+			defer o.release(rt, host.ID, st, func() { st.readers-- })
+			return o.streamFile(rt, st, sat)
+		})
 		return true
 	}
-	o.mu.Lock()
-	st := o.states[host.ID]
-	o.mu.Unlock()
-	if st == nil {
-		return false
-	}
-	st.mu.Lock()
-	if st.dropped {
-		st.mu.Unlock()
-		return false
-	}
-	st.readers++
-	st.mu.Unlock()
-	// The satellite is fed by the file streamer, not the host's port, so it
-	// is deliberately NOT on the host's satellite list — the host finishing
-	// (or dying) mid-stream must not complete it out from under the
-	// streamer. Record the sharing stats AbsorbSatellite would have.
-	host.Query.Stats.HostedSatellites.Add(1)
-	sat.Query.Stats.SatelliteAttaches.Add(1)
-
-	rt.Serve(sat, func() error {
-		// The last reader drops the file before the satellite completes: a
-		// query that has its answer leaves no temp file behind.
-		defer o.release(rt, host.ID, st, func() { st.readers-- })
-		return o.streamFile(rt, st, sat)
-	})
-	return true
+	return false
 }
 
 func (o *SortOp) streamFile(rt *core.Runtime, st *sortState, sat *core.Packet) error {
@@ -209,7 +208,7 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	defer o.release(rt, pkt.ID, st, func() { st.hostDone = true })
 
 	// Phase 2: stream the sorted file (linear overlap; late arrivals read
-	// the same file through TryShare instead). A cancelled host with live
+	// the same file through TryAdmit instead). A cancelled host with live
 	// phase-1 satellites keeps streaming: the satellites hold the prefix
 	// already produced, so they cannot be rescued by re-dispatch, and the
 	// host's cancellation (a satisfied LIMIT on its own result) is not

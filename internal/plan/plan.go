@@ -355,13 +355,6 @@ func (j *HashJoin) Signature() string {
 	return fmt.Sprintf("hjoin(%d=%d;%s)", j.LKey, j.RKey, childSigs(j.Children()))
 }
 
-// BuildSignature canonically encodes only the build side; satellites whose
-// probe differs can still reuse a completed build (hash-table reuse is the
-// materialization enhancement applied to hjoin's full-overlap phase).
-func (j *HashJoin) BuildSignature() string {
-	return fmt.Sprintf("hbuild(%d;%s)", j.LKey, j.Left.Signature())
-}
-
 // NLJoin is a nested-loop join with an arbitrary predicate over the
 // concatenated tuple (step overlap).
 type NLJoin struct {

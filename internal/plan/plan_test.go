@@ -97,9 +97,6 @@ func TestJoinSchemas(t *testing.T) {
 	if hj.Signature() == mj.Signature() {
 		t.Fatal("join kinds must differ in signature")
 	}
-	if hj.BuildSignature() == hj.Signature() {
-		t.Fatal("build signature is a sub-signature")
-	}
 	nl := NewNLJoin(l, r, expr.LT(expr.Col(0), expr.Col(1)))
 	if nl.Schema().Len() != 3 || len(nl.Children()) != 2 {
 		t.Fatal("nl join shape")
