@@ -415,6 +415,10 @@ func (sh *shell) meta(line string) bool {
 		for why, n := range st.HandOvers {
 			fmt.Fprintf(sh.out, "  %-28s %d\n", "handover."+qpipe.HandOver(why).String(), n)
 		}
+		// Every OSP attach decision, by how it ended: a share or why not.
+		for why, n := range st.Shares {
+			fmt.Fprintf(sh.out, "  %-28s %d\n", "share."+qpipe.ShareDecision(why).String(), n)
+		}
 	case "\\help":
 		fmt.Fprint(sh.out, `statements end with ';' (multi-line input is fine) and run under the
 shell's session (with -connect, the connection's session on the server):
@@ -431,7 +435,7 @@ meta commands:
   \i FILE      run a .sql script
   \mix         run the embedded tpchmix query mix under the session (needs -demo tables)
   \set         show session settings
-  \stats       engine and disk counters
+  \stats       engine and disk counters; share.<reason> counts OSP attach decisions
   \timing      toggle per-statement timing
   \q           quit
 `)

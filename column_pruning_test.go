@@ -445,7 +445,7 @@ func TestPrunedScansShareOnePageStream(t *testing.T) {
 		if _, err := res.Discard(); err != nil {
 			t.Error(err)
 		}
-		attaches[i] = res.Stats().SatelliteAttaches.Load()
+		attaches[i] = res.Stats().SatelliteAttaches()
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -27,6 +27,10 @@ type Stats = core.RuntimeStats
 // hand-over to the scan below it ended (its String is the reason).
 type HandOver = core.HandOver
 
+// ShareDecision indexes Stats.Shares and a Result's Stats().Shares: how an OSP
+// attach decision ended, a share or the reason for the miss (its String).
+type ShareDecision = core.ShareDecision
+
 // DiskStats snapshots the simulated disk's I/O counters.
 type DiskStats = disk.Stats
 
@@ -394,10 +398,10 @@ func teardownBatch(out []*Result, idx int, submitErr error) *BatchError {
 // ---- Instrumentation ---------------------------------------------------------
 
 // Stats snapshots the engine's runtime counters (queries admitted, OSP
-// shares per µEngine, deadlocks resolved).
+// attach decisions by reason and shares per µEngine, deadlocks resolved).
 func (db *DB) Stats() Stats { return db.rt.Stats() }
 
-// TotalShares sums OSP sharing events across all µEngines.
+// TotalShares sums the OSP shares of every µEngine (Stats().SharesByOp).
 func (db *DB) TotalShares() int64 { return db.rt.TotalShares() }
 
 // SetDiskLatency configures the simulated disk's per-block latencies

@@ -124,7 +124,7 @@ func TestSignatureShareAbsorbsSatellite(t *testing.T) {
 	if err := q2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := q2.Stats.SatelliteAttaches.Load(); got != 1 {
+	if got := q2.Stats.SatelliteAttaches(); got != 1 {
 		t.Fatalf("satellite attaches: %d", got)
 	}
 	if got := q1.Stats.HostedSatellites.Load(); got != 1 {
@@ -151,14 +151,15 @@ func heldOp(op plan.OpType, started chan<- struct{}, release <-chan struct{}) *f
 
 // assertRunsTwice sends an identical packet twice, the second while the first
 // runs, and checks that the second was not absorbed — no share at any
-// operator, no satellite at the engine — but ran on its own.
-func assertRunsTwice(t *testing.T, rt *Runtime, op plan.OpType, started <-chan struct{}, send func()) {
+// operator, and the miss counted n times by its reason why — but ran on its
+// own.
+func assertRunsTwice(t *testing.T, rt *Runtime, op plan.OpType, why ShareDecision, n int64, started <-chan struct{}, send func()) {
 	t.Helper()
 	send()
 	<-started
 	send()
-	if st := rt.Stats(); len(st.SharesByOp) != 0 || st.EngineStats[op].Satellites != 0 {
-		t.Fatalf("shares: %v, satellites: %d", st.SharesByOp, st.EngineStats[op].Satellites)
+	if st := rt.Stats(); len(st.SharesByOp) != 0 || st.Shares[why] != n || st.EngineStats[op].Shares[why] != n {
+		t.Fatalf("shares: %v, decisions: %v, want %d %s", st.SharesByOp, st.Shares, n, why)
 	}
 	<-started
 }
@@ -178,7 +179,7 @@ func TestNoShareAcrossSameQuery(t *testing.T) {
 	defer close(release)
 	rt := newTestRuntime(t, heldOp("x", started, release))
 	q := newQuery(context.Background(), QueryOptions{})
-	assertRunsTwice(t, rt, "x", started, func() {
+	assertRunsTwice(t, rt, "x", ShareSameQuery, 1, started, func() {
 		buf := tbuf.New(2)
 		q.addBuffer(buf)
 		rt.dispatch(q, &fakeNode{op: "x", sig: "same"}, buf, false)
@@ -191,7 +192,7 @@ func TestOSPDisabledNeverShares(t *testing.T) {
 	rt := NewRuntime(mgr, Config{OSP: false}, []Operator{heldOp("x", started, release)})
 	defer rt.Close()
 	defer close(release)
-	assertRunsTwice(t, rt, "x", started, submitter(t, rt, &fakeNode{op: "x", sig: "same"}))
+	assertRunsTwice(t, rt, "x", ShareOSPOff, 2, started, submitter(t, rt, &fakeNode{op: "x", sig: "same"}))
 }
 
 func TestUpdatePacketsNeverShare(t *testing.T) {
@@ -199,7 +200,7 @@ func TestUpdatePacketsNeverShare(t *testing.T) {
 	started, release := make(chan struct{}, 2), make(chan struct{})
 	defer close(release)
 	rt := newTestRuntime(t, heldOp(plan.OpUpdate, started, release))
-	assertRunsTwice(t, rt, plan.OpUpdate, started, submitter(t, rt, &fakeNode{op: plan.OpUpdate, sig: "same"}))
+	assertRunsTwice(t, rt, plan.OpUpdate, ShareUpdate, 2, started, submitter(t, rt, &fakeNode{op: plan.OpUpdate, sig: "same"}))
 }
 
 func TestQueryCancelAbandonsBuffers(t *testing.T) {

@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,17 +28,19 @@ type Operator interface {
 // is wider than the signature-exact attach every µEngine makes itself:
 // circular scans (§4.3.1), ordered-scan materialization (§4.3.2), sorted-file
 // reuse (§3.2). TryAdmit gets the eligible same-signature hosts, none of
-// which took pkt, and reports whether it absorbed pkt instead of queueing.
+// which took pkt, and decides whether it absorbs pkt instead of queueing:
+// ShareAdmitted, with the query whose work feeds pkt when it is a host's, or
+// the miss (ShareNoHost when it had nothing to try).
 type Admitter interface {
-	TryAdmit(rt *Runtime, pkt *Packet, hosts []*Packet) bool
+	TryAdmit(rt *Runtime, pkt *Packet, hosts []*Packet) (ShareDecision, *Query)
 }
 
 // EngineStats counts a µEngine's activity.
 type EngineStats struct {
 	Enqueued   int64
 	Completed  int64
-	Satellites int64 // packets absorbed by OSP instead of executing
-	SubWorkers int64 // sub-workers run for packets by Runtime.Fan and Runtime.Serve
+	Shares     [NumShareDecisions]int64 // attach decisions at this µEngine, by how they ended
+	SubWorkers int64                    // sub-workers run for packets by Runtime.Fan and Runtime.Serve
 	Errors     int64
 	Panics     int64 // operator panics quarantined (packet failed, µEngine kept serving)
 }
@@ -69,7 +72,7 @@ type MicroEngine struct {
 
 	enq    atomic.Int64
 	done   atomic.Int64
-	sats   atomic.Int64
+	shares [NumShareDecisions]atomic.Int64 // the µEngine's row of the sharing ledger
 	subs   atomic.Int64
 	errs   atomic.Int64
 	panics atomic.Int64
@@ -91,14 +94,17 @@ func newMicroEngine(rt *Runtime, impl Operator, workers int) *MicroEngine {
 
 // Stats snapshots the engine counters.
 func (e *MicroEngine) Stats() EngineStats {
-	return EngineStats{
+	st := EngineStats{
 		Enqueued:   e.enq.Load(),
 		Completed:  e.done.Load(),
-		Satellites: e.sats.Load(),
 		SubWorkers: e.subs.Load(),
 		Errors:     e.errs.Load(),
 		Panics:     e.panics.Load(),
 	}
+	for why := range st.Shares {
+		st.Shares[why] = e.shares[why].Load()
+	}
+	return st
 }
 
 // Fan runs fn(ctx, 0..p-1) concurrently on behalf of the running packet pkt:
@@ -191,7 +197,7 @@ func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
 // packets to check for overlapping work"), then normal queueing.
 func (e *MicroEngine) Enqueue(pkt *Packet) {
 	e.enq.Add(1)
-	if e.attach(pkt) {
+	if e.attach(pkt).Shared() {
 		return
 	}
 	pkt.setState(PacketQueued)
@@ -215,61 +221,62 @@ func (e *MicroEngine) Enqueue(pkt *Packet) {
 // queued and running packets of pkt's signature in another query, not
 // cancelled, with OSP on for both (opting out with WithoutOSP is
 // bidirectional). pkt becomes a satellite of the first that takes it, else
-// the Admitter may absorb it. Update packets never share (§4.3.4).
-func (e *MicroEngine) attach(pkt *Packet) bool {
-	if e.op == plan.OpUpdate || !e.rt.OSPAllowed(pkt.Query) {
-		return false
+// the Admitter may absorb it. Update packets never share (§4.3.4). Each call
+// is one decision, counted on return; a miss names the last refusal in the
+// order tried, the hosts' and then the Admitter's.
+func (e *MicroEngine) attach(pkt *Packet) (why ShareDecision) {
+	var host *Query
+	defer func() {
+		if why.Shared() {
+			// OSP coordinator steps 1-2 (Figure 6b): terminate everything
+			// beneath the satellite — not the satellite itself, whose port a
+			// host, a scan group or a sorted-file streamer feeds.
+			pkt.cancelBelow()
+		}
+		e.rt.NoteShare(pkt.Query, e.op, why, host)
+	}()
+	if e.op == plan.OpUpdate {
+		return ShareUpdate
 	}
+	if !e.rt.OSPAllowed(pkt.Query) {
+		return ShareOSPOff
+	}
+	why = ShareNoHost
 	var hosts []*Packet
 	e.mu.Lock()
 	for _, h := range e.inflight[pkt.Sig] {
-		if h.Query != pkt.Query && !h.Cancelled() && e.rt.OSPAllowed(h.Query) {
+		switch {
+		case h.Query == pkt.Query:
+			why = ShareSameQuery
+		case h.Cancelled():
+			why = ShareHostCancelled
+		case !e.rt.OSPAllowed(h.Query):
+			why = ShareOSPOff
+		default:
 			hosts = append(hosts, h)
 		}
 	}
 	e.mu.Unlock()
 	for _, h := range hosts {
-		if h.absorbSatellite(pkt) {
-			e.absorb(pkt)
-			return true
+		if why = h.absorbSatellite(pkt); why.Shared() {
+			host = h.Query
+			return why
 		}
 	}
-	if adm, ok := e.impl.(Admitter); ok && adm.TryAdmit(e.rt, pkt, hosts) {
-		e.absorb(pkt)
-		return true
+	if adm, ok := e.impl.(Admitter); ok {
+		if d, q := adm.TryAdmit(e.rt, pkt, hosts); d != ShareNoHost {
+			why, host = d, q
+		}
 	}
-	return false
-}
-
-// absorb is the bookkeeping of every attach (OSP coordinator steps 1-2,
-// Figure 6b): it terminates everything beneath the satellite — not the
-// satellite itself, whose port a host, a scan group or a sorted-file
-// streamer feeds — and counts the share.
-func (e *MicroEngine) absorb(sat *Packet) {
-	for _, in := range sat.Inputs {
-		in.Abandon()
-	}
-	for _, c := range sat.Children {
-		c.CancelSubtree()
-		c.markDone(nil, PacketCancelled)
-		sat.Query.Stats.CancelledSubtreePackets.Add(1)
-	}
-	sat.Query.Stats.SatelliteAttaches.Add(1)
-	e.sats.Add(1)
-	e.rt.noteShare(e.op)
+	return why
 }
 
 func (e *MicroEngine) removeInflight(pkt *Packet) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	list := e.inflight[pkt.Sig]
-	for i, p := range list {
-		if p == pkt {
-			e.inflight[pkt.Sig] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(e.inflight[pkt.Sig]) == 0 {
+	if list := slices.DeleteFunc(e.inflight[pkt.Sig], func(p *Packet) bool { return p == pkt }); len(list) > 0 {
+		e.inflight[pkt.Sig] = list
+	} else {
 		delete(e.inflight, pkt.Sig)
 	}
 }
@@ -356,17 +363,12 @@ func (e *MicroEngine) rescueSatellites(pkt *Packet) {
 		return
 	}
 	for _, sat := range sats {
-		select {
-		case <-sat.Done():
-			// Already finalized — e.g. the host completed through an
-			// operator path (a scan group's Complete) before runPacket
-			// observed the cancellation, and finish released the satellites
-			// with a genuine result. Re-dispatching would launch a ghost
-			// subtree whose output nobody reads.
-			continue
-		default:
-		}
-		if sat.Cancelled() {
+		// One already finalized — e.g. the host completed through an
+		// operator path (a scan group's Complete) before runPacket observed
+		// the cancellation, and finish released the satellites with a
+		// genuine result — is not re-dispatched: that would launch a ghost
+		// subtree whose output nobody reads.
+		if !sat.live() {
 			continue
 		}
 		pkt.removeSatellite(sat)

@@ -20,14 +20,20 @@ func (p *Packet) Complete(err error) {
 	p.finish(err)
 }
 
-// NoteShare records one OSP sharing event at the given operator type, for
-// sharing an operator arranges while it runs (a scan riding a group that
-// started a moment ago, the merge join's ordered-scan split); every attach
-// at enqueue is counted by the µEngine.
-func (rt *Runtime) NoteShare(op plan.OpType) { rt.noteShare(op) }
-
-// BatchSize returns the configured tuples-per-batch target for operators.
-func (rt *Runtime) BatchSize() int { return rt.Cfg.BatchSize }
+// NoteShare is the sharing ledger's one writer: it counts q's attach decision
+// at op in q's Shares and in the row of op's µEngine (if the runtime has one),
+// and a share fed by host's work in host's HostedSatellites. The µEngine notes
+// every attach at enqueue; operators what they decide while they run (a scan
+// riding a group that started a moment ago, the merge join's split).
+func (rt *Runtime) NoteShare(q *Query, op plan.OpType, why ShareDecision, host *Query) {
+	q.Stats.Shares[why].Add(1)
+	if e := rt.engines[op]; e != nil {
+		e.shares[why].Add(1)
+	}
+	if host != nil {
+		host.Stats.HostedSatellites.Add(1)
+	}
+}
 
 // BatchSizeFor resolves the effective batch size for one query: the query's
 // WithBatchSize option when set, the runtime default otherwise.
@@ -88,9 +94,9 @@ func (rt *Runtime) OSPAllowed(q *Query) bool {
 // via Buffer.Recycle; see the README's "Memory model" for the lease rules.
 func (rt *Runtime) BatchPool() *tbuf.BatchPool { return rt.batchPool }
 
-// Discard cancels a packet that was never (and will never be) executed —
-// typically a gated child the OSP coordinator replaced with a rewritten
-// evaluation strategy.
+// Discard cancels a packet that was never (and will never be) executed — a
+// satellite's child, or a gated child the OSP coordinator replaced with a
+// rewritten evaluation strategy — and everything beneath it.
 func (p *Packet) Discard() {
 	p.CancelSubtree()
 	p.markDone(nil, PacketCancelled)

@@ -138,7 +138,7 @@ func TestPanicQuarantineRescuesSatellites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q2.Stats.SatelliteAttaches.Load() != 1 {
+	if q2.Stats.SatelliteAttaches() != 1 {
 		t.Fatal("satellite did not attach to the doomed host")
 	}
 	close(release) // host panics now

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,6 +109,35 @@ func (h HandOver) String() string {
 		"not-a-scan", "bounded-index-range", "build-too-large"}[h]
 }
 
+// ShareDecision is how one OSP attach decision ended: a share, by the way the
+// packet got its tuples, or the reason it did not (Runtime.NoteShare).
+type ShareDecision uint8
+
+const (
+	ShareAttached        ShareDecision = iota // onto a host's port (signature-exact)
+	ShareAdmitted                             // by the Admitter: scan group, materialized ordered share, sorted file
+	ShareRode                                 // a running scan packet joined a scan group instead of hosting one
+	ShareSplit                                // a merge join split onto an ordered scan in progress
+	ShareUpdate                               // update packets never share (§4.3.4)
+	ShareOSPOff                               // OSP is off for the packet's query or the host's
+	ShareNoHost                               // nothing in progress to share
+	ShareSameQuery                            // the only host is in the packet's own query
+	ShareHostDone                             // the host finished
+	ShareHostCancelled                        // the host was cancelled
+	ShareHostIsSatellite                      // the host is itself a satellite
+	ShareHostSealed                           // the host handed something down or is finishing
+	ShareWindowClosed                         // the host is past its window of opportunity
+	NumShareDecisions
+)
+
+func (d ShareDecision) String() string {
+	return [...]string{"attached", "admitted", "rode", "split", "update", "osp-off", "no-host",
+		"same-query", "host-done", "host-cancelled", "host-is-satellite", "host-sealed", "window-closed"}[d]
+}
+
+// Shared reports whether the decision was a share.
+func (d ShareDecision) Shared() bool { return d <= ShareSplit }
+
 // handOver is the one rule by which a packet's only reader changes what the
 // packet does for it. It refuses a packet that is or ever hosted a satellite,
 // whose output somebody else reads, and one that looked already (TakeHanded),
@@ -170,25 +200,29 @@ func (p *Packet) TakeHanded() any {
 // finish and the rescue path seal the list with, so an absorb never
 // interleaves with the host's teardown — which would strand the satellite
 // (attached after the final sweep, done channel never closed) or hand an
-// innocent query the host's terminal error. On failure the caller queues sat.
-func (p *Packet) absorbSatellite(sat *Packet) bool {
-	if st := p.State(); st == PacketDone || st == PacketCancelled || st == PacketSatellite {
-		return false
+// innocent query the host's terminal error. On a miss the caller queues sat.
+func (p *Packet) absorbSatellite(sat *Packet) ShareDecision {
+	switch p.State() {
+	case PacketDone:
+		return ShareHostDone
+	case PacketCancelled:
+		return ShareHostCancelled
+	case PacketSatellite:
+		return ShareHostIsSatellite
 	}
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
 	if p.satSealed {
-		return false
+		return ShareHostSealed
 	}
 	if !p.Out.Attach(sat.OutBuf) {
-		return false
+		return ShareWindowClosed
 	}
 	sat.host.Store(p)
 	sat.setState(PacketSatellite)
 	p.hosted = true
 	p.satellites = append(p.satellites, sat)
-	p.Query.Stats.HostedSatellites.Add(1)
-	return true
+	return ShareAttached
 }
 
 // HasLiveSatellites reports whether any absorbed satellite still awaits this
@@ -200,17 +234,18 @@ func (p *Packet) absorbSatellite(sat *Packet) bool {
 func (p *Packet) HasLiveSatellites() bool {
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
-	for _, s := range p.satellites {
-		select {
-		case <-s.done:
-			continue
-		default:
-		}
-		if !s.Cancelled() {
-			return true
-		}
+	return slices.ContainsFunc(p.satellites, (*Packet).live)
+}
+
+// live reports whether the packet still awaits its output: neither finished
+// nor cancelled.
+func (p *Packet) live() bool {
+	select {
+	case <-p.done:
+		return false
+	default:
+		return !p.Cancelled()
 	}
-	return false
 }
 
 // removeSatellite detaches sat from the host's satellite list (the rescue
@@ -218,12 +253,7 @@ func (p *Packet) HasLiveSatellites() bool {
 func (p *Packet) removeSatellite(sat *Packet) {
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
-	for i, s := range p.satellites {
-		if s == sat {
-			p.satellites = append(p.satellites[:i], p.satellites[i+1:]...)
-			return
-		}
-	}
+	p.satellites = slices.DeleteFunc(p.satellites, func(s *Packet) bool { return s == sat })
 }
 
 // sealSatellites closes the host's satellite list to further absorbs (a
@@ -233,7 +263,7 @@ func (p *Packet) sealSatellites() []*Packet {
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
 	p.satSealed = true
-	return append([]*Packet(nil), p.satellites...)
+	return slices.Clone(p.satellites)
 }
 
 // finish marks the host done and releases its satellites with the same
@@ -288,19 +318,23 @@ func (p *Packet) Done() <-chan struct{} { return p.done }
 // Err returns the packet's terminal error after Done.
 func (p *Packet) Err() error { return p.runErr }
 
-// CancelSubtree cancels this packet and everything beneath it: input buffers
-// are abandoned so producing children unblock and stop, and child packets
-// are cancelled recursively. This is OSP coordinator step 2 — "notifies
-// Q2's children operators to terminate (recursively, for the entire subtree
-// underneath the join node)".
+// CancelSubtree cancels this packet and everything beneath it.
 func (p *Packet) CancelSubtree() {
 	p.cancelled.Store(true)
+	p.cancelBelow()
+}
+
+// cancelBelow terminates everything beneath the packet: input buffers are
+// abandoned so producing children unblock and stop, and child packets are
+// discarded recursively. This is OSP coordinator step 2 — "notifies Q2's
+// children operators to terminate (recursively, for the entire subtree
+// underneath the join node)".
+func (p *Packet) cancelBelow() {
 	for _, in := range p.Inputs {
 		in.Abandon()
 	}
 	for _, c := range p.Children {
-		c.CancelSubtree()
-		c.markDone(nil, PacketCancelled)
+		c.Discard()
 	}
 }
 
@@ -313,16 +347,14 @@ func (p *Packet) String() string {
 
 var querySeq atomic.Int64
 
-// QueryStats accumulates per-query sharing counters.
+// QueryStats accumulates per-query counters. Its sharing counters are the
+// query's rows of the sharing ledger, which Runtime.NoteShare alone writes.
 type QueryStats struct {
 	// Packets is the number of packets dispatched (plan nodes).
 	Packets int64
-	// SatelliteAttaches counts this query's packets absorbed by hosts.
-	SatelliteAttaches atomic.Int64
-	// HostedSatellites counts foreign packets attached to this query's hosts.
+	// HostedSatellites counts foreign packets attached to this query's hosts
+	// or reading a sorted file of theirs.
 	HostedSatellites atomic.Int64
-	// CancelledSubtreePackets counts child packets cancelled by OSP attaches.
-	CancelledSubtreePackets atomic.Int64
 	// KeyFilterRows counts rows this query's scans did not build because
 	// the hash join above them had no build key for them (Packet.Narrow).
 	KeyFilterRows atomic.Int64
@@ -330,6 +362,10 @@ type QueryStats struct {
 	FoldedRows atomic.Int64
 	// HandOvers counts this query's hand-overs by how they ended.
 	HandOvers [NumHandOvers]atomic.Int64
+	// Shares counts this query's attach decisions by how they ended. It
+	// counts decisions, not packets: a scan packet that misses at enqueue
+	// decides again when it runs.
+	Shares [NumShareDecisions]atomic.Int64
 	// PagesVisited counts the pages this query's scan consumers were served;
 	// PagesLocated those among them whose layout the visit had to derive, no
 	// earlier scan of the resident page having left one (buffer.Layout). A
@@ -337,6 +373,15 @@ type QueryStats struct {
 	// query's scans were served from, the pool's Layouts what is resident.
 	PagesVisited atomic.Int64
 	PagesLocated atomic.Int64
+}
+
+// SatelliteAttaches counts this query's shares: its packets that got their
+// tuples from another query's work.
+func (s *QueryStats) SatelliteAttaches() (n int64) {
+	for why := ShareAttached; why.Shared(); why++ {
+		n += s.Shares[why].Load()
+	}
+	return n
 }
 
 // NotePage counts one page served to one of the query's scan consumers;

@@ -115,15 +115,16 @@ func BaselineConfig() Config {
 	return Config{OSP: false}.withDefaults()
 }
 
-// RuntimeStats aggregates engine and sharing counters.
+// RuntimeStats aggregates engine counters, and the sharing ledger with its views.
 type RuntimeStats struct {
 	Queries       int64
-	SharesByOp    map[plan.OpType]int64
-	KeyFilters    int64               // hash joins that handed their build keys to the probe scan
-	Folds         int64               // aggregates that handed their accumulators to the scan below
-	HandOvers     [NumHandOvers]int64 // QueryStats.HandOvers of every finished query, summed: [HandOverInstalled] = its KeyFilters + Folds
-	PagesVisited  int64               // QueryStats.PagesVisited of every finished query, summed
-	PagesLocated  int64               // and QueryStats.PagesLocated: visits that had to derive the page's layout
+	Shares        [NumShareDecisions]int64 // the sharing ledger: every µEngine's attach decisions, by how they ended
+	SharesByOp    map[plan.OpType]int64    // the ledger's shares by µEngine, no entry for one without any
+	KeyFilters    int64                    // hash joins that handed their build keys to the probe scan
+	Folds         int64                    // aggregates that handed their accumulators to the scan below
+	HandOvers     [NumHandOvers]int64      // QueryStats.HandOvers of every finished query, summed: [HandOverInstalled] = its KeyFilters + Folds
+	PagesVisited  int64                    // QueryStats.PagesVisited of every finished query, summed
+	PagesLocated  int64                    // and QueryStats.PagesLocated: visits that had to derive the page's layout
 	EngineStats   map[plan.OpType]EngineStats
 	DeadlocksSeen int64
 	Materialized  int64 // buffers switched to unbounded by the detector
@@ -161,9 +162,6 @@ type Runtime struct {
 	// wait).
 	idle *sync.Cond
 
-	shareMu sync.Mutex
-	shares  map[plan.OpType]int64
-
 	nQueries     atomic.Int64
 	deadlocks    atomic.Int64
 	materialized atomic.Int64
@@ -188,7 +186,6 @@ func NewRuntime(s *sm.Manager, cfg Config, operators []Operator) *Runtime {
 		engines:   make(map[plan.OpType]*MicroEngine),
 		batchPool: tbuf.NewBatchPool(cfg.BatchSize),
 		queries:   make(map[int64]*Query),
-		shares:    make(map[plan.OpType]int64),
 		admit:     newAdmission(cfg.MaxConcurrentQueries, cfg.AdmissionQueue),
 	}
 	rt.idle = sync.NewCond(&rt.mu)
@@ -497,12 +494,6 @@ func (rt *Runtime) rescue(sat *Packet) {
 	}()
 }
 
-func (rt *Runtime) noteShare(op plan.OpType) {
-	rt.shareMu.Lock()
-	rt.shares[op]++
-	rt.shareMu.Unlock()
-}
-
 // NoteHandOver counts one of q's hand-overs by how it ended.
 func (rt *Runtime) NoteHandOver(q *Query, why HandOver) { q.Stats.HandOvers[why].Add(1) }
 
@@ -539,26 +530,26 @@ func (rt *Runtime) Stats() RuntimeStats {
 	rt.mu.Lock()
 	st.InFlight = int64(len(rt.queries))
 	rt.mu.Unlock()
-	rt.shareMu.Lock()
-	for k, v := range rt.shares {
-		st.SharesByOp[k] = v
-	}
-	rt.shareMu.Unlock()
 	for op, e := range rt.engines {
 		es := e.Stats()
 		st.EngineStats[op] = es
 		st.Panics += es.Panics
+		for why, n := range es.Shares {
+			st.Shares[why] += n
+			if n > 0 && ShareDecision(why).Shared() {
+				st.SharesByOp[op] += n
+			}
+		}
 	}
 	return st
 }
 
-// TotalShares sums OSP attaches across µEngines.
-func (rt *Runtime) TotalShares() int64 {
-	rt.shareMu.Lock()
-	defer rt.shareMu.Unlock()
-	var n int64
-	for _, v := range rt.shares {
-		n += v
+// TotalShares sums the shares of the sharing ledger across µEngines.
+func (rt *Runtime) TotalShares() (n int64) {
+	for _, e := range rt.engines {
+		for why := ShareAttached; why.Shared(); why++ {
+			n += e.shares[why].Load()
+		}
 	}
 	return n
 }

@@ -129,36 +129,26 @@ func (o *IndexScanOp) Op() plan.OpType { return plan.OpIndexScan }
 // qualifying suffix tuples out of order; when its own fresh scan of the
 // missed prefix completes (delivered in order), the saved results — which
 // are already in key order, being leaf-ordered — complete the stream.
-func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
+func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) (core.ShareDecision, *core.Query) {
 	node := pkt.Node.(*plan.IndexScan)
 	if !node.Clustered || node.Lo.IsValid() || node.Hi.IsValid() {
-		return false
+		return core.ShareNoHost, nil
 	}
-	return o.reg.admit(o.key(node), pkt, node.Filter, node.Project, node.Ordered) ||
-		node.Ordered && node.Filter != nil && o.tryMaterializedOrderedShare(rt, pkt)
-}
-
-// tryMaterializedOrderedShare implements the §4.3.2 materialization path
-// for a selective order-sensitive scan: piggyback on the in-progress scan
-// for the suffix (materializing qualifying tuples), read the missed prefix
-// fresh and in order, then emit the saved suffix — whose leaf order IS key
-// order — giving the consumer a fully ordered stream while skipping the
-// suffix's I/O.
-func (o *IndexScanOp) tryMaterializedOrderedShare(rt *core.Runtime, pkt *core.Packet) bool {
-	node := pkt.Node.(*plan.IndexScan)
+	_, why := o.reg.hostOrJoin(o.key(node), &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}, node.Ordered, nil)
+	if why.Shared() || !node.Ordered || node.Filter == nil {
+		return why, nil
+	}
+	// Materialization: the collector's buffer never throttles the host scan.
 	collector, colBuf := rt.NewInternalPacket(pkt.Query, node)
-	colBuf.SetUnbounded() // materialization: never throttle the host scan
-	start, ok := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
-	if !ok || start == 0 {
-		if ok {
-			collector.Complete(nil)
-		}
-		return false
+	colBuf.SetUnbounded()
+	start, m := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
+	if m.Shared() {
+		rt.Serve(pkt, func() error { return o.runMaterializedOrdered(rt, pkt, node, colBuf, int(start)) })
 	}
-	rt.Serve(pkt, func() error {
-		return o.runMaterializedOrdered(rt, pkt, node, colBuf, int(start))
-	})
-	return true
+	if m != core.ShareNoHost {
+		why = m
+	}
+	return why, nil
 }
 
 func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet, node *plan.IndexScan, colBuf *tbuf.Buffer, start int) error {
@@ -224,15 +214,13 @@ func (o *IndexScanOp) leaves(tb *sm.Table) ([]int64, error) {
 // ok is false when no shareable ordered scan is in progress.
 func (o *IndexScanOp) ScanProgress(table, col string) (pos, total int64, ok bool) {
 	o.reg.visit("cix:"+table+":"+col, func(s *scanner) bool {
-		if s.circular {
-			return false
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		p, n := s.parts[0].pos, s.n
+		if ok = !s.circular && !s.done && p > 0 && p < n; ok {
+			pos, total = p, n
 		}
-		p, n, alive := s.progress()
-		if !alive || p == 0 || p >= n {
-			return false
-		}
-		pos, total, ok = p, n, true
-		return true
+		return ok
 	})
 	return pos, total, ok
 }
@@ -240,21 +228,18 @@ func (o *IndexScanOp) ScanProgress(table, col string) (pos, total int64, ok bool
 // AttachOrderedSuffix attaches a consumer to an in-progress ordered
 // clustered scan, receiving leaves from the scanner's current position to
 // the end (in key order). Returns the start position. The caller owns the
-// complement (leaves 0..start-1). This is the §4.3.2 mechanism.
-func (o *IndexScanOp) AttachOrderedSuffix(table, col string, pkt *core.Packet, filter expr.Pred, project []int) (int64, bool) {
-	var start int64
-	ok := o.reg.visit("cix:"+table+":"+col, func(s *scanner) bool {
+// complement (leaves 0..start-1). This is the §4.3.2 mechanism. A miss
+// names the last ordered scan's refusal, or ShareNoHost.
+func (o *IndexScanOp) AttachOrderedSuffix(table, col string, pkt *core.Packet, filter expr.Pred, project []int) (start int64, why core.ShareDecision) {
+	why = core.ShareNoHost
+	o.reg.visit("cix:"+table+":"+col, func(s *scanner) bool {
 		if s.circular {
 			return false
 		}
-		c := &scanConsumer{pkt: pkt, filter: filter, project: project}
-		p, attached := s.attachSuffix(c)
-		if attached {
-			start = p
-		}
-		return attached
+		start, why = s.attachSuffix(&scanConsumer{pkt: pkt, filter: filter, project: project})
+		return why.Shared()
 	})
-	return start, ok
+	return start, why
 }
 
 // Run implements core.Operator.

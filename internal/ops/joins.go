@@ -43,7 +43,7 @@ func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	gated := len(pkt.Children) == 2 &&
 		(pkt.Children[0].State() == core.PacketGated || pkt.Children[1].State() == core.PacketGated)
 	if gated && rt.OSPAllowed(pkt.Query) && !node.OrderedParent {
-		if done, err := o.trySplit(rt, pkt, node); done {
+		if why, err := o.trySplit(rt, pkt, node); why.Shared() {
 			return err
 		}
 	}
@@ -61,9 +61,10 @@ func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 // splitCandidate finds the gated ordered clustered full scan child worth
 // splitting onto: of those with a host scan in progress, the one whose shared
 // suffix saves the most pages over one more read of the other input — the
-// cost check of §4.3.2 — if any saves at all. It returns the child's index.
-func (o *MergeJoinOp) splitCandidate(rt *core.Runtime, node *plan.MergeJoin, pkt *core.Packet) (idx int, is *plan.IndexScan) {
-	best := int64(0)
+// cost check of §4.3.2 — if any saves at all. It returns the child's index,
+// or why there is none: no scan in progress, or each too far along.
+func (o *MergeJoinOp) splitCandidate(rt *core.Runtime, node *plan.MergeJoin, pkt *core.Packet) (idx int, is *plan.IndexScan, why core.ShareDecision) {
+	best, why := int64(0), core.ShareNoHost
 	for i, c := range node.Children() {
 		cis, isScan := c.(*plan.IndexScan)
 		if !isScan || !cis.Clustered || !cis.Ordered || cis.Lo.IsValid() || cis.Hi.IsValid() {
@@ -76,11 +77,12 @@ func (o *MergeJoinOp) splitCandidate(rt *core.Runtime, node *plan.MergeJoin, pkt
 		if !live {
 			continue
 		}
+		why = core.ShareWindowClosed
 		if gain := total - pos - o.otherSideCost(rt, node.Children()[1-i]); gain > best {
 			idx, is, best = i, cis, gain
 		}
 	}
-	return idx, is
+	return idx, is, why
 }
 
 // otherSideCost estimates the page count of re-reading the non-shared input
@@ -103,26 +105,30 @@ func (o *MergeJoinOp) otherSideCost(rt *core.Runtime, other plan.Node) int64 {
 	return 1 << 40
 }
 
-// trySplit attempts the two-packet evaluation. Returns done=true when the
-// split ran (err carries its outcome); done=false falls back to normal
-// evaluation.
-func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.MergeJoin) (bool, error) {
+// trySplit attempts the two-packet evaluation and counts the decision:
+// ShareSplit when the split ran (err carries its outcome), else the miss, and
+// the join evaluates normally.
+func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.MergeJoin) (core.ShareDecision, error) {
 	// Sharing saves re-reading the suffix of the shared relation but costs
 	// one extra read of the non-shared relation.
-	idx, sharedScan := o.splitCandidate(rt, node, pkt)
-	if sharedScan == nil {
-		return false, nil
-	}
 	q := pkt.Query
-	// Attach the suffix consumer to the in-progress scan.
-	sufPkt, sufBuf := rt.NewInternalPacket(q, sharedScan)
-	start, attached := o.iscan.AttachOrderedSuffix(sharedScan.Table, sharedScan.Col, sufPkt, sharedScan.Filter, sharedScan.Project)
-	if !attached {
-		sufPkt.Discard()
-		return false, nil
+	idx, sharedScan, why := o.splitCandidate(rt, node, pkt)
+	var start int64
+	var sufBuf *tbuf.Buffer
+	if sharedScan != nil { // attach the suffix consumer to the in-progress scan
+		var sufPkt *core.Packet
+		sufPkt, sufBuf = rt.NewInternalPacket(q, sharedScan)
+		start, why = o.iscan.AttachOrderedSuffix(sharedScan.Table, sharedScan.Col, sufPkt, sharedScan.Filter, sharedScan.Project)
+		if why.Shared() {
+			why = core.ShareSplit
+		} else {
+			sufPkt.Discard()
+		}
 	}
-	rt.NoteShare(plan.OpMergeJoin)
-	q.Stats.SatelliteAttaches.Add(1)
+	rt.NoteShare(q, plan.OpMergeJoin, why, nil)
+	if !why.Shared() {
+		return why, nil
+	}
 	// The original gated children are replaced entirely.
 	for _, c := range pkt.Children {
 		c.Discard()
@@ -131,7 +137,7 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	// Packet 1: suffix of the shared relation ⋈ fresh read of the other.
 	if err := mergeSides(rt, q, idx, sufBuf, node, em); err != nil {
-		return true, emitResult(err)
+		return why, emitResult(err)
 	}
 	// Packet 2: the missed prefix (leaves [0, start)) ⋈ the other side
 	// again (the worst-case second read the cost model accounted for).
@@ -139,9 +145,9 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 	prefix.LeafFrom, prefix.LeafTo = 0, int(start)
 	prefixBuf, _ := rt.DispatchSubtree(q, &prefix)
 	if err := mergeSides(rt, q, idx, prefixBuf, node, em); err != nil {
-		return true, emitResult(err)
+		return why, emitResult(err)
 	}
-	return true, emitResult(em.flush())
+	return why, emitResult(em.flush())
 }
 
 // mergeSides merges the shared stream, on side sharedIdx, with a fresh read of

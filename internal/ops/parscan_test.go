@@ -250,11 +250,18 @@ func TestCancelledConduitStillServesSatellites(t *testing.T) {
 func TestSatelliteRescuedFromCancelledHost(t *testing.T) {
 	// An aggregate absorbed onto a host that gets cancelled before emitting
 	// must be rescued (its subtree re-dispatched), not handed the host's
-	// error or a partial result.
+	// error or a partial result. A held bare scan of another projection pins
+	// the table, so the host aggregate cannot emit until the pin is read.
 	const n = 3000
 	rt := newRT(t, n, parCfg(4))
-	rt.SM.Disk.SetLatency(25*time.Microsecond, 35*time.Microsecond, 0)
-	defer rt.SM.Disk.SetLatency(0, 0, 0)
+	pin, err := rt.Submit(context.Background(), plan.NewTableScan("t", testSchema(), nil, []int{0}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := pin.Result.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func() plan.Node {
 		return plan.NewAggregate(
 			plan.NewTableScan("t", testSchema(), nil, nil, false),
@@ -266,13 +273,17 @@ func TestSatelliteRescuedFromCancelledHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond) // let the host aggregate start
 	qR, err := rt.Submit(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond) // let the absorb (if any) land
+	if got := rt.Stats().EngineStats[plan.OpAggregate].Shares[core.ShareAttached]; got != 1 || qR.Stats.Shares[core.ShareAttached].Load() != 1 {
+		t.Fatalf("%d aggregates attached, want qR's onto the held host", got)
+	}
 	cancelC()
+	if got := int64(len(pinned)) + drainCount(t, pin); got != n {
+		t.Fatalf("pin rows: %d, want %d", got, n)
+	}
 	b, err := qR.Result.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +374,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		pkt, buf := rt.NewInternalPacket(carrier, node)
 		s := newScanner(pkt.ID, src, true, par)
 		s.pool = rt.BatchPool()
-		if _, ok := s.attach(&scanConsumer{pkt: pkt}, false); !ok {
+		if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 			t.Fatal("attach refused")
 		}
 		done := make(chan error, 1)
@@ -379,7 +390,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		// the wrap serves last, into a buffer nobody reads yet. (With four
 		// partitions those pages are not one worker's, so it only rides.)
 		latePkt, lateBuf := rt.NewInternalPacket(carrier, node)
-		if _, ok := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !ok {
+		if _, why := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !why.Shared() {
 			t.Fatal("the second attach was refused")
 		}
 		total, asRows := newGroupTable(keys, specs), 0
@@ -672,7 +683,7 @@ func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
 			t.Fatalf("P=%d: two Runs read %d blocks of a %d-page table (one shared scan reads at most %d)",
 				par, reads, heap.NumPages(), heap.NumPages()+slack)
 		}
-		if got := carrier.Stats.SatelliteAttaches.Load(); got != 1 {
+		if got := carrier.Stats.SatelliteAttaches(); got != 1 {
 			t.Fatalf("P=%d: %d satellite attaches, want 1", par, got)
 		}
 
@@ -816,7 +827,7 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		host, hostBuf := rt.NewInternalPacket(carrier, node)
 		second, secondBuf := rt.NewInternalPacket(carrier, node)
 		for _, pkt := range []*core.Packet{host, second} {
-			if _, ok := s.attach(&scanConsumer{pkt: pkt}, false); !ok {
+			if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 				t.Fatal("attach refused")
 			}
 		}

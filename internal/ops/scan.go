@@ -20,6 +20,7 @@ package ops
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"qpipe/internal/core"
@@ -122,15 +123,15 @@ func (s *scanner) bindProducer(c *scanConsumer) {
 // non-circular scanner) — unless the group is a single partition still at
 // page 0: a multi-partition group interleaves pages and can never satisfy a
 // consumer that needs them in order from the start.
-func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, bool) {
+func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, core.ShareDecision) {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done {
-		return 0, false
+		return 0, core.ShareHostDone
 	}
 	if requireStart && !(len(s.parts) == 1 && s.parts[0].pos == 0) {
-		return 0, false
+		return 0, core.ShareWindowClosed
 	}
 	c.remaining = make([]int64, len(s.parts))
 	c.pending = 0
@@ -144,46 +145,34 @@ func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, bool) {
 	if c.pending == 0 {
 		// Empty relation: nothing owed, serve EOF immediately.
 		c.pkt.Complete(nil)
-		return 0, true
+		return 0, core.ShareAdmitted
 	}
 	s.consumers = append(s.consumers, c)
 	s.cond.Broadcast()
-	return s.parts[0].pos, true
+	return s.parts[0].pos, core.ShareAdmitted
 }
 
 // attachSuffix adds a consumer that only wants the remaining (suffix) part
 // of an ordered scan: pages pos..n-1. Used by the merge-join split. Ordered
 // scanners are always single-partition.
-func (s *scanner) attachSuffix(c *scanConsumer) (int64, bool) {
+func (s *scanner) attachSuffix(c *scanConsumer) (int64, core.ShareDecision) {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.done || s.circular || len(s.parts) != 1 {
-		return 0, false
+	if s.done {
+		return 0, core.ShareHostDone
 	}
 	p := &s.parts[0]
 	owed := p.hi - p.pos
-	if owed <= 0 {
-		return 0, false
+	if s.circular || len(s.parts) != 1 || owed <= 0 {
+		return 0, core.ShareWindowClosed
 	}
 	c.remaining = []int64{owed}
 	c.pending = 1
 	s.consumers = append(s.consumers, c)
 	s.bindProducer(c)
 	s.cond.Broadcast()
-	return p.pos, true
-}
-
-// progress reports a single-partition scanner's cursor and total page count
-// (the merge-join split's cost model). Multi-partition groups report
-// ok=false: there is no single linear position to split at.
-func (s *scanner) progress() (pos, total int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done || len(s.parts) != 1 {
-		return 0, 0, false
-	}
-	return s.parts[0].pos, s.n, true
+	return p.pos, core.ShareAdmitted
 }
 
 // run drives the scan group until every consumer is served (or gone). The
@@ -382,12 +371,7 @@ func (s *scanner) put(c *scanConsumer, out tbuf.Batch) error {
 
 func (s *scanner) detach(c *scanConsumer, err error) {
 	s.mu.Lock()
-	for i, x := range s.consumers {
-		if x == c {
-			s.consumers = append(s.consumers[:i], s.consumers[i+1:]...)
-			break
-		}
-	}
+	s.consumers = slices.DeleteFunc(s.consumers, func(x *scanConsumer) bool { return x == c })
 	if len(s.consumers) == 0 {
 		s.done = true
 	}
@@ -424,31 +408,38 @@ func newScanRegistry() *scanRegistry {
 	return &scanRegistry{scanners: make(map[string][]*scanner)}
 }
 
-// hostOrJoin settles, under the registry's lock, how a running scan packet
-// gets its pages: as one more consumer of a live scanner of key that can
-// still serve it whole (host is false; the scanner completes c's packet), or
-// from the scanner newScanner makes, registered with c attached before the
-// lock is released — so of two packets that both missed TryAdmit because
-// neither's scanner was registered yet, one hosts and the other rides.
-func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, newScanner func() *scanner) (s *scanner, host bool) {
+// hostOrJoin settles, under the registry's lock, how consumer c gets its
+// pages: as one more consumer of a live scanner of key that can still serve
+// it whole (a share; the scanner completes c's packet) — ordered consumers
+// have a spike WoP, unordered ones can join a circular scan group anywhere
+// but a one-shot (ordered) scanner only at its very start — or else, given
+// newScanner, from the scanner it makes, registered with c attached before
+// the lock is released. So of two running packets that both missed TryAdmit
+// because neither's scanner was registered yet, one hosts and the other
+// rides. A miss names the last live scanner's refusal, or ShareNoHost.
+func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, newScanner func() *scanner) (*scanner, core.ShareDecision) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	why := core.ShareNoHost
 	for _, s := range r.scanners[key] {
-		if _, ok := s.attach(c, ordered || !s.circular); ok {
-			return s, false
+		if _, why = s.attach(c, ordered || !s.circular); why.Shared() {
+			return s, why
 		}
 	}
-	s = newScanner()
+	if newScanner == nil {
+		return nil, why
+	}
+	s := newScanner()
 	s.attach(c, false)
 	r.scanners[key] = append(r.scanners[key], s)
-	return s, true
+	return s, why
 }
 
 // run serves c's packet, whose µEngine worker is the caller, with a scan of
 // src: hosting a new scan group (unregistered when the query opted out of
-// OSP), or — hostOrJoin — riding one that started a moment ago, in which case
-// the packet counts as a satellite attach and run returns when that group has
-// completed it; a cancellation reaches it there the way it reaches a TryAdmit
+// OSP), or — hostOrJoin, whose decision is counted — riding one that started
+// a moment ago, in which case run returns when that group has completed the
+// packet; a cancellation reaches it there the way it reaches a TryAdmit
 // consumer, through its port.
 func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordered bool, src pageSource, par int) error {
 	pkt, op := c.pkt, c.pkt.Node.Op()
@@ -462,54 +453,37 @@ func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordere
 		s.attach(c, false)
 		return s.run(rt, pkt)
 	}
-	s, host := r.hostOrJoin(key, c, ordered, newGroup)
-	if !host {
-		pkt.Query.Stats.SatelliteAttaches.Add(1)
-		rt.NoteShare(op)
+	s, why := r.hostOrJoin(key, c, ordered, newGroup)
+	if why.Shared() {
+		rt.NoteShare(pkt.Query, op, core.ShareRode, nil)
 		<-pkt.Done()
 		return pkt.Err()
 	}
+	rt.NoteShare(pkt.Query, op, why, nil)
 	defer r.remove(key, s)
 	return s.run(rt, pkt)
 }
 
 func (r *scanRegistry) remove(key string, s *scanner) {
 	r.mu.Lock()
-	list := r.scanners[key]
-	for i, x := range list {
-		if x == s {
-			r.scanners[key] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(r.scanners[key]) == 0 {
+	if list := slices.DeleteFunc(r.scanners[key], func(x *scanner) bool { return x == s }); len(list) > 0 {
+		r.scanners[key] = list
+	} else {
 		delete(r.scanners, key)
 	}
 	r.mu.Unlock()
 }
 
-// admit attaches pkt, a consumer of filter and project, to a live scanner of
-// key that can still serve it whole. Ordered consumers have a spike WoP;
-// unordered ones can join a circular scan group anywhere but a one-shot
-// (ordered) scanner only at its very start.
-func (r *scanRegistry) admit(key string, pkt *core.Packet, filter expr.Pred, project []int, ordered bool) bool {
-	return r.visit(key, func(s *scanner) bool {
-		_, ok := s.attach(&scanConsumer{pkt: pkt, filter: filter, project: project}, ordered || !s.circular)
-		return ok
-	})
-}
-
 // visit iterates live scanners for a key until fn returns true.
-func (r *scanRegistry) visit(key string, fn func(*scanner) bool) bool {
+func (r *scanRegistry) visit(key string, fn func(*scanner) bool) {
 	r.mu.Lock()
 	list := append([]*scanner(nil), r.scanners[key]...)
 	r.mu.Unlock()
 	for _, s := range list {
 		if fn(s) {
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // ---- Table-scan µEngine -------------------------------------------------------
@@ -541,9 +515,10 @@ func (o *TableScanOp) Op() plan.OpType { return plan.OpTableScan }
 // matter. Ordered scans have a spike WoP — they may only piggyback on a
 // single-partition scanner still at page 0 (the "first output page still in
 // memory" case).
-func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
+func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) (core.ShareDecision, *core.Query) {
 	node := pkt.Node.(*plan.TableScan)
-	return o.reg.admit("tbl:"+node.Table, pkt, node.Filter, node.Project, node.Ordered)
+	_, why := o.reg.hostOrJoin("tbl:"+node.Table, &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}, node.Ordered, nil)
+	return why, nil
 }
 
 // Run implements core.Operator: the packet becomes the host of a new scan

@@ -60,8 +60,10 @@ func (*SortOp) Op() plan.OpType { return plan.OpSort }
 // signature-exact attach (phase 1, or the replay window after it), a
 // satellite reuses the sorted file of the first eligible host that has one,
 // streamed by a detached sub-worker (Runtime.Serve), and skips the entire
-// sort cost.
-func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Packet) bool {
+// sort cost. A host whose file is gone refuses as done; one still sorting
+// refuses nothing here (its port already said why).
+func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Packet) (core.ShareDecision, *core.Query) {
+	why := core.ShareNoHost
 	for _, host := range hosts {
 		o.mu.Lock()
 		st := o.states[host.ID]
@@ -72,6 +74,7 @@ func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Pack
 		st.mu.Lock()
 		if st.dropped {
 			st.mu.Unlock()
+			why = core.ShareHostDone
 			continue
 		}
 		st.readers++
@@ -79,35 +82,38 @@ func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Pack
 		// The satellite is fed by the file streamer, not the host's port, so
 		// it is deliberately NOT on the host's satellite list — the host
 		// finishing (or dying) mid-stream must not complete it out from under
-		// the streamer. The host still counts it as hosted.
-		host.Query.Stats.HostedSatellites.Add(1)
+		// the streamer. The host still counts it as hosted (NoteShare).
 		rt.Serve(sat, func() error {
 			// The last reader drops the file before the satellite completes:
 			// a query that has its answer leaves no temp file behind.
 			defer o.release(rt, host.ID, st, func() { st.readers-- })
 			return o.streamFile(rt, st, sat)
 		})
-		return true
+		return core.ShareAdmitted, host.Query
 	}
-	return false
+	return why, nil
 }
 
-func (o *SortOp) streamFile(rt *core.Runtime, st *sortState, sat *core.Packet) error {
+// streamFile streams the sorted file to pkt's port: the host's phase 2, or a
+// satellite reusing the file. A cancelled packet stops with its query's
+// CancelErr: a genuinely cancelled one must not end in a clean EOF over
+// truncated results, an OSP-cancelled one (flag only, live query) stops
+// clean. A host with live phase-1 satellites keeps streaming: they hold the
+// prefix already produced, so they cannot be rescued by re-dispatch, and the
+// host's cancellation (a satisfied LIMIT on its own result) is not theirs.
+func (o *SortOp) streamFile(rt *core.Runtime, st *sortState, pkt *core.Packet) error {
 	n := int64(rt.SM.Disk.NumBlocks(st.fileName))
 	for pno := int64(0); pno < n; pno++ {
-		if sat.Cancelled() {
-			// A genuinely cancelled satellite must finish with the
-			// cancellation error, not a clean EOF over truncated results;
-			// an OSP-cancelled one (flag only, live query) stops clean.
-			return sat.Query.CancelErr()
+		if pkt.Cancelled() && !pkt.HasLiveSatellites() {
+			return pkt.Query.CancelErr()
 		}
 		rows, err := readSpillPage(rt.SM.Disk, st.fileName, st.ncols, pno)
 		if err != nil {
 			return err
 		}
-		if err := sat.Out.Put(rows); err != nil {
+		if err := pkt.Out.Put(rows); err != nil {
 			if errors.Is(err, tbuf.ErrConsumersGone) {
-				return sat.Query.CancelErr()
+				return pkt.Query.CancelErr()
 			}
 			return err
 		}
@@ -208,34 +214,8 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	defer o.release(rt, pkt.ID, st, func() { st.hostDone = true })
 
 	// Phase 2: stream the sorted file (linear overlap; late arrivals read
-	// the same file through TryAdmit instead). A cancelled host with live
-	// phase-1 satellites keeps streaming: the satellites hold the prefix
-	// already produced, so they cannot be rescued by re-dispatch, and the
-	// host's cancellation (a satisfied LIMIT on its own result) is not
-	// theirs — they need the rest of the file.
-	n := int64(rt.SM.Disk.NumBlocks(outName))
-	for pno := int64(0); pno < n; pno++ {
-		if pkt.Cancelled() && !pkt.HasLiveSatellites() {
-			if cerr := pkt.Query.CancelErr(); cerr != nil {
-				return cerr
-			}
-			return nil
-		}
-		rows, err := readSpillPage(rt.SM.Disk, outName, ncols, pno)
-		if err != nil {
-			return err
-		}
-		if err := pkt.Out.Put(rows); err != nil {
-			if errors.Is(err, tbuf.ErrConsumersGone) {
-				if cerr := pkt.Query.CancelErr(); cerr != nil {
-					return cerr
-				}
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
+	// the same file through TryAdmit instead).
+	return o.streamFile(rt, st, pkt)
 }
 
 // topItem is one row a Top-N holds, with its arrival number: among rows

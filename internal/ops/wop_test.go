@@ -121,6 +121,11 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// would find each other's pages in the pool by luck.
 		serial bool
 		shares map[plan.OpType]int64 // SharesByOp when all is drained, exactly
+		// why is the decision each of the others got at the row's deciding
+		// operator at: what that µEngine's row of the sharing ledger counts
+		// between the host's hold and the drain, once per other, exactly.
+		at  plan.OpType
+		why core.ShareDecision
 		// scans bounds the blocks read of a table in whole scans of it: at
 		// least [0] (less a pool's worth for every scan after the first), at
 		// most [1] (plus the prefix a held scan was at when the others
@@ -132,15 +137,18 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// for it the prefix it missed; three ride as cheaply as one.
 		{name: "linear-1", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(1),
+			at: plan.OpTableScan, why: core.ShareAdmitted,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1},
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		{name: "linear-3", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(3),
+			at: plan.OpTableScan, why: core.ShareAdmitted,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 3},
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		// The same arrivals with OSP off: every count reads the table itself.
 		{name: "linear-osp-off", mgr: tpchMgr, cfg: wopConfig(noOSP),
 			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(3), serial: true,
+			at: plan.OpTableScan, why: core.ShareOSPOff,
 			shares: map[plan.OpType]int64{},
 			scans:  map[string][2]int64{"LINEITEM": {4, 4}}},
 		// Full (Figure 4a): a second, identical aggregate shares the first's
@@ -149,6 +157,7 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// first.
 		{name: "full-aggregate", mgr: tpchMgr, cfg: wopConfig(nil),
 			pin: []string{"LINEITEM"}, host: tpch.Q6(p), others: []plan.Node{tpch.Q6(p)},
+			at: plan.OpAggregate, why: core.ShareAttached,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 2, plan.OpAggregate: 1},
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		// Full (Figure 10): two sort-merge joins with the same BIG1 and BIG2
@@ -157,6 +166,7 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		{name: "full-sort-merge", mgr: wiscMgr, cfg: wopConfig(nil),
 			pin: []string{"BIG1", "BIG2", "SMALL"}, host: wisc.ThreeWayJoinQuery(60, 40),
 			others: []plan.Node{wisc.ThreeWayJoinQuery(60, 60)},
+			at:     plan.OpMergeJoin, why: core.ShareAttached,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 6, plan.OpSort: 2, plan.OpMergeJoin: 1},
 			scans:  map[string][2]int64{"BIG1": {1, 1}, "BIG2": {1, 1}, "SMALL": {1, 1}}},
 		// Step (Figure 11): a hash join one batch past its first output is
@@ -165,16 +175,19 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// over).
 		{name: "step", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			at: plan.OpHashJoin, why: core.ShareAttached,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
 		// The same arrival run at another fan-out and batch size shares the
 		// same: per-query options are no part of any signature.
 		{name: "step-other-options", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
-			opts:   core.QueryOptions{Parallelism: 4, BatchSize: 7},
+			opts: core.QueryOptions{Parallelism: 4, BatchSize: 7},
+			at:   plan.OpHashJoin, why: core.ShareAttached,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
 		{name: "step-window-1", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
+			at: plan.OpHashJoin, why: core.ShareWindowClosed,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1}},
 		// Ordered scans (Figure 9): with the step window shut, late
 		// activation lets the second merge join split onto the first's scan
@@ -183,6 +196,7 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		{name: "ordered-scans", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
+			at: plan.OpMergeJoin, why: core.ShareSplit,
 			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
 		// With ORDERS as the first input — the first with a scan in progress,
 		// and not worth one more read of LINEITEM — the split still finds
@@ -190,10 +204,12 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		{name: "ordered-scans-orders-first", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: mergeJoinOf(false), hold: 1, others: []plan.Node{mergeJoinOf(false)},
+			at: plan.OpMergeJoin, why: core.ShareSplit,
 			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
 		{name: "ordered-scans-no-late-activation", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1; c.LateActivation = false }),
 			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
+			at: plan.OpMergeJoin, why: core.ShareWindowClosed,
 			shares: map[plan.OpType]int64{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -212,6 +228,7 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			nheld := len(plans) + 1 // the pins and the host: held until everything is sent
 			plans = append(append(plans, row.host), row.others...)
 			queries := make([]*core.Query, len(plans))
+			var before map[plan.OpType]core.EngineStats // when the host is held
 			got := make([][]tuple.Tuple, len(plans))
 			take := func(i, batches int) {
 				for ; batches > 0; batches-- {
@@ -237,6 +254,7 @@ func TestWindowsOfOpportunity(t *testing.T) {
 					take(i, 1) // its scanner is registered and in flight
 				case i == len(row.pin):
 					take(i, row.hold)
+					before = rt.Stats().EngineStats
 				case row.serial:
 					if got[i], err = sdDrain(q); err != nil {
 						t.Fatal(err)
@@ -257,7 +275,18 @@ func TestWindowsOfOpportunity(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			reads, shares := row.mgr.Disk.Stats().ByFile, rt.Stats().SharesByOp
+			st := rt.Stats()
+			reads, shares := row.mgr.Disk.Stats().ByFile, st.SharesByOp
+			if got := st.EngineStats[row.at].Shares[row.why] - before[row.at].Shares[row.why]; got != int64(len(row.others)) {
+				t.Errorf("%s: %d decided %s, want each of the %d others", row.at, got, row.why, len(row.others))
+			}
+			var attaches int64
+			for _, q := range queries {
+				attaches += q.Stats.SatelliteAttaches()
+			}
+			if total := rt.TotalShares(); attaches != total {
+				t.Errorf("the queries' satellite attaches sum to %d, the µEngines' shares to %d", attaches, total)
+			}
 
 			if !maps.Equal(shares, row.shares) {
 				t.Errorf("shares by operator %v, want %v", shares, row.shares)

@@ -546,7 +546,8 @@ func (c *serverConn) serveExec(e wire.Exec) error {
 }
 
 // serveStats answers MsgStats with the server's counter set: engine,
-// sharing, governance, disk and server-wide counters under stable names.
+// sharing (osp_shares, and share.<reason> for every attach decision),
+// governance, disk and server-wide counters under stable names.
 func (c *serverConn) serveStats() error {
 	es := c.srv.db.Stats()
 	ds := c.srv.db.DiskStats()
@@ -577,6 +578,9 @@ func (c *serverConn) serveStats() error {
 	}}
 	for why, n := range es.HandOvers {
 		msg.Stats = append(msg.Stats, wire.Stat{Name: "handover." + HandOver(why).String(), Value: n})
+	}
+	for why, n := range es.Shares {
+		msg.Stats = append(msg.Stats, wire.Stat{Name: "share." + ShareDecision(why).String(), Value: n})
 	}
 	return c.send(wire.MsgStatsResult, msg.Encode(c.encBuf[:0]))
 }

@@ -649,8 +649,8 @@ func TestServerConcurrentConns(t *testing.T) {
 // TestServerSharesWithAnEmbeddedQuery: OSP does not stop at the socket. An
 // embedded query is held mid-scan by not reading its result; the same
 // statement sent over the wire then attaches to it, which the wire's own
-// osp_shares counter shows — and does not when the client opts out. All
-// three get the same rows.
+// osp_shares counter shows — and does not when the client opts out, whose
+// decision share.osp-off counts instead. All three get the same rows.
 func TestServerSharesWithAnEmbeddedQuery(t *testing.T) {
 	_, db, addr := startServer(t, 3000, qpipe.Options{BufferCapacity: 2, ScanParallelism: 1}, qpipe.ServerOptions{})
 	ctx := context.Background()
@@ -673,22 +673,26 @@ func TestServerSharesWithAnEmbeddedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer counters.Close()
-	shares := func() int64 {
+	stat := func(name string) int64 {
 		t.Helper()
 		stats, err := counters.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats["osp_shares"]
+		return stats[name]
 	}
+	shares := func() int64 { return stat("osp_shares") }
 
-	before := shares()
+	before, offBefore := shares(), stat("share.osp-off")
 	alone, err := conn.Query(ctx, stmt, client.WithoutOSP())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := shares() - before; got != 0 {
 		t.Fatalf("osp_shares rose by %d for a query that opted out", got)
+	}
+	if got := stat("share.osp-off") - offBefore; got < 1 {
+		t.Fatalf("share.osp-off rose by %d for a query that opted out", got)
 	}
 	aloneRows, err := alone.All() // nothing ties it to the held query
 	if err != nil {
