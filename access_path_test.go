@@ -480,11 +480,11 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		}
 	}
 	// And the aggregates among them what became of their hand-over to the
-	// scan below (the joins' key filters are in the same counts; a statement's
-	// are summed a moment after its reply).
+	// scan below (the joins' key filters and the Top-Ns' bounds are in the
+	// same counts; a statement's are summed a moment after its reply).
 	var st qpipe.Stats
 	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if st = db.Stats(); st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters {
+		if st = db.Stats(); st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters+st.Bounds {
 			break
 		}
 	}
@@ -492,9 +492,10 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 	for _, n := range st.HandOvers {
 		refused += n
 	}
-	t.Logf("hand-overs: %d folds and %d key filters installed, %d refused %v", st.Folds, st.KeyFilters, refused, st.HandOvers)
-	if st.Folds < 20 || refused < 3 || st.HandOvers[core.HandOverInstalled] != st.Folds+st.KeyFilters {
-		t.Errorf("%d folds and %d key filters installed, %d hand-overs refused %v: want at least 20 folds, 3 refused, and installed their sum", st.Folds, st.KeyFilters, refused, st.HandOvers)
+	t.Logf("hand-overs: %d folds, %d key filters and %d bounds installed, %d refused %v", st.Folds, st.KeyFilters, st.Bounds, refused, st.HandOvers)
+	if st.Folds < 20 || refused < 3 || st.HandOvers[core.HandOverInstalled] != st.Folds+st.KeyFilters+st.Bounds {
+		t.Errorf("%d folds, %d key filters and %d bounds installed, %d hand-overs refused %v: want at least 20 folds, 3 refused, and installed their sum",
+			st.Folds, st.KeyFilters, st.Bounds, refused, st.HandOvers)
 	}
 	// Over a join, one statement at a time, what can occur is installed (the
 	// fold on the join's packet; the join's keys when the fold was late), the

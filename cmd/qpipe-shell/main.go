@@ -411,7 +411,7 @@ func (sh *shell) meta(line string) bool {
 		// Pages the finished queries' scans were served, and those among them no
 		// earlier scan had left located in the pool: 0 is a warm scan.
 		fmt.Fprintf(sh.out, "  %-28s %d\n  %-28s %d\n", "scan.pages_visited", st.PagesVisited, "scan.pages_located", st.PagesLocated)
-		// What joins and aggregates handed down to their scans, by outcome.
+		// What joins, aggregates and Top-Ns handed down to their scans, by outcome.
 		for why, n := range st.HandOvers {
 			fmt.Fprintf(sh.out, "  %-28s %d\n", "handover."+qpipe.HandOver(why).String(), n)
 		}

@@ -23,8 +23,8 @@ import (
 // Stats aggregates engine and sharing counters (see core.RuntimeStats).
 type Stats = core.RuntimeStats
 
-// HandOver indexes Stats.HandOvers: how a hash join's or an aggregate's
-// hand-over to the scan below it ended (its String is the reason).
+// HandOver indexes Stats.HandOvers: how a hash join's, an aggregate's or a
+// Top-N's hand-over to the scan below it ended (its String is the reason).
 type HandOver = core.HandOver
 
 // ShareDecision indexes Stats.Shares and a Result's Stats().Shares: how an OSP

@@ -72,7 +72,7 @@ type Packet struct {
 	satSealed  bool         // host finished/finishing or handed something; no more satellites
 	hosted     bool         // a satellite was absorbed at some point
 	taken      bool         // TakeHanded read the slot: nothing is installed any more
-	handed     atomic.Value // the one *KeyFilter or fold handOver installed
+	handed     atomic.Value // the one *KeyFilter, fold or bound handOver installed
 
 	temps []string // temp files Runtime.TempFile drew for this packet, dropped after Run
 }
@@ -177,6 +177,11 @@ func (p *Packet) Narrow(rt *Runtime, f *KeyFilter) HandOver { return p.handOver(
 // input: a scan, which then adds the rows it keeps to them instead of building,
 // or a hash join, which passes them on to its probe scan with its build side.
 func (p *Packet) SetFold(rt *Runtime, fold any) HandOver { return p.handOver(rt, fold, &rt.folds) }
+
+// SetBound lets a Top-N hand its scan the n-th first sort key it holds (the ops
+// package's, tightened as better rows arrive): the scan then builds no row the
+// heap could not keep.
+func (p *Packet) SetBound(rt *Runtime, bound any) HandOver { return p.handOver(rt, bound, &rt.bounds) }
 
 // PassFold is that join's SetFold.
 func (p *Packet) PassFold(rt *Runtime, fold any) HandOver { return p.handOver(rt, fold, nil) }
@@ -360,6 +365,9 @@ type QueryStats struct {
 	KeyFilterRows atomic.Int64
 	// FoldedRows counts rows (through a join: pairs) this query's scans added up unbuilt (Packet.SetFold).
 	FoldedRows atomic.Int64
+	// BoundRows counts rows this query's scans did not build because the
+	// Top-N above them could no longer keep them (Packet.SetBound).
+	BoundRows atomic.Int64
 	// HandOvers counts this query's hand-overs by how they ended.
 	HandOvers [NumHandOvers]atomic.Int64
 	// Shares counts this query's attach decisions by how they ended. It

@@ -122,7 +122,8 @@ type RuntimeStats struct {
 	SharesByOp    map[plan.OpType]int64    // the ledger's shares by µEngine, no entry for one without any
 	KeyFilters    int64                    // hash joins that handed their build keys to the probe scan
 	Folds         int64                    // aggregates that handed their accumulators to the scan below
-	HandOvers     [NumHandOvers]int64      // QueryStats.HandOvers of every finished query, summed: [HandOverInstalled] = its KeyFilters + Folds
+	Bounds        int64                    // Top-Ns that handed their n-th key to the scan below
+	HandOvers     [NumHandOvers]int64      // QueryStats.HandOvers of every finished query, summed: [HandOverInstalled] = its KeyFilters + Folds + Bounds
 	PagesVisited  int64                    // QueryStats.PagesVisited of every finished query, summed
 	PagesLocated  int64                    // and QueryStats.PagesLocated: visits that had to derive the page's layout
 	EngineStats   map[plan.OpType]EngineStats
@@ -168,6 +169,7 @@ type Runtime struct {
 	timeouts     atomic.Int64
 	keyFilters   atomic.Int64
 	folds        atomic.Int64
+	bounds       atomic.Int64
 	handOvers    [NumHandOvers]atomic.Int64
 	pagesVisited atomic.Int64
 	pagesLocated atomic.Int64
@@ -515,6 +517,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 		SharesByOp:       make(map[plan.OpType]int64),
 		KeyFilters:       rt.keyFilters.Load(),
 		Folds:            rt.folds.Load(),
+		Bounds:           rt.bounds.Load(),
 		PagesVisited:     rt.pagesVisited.Load(),
 		PagesLocated:     rt.pagesLocated.Load(),
 		EngineStats:      make(map[plan.OpType]EngineStats),

@@ -184,12 +184,13 @@ func TestSortFileReuseSatellite(t *testing.T) {
 	// A second identical sort arriving during the host's emit phase must
 	// reuse the materialized sorted file (phase-2 materialization reuse),
 	// whichever of the two finishes first, and leave no temp file behind.
+	// Each is held by its unread result: the host past its replay window with
+	// a third of its file still to stream, the satellite's file streamer
+	// with most of it.
 	for _, hostFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("host-first=%v", hostFirst), func(t *testing.T) {
 			rt := newRT(t, 3000, core.DefaultConfig())
 			mgr := rt.SM
-			mgr.Disk.SetLatency(30*time.Microsecond, 30*time.Microsecond, 0)
-			defer mgr.Disk.SetLatency(0, 0, 0)
 			mk := func() plan.Node {
 				return plan.NewSort(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{0}, false)
 			}
@@ -197,8 +198,6 @@ func TestSortFileReuseSatellite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Consume a little of q1's output so the sort is in phase 2 with
-			// produced tuples beyond the replay window.
 			consumed := int64(0)
 			for consumed < 2000 {
 				b, err := q1.Result.Get()
@@ -207,16 +206,16 @@ func TestSortFileReuseSatellite(t *testing.T) {
 				}
 				consumed += int64(len(b))
 			}
+			eventually(t, "the host sort blocked on its unread result", func() bool { return q1.Result.Snapshot().PutBlocked })
 			q2, err := rt.Submit(context.Background(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One batch out: the satellite's file streamer is reading, and
-			// holds most of the file still to read.
 			first, err := q2.Result.Get()
 			if err != nil {
 				t.Fatal(err)
 			}
+			eventually(t, "the file streamer blocked on the satellite's unread result", func() bool { return q2.Result.Snapshot().PutBlocked })
 			drainHost := func() {
 				rest, err := q1.Result.Drain()
 				if err != nil || consumed+rest != 3000 {

@@ -261,9 +261,10 @@ func (s *scanner) runPartition(k int) error {
 		p.pos++
 		// Only this worker decrements remaining[k], so who is owed the page
 		// is settled here, under the lock that guards attach — and with it
-		// whether the consumer's join has narrowed it, or its aggregate handed
-		// its accumulators down, by now. A partial table is registered with its
-		// fold here, before the page it is first used for is settled.
+		// whether the consumer's join has narrowed it, its aggregate handed
+		// its accumulators down or its Top-N bounded it, by now. A partial
+		// table is registered with its fold here, before the page it is first
+		// used for is settled.
 		served, tasks = served[:0], tasks[:0]
 		for _, c := range s.consumers {
 			if c.remaining[k] <= 0 {
@@ -275,6 +276,8 @@ func (s *scanner) runPartition(k int) error {
 				t.keys = h
 			case *scanFold:
 				t.fold, t.part, t.keys = h, h.partial(k), h.probe
+			case *topBound:
+				t.bound = h.Load()
 			}
 			served, tasks = append(served, c), append(tasks, t)
 		}
@@ -293,6 +296,9 @@ func (s *scanner) runPartition(k int) error {
 			}
 			if n := tasks[i].folded; n > 0 {
 				c.pkt.Query.Stats.FoldedRows.Add(int64(n))
+			}
+			if n := tasks[i].bounded; n > 0 {
+				c.pkt.Query.Stats.BoundRows.Add(int64(n))
 			}
 			s.deliver(c, k, tasks[i].out)
 			served[i], tasks[i] = nil, pageTask{}

@@ -483,7 +483,7 @@ func TestScanOnEncodedRowsMatchesIteratorEngine(t *testing.T) {
 	var st core.RuntimeStats
 	eventually(t, "every query's hand-overs summed", func() bool {
 		st = rt.Stats()
-		return st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters
+		return st.HandOvers[core.HandOverInstalled] == st.Folds+st.KeyFilters+st.Bounds
 	})
 	refused := -st.HandOvers[core.HandOverInstalled]
 	for _, n := range st.HandOvers {

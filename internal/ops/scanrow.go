@@ -5,11 +5,12 @@
 // into a vector — once for all consumers and, while the page stays resident
 // and unwritten, for all scans; each consumer then narrows a selection vector
 // of row numbers with one loop per `col op literal` conjunct, on the column's
-// vector or its bytes (and one more, on one hash a row, when a hash join
-// handed its build keys over), runs the rest of its filter on the survivors
-// only, and has all of them carved from the worker's arena at once and filled
-// column by column — or, when the consumer is an aggregate that handed its
-// accumulators down, added to those where they lie.
+// vector or its bytes (and one more when a Top-N handed its bound over, and
+// one on one hash a row when a hash join handed its build keys over), runs
+// the rest of its filter on the survivors only, and has all of them carved
+// from the worker's arena at once and filled column by column — or, when the
+// consumer is an aggregate that handed its accumulators down, added to those
+// where they lie.
 package ops
 
 import (
@@ -47,6 +48,17 @@ type encCmp struct {
 	holds  uint8
 }
 
+// colCmp is the conjunct `col op lit`.
+func colCmp(col int, op expr.CmpOp, lit tuple.Value) encCmp {
+	c := encCmp{col: col, lit: lit, litNum: lit.K != tuple.KindString && lit.IsValid()}
+	for o := 0; o <= 2; o++ {
+		if op.Holds(o - 1) {
+			c.holds |= 1 << o
+		}
+	}
+	return c
+}
+
 // compileRowProgram builds the program for a scan over rows of ncols
 // columns (nil project keeps every column).
 func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
@@ -60,13 +72,7 @@ func compileRowProgram(filter expr.Pred, project []int, ncols int) *rowProgram {
 	var rest []expr.Pred
 	for _, c := range expr.Conjuncts(filter) {
 		if col, op, lit, ok := expr.ColConst(c); ok {
-			cmp := encCmp{col: col, lit: lit, litNum: lit.K != tuple.KindString && lit.IsValid()}
-			for o := 0; o <= 2; o++ {
-				if op.Holds(o - 1) {
-					cmp.holds |= 1 << o
-				}
-			}
-			p.cmps = append(p.cmps, cmp)
+			p.cmps = append(p.cmps, colCmp(col, op, lit))
 		} else {
 			rest = append(rest, c)
 		}
@@ -127,15 +133,17 @@ func (f *scanFold) partial(k int) *groupTable {
 // going in — built, or added to part when its aggregate handed fold down (keys
 // is then the fold's probe bitmap when the fold went through a join);
 // its batch, how many rows its join's keys excluded (by the bitmap or, in a
-// fold through the join, by the compare) and how many rows or pairs were
-// folded, coming out.
+// fold through the join, by the compare), how many its Top-N's bound did and
+// how many rows or pairs were folded, coming out.
 type pageTask struct {
 	prog    *rowProgram
 	keys    *core.KeyFilter // nil: no join narrowed this consumer
+	bound   *encCmp         // nil: no Top-N bounds this consumer (yet)
 	fold    *scanFold       // nil: the consumer wants rows
 	part    *groupTable     // the worker's partial table of fold
 	out     tbuf.Batch
 	skipped int
+	bounded int
 	folded  int
 }
 
@@ -397,9 +405,10 @@ func (k *pageKernel) hash(hs []uint64, rows []int32, col int) {
 }
 
 // selected returns the numbers of the loaded page's rows that t's consumer
-// keeps and, when a join's keys narrowed it, leaves each kept row's key hash
-// at the same index of k.hs. Every step compacts the vector in place: the
-// write index never passes the read index.
+// keeps — its Top-N's bound is one more comparison after its own — and, when
+// a join's keys narrowed it, leaves each kept row's key hash at the same
+// index of k.hs. Every step compacts the vector in place: the write index
+// never passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
 	if cap(k.sel) < k.nrows {
 		k.sel, k.hs = make([]int32, k.nrows), make([]uint64, k.nrows)
@@ -410,6 +419,11 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 	}
 	for i := range t.prog.cmps {
 		sel = k.compare(sel, &t.prog.cmps[i])
+	}
+	if t.bound != nil {
+		n := len(sel)
+		sel = k.compare(sel, t.bound)
+		t.bounded = n - len(sel)
 	}
 	if f := t.keys; f != nil {
 		hs, n := k.seeded(len(sel)), 0

@@ -17,7 +17,9 @@ import (
 // stripped of its number vectors — and must come out exactly as the second
 // did. The outcome of each is every consumer's
 // rows — then exactly what decoding the whole page and filtering the decoded
-// rows gives, for the consumer that folds, its partial merged equal to
+// rows gives (for the consumer a Top-N bounds, filtering them by the bound
+// too, which leaves out exactly the rest of those its own comparison keeps),
+// for the consumer that folds, its partial merged equal to
 // aggregating those, and for the one that folds through a build table, to
 // aggregating what probeTable makes of those — or a typed error with no
 // consumer handed anything and no layout published: never a panic, an
@@ -70,6 +72,10 @@ func FuzzScanPageBytes(f *testing.F) {
 	// either side.
 	filters, projects = append(filters, filters[1]), append(projects, []int{0, 2, 1})
 
+	// And the last the second's rows as (f, s) under a Top-N's bound on f, a
+	// FLOAT literal: a FLOAT vector, an INT vector, or the bytes of any kind.
+	filters, projects = append(filters, expr.AndOf(filters[1], fuzzBound)), append(projects, []int{1, 2})
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return // a device has no blocks of no bytes (page.FuzzLocate has them)
@@ -82,6 +88,10 @@ func FuzzScanPageBytes(f *testing.F) {
 		}
 	})
 }
+
+// The seventh consumer's bound: what a descending Top-N whose n-th row has
+// f = 1 hands its scan.
+var fuzzBound = expr.GE(expr.Col(1), expr.CFloat(1))
 
 // The sixth consumer's join and aggregation, in build columns (key, tag) then
 // the scan's output columns.
@@ -104,6 +114,8 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 		joined := &scanFold{keys: fuzzJoinKeys, specs: fuzzJoinSpecs}
 		joinedFold(joined, fuzzBuild, 2, 0, 0, projects[5])
 		progs[5].fold, progs[5].part, progs[5].keys = joined, joined.partial(0), joined.probe
+		bound := colCmp(1, fuzzBound.Op, fuzzBound.R.(*expr.Const).V)
+		progs[6].prog, progs[6].bound = compileRowProgram(filters[1], projects[6], width), &bound
 		fresh, err := buildPage(from, 0, newPageKernel(width), progs, nil)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
@@ -148,7 +160,7 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 				}
 				want = append(want, r)
 			}
-			if i >= 4 {
+			if i == 4 || i == 5 {
 				keys, specs := keys, specs
 				if i == 5 {
 					keys, specs, want = fuzzJoinKeys, fuzzJoinSpecs, probed(t, joined.build, 0, 0, want)
@@ -166,12 +178,15 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 			if len(outs[i]) != len(want) {
 				t.Fatalf("consumer %d: %d rows, decode-then-filter gives %d", i, len(outs[i]), len(want))
 			}
+			if n := len(outs[1]) - len(want); i == 6 && progs[i].bounded != n {
+				t.Fatalf("the bound left out %d rows, decode-then-filter %d", progs[i].bounded, n)
+			}
 			for j, got := range outs[i] {
 				if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want[j]) {
 					t.Fatalf("consumer %d row %d: %#v, decode-then-filter gives %#v", i, j, got, want[j])
 				}
 			}
 		}
-		return fmt.Sprintf("%#v %v %v", outs[:4], groupRows(progs[4].part), groupRows(progs[5].part))
+		return fmt.Sprintf("%#v %v %v %#v", outs[:4], groupRows(progs[4].part), groupRows(progs[5].part), outs[6])
 	}
 }

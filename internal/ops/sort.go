@@ -12,9 +12,10 @@
 //
 // A Sort with Limit n (ORDER BY … LIMIT n) keeps the n first rows of the
 // order in a heap while it consumes its input and emits them at the end: no
-// run, no temp file, no sortState. Nothing is produced before the end of
-// input, so an equal-signature packet attaches during the whole input phase
-// by the default rule.
+// run, no temp file, no sortState; a scan below it is handed the first key a
+// row needs to enter the heap, and builds no other. Nothing is produced
+// before the end of input, so an equal-signature packet attaches during the
+// whole input phase by the default rule.
 package ops
 
 import (
@@ -23,9 +24,11 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
+	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/tuple"
 )
@@ -148,10 +151,17 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		}
 		return tuple.CompareAt(a, b, node.Keys)
 	}
-	if node.Limit > 0 {
-		return runTopN(rt, pkt, node.Limit, order)
+	// Rows equal on the keys order by arrival (a Top-N) or run (a merge): the
+	// earlier first, as a stable sort keeps them.
+	rank := func(a, b ranked) int {
+		if c := order(a.t, b.t); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.n, b.n)
 	}
-	less := func(a, b tuple.Tuple) bool { return order(a, b) < 0 }
+	if node.Limit > 0 {
+		return runTopN(rt, pkt, node, rank)
+	}
 
 	// Phase 1a: consume input into sorted runs spilled to temp files — the
 	// packet's (newSpillWriter), dropped after Run however it ends.
@@ -200,7 +210,7 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	// sortState, whose last reader (or the host) drops it.
 	w := newSpillWriter(rt, pkt, "sorted")
 	outName := w.name
-	if err := o.mergeRuns(rt, runNames, ncols, less, w); err != nil {
+	if err := o.mergeRuns(rt, runNames, ncols, rank, w); err != nil {
 		return err
 	}
 	if _, err := w.close(); err != nil {
@@ -218,44 +228,44 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	return o.streamFile(rt, st, pkt)
 }
 
-// topItem is one row a Top-N holds, with its arrival number: among rows
-// equal on the keys the earlier one orders first, so the heap keeps exactly
-// what a stable sort followed by a truncation would.
-type topItem struct {
-	t   tuple.Tuple
-	seq int64
+// ranked is a row with the number that breaks its ties on the keys.
+type ranked struct {
+	t tuple.Tuple
+	n int
 }
 
-// topHeap holds the first rows of the order seen so far with the last of
-// them at the root, the one a better row replaces.
-type topHeap struct {
-	items []topItem
-	order func(a, b tuple.Tuple) int
+// heapOf is a container/heap of items under cmp: items[0] orders first.
+type heapOf[T any] struct {
+	items []T
+	cmp   func(a, b T) int
 }
 
-func (h *topHeap) compare(a, b topItem) int {
-	if c := h.order(a.t, b.t); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
-func (h *topHeap) Len() int           { return len(h.items) }
-func (h *topHeap) Less(i, j int) bool { return h.compare(h.items[i], h.items[j]) > 0 }
-func (h *topHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *topHeap) Push(x interface{}) { h.items = append(h.items, x.(topItem)) }
-func (h *topHeap) Pop() interface{} {
+func (h *heapOf[T]) Len() int           { return len(h.items) }
+func (h *heapOf[T]) Less(i, j int) bool { return h.cmp(h.items[i], h.items[j]) < 0 }
+func (h *heapOf[T]) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *heapOf[T]) Push(x any)         { h.items = append(h.items, x.(T)) }
+func (h *heapOf[T]) Pop() any {
 	it := h.items[len(h.items)-1]
 	h.items = h.items[:len(h.items)-1]
 	return it
 }
 
+// topBound is what a Top-N hands its input scan (core.Packet.SetBound): nil
+// until the heap holds n rows, then the conjunct `first key >= k` (descending;
+// `<= k` ascending) on the key's table column, k the first key of the last row
+// the heap keeps. A row that fails it can never enter the heap; one that ties
+// k may (a later key or nothing decides), so it is kept, and so is a NaN,
+// which ties everything. The scanner loads it once a page; it only tightens.
+type topBound struct{ atomic.Pointer[encCmp] }
+
 // runTopN is Run for a Sort with a limit: the n first rows of the order,
-// emitted in order at end of input.
-func runTopN(rt *core.Runtime, pkt *core.Packet, n int64, order func(a, b tuple.Tuple) int) error {
-	h := &topHeap{order: order}
+// emitted in order at end of input. The heap has the last of them on top,
+// the one a better row replaces.
+func runTopN(rt *core.Runtime, pkt *core.Packet, node *plan.Sort, rank func(a, b ranked) int) error {
+	n, h := int(node.Limit), &heapOf[ranked]{cmp: func(a, b ranked) int { return rank(b, a) }}
+	tighten := handBound(rt, pkt, node)
 	cur := newCursor(pkt.Inputs[0])
-	for seq := int64(0); ; seq++ {
+	for seq := 0; ; seq++ {
 		t, ok, err := cur.next()
 		if err != nil {
 			return err
@@ -266,15 +276,20 @@ func runTopN(rt *core.Runtime, pkt *core.Packet, n int64, order func(a, b tuple.
 		// A kept row is cloned: the input's rows are carved from arena
 		// chunks, and n rows must not keep n chunks alive.
 		switch {
-		case int64(len(h.items)) < n:
-			h.items = append(h.items, topItem{t: t.Clone(), seq: seq})
+		case len(h.items) < n:
+			h.items = append(h.items, ranked{t: t.Clone(), n: seq})
 			heap.Fix(h, len(h.items)-1)
-		case order(t, h.items[0].t) < 0:
-			h.items[0] = topItem{t: t.Clone(), seq: seq}
+		case rank(ranked{t: t, n: seq}, h.items[0]) < 0:
+			h.items[0] = ranked{t: t.Clone(), n: seq}
 			heap.Fix(h, 0)
+		default:
+			continue
+		}
+		if tighten != nil && len(h.items) == n {
+			tighten(h.items[0].t)
 		}
 	}
-	slices.SortFunc(h.items, h.compare)
+	slices.SortFunc(h.items, rank)
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	for _, it := range h.items {
 		if err := em.add(it.t); err != nil {
@@ -284,30 +299,37 @@ func runTopN(rt *core.Runtime, pkt *core.Packet, n int64, order func(a, b tuple.
 	return emitResult(em.flush())
 }
 
-// mergeItem is one head-of-run entry in the k-way merge heap.
-type mergeItem struct {
-	t   tuple.Tuple
-	src int
+// handBound hands node's input its topBound when the scanner serves it page
+// by page — the one rule of core.Packet.handOver decides, and counts, whether
+// it is installed — and returns what publishes the last kept row's first key
+// as the bound, or nil.
+func handBound(rt *core.Runtime, pkt *core.Packet, node *plan.Sort) func(last tuple.Tuple) {
+	project, why := pagedScan(node.Child)
+	if why != core.HandOverInstalled {
+		rt.NoteHandOver(pkt.Query, why)
+		return nil
+	}
+	bound, key, col, op := new(topBound), node.Keys[0], node.Keys[0], expr.CmpLE
+	if pkt.Children[0].SetBound(rt, bound) != core.HandOverInstalled {
+		return nil
+	}
+	if project != nil {
+		col = project[key]
+	}
+	if node.Desc {
+		op = expr.CmpGE
+	}
+	return func(last tuple.Tuple) {
+		if cur := bound.Load(); cur == nil || tuple.Compare(last[key], cur.lit) != 0 {
+			c := colCmp(col, op, last[key])
+			bound.Store(&c)
+		}
+	}
 }
 
-type mergeHeap struct {
-	items []mergeItem
-	less  func(a, b tuple.Tuple) bool
-}
-
-func (h *mergeHeap) Len() int           { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool { return h.less(h.items[i].t, h.items[j].t) }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	it := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return it
-}
-
-func (o *SortOp) mergeRuns(rt *core.Runtime, runNames []string, ncols int, less func(a, b tuple.Tuple) bool, w *spillWriter) error {
+func (o *SortOp) mergeRuns(rt *core.Runtime, runNames []string, ncols int, rank func(a, b ranked) int, w *spillWriter) error {
 	readers := make([]*spillReader, len(runNames))
-	h := &mergeHeap{less: less}
+	h := &heapOf[ranked]{cmp: rank}
 	for i, name := range runNames {
 		readers[i] = newSpillReader(rt.SM.Disk, name, ncols)
 		t, ok, err := readers[i].next()
@@ -315,21 +337,24 @@ func (o *SortOp) mergeRuns(rt *core.Runtime, runNames []string, ncols int, less 
 			return err
 		}
 		if ok {
-			h.items = append(h.items, mergeItem{t: t, src: i})
+			h.items = append(h.items, ranked{t: t, n: i})
 		}
 	}
 	heap.Init(h)
-	for h.Len() > 0 {
-		it := heap.Pop(h).(mergeItem)
+	for len(h.items) > 0 {
+		it := h.items[0]
 		if err := w.add(it.t); err != nil {
 			return err
 		}
-		t, ok, err := readers[it.src].next()
+		t, ok, err := readers[it.n].next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			heap.Push(h, mergeItem{t: t, src: it.src})
+			h.items[0] = ranked{t: t, n: it.n}
+			heap.Fix(h, 0)
+		} else {
+			heap.Pop(h)
 		}
 	}
 	return nil

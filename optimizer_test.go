@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"qpipe"
 	"qpipe/internal/plan"
@@ -289,7 +288,9 @@ func TestAnalyzeAndTableStats(t *testing.T) {
 // its result cancels the query once the limit is out — mid phase-2 stream —
 // and the satellite, which holds the prefix and cannot be re-dispatched,
 // must still receive the rest of the sorted file rather than inherit the
-// host's cancellation.
+// host's cancellation. The satellite arrives while the host is held in its
+// input phase: a bare scan of the table, its result unread, holds the
+// scanner the host's scan rides.
 func TestSortShareSurvivesHostLimit(t *testing.T) {
 	db, err := qpipe.Open(qpipe.Options{PoolPages: 128})
 	if err != nil {
@@ -313,7 +314,14 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 
 	ctx := context.Background()
 	for iter := 0; iter < 5; iter++ {
-		db.SetDiskLatency(15*time.Microsecond, 25*time.Microsecond, 0)
+		pin, err := db.Query(ctx, "SELECT k FROM s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := pin.Next() // its scanner is registered and in flight
+		if err != nil {
+			t.Fatal(err)
+		}
 		host, err := db.Query(ctx, "SELECT k, v FROM s ORDER BY v DESC LIMIT 17000")
 		if err != nil {
 			t.Fatal(err)
@@ -321,6 +329,12 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 		sat, err := db.Query(ctx, "SELECT k, v FROM s ORDER BY v DESC")
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := db.Stats().SharesByOp[plan.OpSort]; got != int64(iter+1) {
+			t.Fatalf("iter %d: %d sort shares, want %d", iter, got, iter+1)
+		}
+		if n, err := pin.Discard(); err != nil || int(n)+len(first) != rows {
+			t.Fatalf("iter %d: the pinning scan: %d rows, %v", iter, int(n)+len(first), err)
 		}
 		// Drain the host first: hitting its limit cancels the host query
 		// while the satellite still depends on the shared sort stream.
@@ -332,7 +346,6 @@ func TestSortShareSurvivesHostLimit(t *testing.T) {
 			t.Fatalf("iter %d: host rows = %d, want 17000", iter, len(got))
 		}
 		n, err := sat.Discard()
-		db.SetDiskLatency(0, 0, 0)
 		if err != nil {
 			t.Fatalf("iter %d: satellite: %v", iter, err)
 		}
