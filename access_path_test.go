@@ -460,9 +460,38 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 					}
 					return rows, err
 				}
-				rows, err := all(db.Query(ctx, st.sql, opts...))
+				// An aggregate over a join runs, with OSP, beside a held scan
+				// of dim that pins the join's build side until the aggregate
+				// has counted what it handed down: the join cannot look before
+				// the fold arrives, whichever goroutine the scheduler runs first.
+				pinned := func(run func() (*qpipe.Result, error)) (*qpipe.Result, error) {
+					if st.loop == "" || !osp {
+						return run()
+					}
+					pin, err := db.Query(ctx, "SELECT label FROM dim", qpipe.WithBatchSize(1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := pin.Next(); err != nil {
+						t.Fatal(err)
+					}
+					for !skHeld(pin) {
+						time.Sleep(100 * time.Microsecond)
+					}
+					res, err := run()
+					for deadline := time.Now().Add(20 * time.Second); err == nil && apHandOvers(res) == 0; time.Sleep(100 * time.Microsecond) {
+						if time.Now().After(deadline) {
+							t.Fatalf("%s [%s]: no hand-over counted after 20 s\n%s", st.sql, how, db.Engine().Runtime().DumpState())
+						}
+					}
+					if _, err := pin.All(); err != nil {
+						t.Fatal(err)
+					}
+					return res, err
+				}
+				rows, err := all(pinned(func() (*qpipe.Result, error) { return db.Query(ctx, st.sql, opts...) }))
 				check("SQL, "+how, rows, err)
-				rows, err = all(built.Run(ctx, opts...))
+				rows, err = all(pinned(func() (*qpipe.Result, error) { return built.Run(ctx, opts...) }))
 				check("builder, "+how, rows, err)
 				wr, err := conn.Query(ctx, st.sql, copts...)
 				if err == nil {
@@ -497,10 +526,10 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 		t.Errorf("%d folds, %d key filters and %d bounds installed, %d hand-overs refused %v: want at least 20 folds, 3 refused, and installed their sum",
 			st.Folds, st.KeyFilters, st.Bounds, refused, st.HandOvers)
 	}
-	// Over a join, one statement at a time, what can occur is installed (the
-	// fold on the join's packet; the join's keys when the fold was late), the
-	// bounded index range nobody hands anything to, and what the scheduler
-	// decides — late, and sealed for a scan that had finished — which is
+	// Over a join, what can occur is installed (the fold on the join's
+	// packet; the join's keys when the fold was late), the bounded index range
+	// nobody hands anything to, and what the scheduler decides — late where
+	// dim was not pinned, and sealed for a scan that had finished — which is
 	// printed, not required.
 	t.Logf("aggregates over a join (SQL and builder runs): %d had pairs added up by the scan; hand-overs %v", foldedThroughJoin, throughJoin)
 	for _, why := range []core.HandOver{core.HandOverInstalled, core.HandOverBoundedIndexRange} {
@@ -508,6 +537,15 @@ func TestAccessPathDoesNotChangeTheAnswer(t *testing.T) {
 			t.Errorf("aggregates over a join: %d hand-overs ended %v and %d runs had pairs added up, want at least 3 of each (%v)", throughJoin[why], why, foldedThroughJoin, throughJoin)
 		}
 	}
+}
+
+// apHandOvers is how many of res's hand-overs have been counted.
+func apHandOvers(res *qpipe.Result) int64 {
+	var n int64
+	for why := range res.Stats().HandOvers {
+		n += res.Stats().HandOvers[why].Load()
+	}
+	return n
 }
 
 // TestIndexLookupsBesideAWriter: point and range lookups through a lazily

@@ -57,9 +57,6 @@ type Options struct {
 	// satellite attachment (0 = the default, 1024; 1 = the strictest, a
 	// satellite attaches until the host's second tuple; negative = unbounded).
 	ReplayWindow int
-	// WorkersPerEngine sizes each µEngine's worker pool (0 = elastic: one
-	// goroutine per packet).
-	WorkersPerEngine int
 	// DisableOptimizer turns off every plan pass — normalization, predicate
 	// pushdown, join ordering, column pruning, access paths: SQL and builder
 	// queries alike run exactly as written, joins in FROM order. An escape
@@ -126,9 +123,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.ReplayWindow != 0 {
 		cfg.ReplayWindow = opts.ReplayWindow
-	}
-	if opts.WorkersPerEngine != 0 {
-		cfg.WorkersPerEngine = opts.WorkersPerEngine
 	}
 	if opts.MaxConcurrentQueries != 0 {
 		cfg.MaxConcurrentQueries = opts.MaxConcurrentQueries

@@ -278,38 +278,98 @@ func TestPacketStateStrings(t *testing.T) {
 	}
 }
 
-func TestFixedWorkerPool(t *testing.T) {
-	// With a fixed pool of 1 worker, packets serialize.
-	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})
-	var active, maxActive int
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	op := &fakeOp{op: "x", run: func(*Runtime, *Packet) error {
-		<-mu
-		active++
-		if active > maxActive {
-			maxActive = active
+// TestHandOverRefusals walks the one hand-over rule (Packet.handOver) on
+// packets outside any dispatch, one prior state at a time: the state decides
+// the reason, in the rule's order — satellite, ever-hosted, sealed, late —
+// and the hand-over bumps that reason's count for its query, and the
+// runtime's count of what it installed only when it installs. A pass is
+// counted where the join took the fold, so only its refusal is.
+func TestHandOverRefusals(t *testing.T) {
+	rt := newTestRuntime(t, &fakeOp{op: "x"})
+	q := newQuery(context.Background(), QueryOptions{})
+	fresh := func() *Packet {
+		p, _ := rt.NewInternalPacket(q, &fakeNode{op: "x", sig: "a"})
+		return p
+	}
+	absorb := func(host, sat *Packet) {
+		if d := host.absorbSatellite(sat); d != ShareAttached {
+			t.Fatalf("absorb: %s", d)
 		}
-		mu <- struct{}{}
-		time.Sleep(5 * time.Millisecond)
-		<-mu
-		active--
-		mu <- struct{}{}
-		return nil
-	}}
-	rt := NewRuntime(mgr, Config{WorkersPerEngine: 1}, []Operator{op})
-	defer rt.Close()
-	var qs []*Query
-	for i := 0; i < 4; i++ {
-		q, _ := rt.Submit(context.Background(), &fakeNode{op: "x", sig: fmt.Sprintf("s%d", i)})
-		qs = append(qs, q)
 	}
-	for _, q := range qs {
-		q.Result.Drain()
-		q.Wait()
+	installs := func() [3]int64 {
+		st := rt.Stats()
+		return [3]int64{st.Folds, st.Bounds, st.KeyFilters}
 	}
-	if maxActive != 1 {
-		t.Fatalf("max concurrent packets with 1 worker: %d", maxActive)
+	type hand struct {
+		name  string
+		do    func(p *Packet, what any) HandOver
+		count int // its installs index; -1: not counted when installed
+	}
+	fold := hand{"SetFold", func(p *Packet, what any) HandOver { return p.SetFold(rt, what) }, 0}
+	bound := hand{"SetBound", func(p *Packet, what any) HandOver { return p.SetBound(rt, what) }, 1}
+	keys := hand{"Narrow", func(p *Packet, what any) HandOver { return p.Narrow(rt, what.(*KeyFilter)) }, 2}
+	pass := hand{"PassFold", func(p *Packet, what any) HandOver { return p.PassFold(rt, what) }, -1}
+	for _, c := range []struct {
+		before string
+		state  func(p *Packet)
+		hand   hand
+		want   HandOver
+	}{
+		{"nothing", func(*Packet) {}, fold, HandOverInstalled},
+		{"nothing", func(*Packet) {}, bound, HandOverInstalled},
+		{"nothing", func(*Packet) {}, keys, HandOverInstalled},
+		{"nothing", func(*Packet) {}, pass, HandOverInstalled},
+		{"absorbed by a host", func(p *Packet) { absorb(fresh(), p) }, fold, HandOverSatellite},
+		{"absorbed by a host", func(p *Packet) { absorb(fresh(), p) }, pass, HandOverSatellite},
+		{"absorbed a satellite", func(p *Packet) { absorb(p, fresh()) }, bound, HandOverEverHosted},
+		{"absorbed a satellite, finished and looked", func(p *Packet) {
+			absorb(p, fresh())
+			p.finish(nil)
+			p.TakeHanded()
+		}, keys, HandOverEverHosted},
+		{"a fold installed", func(p *Packet) { p.SetFold(rt, new(int)) }, keys, HandOverSealed},
+		{"a bound installed and looked", func(p *Packet) {
+			p.SetBound(rt, new(int))
+			p.TakeHanded()
+		}, fold, HandOverSealed},
+		{"finished", func(p *Packet) { p.finish(nil) }, fold, HandOverSealed},
+		{"looked", func(p *Packet) { p.TakeHanded() }, fold, HandOverLate},
+		{"looked", func(p *Packet) { p.TakeHanded() }, pass, HandOverLate},
+		{"looked and refused late", func(p *Packet) {
+			p.TakeHanded()
+			p.SetFold(rt, new(int))
+		}, bound, HandOverLate},
+	} {
+		how := fmt.Sprintf("%s after %s", c.hand.name, c.before)
+		p, what := fresh(), any(&KeyFilter{})
+		c.state(p)
+		was, reasons, counts := p.Handed(), q.Stats.HandOvers[c.want].Load(), installs()
+		if got := c.hand.do(p, what); got != c.want {
+			t.Fatalf("%s: %s, want %s", how, got, c.want)
+		}
+		wantReasons, wantCounts, wantHanded := reasons+1, counts, was
+		if c.want == HandOverInstalled {
+			wantHanded = what
+			if c.hand.count < 0 {
+				wantReasons = reasons
+			} else {
+				wantCounts[c.hand.count]++
+			}
+			// What is installed seals the packet: a later one of its
+			// signature runs on its own.
+			if d := p.absorbSatellite(fresh()); d != ShareHostSealed {
+				t.Errorf("%s: a later packet's attach ended %s, want %s", how, d, ShareHostSealed)
+			}
+		}
+		if got := q.Stats.HandOvers[c.want].Load(); got != wantReasons {
+			t.Errorf("%s: counted %s %d times, want %d", how, c.want, got, wantReasons)
+		}
+		if got := installs(); got != wantCounts {
+			t.Errorf("%s: folds, bounds and key filters installed %v, want %v", how, got, wantCounts)
+		}
+		if got := p.Handed(); got != wantHanded {
+			t.Errorf("%s: handed %v, want %v", how, got, wantHanded)
+		}
 	}
 }
 

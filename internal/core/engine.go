@@ -1,7 +1,8 @@
 // µEngine: the per-operator micro-engine (paper Figure 6a). Each µEngine
-// owns an incoming packet queue, a pool of worker goroutines (the paper's
-// "local thread pool"), and the OSP attach decision that scans in-progress
-// work for overlap whenever a new packet queues up.
+// admits packets, runs every admitted packet on a goroutine of its own (the
+// Go scheduler is the paper's "local thread pool"; admission control bounds
+// the work), and makes the OSP attach decision that scans in-progress work
+// for overlap whenever a new packet arrives.
 package core
 
 import (
@@ -45,28 +46,18 @@ type EngineStats struct {
 	Panics     int64 // operator panics quarantined (packet failed, µEngine kept serving)
 }
 
-// MicroEngine serves one operator type from a queue. Two worker models are
-// supported:
-//
-//   - Fixed pool (workers > 0): the paper's model — a local thread pool of
-//     that many workers serves the queue. A plan that stacks two nodes of
-//     the same type (e.g. a 3-way merge-join) needs at least 2 workers at
-//     that engine or the parent can starve its own child.
-//   - Elastic (workers <= 0, the default): one goroutine per admitted
-//     packet. Goroutines are the natural Go analogue of the paper's
-//     threads; elasticity removes pool-sizing deadlocks while preserving
-//     the admission queue semantics OSP needs.
+// MicroEngine serves one operator type: each admitted packet runs on a
+// goroutine of its own, the Go analogue of the paper's threads. No packet
+// waits for a worker, so a plan that stacks two nodes of one type, or two
+// queries whose packets wait on each other's output, cannot starve on pool
+// size; Config.MaxConcurrentQueries is what bounds the work.
 type MicroEngine struct {
-	rt      *Runtime
-	op      plan.OpType
-	impl    Operator
-	elastic bool
+	rt   *Runtime
+	op   plan.OpType
+	impl Operator
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*Packet
 	inflight map[string][]*Packet // sig -> queued/running host packets
-	closed   bool
 
 	wg sync.WaitGroup
 
@@ -78,18 +69,8 @@ type MicroEngine struct {
 	panics atomic.Int64
 }
 
-func newMicroEngine(rt *Runtime, impl Operator, workers int) *MicroEngine {
-	e := &MicroEngine{rt: rt, op: impl.Op(), impl: impl, inflight: make(map[string][]*Packet)}
-	e.cond = sync.NewCond(&e.mu)
-	if workers <= 0 {
-		e.elastic = true
-		return e
-	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
-	return e
+func newMicroEngine(rt *Runtime, impl Operator) *MicroEngine {
+	return &MicroEngine{rt: rt, op: impl.Op(), impl: impl, inflight: make(map[string][]*Packet)}
 }
 
 // Stats snapshots the engine counters.
@@ -110,10 +91,8 @@ func (e *MicroEngine) Stats() EngineStats {
 // Fan runs fn(ctx, 0..p-1) concurrently on behalf of the running packet pkt:
 // fn(0) on the calling goroutine, the rest as sub-workers of pkt's µEngine —
 // the one way operator code runs on another goroutine. Sub-workers are
-// counted in EngineStats.SubWorkers and waited for by Close, and always run
-// on a fresh goroutine even when the engine uses a fixed pool: a sub-worker
-// queued behind the very packet that spawned it would deadlock against pool
-// sizing.
+// counted in EngineStats.SubWorkers and waited for by Close, each on a fresh
+// goroutine.
 //
 // Every worker's ctx is pkt's query context without its cancel, and is
 // cancelled, with the failure as its cause, as soon as any worker returns an
@@ -194,7 +173,7 @@ func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
 
 // Enqueue admits a packet: OSP overlap check first (paper §4.3: "every time
 // a new packet queues up in a µEngine, we scan the queue with the existing
-// packets to check for overlapping work"), then normal queueing.
+// packets to check for overlapping work"), then a goroutine of its own.
 func (e *MicroEngine) Enqueue(pkt *Packet) {
 	e.enq.Add(1)
 	if e.attach(pkt).Shared() {
@@ -203,18 +182,12 @@ func (e *MicroEngine) Enqueue(pkt *Packet) {
 	pkt.setState(PacketQueued)
 	e.mu.Lock()
 	e.inflight[pkt.Sig] = append(e.inflight[pkt.Sig], pkt)
-	if e.elastic {
-		e.wg.Add(1)
-		e.mu.Unlock()
-		go func() {
-			defer e.wg.Done()
-			e.runPacket(pkt)
-		}()
-		return
-	}
-	e.queue = append(e.queue, pkt)
 	e.mu.Unlock()
-	e.cond.Signal()
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.runPacket(pkt)
+	}()
 }
 
 // attach is the OSP coordinator's one attach decision. Eligible hosts are
@@ -281,25 +254,6 @@ func (e *MicroEngine) removeInflight(pkt *Packet) {
 	}
 }
 
-func (e *MicroEngine) worker() {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if e.closed && len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		pkt := e.queue[0]
-		e.queue = e.queue[1:]
-		e.mu.Unlock()
-
-		e.runPacket(pkt)
-	}
-}
-
 func (e *MicroEngine) runPacket(pkt *Packet) {
 	defer e.removeInflight(pkt)
 	if pkt.Cancelled() {
@@ -316,7 +270,7 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 	pkt.setState(PacketRunning)
 	// Panic quarantine: the packet fails with a typed error, its satellites
 	// are detached and rescued below exactly like the cancel path, and this
-	// worker returns normally so the µEngine keeps serving later packets.
+	// goroutine returns normally so the µEngine keeps serving later packets.
 	err := e.quarantine(e.op, func() error { return e.impl.Run(e.rt, pkt) })
 	e.rt.dropTemps(pkt)
 	if err != nil {
@@ -379,10 +333,4 @@ func (e *MicroEngine) rescueSatellites(pkt *Packet) {
 	}
 }
 
-func (e *MicroEngine) close() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	e.cond.Broadcast()
-	e.wg.Wait()
-}
+func (e *MicroEngine) close() { e.wg.Wait() }

@@ -1,7 +1,7 @@
 // Package core implements the QPipe runtime: the paper's primary
 // contribution (§4). Queries arrive as precompiled plans, are cut into one
 // packet per plan node by the packet dispatcher, and queue up at per-operator
-// micro-engines (µEngines) that serve them with worker pools. On-demand
+// micro-engines (µEngines) that run each on a goroutine of its own. On-demand
 // simultaneous pipelining (OSP) happens at packet admission: a new packet
 // whose encoded argument list matches in-progress work becomes a *satellite*
 // of the in-progress *host* packet and receives the host's output

@@ -23,9 +23,6 @@ type Config struct {
 	// OSP enables on-demand simultaneous pipelining. Disabled, the runtime
 	// is the paper's "Baseline": same engine, no sharing beyond the pool.
 	OSP bool
-	// WorkersPerEngine sizes each µEngine's worker pool; <= 0 selects
-	// elastic mode (a goroutine per packet — see MicroEngine).
-	WorkersPerEngine int
 	// ScanParallelism is the default fan-out of every parallel operator:
 	// unordered table and clustered-index scans split their page range into
 	// that many contiguous partitions served concurrently by scan
@@ -195,7 +192,7 @@ func NewRuntime(s *sm.Manager, cfg Config, operators []Operator) *Runtime {
 		if _, dup := rt.engines[op.Op()]; dup {
 			panic(fmt.Sprintf("core: duplicate operator for %s", op.Op()))
 		}
-		rt.engines[op.Op()] = newMicroEngine(rt, op, cfg.WorkersPerEngine)
+		rt.engines[op.Op()] = newMicroEngine(rt, op)
 	}
 	if cfg.DeadlockInterval > 0 {
 		rt.detector = newDetector(rt, cfg.DeadlockInterval)

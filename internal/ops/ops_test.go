@@ -29,6 +29,12 @@ func testSchema() *tuple.Schema {
 
 func newRT(t *testing.T, n int, cfg core.Config) *core.Runtime {
 	t.Helper()
+	return newRTOver(t, n, cfg, All())
+}
+
+// newRTOver is newRT with the given operators.
+func newRTOver(t *testing.T, n int, cfg core.Config, operators []core.Operator) *core.Runtime {
+	t.Helper()
 	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 32})
 	if _, err := mgr.CreateTable("t", testSchema()); err != nil {
 		t.Fatal(err)
@@ -40,7 +46,7 @@ func newRT(t *testing.T, n int, cfg core.Config) *core.Runtime {
 	if err := mgr.Load("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	rt := core.NewRuntime(mgr, cfg, All())
+	rt := core.NewRuntime(mgr, cfg, operators)
 	t.Cleanup(rt.Close)
 	return rt
 }

@@ -284,8 +284,9 @@ func TestTopNBoundWithASortSatellite(t *testing.T) {
 // A Top-N whose scan packet shares its output is refused the bound, under the
 // reason: absorbed as the satellite of a held scan of its signature (inside
 // that one's replay window), or hosting a scan of its signature that attached
-// while the Top-N waited for the sort µEngine's one worker. The answers stay
-// the iterator engine's and nothing is left out.
+// while the Top-N's own packet was held at the gate in front of the sort
+// µEngine's operator. The answers stay the iterator engine's and nothing is
+// left out.
 func TestTopNBoundRefusedWhenItsScanShares(t *testing.T) {
 	t.Run("satellite", func(t *testing.T) {
 		cfg := core.DefaultConfig()
@@ -306,14 +307,19 @@ func TestTopNBoundRefusedWhenItsScanShares(t *testing.T) {
 	})
 	t.Run("ever-hosted", func(t *testing.T) {
 		cfg := core.DefaultConfig()
-		cfg.ReplayWindow, cfg.WorkersPerEngine = -1, 1
-		rt := newRT(t, 3000, cfg)
-		// A whole sort, its result unread, holds the sort µEngine's worker.
-		sorter, err := rt.Submit(context.Background(), plan.NewSort(plan.NewTableScan("t", testSchema(), nil, nil, false), []int{0}, false))
-		if err != nil {
-			t.Fatal(err)
+		cfg.ReplayWindow = -1
+		// The sort µEngine's operator waits at a gate: the Top-N's packet is
+		// running, and has handed nothing down, until the test opens it.
+		gate, opened := make(chan struct{}), sync.Once{}
+		open := func() { opened.Do(func() { close(gate) }) }
+		operators := All()
+		for i, op := range operators {
+			if op.Op() == plan.OpSort {
+				operators[i] = gatedOp{op, gate}
+			}
 		}
-		eventually(t, "the sort blocked on its unread result", func() bool { return sorter.Result.Snapshot().PutBlocked })
+		rt := newRTOver(t, 3000, cfg, operators)
+		t.Cleanup(open)
 		filter := expr.GE(expr.Col(0), expr.CInt(100))
 		top := topN([]int{2}, true, 10, filter)
 		q, err := rt.Submit(context.Background(), top)
@@ -327,14 +333,27 @@ func TestTopNBoundRefusedWhenItsScanShares(t *testing.T) {
 		if got := rider.Stats.Shares[core.ShareAttached].Load(); got != 1 {
 			t.Fatalf("the plain scan attached %d times to the Top-N's", got)
 		}
-		rows := drainTogether(t, sorter, q, rider)
+		open()
+		rows := drainTogether(t, q, rider)
 		if got := q.Stats.HandOvers[core.HandOverEverHosted].Load(); got != 1 {
 			t.Fatalf("the bound's hand-overs: %v", &q.Stats.HandOvers)
 		}
-		if want := oracleRows(t, rt, top); fmt.Sprint(rows[1]) != fmt.Sprint(want) || len(rows[2]) != 2900 {
-			t.Fatalf("the Top-N: %v, the iterator engine: %v; the plain scan: %d rows", rows[1], want, len(rows[2]))
+		if want := oracleRows(t, rt, top); fmt.Sprint(rows[0]) != fmt.Sprint(want) || len(rows[1]) != 2900 {
+			t.Fatalf("the Top-N: %v, the iterator engine: %v; the plain scan: %d rows", rows[0], want, len(rows[1]))
 		}
 	})
+}
+
+// gatedOp is an operator whose every packet waits for gate to close before it
+// runs.
+type gatedOp struct {
+	core.Operator
+	gate <-chan struct{}
+}
+
+func (g gatedOp) Run(rt *core.Runtime, pkt *core.Packet) error {
+	<-g.gate
+	return g.Operator.Run(rt, pkt)
 }
 
 // Only a scan served page by page is handed a bound: a Top-N over a

@@ -81,21 +81,18 @@ func sameCounts(t *testing.T, what string, got, want map[string]int) {
 // TestAllMixQueriesAgree cross-validates the two engines: every query in
 // the paper's mix must produce identical rows on QPipe and on the iterator
 // engine (they share nothing but the plan and the data) — under the default
-// configuration, under the paper's fixed per-µEngine thread pools, and with
-// the deadlock detector off (the mix is acyclic; go test's timeout is the
-// guard against a hang).
+// configuration, and with the deadlock detector off (the mix is acyclic; go
+// test's timeout is the guard against a hang).
 func TestAllMixQueriesAgree(t *testing.T) {
 	mgr := loadedMix(t, false)
 	oracle := volcano.New(mgr)
-	fixed, undetected := core.DefaultConfig(), core.DefaultConfig()
-	fixed.WorkersPerEngine = 4
+	undetected := core.DefaultConfig()
 	undetected.DeadlockInterval = -1
 	for _, arm := range []struct {
 		name string
 		cfg  core.Config
 	}{
 		{"default", core.DefaultConfig()},
-		{"fixed-worker-pools", fixed},
 		{"deadlock-detector-off", undetected},
 	} {
 		t.Run(arm.name, func(t *testing.T) {

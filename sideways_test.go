@@ -239,9 +239,8 @@ func TestSidewaysKeysInstallOnlyWhereTheyHelp(t *testing.T) {
 // signature of the packet a changes. Every arrival is a state, not a moment:
 // each of held is sent and one batch of its result read — in batches of 16
 // rows, so that even a small table's scan blocks on its full result buffer: it
-// holds what it scans, or the worker it runs on, until the test reads on —,
-// then first, then, once ready holds of a's result, the other (unless a runs
-// solo); then everything is read to the end.
+// holds what it scans until the test reads on —, then first, then, once ready
+// holds of a's result, the other; then everything is read to the end.
 type skArrival struct {
 	how   string
 	opts  qpipe.Options
@@ -249,7 +248,6 @@ type skArrival struct {
 	first string                     // a or b
 	ready func(a *qpipe.Result) bool // nil: nothing to wait for
 	may   []skReasons                // what may become of a's hand-overs
-	solo  bool                       // b is not sent
 }
 
 // skHeld reports whether a statement whose result is not being read has come
@@ -278,10 +276,9 @@ func skPacket(res *qpipe.Result, nth int) *core.Packet {
 // skArrivals runs every arrival at parallelism 1 and 4 on a database of its
 // own (the benchmark's tables, a pool of 16 pages): both answers must be the
 // iterator engine's, a's hand-overs one of the outcomes the arrival allows
-// (check then looks at the two results' other counters; rb is nil when a ran
-// solo), and table read less than twice wherever two scans of it can run side
-// by side.
-func skArrivals(t *testing.T, a, b, table string, arrivals []skArrival, check func(how string, outcome skReasons, ra, rb *qpipe.Result)) {
+// (check then looks at the two results' other counters), and table read less
+// than twice.
+func skArrivals(t *testing.T, a, b, table string, arrivals []skArrival, check func(how string, arr skArrival, outcome skReasons, ra, rb *qpipe.Result)) {
 	t.Helper()
 	ctx := context.Background()
 	for _, arr := range arrivals {
@@ -329,9 +326,7 @@ func skArrivals(t *testing.T, a, b, table string, arrivals []skArrival, check fu
 				}
 			}
 			send(a)
-			if !arr.solo {
-				send(b)
-			}
+			send(b)
 			var wg sync.WaitGroup
 			var mu sync.Mutex
 			for text, res := range results {
@@ -353,10 +348,9 @@ func skArrivals(t *testing.T, a, b, table string, arrivals []skArrival, check fu
 					t.Errorf("%s: %s returned %d rows, want %d", how, text, len(got), len(want[text]))
 				}
 			}
-			check(how, skHandOvers(t, how, results[a], arr.may...), results[a], results[b])
-			// (a late arrival is owed the pages it missed: the scan wraps; one
-			// worker runs two scans one after the other)
-			if reads := db.DiskStats().ByFile["tbl:"+table]; reads < pages || (reads >= 2*pages && arr.opts.WorkersPerEngine != 1) {
+			check(how, arr, skHandOvers(t, how, results[a], arr.may...), results[a], results[b])
+			// (a late arrival is owed the pages it missed: the scan wraps)
+			if reads := db.DiskStats().ByFile["tbl:"+table]; reads < pages || reads >= 2*pages {
 				t.Errorf("%s: %d blocks of %s read for the statements of a %d-page table: no page stream was shared", how, reads, table, pages)
 			}
 		}
@@ -398,10 +392,10 @@ func TestNarrowedScanBesideAPlainOne(t *testing.T) {
 		}
 		outcomes := map[string]int{}
 		skArrivals(t, join, plain, "orders", []skArrival{
-			{"plain held inside its replay window, join", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, refused, false},
-			{"plain held past its replay window, join", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, handed, false},
-			{"orders pinned, join, its scan handed what the join has, plain", qpipe.Options{ReplayWindow: 1}, []string{"SELECT oid FROM orders"}, join, skHandedProbe, handed, false},
-		}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+			{"plain held inside its replay window, join", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, refused},
+			{"plain held past its replay window, join", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, handed},
+			{"orders pinned, join, its scan handed what the join has, plain", qpipe.Options{ReplayWindow: 1}, []string{"SELECT oid FROM orders"}, join, skHandedProbe, handed},
+		}, func(how string, _ skArrival, outcome skReasons, ra, rb *qpipe.Result) {
 			shared := ra.Stats().HostedSatellites.Load()+rb.Stats().HostedSatellites.Load() > 0
 			unbuilt, added := ra.Stats().KeyFilterRows.Load(), ra.Stats().FoldedRows.Load()
 			handedFold := join == folded && outcome[core.HandOverLate]+outcome[core.HandOverSatellite] == 0
@@ -434,13 +428,9 @@ func TestNarrowedScanBesideAPlainOne(t *testing.T) {
 //   - A bare scan of another signature, held, pins the table's scanner; the
 //     aggregate, its fold seen installed; then the plain scan: both ride the
 //     pinned scan, each a consumer of its own.
-//   - The scan µEngine's one worker is held by a scan of another table; the
-//     aggregate — its scan packet waits in the queue, and is handed the fold
-//     there —; then the plain scan, which finds that packet in the queue and
-//     must not become the satellite of a packet that produces no row.
 //
 // In every order both answers are the iterator engine's, and the table is
-// read less than twice wherever two scans of it could run side by side.
+// read less than twice.
 func TestFoldedScanBesideAPlainOne(t *testing.T) {
 	agg, plain := apBenchScans[0], "SELECT amount FROM orders WHERE amount < 500"
 	sigs := apBenchDB(t, qpipe.Options{}, false)
@@ -450,11 +440,10 @@ func TestFoldedScanBesideAPlainOne(t *testing.T) {
 	installed := []skReasons{{core.HandOverInstalled: 1}}
 	seenInstalled := func(a *qpipe.Result) bool { return a.Stats().HandOvers[core.HandOverInstalled].Load() == 1 }
 	skArrivals(t, agg, plain, "orders", []skArrival{
-		{"plain held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}, false},
-		{"plain held past its replay window, aggregate", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, installed, false},
-		{"orders pinned, aggregate, its fold installed, plain", qpipe.Options{}, []string{"SELECT oid FROM orders"}, agg, seenInstalled, installed, false},
-		{"the scan worker held, aggregate, its fold installed, plain", qpipe.Options{WorkersPerEngine: 1}, []string{"SELECT * FROM events"}, agg, seenInstalled, installed, false},
-	}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+		{"plain held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}},
+		{"plain held past its replay window, aggregate", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, nil, installed},
+		{"orders pinned, aggregate, its fold installed, plain", qpipe.Options{}, []string{"SELECT oid FROM orders"}, agg, seenInstalled, installed},
+	}, func(how string, _ skArrival, outcome skReasons, ra, rb *qpipe.Result) {
 		shared := rb.Stats().HostedSatellites.Load() + ra.Stats().HostedSatellites.Load()
 		folded, byPlain := ra.Stats().FoldedRows.Load(), rb.Stats().FoldedRows.Load()
 		if installed := outcome[core.HandOverInstalled] == 1; installed != (folded > 0) || installed == (shared > 0) || byPlain != 0 {
@@ -493,14 +482,16 @@ func skJoinNode(t *testing.T, db *qpipe.DB, text string) plan.Node {
 //     the aggregate, until its join packet shows the fold; then the plain join,
 //     which finds that packet running and must not become the satellite of a
 //     join that will stop producing: it runs its own, and gets every row.
-//   - The group-by µEngine's one worker and customers both held; the aggregate,
-//     whose packet waits in the queue; the plain join, absorbed by the
-//     aggregate's join, which has produced nothing; then, released, the fold
-//     arrives at a join that hosts: refused (ever-hosted), rows flow to both.
-//   - The group-by worker held; the aggregate, alone, until its join has ended
-//     its build and looked — found nothing, and handed its keys down instead;
-//     released, the fold arrives late: refused under that reason and never
-//     counted installed.
+//   - orders pinned the same way, so no probe row flows; the aggregate, until
+//     its join has ended its build, looked, and what became of the fold is
+//     counted — the scheduler decides whether the aggregate's packet handed
+//     it over before the look (installed) or after (late: the join found
+//     nothing, handed its keys down instead, and the fold is refused under
+//     that reason and never counted installed); then the plain join. It finds
+//     the aggregate's join in progress with nothing produced: sealed by the
+//     fold, and the plain join runs its own; or, after a late fold, sealed by
+//     nothing, and the plain join is its satellite. Each probe scan rides the
+//     pinned scanner of orders, and no join waits behind another.
 //
 // In every order the answers are the iterator engine's.
 func TestFoldedJoinBesideAPlainOne(t *testing.T) {
@@ -510,29 +501,31 @@ func TestFoldedJoinBesideAPlainOne(t *testing.T) {
 		t.Fatalf("the aggregate's join and the plain one differ: %s, %s", a, b)
 	}
 	matches, orders := int64(len(skVolcano(t, sigs, cpPlan(t, sigs, plain)))), int64(20000)
-	manyGroups, pin := "SELECT oid, count(*) AS n FROM orders GROUP BY oid", "SELECT balance FROM customers"
+	pin := "SELECT balance FROM customers"
 	foldInJoin := func(a *qpipe.Result) bool {
 		return skPacket(a, 1).Handed() != nil && skPacket(a, -1).Out.Produced() > 1
 	}
-	joinLooked := func(a *qpipe.Result) bool { return a.Stats().HandOvers[core.HandOverInstalled].Load() == 1 }
+	// The join has looked: its probe scan holds its keys and the fold was
+	// refused as late, or holds the fold.
+	joinLooked := func(a *qpipe.Result) bool {
+		_, keys := skPacket(a, -1).Handed().(*core.KeyFilter)
+		return skHandedProbe(a) && (!keys || a.Stats().HandOvers[core.HandOverLate].Load() == 1)
+	}
 	folds := skReasons{core.HandOverInstalled: 1}
 	late := skReasons{core.HandOverInstalled: 1, core.HandOverLate: 1} // the keys went in, the fold came after
 	skArrivals(t, agg, plain, "orders", []skArrival{
-		{"plain join held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}, false},
-		{"plain join held past its replay window, aggregate, its probe scan handed what the join has", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, skHandedProbe, []skReasons{folds, late}, false},
-		{"customers pinned, aggregate, the fold in its join's slot, plain join", qpipe.Options{ReplayWindow: 1}, []string{pin}, agg, foldInJoin, []skReasons{folds}, false},
-		// (the plain join's scan of orders was absorbed by the aggregate's before
-		// its join was: that scan packet has hosted too, and refuses the keys)
-		{"the group-by worker held and customers pinned, aggregate, plain join: the join hosts before the fold arrives", qpipe.Options{WorkersPerEngine: 1}, []string{manyGroups, pin}, agg, nil,
-			[]skReasons{{core.HandOverEverHosted: 2}}, false},
-		// (alone: a second join queued behind this one on the join µEngine's one
-		// worker, its scan riding this one's, would stall the scanner both need)
-		{"the group-by worker held, aggregate until its join has looked: late", qpipe.Options{WorkersPerEngine: 1}, []string{manyGroups}, agg, joinLooked, []skReasons{late}, true},
-	}, func(how string, outcome skReasons, ra, rb *qpipe.Result) {
+		{"plain join held inside its replay window, aggregate", qpipe.Options{ReplayWindow: -1}, []string{plain}, plain, nil, []skReasons{{core.HandOverSatellite: 1}}},
+		{"plain join held past its replay window, aggregate, its probe scan handed what the join has", qpipe.Options{ReplayWindow: 1}, []string{plain}, plain, skHandedProbe, []skReasons{folds, late}},
+		{"customers pinned, aggregate, the fold in its join's slot, plain join", qpipe.Options{ReplayWindow: 1}, []string{pin}, agg, foldInJoin, []skReasons{folds}},
+		{"orders pinned, aggregate until its join has looked, plain join", qpipe.Options{}, []string{"SELECT oid FROM orders"}, agg, joinLooked, []skReasons{folds, late}},
+	}, func(how string, arr skArrival, outcome skReasons, ra, rb *qpipe.Result) {
 		added, unbuilt := ra.Stats().FoldedRows.Load(), ra.Stats().KeyFilterRows.Load()
-		shared := ra.Stats().HostedSatellites.Load() > 0 || (rb != nil && rb.Stats().HostedSatellites.Load() > 0)
+		shared := ra.Stats().HostedSatellites.Load()+rb.Stats().HostedSatellites.Load() > 0
 		throughJoin := maps.Equal(outcome, folds)
-		if (added > 0) != throughJoin || shared != (outcome[core.HandOverSatellite]+outcome[core.HandOverEverHosted] > 0) {
+		// A late fold seals nothing: a plain join sent after it is the
+		// satellite of the aggregate's join, which has produced nothing.
+		afterLate := arr.first == agg && outcome[core.HandOverLate] > 0
+		if (added > 0) != throughJoin || shared != (outcome[core.HandOverSatellite]+outcome[core.HandOverEverHosted] > 0 || afterLate) {
 			t.Errorf("%s: %v: %d pairs added up, one join's output shared %v", how, outcome, added, shared)
 		}
 		if !throughJoin {
@@ -541,8 +534,7 @@ func TestFoldedJoinBesideAPlainOne(t *testing.T) {
 		// Every row of orders was built, a pair added up (cid is unique) or left
 		// out by the bitmap or the compare; every match was a pair added up or a
 		// row the join probed. How many were built before the fold landed is the
-		// scheduler's to decide, even with one scan worker held behind the plain
-		// join's scan: only the two sums are the state's to guarantee.
+		// scheduler's to decide: only the two sums are the state's to guarantee.
 		built, joined := skPacket(ra, -1).Out.Produced(), skPacket(ra, 1).Out.Produced()
 		if added+joined != matches || added+unbuilt+built != orders {
 			t.Errorf("%s: %d pairs added up, %d rows left out, %d built of which %d joined: want the %d matches and %d rows between them",
