@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -227,6 +228,103 @@ func TestQueryCancelAbandonsBuffers(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("cancelled query never finished")
+	}
+}
+
+// TestPortStopSettlesThePacket: an operator that drops every Put result and
+// writes until its loop ends still ends its packet right — the port keeps why
+// it stopped, and the packet's completion reads it. Each consumer's fate is
+// decided while the operator is held after its first Put.
+func TestPortStopSettlesThePacket(t *testing.T) {
+	fault := errors.New("consumer fault")
+	for _, tc := range []struct {
+		name  string
+		leave func(q *Query)
+		want  error
+	}{
+		{"consumer failed hard", func(q *Query) { q.Result.Close(fault) }, fault},
+		{"query cancelled", (*Query).Cancel, context.Canceled},
+		{"consumer abandoned", func(q *Query) { q.Result.Abandon() }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrote, left := make(chan struct{}), make(chan struct{})
+			rt := newTestRuntime(t, &fakeOp{op: "x", run: func(rt *Runtime, pkt *Packet) error {
+				for i := range 50 {
+					_ = pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(int64(i))}})
+					if i == 0 {
+						close(wrote)
+						<-left
+					}
+				}
+				return nil
+			}})
+			q, err := rt.Submit(context.Background(), &fakeNode{op: "x", sig: "a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-wrote
+			tc.leave(q)
+			close(left)
+			if err := q.Wait(); !errors.Is(err, tc.want) {
+				t.Fatalf("query error = %v, want %v", err, tc.want)
+			}
+			if err := q.Root.Err(); !errors.Is(err, tc.want) {
+				t.Fatalf("packet error = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestStoppedPortRefusesASatellite: a host whose only consumer left stops
+// producing. Held between that stopped Put and its return, it is sent a packet
+// of its signature, which must not attach — it would get a clean end after a
+// prefix of the rows — but be refused as window-closed and run on its own.
+func TestStoppedPortRefusesASatellite(t *testing.T) {
+	const rows = 4
+	var runs atomic.Int32
+	wrote, left, stopped, release := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	rt := newTestRuntime(t, &fakeOp{op: "x", run: func(rt *Runtime, pkt *Packet) error {
+		host := runs.Add(1) == 1
+		for i := range rows {
+			if err := pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(int64(i))}}); err != nil {
+				if host {
+					close(stopped)
+					<-release
+				}
+				return err
+			}
+			if host && i == 0 {
+				close(wrote)
+				<-left
+			}
+		}
+		return nil
+	}})
+	node := &fakeNode{op: "x", sig: "same"}
+	q1, err := rt.Submit(context.Background(), node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-wrote
+	q1.Result.Abandon()
+	close(left)
+	<-stopped
+	q2, err := rt.Submit(context.Background(), node)
+	close(release) // the decision was made in Submit
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q2.Stats.Shares[ShareWindowClosed].Load(); got != 1 || q2.Stats.SatelliteAttaches() != 0 {
+		t.Fatalf("decisions: window-closed %d, shares %d; want 1, 0", got, q2.Stats.SatelliteAttaches())
+	}
+	if n, err := q2.Result.Drain(); err != nil || n != rows {
+		t.Fatalf("the refused packet's answer: %d rows, %v; want %d", n, err, rows)
+	}
+	if err := q2.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q1.Wait(); err != nil {
+		t.Fatalf("a host whose consumer left cleanly: %v", err)
 	}
 }
 

@@ -262,28 +262,16 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 		for _, in := range pkt.Inputs {
 			in.Abandon()
 		}
-		cerr := pkt.Query.CancelErr()
-		pkt.Out.Close(cerr)
-		pkt.finish(cerr)
+		pkt.finish(pkt.Query.CancelErr())
 		return
 	}
 	pkt.setState(PacketRunning)
 	// Panic quarantine: the packet fails with a typed error, its satellites
 	// are detached and rescued below exactly like the cancel path, and this
 	// goroutine returns normally so the µEngine keeps serving later packets.
-	err := e.quarantine(e.op, func() error { return e.impl.Run(e.rt, pkt) })
+	err := pkt.settle(e.quarantine(e.op, func() error { return e.impl.Run(e.rt, pkt) }))
 	e.rt.dropTemps(pkt)
 	if err != nil {
-		// A cancelled query tears its buffers down underneath the operator,
-		// so Run surfaces whatever side it tripped over first (an abandoned
-		// input, a dead output port). Normalize to the cancellation error:
-		// the caller cancelled, and that — not the teardown shrapnel — is
-		// the packet's terminal cause. (CancelErr, not ctx.Err(): a packet
-		// legitimately outliving an already-finished query must keep its own
-		// error untouched.)
-		if cerr := pkt.Query.CancelErr(); cerr != nil {
-			err = cerr
-		}
 		e.errs.Add(1)
 	}
 	e.done.Add(1)
@@ -296,7 +284,6 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 	if err != nil || pkt.Cancelled() {
 		e.rescueSatellites(pkt)
 	}
-	pkt.Out.Close(err)
 	pkt.finish(err)
 }
 

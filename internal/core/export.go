@@ -4,6 +4,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -13,11 +14,31 @@ import (
 )
 
 // Complete finishes a packet that an operator served outside the normal
-// engine worker loop — absorbed circular-scan consumers and file-streaming
-// sort satellites complete this way. Idempotent.
-func (p *Packet) Complete(err error) {
-	p.Out.Close(err)
-	p.finish(err)
+// engine worker loop — absorbed circular-scan consumers, file-streaming sort
+// satellites and rescued satellites complete this way — with the terminal
+// error settle makes of err. Idempotent.
+func (p *Packet) Complete(err error) { p.finish(p.settle(err)) }
+
+// settle is the one rule for a packet's terminal error: the operator's own,
+// else why its output port stopped (tbuf.SharedOut.Err). A stop because every
+// consumer left is a clean end, nil; but any error of a packet whose query
+// was cancelled, that stop included, is the query's CancelErr — the
+// teardown's shrapnel is not the cause. (CancelErr, not ctx.Err(): a packet
+// outliving its finished query keeps its own outcome.)
+func (p *Packet) settle(err error) error {
+	if err == nil {
+		err = p.Out.Err()
+	}
+	if err == nil {
+		return nil
+	}
+	if cerr := p.Query.CancelErr(); cerr != nil {
+		return cerr
+	}
+	if errors.Is(err, tbuf.ErrConsumersGone) {
+		return nil
+	}
+	return err
 }
 
 // NoteShare is the sharing ledger's one writer: it counts q's attach decision

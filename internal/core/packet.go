@@ -271,9 +271,10 @@ func (p *Packet) sealSatellites() []*Packet {
 	return slices.Clone(p.satellites)
 }
 
-// finish marks the host done and releases its satellites with the same
-// terminal error.
+// finish ends the packet's stream with its settled terminal error, marks it
+// done and releases its satellites with the same error.
 func (p *Packet) finish(err error) {
+	p.Out.Close(err)
 	st := PacketDone
 	if err != nil {
 		st = PacketCancelled
@@ -596,12 +597,11 @@ func (q *Query) Buffers() []*tbuf.Buffer {
 // returns its terminal error. The result buffer may still hold undrained
 // batches; callers normally Drain first.
 //
-// A cancelled (or timed-out) query tears its buffers down under its
-// operators, so the root packet's recorded error may be buffer-teardown
-// shrapnel rather than the cause; Wait normalizes exactly that shrapnel to
-// the typed cancellation error (CancelErr). Genuine operator errors — a
-// packet that failed before the teardown — are never masked, even when the
-// caller cancels afterwards.
+// Each packet's error was settled against its own query (Packet.settle). A
+// root absorbed as a satellite carries its host's, settled against the
+// host's query; a cancelled query tears its buffers down under that host, so
+// Wait reads the teardown's error (tbuf.ErrAbandoned) as this query's typed
+// cancellation error (CancelErr).
 func (q *Query) Wait() error {
 	root := q.Root
 	for {
@@ -613,7 +613,7 @@ func (q *Query) Wait() error {
 			}
 		}
 		err := root.Err()
-		if err != nil && (errors.Is(err, tbuf.ErrAbandoned) || errors.Is(err, tbuf.ErrConsumersGone)) {
+		if errors.Is(err, tbuf.ErrAbandoned) {
 			if cerr := q.CancelErr(); cerr != nil {
 				return cerr
 			}

@@ -467,29 +467,18 @@ func (rt *Runtime) rescue(sat *Packet) {
 		}
 		buf, _ := rt.DispatchSubtree(sat.Query, sat.Node)
 		rt.mu.Unlock()
-		for {
-			b, err := buf.Get()
-			if err == io.EOF {
-				sat.Complete(nil)
-				return
-			}
-			if err != nil {
-				sat.Complete(err)
-				return
-			}
-			if err := sat.Out.Put(b); err != nil {
-				buf.Abandon()
-				if errors.Is(err, tbuf.ErrConsumersGone) {
-					// The satellite's own consumers are gone — cleanly (its
-					// parent finished early) or because its query was
-					// cancelled, which must surface as the terminal error.
-					sat.Complete(sat.Query.CancelErr())
-					return
-				}
-				sat.Complete(err)
-				return
+		var err error
+		for err == nil {
+			var b tbuf.Batch
+			if b, err = buf.Get(); err == nil {
+				err = sat.Out.Put(b)
 			}
 		}
+		buf.Abandon()
+		if err == io.EOF {
+			err = nil
+		}
+		sat.Complete(err)
 	}()
 }
 

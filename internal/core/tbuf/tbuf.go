@@ -22,6 +22,7 @@ package tbuf
 import (
 	"errors"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -125,12 +126,10 @@ func (p *BatchPool) Put(b Batch) {
 // (its query was cancelled or became a satellite of another packet).
 var ErrAbandoned = errors.New("tbuf: consumer abandoned buffer")
 
-// ErrConsumersGone is returned by SharedOut.Put when every attached consumer
-// has abandoned its buffer — the port's work is wanted by nobody. It is the
-// only SharedOut.Put error an operator may treat as a clean early stop;
-// anything else (a forced close carrying a disk fault, a cancellation
-// surfaced by the emitter) is a real failure and must propagate as the
-// packet's terminal error.
+// ErrConsumersGone is why a SharedOut stopped when every attached consumer
+// abandoned its buffer: the port's work is wanted by nobody. Only the
+// packet's completion in core reads it, as a clean end unless the query was
+// cancelled; a stop for a consumer's hard error keeps that error instead.
 var ErrConsumersGone = errors.New("tbuf: all consumers gone")
 
 // State classifies buffer occupancy for the deadlock detector's Waits-For
@@ -428,6 +427,7 @@ type SharedOut struct {
 	replayValid bool
 	produced    int64
 	closed      bool
+	stop        error // why Put stopped delivering (Err); nil while it has not
 	pool        *BatchPool
 }
 
@@ -454,24 +454,30 @@ func (s *SharedOut) NewBatch(n int) Batch {
 }
 
 // Put pipelines one batch to every attached consumer, blocking on the
-// slowest. Consumers that abandoned their buffer are detached. Put returns
-// ErrConsumersGone only when no consumers remain (the producing operator
-// should then stop — its work is wanted by nobody); a consumer buffer that
-// fails for any other reason (force-closed with an error) propagates that
-// error instead, so real faults are never mistaken for disinterest.
+// slowest. A consumer whose buffer refuses the batch is detached; if it
+// failed hard (a forced close carrying a fault) the port stops with that
+// error, and if it abandoned the buffer and was the last, with
+// ErrConsumersGone. A stopped port keeps why it stopped (Err): every later
+// Put returns that error at once, never blocks, and delivers nothing. A
+// non-nil result means only "stop": the packet's completion reads the reason
+// from the port, so a producer that ignores it wastes work, nothing more.
 //
 // Put consumes the batch's array lease unconditionally — on success it
 // belongs to the primary consumer, on failure Put reclaims it into the
 // pool itself (only Put knows whether the primary enqueued it) — so the
 // caller must not touch the batch afterwards either way.
 func (s *SharedOut) Put(batch Batch) error {
-	if len(batch) == 0 {
-		// Nothing to deliver, but the lease is still consumed (see contract
-		// above): an empty pool-drawn array goes straight back.
-		s.pool.Put(batch)
-		return nil
-	}
 	s.mu.Lock()
+	if s.stop == nil && len(s.outs) == 0 {
+		// Every consumer detached while another producer's Put was in flight.
+		s.stop = ErrConsumersGone
+	}
+	if s.stop != nil || len(batch) == 0 {
+		err := s.stop
+		s.mu.Unlock()
+		s.pool.Put(batch)
+		return err
+	}
 	s.produced += int64(len(batch))
 	if s.replayValid {
 		if s.replayLimit >= 0 && s.produced > int64(s.replayLimit) {
@@ -484,37 +490,24 @@ func (s *SharedOut) Put(batch Batch) error {
 		}
 	}
 	// Fast path: one consumer (the overwhelmingly common case) avoids
-	// snapshotting a targets slice per Put — the lone alive==0 re-check and
-	// detach logic below is shared with the general path.
+	// snapshotting a targets slice per Put.
 	var primary *Buffer
 	var targets []*Buffer
 	if len(s.outs) == 1 {
 		primary = s.outs[0]
 	} else {
-		targets = make([]*Buffer, len(s.outs))
-		copy(targets, s.outs)
+		targets = slices.Clone(s.outs)
 	}
 	s.mu.Unlock()
 
-	if primary == nil && len(targets) == 0 {
-		// Every consumer detached while another producer's Put was in
-		// flight. The lease is still consumed (contract above): reclaim it.
-		s.pool.Put(batch)
-		return s.checkConsumersGone()
-	}
 	if primary != nil {
-		err := primary.Put(batch)
-		if err == nil {
-			return nil
+		if err := primary.Put(batch); err != nil {
+			// The failed Put never enqueued the batch; reclaim its lease (no
+			// caller may use it after Put, success or not).
+			s.pool.Put(batch)
+			return s.drop(primary, err)
 		}
-		// The failed Put never enqueued the batch; reclaim its lease (no
-		// caller may use it after Put, success or not).
-		s.pool.Put(batch)
-		s.detach(primary)
-		if !errors.Is(err, ErrAbandoned) {
-			return err
-		}
-		return s.checkConsumersGone()
+		return nil
 	}
 
 	// Each satellite gets its own (pool-drawn) array over the same immutable
@@ -522,71 +515,58 @@ func (s *SharedOut) Put(batch Batch) error {
 	// BEFORE the primary's Put: that Put hands over the array's lease, and
 	// the primary consumer may legitimately drain and recycle the array
 	// while later copies would still be reading it.
-	var copies []Batch
-	if len(targets) > 1 {
-		copies = make([]Batch, len(targets))
-		for i := 1; i < len(targets); i++ {
-			copies[i] = append(s.pool.GetCap(len(batch)), batch...)
-		}
+	copies := make([]Batch, len(targets))
+	for i := 1; i < len(targets); i++ {
+		copies[i] = append(s.pool.GetCap(len(batch)), batch...)
 	}
-	alive := 0
-	var hardErr error
+	copies[0] = batch // the primary consumer inherits the producer's lease
+	var stop error
 	for i, out := range targets {
-		toSend := batch // the primary consumer inherits the producer's lease
-		if i > 0 {
-			toSend = copies[i]
+		if err := out.Put(copies[i]); err != nil {
+			// The failed Put never enqueued this array; reclaim it.
+			s.pool.Put(copies[i])
+			stop = s.drop(out, err)
 		}
-		if err := out.Put(toSend); err != nil {
-			// The failed Put never enqueued this array (the producer's own
-			// for the primary, this satellite's copy otherwise); reclaim it.
-			s.pool.Put(toSend)
-			s.detach(out)
-			if !errors.Is(err, ErrAbandoned) && hardErr == nil {
-				hardErr = err
-			}
-			continue
-		}
-		alive++
 	}
-	if hardErr != nil {
-		return hardErr
-	}
-	if alive == 0 {
-		return s.checkConsumersGone()
-	}
-	return nil
+	return stop
 }
 
-// checkConsumersGone re-checks under the lock before declaring the port
-// dead: a satellite may have attached while a Put was in flight (its
-// snapshot of targets predates the attach). Such a satellite already
-// received the batch through the replay window at attach time, so the Put
-// succeeded from its point of view.
-func (s *SharedOut) checkConsumersGone() error {
+// drop detaches a consumer whose buffer refused a Put with err and, under the
+// same lock, stops a port that has not stopped yet: with err when the
+// consumer failed hard, with ErrConsumersGone when it abandoned the buffer
+// and no consumer is left. A satellite that attached while the Put was in
+// flight got the batch through the replay window, so it keeps the port going.
+// drop returns why the port stopped, or nil.
+func (s *SharedOut) drop(buf *Buffer, err error) error {
 	s.mu.Lock()
-	stillConsumed := len(s.outs) > 0
-	s.mu.Unlock()
-	if !stillConsumed {
-		return ErrConsumersGone
+	defer s.mu.Unlock()
+	s.outs = slices.DeleteFunc(s.outs, func(o *Buffer) bool { return o == buf })
+	switch {
+	case s.stop != nil:
+	case !errors.Is(err, ErrAbandoned):
+		s.stop = err
+	case len(s.outs) == 0:
+		s.stop = ErrConsumersGone
 	}
-	return nil
+	return s.stop
+}
+
+// Err returns why the port stopped: nil while it has not, the first hard
+// error a consumer's buffer returned, or ErrConsumersGone.
+func (s *SharedOut) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stop
 }
 
 // Detach removes a consumer buffer from the port without closing it. The
 // OSP rescue path uses this to re-home a satellite onto a fresh subtree
 // before a dying host closes its port (which would otherwise propagate the
 // host's terminal error to the satellite).
-func (s *SharedOut) Detach(buf *Buffer) { s.detach(buf) }
-
-func (s *SharedOut) detach(buf *Buffer) {
+func (s *SharedOut) Detach(buf *Buffer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, o := range s.outs {
-		if o == buf {
-			s.outs = append(s.outs[:i], s.outs[i+1:]...)
-			return
-		}
-	}
+	s.outs = slices.DeleteFunc(s.outs, func(o *Buffer) bool { return o == buf })
 }
 
 // SetProducer stamps the producing packet's identity onto every attached
@@ -605,11 +585,13 @@ func (s *SharedOut) SetProducer(id int64) {
 // Attach adds a satellite consumer. If output was already produced, the
 // satellite first receives the replay window — provided it still covers
 // everything produced; otherwise Attach fails (the window of opportunity
-// has expired) and the caller must run the operator independently.
+// has expired) and the caller must run the operator independently. A port
+// that stopped (Err) or closed refuses too: its producer has quit, and a
+// satellite would get a clean end after a prefix of the rows.
 func (s *SharedOut) Attach(buf *Buffer) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || s.stop != nil {
 		return false
 	}
 	if s.produced > 0 {
@@ -661,7 +643,8 @@ func (s *SharedOut) NumConsumers() int {
 }
 
 // PruneDead detaches consumers whose buffers were abandoned and reports
-// whether any live consumer remains. Producers whose stream goes quiet (a
+// whether any live consumer remains; when none does the port stops with
+// ErrConsumersGone, as a Put would. Producers whose stream goes quiet (a
 // scan consumer matching no rows never Puts, so never learns its targets
 // died) use this as an explicit liveness probe.
 func (s *SharedOut) PruneDead() bool {
@@ -674,7 +657,10 @@ func (s *SharedOut) PruneDead() bool {
 		}
 	}
 	s.outs = kept
-	return len(s.outs) > 0
+	if len(kept) == 0 && s.stop == nil {
+		s.stop = ErrConsumersGone
+	}
+	return len(kept) > 0
 }
 
 // Consumers snapshots the attached buffers (deadlock detector edges from a

@@ -281,20 +281,43 @@ func TestSharedOutNegativeReplayKeepsAll(t *testing.T) {
 }
 
 func TestSharedOutDetachOnAbandon(t *testing.T) {
-	primary := New(1024)
-	so := NewSharedOut(primary, 1024)
-	sat := New(1)
-	so.Attach(sat)
-	sat.Abandon()
-	if err := so.Put(batchOf(1)); err != nil {
-		t.Fatalf("put should survive one abandoned consumer: %v", err)
-	}
-	if so.NumConsumers() != 1 {
-		t.Fatalf("abandoned consumer not detached: %d", so.NumConsumers())
-	}
-	primary.Abandon()
-	if err := so.Put(batchOf(2)); err != ErrConsumersGone {
-		t.Fatalf("put with all consumers gone: %v", err)
+	fault := errors.New("disk fault")
+	for _, tc := range []struct {
+		name  string
+		leave func(*Buffer) // how the last consumer leaves
+		want  error         // what every later Put returns, and Err
+	}{
+		{"abandoned", (*Buffer).Abandon, ErrConsumersGone},
+		{"failed hard", func(b *Buffer) { b.Close(fault) }, fault},
+	} {
+		pool := NewBatchPool(1)
+		primary := New(1024)
+		so := NewSharedOut(primary, 1024).UsePool(pool)
+		sat := New(1)
+		so.Attach(sat)
+		sat.Abandon()
+		if err := so.Put(batchOf(1)); err != nil {
+			t.Fatalf("%s: put should survive one abandoned consumer: %v", tc.name, err)
+		}
+		if so.NumConsumers() != 1 || so.Err() != nil {
+			t.Fatalf("%s: abandoned consumer not detached (%d), or the port stopped: %v", tc.name, so.NumConsumers(), so.Err())
+		}
+		tc.leave(primary)
+		for i := range 2 {
+			free := len(pool.free)
+			if err := so.Put(batchOf(2)); err != tc.want {
+				t.Fatalf("%s: put %d after the last consumer left: %v, want %v", tc.name, i, err, tc.want)
+			}
+			if len(pool.free) != free+1 {
+				t.Fatalf("%s: put %d did not take the batch's lease", tc.name, i)
+			}
+		}
+		if err := so.Err(); err != tc.want {
+			t.Fatalf("%s: Err() = %v, want %v", tc.name, err, tc.want)
+		}
+		if so.Attach(New(4)) {
+			t.Fatalf("%s: a stopped port took a satellite", tc.name)
+		}
 	}
 }
 

@@ -10,10 +10,6 @@ func TestLeaseLint(t *testing.T) {
 	RunTest(t, "testdata", LeaseLint, "leaselint")
 }
 
-func TestEmitLint(t *testing.T) {
-	RunTest(t, "testdata", EmitLint, "emitlint")
-}
-
 // TestWALLint loads the heap stand-in plus both halves of the contract:
 // the sm package (mutators legal only in apply functions) and an outside
 // package (mutators never legal).

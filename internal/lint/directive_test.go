@@ -6,12 +6,16 @@ import (
 	"testing"
 )
 
+// otherLint is a test-local third analyzer, so the directive tests can name
+// one analyzer beside the suite's two.
+var otherLint = &Analyzer{Name: "otherlint", Doc: "test stand-in"}
+
 // applyOn parses src as a single-file package and filters diags through its
-// directives with the real analyzer set.
+// directives with the real analyzer set plus otherLint.
 func applyOn(t *testing.T, src string, diags []Diagnostic) []Diagnostic {
 	t.Helper()
 	pkg := mustParse(t, "p.go", src)
-	return ApplyDirectives([]*Package{pkg}, diags, All())
+	return ApplyDirectives([]*Package{pkg}, diags, append(All(), otherLint))
 }
 
 func diagAt(file string, line int, analyzer, msg string) Diagnostic {
@@ -39,11 +43,11 @@ func TestDirectiveSuppressesNextLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	//qpipelint:ignore emitlint error is re-checked by the result collector
+	//qpipelint:ignore otherlint error is re-checked by the result collector
 	_ = 1
 }
 `
-	out := applyOn(t, src, []Diagnostic{diagAt("p.go", 5, "emitlint", "error discarded")})
+	out := applyOn(t, src, []Diagnostic{diagAt("p.go", 5, "otherlint", "error discarded")})
 	if len(out) != 0 {
 		t.Fatalf("standalone directive did not suppress the next line: %v", out)
 	}
@@ -56,10 +60,10 @@ func f() {
 	_ = 1 //qpipelint:ignore leaselint reason here
 }
 `
-	keep := diagAt("p.go", 4, "emitlint", "error discarded")
+	keep := diagAt("p.go", 4, "otherlint", "error discarded")
 	out := applyOn(t, src, []Diagnostic{keep})
-	if len(out) != 1 || out[0].Analyzer != "emitlint" {
-		t.Fatalf("directive for leaselint suppressed an emitlint diagnostic: %v", out)
+	if len(out) != 1 || out[0].Analyzer != "otherlint" {
+		t.Fatalf("directive for leaselint suppressed an otherlint diagnostic: %v", out)
 	}
 }
 
@@ -152,12 +156,12 @@ func TestDirectiveMultipleAnalyzers(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint,emitlint shared ownership documented above
+	_ = 1 //qpipelint:ignore leaselint,otherlint shared ownership documented above
 }
 `
 	diags := []Diagnostic{
 		diagAt("p.go", 4, "leaselint", "batch leaks"),
-		diagAt("p.go", 4, "emitlint", "error discarded"),
+		diagAt("p.go", 4, "otherlint", "error discarded"),
 		diagAt("p.go", 4, "walint", "page mutated outside apply"),
 	}
 	out := applyOn(t, src, diags)

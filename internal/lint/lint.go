@@ -1,12 +1,12 @@
-// Package lint implements qpipe-lint: three static analyzers for the engine
+// Package lint implements qpipe-lint: two static analyzers for the engine
 // invariants the types do not yet make unwritable — the batch-lease protocol
-// (leaselint), the no-error-swallowing emitter idiom (emitlint), and
-// heap-page mutation only in the storage manager's logged apply step
-// (walint). Fan-out, spill-file cleanup and sub-worker contexts need no
-// analyzer: a plan node has no fan-out field, a spill file is created only
-// through its packet, which drops it, and operator code runs on another
-// goroutine only through core.Runtime.Fan or Serve, which hand each worker
-// its context.
+// (leaselint) and heap-page mutation only in the storage manager's logged
+// apply step (walint). Fan-out, spill-file cleanup, sub-worker contexts and
+// output-port errors need no analyzer: a plan node has no fan-out field, a
+// spill file is created only through its packet, which drops it, operator
+// code runs on another goroutine only through core.Runtime.Fan or Serve,
+// which hand each worker its context, and the output port keeps why it
+// stopped, which the packet's completion reads.
 //
 // The package mirrors the golang.org/x/tools/go/analysis vocabulary
 // (Analyzer, Pass, Diagnostic, an analysistest-style test runner) but is

@@ -2,20 +2,10 @@
 // same type and method names, no behavior.
 package tbuf
 
-import (
-	"errors"
-
-	"tuple"
-)
+import "tuple"
 
 // Batch mirrors the engine's leased batch array.
 type Batch = []tuple.Tuple
-
-// ErrConsumersGone mirrors the clean-early-stop sentinel.
-var ErrConsumersGone = errors.New("tbuf: all consumers gone")
-
-// ErrAbandoned mirrors the abandoned-consumer error.
-var ErrAbandoned = errors.New("tbuf: consumer abandoned buffer")
 
 // BatchPool mirrors the runtime batch pool.
 type BatchPool struct{ size int }

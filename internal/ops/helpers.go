@@ -8,7 +8,6 @@
 package ops
 
 import (
-	"errors"
 	"io"
 
 	"qpipe/internal/core"
@@ -20,31 +19,25 @@ import (
 // output port. Batch arrays are leased from the port's pool (see
 // tbuf.BatchPool): a flush hands the array's lease to the primary consumer
 // and the next add draws a fresh one, so the steady-state flush path
-// allocates nothing. A Put failure sticks: every later add/flush repeats it,
-// so an operator that ignores one mid-loop error still reports it at the
-// final flush. When the port reports all consumers gone while the packet's
-// query was cancelled, the emitter surfaces the cancellation error instead —
-// the consumers did not lose interest, the query was killed, and the packet
-// must not finish as a success (see emitResult).
+// allocates nothing. An error from add or flush means only "stop": the port
+// keeps why it stopped, every later Put repeats it at once, and the packet's
+// completion reads it (core.Packet.Complete). So a loop that only emits what
+// it already holds (a Top-N's heap, an aggregate's groups) drops add's error;
+// one that reads input for each row returns it, and stops.
 type emitter struct {
 	out   *tbuf.SharedOut
-	pkt   *core.Packet
 	batch tbuf.Batch
 	size  int
-	err   error
 }
 
 func newEmitter(pkt *core.Packet, batchSize int) *emitter {
 	if batchSize < 1 {
 		batchSize = core.DefaultBatchSize
 	}
-	return &emitter{out: pkt.Out, pkt: pkt, size: batchSize}
+	return &emitter{out: pkt.Out, size: batchSize}
 }
 
 func (e *emitter) add(t tuple.Tuple) error {
-	if e.err != nil {
-		return e.err
-	}
 	if e.batch == nil {
 		e.batch = e.out.NewBatch(e.size)
 	}
@@ -56,37 +49,12 @@ func (e *emitter) add(t tuple.Tuple) error {
 }
 
 func (e *emitter) flush() error {
-	if e.err != nil {
-		return e.err
-	}
 	if len(e.batch) == 0 {
 		return nil
 	}
 	b := e.batch
 	e.batch = nil
-	if err := e.out.Put(b); err != nil {
-		if errors.Is(err, tbuf.ErrConsumersGone) {
-			if cerr := e.pkt.Query.CancelErr(); cerr != nil {
-				err = cerr
-			}
-		}
-		e.err = err
-		return err
-	}
-	return nil
-}
-
-// emitResult converts a terminal emitter error into the operator's return
-// value: the consumers-gone sentinel is a clean early stop (every consumer
-// detached on purpose — absorbed elsewhere, or a parent that finished
-// early), while everything else — cancellation, disk faults, forced closes —
-// propagates as the packet's terminal error. This is the only place
-// operators are allowed to swallow an output-port error.
-func emitResult(err error) error {
-	if errors.Is(err, tbuf.ErrConsumersGone) {
-		return nil
-	}
-	return err
+	return e.out.Put(b)
 }
 
 // cursor reads a buffer one tuple at a time with single-tuple lookahead

@@ -82,7 +82,7 @@ func (ps *pageStream) emitRange(em *emitter, pkt *core.Packet, lo, hi int) error
 			return nil
 		}
 		if err := ps.emit(em, ord); err != nil {
-			return emitResult(err)
+			return err
 		}
 	}
 	return nil
@@ -178,10 +178,10 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 			return err
 		}
 		if err := emitBatch(em, ps.pool, batch); err != nil {
-			return emitResult(err)
+			return err
 		}
 	}
-	return emitResult(em.flush())
+	return em.flush()
 }
 
 func (o *IndexScanOp) key(node *plan.IndexScan) string {
@@ -293,9 +293,9 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
 			return cerr
 		}
-		// The emitter's error is sticky, so an add failure that stopped the
-		// range callback resurfaces here instead of vanishing as a clean EOF.
-		return emitResult(em.flush())
+		// A flush that stopped the range callback stopped the port, which
+		// keeps why: the packet completes with it, never as a clean EOF.
+		return em.flush()
 	}
 	pnos, err := o.leaves(tb)
 	if err != nil {
@@ -318,7 +318,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		if err := ps.emitRange(em, pkt, lo, hi); err != nil || pkt.Cancelled() {
 			return err
 		}
-		return emitResult(em.flush())
+		return em.flush()
 	}
 	// Unordered full clustered scans partition like table scans (leaf order
 	// is irrelevant to their consumers); ordered scans stay single-partition
@@ -393,9 +393,9 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 				out = arena.Project(row, node.Project)
 			}
 			if err := em.add(out); err != nil {
-				return emitResult(err)
+				return err
 			}
 		}
 	}
-	return emitResult(em.flush())
+	return em.flush()
 }

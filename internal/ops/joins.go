@@ -53,9 +53,9 @@ func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	}
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	if err := mergeJoin(newCursor(pkt.Inputs[0]), newCursor(pkt.Inputs[1]), node.LKey, node.RKey, em); err != nil {
-		return emitResult(err)
+		return err
 	}
-	return emitResult(em.flush())
+	return em.flush()
 }
 
 // splitCandidate finds the gated ordered clustered full scan child worth
@@ -137,7 +137,7 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	// Packet 1: suffix of the shared relation ⋈ fresh read of the other.
 	if err := mergeSides(rt, q, idx, sufBuf, node, em); err != nil {
-		return why, emitResult(err)
+		return why, err
 	}
 	// Packet 2: the missed prefix (leaves [0, start)) ⋈ the other side
 	// again (the worst-case second read the cost model accounted for).
@@ -145,9 +145,9 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 	prefix.LeafFrom, prefix.LeafTo = 0, int(start)
 	prefixBuf, _ := rt.DispatchSubtree(q, &prefix)
 	if err := mergeSides(rt, q, idx, prefixBuf, node, em); err != nil {
-		return why, emitResult(err)
+		return why, err
 	}
-	return why, emitResult(em.flush())
+	return why, em.flush()
 }
 
 // mergeSides merges the shared stream, on side sharedIdx, with a fresh read of
@@ -301,10 +301,10 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 				return err
 			}
 			if !ok {
-				return emitResult(em.flush())
+				return em.flush()
 			}
 			if err := probe(em, &arena, t); err != nil {
-				return emitResult(err)
+				return err
 			}
 		}
 	}
@@ -321,7 +321,7 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 		}
 		return em.flush()
 	})
-	return emitResult(err)
+	return err
 }
 
 // partitionedJoin is the hybrid path: partition 0 of the build side stays
@@ -448,10 +448,10 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 		var arena tuple.RowArena
 		if err := feedProbe(func(t tuple.Tuple, h uint64) error { return probeOne(em, &arena, t, h) }); err != nil {
-			return emitResult(err)
+			return err
 		}
 		if err := em.flush(); err != nil {
-			return emitResult(err)
+			return err
 		}
 	} else {
 		err := routeAffine(rt, pkt, par, home,
@@ -468,7 +468,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 				return em.flush()
 			}, feedProbe)
 		if err != nil {
-			return emitResult(err)
+			return err
 		}
 	}
 	for i := 1; i <= parts; i++ {
@@ -525,7 +525,7 @@ func (o *HashJoinOp) partitionedJoin(rt *core.Runtime, pkt *core.Packet, node *p
 		}
 		return em.flush()
 	})
-	return emitResult(err)
+	return err
 }
 
 // probeTable emits probe row t, whose key hashes to h, joined with every
@@ -618,13 +618,13 @@ func (*NLJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 			return err
 		}
 		if !ok {
-			return emitResult(em.flush())
+			return em.flush()
 		}
 		for _, in := range inner {
 			joined := arena.Concat(t, in)
 			if node.Pred == nil || node.Pred.Test(joined) {
 				if err := em.add(joined); err != nil {
-					return emitResult(err)
+					return err
 				}
 			}
 		}

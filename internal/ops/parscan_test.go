@@ -35,20 +35,26 @@ func (f fakeSource) pinPage(int64) (*buffer.Frame, *buffer.Layout, bool, error) 
 
 func TestPartitionBoundaries(t *testing.T) {
 	for _, tc := range []struct {
-		pages int64
-		par   int
-		want  int // expected partition count after clamping
+		pages  int64
+		par    int
+		frames int // the buffer pool's capacity
+		want   int // expected partition count after clamping
 	}{
-		{100, 4, 4},
-		{100, 1, 1},
-		{3, 8, 3},    // clamp to page count
-		{0, 4, 1},    // empty source keeps one (empty) partition
-		{7, 3, 3},    // uneven split
-		{100, -2, 1}, // negative = serial
+		{100, 4, 1024, 4},
+		{100, 1, 1024, 1},
+		{3, 8, 1024, 3},    // clamp to page count
+		{0, 4, 1024, 1},    // empty source keeps one (empty) partition
+		{7, 3, 1024, 3},    // uneven split
+		{100, -2, 1024, 1}, // negative = serial
+		{100, 64, 32, 16},  // clamp to half the pool's frames
+		{100, 4, 32, 4},    // olap_shared_io's shape: unclamped
+		{100, 8, 9, 4},     // an odd frame count rounds down
+		{100, 4, 3, 1},     // a pool of a few frames scans serially
+		{100, 4, 1, 1},     // even a one-frame pool keeps one partition
 	} {
-		s := newScanner(1, fakeSource{n: tc.pages}, true, tc.par)
+		s := newScanner(1, fakeSource{n: tc.pages}, true, tc.par, tc.frames)
 		if len(s.parts) != tc.want {
-			t.Fatalf("pages=%d par=%d: %d partitions, want %d", tc.pages, tc.par, len(s.parts), tc.want)
+			t.Fatalf("pages=%d par=%d frames=%d: %d partitions, want %d", tc.pages, tc.par, tc.frames, len(s.parts), tc.want)
 		}
 		// Partitions must tile [0, pages) contiguously and disjointly.
 		var next int64
@@ -63,7 +69,7 @@ func TestPartitionBoundaries(t *testing.T) {
 		}
 	}
 	// Ordered scans are forced serial regardless of the knob.
-	if s := newScanner(1, fakeSource{n: 100}, false, 8); len(s.parts) != 1 {
+	if s := newScanner(1, fakeSource{n: 100}, false, 8, 1024); len(s.parts) != 1 {
 		t.Fatalf("ordered scan got %d partitions", len(s.parts))
 	}
 }
@@ -372,7 +378,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		}
 		src := heapSource{f: rt.SM.MustTable("t").Heap}
 		pkt, buf := rt.NewInternalPacket(carrier, node)
-		s := newScanner(pkt.ID, src, true, par)
+		s := newScanner(pkt.ID, src, true, par, rt.SM.Pool.Capacity())
 		s.pool = rt.BatchPool()
 		if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 			t.Fatal("attach refused")
@@ -821,7 +827,7 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		carrier, _ := startBlockedScan(t, rt) // the packets need a live query to belong to
 		node := plan.NewTableScan("t", testSchema(), nil, nil, false)
 		heap := heapSource{f: rt.SM.MustTable("t").Heap}
-		s := newScanner(0, heap, true, 2)
+		s := newScanner(0, heap, true, 2, rt.SM.Pool.Capacity())
 		s.src = corruptSource{heapSource: heap, bad: s.parts[part].lo + 1}
 		s.pool = rt.BatchPool()
 		host, hostBuf := rt.NewInternalPacket(carrier, node)

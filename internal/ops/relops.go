@@ -40,11 +40,11 @@ func (*FilterOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 			return err
 		}
 		if !ok {
-			return emitResult(em.flush())
+			return em.flush()
 		}
 		if node.Pred.Test(t) {
 			if err := em.add(t); err != nil {
-				return emitResult(err)
+				return err
 			}
 		}
 	}
@@ -71,14 +71,14 @@ func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 			return err
 		}
 		if !ok {
-			return emitResult(em.flush())
+			return em.flush()
 		}
 		out := arena.Make(len(node.Exprs))
 		for i, e := range node.Exprs {
 			out[i] = e.Eval(t)
 		}
 		if err := em.add(out); err != nil {
-			return emitResult(err)
+			return err
 		}
 	}
 }
@@ -240,11 +240,9 @@ func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggS
 		for i, st := range total.states[g] {
 			row[len(key)+i] = st.Result()
 		}
-		if err := em.add(row); err != nil {
-			return emitResult(err)
-		}
+		_ = em.add(row) // the groups are in hand: a stop wastes the rest, the port keeps why
 	}
-	return emitResult(em.flush())
+	return em.flush()
 }
 
 // pagedScan reports whether n is a scan the scanner serves page by page — a
@@ -330,10 +328,8 @@ func (*UpdateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		return err
 	}
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-	if err := em.add(tuple.Tuple{tuple.I64(n)}); err != nil {
-		return emitResult(err)
-	}
-	return emitResult(em.flush())
+	_ = em.add(tuple.Tuple{tuple.I64(n)}) // the port keeps why it stopped
+	return em.flush()
 }
 
 // StageMutation stages one plan.Update node's effect into tx, returning the

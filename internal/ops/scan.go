@@ -19,7 +19,6 @@ package ops
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sync"
 
@@ -91,14 +90,17 @@ type scanner struct {
 }
 
 // newScanner builds a scan group over src split into up to parallelism
-// contiguous partitions. Ordered (non-circular) scans are forced to a single
-// partition: interleaved partition output would break page order.
-func newScanner(hostID int64, src pageSource, circular bool, parallelism int) *scanner {
+// contiguous partitions, at most one a page and half as many as the buffer
+// pool has frames: each partition's worker pins a page at a time, and the
+// other half is left for every other pin. Ordered (non-circular) scans are
+// forced to a single partition: interleaved partition output would break
+// page order.
+func newScanner(hostID int64, src pageSource, circular bool, parallelism, frames int) *scanner {
 	n := src.numPages()
 	if !circular {
 		parallelism = 1
 	}
-	parallelism = int(max(1, min(int64(parallelism), n)))
+	parallelism = int(max(1, min(int64(parallelism), n, int64(frames/2))))
 	s := &scanner{hostID: hostID, src: src, n: n, circular: circular}
 	s.cond = sync.NewCond(&s.mu)
 	for k, p := int64(0), int64(parallelism); k < p; k++ {
@@ -318,16 +320,10 @@ func (s *scanner) runPartition(k int) error {
 // a clean EOF.
 func (s *scanner) deliver(c *scanConsumer, k int, out tbuf.Batch) {
 	if len(out) > 0 {
-		if err := s.put(c, out); err != nil {
-			if errors.Is(err, tbuf.ErrConsumersGone) || errors.Is(err, tbuf.ErrAbandoned) {
-				// Consumer gone (query cancelled or absorbed elsewhere):
-				// a clean early stop for this packet.
-				s.detach(c, nil)
-			} else {
-				// Hard failure delivering pages: surface it on the
-				// consumer's packet instead of reporting a clean stop.
-				s.detach(c, err)
-			}
+		if s.put(c, out) != nil {
+			// The port stopped and keeps why: the packet's completion
+			// reads it, a clean end or the consumer's failure.
+			s.detach(c, nil)
 			return
 		}
 	} else if c.pkt.Cancelled() && !c.pkt.Out.PruneDead() {
@@ -450,7 +446,7 @@ func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, new
 func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordered bool, src pageSource, par int) error {
 	pkt, op := c.pkt, c.pkt.Node.Op()
 	newGroup := func() *scanner {
-		s := newScanner(pkt.ID, src, !ordered, par)
+		s := newScanner(pkt.ID, src, !ordered, par, rt.SM.Pool.Capacity())
 		s.pool = rt.BatchPool()
 		return s
 	}

@@ -21,13 +21,11 @@ package ops
 import (
 	"cmp"
 	"container/heap"
-	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"qpipe/internal/core"
-	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/tuple"
@@ -115,9 +113,6 @@ func (o *SortOp) streamFile(rt *core.Runtime, st *sortState, pkt *core.Packet) e
 			return err
 		}
 		if err := pkt.Out.Put(rows); err != nil {
-			if errors.Is(err, tbuf.ErrConsumersGone) {
-				return pkt.Query.CancelErr()
-			}
 			return err
 		}
 	}
@@ -292,11 +287,9 @@ func runTopN(rt *core.Runtime, pkt *core.Packet, node *plan.Sort, rank func(a, b
 	slices.SortFunc(h.items, rank)
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	for _, it := range h.items {
-		if err := em.add(it.t); err != nil {
-			return emitResult(err)
-		}
+		_ = em.add(it.t) // the heap is in hand: a stop wastes the rest, the port keeps why
 	}
-	return emitResult(em.flush())
+	return em.flush()
 }
 
 // handBound hands node's input its topBound when the scanner serves it page
