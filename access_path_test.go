@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -776,6 +777,49 @@ func apBenchDB(t *testing.T, opts qpipe.Options, indexOrders bool) *qpipe.DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// TestPointLookupAllocatesAboutOneRow: a point lookup that keeps one row
+// allocates about one row's worth, not a chunk per worker. The benchmark's
+// two point lookups, the table scan of accounts and the index scan of
+// orders, each run 200 times at P=2; the bytes allocated per query must stay
+// under 64 KiB.
+func TestPointLookupAllocatesAboutOneRow(t *testing.T) {
+	db := apBenchDB(t, qpipe.Options{}, true)
+	ctx := context.Background()
+	for _, c := range []struct{ name, text, plan string }{
+		{"table-scan", "SELECT bal FROM accounts WHERE aid = %d", "TableScan accounts"},
+		{"index-scan", "SELECT amount FROM orders WHERE oid = %d", "IndexScan orders.oid"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if ex := apExplain(t, db, fmt.Sprintf(c.text, 17)); !strings.Contains(ex, c.plan) {
+				t.Fatalf("plan is not a %s:\n%s", c.plan, ex)
+			}
+			query := func(key int) {
+				res, err := db.Query(ctx, fmt.Sprintf(c.text, key), qpipe.WithParallelism(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows, err := res.All()
+				if err != nil || len(rows) != 1 {
+					t.Fatalf("key %d: %d rows, err %v", key, len(rows), err)
+				}
+			}
+			query(0) // warm the pool and the plan cache out of the count
+			const n = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := range n {
+				query(17 + i)
+			}
+			runtime.ReadMemStats(&after)
+			perQuery := (after.TotalAlloc - before.TotalAlloc) / n
+			t.Logf("%s: %d bytes allocated per query", c.name, perQuery)
+			if perQuery >= 64<<10 {
+				t.Fatalf("%s point lookup allocates %d bytes per query, want under 64 KiB", c.name, perQuery)
+			}
+		})
+	}
 }
 
 // TestAccessPathPlanGoldens pins which plans get an index on the benchmark's

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -419,9 +418,10 @@ Project 1 exprs
 
 // TestPrunedScansShareOnePageStream: the benchmark's scan_agg and
 // join_groupby statements read different columns of orders — cols=[amount]
-// and cols=[cust amount] — so their scan signatures differ; in flight together
-// on a slow disk with a pool too small to hold the table, they still ride one
-// circular scan, each with its own row program.
+// and cols=[cust amount] — so their scan signatures differ; in flight
+// together with a pool too small to hold the table, they still ride one
+// circular scan, each with its own row program. An unread bare scan of a
+// third column pins the scan while both statements arrive.
 func TestPrunedScansShareOnePageStream(t *testing.T) {
 	ctx := context.Background()
 	db := apBenchDB(t, qpipe.Options{PoolPages: 16}, false)
@@ -431,41 +431,45 @@ func TestPrunedScansShareOnePageStream(t *testing.T) {
 	if err := db.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	db.SetDiskLatency(time.Millisecond, time.Millisecond, 0)
-	defer db.SetDiskLatency(0, 0, 0)
 	db.ResetDiskStats()
 
-	var attaches [2]int64
-	run := func(i int, text string) {
+	query := func(text string) *qpipe.Result {
+		t.Helper()
 		res, err := db.Query(ctx, text, qpipe.WithParallelism(1))
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
+		return res
+	}
+	held := query("SELECT oid FROM orders")
+	if _, err := held.Next(); err != nil { // mid-scan, and held there
+		t.Fatal(err)
+	}
+	results := []*qpipe.Result{query(apBenchScans[0]), query(apBenchScans[2])}
+	// Wait (at most ten seconds) until both have attached before the hold
+	// is released.
+	attached := func() int64 {
+		return results[0].Stats().SatelliteAttaches() + results[1].Stats().SatelliteAttaches()
+	}
+	for deadline := time.Now().Add(10 * time.Second); attached() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := held.Discard(); err != nil { // release the hold
+		t.Fatal(err)
+	}
+	var attaches [2]int64
+	for i, res := range results {
 		if _, err := res.Discard(); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
 		attaches[i] = res.Stats().SatelliteAttaches()
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		run(0, apBenchScans[0])
-	}()
-	// The second statement is sent once the first one's scan is reading
-	// pages, a hundred and more milliseconds before it ends.
-	for deadline := time.Now().Add(10 * time.Second); db.DiskStats().Reads < 2 && time.Now().Before(deadline); {
-		time.Sleep(200 * time.Microsecond)
-	}
-	run(1, apBenchScans[2])
-	wg.Wait()
 	if attaches[0]+attaches[1] < 1 {
-		t.Errorf("neither statement attached to the other's scan: %v", attaches)
+		t.Errorf("neither statement attached to a shared scan: %v", attaches)
 	}
 	pages := cpHeapPages(t, db, "orders")
 	if reads := db.DiskStats().Reads; reads >= 2*pages {
-		t.Errorf("%d blocks read for two scans of a %d-page table: no page stream was shared", reads, pages)
+		t.Errorf("%d blocks read for three scans of a %d-page table: no page stream was shared", reads, pages)
 	}
 }
 

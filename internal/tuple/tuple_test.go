@@ -336,6 +336,27 @@ func TestRowArena(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { b.Make(4) }); allocs > 0.1 {
 		t.Fatalf("arena Make allocates %.3f allocs/op, want amortized ~1/chunk", allocs)
 	}
+	// A fresh arena's first chunk is about its first row, not the cap.
+	var f RowArena
+	f.Make(1)
+	if got := cap(f.chunk); got > arenaFirstChunk {
+		t.Fatalf("first chunk after Make(1) holds %d values, want at most %d", got, arenaFirstChunk)
+	}
+	// Each later chunk doubles, up to the cap, and stays there.
+	want := cap(f.chunk)
+	for range 12 {
+		f.Make(cap(f.chunk) - len(f.chunk)) // fill the chunk
+		f.Make(1)                           // the next carve opens a new one
+		want = min(2*want, arenaChunkValues)
+		if got := cap(f.chunk); got != want {
+			t.Fatalf("chunk holds %d values, want %d", got, want)
+		}
+	}
+	// A carve above the cap gets exactly its size.
+	big := f.Make(arenaChunkValues + 7)
+	if len(big) != arenaChunkValues+7 || cap(big) != arenaChunkValues+7 || cap(f.chunk) != arenaChunkValues+7 {
+		t.Fatalf("carve of %d: row len %d cap %d, chunk cap %d", arenaChunkValues+7, len(big), cap(big), cap(f.chunk))
+	}
 }
 
 func TestDecodeArenaMatchesDecode(t *testing.T) {

@@ -105,6 +105,16 @@ func (r *Result) Next() ([]Row, error) {
 	return b, nil
 }
 
+// ready reports whether Next would return without waiting: a batch is
+// queued, or the stream has ended one way or another.
+func (r *Result) ready() bool {
+	if r.q == nil || r.limitHit || r.limit == 0 {
+		return true
+	}
+	s := r.q.Result.Snapshot()
+	return s.Queued > 0 || s.Closed || s.Abandoned
+}
+
 // Recycle returns a batch array obtained from Next to the engine's pool
 // (no-op in materialized mode). Rows copied or retained from the batch stay
 // valid; only the carrier array is recycled. Callers driving Next directly —

@@ -2,16 +2,18 @@
 // connection, and one qpipe.Session per connection (SET statements arriving
 // as Query frames adjust it), translating wire frames into the embedded
 // API. The interesting part is the row streamer: result batches come out of
-// Result.Next carrying the engine's array lease, get encoded straight onto
-// the wire (rows are already in the page layer's binary form — no per-tuple
-// conversion or allocation), and the array goes back to the engine pool via
-// Result.Recycle. The paper's multi-query concurrency — the traffic OSP
+// Result.Next carrying the engine's array lease, each row is encoded into
+// the frame (wire.AppendRowBatch, the page layer's binary form), and the
+// array goes back to the engine pool via Result.Recycle. Frames queue in one
+// buffered writer per connection, flushed only when the handler is about to
+// wait. The paper's multi-query concurrency — the traffic OSP
 // needs to pay off — thus arrives over real sockets, while admission
 // control, statement timeouts and graceful drain (PR 8) govern it
 // engine-side.
 package qpipe
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -236,11 +238,21 @@ func (s *Server) untrack(c net.Conn) {
 
 // ---- Per-connection handler --------------------------------------------------
 
-// serverConn is the per-connection state: the socket, its session, its
-// prepared statements, and the reusable encode/decode buffers.
+// connWriteBuffer is the size of a connection's write buffer: a whole
+// point-lookup reply and a few row batches of a stream fit in it.
+const connWriteBuffer = 16 << 10
+
+// serverConn is the per-connection state: the socket with its buffered
+// reader and writer, its session, its prepared statements, and the reusable
+// encode buffer.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
+	// r is the socket's one reader (the handshake's, then readLoop's), so
+	// a request frame costs one read. w queues the handler's frames; it is
+	// flushed only before the handler waits (see stream and run).
+	r *bufio.Reader
+	w *bufio.Writer
 
 	sess  Session
 	stmts map[uint32]*Query
@@ -258,8 +270,8 @@ type serverConn struct {
 	frames  chan frame
 	readErr error
 
-	// encBuf and writes: frames are encoded into encBuf and written by the
-	// handler goroutine only.
+	// encBuf: frames are encoded into encBuf, header first (c.frame), and
+	// written by the handler goroutine only.
 	encBuf []byte
 }
 
@@ -284,6 +296,9 @@ func (s *Server) handle(conn net.Conn) {
 	c := &serverConn{
 		srv:    s,
 		conn:   conn,
+		r:      bufio.NewReader(conn),
+		w:      bufio.NewWriterSize(conn, connWriteBuffer),
+		encBuf: make([]byte, 0, 512),
 		stmts:  make(map[uint32]*Query),
 		ctx:    ctx,
 		cancel: cancel,
@@ -303,6 +318,7 @@ func (s *Server) handle(conn net.Conn) {
 			s.logf("conn %s: %v", conn.RemoteAddr(), err)
 		}
 	}
+	c.w.Flush() // best-effort: a refusal or a protocol error's frame
 }
 
 // run performs the handshake then serves requests until the peer quits,
@@ -317,6 +333,11 @@ func (c *serverConn) run() error {
 	// query rather than leaving it producing into a dead socket.
 	go c.readLoop()
 	for {
+		// The handler is about to wait for a request: what it queued (the
+		// Welcome, or the last request's whole reply) goes out now.
+		if err := c.w.Flush(); err != nil {
+			return err
+		}
 		var f frame
 		var ok bool
 		select {
@@ -355,9 +376,8 @@ func (c *serverConn) run() error {
 // not a silent close.
 func (c *serverConn) handshake() error {
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	t, payload, buf, err := wire.ReadFrame(c.conn, nil)
+	t, payload, _, err := wire.ReadFrame(c.r, nil)
 	c.conn.SetReadDeadline(time.Time{})
-	c.encBuf = buf[:0]
 	if err != nil {
 		return err
 	}
@@ -379,7 +399,7 @@ func (c *serverConn) handshake() error {
 		return fmt.Errorf("connection limit reached (%d): %s refused", max, c.conn.RemoteAddr())
 	}
 	w := wire.Welcome{Version: wire.ProtocolVersion, Banner: c.srv.opts.Banner}
-	return c.send(wire.MsgWelcome, w.Encode(c.encBuf[:0]))
+	return c.send(wire.MsgWelcome, w.Encode(c.frame()))
 }
 
 // readLoop reads frames off the socket, copies their payloads (the handler
@@ -387,7 +407,7 @@ func (c *serverConn) handshake() error {
 func (c *serverConn) readLoop() {
 	var buf []byte
 	for {
-		t, payload, b, err := wire.ReadFrame(c.conn, buf)
+		t, payload, b, err := wire.ReadFrame(c.r, buf)
 		buf = b
 		if err != nil {
 			c.readErr = err
@@ -513,7 +533,7 @@ func (c *serverConn) servePrepare(p wire.Prepare) error {
 	}
 	c.stmts[id] = q
 	msg := wire.Prepared{ID: id, Desc: rowDesc(q.Schema())}
-	return c.send(wire.MsgPrepared, msg.Encode(c.encBuf[:0]))
+	return c.send(wire.MsgPrepared, msg.Encode(c.frame()))
 }
 
 // serveExecute runs a prepared statement.
@@ -582,20 +602,31 @@ func (c *serverConn) serveStats() error {
 	for why, n := range es.Shares {
 		msg.Stats = append(msg.Stats, wire.Stat{Name: "share." + ShareDecision(why).String(), Value: n})
 	}
-	return c.send(wire.MsgStatsResult, msg.Encode(c.encBuf[:0]))
+	return c.send(wire.MsgStatsResult, msg.Encode(c.frame()))
 }
 
 // stream sends a result as RowDesc, RowBatch*, Complete — the lease-safe
-// hand-off: each batch array from Next is encoded onto the wire (rows are
-// already in tuple binary form; no per-tuple conversion) and immediately
-// recycled into the engine's pool. A MsgCancel arriving between batches
-// aborts the query; the client then sees its terminal error frame.
+// hand-off: each row of a batch from Next is encoded into a RowBatch frame
+// (wire.AppendRowBatch) and the array is recycled into the engine's pool at
+// once. Frames queue in c.w, which is flushed only before a wait: before a
+// Next that has nothing ready (so RowDesc and the batches so far are on the
+// wire while the engine works) and, by run, at the end of the reply. A
+// one-row reply therefore costs at most three writes: RowDesc before the
+// wait for the batch, the batch before the wait for the end, Complete. A
+// MsgCancel arriving between batches aborts the query; the client then sees
+// its terminal error frame.
 func (c *serverConn) stream(res *Result) error {
-	desc := rowDesc(res.Schema())
-	if err := c.send(wire.MsgRowDesc, desc.Encode(c.encBuf[:0])); err != nil {
+	// fail gives up on a connection that cannot be written to: cancel and
+	// fully drain the query so every lease, lock and temp file is released
+	// before we hang up.
+	fail := func(err error) error {
 		res.Cancel()
 		drainResult(res)
 		return err
+	}
+	desc := rowDesc(res.Schema())
+	if err := c.send(wire.MsgRowDesc, desc.Encode(c.frame())); err != nil {
+		return fail(err)
 	}
 	var rows int64
 	for {
@@ -607,12 +638,15 @@ func (c *serverConn) stream(res *Result) error {
 			if ok && f.t == wire.MsgCancel {
 				res.Cancel()
 			} else if ok {
-				res.Cancel()
-				drainResult(res)
-				return &wire.ProtocolError{Reason: fmt.Sprintf(
-					"%s frame while a result was streaming", f.t)}
+				return fail(&wire.ProtocolError{Reason: fmt.Sprintf(
+					"%s frame while a result was streaming", f.t)})
 			}
 		default:
+		}
+		if !res.ready() {
+			if err := c.w.Flush(); err != nil {
+				return fail(err)
+			}
 		}
 		b, err := res.Next()
 		if err == io.EOF {
@@ -624,17 +658,11 @@ func (c *serverConn) stream(res *Result) error {
 		if err != nil {
 			return c.sendError(err)
 		}
-		payload := wire.AppendRowBatch(c.encBuf[:0], b)
+		frame := wire.AppendRowBatch(c.frame(), b)
 		rows += int64(len(b))
 		res.Recycle(b)
-		werr := wire.WriteFrame(c.conn, wire.MsgRowBatch, payload)
-		c.encBuf = payload[:0]
-		if werr != nil {
-			// Client gone mid-stream: cancel and fully drain so every
-			// lease, lock and temp file is released before we hang up.
-			res.Cancel()
-			drainResult(res)
-			return werr
+		if err := c.send(wire.MsgRowBatch, frame); err != nil {
+			return fail(err)
 		}
 		c.srv.batchesSent.Add(1)
 		c.srv.rowsSent.Add(int64(len(b)))
@@ -664,23 +692,40 @@ func rowDesc(s *Schema) wire.RowDesc {
 	return wire.RowDesc{Cols: cols}
 }
 
-// send writes one frame (the payload normally lives in c.encBuf).
-func (c *serverConn) send(t wire.MsgType, payload []byte) error {
-	err := wire.WriteFrame(c.conn, t, payload)
-	if cap(payload) > cap(c.encBuf) {
-		c.encBuf = payload[:0]
+// frame starts a frame in c.encBuf: the header's bytes are left free and
+// the caller appends the payload behind them.
+func (c *serverConn) frame() []byte {
+	return c.encBuf[:wire.HeaderSize]
+}
+
+// send queues one frame built on c.frame(). A frame never straddles two
+// writes: one that does not fit what is left of the buffer flushes what is
+// queued first, and one larger than the whole buffer then goes to the
+// socket in a single write of its own.
+func (c *serverConn) send(t wire.MsgType, frame []byte) error {
+	if cap(frame) > cap(c.encBuf) {
+		c.encBuf = frame[:0]
 	}
+	if err := wire.PutHeader(frame, t); err != nil {
+		return err
+	}
+	if len(frame) > c.w.Available() && c.w.Buffered() > 0 {
+		if err := c.w.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := c.w.Write(frame)
 	return err
 }
 
 // sendComplete ends a successful request.
 func (c *serverConn) sendComplete(rows int64) error {
 	msg := wire.Complete{Rows: rows}
-	return c.send(wire.MsgComplete, msg.Encode(c.encBuf[:0]))
+	return c.send(wire.MsgComplete, msg.Encode(c.frame()))
 }
 
 // sendError ends a failed request with the marshalled typed error.
 func (c *serverConn) sendError(err error) error {
 	c.srv.errorsSent.Add(1)
-	return c.send(wire.MsgError, MarshalWireError(err).Encode(c.encBuf[:0]))
+	return c.send(wire.MsgError, MarshalWireError(err).Encode(c.frame()))
 }

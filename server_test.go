@@ -13,6 +13,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,6 +31,14 @@ func startServer(t testing.TB, n int, dbOpts qpipe.Options, srvOpts qpipe.Server
 	if err != nil {
 		t.Fatal(err)
 	}
+	loadT(t, db, n)
+	srv, addr := serveDB(t, db, srvOpts)
+	return srv, db, addr
+}
+
+// loadT creates table t in db and loads n rows into it (none when n is 0).
+func loadT(t testing.TB, db *qpipe.DB, n int) {
+	t.Helper()
 	if n > 0 {
 		schema := qpipe.NewSchema(
 			qpipe.ColDef("id", qpipe.KindInt),
@@ -48,18 +57,22 @@ func startServer(t testing.TB, n int, dbOpts qpipe.Options, srvOpts qpipe.Server
 			t.Fatal(err)
 		}
 	}
-	srv, addr := serveDB(t, db, srvOpts)
-	return srv, db, addr
 }
 
 // serveDB serves db on a loopback port until the test ends.
 func serveDB(t testing.TB, db *qpipe.DB, srvOpts qpipe.ServerOptions) (*qpipe.Server, string) {
 	t.Helper()
-	srv := qpipe.NewServer(db, srvOpts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, db, srvOpts, ln), ln.Addr().String()
+}
+
+// serveOn serves db on ln until the test ends.
+func serveOn(t testing.TB, db *qpipe.DB, srvOpts qpipe.ServerOptions, ln net.Listener) *qpipe.Server {
+	t.Helper()
+	srv := qpipe.NewServer(db, srvOpts)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -68,7 +81,7 @@ func serveDB(t testing.TB, db *qpipe.DB, srvOpts qpipe.ServerOptions) (*qpipe.Se
 			t.Errorf("Serve returned %v after Shutdown, want nil", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 func TestServerQueryRoundTrip(t *testing.T) {
@@ -725,5 +738,168 @@ func TestServerSharesWithAnEmbeddedQuery(t *testing.T) {
 		if !equalRows(renderSorted(got), want) {
 			t.Errorf("the %s wire query's %d rows differ from the embedded query's", name, len(got))
 		}
+	}
+}
+
+// countingConn counts the server side's system calls on one connection: a
+// Write call each, and a Read call each that returned bytes.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countingListener hands every accepted connection to the test as well.
+type countingListener struct {
+	net.Listener
+	accepted chan *countingConn
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countingConn{Conn: c}
+	l.accepted <- cc
+	return cc, nil
+}
+
+// TestServerSyscallsPerReply counts the server's reads and writes on the
+// socket: a request frame costs one read, and a one-row reply (RowDesc,
+// RowBatch, Complete) at most three writes, whether the statement comes as
+// text or as a prepared statement.
+func TestServerSyscallsPerReply(t *testing.T) {
+	db, err := qpipe.Open(qpipe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadT(t, db, 2000)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := countingListener{Listener: inner, accepted: make(chan *countingConn, 1)}
+	serveOn(t, db, qpipe.ServerOptions{}, ln)
+	ctx := context.Background()
+	conn, err := client.Connect(ctx, inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sc := <-ln.accepted
+	stmt, err := conn.Prepare(ctx, "SELECT amount FROM t WHERE id = 17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads0, writes0 := sc.reads.Load(), sc.writes.Load()
+	for i := range 20 {
+		reads, writes := sc.reads.Load(), sc.writes.Load()
+		var res *client.Rows
+		if i%2 == 0 {
+			res, err = conn.Query(ctx, fmt.Sprintf("SELECT amount FROM t WHERE id = %d", i))
+		} else {
+			res, err = stmt.Query(ctx)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := res.All()
+		if err != nil || len(got) != 1 {
+			t.Fatalf("query %d: %d rows, err %v", i, len(got), err)
+		}
+		// The reply is in, so the server has read the request and made
+		// every write of the reply.
+		if n := sc.reads.Load() - reads; n != 1 {
+			t.Errorf("query %d: the request frame took %d reads, want 1", i, n)
+		}
+		if n := sc.writes.Load() - writes; n > 3 {
+			t.Errorf("query %d: a one-row reply took %d writes, want at most 3", i, n)
+		}
+	}
+	t.Logf("20 one-row replies: %d reads, %d writes", sc.reads.Load()-reads0, sc.writes.Load()-writes0)
+}
+
+// TestServerFlushesBeforeItWaits pins the flush rule: RowDesc is on the wire
+// before the server waits for the first batch. A held embedded scan pins
+// table t's scanner; a count(*) sent over the wire rides that scanner and
+// cannot produce its one row until the hold is released, yet Query returns
+// (it reads RowDesc) while the hold is still in place. The deadlock
+// detector is off, or it would lift the hold (OpenWithoutDeadlockDetector).
+// The timeout only guards against a hang.
+func TestServerFlushesBeforeItWaits(t *testing.T) {
+	const n = 3000
+	db, err := qpipe.OpenWithoutDeadlockDetector(qpipe.Options{BufferCapacity: 2, ScanParallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadT(t, db, n)
+	_, addr := serveDB(t, db, qpipe.ServerOptions{})
+	ctx := context.Background()
+	held, err := db.Query(ctx, "SELECT id FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := held.Next() // mid-scan, and held there
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Connect(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	shares := db.TotalShares()
+	type reply struct {
+		rows *client.Rows
+		err  error
+	}
+	started := make(chan reply, 1)
+	go func() {
+		rows, err := conn.Query(ctx, "SELECT count(*) AS n FROM t")
+		started <- reply{rows, err}
+	}()
+	var r reply
+	select {
+	case r = <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Query did not return while the table was held: RowDesc was not flushed before the wait")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); db.TotalShares() == shares; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the count(*) never attached to the held scanner")
+		}
+	}
+	if v, pages := held.Stats().PagesVisited.Load(), cpHeapPages(t, db, "t"); v >= pages {
+		t.Fatalf("the held scan visited %d of %d pages before its release: nothing was held", v, pages)
+	}
+	rest, err := held.All() // release the hold
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(first) + len(rest); got != n {
+		t.Fatalf("the held scan returned %d rows, want %d", got, n)
+	}
+	got, err := r.rows.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0][0].I != n {
+		t.Fatalf("count(*) = %v, want [[%d]]", got, n)
 	}
 }

@@ -20,9 +20,9 @@
 // Payload fields use the same primitives as the storage layer's tuple
 // encoding: fixed 8-byte little-endian words for 64-bit integers, uvarints
 // for counts, and uvarint-length-prefixed bytes for strings. Row batches
-// embed rows in the exact binary form the page layer uses (tuple.Encode),
-// so the server encodes result batches straight out of the engine's lease
-// protocol without converting or copying per tuple.
+// embed rows in the exact binary form the page layer uses (tuple.Encode):
+// the server encodes each row of a leased batch straight into the frame,
+// with no form in between.
 //
 // Malformed input of any shape — truncated frames, trailing bytes, bad kind
 // tags, over-long claims — decodes to a typed *ProtocolError, never a panic
@@ -139,14 +139,19 @@ func protoErrf(format string, args ...any) *ProtocolError {
 	return &ProtocolError{Reason: fmt.Sprintf(format, args...)}
 }
 
-// WriteFrame writes one frame. The payload may be nil for empty messages.
+// HeaderSize is the length of a frame's header: the u32 length and the
+// type byte.
+const HeaderSize = 5
+
+// WriteFrame writes one frame, header then payload, in two Write calls.
+// The payload may be nil for empty messages. Callers pass a buffered writer
+// (a bufio.Writer they flush when they are done), so a frame costs no
+// system call of its own; on a bare socket every frame would be two.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return protoErrf("frame too large to send: %d bytes (max %d)", len(payload)+1, MaxFrameSize)
+	var hdr [HeaderSize]byte
+	if err := putHeader(hdr[:], t, len(payload)); err != nil {
+		return err
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = byte(t)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -158,13 +163,30 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return nil
 }
 
+// PutHeader fills in the header of frame, a whole frame whose first
+// HeaderSize bytes were left free and whose rest is the payload: a writer
+// that encodes the payload behind the header hands the frame on in one
+// Write. A frame above MaxFrameSize is refused as WriteFrame refuses it.
+func PutHeader(frame []byte, t MsgType) error {
+	return putHeader(frame, t, len(frame)-HeaderSize)
+}
+
+func putHeader(hdr []byte, t MsgType, payload int) error {
+	if payload+1 > MaxFrameSize {
+		return protoErrf("frame too large to send: %d bytes (max %d)", payload+1, MaxFrameSize)
+	}
+	binary.BigEndian.PutUint32(hdr[:4], uint32(payload+1))
+	hdr[4] = byte(t)
+	return nil
+}
+
 // ReadFrame reads one frame, reusing buf for the payload when it fits (the
 // returned slice aliases it, valid until the next call that reuses it).
 // io.EOF surfaces unchanged only at a clean frame boundary; a connection
 // dying mid-frame is an io.ErrUnexpectedEOF. Oversized and zero-length
 // frames are a *ProtocolError.
 func ReadFrame(r io.Reader, buf []byte) (MsgType, []byte, []byte, error) {
-	var hdr [5]byte
+	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return 0, nil, buf, err
 	}

@@ -48,6 +48,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		if len(payload) != len(tc.payload) || (len(payload) > 0 && !bytes.Equal(payload, tc.payload)) {
 			t.Fatalf("%s: payload mismatch (%d bytes vs %d)", tc.mt, len(payload), len(tc.payload))
 		}
+		// A frame encoded behind HeaderSize free bytes and sealed with
+		// PutHeader is the frame WriteFrame writes.
+		frame := append(make([]byte, HeaderSize), tc.payload...)
+		if err := PutHeader(frame, tc.mt); err != nil {
+			t.Fatal(err)
+		}
+		if want := writeFrameBytes(t, tc.mt, tc.payload); !bytes.Equal(frame, want) {
+			t.Fatalf("%s: PutHeader gives % x, WriteFrame % x", tc.mt, frame[:HeaderSize], want[:HeaderSize])
+		}
 	}
 }
 
