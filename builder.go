@@ -742,11 +742,16 @@ func (q *Query) explain(p Plan) string {
 // returns a streaming Result. The caller must consume it (Rows, All,
 // Discard) or Cancel it.
 func (q *Query) Run(ctx context.Context, opts ...QueryOption) (*Result, error) {
+	return q.runIn(ctx, nil, opts)
+}
+
+// runIn is Run under a session (Session.resolve); a nil sess is Run.
+func (q *Query) runIn(ctx context.Context, sess *Session, opts []QueryOption) (*Result, error) {
 	p, limit, err := q.compile()
 	if err != nil {
 		return nil, err
 	}
-	o, err := resolveOpts(opts)
+	o, err := sess.resolve(opts)
 	if err != nil {
 		return nil, err
 	}

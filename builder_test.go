@@ -458,7 +458,6 @@ func TestWithBatchSizeBoundsBatches(t *testing.T) {
 			t.Fatalf("batch of %d rows with WithBatchSize(4)", len(b))
 		}
 		total += len(b)
-		res.Recycle(b)
 	}
 	if total != 1000 {
 		t.Fatalf("delivered %d rows, want 1000", total)
@@ -482,8 +481,14 @@ func TestWithBatchSizeBoundsBatchesOfARootScan(t *testing.T) {
 			if err != nil {
 				break
 			}
+			for _, row := range b {
+				if row == nil {
+					t.Fatal("a batch holds a row its predecessor's append wrote")
+				}
+			}
+			// The batch is the caller's: growing it must not reach the next.
+			_ = append(b, nil)
 			most, total = max(most, len(b)), total+len(b)
-			res.Recycle(b)
 		}
 		if total != 1000 {
 			t.Fatalf("delivered %d rows, want 1000", total)

@@ -3,7 +3,7 @@
 // the whole module from source:
 //
 //	qpipe-lint ./...
-//	qpipe-lint -analyzers leaselint,walint ./internal/ops/
+//	qpipe-lint -analyzers rowlint,walint ./internal/ops/
 //
 // Exit status: 0 for a clean run, 1 for usage or infrastructure errors,
 // 2 when diagnostics were reported (the go vet convention).

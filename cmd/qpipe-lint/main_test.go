@@ -20,7 +20,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit %d, stderr %q", code, stderr)
 	}
-	for _, name := range []string{"leaselint", "walint"} {
+	for _, name := range []string{"rowlint", "walint"} {
 		if !strings.Contains(stdout, name+": ") {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)
 		}
@@ -40,7 +40,7 @@ func TestOneDriver(t *testing.T) {
 // TestUnknownAnalyzerName: a typoed -analyzers selection must be a loud
 // error naming the known set, never a silently empty run.
 func TestUnknownAnalyzerName(t *testing.T) {
-	code, _, stderr := runCmd("-analyzers", "leaselint,nosuch", "./...")
+	code, _, stderr := runCmd("-analyzers", "rowlint,nosuch", "./...")
 	if code != 1 {
 		t.Fatalf("unknown analyzer exit %d, want 1; stderr %q", code, stderr)
 	}

@@ -372,9 +372,7 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 
 // teardownBatch cancels the batch members submitted before member idx failed
 // to submit and waits each one out, returning the typed joined error. The
-// cancel hands the batch arrays queued in a member's result buffer back to
-// the engine's pool; the wait returns once the member's root packet has
-// finished.
+// wait returns once the member's root packet has finished.
 func teardownBatch(out []*Result, idx int, submitErr error) *BatchError {
 	be := &BatchError{Index: idx, Submit: submitErr}
 	for _, r := range out {

@@ -53,9 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 4. Stream the result. Rows are immutable and may be retained; the
-	// batch arrays that carried them recycle into the engine's pool under
-	// the hood (the lease-safe hand-off).
+	// 4. Stream the result. Rows are immutable and may be retained.
 	fmt.Println("cities with pop > 500k:")
 	for row := range res.Rows() {
 		fmt.Printf("  %-12s %8.0f\n", row[0].S, row[1].F)

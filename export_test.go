@@ -1,8 +1,9 @@
 package qpipe
 
 import (
+	"time"
+
 	"qpipe/internal/core"
-	"qpipe/internal/ops"
 	"qpipe/internal/storage/disk"
 )
 
@@ -17,21 +18,7 @@ func DiskOf(db *DB) *disk.Disk { return db.mgr.Disk }
 // result buffer (a statement is held when its producer is PutBlocked).
 func QueryOf(r *Result) *core.Query { return r.q }
 
-// OpenWithoutDeadlockDetector is Open with the engine's deadlock detector
-// off, for the external tests that hold a table with an unread embedded
-// result while a wire statement waits on a scan riding it. Every result
-// read outside the engine is one node of the detector's Waits-For graph
-// (consumer 0), so the held scan and the server's wait on the other result
-// close a cycle through it, and within one period the detector would lift
-// the hold (SetUnbounded) and let the waiting statement finish.
-func OpenWithoutDeadlockDetector(opts Options) (*DB, error) {
-	db, err := Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg := db.rt.Cfg
-	cfg.DeadlockInterval = -1
-	db.rt.Close()
-	db.rt = core.NewRuntime(db.mgr, cfg, ops.All())
-	return db, nil
-}
+// DeadlockInterval is db's deadlock detector period, for the external tests
+// that let the detector look several times before they assert it found
+// nothing.
+func DeadlockInterval(db *DB) time.Duration { return db.rt.Cfg.DeadlockInterval }

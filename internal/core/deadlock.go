@@ -17,6 +17,17 @@
 //	consumer C --waits-for--> producer P   when C blocks getting from an
 //	                                       empty, still-open buffer fed by P
 //
+// Nodes are packets, plus the threads that read results outside the engine:
+// a query's result buffer has its reader's node as consumer
+// (QueryOptions.Reader) — one per server connection, node 0 for every
+// embedded Result, bare or under a Session. The node names the reading
+// thread, not the result: a thread that holds one result unread while it
+// waits on another closes a real cycle, which only one node for both results
+// can show. A server connection's goroutine is the only one that reads its
+// results, so its node is exact; embedded goroutines cannot be told apart,
+// so a cycle through node 0 may be false, and breaking it costs only the
+// materialization.
+//
 // A cycle is a real deadlock. Resolution materializes (lifts the bound of)
 // the cheapest full buffer on the cycle — "only materializing the tuples in
 // the event of a real deadlock", choosing the node that minimizes cost; we
@@ -30,6 +41,11 @@ import (
 
 	"qpipe/internal/core/tbuf"
 )
+
+// NewReader returns a fresh Waits-For node for a thread that reads results
+// outside the engine (QueryOptions.Reader). It is drawn from the packets'
+// ids, so it names no packet.
+func NewReader() int64 { return packetSeq.Add(1) }
 
 type detector struct {
 	rt       *Runtime

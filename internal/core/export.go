@@ -110,11 +110,6 @@ func (rt *Runtime) OSPAllowed(q *Query) bool {
 	return rt.Cfg.OSP && !(q != nil && q.Opts.DisableOSP)
 }
 
-// BatchPool returns the runtime's batch recycling pool. Operators draw
-// batch arrays here (or via SharedOut.NewBatch) and consumers return them
-// via Buffer.Recycle; see the README's "Memory model" for the lease rules.
-func (rt *Runtime) BatchPool() *tbuf.BatchPool { return rt.batchPool }
-
 // Discard cancels a packet that was never (and will never be) executed — a
 // satellite's child, or a gated child the OSP coordinator replaced with a
 // rewritten evaluation strategy — and everything beneath it.
@@ -165,11 +160,11 @@ func (rt *Runtime) DumpState() string {
 // the merge-join split attaches to an in-progress ordered scan. The packet
 // has a fresh output buffer; whoever feeds it must call Complete.
 func (rt *Runtime) NewInternalPacket(q *Query, node plan.Node) (*Packet, *tbuf.Buffer) {
-	buf := tbuf.New(rt.Cfg.BufferCapacity).UsePool(rt.batchPool)
+	buf := tbuf.New(rt.Cfg.BufferCapacity)
 	q.addBuffer(buf)
 	pkt := newPacket(q, node)
 	pkt.OutBuf = buf
-	pkt.Out = tbuf.NewSharedOut(buf, rt.Cfg.ReplayWindow).UsePool(rt.batchPool)
+	pkt.Out = tbuf.NewSharedOut(buf, rt.Cfg.ReplayWindow)
 	pkt.Out.SetProducer(pkt.ID)
 	q.addPacket(pkt)
 	return pkt, buf

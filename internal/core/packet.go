@@ -428,6 +428,10 @@ type QueryOptions struct {
 	// wins. Kept distinct from Deadline so the *DeadlineError can report
 	// the configured budget.
 	Timeout time.Duration
+	// Reader is the Waits-For node that reads the query's result (NewReader;
+	// 0, every embedded reader's node, when unset). Only the server sets it,
+	// once per connection.
+	Reader int64
 }
 
 // Query is one client request in flight.

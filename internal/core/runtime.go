@@ -142,9 +142,6 @@ type Runtime struct {
 	Cfg Config
 
 	engines map[plan.OpType]*MicroEngine
-	// batchPool recycles batch backing arrays engine-wide (one lease
-	// protocol, one array size — Cfg.BatchSize).
-	batchPool *tbuf.BatchPool
 
 	// admit is the query admission controller (nil-safe no-op when
 	// MaxConcurrentQueries is 0).
@@ -180,12 +177,11 @@ type Runtime struct {
 func NewRuntime(s *sm.Manager, cfg Config, operators []Operator) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
-		SM:        s,
-		Cfg:       cfg,
-		engines:   make(map[plan.OpType]*MicroEngine),
-		batchPool: tbuf.NewBatchPool(cfg.BatchSize),
-		queries:   make(map[int64]*Query),
-		admit:     newAdmission(cfg.MaxConcurrentQueries, cfg.AdmissionQueue),
+		SM:      s,
+		Cfg:     cfg,
+		engines: make(map[plan.OpType]*MicroEngine),
+		queries: make(map[int64]*Query),
+		admit:   newAdmission(cfg.MaxConcurrentQueries, cfg.AdmissionQueue),
 	}
 	rt.idle = sync.NewCond(&rt.mu)
 	for _, op := range operators {
@@ -262,7 +258,8 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 			return nil, rt.typedSubmitErr(q, err)
 		}
 	}
-	result := tbuf.New(rt.Cfg.BufferCapacity).UsePool(rt.batchPool)
+	result := tbuf.New(rt.Cfg.BufferCapacity)
+	result.Consumer.Store(opts.Reader)
 	result.Label = fmt.Sprintf("q%d/result", q.ID)
 	q.addBuffer(result)
 	q.Result = result
@@ -388,13 +385,13 @@ func (rt *Runtime) validate(node plan.Node) error {
 func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bool) *Packet {
 	pkt := newPacket(q, node)
 	pkt.OutBuf = out
-	pkt.Out = tbuf.NewSharedOut(out, rt.Cfg.ReplayWindow).UsePool(rt.batchPool)
+	pkt.Out = tbuf.NewSharedOut(out, rt.Cfg.ReplayWindow)
 	pkt.Out.SetProducer(pkt.ID)
 	q.addPacket(pkt)
 
 	gateKids := rt.shouldGateChildren(q, node)
 	for _, cn := range node.Children() {
-		buf := tbuf.New(rt.Cfg.BufferCapacity).UsePool(rt.batchPool)
+		buf := tbuf.New(rt.Cfg.BufferCapacity)
 		buf.Consumer.Store(pkt.ID)
 		buf.Label = fmt.Sprintf("q%d/%s->%s", q.ID, cn.Op(), node.Op())
 		q.addBuffer(buf)
@@ -444,7 +441,7 @@ func (rt *Runtime) Activate(pkt *Packet) {
 // strategy, e.g. the ordered-scan join split). It returns the buffer the
 // subtree's root writes into.
 func (rt *Runtime) DispatchSubtree(q *Query, node plan.Node) (*tbuf.Buffer, *Packet) {
-	buf := tbuf.New(rt.Cfg.BufferCapacity).UsePool(rt.batchPool)
+	buf := tbuf.New(rt.Cfg.BufferCapacity)
 	buf.Label = fmt.Sprintf("q%d/sub-%s", q.ID, node.Op())
 	q.addBuffer(buf)
 	pkt := rt.dispatch(q, node, buf, false)

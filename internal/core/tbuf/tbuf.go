@@ -17,6 +17,12 @@
 //   - Materialization on demand: SetUnbounded lifts a buffer's bound, which
 //     is how the deadlock detector breaks cycles by materializing a buffer
 //     instead of blocking (§4.3.3).
+//
+// Memory: rows are immutable once Put and are shared by reference — with a
+// port's replay window and with every satellite. The arrays that carry them
+// are plain garbage-collected memory, sized to what they carry: the primary
+// consumer gets the producer's array, every satellite a copy of its own, so
+// a consumer owns the batch Get returns and may reorder it, never its rows.
 package tbuf
 
 import (
@@ -31,96 +37,24 @@ import (
 
 // Batch is a group of tuples moved through a buffer at once (push-based
 // engines move batches, not single tuples, to amortize synchronization; cf.
-// the paper's discussion of buffering [31]).
-//
-// Batches obey the engine's lease protocol: the backing array of a batch has
-// exactly one owner at a time — the producer that drew it from a BatchPool,
-// then the buffer queue it was Put into, then the consumer its Get returned
-// it to. The tuples inside are immutable once Put and may be retained by
-// reference indefinitely; the array must not be. When the consumer has
-// copied or processed every row it returns the array to the pool with
-// Buffer.Recycle (fan-out ports give every attached consumer its own array,
-// so no reference counting is needed — see SharedOut.Put).
+// the paper's discussion of buffering [31]). A producer gives up the batch
+// it Puts; the consumer its Get returns it to owns it.
 type Batch = []tuple.Tuple
 
-// ---- BatchPool ---------------------------------------------------------------
+// BatchPool once recycled batch arrays of one size.
+//
+// Deprecated: arrays are garbage-collected; nothing is pooled.
+type BatchPool struct{ size int }
 
-// poolMaxFree bounds a pool's free list; beyond it, returned arrays are left
-// to the garbage collector (backstop against a burst of unbounded
-// materialization pinning memory forever).
-const poolMaxFree = 256
+// NewBatchPool returns a BatchPool whose Get makes batches of capacity size.
+//
+// Deprecated: arrays are garbage-collected; nothing is pooled.
+func NewBatchPool(size int) *BatchPool { return &BatchPool{size: size} }
 
-// BatchPool recycles batch backing arrays. One pool serves a whole runtime
-// (sized to Config.BatchSize), so the emitter that produces a batch and the
-// cursor that consumes it agree on one array size and the steady-state hot
-// path allocates nothing. A nil *BatchPool is valid and degrades to plain
-// make/garbage-collection.
-type BatchPool struct {
-	mu   sync.Mutex
-	free []Batch
-	size int
-}
-
-// NewBatchPool creates a pool recycling arrays of capacity size (minimum 1).
-func NewBatchPool(size int) *BatchPool {
-	if size < 1 {
-		size = 1
-	}
-	return &BatchPool{size: size}
-}
-
-// Get returns an empty batch with capacity >= the pool's batch size.
-func (p *BatchPool) Get() Batch {
-	if p == nil {
-		return nil
-	}
-	return p.GetCap(p.size)
-}
-
-// GetCap returns an empty batch with capacity >= n. Every free-list entry
-// has capacity >= the pool size, so requests at or below it always reuse;
-// larger requests (a page worth of tuples for a scan consumer) probe a few
-// recently returned arrays for one big enough — page-sized arrays recycle
-// through the pool too (Put accepts any cap >= size), so the per-page scan
-// fan-out also reaches an allocation-free steady state.
-func (p *BatchPool) GetCap(n int) Batch {
-	if p == nil {
-		return make(Batch, 0, n)
-	}
-	p.mu.Lock()
-	for i, probed := len(p.free)-1, 0; i >= 0 && probed < 4; i, probed = i-1, probed+1 {
-		if cap(p.free[i]) >= n {
-			b := p.free[i]
-			last := len(p.free) - 1
-			p.free[i] = p.free[last]
-			p.free[last] = nil
-			p.free = p.free[:last]
-			p.mu.Unlock()
-			return b
-		}
-	}
-	p.mu.Unlock()
-	if n < p.size {
-		n = p.size
-	}
-	return make(Batch, 0, n)
-}
-
-// Put returns a batch's backing array to the pool. The caller must hold the
-// array's lease (it must be the batch's sole owner) and must not touch the
-// batch afterwards. Entries are cleared so a pooled array never pins tuples.
-func (p *BatchPool) Put(b Batch) {
-	if p == nil || cap(b) < p.size {
-		return
-	}
-	b = b[:cap(b)]
-	clear(b)
-	p.mu.Lock()
-	if len(p.free) < poolMaxFree {
-		p.free = append(p.free, b[:0])
-	}
-	p.mu.Unlock()
-}
+// Get returns an empty batch of the pool's capacity.
+//
+// Deprecated: make the batch; nothing is pooled.
+func (p *BatchPool) Get() Batch { return make(Batch, 0, p.size) }
 
 // ErrAbandoned is returned by Put after the consumer abandoned the buffer
 // (its query was cancelled or became a satellite of another packet).
@@ -154,9 +88,13 @@ type Buffer struct {
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
 
+	// queue[head:] is the FIFO. Get advances head and rewinds both to the
+	// array's start when the queue drains, so a buffer that empties between
+	// batches keeps one array; Put slides the queued batches down instead of
+	// growing once half the array lies behind head.
 	queue     []Batch
+	head      int
 	capacity  int // max queued batches; <=0 means unbounded
-	pool      *BatchPool
 	closed    bool
 	closeErr  error
 	abandoned bool
@@ -190,19 +128,18 @@ func New(capacity int) *Buffer {
 	return b
 }
 
-// UsePool attaches a batch pool, enabling Recycle. Returns the buffer for
-// chaining at construction.
-func (b *Buffer) UsePool(p *BatchPool) *Buffer {
-	b.pool = p
-	return b
-}
+// UsePool returns b.
+//
+// Deprecated: arrays are garbage-collected; nothing is pooled.
+func (b *Buffer) UsePool(*BatchPool) *Buffer { return b }
 
-// Recycle returns a batch previously obtained from Get to the buffer's pool
-// (no-op without a pool). The caller gives up its lease: the array must not
-// be used afterwards, though tuples copied out of it stay valid forever.
-func (b *Buffer) Recycle(batch Batch) {
-	b.pool.Put(batch)
-}
+// Recycle does nothing.
+//
+// Deprecated: arrays are garbage-collected; nothing is pooled.
+func (b *Buffer) Recycle(Batch) {}
+
+// queued is the number of batches in the FIFO.
+func (b *Buffer) queued() int { return len(b.queue) - b.head }
 
 // Put enqueues one batch, blocking while the buffer is full. It returns
 // ErrAbandoned if the consumer is gone, or the close error if the buffer was
@@ -223,12 +160,17 @@ func (b *Buffer) Put(batch Batch) error {
 			}
 			return errors.New("tbuf: put on closed buffer")
 		}
-		if b.capacity <= 0 || len(b.queue) < b.capacity {
+		if b.capacity <= 0 || b.queued() < b.capacity {
 			break
 		}
 		b.putBlocked = true
 		b.notFull.Wait()
 		b.putBlocked = false
+	}
+	if len(b.queue) == cap(b.queue) && b.head > 0 && 2*b.head >= len(b.queue) {
+		n := copy(b.queue, b.queue[b.head:])
+		clear(b.queue[n:])
+		b.queue, b.head = b.queue[:n], 0
 	}
 	b.queue = append(b.queue, batch)
 	b.totalIn += int64(len(batch))
@@ -251,9 +193,12 @@ func (b *Buffer) Get() (Batch, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if len(b.queue) > 0 {
-			batch := b.queue[0]
-			b.queue = b.queue[1:]
+		if b.queued() > 0 {
+			batch := b.queue[b.head]
+			b.queue[b.head] = nil
+			if b.head++; b.head == len(b.queue) {
+				b.queue, b.head = b.queue[:0], 0
+			}
 			b.totalOut += int64(len(batch))
 			b.notFull.Signal()
 			return batch, nil
@@ -289,16 +234,12 @@ func (b *Buffer) Close(err error) {
 }
 
 // Abandon marks the consumer gone: pending and future Puts fail with
-// ErrAbandoned and queued batches are dropped (their arrays return to the
-// pool — the queue owned their lease and nobody will Get them).
+// ErrAbandoned and queued batches are dropped.
 func (b *Buffer) Abandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.abandoned = true
-	for _, batch := range b.queue {
-		b.pool.Put(batch)
-	}
-	b.queue = nil
+	b.queue, b.head = nil, 0
 	b.notEmpty.Broadcast()
 	b.notFull.Broadcast()
 }
@@ -346,13 +287,13 @@ func (b *Buffer) Snapshot() Snapshot {
 	defer b.mu.Unlock()
 	st := StatePartial
 	switch {
-	case len(b.queue) == 0:
+	case b.queued() == 0:
 		st = StateEmpty
-	case b.capacity > 0 && len(b.queue) >= b.capacity:
+	case b.capacity > 0 && b.queued() >= b.capacity:
 		st = StateFull
 	}
 	var queuedTup int64
-	for _, batch := range b.queue {
+	for _, batch := range b.queue[b.head:] {
 		queuedTup += int64(len(batch))
 	}
 	return Snapshot{
@@ -361,7 +302,7 @@ func (b *Buffer) Snapshot() Snapshot {
 		GetBlocked: b.getBlocked,
 		Closed:     b.closed,
 		Abandoned:  b.abandoned,
-		Queued:     len(b.queue),
+		Queued:     b.queued(),
 		QueuedTup:  queuedTup,
 		Producer:   b.Producer.Load(),
 		Consumer:   b.Consumer.Load(),
@@ -378,7 +319,6 @@ func (b *Buffer) Totals() (in, out int64) {
 
 // Drain consumes the buffer to EOF, returning the tuple count (test/client
 // helper for queries whose results are discarded, as in the paper's setup).
-// Drained batches are recycled — nothing outlives the count.
 func (b *Buffer) Drain() (int64, error) {
 	var n int64
 	for {
@@ -390,7 +330,6 @@ func (b *Buffer) Drain() (int64, error) {
 			return n, err
 		}
 		n += int64(len(batch))
-		b.Recycle(batch)
 	}
 }
 
@@ -399,13 +338,12 @@ func (b *Buffer) Drain() (int64, error) {
 // SharedOut is an operator's output port. It starts with one target buffer
 // (the packet's own consumer) and accepts additional satellite buffers at
 // run time; every produced batch is pipelined to all attached targets
-// simultaneously. Under the lease protocol the primary consumer receives
-// the producer's array itself and each satellite receives its own
-// (pool-drawn) array holding the same immutable tuples — consumers share
-// rows by reference but never share the arrays they advance through, so
-// each can recycle independently without reference counting. A bounded
-// replay window of produced tuples supports late attachment (the buffering
-// enhancement); the window retains rows, not arrays, so it pins no lease.
+// simultaneously. The primary consumer receives the producer's array itself
+// and each satellite its own array holding the same immutable tuples —
+// consumers share rows by reference but never the arrays, so each may
+// reorder the batch it got. A bounded replay window of produced tuples
+// supports late attachment (the buffering enhancement); the window retains
+// rows, not arrays.
 //
 // Put is safe to call from multiple producing goroutines — the partitioned
 // scan fans P partition workers into one consumer's port, and the parallel
@@ -428,7 +366,6 @@ type SharedOut struct {
 	produced    int64
 	closed      bool
 	stop        error // why Put stopped delivering (Err); nil while it has not
-	pool        *BatchPool
 }
 
 // NewSharedOut creates a port writing to primary, retaining up to
@@ -439,19 +376,15 @@ func NewSharedOut(primary *Buffer, replayLimit int) *SharedOut {
 	return &SharedOut{outs: []*Buffer{primary}, replayLimit: replayLimit, replayValid: true}
 }
 
-// UsePool attaches the runtime's batch pool: satellite copies and replay
-// batches draw from it, and NewBatch serves producers (emitters). Returns
-// the port for chaining.
-func (s *SharedOut) UsePool(p *BatchPool) *SharedOut {
-	s.pool = p
-	return s
-}
+// UsePool returns s.
+//
+// Deprecated: arrays are garbage-collected; nothing is pooled.
+func (s *SharedOut) UsePool(*BatchPool) *SharedOut { return s }
 
-// NewBatch leases an empty batch array of capacity >= n for a producer to
-// fill and Put (falls back to a plain allocation without a pool).
-func (s *SharedOut) NewBatch(n int) Batch {
-	return s.pool.GetCap(n)
-}
+// NewBatch returns an empty batch of capacity n.
+//
+// Deprecated: make the batch; nothing is pooled.
+func (s *SharedOut) NewBatch(n int) Batch { return make(Batch, 0, n) }
 
 // Put pipelines one batch to every attached consumer, blocking on the
 // slowest. A consumer whose buffer refuses the batch is detached; if it
@@ -461,11 +394,7 @@ func (s *SharedOut) NewBatch(n int) Batch {
 // Put returns that error at once, never blocks, and delivers nothing. A
 // non-nil result means only "stop": the packet's completion reads the reason
 // from the port, so a producer that ignores it wastes work, nothing more.
-//
-// Put consumes the batch's array lease unconditionally — on success it
-// belongs to the primary consumer, on failure Put reclaims it into the
-// pool itself (only Put knows whether the primary enqueued it) — so the
-// caller must not touch the batch afterwards either way.
+// The caller gives the batch up either way.
 func (s *SharedOut) Put(batch Batch) error {
 	s.mu.Lock()
 	if s.stop == nil && len(s.outs) == 0 {
@@ -475,7 +404,6 @@ func (s *SharedOut) Put(batch Batch) error {
 	if s.stop != nil || len(batch) == 0 {
 		err := s.stop
 		s.mu.Unlock()
-		s.pool.Put(batch)
 		return err
 	}
 	s.produced += int64(len(batch))
@@ -485,7 +413,7 @@ func (s *SharedOut) Put(batch Batch) error {
 			s.replay = nil
 		} else {
 			// The window retains the rows themselves (immutable once Put),
-			// not clones and not the batch array — replay pins no lease.
+			// not clones and not the batch array.
 			s.replay = append(s.replay, batch...)
 		}
 	}
@@ -502,29 +430,22 @@ func (s *SharedOut) Put(batch Batch) error {
 
 	if primary != nil {
 		if err := primary.Put(batch); err != nil {
-			// The failed Put never enqueued the batch; reclaim its lease (no
-			// caller may use it after Put, success or not).
-			s.pool.Put(batch)
 			return s.drop(primary, err)
 		}
 		return nil
 	}
 
-	// Each satellite gets its own (pool-drawn) array over the same immutable
-	// rows, so every consumer recycles independently. All copies are built
-	// BEFORE the primary's Put: that Put hands over the array's lease, and
-	// the primary consumer may legitimately drain and recycle the array
-	// while later copies would still be reading it.
+	// Each satellite gets its own array over the same immutable rows. All
+	// copies are made BEFORE the primary's Put: once it has the array, the
+	// primary consumer may reorder it while later copies would still read it.
 	copies := make([]Batch, len(targets))
 	for i := 1; i < len(targets); i++ {
-		copies[i] = append(s.pool.GetCap(len(batch)), batch...)
+		copies[i] = slices.Clone(batch)
 	}
-	copies[0] = batch // the primary consumer inherits the producer's lease
+	copies[0] = batch
 	var stop error
 	for i, out := range targets {
 		if err := out.Put(copies[i]); err != nil {
-			// The failed Put never enqueued this array; reclaim it.
-			s.pool.Put(copies[i])
 			stop = s.drop(out, err)
 		}
 	}
@@ -599,12 +520,9 @@ func (s *SharedOut) Attach(buf *Buffer) bool {
 			return false
 		}
 		// The satellite gets its own array over the retained (immutable)
-		// rows; larger-than-pool-size windows simply allocate fresh.
-		replayCopy := append(s.pool.GetCap(len(s.replay)), s.replay...)
-		// A fresh satellite buffer is empty, so a single Put cannot block.
-		if err := buf.Put(replayCopy); err != nil {
-			// The failed Put never enqueued the copy; reclaim its lease.
-			s.pool.Put(replayCopy)
+		// rows. A fresh satellite buffer is empty, so a single Put cannot
+		// block.
+		if err := buf.Put(slices.Clone(s.replay)); err != nil {
 			return false
 		}
 	}

@@ -290,9 +290,8 @@ func TestSharedOutDetachOnAbandon(t *testing.T) {
 		{"abandoned", (*Buffer).Abandon, ErrConsumersGone},
 		{"failed hard", func(b *Buffer) { b.Close(fault) }, fault},
 	} {
-		pool := NewBatchPool(1)
 		primary := New(1024)
-		so := NewSharedOut(primary, 1024).UsePool(pool)
+		so := NewSharedOut(primary, 1024)
 		sat := New(1)
 		so.Attach(sat)
 		sat.Abandon()
@@ -304,12 +303,8 @@ func TestSharedOutDetachOnAbandon(t *testing.T) {
 		}
 		tc.leave(primary)
 		for i := range 2 {
-			free := len(pool.free)
 			if err := so.Put(batchOf(2)); err != tc.want {
 				t.Fatalf("%s: put %d after the last consumer left: %v, want %v", tc.name, i, err, tc.want)
-			}
-			if len(pool.free) != free+1 {
-				t.Fatalf("%s: put %d did not take the batch's lease", tc.name, i)
 			}
 		}
 		if err := so.Err(); err != tc.want {
@@ -331,79 +326,87 @@ func TestSharedOutAttachAfterClose(t *testing.T) {
 }
 
 func TestSharedOutArrayIsolation(t *testing.T) {
-	// Lease protocol: consumers share the immutable rows by reference but
-	// never the batch arrays — the primary recycling (or overwriting slots
-	// of) its array must not disturb what a satellite sees.
-	pool := NewBatchPool(4)
-	primary := New(16).UsePool(pool)
-	so := NewSharedOut(primary, 1024).UsePool(pool)
-	sat := New(16).UsePool(pool)
-	so.Attach(sat)
-	orig := tuple.Tuple{tuple.I64(1), tuple.Str("x")}
-	so.Put(append(so.NewBatch(1), orig))
+	// Consumers share the immutable rows by reference but never the batch
+	// arrays: each satellite gets an array of its own, so the primary
+	// reordering (or overwriting slots of) its array disturbs no satellite.
+	primary := New(16)
+	so := NewSharedOut(primary, 1024)
+	sats := []*Buffer{New(16), New(16)}
+	for _, sat := range sats {
+		so.Attach(sat)
+	}
+	rows := batchOf(1, 2)
+	so.Put(rows)
 	so.Close(nil)
 	pb, _ := primary.Get()
-	sb, _ := sat.Get()
-	if &sb[0][0] != &pb[0][0] {
-		t.Fatal("consumers should share the immutable row, not copies")
+	if &pb[0] != &rows[0] {
+		t.Fatal("the primary consumer should get the producer's array")
 	}
-	// The primary gives up its array lease; the pool clears and reuses the
-	// very same array. The satellite's own array — and the shared row — are
-	// untouched.
-	primary.Recycle(pb)
-	reused := pool.Get()
-	if &reused[:1][0] != &pb[:1][0] {
-		t.Fatal("recycled primary array should be what the pool serves next")
+	var got []Batch
+	for _, sat := range sats {
+		sb, _ := sat.Get()
+		if &sb[0][0] != &pb[0][0] {
+			t.Fatal("consumers should share the immutable row, not copies")
+		}
+		for _, other := range append(got, pb) {
+			if &sb[0] == &other[0] {
+				t.Fatal("a satellite shares another consumer's array")
+			}
+		}
+		got = append(got, sb)
 	}
-	reused = append(reused, tuple.Tuple{tuple.I64(999)})
-	if sb[0][0].I != 1 || sb[0][1].S != "x" {
-		t.Fatal("recycling the primary's array corrupted the satellite's view")
+	pb[0], pb[1] = pb[1], pb[0]
+	for _, sb := range got {
+		if sb[0][0].I != 1 || sb[1][0].I != 2 {
+			t.Fatal("reordering the primary's array reordered a satellite's")
+		}
 	}
 }
 
-func TestBatchPoolRecycle(t *testing.T) {
-	pool := NewBatchPool(8)
-	b := pool.Get()
-	if len(b) != 0 || cap(b) != 8 {
-		t.Fatalf("fresh batch: len=%d cap=%d", len(b), cap(b))
+// TestDrainedFIFOAllocatesNothing: a buffer that empties between batches
+// keeps its queue's array, so a Put and a Get of a batch the producer
+// already made allocate nothing.
+func TestDrainedFIFOAllocatesNothing(t *testing.T) {
+	b := New(8)
+	batch := batchOf(1, 2, 3)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := b.Put(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Get(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Put+Get on a drained FIFO: %.2f allocs, want 0", allocs)
 	}
-	b = append(b, tuple.Tuple{tuple.I64(1)})
-	pool.Put(b)
-	r := pool.Get()
-	if cap(r) != 8 || len(r) != 0 {
-		t.Fatalf("recycled batch: len=%d cap=%d", len(r), cap(r))
-	}
-	// Entries must be cleared so pooled arrays never pin tuples.
-	if r[:1][0] != nil {
-		t.Fatal("pooled array retains tuple references")
-	}
-	// Undersized arrays are dropped, not pooled.
-	pool.Put(make(Batch, 0, 4))
-	if got := pool.GetCap(8); cap(got) != 8 {
-		t.Fatalf("undersized array entered the pool: cap=%d", cap(got))
-	}
-	// Oversized requests allocate exactly; nil pools degrade to make.
-	if got := pool.GetCap(32); cap(got) != 32 {
-		t.Fatalf("GetCap(32): cap=%d", cap(got))
-	}
-	var nilPool *BatchPool
-	if got := nilPool.GetCap(3); cap(got) != 3 {
-		t.Fatal("nil pool GetCap should allocate")
-	}
-	nilPool.Put(make(Batch, 0, 3)) // must not panic
 }
 
-func TestBufferAbandonRecyclesQueue(t *testing.T) {
-	pool := NewBatchPool(2)
-	b := New(8).UsePool(pool)
-	b.Put(batchOf(1, 2))
-	b.Put(batchOf(3, 4))
-	b.Abandon()
-	pool.mu.Lock()
-	free := len(pool.free)
-	pool.mu.Unlock()
-	if free != 2 {
-		t.Fatalf("abandoned queue should return arrays to the pool, free=%d", free)
+// TestFIFOThatNeverDrains keeps batches queued through many Put/Get cycles,
+// bounded and unbounded: order holds, and the queue's array stays a small
+// multiple of what is queued instead of growing with everything ever Put.
+func TestFIFOThatNeverDrains(t *testing.T) {
+	for _, b := range []*Buffer{New(4), func() *Buffer { b := New(1); b.SetUnbounded(); return b }()} {
+		next := int64(0)
+		for i := int64(0); i < 1000; i++ {
+			if err := b.Put(batchOf(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i < 3 {
+				continue
+			}
+			got, err := b.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0][0].I != next {
+				t.Fatalf("got batch %d, want %d", got[0][0].I, next)
+			}
+			next++
+		}
+		if s := b.Snapshot(); s.Queued != 3 || cap(b.queue) > 16 {
+			t.Fatalf("%d queued in an array of %d", s.Queued, cap(b.queue))
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package lint
 // All returns the full qpipe-lint analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		LeaseLint,
+		RowLint,
 		WALLint,
 	}
 }

@@ -6,8 +6,8 @@ import "testing"
 // sources define the expected diagnostics (firing cases), and the clean
 // functions assert the absence of false positives.
 
-func TestLeaseLint(t *testing.T) {
-	RunTest(t, "testdata", LeaseLint, "leaselint")
+func TestRowLint(t *testing.T) {
+	RunTest(t, "testdata", RowLint, "rowlint")
 }
 
 // TestWALLint loads the heap stand-in plus both halves of the contract:

@@ -30,10 +30,10 @@ func TestDirectiveSuppressesTrailing(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint handoff happens in the caller
+	_ = 1 //qpipelint:ignore rowlint the row is a private copy
 }
 `
-	out := applyOn(t, src, []Diagnostic{diagAt("p.go", 4, "leaselint", "batch leaks")})
+	out := applyOn(t, src, []Diagnostic{diagAt("p.go", 4, "rowlint", "row written")})
 	if len(out) != 0 {
 		t.Fatalf("trailing directive did not suppress: %v", out)
 	}
@@ -57,26 +57,26 @@ func TestDirectiveOnlyNamedAnalyzer(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint reason here
+	_ = 1 //qpipelint:ignore rowlint reason here
 }
 `
 	keep := diagAt("p.go", 4, "otherlint", "error discarded")
 	out := applyOn(t, src, []Diagnostic{keep})
 	if len(out) != 1 || out[0].Analyzer != "otherlint" {
-		t.Fatalf("directive for leaselint suppressed an otherlint diagnostic: %v", out)
+		t.Fatalf("directive for rowlint suppressed an otherlint diagnostic: %v", out)
 	}
 }
 
 func TestDirectiveWrongLineDoesNotSuppress(t *testing.T) {
 	src := `package p
 
-//qpipelint:ignore leaselint reason here
+//qpipelint:ignore rowlint reason here
 
 func f() {
 	_ = 1
 }
 `
-	keep := diagAt("p.go", 6, "leaselint", "batch leaks")
+	keep := diagAt("p.go", 6, "rowlint", "row written")
 	out := applyOn(t, src, []Diagnostic{keep})
 	if len(out) != 1 {
 		t.Fatalf("directive three lines away suppressed a diagnostic: %v", out)
@@ -87,11 +87,11 @@ func TestDirectiveTrailingDoesNotBleedToNextLine(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint covers this line only
+	_ = 1 //qpipelint:ignore rowlint covers this line only
 	_ = 2
 }
 `
-	keep := diagAt("p.go", 5, "leaselint", "batch leaks")
+	keep := diagAt("p.go", 5, "rowlint", "row written")
 	out := applyOn(t, src, []Diagnostic{keep})
 	if len(out) != 1 {
 		t.Fatalf("trailing directive suppressed the following line too: %v", out)
@@ -105,7 +105,7 @@ func f() {
 	_ = 1 //qpipelint:ignore leaslint typo in the analyzer name
 }
 `
-	victim := diagAt("p.go", 4, "leaselint", "batch leaks")
+	victim := diagAt("p.go", 4, "rowlint", "row written")
 	out := applyOn(t, src, []Diagnostic{victim})
 	if len(out) != 2 {
 		t.Fatalf("want malformed-directive diagnostic plus the unsuppressed original, got %v", out)
@@ -116,7 +116,7 @@ func f() {
 			strings.Contains(d.Message, "known:") {
 			sawMalformed = true
 		}
-		if d.Analyzer == "leaselint" {
+		if d.Analyzer == "rowlint" {
 			sawOriginal = true
 		}
 	}
@@ -129,7 +129,7 @@ func TestDirectiveMissingReason(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint
+	_ = 1 //qpipelint:ignore rowlint
 }
 `
 	out := applyOn(t, src, nil)
@@ -156,11 +156,11 @@ func TestDirectiveMultipleAnalyzers(t *testing.T) {
 	src := `package p
 
 func f() {
-	_ = 1 //qpipelint:ignore leaselint,otherlint shared ownership documented above
+	_ = 1 //qpipelint:ignore rowlint,otherlint shared ownership documented above
 }
 `
 	diags := []Diagnostic{
-		diagAt("p.go", 4, "leaselint", "batch leaks"),
+		diagAt("p.go", 4, "rowlint", "row written"),
 		diagAt("p.go", 4, "otherlint", "error discarded"),
 		diagAt("p.go", 4, "walint", "page mutated outside apply"),
 	}
@@ -177,19 +177,19 @@ func f() {
 	_ = 1 //qpipelint:ignoreall not a real directive
 }
 `
-	keep := diagAt("p.go", 4, "leaselint", "batch leaks")
+	keep := diagAt("p.go", 4, "rowlint", "row written")
 	out := applyOn(t, src, []Diagnostic{keep})
-	if len(out) != 1 || out[0].Analyzer != "leaselint" {
+	if len(out) != 1 || out[0].Analyzer != "rowlint" {
 		t.Fatalf("lookalike comment must neither suppress nor report: %v", out)
 	}
 }
 
 func TestByName(t *testing.T) {
-	sel, unknown, ok := ByName([]string{"leaselint", "walint"})
+	sel, unknown, ok := ByName([]string{"rowlint", "walint"})
 	if !ok || unknown != "" || len(sel) != 2 {
-		t.Fatalf("ByName(leaselint,walint) = %v, %q, %v", sel, unknown, ok)
+		t.Fatalf("ByName(rowlint,walint) = %v, %q, %v", sel, unknown, ok)
 	}
-	_, unknown, ok = ByName([]string{"leaselint", "nosuch"})
+	_, unknown, ok = ByName([]string{"rowlint", "nosuch"})
 	if ok || unknown != "nosuch" {
 		t.Fatalf("ByName must surface unknown names, got %q %v", unknown, ok)
 	}

@@ -1,7 +1,7 @@
 // Package lint implements qpipe-lint: two static analyzers for the engine
-// invariants the types do not yet make unwritable — the batch-lease protocol
-// (leaselint) and heap-page mutation only in the storage manager's logged
-// apply step (walint). Fan-out, spill-file cleanup, sub-worker contexts and
+// invariants the types do not yet make unwritable — rows read from a buffer
+// are never written (rowlint) and heap-page mutation only in the storage
+// manager's logged apply step (walint). Fan-out, spill-file cleanup, sub-worker contexts and
 // output-port errors need no analyzer: a plan node has no fan-out field, a
 // spill file is created only through its packet, which drops it, operator
 // code runs on another goroutine only through core.Runtime.Fan or Serve,

@@ -16,14 +16,13 @@ import (
 )
 
 // emitter accumulates tuples and flushes them in batches to a packet's
-// output port. Batch arrays are leased from the port's pool (see
-// tbuf.BatchPool): a flush hands the array's lease to the primary consumer
-// and the next add draws a fresh one, so the steady-state flush path
-// allocates nothing. An error from add or flush means only "stop": the port
-// keeps why it stopped, every later Put repeats it at once, and the packet's
-// completion reads it (core.Packet.Complete). So a loop that only emits what
-// it already holds (a Top-N's heap, an aggregate's groups) drops add's error;
-// one that reads input for each row returns it, and stops.
+// output port: a flush gives the array to the port and the next add makes a
+// fresh one of the batch size. An error from add or flush means only
+// "stop": the port keeps why it stopped, every later Put repeats it at once,
+// and the packet's completion reads it (core.Packet.Complete). So a loop
+// that only emits what it already holds (a Top-N's heap, an aggregate's
+// groups) drops add's error; one that reads input for each row returns it,
+// and stops.
 type emitter struct {
 	out   *tbuf.SharedOut
 	batch tbuf.Batch
@@ -39,7 +38,7 @@ func newEmitter(pkt *core.Packet, batchSize int) *emitter {
 
 func (e *emitter) add(t tuple.Tuple) error {
 	if e.batch == nil {
-		e.batch = e.out.NewBatch(e.size)
+		e.batch = make(tbuf.Batch, 0, e.size)
 	}
 	e.batch = append(e.batch, t)
 	if len(e.batch) >= e.size {
@@ -58,10 +57,7 @@ func (e *emitter) flush() error {
 }
 
 // cursor reads a buffer one tuple at a time with single-tuple lookahead
-// (merge join needs peek). It holds the lease on at most one batch array,
-// released back to the pool on advance past the batch boundary and at EOF —
-// tuples the caller retained stay valid (rows are immutable and never
-// recycled; only the array goes back).
+// (merge join needs peek).
 type cursor struct {
 	buf   *tbuf.Buffer
 	batch tbuf.Batch
@@ -70,14 +66,6 @@ type cursor struct {
 }
 
 func newCursor(buf *tbuf.Buffer) *cursor { return &cursor{buf: buf} }
-
-// release returns the current batch's array lease to the pool.
-func (c *cursor) release() {
-	if c.batch != nil {
-		c.buf.Recycle(c.batch)
-		c.batch = nil
-	}
-}
 
 // peek returns the next tuple without consuming it; ok is false at EOF.
 func (c *cursor) peek() (tuple.Tuple, bool, error) {
@@ -90,11 +78,10 @@ func (c *cursor) peek() (tuple.Tuple, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		c.release()
 		c.batch, c.i = b, 0
 	}
 	if c.eof {
-		c.release()
+		c.batch = nil
 		return nil, false, nil
 	}
 	return c.batch[c.i], true, nil
@@ -111,7 +98,7 @@ func (c *cursor) next() (tuple.Tuple, bool, error) {
 }
 
 // drainAll reads a buffer to EOF, returning all tuples (rows are retained by
-// reference; the batch arrays that carried them are recycled).
+// reference).
 func drainAll(buf *tbuf.Buffer) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
 	for {
@@ -123,21 +110,16 @@ func drainAll(buf *tbuf.Buffer) ([]tuple.Tuple, error) {
 			return nil, err
 		}
 		out = append(out, b...)
-		buf.Recycle(b)
 	}
 }
 
-// emitBatch streams a leased batch's rows into the emitter and returns the
-// array's lease to the pool whether or not an add fails (the rows live on
-// inside the emitter's own batch; only the carrier array comes back).
-func emitBatch(em *emitter, pool *tbuf.BatchPool, out tbuf.Batch) error {
+// emitBatch streams a batch's rows into the emitter.
+func emitBatch(em *emitter, out tbuf.Batch) error {
 	for _, row := range out {
 		if err := em.add(row); err != nil {
-			pool.Put(out)
 			return err
 		}
 	}
-	pool.Put(out)
 	return nil
 }
 

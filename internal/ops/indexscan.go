@@ -49,21 +49,20 @@ func (l *leafSource) pinPage(ord int64) (*buffer.Frame, *buffer.Layout, bool, er
 // of partial and prefix scans.
 type pageStream struct {
 	src   pageSource
-	pool  *tbuf.BatchPool
 	stats *core.QueryStats
 	kern  *pageKernel
 	task  [1]pageTask
 }
 
 func newPageStream(src pageSource, rt *core.Runtime, pkt *core.Packet, filter expr.Pred, project []int) *pageStream {
-	ps := &pageStream{src: src, pool: rt.BatchPool(), stats: &pkt.Query.Stats, kern: newPageKernel(src.ncols())}
+	ps := &pageStream{src: src, stats: &pkt.Query.Stats, kern: newPageKernel(src.ncols())}
 	ps.task[0].prog = compileRowProgram(filter, project, src.ncols())
 	return ps
 }
 
 // emit builds page ord's rows under its pin and adds them to em after it.
 func (ps *pageStream) emit(em *emitter, ord int) error {
-	fresh, err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:], ps.pool)
+	fresh, err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:])
 	if err != nil {
 		return err
 	}
@@ -92,7 +91,7 @@ func (ps *pageStream) emitRange(em *emitter, pkt *core.Packet, lo, hi int) error
 func (ps *pageStream) flush(em *emitter) error {
 	out := ps.task[0].out
 	ps.task[0].out = nil
-	return emitBatch(em, ps.pool, out)
+	return emitBatch(em, out)
 }
 
 // IndexScanOp is the index-scan µEngine.
@@ -177,7 +176,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 		if err != nil {
 			return err
 		}
-		if err := emitBatch(em, ps.pool, batch); err != nil {
+		if err := emitBatch(em, batch); err != nil {
 			return err
 		}
 	}
@@ -281,7 +280,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 			if derr = tuple.Offsets(payload, 0, one.Offs); derr != nil {
 				return false
 			}
-			ps.kern.run(payload, &one, ps.task[:], ps.pool)
+			ps.kern.run(payload, &one, ps.task[:])
 			return !pkt.Cancelled() && ps.flush(em) == nil
 		})
 		if err != nil {

@@ -317,7 +317,6 @@ func (o *HashJoinOp) probeInMemory(rt *core.Runtime, pkt *core.Packet, node *pla
 					return err
 				}
 			}
-			pkt.Inputs[1].Recycle(b)
 		}
 		return em.flush()
 	})

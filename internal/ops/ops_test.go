@@ -517,9 +517,9 @@ func programs(width int, filters []expr.Pred, projects [][]int) []pageTask {
 
 func TestBuildPageLease(t *testing.T) {
 	// One visit of a page serves every consumer: each gets its own batch
-	// array (so each advances and recycles independently) holding fresh rows
-	// — never views of the page bytes or of another consumer's rows — and a
-	// consumer that keeps no row takes no lease at all.
+	// array of exactly the rows it keeps (so each may reorder it) holding
+	// fresh rows — never views of the page bytes or of another consumer's
+	// rows — and a consumer that keeps no row gets no array at all.
 	row := tuple.Tuple{tuple.I64(1), tuple.I64(2)}
 	// The second page holds a row that is not a row.
 	bad := page.New(2048)
@@ -532,12 +532,14 @@ func TestBuildPageLease(t *testing.T) {
 	src := rawHeap(t, 2, pageOf(t, []tuple.Tuple{row}), bad.Bytes())
 	k := newPageKernel(2)
 	tasks := programs(2, []expr.Pred{nil, nil, expr.EQ(expr.Col(0), expr.CInt(5)), nil}, [][]int{nil, nil, nil, {1}})
-	if fresh, err := buildPage(src, 0, k, tasks, nil); err != nil || !fresh {
+	if fresh, err := buildPage(src, 0, k, tasks); err != nil || !fresh {
 		t.Fatalf("first visit: fresh %v, %v", fresh, err)
 	}
 	outs := make([]tbuf.Batch, len(tasks))
 	for i := range tasks {
-		outs[i] = tasks[i].out
+		if outs[i] = tasks[i].out; cap(outs[i]) != len(outs[i]) {
+			t.Fatalf("consumer %d: an array of %d for %d rows", i, cap(outs[i]), len(outs[i]))
+		}
 	}
 	if len(outs[0]) != 1 || len(outs[1]) != 1 || outs[0][0][0].I != 1 || outs[1][0][1].I != 2 {
 		t.Fatalf("unfiltered consumers: %v %v", outs[0], outs[1])
@@ -548,7 +550,7 @@ func TestBuildPageLease(t *testing.T) {
 		t.Fatal("two consumers of one page share a row or an array")
 	}
 	if outs[2] != nil {
-		t.Fatalf("filter not applied, or a lease taken for no rows: %v", outs[2])
+		t.Fatalf("filter not applied, or an array made for no rows: %v", outs[2])
 	}
 	if len(outs[3]) != 1 || len(outs[3][0]) != 1 || outs[3][0][0].I != 2 {
 		t.Fatalf("projection: %v", outs[3])
@@ -566,7 +568,7 @@ func TestBuildPageLease(t *testing.T) {
 	for i := range tasks {
 		tasks[i].out = nil
 	}
-	_, err = buildPage(src, 1, k, tasks, nil)
+	_, err = buildPage(src, 1, k, tasks)
 	var ee *tuple.EncodingError
 	if !errors.As(err, &ee) {
 		t.Fatalf("hostile row: got %v, want a *tuple.EncodingError", err)

@@ -50,7 +50,6 @@ func parFeed(rt *core.Runtime, pkt *core.Packet, in *tbuf.Buffer, first tbuf.Bat
 			select {
 			case ch <- b:
 			case <-ctx.Done():
-				in.Recycle(b)
 				return context.Cause(ctx)
 			}
 		}

@@ -379,7 +379,6 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		src := heapSource{f: rt.SM.MustTable("t").Heap}
 		pkt, buf := rt.NewInternalPacket(carrier, node)
 		s := newScanner(pkt.ID, src, true, par, rt.SM.Pool.Capacity())
-		s.pool = rt.BatchPool()
 		if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 			t.Fatal("attach refused")
 		}
@@ -829,7 +828,6 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		heap := heapSource{f: rt.SM.MustTable("t").Heap}
 		s := newScanner(0, heap, true, 2, rt.SM.Pool.Capacity())
 		s.src = corruptSource{heapSource: heap, bad: s.parts[part].lo + 1}
-		s.pool = rt.BatchPool()
 		host, hostBuf := rt.NewInternalPacket(carrier, node)
 		second, secondBuf := rt.NewInternalPacket(carrier, node)
 		for _, pkt := range []*core.Packet{host, second} {

@@ -1,8 +1,8 @@
-// Allocation-regression gates and aliased-mutation guards for the batch
-// lease protocol: the emitter's produce→consume→recycle cycle must stay at
-// or below one allocation per batch, and recycled-batch parallel execution
-// must produce byte-identical results to the serial engine (a pooling bug —
-// an array recycled while still referenced — would surface here as
+// An allocation gate on the emitter and an aliased-mutation guard on batch
+// fan-out: the emitter's produce→consume cycle must stay at or below one
+// allocation per batch, and parallel, shared execution must produce
+// byte-identical results to the serial engine (an array shared between two
+// consumers, or a replayed prefix lost or doubled, would surface here as
 // corrupted or duplicated rows).
 package ops
 
@@ -23,28 +23,24 @@ import (
 )
 
 // TestEmitterFlushAllocGate asserts the emitter's steady-state flush path
-// stays within one allocation per batch (the batch array itself comes from
-// the pool; the only tolerated allocation is the buffer queue's amortized
-// growth).
+// stays within one allocation per batch: the batch array itself (the buffer
+// queue keeps its own array across drains).
 func TestEmitterFlushAllocGate(t *testing.T) {
 	const batchSize = 64
-	pool := tbuf.NewBatchPool(batchSize)
-	buf := tbuf.New(8).UsePool(pool)
-	out := tbuf.NewSharedOut(buf, 0).UsePool(pool)
+	buf := tbuf.New(8)
+	out := tbuf.NewSharedOut(buf, 0)
 	pkt := &core.Packet{Out: out}
 	em := newEmitter(pkt, batchSize)
 	row := tuple.Tuple{tuple.I64(1), tuple.F64(2.5)}
-	// Prime the pool and the replay-window invalidation outside the gate.
+	// Prime the queue and the replay-window invalidation outside the gate.
 	for i := 0; i < batchSize; i++ {
 		if err := em.add(row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b, err := buf.Get()
-	if err != nil {
+	if _, err := buf.Get(); err != nil {
 		t.Fatal(err)
 	}
-	buf.Recycle(b)
 
 	allocs := testing.AllocsPerRun(200, func() {
 		for i := 0; i < batchSize; i++ {
@@ -52,11 +48,9 @@ func TestEmitterFlushAllocGate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b, err := buf.Get()
-		if err != nil {
+		if _, err := buf.Get(); err != nil {
 			t.Fatal(err)
 		}
-		buf.Recycle(b)
 	})
 	if allocs > 1 {
 		t.Fatalf("emitter flush cycle: %.2f allocs per batch, want <= 1", allocs)
@@ -111,14 +105,14 @@ func collect(t *testing.T, rt *core.Runtime, p plan.Node) []string {
 	return sortedRows(rows)
 }
 
-// TestRecycledBatchParity runs a hash join and a group-by on an engine
-// configured to stress batch recycling as hard as possible — tiny batch
-// size (many pool round-trips), intra-operator parallelism, OSP on with
-// several concurrent identical queries so the fan-out, replay-window and
-// satellite-copy paths all engage — and requires results identical to a
-// serial, sharing-free run. Any aliased-mutation bug from pooling (an array
-// recycled while a consumer still reads it) corrupts rows and fails the
-// multiset comparison.
+// TestRecycledBatchParity is the fan-out/replay parity test: it runs a hash
+// join and a group-by on an engine configured to move as many batches
+// between consumers as possible — tiny batch size, intra-operator
+// parallelism, OSP on with several concurrent identical queries so the
+// fan-out, replay-window and satellite-copy paths all engage — and requires
+// results identical to a serial, sharing-free run. An array shared by two
+// consumers, or a replayed prefix lost or doubled, fails the multiset
+// comparison.
 func TestRecycledBatchParity(t *testing.T) {
 	mgr := loadRecyclePair(t, 700, 900)
 
@@ -150,8 +144,7 @@ func TestRecycledBatchParity(t *testing.T) {
 	for name, mk := range map[string]func() plan.Node{"join": joinPlan, "groupby": gbPlan} {
 		want := collect(t, serial, mk())
 		// Several concurrent identical queries: OSP absorbs some as
-		// satellites, exercising fan-out copies and the replay window over
-		// recycled arrays.
+		// satellites, exercising fan-out copies and the replay window.
 		const clients = 3
 		got := make([][]string, clients)
 		var wg sync.WaitGroup

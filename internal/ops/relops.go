@@ -190,7 +190,6 @@ func aggregate(rt *core.Runtime, pkt *core.Packet, keys []int, specs []expr.AggS
 		for _, t := range b {
 			gt.add(t)
 		}
-		in.Recycle(b)
 	}
 	// A folded aggregate's input is usually empty: no feeder starts before
 	// a first batch is there.

@@ -81,9 +81,6 @@ type scanner struct {
 	n        int64
 	parts    []partition
 	circular bool // wrap at partition end while consumers still need pages
-	// pool leases the per-consumer output batch arrays (nil in direct
-	// scanner tests: plain allocation).
-	pool *tbuf.BatchPool
 
 	consumers []*scanConsumer
 	done      bool // every consumer served, gone, or failed
@@ -285,7 +282,7 @@ func (s *scanner) runPartition(k int) error {
 		}
 		s.mu.Unlock()
 
-		fresh, err := buildPage(s.src, pg, kern, tasks, s.pool)
+		fresh, err := buildPage(s.src, pg, kern, tasks)
 		if err != nil {
 			return err
 		}
@@ -358,15 +355,14 @@ func (s *scanner) put(c *scanConsumer, out tbuf.Batch) error {
 	if n <= 0 || len(out) <= n {
 		return c.pkt.Out.Put(out)
 	}
-	// A batch array has one owner, so each piece is its own lease, not a
-	// slice of the page's.
-	defer s.pool.Put(out)
+	// Each piece is clipped to its length, so no consumer reaches past it
+	// into the next.
 	for rest := out; len(rest) > 0; {
-		piece := rest[:min(n, len(rest))]
-		rest = rest[len(piece):]
-		if err := c.pkt.Out.Put(append(s.pool.GetCap(len(piece)), piece...)); err != nil {
+		m := min(n, len(rest))
+		if err := c.pkt.Out.Put(rest[:m:m]); err != nil {
 			return err
 		}
+		rest = rest[m:]
 	}
 	return nil
 }
@@ -446,9 +442,7 @@ func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, new
 func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordered bool, src pageSource, par int) error {
 	pkt, op := c.pkt, c.pkt.Node.Op()
 	newGroup := func() *scanner {
-		s := newScanner(pkt.ID, src, !ordered, par, rt.SM.Pool.Capacity())
-		s.pool = rt.BatchPool()
-		return s
+		return newScanner(pkt.ID, src, !ordered, par, rt.SM.Pool.Capacity())
 	}
 	if !rt.OSPAllowed(pkt.Query) {
 		s := newGroup()

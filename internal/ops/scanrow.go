@@ -177,18 +177,19 @@ func newPageKernel(ncols int) *pageKernel {
 }
 
 // buildPage visits page ord of src once, under one pin, and leaves in each
-// task's out the rows its consumer keeps, in stored order, in an array leased
-// from pool (none for a consumer that keeps no row); fresh says the visit
-// derived the page's layout. The pin has ended when buildPage returns, so the
-// caller may block delivering the batches without holding a frame. A page
-// that fails — a damaged slot or row — fails where its layout is derived,
-// before the first lease: no consumer is handed part of a page.
-func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool *tbuf.BatchPool) (fresh bool, err error) {
+// task's out the rows its consumer keeps, in stored order, in an array of
+// exactly that many (none for a consumer that keeps no row); fresh says the
+// visit derived the page's layout. The pin has ended when buildPage returns,
+// so the caller may block delivering the batches without holding a frame. A
+// page that fails — a damaged slot or row — fails where its layout is
+// derived, before the first row is built: no consumer is handed part of a
+// page.
+func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask) (fresh bool, err error) {
 	fr, l, fresh, err := src.pinPage(ord)
 	if err != nil {
 		return false, fmt.Errorf("ops: page %d: %w", ord, err)
 	}
-	k.run(fr.Data(), l, tasks, pool)
+	k.run(fr.Data(), l, tasks)
 	fr.Unpin()
 	return fresh, nil
 }
@@ -196,7 +197,7 @@ func buildPage(src pageSource, ord int64, k *pageKernel, tasks []pageTask, pool 
 // run is buildPage on bytes and their layout already at hand (valid for the
 // call). Nothing in it can fail: the layout's maker checked every byte it
 // will read.
-func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *tbuf.BatchPool) {
+func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask) {
 	k.buf, k.offs, k.nrows = buf, l.Offs, l.Rows
 	for c := range k.vecs {
 		kind, vec := l.Vec(c)
@@ -216,7 +217,7 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask, pool *t
 		// One carve for the page: the rows are slices of it.
 		w := len(t.prog.out)
 		vals := k.arena.Make(len(sel) * w)
-		t.out = pool.GetCap(len(sel))
+		t.out = make(tbuf.Batch, 0, len(sel))
 		for i := range sel {
 			t.out = append(t.out, vals[i*w:(i+1)*w:(i+1)*w])
 		}

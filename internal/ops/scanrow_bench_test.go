@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/storage/buffer"
 	"qpipe/internal/storage/page"
@@ -74,7 +73,7 @@ func BenchmarkPageKernel(b *testing.B) {
 	for _, c := range classes {
 		for _, vectors := range []bool{true, false} {
 			b.Run(fmt.Sprintf("%s/vectors=%v", c.name, vectors), func(b *testing.B) {
-				pool, k := tbuf.NewBatchPool(1024), newPageKernel(width)
+				k := newPageKernel(width)
 				tasks := []pageTask{{prog: compileRowProgram(c.filter, []int{0, 4}, width)}}
 				if c.task != nil {
 					tasks[0] = c.task()
@@ -86,11 +85,8 @@ func BenchmarkPageKernel(b *testing.B) {
 						if !vectors {
 							l = stripped(l)
 						}
-						k.run(p.raw, l, tasks, pool)
-						if tasks[0].out != nil {
-							pool.Put(tasks[0].out)
-							tasks[0].out = nil
-						}
+						k.run(p.raw, l, tasks)
+						tasks[0].out = nil
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")

@@ -116,7 +116,7 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 		progs[5].fold, progs[5].part, progs[5].keys = joined, joined.partial(0), joined.probe
 		bound := colCmp(1, fuzzBound.Op, fuzzBound.R.(*expr.Const).V)
 		progs[6].prog, progs[6].bound = compileRowProgram(filters[1], projects[6], width), &bound
-		fresh, err := buildPage(from, 0, newPageKernel(width), progs, nil)
+		fresh, err := buildPage(from, 0, newPageKernel(width), progs)
 		outs := make([]tbuf.Batch, len(progs))
 		for i := range progs {
 			outs[i] = progs[i].out

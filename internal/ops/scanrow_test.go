@@ -67,7 +67,7 @@ func runLocated(raw []byte, width int, tasks []pageTask, vectors bool) error {
 	if !vectors {
 		l = stripped(l)
 	}
-	newPageKernel(width).run(raw, l, tasks, nil)
+	newPageKernel(width).run(raw, l, tasks)
 	return nil
 }
 
@@ -269,7 +269,7 @@ func pageKernelCase(t *testing.T, raw []byte, width int, decoded []tuple.Tuple, 
 			}
 		}
 		if len(want) == 0 && got != nil {
-			t.Fatalf("vectors %v, consumer %d leased an array for no row", vectors, i)
+			t.Fatalf("vectors %v, consumer %d made an array for no row", vectors, i)
 		}
 	}
 }
@@ -605,7 +605,7 @@ func TestPageKernelDamagedPage(t *testing.T) {
 					joined := &scanFold{keys: []int{1, 2 + 1}, specs: []expr.AggSpec{{Kind: expr.AggMax, Arg: expr.Col(2 + 0)}}}
 					joinedFold(joined, []tuple.Tuple{{tuple.I64(2), tuple.Str("two")}, {tuple.F64(3), tuple.Str("three")}}, 2, 0, 0, nil)
 					tasks[3].fold, tasks[3].part, tasks[3].keys = joined, joined.partial(0), joined.probe // and the last, through a join
-					_, err := buildPage(from, 0, k, tasks, nil)
+					_, err := buildPage(from, 0, k, tasks)
 					return tasks, err
 				}
 				if tasks, err := visit(); err != nil || len(tasks[1].out) != 2 || tasks[3].folded != 2 || pool.Stats().Layouts != 1 {

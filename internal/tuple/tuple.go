@@ -167,12 +167,10 @@ func Compare(a, b Value) int {
 // Equal reports value equality under Compare semantics.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Tuple is a flat row of values. Tuples follow the engine's lease protocol
-// (see tbuf and the README's "Memory model"): a tuple is immutable from the
-// moment it is published to an output port, so producers, fan-out satellites
-// and downstream operators all share the same row by reference — only the
-// batch arrays that carry rows between operators are recycled, never the
-// rows themselves. An operator that needs to alter a row builds a new one
+// Tuple is a flat row of values. A tuple is immutable from the moment it is
+// published to an output port (see tbuf and the README's "Memory model"), so
+// producers, fan-out satellites and downstream operators all share the same
+// row by reference. An operator that needs to alter a row builds a new one
 // (typically from a RowArena) instead of mutating in place.
 type Tuple []Value
 
@@ -219,8 +217,7 @@ const (
 // chunk, and sizes its chunks by what it has carved so far: the first is
 // about the first row, each later one doubles up to arenaChunkValues, and a
 // carve larger than that gets a chunk of exactly its size. Rows carved from
-// an arena follow the engine's lease protocol for tuples: they are
-// immutable once published to a consumer, so sharing one backing chunk
+// an arena are immutable once published to a consumer, so sharing one backing chunk
 // across many rows is safe, and the chunk is garbage-collected as one object
 // when the last row referencing it dies. Arenas are not goroutine-safe;
 // every parallel worker owns its own.

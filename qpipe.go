@@ -26,7 +26,7 @@
 //		Project(qpipe.Col("city"), qpipe.Col("pop").Mul(qpipe.Float(1e6)).As("population")).
 //		Run(ctx, qpipe.WithParallelism(4))
 //	for row := range res.Rows() {
-//		... // rows are immutable; see Result.Rows for the lease rules
+//		... // rows are immutable; see Result.Next
 //	}
 //	if err := res.Err(); err != nil { ... }
 //

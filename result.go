@@ -2,13 +2,9 @@
 // access (Next), bulk access (All, Discard) and a Go-1.23 range-over-func
 // iterator (Rows).
 //
-// Lease protocol at the API boundary: the ROWS handed out are immutable and
-// remain valid forever (the engine shares rows by reference and never
-// recycles them); the batch ARRAYS carrying them are leases. Next hands the
-// array's lease to the caller; All, Discard and Rows manage the leases
-// internally (recycling each array once its rows were yielded), so rows
-// obtained from them may be retained freely while the arrays go back to the
-// engine's pool.
+// At the API boundary the ROWS handed out are immutable and remain valid
+// forever (the engine shares rows by reference); the batch ARRAY carrying
+// them is the caller's own, plain garbage-collected memory.
 package qpipe
 
 import (
@@ -55,12 +51,12 @@ func newRowsResult(rows []Row, schema *Schema) *Result {
 func (r *Result) Schema() *Schema { return r.schema }
 
 // Next returns the next batch of result rows; io.EOF signals completion.
-// The returned batch ARRAY is owned by the caller (the engine hands over
-// its lease and never touches or recycles it), but the ROWS inside are
-// read-only: under the engine's lease protocol they may be shared by
-// reference with a port's replay window and with concurrent OSP satellite
-// queries, so mutating a returned row corrupts other queries' results.
-// Callers that need to modify a row must Clone it first.
+// The returned batch ARRAY is owned by the caller (the engine never touches
+// it again; the caller may reorder or keep it), but the ROWS inside are
+// read-only: they may be shared by reference with a port's replay window
+// and with concurrent OSP satellite queries, so mutating a returned row
+// corrupts other queries' results. Callers that need to modify a row must
+// Clone it first.
 func (r *Result) Next() ([]Row, error) {
 	if r.q == nil { // materialized mode
 		if r.matDone || len(r.mat) == 0 {
@@ -96,8 +92,7 @@ func (r *Result) Next() ([]Row, error) {
 		b = b[:r.limit-r.delivered]
 		r.delivered = r.limit
 		r.limitHit = true
-		// The limit is satisfied: stop the upstream work. The truncated
-		// array's lease still belongs to the caller.
+		// The limit is satisfied: stop the upstream work.
 		r.q.Cancel()
 		return b, nil
 	}
@@ -115,17 +110,11 @@ func (r *Result) ready() bool {
 	return s.Queued > 0 || s.Closed || s.Abandoned
 }
 
-// Recycle returns a batch array obtained from Next to the engine's pool
-// (no-op in materialized mode). Rows copied or retained from the batch stay
-// valid; only the carrier array is recycled. Callers driving Next directly —
-// the qpipe-server row streamer encodes each batch onto the wire and hands
-// the array straight back — should Recycle every batch exactly once;
-// All/Discard/Rows do it internally.
-func (r *Result) Recycle(b []Row) {
-	if r.q != nil {
-		r.q.Result.Recycle(b)
-	}
-}
+// Recycle does nothing: a batch from Next is the caller's, and the garbage
+// collector frees its array.
+//
+// Deprecated: there is nothing to hand back.
+func (r *Result) Recycle([]Row) {}
 
 // finish resolves the result's terminal error after EOF: nil for
 // materialized results and satisfied limits, the query's own terminal error
@@ -146,10 +135,8 @@ func (r *Result) setErr(err error) error {
 }
 
 // Rows returns a single-use iterator over the result's rows, for use with
-// range. Rows yielded may be retained freely but are READ-ONLY (see Next);
-// the batch arrays that carried them are recycled under the hood after each
-// batch's rows were yielded — the lease-safe hand-off. Breaking out of the
-// range early cancels the remaining query work. Iteration errors are
+// range. Rows yielded may be retained freely but are READ-ONLY (see Next).
+// Breaking out of the range early cancels the remaining query work. Iteration errors are
 // reported by Err after the loop:
 //
 //	for row := range res.Rows() {
@@ -170,16 +157,11 @@ func (r *Result) Rows() iter.Seq[Row] {
 			}
 			for _, row := range b {
 				if !yield(row) {
-					// Early break: the caller is done. Recycling here is
-					// safe — rows already yielded are never recycled, and
-					// the unyielded remainder was never handed out.
-					r.Recycle(b)
 					r.Cancel()
 					r.setErr(nil)
 					return
 				}
 			}
-			r.Recycle(b)
 		}
 	}
 }
@@ -195,8 +177,7 @@ func (r *Result) Err() error {
 }
 
 // All drains the result completely and waits for the query to finish. The
-// returned rows are the caller's to keep but read-only (see Next); the
-// batch arrays that carried them are recycled into the engine's pool.
+// returned rows are the caller's to keep but read-only (see Next).
 func (r *Result) All() ([]Row, error) {
 	var out []Row
 	for {
@@ -208,7 +189,6 @@ func (r *Result) All() ([]Row, error) {
 			return out, r.setErr(err)
 		}
 		out = append(out, b...)
-		r.Recycle(b)
 	}
 }
 
@@ -225,7 +205,6 @@ func (r *Result) Discard() (int64, error) {
 			return n, r.setErr(err)
 		}
 		n += int64(len(b))
-		r.Recycle(b)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Server: the network front end. It owns a TCP listener, one goroutine per
 // connection, and one qpipe.Session per connection (SET statements arriving
 // as Query frames adjust it), translating wire frames into the embedded
-// API. The interesting part is the row streamer: result batches come out of
-// Result.Next carrying the engine's array lease, each row is encoded into
-// the frame (wire.AppendRowBatch, the page layer's binary form), and the
-// array goes back to the engine pool via Result.Recycle. Frames queue in one
+// API. The interesting part is the row streamer: each batch Result.Next
+// returns is encoded row by row into one frame (wire.AppendRowBatch, the
+// page layer's binary form) and then left to the garbage collector, like
+// every batch array. Frames queue in one
 // buffered writer per connection, flushed only when the handler is about to
 // wait. The paper's multi-query concurrency — the traffic OSP
 // needs to pay off — thus arrives over real sockets, while admission
@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qpipe/internal/core"
 	"qpipe/sql"
 	"qpipe/wire"
 )
@@ -260,7 +261,7 @@ type serverConn struct {
 	// ctx is the connection's lifetime: cancelled when the peer goes away
 	// (read loop error) or the server shuts down. In-flight queries run
 	// under it, so a mid-stream disconnect cancels the query and releases
-	// its leases and locks.
+	// its locks.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -304,6 +305,9 @@ func (s *Server) handle(conn net.Conn) {
 		cancel: cancel,
 		frames: make(chan frame, 4),
 	}
+	// The connection is one node of the deadlock detector's Waits-For
+	// graph: this goroutine alone reads its results.
+	c.sess.reader = core.NewReader()
 	// A disconnect mid-transaction must not leak the transaction's table
 	// locks: roll back whatever the session left open.
 	defer c.sess.Close()
@@ -413,7 +417,7 @@ func (c *serverConn) readLoop() {
 			c.readErr = err
 			close(c.frames)
 			// The peer is gone (or sent garbage): abort any in-flight
-			// query so its leases, locks and temp files release now.
+			// query so its locks and temp files release now.
 			c.cancel()
 			return
 		}
@@ -547,7 +551,7 @@ func (c *serverConn) serveExecute(e wire.Execute) error {
 		return c.sendError(err)
 	}
 	c.srv.queriesServed.Add(1)
-	res, err := q.Run(c.ctx, append(c.sess.Options(), wireOptions(e.Opts)...)...)
+	res, err := q.runIn(c.ctx, &c.sess, wireOptions(e.Opts))
 	if err != nil {
 		return c.sendError(err)
 	}
@@ -605,10 +609,9 @@ func (c *serverConn) serveStats() error {
 	return c.send(wire.MsgStatsResult, msg.Encode(c.frame()))
 }
 
-// stream sends a result as RowDesc, RowBatch*, Complete — the lease-safe
-// hand-off: each row of a batch from Next is encoded into a RowBatch frame
-// (wire.AppendRowBatch) and the array is recycled into the engine's pool at
-// once. Frames queue in c.w, which is flushed only before a wait: before a
+// stream sends a result as RowDesc, RowBatch*, Complete: each row of a
+// batch from Next is encoded into a RowBatch frame (wire.AppendRowBatch).
+// Frames queue in c.w, which is flushed only before a wait: before a
 // Next that has nothing ready (so RowDesc and the batches so far are on the
 // wire while the engine works) and, by run, at the end of the reply. A
 // one-row reply therefore costs at most three writes: RowDesc before the
@@ -617,7 +620,7 @@ func (c *serverConn) serveStats() error {
 // its terminal error frame.
 func (c *serverConn) stream(res *Result) error {
 	// fail gives up on a connection that cannot be written to: cancel and
-	// fully drain the query so every lease, lock and temp file is released
+	// fully drain the query so every lock and temp file is released
 	// before we hang up.
 	fail := func(err error) error {
 		res.Cancel()
@@ -660,7 +663,6 @@ func (c *serverConn) stream(res *Result) error {
 		}
 		frame := wire.AppendRowBatch(c.frame(), b)
 		rows += int64(len(b))
-		res.Recycle(b)
 		if err := c.send(wire.MsgRowBatch, frame); err != nil {
 			return fail(err)
 		}
@@ -672,11 +674,9 @@ func (c *serverConn) stream(res *Result) error {
 // drainResult consumes a cancelled result to its end so buffers tear down.
 func drainResult(res *Result) {
 	for {
-		b, err := res.Next()
-		if err != nil {
+		if _, err := res.Next(); err != nil {
 			return
 		}
-		res.Recycle(b)
 	}
 }
 

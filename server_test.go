@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -312,8 +313,8 @@ func TestServerConnLimit(t *testing.T) {
 }
 
 // TestServerClientDisconnectMidStream: a client vanishing mid-stream must
-// cancel the query server-side and release every lease — the in-flight
-// gauge returns to zero and no temp files remain.
+// cancel the query server-side and release everything it held — the
+// in-flight gauge returns to zero and no temp files remain.
 func TestServerClientDisconnectMidStream(t *testing.T) {
 	srv, db, addr := startServer(t, 20_000, qpipe.Options{}, qpipe.ServerOptions{})
 	// Slow the disk so the stream is still in flight when we sever it.
@@ -325,7 +326,7 @@ func TestServerClientDisconnectMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A big sort keeps temp files and leases in play mid-stream.
+	// A big sort keeps temp files in play mid-stream.
 	rows, err := conn.Query(ctx, "SELECT id, note FROM t ORDER BY amount DESC", client.WithBatchSize(16))
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +337,8 @@ func TestServerClientDisconnectMidStream(t *testing.T) {
 	// Hard close: no Cancel frame, no Quit — the socket just dies.
 	conn.Close()
 
-	// The server must notice, cancel the query, release leases and locks,
-	// and clean up its temp files.
+	// The server must notice, cancel the query, release its locks, and
+	// clean up its temp files.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		st := db.Stats()
@@ -837,11 +838,11 @@ func TestServerSyscallsPerReply(t *testing.T) {
 // table t's scanner; a count(*) sent over the wire rides that scanner and
 // cannot produce its one row until the hold is released, yet Query returns
 // (it reads RowDesc) while the hold is still in place. The deadlock
-// detector is off, or it would lift the hold (OpenWithoutDeadlockDetector).
-// The timeout only guards against a hang.
+// detector is on: the connection is a reader of its own, so its wait and the
+// held result close no cycle. The timeout only guards against a hang.
 func TestServerFlushesBeforeItWaits(t *testing.T) {
 	const n = 3000
-	db, err := qpipe.OpenWithoutDeadlockDetector(qpipe.Options{BufferCapacity: 2, ScanParallelism: 1})
+	db, err := qpipe.Open(qpipe.Options{BufferCapacity: 2, ScanParallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -901,5 +902,195 @@ func TestServerFlushesBeforeItWaits(t *testing.T) {
 	}
 	if len(got) != 1 || got[0][0].I != n {
 		t.Fatalf("count(*) = %v, want [[%d]]", got, n)
+	}
+}
+
+// TestReadersAreNodesOfTheWaitsForGraph: the deadlock detector (§4.3.3)
+// sees every server connection as a reader of its own — the consumer of its
+// results' buffers — and every embedded Result, bare or under a Session, as
+// node 0. Two wire clients waiting on one held embedded scan close no cycle,
+// so nothing is materialized however many periods the detector looks; a
+// thread that holds one result while it waits on another does close one,
+// however the two were submitted, and so do two threads that read two held
+// scans in opposite orders: the detector lifts a bound to break it. Every
+// answer is the iterator engine's. A hang fails every statement at its
+// deadline.
+func TestReadersAreNodesOfTheWaitsForGraph(t *testing.T) {
+	const n = 3000
+	for _, row := range []struct {
+		name     string
+		deadlock bool // a real cycle through the readers, which must be broken
+		run      func(w *wfgEnv)
+	}{
+		{"two wire clients ride a held embedded scan", false, func(w *wfgEnv) {
+			held := w.send(nil, "SELECT id FROM t")
+			texts := []string{"SELECT count(*) AS n FROM t", "SELECT sum(amount) AS s FROM t"}
+			replies := make([]*client.Rows, len(texts))
+			for i, text := range texts {
+				conn, err := client.Connect(w.ctx, w.addr)
+				if err != nil {
+					w.t.Fatal(err)
+				}
+				defer conn.Close()
+				// Query returns once RowDesc is in: the server then waits on
+				// a statement that rides the held scanner.
+				if replies[i], err = conn.Query(w.ctx, text); err != nil {
+					w.t.Fatal(err)
+				}
+			}
+			w.rode(2)
+			time.Sleep(10 * qpipe.DeadlockInterval(w.db))
+			w.check(held)
+			for i, text := range texts {
+				got, err := replies[i].All()
+				w.same(text, got, err)
+			}
+		}},
+		{"one thread holds A and waits on B", true, func(w *wfgEnv) {
+			a := w.send(nil, "SELECT id FROM t")
+			w.check(w.send(nil, "SELECT count(*) AS n FROM t"))
+			w.rode(1)
+			w.check(a)
+		}},
+		{"one session holds A and waits on B", true, func(w *wfgEnv) {
+			sess := &qpipe.Session{}
+			a := w.send(sess, "SELECT id FROM t")
+			w.check(w.send(sess, "SELECT count(*) AS n FROM t"))
+			w.rode(1)
+			w.check(a)
+		}},
+		{"one thread holds a bare A and waits on a session's B", true, func(w *wfgEnv) {
+			a := w.send(nil, "SELECT id FROM t")
+			w.check(w.send(&qpipe.Session{}, "SELECT count(*) AS n FROM t"))
+			w.rode(1)
+			w.check(a)
+		}},
+		{"one thread holds A under one session and waits on B under another", true, func(w *wfgEnv) {
+			a := w.send(&qpipe.Session{}, "SELECT id FROM t")
+			w.check(w.send(&qpipe.Session{}, "SELECT count(*) AS n FROM t"))
+			w.rode(1)
+			w.check(a)
+		}},
+		{"two sessions read two scans in opposite orders", true, func(w *wfgEnv) {
+			s1, s2 := &qpipe.Session{}, &qpipe.Session{}
+			a1 := w.send(s1, "SELECT id FROM t")
+			b2 := w.send(s2, "SELECT id FROM u")
+			b1 := w.send(s1, "SELECT grp FROM u")
+			a2 := w.send(s2, "SELECT grp FROM t")
+			var wg sync.WaitGroup
+			for _, order := range [][2]*qpipe.Result{{b1, a1}, {a2, b2}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, res := range order {
+						w.check(res)
+					}
+				}()
+			}
+			wg.Wait()
+			w.rode(2)
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			db, err := qpipe.Open(qpipe.Options{BufferCapacity: 2, ScanParallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(db.Close)
+			loadT(t, db, n)
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if _, err := db.Exec(ctx, "CREATE TABLE u (id INT, grp INT)"); err != nil {
+				t.Fatal(err)
+			}
+			rows := make([]qpipe.Row, n)
+			for i := range rows {
+				rows[i] = qpipe.R(i, i%7)
+			}
+			if err := db.Load("u", rows); err != nil {
+				t.Fatal(err)
+			}
+			_, addr := serveDB(t, db, qpipe.ServerOptions{})
+			w := &wfgEnv{t: t, ctx: ctx, db: db, addr: addr, shares: db.TotalShares(),
+				texts: map[*qpipe.Result]string{}, want: map[string][]string{}}
+			for _, text := range []string{"SELECT id FROM t", "SELECT id FROM u", "SELECT grp FROM t", "SELECT grp FROM u",
+				"SELECT count(*) AS n FROM t", "SELECT sum(amount) AS s FROM t"} {
+				w.want[text] = skVolcano(t, db, cpPlan(t, db, text))
+			}
+			before := db.Stats()
+			row.run(w)
+			after := db.Stats()
+			seen, mat := after.DeadlocksSeen-before.DeadlocksSeen, after.Materialized-before.Materialized
+			if row.deadlock && (seen < 1 || mat < 1) {
+				t.Fatalf("a real cycle through the readers: %d deadlocks seen, %d buffers materialized, want >= 1", seen, mat)
+			}
+			if !row.deadlock && (seen != 0 || mat != 0) {
+				t.Fatalf("no cycle, yet %d deadlocks seen and %d buffers materialized", seen, mat)
+			}
+		})
+	}
+}
+
+// wfgEnv is one row's database, what its readers sent, and the iterator
+// engine's answers.
+type wfgEnv struct {
+	t      *testing.T
+	ctx    context.Context
+	db     *qpipe.DB
+	addr   string
+	shares int64
+	mu     sync.Mutex
+	texts  map[*qpipe.Result]string
+	want   map[string][]string
+}
+
+// send runs text under sess (nil: a bare Result). A scan of a whole table's
+// ids is waited for until it is held — its result unread and full, its scan
+// blocked; every result is read later.
+func (w *wfgEnv) send(sess *qpipe.Session, text string) *qpipe.Result {
+	w.t.Helper()
+	res, err := w.db.QuerySession(w.ctx, sess, text)
+	if err != nil {
+		w.t.Fatalf("%s: %v", text, err)
+	}
+	w.mu.Lock()
+	w.texts[res] = text
+	w.mu.Unlock()
+	if strings.HasPrefix(text, "SELECT id ") {
+		for !skHeld(res) {
+			if w.ctx.Err() != nil {
+				w.t.Fatalf("%s was never held", text)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return res
+}
+
+// rode asserts that k statements shared a held scan, or the row tested
+// nothing.
+func (w *wfgEnv) rode(k int64) {
+	w.t.Helper()
+	if got := w.db.TotalShares() - w.shares; got < k {
+		w.t.Errorf("%d of %d statements rode a held scan", got, k)
+	}
+}
+
+// check reads res to its end and compares it with the iterator engine.
+func (w *wfgEnv) check(res *qpipe.Result) {
+	got, err := res.All()
+	w.mu.Lock()
+	text := w.texts[res]
+	w.mu.Unlock()
+	w.same(text, got, err)
+}
+
+func (w *wfgEnv) same(text string, got []qpipe.Row, err error) {
+	if err != nil {
+		w.t.Errorf("%s: %v", text, err)
+		return
+	}
+	if g, want := apSorted(got), w.want[text]; !slices.Equal(g, want) {
+		w.t.Errorf("%s: %d rows, the iterator engine %d", text, len(g), len(want))
 	}
 }

@@ -121,9 +121,8 @@ func (db *DB) runStmt(ctx context.Context, sess *Session, stmt sql.Statement, op
 	var tx *Tx
 	if sess != nil {
 		tx = sess.tx
-		opts = append(sess.Options(), opts...)
 	}
-	o, err := resolveOpts(opts)
+	o, err := sess.resolve(opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1216,7 +1215,11 @@ func lowerNary(scope *sqlScope, ps []sql.Pred, combine func(...Pred) Pred) (Pred
 //	SET osp = off;                   -- WithoutOSP()
 //	SET statement_timeout = '500ms'; -- WithTimeout(500ms); bare ints are ms
 //
-// The zero Session means "engine defaults" and yields no options.
+// The zero Session means "engine defaults" and yields no options. An
+// embedded Session is no node of its own in the deadlock detector's graph:
+// its results and every bare Result share one, so a goroutine may hold a
+// result of one kind while it reads another and the detector still sees the
+// cycle. A server connection's session is a node of its own.
 type Session struct {
 	// Parallelism is the per-query intra-operator fan-out (0 = engine
 	// default).
@@ -1233,6 +1236,14 @@ type Session struct {
 	// tx is the session's open explicit transaction (nil outside
 	// BEGIN..COMMIT/ROLLBACK). The router maintains it; Close rolls it back.
 	tx *Tx
+	// reader is the Waits-For node that reads the session's results
+	// (core.QueryOptions.Reader). The server sets it for its connection's
+	// session before the first statement: one goroutine reads that
+	// connection's results, so a result another connection reads is never
+	// mistaken for this one's. It stays 0 for an embedded session, whose
+	// results are read, like every bare Result's, by node 0: a goroutine may
+	// mix both, and a cycle through the results it holds must stay visible.
+	reader int64
 }
 
 // Apply folds one SET statement into the session. Unknown settings and bad
@@ -1282,6 +1293,18 @@ func (s *Session) Apply(st *sql.Set) error {
 			Reason: "unknown setting (supported: parallelism, batch_size, osp, statement_timeout)"}
 	}
 	return nil
+}
+
+// resolve readies a statement to run under the session: its settings apply
+// before opts, and its reader reads the statement's result. A nil session
+// resolves opts alone.
+func (s *Session) resolve(opts []QueryOption) (queryOpts, error) {
+	if s == nil {
+		return resolveOpts(opts)
+	}
+	o, err := resolveOpts(append(s.Options(), opts...))
+	o.core.Reader = s.reader
+	return o, err
 }
 
 // Options renders the session's non-default settings as per-query options.

@@ -25,9 +25,9 @@ const (
 type Value = tuple.Value
 
 // Row is one result or table row: a flat slice of values. Rows handed out
-// by the engine are IMMUTABLE — under the lease protocol they may be shared
-// by reference with concurrent queries (OSP satellites, replay windows), so
-// a caller that needs to modify one must Clone it first.
+// by the engine are IMMUTABLE — they may be shared by reference with
+// concurrent queries (OSP satellites, replay windows), so a caller that
+// needs to modify one must Clone it first.
 type Row = tuple.Tuple
 
 // Column describes one schema column (name + kind).

@@ -379,7 +379,7 @@ func DecodePrepared(b []byte) (Prepared, error) {
 
 // AppendRowBatch encodes a batch of rows as a MsgRowBatch payload, appending
 // to dst: a uvarint row count, then each row in the storage layer's tuple
-// encoding. The rows are read, never retained — safe on leased batch arrays.
+// encoding. The rows are read, never retained.
 func AppendRowBatch(dst []byte, rows []Row) []byte {
 	dst = appendUvarint(dst, uint64(len(rows)))
 	for _, row := range rows {

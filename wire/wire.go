@@ -21,7 +21,7 @@
 // encoding: fixed 8-byte little-endian words for 64-bit integers, uvarints
 // for counts, and uvarint-length-prefixed bytes for strings. Row batches
 // embed rows in the exact binary form the page layer uses (tuple.Encode):
-// the server encodes each row of a leased batch straight into the frame,
+// the server encodes each row of a result batch straight into the frame,
 // with no form in between.
 //
 // Malformed input of any shape — truncated frames, trailing bytes, bad kind
