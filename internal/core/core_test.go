@@ -487,18 +487,18 @@ func TestDeadlockDetectorBreaksCycle(t *testing.T) {
 	// producer B feeds bufB1 (consumer 100) and bufB2 (consumer 200).
 	// Consumer 100 drains A then B; consumer 200 drains B then A. With
 	// 1-batch buffers both producers block and both consumers starve.
-	mkBuf := func(prod, cons int64, label string) *tbuf.Buffer {
+	mkBuf := func(prod, cons int64, from, to string) *tbuf.Buffer {
 		b := tbuf.New(1)
 		b.Producer.Store(prod)
 		b.Consumer.Store(cons)
-		b.Label = label
+		b.Label = tbuf.Label{Query: q.ID, From: from, To: to}
 		q.addBuffer(b)
 		return b
 	}
-	bufA1 := mkBuf(1, 100, "A->c1")
-	bufA2 := mkBuf(1, 200, "A->c2")
-	bufB1 := mkBuf(2, 100, "B->c1")
-	bufB2 := mkBuf(2, 200, "B->c2")
+	bufA1 := mkBuf(1, 100, "A", "c1")
+	bufA2 := mkBuf(1, 200, "A", "c2")
+	bufB1 := mkBuf(2, 100, "B", "c1")
+	bufB2 := mkBuf(2, 200, "B", "c2")
 	rt.mu.Lock()
 	rt.queries[q.ID] = q
 	rt.mu.Unlock()

@@ -163,6 +163,7 @@ func (rt *Runtime) NewInternalPacket(q *Query, node plan.Node) (*Packet, *tbuf.B
 	buf := tbuf.New(rt.Cfg.BufferCapacity)
 	q.addBuffer(buf)
 	pkt := newPacket(q, node)
+	pkt.Sig = node.Signature()
 	pkt.OutBuf = buf
 	pkt.Out = tbuf.NewSharedOut(buf, rt.Cfg.ReplayWindow)
 	pkt.Out.SetProducer(pkt.ID)

@@ -117,3 +117,12 @@ func TestPanicQuarantineCloseWaitsForServe(t *testing.T) {
 		t.Fatalf("SubWorkers = %d, want 2", n)
 	}
 }
+
+// TestGrowStackStaysOnTheStack: growStack's padding must stay a stack
+// frame. Moved to the heap it would grow nothing and cost an allocation
+// per packet.
+func TestGrowStackStaysOnTheStack(t *testing.T) {
+	if n := testing.AllocsPerRun(100, growStack); n != 0 {
+		t.Fatalf("growStack: %v allocations, want 0", n)
+	}
+}

@@ -46,8 +46,9 @@ type Packet struct {
 	ID    int64
 	Query *Query
 	Node  plan.Node
-	// Sig is the encoded argument list produced by the packet dispatcher;
-	// µEngines compare signatures to detect overlapping work (§4.3).
+	// Sig is the encoded argument list produced by the packet dispatcher,
+	// rendered once per packet, bottom up (plan.SignatureOver); µEngines
+	// compare signatures to detect overlapping work (§4.3).
 	Sig string
 
 	// Out is the packet's output port; satellites attach here.
@@ -290,7 +291,6 @@ func newPacket(q *Query, node plan.Node) *Packet {
 		ID:    packetSeq.Add(1),
 		Query: q,
 		Node:  node,
-		Sig:   node.Signature(),
 		done:  make(chan struct{}),
 	}
 }

@@ -260,7 +260,7 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 	}
 	result := tbuf.New(rt.Cfg.BufferCapacity)
 	result.Consumer.Store(opts.Reader)
-	result.Label = fmt.Sprintf("q%d/result", q.ID)
+	result.Label = tbuf.Label{Query: q.ID, To: "result"}
 	q.addBuffer(result)
 	q.Result = result
 	q.Root = rt.dispatch(q, node, result, false)
@@ -270,6 +270,18 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 	rt.mu.Unlock()
 	rt.nQueries.Add(1)
 
+	// Context watcher: cancellation through the caller's context must tear
+	// the query down actively (abandon its buffers, flag its packets) —
+	// otherwise a packet that never polls Cancelled() blocks its producers
+	// on full buffers forever. A finished query is never torn down: its
+	// result buffer may still hold batches the client is draining.
+	stopWatch := context.AfterFunc(q.ctx, func() {
+		select {
+		case <-q.finished:
+		default:
+			q.Cancel()
+		}
+	})
 	go func() {
 		err := q.Wait()
 		for _, tb := range tables {
@@ -283,8 +295,10 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 		close(q.finished)
 		// Release the query's cancel context so long-lived parent contexts
 		// don't accumulate a child registration per completed query.
-		// Ordered after the finished close so the context watcher can tell
-		// this apart from a real caller cancellation.
+		// Ordered after the finished close and the watcher's stop so the
+		// watcher, if already started, can tell this apart from a real
+		// caller cancellation.
+		stopWatch()
 		q.stop()
 		rt.mu.Lock()
 		delete(rt.queries, q.ID)
@@ -296,22 +310,6 @@ func (rt *Runtime) SubmitOpts(ctx context.Context, node plan.Node, opts QueryOpt
 		var de *DeadlineError
 		if errors.As(err, &de) {
 			rt.timeouts.Add(1)
-		}
-	}()
-	// Context watcher: cancellation through the caller's context must tear
-	// the query down actively (abandon its buffers, flag its packets) —
-	// otherwise a packet that never polls Cancelled() blocks its producers
-	// on full buffers forever. A finished query is never torn down: its
-	// result buffer may still hold batches the client is draining.
-	go func() {
-		select {
-		case <-q.ctx.Done():
-			select {
-			case <-q.finished:
-			default:
-				q.Cancel()
-			}
-		case <-q.finished:
 		}
 	}()
 	return q, nil
@@ -381,7 +379,8 @@ func (rt *Runtime) validate(node plan.Node) error {
 
 // dispatch recursively creates and enqueues packets for the subtree rooted
 // at node, writing output into out. When gated, the packet is created but
-// not enqueued (late activation); its owner must Activate or cancel it.
+// not enqueued (late activation); its owner must Activate or cancel it. Each
+// packet's signature is rendered once, around its children's.
 func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bool) *Packet {
 	pkt := newPacket(q, node)
 	pkt.OutBuf = out
@@ -390,10 +389,11 @@ func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bo
 	q.addPacket(pkt)
 
 	gateKids := rt.shouldGateChildren(q, node)
+	var kids []string
 	for _, cn := range node.Children() {
 		buf := tbuf.New(rt.Cfg.BufferCapacity)
 		buf.Consumer.Store(pkt.ID)
-		buf.Label = fmt.Sprintf("q%d/%s->%s", q.ID, cn.Op(), node.Op())
+		buf.Label = tbuf.Label{Query: q.ID, From: string(cn.Op()), To: string(node.Op())}
 		q.addBuffer(buf)
 		// The child's dispatch sets buf's producer itself — and OSP may
 		// have immediately re-bound it to a shared scanner's host, so it
@@ -401,7 +401,9 @@ func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bo
 		child := rt.dispatch(q, cn, buf, gateKids)
 		pkt.Inputs = append(pkt.Inputs, buf)
 		pkt.Children = append(pkt.Children, child)
+		kids = append(kids, child.Sig)
 	}
+	pkt.Sig = plan.SignatureOver(node, kids)
 	if gated {
 		pkt.setState(PacketGated)
 	} else {
@@ -442,7 +444,7 @@ func (rt *Runtime) Activate(pkt *Packet) {
 // subtree's root writes into.
 func (rt *Runtime) DispatchSubtree(q *Query, node plan.Node) (*tbuf.Buffer, *Packet) {
 	buf := tbuf.New(rt.Cfg.BufferCapacity)
-	buf.Label = fmt.Sprintf("q%d/sub-%s", q.ID, node.Op())
+	buf.Label = tbuf.Label{Query: q.ID, To: "sub-" + string(node.Op())}
 	q.addBuffer(buf)
 	pkt := rt.dispatch(q, node, buf, false)
 	return buf, pkt

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -114,7 +115,27 @@ type Buffer struct {
 	Consumer atomic.Int64
 
 	// Label names the buffer in diagnostics (e.g. "q3/sort->mjoin").
-	Label string
+	Label Label
+}
+
+// Label names a buffer in diagnostics by its query and the operators on its
+// ends, kept as they are and rendered only by String.
+type Label struct {
+	Query    int64
+	From, To string // From is empty for a buffer named by To alone
+}
+
+// String renders the label: "q3/sort->mjoin", "q3/result" without From, or
+// nothing for an unlabelled buffer.
+func (l Label) String() string {
+	if l == (Label{}) {
+		return ""
+	}
+	q := "q" + strconv.FormatInt(l.Query, 10) + "/"
+	if l.From == "" {
+		return q + l.To
+	}
+	return q + l.From + "->" + l.To
 }
 
 // New creates a buffer bounded to capacity batches (minimum 1).
@@ -278,7 +299,7 @@ type Snapshot struct {
 	QueuedTup  int64
 	Producer   int64
 	Consumer   int64
-	Label      string
+	Label      Label
 }
 
 // Snapshot returns the current state for the deadlock detector.

@@ -8,8 +8,8 @@ package expr
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"qpipe/internal/tuple"
@@ -43,7 +43,7 @@ func NamedCol(ix int, name string) *ColRef { return &ColRef{Ix: ix, Name: name} 
 func (c *ColRef) Eval(t tuple.Tuple) tuple.Value { return t[c.Ix] }
 
 // Signature implements Expr. Only the position matters for equivalence.
-func (c *ColRef) Signature() string { return fmt.Sprintf("c%d", c.Ix) }
+func (c *ColRef) Signature() string { return "c" + strconv.Itoa(c.Ix) }
 
 // Const is a constant value.
 type Const struct{ V tuple.Value }
@@ -59,7 +59,7 @@ func (c *Const) Eval(tuple.Tuple) tuple.Value { return c.V }
 
 // Signature implements Expr.
 func (c *Const) Signature() string {
-	return fmt.Sprintf("k%d:%s", c.V.K, c.V.String())
+	return "k" + strconv.Itoa(int(c.V.K)) + ":" + c.V.String()
 }
 
 // ---- Arithmetic ------------------------------------------------------------
@@ -324,7 +324,8 @@ func (b *Between) Test(t tuple.Tuple) bool {
 
 // Signature implements Pred.
 func (b *Between) Signature() string {
-	return fmt.Sprintf("btw(%s;%s;%s;%v;%v)", b.E.Signature(), b.Lo, b.Hi, b.LoX, b.HiX)
+	return "btw(" + b.E.Signature() + ";" + b.Lo.String() + ";" + b.Hi.String() + ";" +
+		strconv.FormatBool(b.LoX) + ";" + strconv.FormatBool(b.HiX) + ")"
 }
 
 // Cond is a conditional expression (CASE WHEN p THEN a ELSE b END), used by

@@ -211,28 +211,32 @@ func normalizeNary(ps []Pred, conj bool) Pred {
 		kept = append(kept, p)
 	}
 
-	sort.SliceStable(kept, func(i, j int) bool {
-		return kept[i].Signature() < kept[j].Signature()
-	})
-	dedup := kept[:0]
+	// Each operand's signature is rendered once, as the key it sorts on.
+	type keyed struct {
+		p   Pred
+		sig string
+	}
+	ks := make([]keyed, len(kept))
 	for i, p := range kept {
-		if i > 0 && p.Signature() == kept[i-1].Signature() {
-			continue
+		ks[i] = keyed{p, p.Signature()}
+	}
+	sort.SliceStable(ks, func(i, j int) bool { return ks[i].sig < ks[j].sig })
+	out := make([]Pred, 0, len(ks))
+	for i, k := range ks {
+		if i == 0 || k.sig != ks[i-1].sig {
+			out = append(out, k.p)
 		}
-		dedup = append(dedup, p)
 	}
 
-	switch len(dedup) {
+	switch len(out) {
 	case 0:
 		if conj {
 			return True{}
 		}
 		return False{}
 	case 1:
-		return dedup[0]
+		return out[0]
 	}
-	out := make([]Pred, len(dedup))
-	copy(out, dedup)
 	if conj {
 		return &And{Ps: out}
 	}

@@ -60,18 +60,9 @@ func newPageStream(src pageSource, rt *core.Runtime, pkt *core.Packet, filter ex
 	return ps
 }
 
-// emit builds page ord's rows under its pin and adds them to em after it.
-func (ps *pageStream) emit(em *emitter, ord int) error {
-	fresh, err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:])
-	if err != nil {
-		return err
-	}
-	ps.stats.NotePage(fresh)
-	return ps.flush(em)
-}
-
-// emitRange is emit of pages [lo, hi) in order, stopping for a cancelled query
-// (its error) or packet (nil).
+// emitRange builds pages [lo, hi) in order, each under its pin, and adds a
+// page's rows to em after it, stopping for a cancelled query (its error) or
+// packet (nil).
 func (ps *pageStream) emitRange(em *emitter, pkt *core.Packet, lo, hi int) error {
 	for ord := lo; ord < hi; ord++ {
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
@@ -80,7 +71,12 @@ func (ps *pageStream) emitRange(em *emitter, pkt *core.Packet, lo, hi int) error
 		if pkt.Cancelled() {
 			return nil
 		}
-		if err := ps.emit(em, ord); err != nil {
+		fresh, err := buildPage(ps.src, int64(ord), ps.kern, ps.task[:])
+		if err != nil {
+			return err
+		}
+		ps.stats.NotePage(fresh)
+		if err := ps.flush(em); err != nil {
 			return err
 		}
 	}

@@ -191,15 +191,21 @@ func (s *scanner) run(rt *core.Runtime, host *core.Packet) error {
 	}
 	s.mu.Unlock()
 	err := rt.Fan(host, len(s.parts), func(ctx context.Context, k int) error {
-		if k == 0 {
-			// Fan cancels ctx with the first failure as its cause, and as
-			// it returns, when the group has ended and fail does nothing.
-			context.AfterFunc(ctx, func() { s.fail(context.Cause(ctx)) })
+		if k > 0 {
+			return s.runPartition(k)
 		}
-		return s.runPartition(k)
+		// Fan cancels ctx with the first failure, which end hands every
+		// consumer. Partition 0 returns nil only once the group has ended,
+		// when no partition is left to wake: the wake-up is dropped.
+		stop := context.AfterFunc(ctx, func() { s.end(context.Cause(ctx)) })
+		err := s.runPartition(0)
+		if err == nil {
+			stop()
+		}
+		return err
 	})
 	if err != nil {
-		s.fail(err)
+		s.end(err)
 	}
 	return err
 }
@@ -243,15 +249,10 @@ func (s *scanner) runPartition(k int) error {
 		if p.pos >= p.hi {
 			if !s.circular {
 				// Ordered scan reached EOF: any remaining consumers are
-				// fully served by construction.
-				consumers := s.consumers
-				s.consumers = nil
-				s.done = true
-				s.cond.Broadcast()
+				// fully served by construction. Its one partition is the
+				// only cursor, so nothing can attach before end runs.
 				s.mu.Unlock()
-				for _, c := range consumers {
-					c.pkt.Complete(nil)
-				}
+				s.end(nil)
 				return nil
 			}
 			p.pos = p.lo
@@ -378,9 +379,9 @@ func (s *scanner) detach(c *scanConsumer, err error) {
 	c.pkt.Complete(err)
 }
 
-// fail ends a group that has not ended yet with err: every consumer still
-// attached completes with it, and every partition exits.
-func (s *scanner) fail(err error) {
+// end ends a group that has not ended yet: every consumer still attached
+// completes with err (nil: served in full), and every partition exits.
+func (s *scanner) end(err error) {
 	s.mu.Lock()
 	if s.done {
 		s.mu.Unlock()

@@ -412,7 +412,7 @@ func (k *pageKernel) hash(hs []uint64, rows []int32, col int) {
 // never passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
 	if cap(k.sel) < k.nrows {
-		k.sel, k.hs = make([]int32, k.nrows), make([]uint64, k.nrows)
+		k.sel = make([]int32, k.nrows)
 	}
 	sel := k.sel[:k.nrows]
 	for r := range sel {
@@ -442,7 +442,10 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 			for _, col := range p.resCols {
 				k.scratch[col] = k.value(r, col)
 			}
-			sel[n], k.hs[n] = r, k.hs[i]
+			sel[n] = r
+			if t.keys != nil {
+				k.hs[n] = k.hs[i]
+			}
 			if p.residual.Test(k.scratch) {
 				n++
 			}

@@ -7,11 +7,13 @@
 // Every node carries a Signature: the canonical "encoded argument list" the
 // packet dispatcher attaches to packets so a µEngine can detect overlapping
 // work with a cheap string comparison (§4.3). Two nodes with equal
-// signatures compute identical results.
+// signatures compute identical results. The dispatcher renders it once per
+// packet, bottom up: SignatureOver puts a node's own arguments around its
+// children's signatures, already rendered for their packets.
 package plan
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -50,12 +52,53 @@ type Node interface {
 	Signature() string
 }
 
-func childSigs(ns []Node) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = n.Signature()
+// SignatureOver returns n's signature rendered around kids, the signatures
+// of n's children in child order: Signature without rendering the subtree
+// again. A node of another package renders itself.
+func SignatureOver(n Node, kids []string) string {
+	if r, ok := n.(interface{ over(kids []string) string }); ok {
+		return r.over(kids)
 	}
-	return strings.Join(parts, "|")
+	return n.Signature()
+}
+
+// signature is every node's Signature: SignatureOver its children's.
+func signature(n Node) string {
+	var kids []string
+	for _, c := range n.Children() {
+		kids = append(kids, c.Signature())
+	}
+	return SignatureOver(n, kids)
+}
+
+// sigList renders the signatures of xs separated by commas.
+func sigList[T interface{ Signature() string }](xs []T) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = x.Signature()
+	}
+	return strings.Join(parts, ",")
+}
+
+// intList renders xs as %v does: [1 2 3].
+func intList(xs []int) string {
+	var buf [64]byte
+	b := append(buf[:0], '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(append(b, ']'))
+}
+
+// predSig renders an optional predicate: nil holds everywhere.
+func predSig(p expr.Pred) string {
+	if p == nil {
+		return "true"
+	}
+	return p.Signature()
 }
 
 // ---- Leaves -----------------------------------------------------------------
@@ -95,12 +138,10 @@ func (s *TableScan) Children() []Node { return nil }
 func (s *TableScan) Schema() *tuple.Schema { return s.out }
 
 // Signature implements Node.
-func (s *TableScan) Signature() string {
-	f := "true"
-	if s.Filter != nil {
-		f = s.Filter.Signature()
-	}
-	return fmt.Sprintf("tscan(%s;%s;%s;%v)", s.Table, f, projectSig(s.Project), s.Ordered)
+func (s *TableScan) Signature() string { return signature(s) }
+
+func (s *TableScan) over([]string) string {
+	return "tscan(" + s.Table + ";" + predSig(s.Filter) + ";" + projectSig(s.Project) + ";" + strconv.FormatBool(s.Ordered) + ")"
 }
 
 // projectSig encodes a scan's projection. A nil list (every column) and an
@@ -111,7 +152,7 @@ func projectSig(project []int) string {
 	if project != nil && len(project) == 0 {
 		return "[none]"
 	}
-	return fmt.Sprint(project)
+	return intList(project)
 }
 
 // IndexScan reads via a B+tree index. Clustered scans produce full tuples in
@@ -160,13 +201,12 @@ func (s *IndexScan) Children() []Node { return nil }
 func (s *IndexScan) Schema() *tuple.Schema { return s.out }
 
 // Signature implements Node.
-func (s *IndexScan) Signature() string {
-	f := "true"
-	if s.Filter != nil {
-		f = s.Filter.Signature()
-	}
-	return fmt.Sprintf("iscan(%s;%s;%s;%s;%v;%v;%s;%s;%d:%d)",
-		s.Table, s.Col, s.Lo, s.Hi, s.Clustered, s.Ordered, f, projectSig(s.Project), s.LeafFrom, s.LeafTo)
+func (s *IndexScan) Signature() string { return signature(s) }
+
+func (s *IndexScan) over([]string) string {
+	return "iscan(" + s.Table + ";" + s.Col + ";" + s.Lo.String() + ";" + s.Hi.String() + ";" +
+		strconv.FormatBool(s.Clustered) + ";" + strconv.FormatBool(s.Ordered) + ";" + predSig(s.Filter) + ";" +
+		projectSig(s.Project) + ";" + strconv.Itoa(s.LeafFrom) + ":" + strconv.Itoa(s.LeafTo) + ")"
 }
 
 // ---- Unary operators ---------------------------------------------------------
@@ -190,8 +230,10 @@ func (f *Filter) Children() []Node { return []Node{f.Child} }
 func (f *Filter) Schema() *tuple.Schema { return f.Child.Schema() }
 
 // Signature implements Node.
-func (f *Filter) Signature() string {
-	return fmt.Sprintf("filter(%s;%s)", f.Pred.Signature(), f.Child.Signature())
+func (f *Filter) Signature() string { return signature(f) }
+
+func (f *Filter) over(kids []string) string {
+	return "filter(" + f.Pred.Signature() + ";" + kids[0] + ")"
 }
 
 // Project computes output expressions.
@@ -208,9 +250,11 @@ type Project struct {
 func NewProject(child Node, exprs []expr.Expr, names []string) *Project {
 	cols := make([]tuple.Column, len(exprs))
 	for i := range exprs {
-		name := fmt.Sprintf("e%d", i)
+		var name string
 		if i < len(names) {
 			name = names[i]
+		} else {
+			name = "e" + strconv.Itoa(i)
 		}
 		cols[i] = tuple.Column{Name: name, Kind: tuple.KindInvalid}
 	}
@@ -227,12 +271,10 @@ func (p *Project) Children() []Node { return []Node{p.Child} }
 func (p *Project) Schema() *tuple.Schema { return p.out }
 
 // Signature implements Node.
-func (p *Project) Signature() string {
-	parts := make([]string, len(p.Exprs))
-	for i, e := range p.Exprs {
-		parts[i] = e.Signature()
-	}
-	return fmt.Sprintf("project(%s;%s)", strings.Join(parts, ","), p.Child.Signature())
+func (p *Project) Signature() string { return signature(p) }
+
+func (p *Project) over(kids []string) string {
+	return "project(" + sigList(p.Exprs) + ";" + kids[0] + ")"
 }
 
 // SortRunSize is the number of tuples the sort µEngine sorts in memory per
@@ -272,11 +314,14 @@ func (s *Sort) Children() []Node { return []Node{s.Child} }
 func (s *Sort) Schema() *tuple.Schema { return s.Child.Schema() }
 
 // Signature implements Node.
-func (s *Sort) Signature() string {
+func (s *Sort) Signature() string { return signature(s) }
+
+func (s *Sort) over(kids []string) string {
+	top := ""
 	if s.Limit > 0 {
-		return fmt.Sprintf("sort(%v;%v;top=%d;%s)", s.Keys, s.Desc, s.Limit, s.Child.Signature())
+		top = "top=" + strconv.FormatInt(s.Limit, 10) + ";"
 	}
-	return fmt.Sprintf("sort(%v;%v;%s)", s.Keys, s.Desc, s.Child.Signature())
+	return "sort(" + intList(s.Keys) + ";" + strconv.FormatBool(s.Desc) + ";" + top + kids[0] + ")"
 }
 
 // WithTopN returns the plan with its limit moved into the root when the
@@ -322,8 +367,10 @@ func (j *MergeJoin) Children() []Node { return []Node{j.Left, j.Right} }
 func (j *MergeJoin) Schema() *tuple.Schema { return j.out }
 
 // Signature implements Node.
-func (j *MergeJoin) Signature() string {
-	return fmt.Sprintf("mjoin(%d=%d;%s)", j.LKey, j.RKey, childSigs(j.Children()))
+func (j *MergeJoin) Signature() string { return signature(j) }
+
+func (j *MergeJoin) over(kids []string) string {
+	return "mjoin(" + strconv.Itoa(j.LKey) + "=" + strconv.Itoa(j.RKey) + ";" + kids[0] + "|" + kids[1] + ")"
 }
 
 // HashJoin equi-joins by building a hash table on Left and probing with
@@ -351,8 +398,10 @@ func (j *HashJoin) Children() []Node { return []Node{j.Left, j.Right} }
 func (j *HashJoin) Schema() *tuple.Schema { return j.out }
 
 // Signature implements Node.
-func (j *HashJoin) Signature() string {
-	return fmt.Sprintf("hjoin(%d=%d;%s)", j.LKey, j.RKey, childSigs(j.Children()))
+func (j *HashJoin) Signature() string { return signature(j) }
+
+func (j *HashJoin) over(kids []string) string {
+	return "hjoin(" + strconv.Itoa(j.LKey) + "=" + strconv.Itoa(j.RKey) + ";" + kids[0] + "|" + kids[1] + ")"
 }
 
 // NLJoin is a nested-loop join with an arbitrary predicate over the
@@ -379,8 +428,10 @@ func (j *NLJoin) Children() []Node { return []Node{j.Left, j.Right} }
 func (j *NLJoin) Schema() *tuple.Schema { return j.out }
 
 // Signature implements Node.
-func (j *NLJoin) Signature() string {
-	return fmt.Sprintf("nljoin(%s;%s)", j.Pred.Signature(), childSigs(j.Children()))
+func (j *NLJoin) Signature() string { return signature(j) }
+
+func (j *NLJoin) over(kids []string) string {
+	return "nljoin(" + j.Pred.Signature() + ";" + kids[0] + "|" + kids[1] + ")"
 }
 
 // ---- Aggregation -------------------------------------------------------------
@@ -417,12 +468,10 @@ func (a *Aggregate) Children() []Node { return []Node{a.Child} }
 func (a *Aggregate) Schema() *tuple.Schema { return a.out }
 
 // Signature implements Node.
-func (a *Aggregate) Signature() string {
-	parts := make([]string, len(a.Specs))
-	for i, s := range a.Specs {
-		parts[i] = s.Signature()
-	}
-	return fmt.Sprintf("agg(%s;%s)", strings.Join(parts, ","), a.Child.Signature())
+func (a *Aggregate) Signature() string { return signature(a) }
+
+func (a *Aggregate) over(kids []string) string {
+	return "agg(" + sigList(a.Specs) + ";" + kids[0] + ")"
 }
 
 // GroupBy computes hash-grouped aggregates (step overlap: multiple results).
@@ -462,12 +511,10 @@ func (g *GroupBy) Children() []Node { return []Node{g.Child} }
 func (g *GroupBy) Schema() *tuple.Schema { return g.out }
 
 // Signature implements Node.
-func (g *GroupBy) Signature() string {
-	parts := make([]string, len(g.Specs))
-	for i, s := range g.Specs {
-		parts[i] = s.Signature()
-	}
-	return fmt.Sprintf("groupby(%v;%s;%s)", g.Keys, strings.Join(parts, ","), g.Child.Signature())
+func (g *GroupBy) Signature() string { return signature(g) }
+
+func (g *GroupBy) over(kids []string) string {
+	return "groupby(" + intList(g.Keys) + ";" + sigList(g.Specs) + ";" + kids[0] + ")"
 }
 
 // ---- Updates -----------------------------------------------------------------
@@ -542,17 +589,13 @@ func (u *Update) Schema() *tuple.Schema {
 
 // Signature implements Node. Includes a sequence number: two textually
 // identical mutations must never match as overlapping work.
-func (u *Update) Signature() string {
-	switch u.Kind {
-	case MutUpdate, MutDelete:
-		w := "true"
-		if u.Where != nil {
-			w = u.Where.Signature()
-		}
-		return fmt.Sprintf("%s(%s;%s;#%d)", u.Kind, u.Table, w, u.seq)
-	default:
-		return fmt.Sprintf("update(%s;%d;#%d)", u.Table, len(u.Rows), u.seq)
+func (u *Update) Signature() string { return signature(u) }
+
+func (u *Update) over([]string) string {
+	if u.Kind == MutInsert {
+		return "update(" + u.Table + ";" + strconv.Itoa(len(u.Rows)) + ";#" + strconv.FormatInt(u.seq, 10) + ")"
 	}
+	return u.Kind.String() + "(" + u.Table + ";" + predSig(u.Where) + ";#" + strconv.FormatInt(u.seq, 10) + ")"
 }
 
 // Walk visits the plan tree depth-first (children before parents).

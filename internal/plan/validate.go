@@ -37,16 +37,17 @@ func Validate(root Node) error {
 	return err
 }
 
-// checkRefs bounds-checks collected column references against width.
-func checkRefs(op OpType, what string, width int, collect func(fn func(int))) error {
-	var bad int = -1
+// checkRefs bounds-checks collected column references against width; what
+// names the referencing expression and is rendered only for an error.
+func checkRefs(op OpType, what func() string, width int, collect func(fn func(int))) error {
+	bad, found := 0, false
 	collect(func(ix int) {
-		if (ix < 0 || ix >= width) && bad < 0 {
-			bad = ix
+		if (ix < 0 || ix >= width) && !found {
+			bad, found = ix, true
 		}
 	})
-	if bad >= 0 {
-		return &ValidationError{Op: op, Msg: fmt.Sprintf("%s references column %d of a %d-column input", what, bad, width)}
+	if found {
+		return &ValidationError{Op: op, Msg: fmt.Sprintf("%s references column %d of a %d-column input", what(), bad, width)}
 	}
 	return nil
 }
@@ -65,7 +66,7 @@ func validateNode(n Node) error {
 	case *TableScan:
 		w := x.TableSchema.Len()
 		if x.Filter != nil {
-			if err := checkRefs(x.Op(), "filter", w, func(fn func(int)) { expr.PredRefs(x.Filter, fn) }); err != nil {
+			if err := checkRefs(x.Op(), func() string { return "filter" }, w, func(fn func(int)) { expr.PredRefs(x.Filter, fn) }); err != nil {
 				return err
 			}
 		}
@@ -76,18 +77,18 @@ func validateNode(n Node) error {
 			return &ValidationError{Op: x.Op(), Msg: fmt.Sprintf("index column %q not in table schema", x.Col)}
 		}
 		if x.Filter != nil {
-			if err := checkRefs(x.Op(), "filter", w, func(fn func(int)) { expr.PredRefs(x.Filter, fn) }); err != nil {
+			if err := checkRefs(x.Op(), func() string { return "filter" }, w, func(fn func(int)) { expr.PredRefs(x.Filter, fn) }); err != nil {
 				return err
 			}
 		}
 		return checkKeys(x.Op(), "projection", w, x.Project)
 	case *Filter:
 		w := x.Child.Schema().Len()
-		return checkRefs(x.Op(), "predicate", w, func(fn func(int)) { expr.PredRefs(x.Pred, fn) })
+		return checkRefs(x.Op(), func() string { return "predicate" }, w, func(fn func(int)) { expr.PredRefs(x.Pred, fn) })
 	case *Project:
 		w := x.Child.Schema().Len()
 		for i, e := range x.Exprs {
-			if err := checkRefs(x.Op(), fmt.Sprintf("expression %d", i), w, func(fn func(int)) { expr.ExprRefs(e, fn) }); err != nil {
+			if err := checkRefs(x.Op(), func() string { return fmt.Sprintf("expression %d", i) }, w, func(fn func(int)) { expr.ExprRefs(e, fn) }); err != nil {
 				return err
 			}
 		}
@@ -105,14 +106,14 @@ func validateNode(n Node) error {
 		return checkKeys(x.Op(), "probe", x.Right.Schema().Len(), []int{x.RKey})
 	case *NLJoin:
 		w := x.Left.Schema().Len() + x.Right.Schema().Len()
-		return checkRefs(x.Op(), "predicate", w, func(fn func(int)) { expr.PredRefs(x.Pred, fn) })
+		return checkRefs(x.Op(), func() string { return "predicate" }, w, func(fn func(int)) { expr.PredRefs(x.Pred, fn) })
 	case *Aggregate:
 		w := x.Child.Schema().Len()
 		for _, s := range x.Specs {
 			if s.Arg == nil {
 				continue
 			}
-			if err := checkRefs(x.Op(), s.Signature(), w, func(fn func(int)) { expr.ExprRefs(s.Arg, fn) }); err != nil {
+			if err := checkRefs(x.Op(), s.Signature, w, func(fn func(int)) { expr.ExprRefs(s.Arg, fn) }); err != nil {
 				return err
 			}
 		}
@@ -125,7 +126,7 @@ func validateNode(n Node) error {
 			if s.Arg == nil {
 				continue
 			}
-			if err := checkRefs(x.Op(), s.Signature(), w, func(fn func(int)) { expr.ExprRefs(s.Arg, fn) }); err != nil {
+			if err := checkRefs(x.Op(), s.Signature, w, func(fn func(int)) { expr.ExprRefs(s.Arg, fn) }); err != nil {
 				return err
 			}
 		}

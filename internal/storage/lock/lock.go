@@ -61,42 +61,50 @@ func (m *Manager) table(name string) *tableLock {
 }
 
 // Lock acquires the table in the given mode, blocking until granted or ctx
-// is done.
+// is done. Only a request that must wait registers a wake-up for ctx's end.
 func (m *Manager) Lock(ctx context.Context, table string, mode Mode) error {
 	tl := m.table(table)
-	done := make(chan struct{})
-	defer close(done)
-	// Wake waiters if the context is cancelled so they can observe it.
-	stop := context.AfterFunc(ctx, func() {
-		tl.mu.Lock()
-		tl.cond.Broadcast()
-		tl.mu.Unlock()
-	})
-	defer stop()
-
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	if mode == Exclusive {
 		tl.waitersX++
-		for tl.writer || tl.readers > 0 {
-			if ctx.Err() != nil {
-				tl.waitersX--
-				return ctx.Err()
+	}
+	if !tl.free(mode) {
+		// Registered under tl.mu, which the wake-up takes before it
+		// broadcasts: a context that ends after a check below still wakes
+		// the Wait that follows the check.
+		stop := context.AfterFunc(ctx, func() {
+			tl.mu.Lock()
+			tl.cond.Broadcast()
+			tl.mu.Unlock()
+		})
+		defer stop()
+		for !tl.free(mode) {
+			if err := ctx.Err(); err != nil {
+				if mode == Exclusive {
+					tl.waitersX--
+				}
+				return err
 			}
 			tl.cond.Wait()
 		}
+	}
+	if mode == Exclusive {
 		tl.waitersX--
 		tl.writer = true
-		return nil
+	} else {
+		tl.readers++
 	}
-	for tl.writer || tl.waitersX > 0 {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		tl.cond.Wait()
-	}
-	tl.readers++
 	return nil
+}
+
+// free reports whether mode can be granted now: X needs no holder at all, S
+// no writer holding or queued.
+func (tl *tableLock) free(mode Mode) bool {
+	if mode == Exclusive {
+		return !tl.writer && tl.readers == 0
+	}
+	return !tl.writer && tl.waitersX == 0
 }
 
 // TryLock acquires the lock without blocking, reporting success.
@@ -104,17 +112,14 @@ func (m *Manager) TryLock(table string, mode Mode) bool {
 	tl := m.table(table)
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	if mode == Exclusive {
-		if tl.writer || tl.readers > 0 {
-			return false
-		}
-		tl.writer = true
-		return true
-	}
-	if tl.writer || tl.waitersX > 0 {
+	if !tl.free(mode) {
 		return false
 	}
-	tl.readers++
+	if mode == Exclusive {
+		tl.writer = true
+	} else {
+		tl.readers++
+	}
 	return true
 }
 

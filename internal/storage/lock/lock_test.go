@@ -184,3 +184,19 @@ func TestManyConcurrentMixed(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestUncontendedLockAllocatesNothing: a lock granted at once registers no
+// context wake-up, so a reader's S lock and unlock cost no allocation.
+func TestUncontendedLockAllocatesNothing(t *testing.T) {
+	m := NewManager()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := m.Lock(ctx, "t", Shared); err != nil {
+			t.Fatal(err)
+		}
+		m.Unlock("t", Shared)
+	}); n != 0 {
+		t.Fatalf("uncontended S Lock+Unlock: %v allocations, want 0", n)
+	}
+}

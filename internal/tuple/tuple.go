@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -93,17 +94,18 @@ func (v Value) AsInt() int64 {
 	}
 }
 
-// String renders the value for debugging and result printing.
+// String renders the value for debugging and result printing, and in
+// signatures: an int as %d, a float as %g, a date as d%d.
 func (v Value) String() string {
 	switch v.K {
 	case KindInt:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindDate:
-		return fmt.Sprintf("d%d", v.I)
+		return "d" + strconv.FormatInt(v.I, 10)
 	default:
 		return "<invalid>"
 	}
