@@ -26,7 +26,9 @@ import (
 //   - no query hangs (global deadline),
 //   - no query fails,
 //   - counts are monotonically consistent with the inserts (a count is
-//     never below the initial size nor above initial+inserted-so-far),
+//     never below the initial size nor above initial+sent-so-far: an
+//     insert is visible once committed, a moment before its writer's
+//     result returns),
 //   - the engine's own bookkeeping (shares, queries) stays coherent,
 //   - cancelling one consumer of an in-flight partitioned scan group (the
 //     cancel workers below fire constantly into the shared circular scans)
@@ -43,7 +45,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 	defer db.Close()
 	schema := tableSchema(mgr)
 
-	var inserted atomic.Int64
+	var inserted, sent atomic.Int64 // rows committed; rows of the inserts sent
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	deadline := time.After(60 * time.Second)
@@ -93,9 +95,9 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 			if ag, ok := p.(*plan.Aggregate); ok {
 				if ts, ok2 := ag.Child.(*plan.TableScan); ok2 && ts.Filter == nil {
 					n := rows[0][0].I
-					insAfter := inserted.Load()
-					if n < initial+insBefore-insBefore || n < initial || n > initial+insAfter {
-						errs <- fmt.Errorf("count %d outside [%d, %d]", n, initial, initial+insAfter)
+					sentAfter := sent.Load()
+					if n < initial+insBefore-insBefore || n < initial || n > initial+sentAfter {
+						errs <- fmt.Errorf("count %d outside [%d, %d]", n, initial, initial+sentAfter)
 						return
 					}
 				}
@@ -143,6 +145,7 @@ func TestChaosConcurrentWorkload(t *testing.T) {
 				id := int64(1_000_000) + seed*10_000 + int64(iter*10+i)
 				rows[i] = tuple.Tuple{tuple.I64(id), tuple.I64(0), tuple.F64(0), tuple.Str("chaos")}
 			}
+			sent.Add(int64(n))
 			res, err := db.run(context.Background(), plan.NewUpdate("t", rows), -1, queryOpts{})
 			if err != nil {
 				errs <- err

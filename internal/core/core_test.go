@@ -187,6 +187,59 @@ func TestNoShareAcrossSameQuery(t *testing.T) {
 	})
 }
 
+// TestDecidingScanHostsNothing: a scan packet that has yet to decide in its
+// Run whether it rides a scan group is no host, and its Submit returns once it
+// has. An identical scan sent meanwhile is queued and decides in its own Run
+// (where two scans settle on one group), never becoming the satellite of a
+// packet that may be about to ride.
+func TestDecidingScanHostsNothing(t *testing.T) {
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	rt := newTestRuntime(t, &fakeOp{op: plan.OpTableScan, run: func(rt *Runtime, pkt *Packet) error {
+		started <- struct{}{}
+		<-release
+		rt.NoteShare(pkt, ShareNoHost, nil)
+		return nil
+	}})
+	scan := plan.NewTableScan("t", tuple.NewSchema(tuple.Col("a", tuple.KindInt)), nil, nil, false)
+	submitted := make(chan *Query, 2)
+	send := func() {
+		go func() {
+			q, err := rt.Submit(context.Background(), scan)
+			if err != nil {
+				t.Error(err)
+			}
+			submitted <- q
+		}()
+	}
+	send()
+	<-started
+	send()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the second scan did not run: it was absorbed by the first, which had not decided")
+	}
+	select {
+	case <-submitted:
+		t.Fatal("Submit returned before its scan packet decided")
+	case <-time.After(10 * time.Millisecond):
+	}
+	close(release)
+	for range 2 {
+		q := <-submitted
+		if q == nil {
+			t.FailNow()
+		}
+		if _, err := q.Result.Drain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rt.Stats(); len(st.SharesByOp) != 0 || st.EngineStats[plan.OpTableScan].Shares[ShareNoHost] != 2 {
+		t.Fatalf("shares: %v, decisions: %v, want 2 no-host", st.SharesByOp, st.EngineStats[plan.OpTableScan].Shares)
+	}
+}
+
 func TestOSPDisabledNeverShares(t *testing.T) {
 	started, release := make(chan struct{}, 2), make(chan struct{})
 	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})

@@ -25,23 +25,12 @@ type Operator interface {
 	Run(rt *Runtime, pkt *Packet) error
 }
 
-// Admitter is the optional hook of an operator whose window of opportunity
-// is wider than the signature-exact attach every µEngine makes itself:
-// circular scans (§4.3.1), ordered-scan materialization (§4.3.2), sorted-file
-// reuse (§3.2). TryAdmit gets the eligible same-signature hosts, none of
-// which took pkt, and decides whether it absorbs pkt instead of queueing:
-// ShareAdmitted, with the query whose work feeds pkt when it is a host's, or
-// the miss (ShareNoHost when it had nothing to try).
-type Admitter interface {
-	TryAdmit(rt *Runtime, pkt *Packet, hosts []*Packet) (ShareDecision, *Query)
-}
-
 // EngineStats counts a µEngine's activity.
 type EngineStats struct {
 	Enqueued   int64
 	Completed  int64
-	Shares     [NumShareDecisions]int64 // attach decisions at this µEngine, by how they ended
-	SubWorkers int64                    // sub-workers run for packets by Runtime.Fan and Runtime.Serve
+	Shares     [NumShareDecisions]int64 // the packets enqueued here by how their decision ended: they sum to Enqueued
+	SubWorkers int64                    // sub-workers run for packets by Runtime.Fan
 	Errors     int64
 	Panics     int64 // operator panics quarantined (packet failed, µEngine kept serving)
 }
@@ -133,15 +122,6 @@ func (rt *Runtime) Fan(pkt *Packet, p int, fn func(ctx context.Context, k int) e
 	return first
 }
 
-// Serve runs fn as a detached sub-worker of pkt's µEngine, for work that
-// serves pkt after its spawner returns: tracked and quarantined like Fan's
-// workers, it completes pkt with fn's error.
-func (rt *Runtime) Serve(pkt *Packet, fn func() error) {
-	op := pkt.Node.Op()
-	e := rt.engines[op]
-	e.sub(func() { pkt.Complete(e.quarantine(op, fn)) })
-}
-
 // sub runs fn on a fresh goroutine as a sub-worker of e (uncounted when e is
 // nil).
 func (e *MicroEngine) sub(fn func()) {
@@ -172,24 +152,53 @@ func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
 	return fn()
 }
 
-// Enqueue admits a packet: OSP overlap check first (paper §4.3: "every time
-// a new packet queues up in a µEngine, we scan the queue with the existing
-// packets to check for overlapping work"), then a goroutine of its own.
-func (e *MicroEngine) Enqueue(pkt *Packet) {
+// Enqueue admits a packet: the µEngine's signature-exact attach first (paper
+// §4.3: "every time a new packet queues up in a µEngine, we scan the queue
+// with the existing packets to check for overlapping work"), which makes pkt
+// a satellite of the first of its Hosts that takes it and reports false;
+// else the in-flight set. The decision is counted, a miss naming the last
+// refusal in the order tried. Wider windows are decided in Run.
+func (e *MicroEngine) Enqueue(pkt *Packet) bool {
 	e.enq.Add(1)
-	if e.attach(pkt).Shared() {
-		return
+	hosts, why := e.rt.Hosts(pkt)
+	for _, h := range hosts {
+		if why = h.absorbSatellite(pkt); why.Shared() {
+			// OSP coordinator steps 1-2 (Figure 6b): terminate everything
+			// beneath the satellite — not the satellite, whose port the host
+			// feeds.
+			pkt.cancelBelow()
+			e.rt.NoteShare(pkt, why, h.Query)
+			return false
+		}
 	}
+	e.rt.NoteShare(pkt, why, nil)
 	pkt.setState(PacketQueued)
+	if e.rt.decidesInRun(pkt) {
+		pkt.decided.Add(1)
+		pkt.deciding.Store(true)
+	}
 	e.mu.Lock()
 	e.inflight[pkt.Sig] = append(e.inflight[pkt.Sig], pkt)
 	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		growStack()
-		e.runPacket(pkt)
-	}()
+	return true
+}
+
+// start runs each queued packet on a goroutine of its own, and returns once
+// those that decide in their Run have: a scan has joined or hosted its group
+// by the time Submit returns, as it had when it decided at enqueue (§4.3.1).
+func (rt *Runtime) start(queued ...*Packet) {
+	for _, pkt := range queued {
+		e := rt.engines[pkt.Node.Op()]
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			growStack()
+			e.runPacket(pkt)
+		}()
+	}
+	for _, pkt := range queued {
+		pkt.decided.Wait()
+	}
 }
 
 // growStack grows the calling goroutine's stack to 8 KB in one copy, while
@@ -207,58 +216,45 @@ func growStack() {
 //go:noinline
 func touch(b []byte) { b[0] = 1 }
 
-// attach is the OSP coordinator's one attach decision. Eligible hosts are
-// queued and running packets of pkt's signature in another query, not
-// cancelled, with OSP on for both (opting out with WithoutOSP is
-// bidirectional). pkt becomes a satellite of the first that takes it, else
-// the Admitter may absorb it. Update packets never share (§4.3.4). Each call
-// is one decision, counted on return; a miss names the last refusal in the
-// order tried, the hosts' and then the Admitter's.
-func (e *MicroEngine) attach(pkt *Packet) (why ShareDecision) {
-	var host *Query
-	defer func() {
-		if why.Shared() {
-			// OSP coordinator steps 1-2 (Figure 6b): terminate everything
-			// beneath the satellite — not the satellite itself, whose port a
-			// host, a scan group or a sorted-file streamer feeds.
-			pkt.cancelBelow()
-		}
-		e.rt.NoteShare(pkt.Query, e.op, why, host)
-	}()
+// decidesInRun reports whether pkt's Run decides how it shares: with OSP on,
+// a scan of a whole table or clustered index rides a scan group or hosts one.
+func (rt *Runtime) decidesInRun(pkt *Packet) bool {
+	_, table := pkt.Node.(*plan.TableScan)
+	is, index := pkt.Node.(*plan.IndexScan)
+	return rt.OSPAllowed(pkt.Query) && (table || index && is.Whole())
+}
+
+// Hosts returns the packets that may host pkt, by the one eligibility rule of
+// the µEngine's attach (Enqueue) and of a sort reusing a sorted file: queued
+// and running packets of its signature in another query, not cancelled, with
+// OSP on for both (WithoutOSP is bidirectional), and not still deciding in
+// their Run (pkt then decides in its own). With none, why names the last
+// refusal met, or ShareNoHost. Update packets never share (§4.3.4).
+func (rt *Runtime) Hosts(pkt *Packet) (hosts []*Packet, why ShareDecision) {
+	e := rt.engines[pkt.Node.Op()]
 	if e.op == plan.OpUpdate {
-		return ShareUpdate
+		return nil, ShareUpdate
 	}
-	if !e.rt.OSPAllowed(pkt.Query) {
-		return ShareOSPOff
+	if !rt.OSPAllowed(pkt.Query) {
+		return nil, ShareOSPOff
 	}
 	why = ShareNoHost
-	var hosts []*Packet
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for _, h := range e.inflight[pkt.Sig] {
 		switch {
 		case h.Query == pkt.Query:
 			why = ShareSameQuery
 		case h.Cancelled():
 			why = ShareHostCancelled
-		case !e.rt.OSPAllowed(h.Query):
+		case !rt.OSPAllowed(h.Query):
 			why = ShareOSPOff
+		case h.deciding.Load():
 		default:
 			hosts = append(hosts, h)
 		}
 	}
-	e.mu.Unlock()
-	for _, h := range hosts {
-		if why = h.absorbSatellite(pkt); why.Shared() {
-			host = h.Query
-			return why
-		}
-	}
-	if adm, ok := e.impl.(Admitter); ok {
-		if d, q := adm.TryAdmit(e.rt, pkt, hosts); d != ShareNoHost {
-			why, host = d, q
-		}
-	}
-	return why
+	return hosts, why
 }
 
 func (e *MicroEngine) removeInflight(pkt *Packet) {
@@ -273,6 +269,7 @@ func (e *MicroEngine) removeInflight(pkt *Packet) {
 
 func (e *MicroEngine) runPacket(pkt *Packet) {
 	defer e.removeInflight(pkt)
+	defer pkt.decide()
 	if pkt.Cancelled() {
 		e.rescueSatellites(pkt)
 		// Unblock producing children exactly as the normal exit path does.

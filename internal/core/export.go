@@ -14,9 +14,8 @@ import (
 )
 
 // Complete finishes a packet that an operator served outside the normal
-// engine worker loop — absorbed circular-scan consumers, file-streaming sort
-// satellites and rescued satellites complete this way — with the terminal
-// error settle makes of err. Idempotent.
+// engine worker loop — scan-group consumers and rescued satellites complete
+// this way — with the terminal error settle makes of err. Idempotent.
 func (p *Packet) Complete(err error) { p.finish(p.settle(err)) }
 
 // settle is the one rule for a packet's terminal error: the operator's own,
@@ -41,19 +40,32 @@ func (p *Packet) settle(err error) error {
 	return err
 }
 
-// NoteShare is the sharing ledger's one writer: it counts q's attach decision
-// at op in q's Shares and in the row of op's µEngine (if the runtime has one),
-// and a share fed by host's work in host's HostedSatellites. The µEngine notes
-// every attach at enqueue; operators what they decide while they run (a scan
-// riding a group that started a moment ago, the merge join's split).
-func (rt *Runtime) NoteShare(q *Query, op plan.OpType, why ShareDecision, host *Query) {
+// NoteShare is the sharing ledger's one writer: it counts how pkt's decision
+// ended, in its query's Shares and its µEngine's row (if any), and a share
+// fed by host's work in host's HostedSatellites. A decision noted in Run
+// (a scan's ride, a sorted file, a split) replaces the miss noted at enqueue,
+// so a µEngine's row sums to its Enqueued. A packet that rode leaves the
+// in-flight set, nobody's host, like a satellite.
+func (rt *Runtime) NoteShare(pkt *Packet, why ShareDecision, host *Query) {
+	q, e := pkt.Query, rt.engines[pkt.Node.Op()]
+	if pkt.noted {
+		q.Stats.Shares[pkt.share].Add(-1)
+		if e != nil {
+			e.shares[pkt.share].Add(-1)
+		}
+	}
+	pkt.share, pkt.noted = why, true
 	q.Stats.Shares[why].Add(1)
-	if e := rt.engines[op]; e != nil {
+	if e != nil {
 		e.shares[why].Add(1)
+		if why == ShareRode {
+			e.removeInflight(pkt)
+		}
 	}
 	if host != nil {
 		host.Stats.HostedSatellites.Add(1)
 	}
+	pkt.decide()
 }
 
 // BatchSizeFor resolves the effective batch size for one query: the query's

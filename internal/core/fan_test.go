@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
-
-	"qpipe/internal/storage/disk"
-	"qpipe/internal/storage/sm"
 )
 
 // internalPacket is a packet of operator x outside any dispatch, for calling
@@ -76,45 +72,6 @@ func TestPanicQuarantineFanCountsSubWorkers(t *testing.T) {
 	}
 	if n := rt.Stats().EngineStats["x"].SubWorkers; n != 3 {
 		t.Fatalf("SubWorkers = %d, want 3", n)
-	}
-}
-
-// A detached worker completes its packet with fn's error (a panic as
-// *PanicError), and Close waits for it.
-func TestPanicQuarantineCloseWaitsForServe(t *testing.T) {
-	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})
-	rt := NewRuntime(mgr, Config{OSP: true, DeadlockInterval: -1}, []Operator{&fakeOp{op: "x"}})
-	q := newQuery(context.Background(), QueryOptions{})
-	node := &fakeNode{op: "x", sig: "a"}
-
-	panicked, _ := rt.NewInternalPacket(q, node)
-	rt.Serve(panicked, func() error { panic("streamer bug") })
-	<-panicked.Done()
-	if !errors.As(panicked.Err(), new(*PanicError)) || rt.Stats().Panics != 1 {
-		t.Fatalf("a panicking detached worker: packet ended with %v, %d panics counted", panicked.Err(), rt.Stats().Panics)
-	}
-
-	release := make(chan struct{})
-	held, _ := rt.NewInternalPacket(q, node)
-	rt.Serve(held, func() error { <-release; return nil })
-	closed := make(chan struct{})
-	go func() { rt.Close(); close(closed) }()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while a detached worker was running")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not return after the detached worker did")
-	}
-	if err := held.Err(); err != nil {
-		t.Fatalf("held packet ended with %v", err)
-	}
-	if n := rt.Stats().EngineStats["x"].SubWorkers; n != 2 {
-		t.Fatalf("SubWorkers = %d, want 2", n)
 	}
 }
 

@@ -69,11 +69,10 @@ func (e *DeadlineError) Error() string {
 func (e *DeadlineError) Unwrap() error { return context.DeadlineExceeded }
 
 // PanicError is the terminal error of a query whose operator panicked, on the
-// packet's worker or on a sub-worker Runtime.Fan or Runtime.Serve ran for
-// it. The µEngine quarantines the panic: the packet fails with this error,
-// its satellites are detached and rescued exactly like the cancel path, the
-// panic is counted in the engine's stats, and the µEngine keeps serving
-// subsequent packets.
+// packet's worker or on a sub-worker Runtime.Fan ran for it. The µEngine
+// quarantines the panic: the packet fails with this error, its satellites are
+// detached and rescued exactly like the cancel path, the panic is counted in
+// the engine's stats, and the µEngine keeps serving subsequent packets.
 type PanicError struct {
 	// Op is the µEngine whose operator panicked.
 	Op plan.OpType

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,24 @@ type Packet struct {
 	handed     atomic.Value // the one *KeyFilter, fold or bound handOver installed
 
 	temps []string // temp files Runtime.TempFile drew for this packet, dropped after Run
+
+	share ShareDecision // what NoteShare last counted for the packet, if noted
+	noted bool
+
+	// deciding is set while the packet's Run has yet to decide how it
+	// shares (Runtime.decidesInRun); whoever started it waits on decided.
+	deciding atomic.Bool
+	decided  sync.WaitGroup
+}
+
+// decide ends the packet's deciding, once, and yields so that the waiter goes
+// on before the scan this packet may host: on one P a scan and its reader
+// would hand the P to each other until the scan ended.
+func (p *Packet) decide() {
+	if p.deciding.CompareAndSwap(true, false) {
+		p.decided.Done()
+		runtime.Gosched()
+	}
 }
 
 // KeyFilter is a hash join's build keys as its probe scan sees them: bit
@@ -110,14 +129,13 @@ func (h HandOver) String() string {
 		"not-a-scan", "bounded-index-range", "build-too-large"}[h]
 }
 
-// ShareDecision is how one OSP attach decision ended: a share, by the way the
+// ShareDecision is how a packet's OSP decision ended: a share, by the way the
 // packet got its tuples, or the reason it did not (Runtime.NoteShare).
 type ShareDecision uint8
 
 const (
 	ShareAttached        ShareDecision = iota // onto a host's port (signature-exact)
-	ShareAdmitted                             // by the Admitter: scan group, materialized ordered share, sorted file
-	ShareRode                                 // a running scan packet joined a scan group instead of hosting one
+	ShareRode                                 // a running packet read other work in progress: a scan group, an ordered scan's suffix, a sorted file
 	ShareSplit                                // a merge join split onto an ordered scan in progress
 	ShareUpdate                               // update packets never share (§4.3.4)
 	ShareOSPOff                               // OSP is off for the packet's query or the host's
@@ -132,7 +150,7 @@ const (
 )
 
 func (d ShareDecision) String() string {
-	return [...]string{"attached", "admitted", "rode", "split", "update", "osp-off", "no-host",
+	return [...]string{"attached", "rode", "split", "update", "osp-off", "no-host",
 		"same-query", "host-done", "host-cancelled", "host-is-satellite", "host-sealed", "window-closed"}[d]
 }
 
@@ -371,9 +389,8 @@ type QueryStats struct {
 	BoundRows atomic.Int64
 	// HandOvers counts this query's hand-overs by how they ended.
 	HandOvers [NumHandOvers]atomic.Int64
-	// Shares counts this query's attach decisions by how they ended. It
-	// counts decisions, not packets: a scan packet that misses at enqueue
-	// decides again when it runs.
+	// Shares counts this query's enqueued packets by how their decision
+	// ended (Runtime.NoteShare).
 	Shares [NumShareDecisions]atomic.Int64
 	// PagesVisited counts the pages this query's scan consumers were served;
 	// PagesLocated those among them whose layout the visit had to derive, no

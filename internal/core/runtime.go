@@ -115,7 +115,7 @@ func BaselineConfig() Config {
 // RuntimeStats aggregates engine counters, and the sharing ledger with its views.
 type RuntimeStats struct {
 	Queries       int64
-	Shares        [NumShareDecisions]int64 // the sharing ledger: every µEngine's attach decisions, by how they ended
+	Shares        [NumShareDecisions]int64 // the sharing ledger: every µEngine's packets, by how their decision ended
 	SharesByOp    map[plan.OpType]int64    // the ledger's shares by µEngine, no entry for one without any
 	KeyFilters    int64                    // hash joins that handed their build keys to the probe scan
 	Folds         int64                    // aggregates that handed their accumulators to the scan below
@@ -377,11 +377,21 @@ func (rt *Runtime) validate(node plan.Node) error {
 	return nil
 }
 
-// dispatch recursively creates and enqueues packets for the subtree rooted
-// at node, writing output into out. When gated, the packet is created but
-// not enqueued (late activation); its owner must Activate or cancel it. Each
-// packet's signature is rendered once, around its children's.
+// dispatch creates and enqueues packets for the subtree rooted at node,
+// writing output into out, and only then starts the queued ones: a packet
+// whose parent was absorbed as a satellite is discarded before it runs, so it
+// decides nothing past its enqueue. When gated, the root packet is created
+// but not enqueued (late activation); its owner must Activate or cancel it.
 func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bool) *Packet {
+	var queued []*Packet
+	root := rt.enqueueTree(q, node, out, gated, &queued)
+	rt.start(queued...)
+	return root
+}
+
+// enqueueTree is dispatch's walk, bottom up, adding the packets it queued to
+// queued. Each packet's signature is rendered once, around its children's.
+func (rt *Runtime) enqueueTree(q *Query, node plan.Node, out *tbuf.Buffer, gated bool, queued *[]*Packet) *Packet {
 	pkt := newPacket(q, node)
 	pkt.OutBuf = out
 	pkt.Out = tbuf.NewSharedOut(out, rt.Cfg.ReplayWindow)
@@ -395,10 +405,9 @@ func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bo
 		buf.Consumer.Store(pkt.ID)
 		buf.Label = tbuf.Label{Query: q.ID, From: string(cn.Op()), To: string(node.Op())}
 		q.addBuffer(buf)
-		// The child's dispatch sets buf's producer itself — and OSP may
-		// have immediately re-bound it to a shared scanner's host, so it
-		// must NOT be overwritten here.
-		child := rt.dispatch(q, cn, buf, gateKids)
+		// The child's port is buf's producer, and a scan group re-binds it
+		// to the group's host: it must NOT be set here.
+		child := rt.enqueueTree(q, cn, buf, gateKids, queued)
 		pkt.Inputs = append(pkt.Inputs, buf)
 		pkt.Children = append(pkt.Children, child)
 		kids = append(kids, child.Sig)
@@ -406,8 +415,8 @@ func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bo
 	pkt.Sig = plan.SignatureOver(node, kids)
 	if gated {
 		pkt.setState(PacketGated)
-	} else {
-		rt.engines[node.Op()].Enqueue(pkt)
+	} else if rt.engines[node.Op()].Enqueue(pkt) {
+		*queued = append(*queued, pkt)
 	}
 	return pkt
 }
@@ -431,10 +440,10 @@ func (rt *Runtime) shouldGateChildren(q *Query, node plan.Node) bool {
 	return false
 }
 
-// Activate enqueues a gated packet (late activation release).
+// Activate enqueues and starts a gated packet (late activation release).
 func (rt *Runtime) Activate(pkt *Packet) {
-	if pkt.State() == PacketGated {
-		rt.engines[pkt.Node.Op()].Enqueue(pkt)
+	if pkt.State() == PacketGated && rt.engines[pkt.Node.Op()].Enqueue(pkt) {
+		rt.start(pkt)
 	}
 }
 

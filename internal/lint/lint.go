@@ -4,8 +4,8 @@
 // manager's logged apply step (walint). Fan-out, spill-file cleanup, sub-worker contexts and
 // output-port errors need no analyzer: a plan node has no fan-out field, a
 // spill file is created only through its packet, which drops it, operator
-// code runs on another goroutine only through core.Runtime.Fan or Serve,
-// which hand each worker its context, and the output port keeps why it
+// code runs on another goroutine only through core.Runtime.Fan, which
+// hands each worker its context, and the output port keeps why it
 // stopped, which the packet's completion reads.
 //
 // The package mirrors the golang.org/x/tools/go/analysis vocabulary

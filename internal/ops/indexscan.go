@@ -3,9 +3,10 @@
 //   - Clustered index scans stream B+tree leaves in key order. Unordered
 //     consumers get linear overlap via the same circular scanner as table
 //     scans (over leaves instead of heap pages); ordered consumers have a
-//     spike WoP, except that the merge-join µEngine can attach to an
-//     in-progress ordered scan's *suffix* and complete the prefix with a
-//     second packet (§4.3.2, Figure 9) through AttachOrderedSuffix.
+//     spike WoP. Past it, an ordered scan's *suffix* still serves (§4.3.2,
+//     AttachOrderedSuffix) a merge join, which reads the prefix with a second
+//     packet (Figure 9), and a full ordered filtered scan, which reads it
+//     itself (materialize, Figure 4b), each deciding when it runs.
 //   - Unclustered index scans run in two phases: probe the index building a
 //     RID list (full overlap — shareable for its whole duration via the
 //     default signature attach), sort RIDs in ascending page order to avoid
@@ -20,7 +21,6 @@ import (
 	"sync"
 
 	"qpipe/internal/core"
-	"qpipe/internal/core/tbuf"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/storage/btree"
@@ -116,67 +116,46 @@ func NewIndexScanOp() *IndexScanOp {
 // Op implements core.Operator.
 func (o *IndexScanOp) Op() plan.OpType { return plan.OpIndexScan }
 
-// TryAdmit admits clustered full scans onto in-progress scanners of the
-// same index (linear overlap when unordered, spike when ordered). For
-// ordered *selective* scans whose spike WoP has expired, it applies the
-// paper's materialization enhancement (§4.3.2 second case / Figure 4b):
-// the packet attaches to the in-progress scan anyway, saving the cheap
-// qualifying suffix tuples out of order; when its own fresh scan of the
-// missed prefix completes (delivered in order), the saved results — which
-// are already in key order, being leaf-ordered — complete the stream.
-func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) (core.ShareDecision, *core.Query) {
-	node := pkt.Node.(*plan.IndexScan)
-	if !node.Clustered || node.Lo.IsValid() || node.Hi.IsValid() {
-		return core.ShareNoHost, nil
+// materialize is the materialization enhancement (§4.3.2 second case, Figure
+// 4b) for a full ordered filtered scan past its spike WoP: it saves the
+// qualifying suffix of an ordered scan in progress, reads the missed prefix
+// itself in order, then appends the saved rows, already in key order. ok is
+// false when no ordered scan takes the suffix.
+func (o *IndexScanOp) materialize(rt *core.Runtime, pkt *core.Packet, node *plan.IndexScan, src *leafSource) (ok bool, err error) {
+	if _, _, live := o.ScanProgress(node.Table, node.Col); !live {
+		return false, nil
 	}
-	_, why := o.reg.hostOrJoin(o.key(node), &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}, node.Ordered, nil)
-	if why.Shared() || !node.Ordered || node.Filter == nil {
-		return why, nil
-	}
-	// Materialization: the collector's buffer never throttles the host scan.
+	// The collector's buffer never throttles the host scan.
 	collector, colBuf := rt.NewInternalPacket(pkt.Query, node)
 	colBuf.SetUnbounded()
-	start, m := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
-	if m.Shared() {
-		rt.Serve(pkt, func() error { return o.runMaterializedOrdered(rt, pkt, node, colBuf, int(start)) })
+	start, why := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
+	if !why.Shared() {
+		collector.Discard()
+		return false, nil
 	}
-	if m != core.ShareNoHost {
-		why = m
-	}
-	return why, nil
-}
-
-func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet, node *plan.IndexScan, colBuf *tbuf.Buffer, start int) error {
-	tb, err := rt.SM.Table(node.Table)
-	if err != nil {
-		return err
-	}
-	pnos, err := o.leaves(tb)
-	if err != nil {
-		return err
-	}
+	rt.NoteShare(pkt, core.ShareRode, nil)
+	defer colBuf.Abandon()
 	// Phase 1: read the missed prefix [0, start) fresh, in key order,
 	// streaming straight to the consumer.
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
-	ps := newPageStream(&leafSource{tree: tb.Clustered, pnos: pnos, width: tb.Schema.Len()}, rt, pkt, node.Filter, node.Project)
-	if err := ps.emitRange(em, pkt, 0, min(start, len(pnos))); err != nil || pkt.Cancelled() {
-		return err
+	ps := newPageStream(src, rt, pkt, node.Filter, node.Project)
+	if err := ps.emitRange(em, pkt, 0, min(int(start), len(src.pnos))); err != nil || pkt.Cancelled() {
+		return true, err
 	}
 	// Phase 2: the saved suffix results arrive (and are drained) in leaf
 	// order == key order; append them after the prefix.
 	for {
 		batch, err := colBuf.Get()
 		if err == io.EOF {
-			break
+			return true, em.flush()
 		}
 		if err != nil {
-			return err
+			return true, err
 		}
 		if err := emitBatch(em, batch); err != nil {
-			return err
+			return true, err
 		}
 	}
-	return em.flush()
 }
 
 func (o *IndexScanOp) key(node *plan.IndexScan) string {
@@ -297,23 +276,24 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		return err
 	}
 	src.pnos = pnos
-	// LeafFrom/LeafTo restrict a partial scan (the complement packet the
-	// merge-join split dispatches).
-	lo, hi := node.LeafFrom, node.LeafTo
-	if hi < 0 || hi > len(pnos) {
-		hi = len(pnos)
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > 0 || hi < len(pnos) {
-		// Partial scans stream their range directly and never host sharing.
+	if !node.Whole() {
+		// A partial scan (LeafFrom/LeafTo: the merge-join split's prefix)
+		// streams its range directly and never shares.
+		lo, hi := max(node.LeafFrom, 0), node.LeafTo
+		if hi < 0 || hi > len(pnos) {
+			hi = len(pnos)
+		}
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 		ps := newPageStream(src, rt, pkt, node.Filter, node.Project)
 		if err := ps.emitRange(em, pkt, lo, hi); err != nil || pkt.Cancelled() {
 			return err
 		}
 		return em.flush()
+	}
+	if node.Ordered && node.Filter != nil && rt.OSPAllowed(pkt.Query) {
+		if ok, err := o.materialize(rt, pkt, node, src); ok {
+			return err
+		}
 	}
 	// Unordered full clustered scans partition like table scans (leaf order
 	// is irrelevant to their consumers); ordered scans stay single-partition

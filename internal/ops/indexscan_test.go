@@ -2,12 +2,15 @@ package ops
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"qpipe/internal/core"
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
 	"qpipe/internal/tuple"
+	"qpipe/internal/volcano"
+	"qpipe/internal/workload/tpch"
 )
 
 func newIndexedRT(t *testing.T, n int, cfg core.Config) *core.Runtime {
@@ -122,6 +125,91 @@ func TestMaterializedOrderedShare(t *testing.T) {
 	// Q1 must have been unharmed.
 	if rest := <-q1Rest; got+rest != 6000 {
 		t.Fatalf("q1 rows: %d", got+rest)
+	}
+}
+
+// TestSplitPrefixReadsOnlyItsLeaves: the prefix packet of a merge join's
+// split (§4.3.2, Figure 9) reads leaves [0, start) of its index and nothing
+// else, even while an ordered scan of the same index is in progress that a
+// full ordered filtered scan would materialize its suffix from. q1 holds its
+// join's scans, q3 an unfiltered ordered scan of LINEITEM; q2, the same join
+// as q1, splits onto q1's LINEITEM scan; and q3 stays held until q2's prefix
+// packet has been decided. Every answer is the iterator engine's.
+func TestSplitPrefixReadsOnlyItsLeaves(t *testing.T) {
+	mgr := wopTPCH(t)
+	rt := core.NewRuntime(mgr, wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }), All())
+	defer rt.Close()
+	ctx := context.Background()
+	join := belowSort(tpch.Q4MergeJoin(tpch.DefaultParams()))
+	lineitem := plan.NewIndexScan("LINEITEM", tpch.LineitemSchema, "l_orderkey", tuple.Value{}, tuple.Value{}, true, true, nil, nil)
+	submit := func(pl plan.Node) *core.Query {
+		q, err := rt.Submit(ctx, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	got := make(map[*core.Query][]tuple.Tuple)
+	heldAfterOne := func(q *core.Query) {
+		b, err := q.Result.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[q] = b
+	}
+	q1 := submit(join)
+	heldAfterOne(q1)
+	q3 := submit(lineitem)
+	heldAfterOne(q3)
+	q2 := submit(join)
+	eventually(t, "q2's join split onto q1's scan", func() bool {
+		return rt.Stats().EngineStats[plan.OpMergeJoin].Shares[core.ShareSplit] == 1
+	})
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	errs := make(map[*core.Query]error)
+	drain := func(q *core.Query) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rest, err := sdDrain(q)
+			mu.Lock()
+			got[q], errs[q] = append(got[q], rest...), err
+			mu.Unlock()
+		}()
+	}
+	drain(q1)
+	drain(q2)
+	// The split dispatches the prefix, and once its enqueue — and with it
+	// the packet's decision — has returned, a fresh read of the join's
+	// other input.
+	eventually(t, "q2's prefix packet decided", func() bool {
+		pkts := q2.Packets()
+		for i, pkt := range pkts {
+			if is, ok := pkt.Node.(*plan.IndexScan); ok && is.LeafTo >= 0 {
+				return len(pkts) > i+1
+			}
+		}
+		return false
+	})
+	drain(q3)
+	wg.Wait()
+
+	oracle := volcano.New(mgr)
+	for _, c := range []struct {
+		name string
+		q    *core.Query
+		pl   plan.Node
+	}{{"q1", q1, join}, {"q2", q2, join}, {"q3", q3, lineitem}} {
+		if err := errs[c.q]; err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := oracle.Run(ctx, c.pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdCompare(t, c.name, c.pl, got[c.q], sdSorted(want))
 	}
 }
 

@@ -67,7 +67,7 @@ func (o *MergeJoinOp) splitCandidate(rt *core.Runtime, node *plan.MergeJoin, pkt
 	best, why := int64(0), core.ShareNoHost
 	for i, c := range node.Children() {
 		cis, isScan := c.(*plan.IndexScan)
-		if !isScan || !cis.Clustered || !cis.Ordered || cis.Lo.IsValid() || cis.Hi.IsValid() {
+		if !isScan || !cis.Whole() || !cis.Ordered {
 			continue
 		}
 		if pkt.Children[i].State() != core.PacketGated {
@@ -125,7 +125,7 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 			sufPkt.Discard()
 		}
 	}
-	rt.NoteShare(q, plan.OpMergeJoin, why, nil)
+	rt.NoteShare(pkt, why, nil)
 	if !why.Shared() {
 		return why, nil
 	}

@@ -24,7 +24,3 @@ func All() []core.Operator {
 		NewUpdateOp(),
 	}
 }
-
-// Every µEngine but the update one shares by signature, in core; these three
-// also admit packets that signature-exact attach cannot.
-var _ = []core.Admitter{(*TableScanOp)(nil), (*IndexScanOp)(nil), (*SortOp)(nil)}

@@ -169,6 +169,54 @@ func drainCount(t *testing.T, q *core.Query) int64 {
 	return n
 }
 
+// TestScanRidesBeforeSubmitReturns: a scan packet decides in its Run whether
+// it rides a scan group, and Submit returns only once it has. So a scan sent
+// beside a held one has ridden it by then, with nothing waited for — on one P
+// too, where the held scan, drained at once, would otherwise end before the
+// new packet ran — and the table is read in one pass.
+func TestScanRidesBeforeSubmitReturns(t *testing.T) {
+	const n = 6000
+	for _, par := range []int{1, 4} {
+		rt := newRT(t, n, parCfg(par))
+		heap := rt.SM.MustTable("t").Heap
+		if err := rt.SM.Pool.Invalidate(); err != nil {
+			t.Fatal(err)
+		}
+		rt.SM.Disk.ResetStats()
+		q1, pre := startBlockedScan(t, rt)
+		q2, err := rt.Submit(context.Background(), plan.NewAggregate(
+			plan.NewTableScan("t", testSchema(), expr.GE(expr.Col(0), expr.CInt(1000)), nil, false),
+			[]expr.AggSpec{{Kind: expr.AggCount}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Stats().SharesByOp[plan.OpTableScan]; got != 1 {
+			t.Fatalf("P=%d: %d scan shares when Submit returned, want 1", par, got)
+		}
+		if got := pre + drainCount(t, q1); got != n {
+			t.Fatalf("P=%d: host scan rows: %d, want %d", par, got, n)
+		}
+		b2, err := q2.Result.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b2[0][0].I != n-1000 {
+			t.Fatalf("P=%d: rider's count: %d, want %d", par, b2[0][0].I, n-1000)
+		}
+		if err := q2.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		// What the held scan had read when the rider joined: the batch taken,
+		// a full result buffer, and a page in each partition's hands; the
+		// wrap reads that prefix again.
+		reads, slack := rt.SM.Disk.Stats().ByFile[heap.Name], int64(1+rt.Cfg.BufferCapacity+par)
+		if reads < heap.NumPages() || reads > heap.NumPages()+slack {
+			t.Fatalf("P=%d: %d blocks of a %d-page table read, want one pass (at most %d)",
+				par, reads, heap.NumPages(), heap.NumPages()+slack)
+		}
+	}
+}
+
 func TestPartitionedScanSatelliteAttachMidScan(t *testing.T) {
 	const n = 4000
 	rt := newRT(t, n, parCfg(4))
@@ -379,7 +427,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		src := heapSource{f: rt.SM.MustTable("t").Heap}
 		pkt, buf := rt.NewInternalPacket(carrier, node)
 		s := newScanner(pkt.ID, src, true, par, rt.SM.Pool.Capacity())
-		if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
+		if why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 			t.Fatal("attach refused")
 		}
 		done := make(chan error, 1)
@@ -395,7 +443,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		// the wrap serves last, into a buffer nobody reads yet. (With four
 		// partitions those pages are not one worker's, so it only rides.)
 		latePkt, lateBuf := rt.NewInternalPacket(carrier, node)
-		if _, why := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !why.Shared() {
+		if why := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !why.Shared() {
 			t.Fatal("the second attach was refused")
 		}
 		total, asRows := newGroupTable(keys, specs), 0
@@ -603,13 +651,13 @@ func TestBlockedScanHoldsNoFrame(t *testing.T) {
 	}
 }
 
-// Two scan packets of one table whose workers reach Run before either's
+// Two scan packets of one table whose goroutines reach Run before either's
 // scanner is registered — which is what happens when they are enqueued within
-// a few microseconds of each other: TryAdmit found nothing to join — must not
-// both drive a scan. hostOrJoin decides under the registry's lock: one hosts,
-// the other rides the host's circular scan as a satellite attach, and the
-// table is read once (plus the few pages the host read before the other
-// arrived, which the wrap serves again).
+// a few microseconds of each other — must not both drive a scan. hostOrJoin
+// decides under the registry's lock: one hosts, the other rides the host's
+// circular scan as a satellite attach, and the table is read once (plus the
+// few pages the host read before the other arrived, which the wrap serves
+// again).
 func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
 	const n = 6000
 	for _, par := range []int{1, 4} {
@@ -831,7 +879,7 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		host, hostBuf := rt.NewInternalPacket(carrier, node)
 		second, secondBuf := rt.NewInternalPacket(carrier, node)
 		for _, pkt := range []*core.Packet{host, second} {
-			if _, why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
+			if why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 				t.Fatal("attach refused")
 			}
 		}

@@ -116,21 +116,21 @@ func (s *scanner) bindProducer(c *scanConsumer) {
 }
 
 // attach adds a consumer owing every partition its full range (each
-// partition's current position is its termination point). Returns partition
-// 0's position. Fails once the scanner has finished, or — when requireStart
-// is set (spike-overlap semantics, and unordered consumers joining a
-// non-circular scanner) — unless the group is a single partition still at
-// page 0: a multi-partition group interleaves pages and can never satisfy a
-// consumer that needs them in order from the start.
-func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, core.ShareDecision) {
+// partition's current position is its termination point). Fails once the
+// scanner has finished, or — when requireStart is set (spike-overlap
+// semantics, and unordered consumers joining a non-circular scanner) —
+// unless the group is a single partition still at page 0: a multi-partition
+// group interleaves pages and can never satisfy a consumer that needs them
+// in order from the start.
+func (s *scanner) attach(c *scanConsumer, requireStart bool) core.ShareDecision {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.done {
-		return 0, core.ShareHostDone
+		return core.ShareHostDone
 	}
 	if requireStart && !(len(s.parts) == 1 && s.parts[0].pos == 0) {
-		return 0, core.ShareWindowClosed
+		return core.ShareWindowClosed
 	}
 	c.remaining = make([]int64, len(s.parts))
 	c.pending = 0
@@ -144,16 +144,17 @@ func (s *scanner) attach(c *scanConsumer, requireStart bool) (int64, core.ShareD
 	if c.pending == 0 {
 		// Empty relation: nothing owed, serve EOF immediately.
 		c.pkt.Complete(nil)
-		return 0, core.ShareAdmitted
+		return core.ShareRode
 	}
 	s.consumers = append(s.consumers, c)
 	s.cond.Broadcast()
-	return s.parts[0].pos, core.ShareAdmitted
+	return core.ShareRode
 }
 
 // attachSuffix adds a consumer that only wants the remaining (suffix) part
-// of an ordered scan: pages pos..n-1. Used by the merge-join split. Ordered
-// scanners are always single-partition.
+// of an ordered scan: pages pos..n-1, for the merge-join split and the
+// materialized ordered share. Ordered scanners are always single-partition.
+// One still at page 0 refuses: a consumer attaches there whole (attach).
 func (s *scanner) attachSuffix(c *scanConsumer) (int64, core.ShareDecision) {
 	c.prog = compileRowProgram(c.filter, c.project, s.src.ncols())
 	s.mu.Lock()
@@ -162,16 +163,15 @@ func (s *scanner) attachSuffix(c *scanConsumer) (int64, core.ShareDecision) {
 		return 0, core.ShareHostDone
 	}
 	p := &s.parts[0]
-	owed := p.hi - p.pos
-	if s.circular || len(s.parts) != 1 || owed <= 0 {
+	if s.circular || len(s.parts) != 1 || p.pos == 0 || p.pos >= p.hi {
 		return 0, core.ShareWindowClosed
 	}
-	c.remaining = []int64{owed}
+	c.remaining = []int64{p.hi - p.pos}
 	c.pending = 1
 	s.consumers = append(s.consumers, c)
 	s.bindProducer(c)
 	s.cond.Broadcast()
-	return p.pos, core.ShareAdmitted
+	return p.pos, core.ShareRode
 }
 
 // run drives the scan group until every consumer is served (or gone). The
@@ -407,26 +407,23 @@ func newScanRegistry() *scanRegistry {
 	return &scanRegistry{scanners: make(map[string][]*scanner)}
 }
 
-// hostOrJoin settles, under the registry's lock, how consumer c gets its
-// pages: as one more consumer of a live scanner of key that can still serve
-// it whole (a share; the scanner completes c's packet) — ordered consumers
-// have a spike WoP, unordered ones can join a circular scan group anywhere
-// but a one-shot (ordered) scanner only at its very start — or else, given
-// newScanner, from the scanner it makes, registered with c attached before
-// the lock is released. So of two running packets that both missed TryAdmit
-// because neither's scanner was registered yet, one hosts and the other
-// rides. A miss names the last live scanner's refusal, or ShareNoHost.
+// hostOrJoin is a scan packet's one group decision, settled under the
+// registry's lock: consumer c gets its pages as one more consumer of a live
+// scanner of key that can still serve it whole (a share; the scanner
+// completes c's packet) — ordered consumers have a spike WoP, unordered ones
+// can join a circular scan group anywhere but a one-shot (ordered) scanner
+// only at its very start — or else from the scanner newScanner makes,
+// registered with c attached before the lock is released. So of two packets
+// that run at once, one hosts and the other rides. A miss names the last
+// live scanner's refusal, or ShareNoHost.
 func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, newScanner func() *scanner) (*scanner, core.ShareDecision) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	why := core.ShareNoHost
 	for _, s := range r.scanners[key] {
-		if _, why = s.attach(c, ordered || !s.circular); why.Shared() {
+		if why = s.attach(c, ordered || !s.circular); why.Shared() {
 			return s, why
 		}
-	}
-	if newScanner == nil {
-		return nil, why
 	}
 	s := newScanner()
 	s.attach(c, false)
@@ -434,14 +431,13 @@ func (r *scanRegistry) hostOrJoin(key string, c *scanConsumer, ordered bool, new
 	return s, why
 }
 
-// run serves c's packet, whose µEngine worker is the caller, with a scan of
-// src: hosting a new scan group (unregistered when the query opted out of
-// OSP), or — hostOrJoin, whose decision is counted — riding one that started
-// a moment ago, in which case run returns when that group has completed the
-// packet; a cancellation reaches it there the way it reaches a TryAdmit
-// consumer, through its port.
+// run serves c's packet, whose µEngine goroutine is the caller, with a scan
+// of src: hosting a new scan group (unregistered when the query opted out of
+// OSP), or riding one in progress until that group has completed the packet
+// (a cancellation reaches it through its port). Noting hostOrJoin's decision
+// releases the dispatch waiting for it.
 func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordered bool, src pageSource, par int) error {
-	pkt, op := c.pkt, c.pkt.Node.Op()
+	pkt := c.pkt
 	newGroup := func() *scanner {
 		return newScanner(pkt.ID, src, !ordered, par, rt.SM.Pool.Capacity())
 	}
@@ -451,12 +447,11 @@ func (r *scanRegistry) run(rt *core.Runtime, key string, c *scanConsumer, ordere
 		return s.run(rt, pkt)
 	}
 	s, why := r.hostOrJoin(key, c, ordered, newGroup)
+	rt.NoteShare(pkt, why, nil)
 	if why.Shared() {
-		rt.NoteShare(pkt.Query, op, core.ShareRode, nil)
 		<-pkt.Done()
 		return pkt.Err()
 	}
-	rt.NoteShare(pkt.Query, op, why, nil)
 	defer r.remove(key, s)
 	return s.run(rt, pkt)
 }
@@ -506,23 +501,11 @@ func NewTableScanOp() *TableScanOp { return &TableScanOp{reg: newScanRegistry()}
 // Op implements core.Operator.
 func (o *TableScanOp) Op() plan.OpType { return plan.OpTableScan }
 
-// TryAdmit implements circular-scan admission: an unordered scan packet
-// piggybacks on any in-progress scan group of the same table regardless of
-// signature, predicates or partitioning, so the same-signature hosts do not
-// matter. Ordered scans have a spike WoP — they may only piggyback on a
-// single-partition scanner still at page 0 (the "first output page still in
-// memory" case).
-func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) (core.ShareDecision, *core.Query) {
-	node := pkt.Node.(*plan.TableScan)
-	_, why := o.reg.hostOrJoin("tbl:"+node.Table, &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}, node.Ordered, nil)
-	return why, nil
-}
-
-// Run implements core.Operator: the packet becomes the host of a new scan
-// group serving itself and any satellites that attach later — partition 0
-// driven by this worker, extra partitions fanned out to scan sub-workers — or
-// rides the group a packet of the same table registered a moment before
-// (scanRegistry.run).
+// Run implements core.Operator: an unordered scan packet rides any scan group
+// of its table in progress, whatever its signature, predicates or
+// partitioning; an ordered one only a single-partition group still at page 0
+// (the "first output page still in memory" case). Otherwise it hosts a new
+// group, driving partition 0 and fanning out the rest (scanRegistry.run).
 func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.TableScan)
 	tb, err := rt.SM.Table(node.Table)

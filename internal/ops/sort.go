@@ -5,10 +5,11 @@
 // operator (§3.2): phase 1 (consume input, sort runs, merge to a sorted
 // temp file) is a *full* overlap — identical packets attach at any point —
 // and phase 2 (streaming the sorted file to the parent) offers the
-// *materialization* enhancement: a late-arriving identical sort reuses the
-// host's sorted file instead of re-sorting ("one query may have already
-// sorted a file that another query is about to start sorting; by monitoring
-// the sort operator we can detect this overlap and reuse the sorted file").
+// *materialization* enhancement: a late-arriving identical sort, when it
+// runs, reuses the host's sorted file instead of re-sorting ("one query may
+// have already sorted a file that another query is about to start sorting;
+// by monitoring the sort operator we can detect this overlap and reuse the
+// sorted file").
 //
 // A Sort with Limit n (ORDER BY … LIMIT n) keeps the n first rows of the
 // order in a heap while it consumes its input and emits them at the end: no
@@ -57,14 +58,12 @@ func NewSortOp() *SortOp { return &SortOp{states: make(map[int64]*sortState)} }
 // Op implements core.Operator.
 func (*SortOp) Op() plan.OpType { return plan.OpSort }
 
-// TryAdmit implements phase-2 reuse: past the window of the µEngine's
-// signature-exact attach (phase 1, or the replay window after it), a
-// satellite reuses the sorted file of the first eligible host that has one,
-// streamed by a detached sub-worker (Runtime.Serve), and skips the entire
-// sort cost. A host whose file is gone refuses as done; one still sorting
-// refuses nothing here (its port already said why).
-func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Packet) (core.ShareDecision, *core.Query) {
-	why := core.ShareNoHost
+// reuse is phase-2 reuse, which a sort packet tries first when it runs, past
+// the signature-exact attach's window: it streams the sorted file of the
+// first of its core.Runtime.Hosts that has one, after letting go of its
+// input and subtree as a satellite does. ok is false when none has.
+func (o *SortOp) reuse(rt *core.Runtime, pkt *core.Packet) (ok bool, err error) {
+	hosts, _ := rt.Hosts(pkt)
 	for _, host := range hosts {
 		o.mu.Lock()
 		st := o.states[host.ID]
@@ -75,28 +74,27 @@ func (o *SortOp) TryAdmit(rt *core.Runtime, sat *core.Packet, hosts []*core.Pack
 		st.mu.Lock()
 		if st.dropped {
 			st.mu.Unlock()
-			why = core.ShareHostDone
 			continue
 		}
 		st.readers++
 		st.mu.Unlock()
-		// The satellite is fed by the file streamer, not the host's port, so
-		// it is deliberately NOT on the host's satellite list — the host
-		// finishing (or dying) mid-stream must not complete it out from under
-		// the streamer. The host still counts it as hosted (NoteShare).
-		rt.Serve(sat, func() error {
-			// The last reader drops the file before the satellite completes:
-			// a query that has its answer leaves no temp file behind.
-			defer o.release(rt, host.ID, st, func() { st.readers-- })
-			return o.streamFile(rt, st, sat)
-		})
-		return core.ShareAdmitted, host.Query
+		for _, in := range pkt.Inputs {
+			in.Abandon()
+		}
+		for _, c := range pkt.Children {
+			c.Discard()
+		}
+		rt.NoteShare(pkt, core.ShareRode, host.Query)
+		// The last reader drops the file before the packet completes: a
+		// query that has its answer leaves no temp file behind.
+		defer o.release(rt, host.ID, st, func() { st.readers-- })
+		return true, o.streamFile(rt, st, pkt)
 	}
-	return why, nil
+	return false, nil
 }
 
 // streamFile streams the sorted file to pkt's port: the host's phase 2, or a
-// satellite reusing the file. A cancelled packet stops with its query's
+// packet reusing the file. A cancelled packet stops with its query's
 // CancelErr: a genuinely cancelled one must not end in a clean EOF over
 // truncated results, an OSP-cancelled one (flag only, live query) stops
 // clean. A host with live phase-1 satellites keeps streaming: they hold the
@@ -156,6 +154,9 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	}
 	if node.Limit > 0 {
 		return runTopN(rt, pkt, node, rank)
+	}
+	if ok, err := o.reuse(rt, pkt); ok {
+		return err
 	}
 
 	// Phase 1a: consume input into sorted runs spilled to temp files — the
@@ -219,7 +220,7 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	defer o.release(rt, pkt.ID, st, func() { st.hostDone = true })
 
 	// Phase 2: stream the sorted file (linear overlap; late arrivals read
-	// the same file through TryAdmit instead).
+	// the same file through reuse instead).
 	return o.streamFile(rt, st, pkt)
 }
 

@@ -121,6 +121,10 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// would find each other's pages in the pool by luck.
 		serial bool
 		shares map[plan.OpType]int64 // SharesByOp when all is drained, exactly
+		// unrun is how many of the others' scan packets were discarded
+		// before they ran — their parent absorbed as a satellite, or a
+		// split's gated inputs replaced: they read nothing and share nothing.
+		unrun int
 		// why is the decision each of the others got at the row's deciding
 		// operator at: what that µEngine's row of the sharing ledger counts
 		// between the host's hold and the drain, once per other, exactly.
@@ -137,12 +141,12 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// for it the prefix it missed; three ride as cheaply as one.
 		{name: "linear-1", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(1),
-			at: plan.OpTableScan, why: core.ShareAdmitted,
+			at: plan.OpTableScan, why: core.ShareRode,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1},
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		{name: "linear-3", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: bareScan(tpchMgr, "LINEITEM"), hold: 1, others: varied(3),
-			at: plan.OpTableScan, why: core.ShareAdmitted,
+			at: plan.OpTableScan, why: core.ShareRode,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 3},
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		// The same arrivals with OSP off: every count reads the table itself.
@@ -152,38 +156,44 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			shares: map[plan.OpType]int64{},
 			scans:  map[string][2]int64{"LINEITEM": {4, 4}}},
 		// Full (Figure 4a): a second, identical aggregate shares the first's
-		// whole lifetime. Each query's scan attaches to the pinned scanner as
-		// it is dispatched, leaves first; then the second aggregate finds the
-		// first.
+		// whole lifetime. The first's scan rides the pinned scanner; the
+		// second aggregate finds the first, and its scan is discarded before
+		// it runs.
 		{name: "full-aggregate", mgr: tpchMgr, cfg: wopConfig(nil),
 			pin: []string{"LINEITEM"}, host: tpch.Q6(p), others: []plan.Node{tpch.Q6(p)},
 			at: plan.OpAggregate, why: core.ShareAttached,
-			shares: map[plan.OpType]int64{plan.OpTableScan: 2, plan.OpAggregate: 1},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpAggregate: 1},
+			unrun:  1,
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		// Full (Figure 10): two sort-merge joins with the same BIG1 and BIG2
 		// predicates and another for SMALL share both BIG sorts and the join
-		// over them, nothing above, and every table is read once.
+		// over them, nothing above, and every table is read once: the
+		// second's BIG scans are discarded before they run, its SMALL scan
+		// rides the pin.
 		{name: "full-sort-merge", mgr: wiscMgr, cfg: wopConfig(nil),
 			pin: []string{"BIG1", "BIG2", "SMALL"}, host: wisc.ThreeWayJoinQuery(60, 40),
 			others: []plan.Node{wisc.ThreeWayJoinQuery(60, 60)},
 			at:     plan.OpMergeJoin, why: core.ShareAttached,
-			shares: map[plan.OpType]int64{plan.OpTableScan: 6, plan.OpSort: 2, plan.OpMergeJoin: 1},
+			shares: map[plan.OpType]int64{plan.OpTableScan: 4, plan.OpSort: 2, plan.OpMergeJoin: 1},
+			unrun:  2,
 			scans:  map[string][2]int64{"BIG1": {1, 1}, "BIG2": {1, 1}, "SMALL": {1, 1}}},
 		// Step (Figure 11): a hash join one batch past its first output is
-		// still shared whole while that output fits the replay window; with
-		// a window of one tuple only its probe scan is (the build scan is
-		// over).
+		// still shared whole while that output fits the replay window, and
+		// its scans are discarded before they run; with a window of one
+		// tuple only its probe scan is shared (the build scan is over).
 		{name: "step", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
 			at: plan.OpHashJoin, why: core.ShareAttached,
-			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
+			shares: map[plan.OpType]int64{plan.OpHashJoin: 1},
+			unrun:  2},
 		// The same arrival run at another fan-out and batch size shares the
 		// same: per-query options are no part of any signature.
 		{name: "step-other-options", mgr: tpchMgr, cfg: wopConfig(nil),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
 			opts: core.QueryOptions{Parallelism: 4, BatchSize: 7},
 			at:   plan.OpHashJoin, why: core.ShareAttached,
-			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpHashJoin: 1}},
+			shares: map[plan.OpType]int64{plan.OpHashJoin: 1},
+			unrun:  2},
 		{name: "step-window-1", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: hashJoin(), hold: 2, others: []plan.Node{hashJoin()},
@@ -197,7 +207,8 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
 			at: plan.OpMergeJoin, why: core.ShareSplit,
-			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
+			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1},
+			unrun:  2},
 		// With ORDERS as the first input — the first with a scan in progress,
 		// and not worth one more read of LINEITEM — the split still finds
 		// LINEITEM.
@@ -205,7 +216,8 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }),
 			host: mergeJoinOf(false), hold: 1, others: []plan.Node{mergeJoinOf(false)},
 			at: plan.OpMergeJoin, why: core.ShareSplit,
-			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1}},
+			shares: map[plan.OpType]int64{plan.OpMergeJoin: 1},
+			unrun:  2},
 		{name: "ordered-scans-no-late-activation", mgr: tpchMgr,
 			cfg:  wopConfig(func(c *core.Config) { c.ReplayWindow = 1; c.LateActivation = false }),
 			host: mergeJoin(), hold: 1, others: []plan.Node{mergeJoin()},
@@ -287,9 +299,33 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			if total := rt.TotalShares(); attaches != total {
 				t.Errorf("the queries' satellite attaches sum to %d, the µEngines' shares to %d", attaches, total)
 			}
+			// The ledger counts packets: one decision for each enqueued.
+			for op, es := range st.EngineStats {
+				var decided int64
+				for _, n := range es.Shares {
+					decided += n
+				}
+				if decided != es.Enqueued {
+					t.Errorf("%s: %d decisions for %d packets enqueued", op, decided, es.Enqueued)
+				}
+			}
 
 			if !maps.Equal(shares, row.shares) {
 				t.Errorf("shares by operator %v, want %v", shares, row.shares)
+			}
+			unrun := 0
+			for _, q := range queries[nheld:] {
+				for _, pkt := range q.Packets() {
+					switch pkt.Node.(type) {
+					case *plan.TableScan, *plan.IndexScan:
+						if pkt.State() == core.PacketCancelled && pkt.Out.Produced() == 0 {
+							unrun++
+						}
+					}
+				}
+			}
+			if unrun != row.unrun {
+				t.Errorf("%d of the others' scan packets discarded unrun, want %d", unrun, row.unrun)
 			}
 			// What a held scan had read when the others attached: the batches
 			// the test took, a full result buffer, and a page in each

@@ -179,6 +179,12 @@ type IndexScan struct {
 	out *tuple.Schema
 }
 
+// Whole reports whether the scan reads its whole clustered index: no key
+// bound, no leaf range. Only such a scan shares a scan group (§4.3.1).
+func (s *IndexScan) Whole() bool {
+	return s.Clustered && !s.Lo.IsValid() && !s.Hi.IsValid() && s.LeafFrom <= 0 && s.LeafTo < 0
+}
+
 // NewIndexScan builds an index-scan node.
 func NewIndexScan(table string, schema *tuple.Schema, col string, lo, hi tuple.Value, clustered, ordered bool, filter expr.Pred, project []int) *IndexScan {
 	is := &IndexScan{Table: table, TableSchema: schema, Col: col, Lo: lo, Hi: hi,
