@@ -1,7 +1,6 @@
 // Table statistics at the public API surface: ANALYZE rebuilds, snapshot
-// accessors for shells and tools, the estimator glue the builder's EXPLAIN
-// uses to annotate plans with rows≈N, and the catalog view access-path
-// selection plans against.
+// accessors for shells and tools, and the catalog view the front end plans
+// against.
 package qpipe
 
 import (
@@ -81,17 +80,14 @@ func (db *DB) TableStats(table string) (*TableStatistics, error) {
 	return out, nil
 }
 
-// estimator builds a plan-cardinality estimator over the current statistics.
-func (db *DB) estimator() *stats.Estimator {
-	return stats.NewEstimator(func(table string) *stats.TableStats {
-		return db.stats.Snapshot(table)
-	})
-}
-
-// accessCatalog is what plan.ChooseAccessPaths asks the database: the
-// storage manager knows the indexes and the heap's size, the statistics
-// registry estimates a key range.
+// accessCatalog is the database as the front end (qpipe/internal/lower)
+// plans against it: the storage manager knows the schemas, the indexes and
+// the heap's size, the statistics registry estimates a key range.
 type accessCatalog struct{ db *DB }
+
+func (c accessCatalog) Schema(table string) (*Schema, error) { return c.db.Schema(table) }
+
+func (c accessCatalog) Stats(table string) *stats.TableStats { return c.db.stats.Snapshot(table) }
 
 func (c accessCatalog) Indexes(table string) []plan.Index {
 	ixs := c.db.mgr.Indexes(table)

@@ -180,6 +180,19 @@ func TestErrorTypesAreDistinct(t *testing.T) {
 	}
 }
 
+// TestBuilderStepAllocatesOneQuery: the facade's Query holds the front
+// end's by value, so a step that builds no plan node allocates one Query,
+// not a wrapper plus an inner one.
+func TestBuilderStepAllocatesOneQuery(t *testing.T) {
+	db := openTestDB(t, 10, Options{PoolPages: 32})
+	q := db.Scan("t")
+	var steps []*Query // kept, so each step's Query escapes as a caller's would
+	if n := testing.AllocsPerRun(100, func() { steps = append(steps[:0], q.Limit(5)) }); n != 1 {
+		t.Fatalf("Limit allocated %v objects, want 1", n)
+	}
+	_ = steps
+}
+
 // TestPlanValidationHook: hand-built positional plans with out-of-range
 // references are rejected at submit with a typed *plan.ValidationError —
 // the layer beneath the name-resolving builder.

@@ -346,7 +346,7 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 	}
 	out := make([]*Result, 0, len(queries))
 	for i, q := range queries {
-		err := q.err
+		p, limit, err := q.compile()
 		if err == nil && q.db != db {
 			// A query resolved against another DB's catalog carries that
 			// catalog's positional indexes — running it here would read the
@@ -355,12 +355,7 @@ func (db *DB) RunBatch(ctx context.Context, queries []*Query, opts ...QueryOptio
 		}
 		var res *Result
 		if err == nil {
-			var p plan.Node
-			var limit int64
-			p, limit, err = q.compile()
-			if err == nil {
-				res, err = db.run(ctx, p, limit, o)
-			}
+			res, err = db.run(ctx, p, limit, o)
 		}
 		if err != nil {
 			return nil, teardownBatch(out, i, err)

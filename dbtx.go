@@ -102,11 +102,11 @@ func (db *DB) ExecSession(ctx context.Context, sess *Session, text string) (int6
 // forever on its own exclusive lock. Reads of untouched tables (committed
 // state) pass through. It is checked when the query runs, against the
 // tables its plan reads.
-func (tx *Tx) guard(q *Query) error {
+func (tx *Tx) guard(p Plan) error {
 	if tx == nil {
 		return nil
 	}
-	for _, table := range plan.Tables(q.node) {
+	for _, table := range plan.Tables(p) {
 		if tx.tx.Writes(table) {
 			return &TxConflictError{Table: table}
 		}

@@ -9,9 +9,9 @@ package qpipe
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"qpipe/internal/core"
+	"qpipe/internal/lower"
 	"qpipe/internal/storage/sm"
 )
 
@@ -36,81 +36,31 @@ var ErrClosed = core.ErrClosed
 
 // UnknownTableError reports a query or DDL statement against a table the
 // catalog does not know.
-type UnknownTableError struct {
-	Table string
-}
-
-// Error implements error.
-func (e *UnknownTableError) Error() string {
-	return fmt.Sprintf("qpipe: unknown table %q", e.Table)
-}
+type UnknownTableError = lower.UnknownTableError
 
 // UnknownColumnError reports a column name that does not resolve against the
 // input schema at that point of the builder chain.
-type UnknownColumnError struct {
-	Column string
-	Schema string // rendering of the schema the name was resolved against
-}
+type UnknownColumnError = lower.UnknownColumnError
 
-// Error implements error.
-func (e *UnknownColumnError) Error() string {
-	return fmt.Sprintf("qpipe: unknown column %q (input schema %s)", e.Column, e.Schema)
-}
-
-// TypeMismatchError reports an expression combining incompatible kinds —
-// comparing a string column to a numeric constant, or arithmetic over a
-// string operand. Numeric kinds (int, float, date) are mutually compatible.
-type TypeMismatchError struct {
-	Expr        string // rendering of the offending (sub)expression
-	Left, Right Kind
-}
-
-// Error implements error.
-func (e *TypeMismatchError) Error() string {
-	return fmt.Sprintf("qpipe: type mismatch in %s: %s vs %s", e.Expr, e.Left, e.Right)
-}
+// TypeMismatchError reports an expression combining incompatible kinds, such
+// as a string compared with a number; int, float and date are compatible.
+type TypeMismatchError = lower.TypeMismatchError
 
 // DuplicateColumnError reports a projection or group-by producing two output
 // columns with the same name.
-type DuplicateColumnError struct {
-	Column string
-}
+type DuplicateColumnError = lower.DuplicateColumnError
 
-// Error implements error.
-func (e *DuplicateColumnError) Error() string {
-	return fmt.Sprintf("qpipe: duplicate output column %q", e.Column)
-}
+// AmbiguousColumnError reports a SQL column reference the builder cannot
+// resolve faithfully: a bare name owned by more than one FROM table, or a
+// qualified name shadowed by an earlier table in the join order.
+type AmbiguousColumnError = lower.AmbiguousColumnError
 
-// AmbiguousColumnError reports a SQL column reference that the planner
-// cannot lower faithfully onto the name-resolving builder: a bare name owned
-// by more than one FROM table, or a qualified reference whose column name is
-// shadowed by an earlier table in the join order (the builder resolves names
-// leftmost-first over the concatenated schema).
-type AmbiguousColumnError struct {
-	Column string
-	// Tables are the FROM tables (or aliases) that own the column.
-	Tables []string
-}
+// StatementError reports a SQL statement of an unsupported shape or routed to
+// the wrong entry point: a CREATE handed to Query, a SET outside a session.
+type StatementError = lower.StatementError
 
-// Error implements error.
-func (e *AmbiguousColumnError) Error() string {
-	return fmt.Sprintf("qpipe: ambiguous column %q (in tables %s) — rename the columns apart",
-		e.Column, strings.Join(e.Tables, ", "))
-}
-
-// StatementError reports a SQL statement routed to the wrong entry point or
-// using an unsupported shape: a CREATE handed to Query (which only returns
-// rows), a SELECT handed to Exec, a SET outside a session, and so on.
-type StatementError struct {
-	// Stmt names the statement kind ("CREATE TABLE", "SELECT", ...).
-	Stmt   string
-	Reason string
-}
-
-// Error implements error.
-func (e *StatementError) Error() string {
-	return fmt.Sprintf("qpipe: %s: %s", e.Stmt, e.Reason)
-}
+// NoIndexError reports a ScanIndex over a column with no built index.
+type NoIndexError = lower.NoIndexError
 
 // OptionError reports an invalid per-query option value or a conflicting
 // option combination (e.g. WithSharedScan with WithoutOSP).

@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"qpipe/internal/core"
+	"qpipe/internal/lower"
+	"qpipe/internal/plan"
 	"qpipe/internal/storage/disk"
 )
 
@@ -22,3 +24,7 @@ func QueryOf(r *Result) *core.Query { return r.q }
 // that let the detector look several times before they assert it found
 // nothing.
 func DeadlockInterval(db *DB) time.Duration { return db.rt.Cfg.DeadlockInterval }
+
+// planQuery wraps a hand-built plan as a Query of db, for the tests that
+// submit a plan the builder never produces.
+func planQuery(db *DB, p plan.Node) *Query { return &Query{db, lower.FromPlan(accessCatalog{db}, p)} }

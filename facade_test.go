@@ -80,7 +80,7 @@ func TestExplain(t *testing.T) {
 func TestQueryBatchErrorDrainsPrior(t *testing.T) {
 	db := openTestDB(t, 2000, Options{PoolPages: 32})
 	good := db.Scan("t")
-	bad := &Query{db: db, node: badPlanNode{}, limit: -1}
+	bad := planQuery(db, badPlanNode{})
 	results, err := db.RunBatch(context.Background(), []*Query{good, bad})
 	if err == nil {
 		for _, r := range results {

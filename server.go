@@ -547,9 +547,6 @@ func (c *serverConn) serveExecute(e wire.Execute) error {
 		return c.sendError(&StatementError{Stmt: "EXECUTE",
 			Reason: fmt.Sprintf("unknown prepared statement id %d", e.ID)})
 	}
-	if err := c.sess.tx.guard(q); err != nil {
-		return c.sendError(err)
-	}
 	c.srv.queriesServed.Add(1)
 	res, err := q.runIn(c.ctx, &c.sess, wireOptions(e.Opts))
 	if err != nil {

@@ -45,92 +45,6 @@ func sqlTestDB(t *testing.T) *DB {
 	return db
 }
 
-// TestSQLMatchesBuilder is the core lowering guarantee: a SQL statement
-// compiles to the exact plan (same Explain rendering AND same signature, so
-// OSP shares across the two front ends) that the equivalent builder chain
-// produces.
-func TestSQLMatchesBuilder(t *testing.T) {
-	db := sqlTestDB(t)
-	cases := []struct {
-		name    string
-		sqlText string
-		builder func() *Query
-	}{
-		{"scan", "SELECT * FROM orders", func() *Query {
-			return db.Scan("orders")
-		}},
-		{"filter-project", "SELECT oid, amount * 1.1 AS gross FROM orders WHERE amount > 30", func() *Query {
-			return db.Scan("orders").
-				Filter(Col("amount").Gt(Int(30))).
-				Project(Col("oid"), Col("amount").Mul(Float(1.1)).As("gross"))
-		}},
-		{"where-and-in-between", "SELECT oid FROM orders WHERE region IN (0, 1) AND amount BETWEEN 20 AND 60", func() *Query {
-			return db.Scan("orders").
-				Filter(And(Col("region").In(IntValue(0), IntValue(1)),
-					Col("amount").Between(IntValue(20), IntValue(60)))).
-				Project(Col("oid"))
-		}},
-		{"join-on", "SELECT name, amount FROM customers JOIN orders ON cid = cust", func() *Query {
-			return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").
-				Project(Col("name"), Col("amount"))
-		}},
-		{"join-swapped", "SELECT name, amount FROM customers JOIN orders ON cid = cust", func() *Query {
-			return db.Scan("orders").Join(db.Scan("customers"), "cust", "cid").
-				Project(Col("name"), Col("amount"))
-		}},
-		{"comma-join", "SELECT name, amount FROM customers c, orders o WHERE c.cid = o.cust AND o.amount > 20", func() *Query {
-			return db.Scan("customers").Join(db.Scan("orders"), "cid", "cust").
-				Filter(Col("amount").Gt(Int(20))).
-				Project(Col("name"), Col("amount"))
-		}},
-		{"group-by", "SELECT region, count(*) AS n, sum(amount) AS total FROM orders GROUP BY region", func() *Query {
-			return db.Scan("orders").
-				GroupBy([]string{"region"}, Count().As("n"), Sum(Col("amount")).As("total"))
-		}},
-		{"scalar-agg", "SELECT count(*) AS n, avg(amount) AS mean FROM orders", func() *Query {
-			return db.Scan("orders").
-				Aggregate(Count().As("n"), Avg(Col("amount")).As("mean"))
-		}},
-		{"sort-limit", "SELECT oid, amount FROM orders ORDER BY amount DESC LIMIT 3", func() *Query {
-			return db.Scan("orders").Select("oid", "amount").SortDesc("amount").Limit(3)
-		}},
-		{"date-filter", "SELECT oid FROM orders WHERE placed >= DATE '2024-03-01'", func() *Query {
-			return db.Scan("orders").
-				Filter(Col("placed").Ge(Date(19783))).
-				Project(Col("oid"))
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := db.Prepare(tc.sqlText)
-			if err != nil {
-				t.Fatalf("Prepare(%q): %v", tc.sqlText, err)
-			}
-			want := tc.builder()
-			ge, err := got.Explain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			we, err := want.Explain()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ge != we {
-				t.Errorf("plans differ:\nSQL:\n%s\nbuilder:\n%s", ge, we)
-			}
-			gp, _ := got.Plan()
-			wp, _ := want.Plan()
-			if gp.Signature() != wp.Signature() {
-				t.Errorf("signatures differ (OSP would not share):\nSQL:     %s\nbuilder: %s",
-					gp.Signature(), wp.Signature())
-			}
-			if got.limit != want.limit {
-				t.Errorf("limit differs: SQL %d, builder %d", got.limit, want.limit)
-			}
-		})
-	}
-}
-
 // TestSQLExplainGolden locks the EXPLAIN rendering (plan tree + option
 // annotations) against golden files. Regenerate with: go test -run
 // TestSQLExplainGolden -update .
