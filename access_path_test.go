@@ -783,7 +783,7 @@ func apBenchDB(t *testing.T, opts qpipe.Options, indexOrders bool) *qpipe.DB {
 // allocates about one row's worth, not a chunk per worker. The benchmark's
 // two point lookups, the table scan of accounts and the index scan of
 // orders, each run 200 times at P=2; the bytes allocated per query must stay
-// under 16 KiB.
+// under 14 KiB.
 func TestPointLookupAllocatesAboutOneRow(t *testing.T) {
 	db := apBenchDB(t, qpipe.Options{}, true)
 	ctx := context.Background()
@@ -815,8 +815,8 @@ func TestPointLookupAllocatesAboutOneRow(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perQuery := (after.TotalAlloc - before.TotalAlloc) / n
 			t.Logf("%s: %d bytes allocated per query", c.name, perQuery)
-			if perQuery >= 16<<10 {
-				t.Fatalf("%s point lookup allocates %d bytes per query, want under 16 KiB", c.name, perQuery)
+			if perQuery >= 14<<10 {
+				t.Fatalf("%s point lookup allocates %d bytes per query, want under 14 KiB", c.name, perQuery)
 			}
 		})
 	}

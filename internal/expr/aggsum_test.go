@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -178,5 +179,90 @@ func TestAddEncodedIsAdd(t *testing.T) {
 	s.AddEncoded(b)
 	if n := testing.AllocsPerRun(100, func() { s.AddEncoded(b) }); n != 0 {
 		t.Fatalf("AddEncoded of a string that is no new extreme allocates %v times", n)
+	}
+}
+
+// AddNumbers, a page's selection in one call, leaves every accumulator in the
+// state a loop of AddNumber leaves it in, bit for bit, and so does every
+// Result and Merge after it: COUNT, SUM, AVG, MIN and MAX, scalar and keyed,
+// over INT, DATE and FLOAT vectors — integer-valued floats, fractions that
+// make a sum inexact in the middle of a run of one group's rows, infinities,
+// NaNs and sums that overflow — and a selection handed over in two calls, the
+// second starting where the first left the sum inexact.
+func TestAddNumbersIsAddNumber(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, math.Copysign(0, -1)}
+	draw := func(k tuple.Kind, fractions bool) uint64 {
+		switch {
+		case k != tuple.KindFloat && rng.Intn(8) == 0:
+			return uint64(int64(1)<<62 + int64(rng.Intn(5)) - 2) // rounds as a float
+		case k != tuple.KindFloat:
+			return uint64(int64(rng.Intn(2000) - 1000))
+		case rng.Intn(16) == 0:
+			return math.Float64bits(special[rng.Intn(len(special))])
+		case fractions && rng.Intn(3) == 0:
+			return math.Float64bits(float64(rng.Intn(2000)-1000) / 7)
+		default:
+			return math.Float64bits(float64(rng.Intn(2000) - 1000))
+		}
+	}
+	show := func(s *AggState) string {
+		r := s.Result()
+		return fmt.Sprintf("%#v %#x", *s, math.Float64bits(r.F)) + r.String()
+	}
+	kinds := []tuple.Kind{tuple.KindInt, tuple.KindDate, tuple.KindFloat}
+	for round := 0; round < 3000; round++ {
+		k, n := kinds[round%3], rng.Intn(80)
+		vec, turn := make([]uint64, n), rng.Intn(n+1) // fractions from row turn on
+		for i := range vec {
+			vec[i] = draw(k, i >= turn)
+		}
+		var rows []int32
+		for r := range n {
+			if rng.Intn(4) != 0 {
+				rows = append(rows, int32(r))
+			}
+		}
+		ngroups := 1 + 2*(round/3%2) // scalar, then keyed
+		groups := make([]int32, len(rows))
+		for i := range groups {
+			if i > 0 && rng.Intn(3) != 0 {
+				groups[i] = groups[i-1] // runs of one group
+			} else {
+				groups[i] = int32(rng.Intn(ngroups))
+			}
+		}
+		cut := rng.Intn(len(rows) + 1)
+		for _, spec := range []AggSpec{{Kind: AggCount}, {Kind: AggCount, Arg: Col(0)}, {Kind: AggSum, Arg: Col(0)},
+			{Kind: AggAvg, Arg: Col(0)}, {Kind: AggMin, Arg: Col(0)}, {Kind: AggMax, Arg: Col(0)}} {
+			column, loop := make([][]*AggState, ngroups), make([][]*AggState, ngroups)
+			for g := range ngroups {
+				column[g] = []*AggState{NewAggState(AggSpec{Kind: AggCount}), NewAggState(spec)}
+				loop[g] = []*AggState{NewAggState(AggSpec{Kind: AggCount}), NewAggState(spec)}
+			}
+			AddNumbers(column, 1, groups[:cut], k, vec, rows[:cut])
+			AddNumbers(column, 1, groups[cut:], k, vec, rows[cut:])
+			for i, r := range rows {
+				loop[groups[i]][1].AddNumber(k, vec[r])
+			}
+			for g := range ngroups {
+				if got, want := show(column[g][1]), show(loop[g][1]); got != want || column[g][0].count != 0 {
+					t.Fatalf("round %d, %v of group %d over %v %v: AddNumbers left\n%s\na loop of AddNumber\n%s", round, spec.Signature(), g, k, vec, got, want)
+				}
+				// Merged into an accumulator that holds something already.
+				into, held := [2]*AggState{NewAggState(spec), NewAggState(spec)}, uint64(3)
+				if k == tuple.KindFloat {
+					held = math.Float64bits(0.1)
+				}
+				for _, s := range into {
+					s.AddNumber(k, held)
+				}
+				into[0].Merge(column[g][1])
+				into[1].Merge(loop[g][1])
+				if got, want := show(into[0]), show(into[1]); got != want {
+					t.Fatalf("round %d, %v of group %d: merged, AddNumbers's gives\n%s\na loop's\n%s", round, spec.Signature(), g, got, want)
+				}
+			}
+		}
 	}
 }

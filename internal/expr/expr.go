@@ -472,6 +472,8 @@ func (a AggSpec) Signature() string {
 // addition is exact (integer-valued floats), when Add is a single two-sum.
 // A sum whose running total leaves the finite range, or that was handed an
 // infinity or a NaN, is carried in special and reported as that.
+// Rows come one at a time or, from a page's number vector, a whole selection
+// in one AddNumbers call.
 type AggState struct {
 	spec    AggSpec
 	count   int64
@@ -553,6 +555,44 @@ func (s *AggState) AddNumber(k tuple.Kind, bits uint64) {
 // AddCount counts n input rows: all an aggregate without argument wants of
 // them.
 func (s *AggState) AddCount(n int64) { s.count += n }
+
+// AddNumbers is AddNumber(k, vec[rows[i]]) into states[groups[i]][j] for every
+// i — aggregate j of each selected row's group — in one call, bit for bit the
+// same. A SUM or AVG takes a run of rows of one group at a time and keeps its
+// running sum in a local for as long as each two-sum is exact, counting the
+// run once; at the first inexact addend it hands the rest of the run to
+// addFloat. Every other kind goes a row at a time.
+func AddNumbers(states [][]*AggState, j int, groups []int32, k tuple.Kind, vec []uint64, rows []int32) {
+	for i := 0; i < len(rows); {
+		g, start := groups[i], i
+		s := states[g][j]
+		if s.spec.Kind != AggSum && s.spec.Kind != AggAvg {
+			s.AddNumber(k, vec[rows[i]])
+			i++
+			continue
+		}
+		hi, exact := s.hi, len(s.lows) == 0
+		for ; i < len(rows) && groups[i] == g; i++ {
+			b := vec[rows[i]]
+			x := math.Float64frombits(b)
+			if k != tuple.KindFloat {
+				x = float64(int64(b))
+			}
+			if exact {
+				if h, lo := twoSum(x, hi); lo == 0 && h-h == 0 {
+					hi = h
+					continue
+				}
+				s.hi, exact = hi, false
+			}
+			s.addFloat(x)
+		}
+		if exact {
+			s.hi = hi
+		}
+		s.count += int64(i - start)
+	}
+}
 
 // addExtreme keeps v when it beats the extreme held so far.
 func (s *AggState) addExtreme(v tuple.Value) {

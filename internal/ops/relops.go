@@ -86,12 +86,15 @@ func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 // groupTable is one worker's (partial) hash-grouped aggregation state: the
 // table's rows are the groups' projected keys, in order of first sight, and
 // states[i] the accumulators of group i. A scalar aggregate is a table
-// without key: one group, of every row.
+// without key: one group, of every row. A scan worker's partial of a fold
+// through a join whose keys are all build columns also remembers each build
+// row's group (ofBuild, -1 until first seen).
 type groupTable struct {
-	keys   []int
-	specs  []expr.AggSpec
-	groups hashTable
-	states [][]*expr.AggState
+	keys    []int
+	specs   []expr.AggSpec
+	groups  hashTable
+	states  [][]*expr.AggState
+	ofBuild []int32
 }
 
 func newGroupTable(keys []int, specs []expr.AggSpec) *groupTable {

@@ -10,7 +10,7 @@
 // the rest of its filter on the survivors only, and has all of them carved
 // from the worker's arena at once and filled column by column — or, when the
 // consumer is an aggregate that handed its accumulators down, added to those
-// where they lie.
+// where they lie, an aggregate at a time over the whole selection.
 package ops
 
 import (
@@ -124,9 +124,23 @@ func (f *scanFold) partial(k int) *groupTable {
 		f.partials = append(f.partials, nil)
 	}
 	if f.partials[k] == nil {
-		f.partials[k] = newGroupTable(f.keys, f.specs)
+		gt := newGroupTable(f.keys, f.specs)
+		if f.build != nil && len(f.keys) > 0 && !slices.ContainsFunc(f.keys, func(c int) bool { return c >= f.width }) {
+			gt.ofBuild = slices.Repeat([]int32{-1}, len(f.build.rows))
+		}
+		f.partials[k] = gt
 	}
 	return f.partials[k]
+}
+
+// everyRow is 0, 1, 2, …: every row number a page can have, its slot count
+// being a uint16. It is written once and only read.
+var everyRow [1 << 16]int32
+
+func init() {
+	for r := range everyRow {
+		everyRow[r] = int32(r)
+	}
 }
 
 // pageTask is one consumer's share of a page: what it wants of the rows
@@ -243,12 +257,14 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask) {
 // is found — the key hashed in the aggregate's key order, a column at a time
 // (tuple.HashValue of a build column, k.hash of a scanned one: together
 // tuple.HashAt of the row the join would have built, so absorb merges partials
-// from pages and from rows) and compared, made a Value once when it starts a
-// group — and every aggregate is fed in a loop of its own, from the side its
-// argument lives on: a count, a build column's Value, the scanned column's
-// vector or encoded bytes, or an expression on the scratch row. Input column c
-// of a row is build column c when c < wl, else table column out[c-wl]; without
-// a build side wl is 0 and the rows are sel.
+// from pages and from rows) and compared (group) — once per build row when
+// every key is a build column (ofBuild) — and every aggregate is fed in a loop
+// of its own, from the side its argument lives on: a count (a scalar one adds
+// the selection's length), a build column's Value, the scanned column's vector
+// (the whole selection in one expr.AddNumbers) or encoded bytes, or an
+// expression on the scratch row. Input column c of a row is build column c
+// when c < wl, else table column out[c-wl]; without a build side wl is 0 and
+// the rows are sel.
 func (k *pageKernel) fold(t *pageTask, sel []int32) {
 	f, part, out, wl := t.fold, t.part, t.prog.out, t.fold.width
 	rows, builds := sel, []int32(nil)
@@ -273,12 +289,24 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 		k.groups = make([]int32, max(len(rows), k.nrows))
 	}
 	groups := k.groups[:len(rows)]
-	if len(f.keys) == 0 { // a scalar aggregate: every row is of group 0
+	switch {
+	case len(f.keys) == 0: // a scalar aggregate: every row is of group 0
 		if len(part.states) == 0 {
 			part.newGroup(tuple.HashSeed, nil)
 		}
 		clear(groups)
-	} else {
+	case part.ofBuild != nil: // every key is a build column: a build row's group is found once
+		for i, b := range builds {
+			if part.ofBuild[b] < 0 {
+				h := tuple.HashSeed
+				for _, c := range f.keys {
+					h = tuple.HashValue(h, &f.build.rows[b][c])
+				}
+				part.ofBuild[b] = k.group(t, h, -1, f.build.rows[b])
+			}
+			groups[i] = part.ofBuild[b]
+		}
+	default:
 		hs := k.seeded(len(rows))
 		for _, c := range f.keys {
 			if c >= wl {
@@ -294,34 +322,17 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 			if builds != nil {
 				b = f.build.rows[builds[i]]
 			}
-			g := part.groups.first(hs[i])
-		next:
-			for ; g >= 0; g = part.groups.after(g, hs[i]) {
-				for j, c := range f.keys {
-					if c < wl && !tuple.Equal(b[c], part.groups.rows[g][j]) || c >= wl && !k.equal(r, out[c-wl], part.groups.rows[g][j]) {
-						continue next
-					}
-				}
-				break
-			}
-			if g < 0 {
-				key := make(tuple.Tuple, len(f.keys))
-				for j, c := range f.keys {
-					if c < wl {
-						key[j] = b[c]
-					} else {
-						key[j] = k.value(r, out[c-wl])
-					}
-				}
-				g = part.newGroup(hs[i], key)
-			}
-			groups[i] = int32(g)
+			groups[i] = k.group(t, hs[i], r, b)
 		}
 	}
 	for j, s := range f.specs {
 		col, bare := s.Arg.(*expr.ColRef)
 		switch {
 		case s.Arg == nil || s.Kind == expr.AggCount: // a count does not look at its argument
+			if len(f.keys) == 0 {
+				part.states[0][j].AddCount(int64(len(rows)))
+				continue
+			}
 			for _, g := range groups {
 				part.states[g][j].AddCount(1)
 			}
@@ -330,10 +341,8 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 				part.states[groups[i]][j].AddValue(f.build.rows[bi][col.Ix])
 			}
 		case bare && k.vecs[out[col.Ix-wl]] != nil:
-			kind, vec := k.kinds[out[col.Ix-wl]], k.vecs[out[col.Ix-wl]]
-			for i, r := range rows {
-				part.states[groups[i]][j].AddNumber(kind, vec[r])
-			}
+			c := out[col.Ix-wl]
+			expr.AddNumbers(part.states, j, groups, k.kinds[c], k.vecs[c], rows)
 		case bare:
 			for i, r := range rows {
 				part.states[groups[i]][j].AddEncoded(k.at(r, out[col.Ix-wl]))
@@ -354,6 +363,31 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 		}
 	}
 	t.folded = len(rows)
+}
+
+// group returns the group in t's partial of the input row — scanned row r
+// after build row b — whose key hashes to h: found by comparing keys along the
+// hash's chain, or started, its key made a Value once.
+func (k *pageKernel) group(t *pageTask, h uint64, r int32, b tuple.Tuple) int32 {
+	f, part, out, wl := t.fold, t.part, t.prog.out, t.fold.width
+next:
+	for g := part.groups.first(h); g >= 0; g = part.groups.after(g, h) {
+		for j, c := range f.keys {
+			if c < wl && !tuple.Equal(b[c], part.groups.rows[g][j]) || c >= wl && !k.equal(r, out[c-wl], part.groups.rows[g][j]) {
+				continue next
+			}
+		}
+		return int32(g)
+	}
+	key := make(tuple.Tuple, len(f.keys))
+	for j, c := range f.keys {
+		if c < wl {
+			key[j] = b[c]
+		} else {
+			key[j] = k.value(r, out[c-wl])
+		}
+	}
+	return int32(part.newGroup(h, key))
 }
 
 // at returns row r of the loaded page from its column col on.
@@ -408,22 +442,20 @@ func (k *pageKernel) hash(hs []uint64, rows []int32, col int) {
 // selected returns the numbers of the loaded page's rows that t's consumer
 // keeps — its Top-N's bound is one more comparison after its own — and, when
 // a join's keys narrowed it, leaves each kept row's key hash at the same
-// index of k.hs. Every step compacts the vector in place: the write index
-// never passes the read index.
+// index of k.hs. The selection starts as everyRow, only read; each step
+// writes the rows it keeps to k.sel, in place from the second on: the write
+// index never passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
-	if cap(k.sel) < k.nrows {
+	if len(k.sel) < k.nrows {
 		k.sel = make([]int32, k.nrows)
 	}
-	sel := k.sel[:k.nrows]
-	for r := range sel {
-		sel[r] = int32(r)
-	}
+	sel := everyRow[:k.nrows]
 	for i := range t.prog.cmps {
-		sel = k.compare(sel, &t.prog.cmps[i])
+		sel = k.compare(k.sel, sel, &t.prog.cmps[i])
 	}
 	if t.bound != nil {
 		n := len(sel)
-		sel = k.compare(sel, t.bound)
+		sel = k.compare(k.sel, sel, t.bound)
 		t.bounded = n - len(sel)
 	}
 	if f := t.keys; f != nil {
@@ -431,10 +463,10 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 		k.hash(hs, sel, f.Col)
 		for i, r := range sel {
 			bit := hs[i] >> f.Shift
-			sel[n], hs[n] = r, hs[i]
+			k.sel[n], hs[n] = r, hs[i]
 			n += int(f.Bits[bit>>6] >> (bit & 63) & 1)
 		}
-		t.skipped, sel = len(sel)-n, sel[:n]
+		t.skipped, sel = len(sel)-n, k.sel[:n]
 	}
 	if p := t.prog; p.residual != nil {
 		n := 0
@@ -442,7 +474,7 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 			for _, col := range p.resCols {
 				k.scratch[col] = k.value(r, col)
 			}
-			sel[n] = r
+			k.sel[n] = r
 			if t.keys != nil {
 				k.hs[n] = k.hs[i]
 			}
@@ -450,37 +482,38 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 				n++
 			}
 		}
-		sel = sel[:n]
+		sel = k.sel[:n]
 	}
 	return sel
 }
 
-// compare narrows sel to the rows whose column c.col stands to the literal as
-// the operator asks: a column with a vector against a numeric literal in one
-// loop of its pair of kinds, the way tuple.Compare would (as floats if either
-// is one); anything else through tuple.CompareEncoded. The append is
-// branch-free: the row number is always written and the length moves by the
-// outcome.
-func (k *pageKernel) compare(sel []int32, c *encCmp) []int32 {
+// compare writes to sel the rows of from whose column c.col stands to the
+// literal as the operator asks (from may be sel itself): a column with a
+// vector against a numeric literal in one loop of its pair of kinds, the way
+// tuple.Compare would (as floats if either is one); anything else through
+// tuple.CompareEncoded. The append is branch-free: the row number is always
+// written and the length moves by the outcome.
+func (k *pageKernel) compare(sel, from []int32, c *encCmp) []int32 {
 	n, vec, litF := 0, k.vecs[c.col], c.lit.AsFloat()
+	sel = sel[:len(from)]
 	switch {
 	case vec == nil || !c.litNum:
-		for _, r := range sel {
+		for _, r := range from {
 			sel[n] = r
 			n += int(c.holds >> (tuple.CompareEncoded(k.at(r, c.col), c.lit) + 1) & 1)
 		}
 	case k.kinds[c.col] == tuple.KindFloat:
-		for _, r := range sel {
+		for _, r := range from {
 			sel[n] = r
 			n += int(c.holds >> (tuple.Sign(math.Float64frombits(vec[r]), litF) + 1) & 1)
 		}
 	case c.lit.K == tuple.KindFloat:
-		for _, r := range sel {
+		for _, r := range from {
 			sel[n] = r
 			n += int(c.holds >> (tuple.Sign(float64(int64(vec[r])), litF) + 1) & 1)
 		}
 	default:
-		for _, r := range sel {
+		for _, r := range from {
 			sel[n] = r
 			n += int(c.holds >> (tuple.Sign(int64(vec[r]), c.lit.I) + 1) & 1)
 		}

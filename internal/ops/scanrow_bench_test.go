@@ -16,9 +16,11 @@ import (
 // amount FLOAT; 8 kB pages, every page located once before the clock
 // starts), one sub-benchmark a statement class of olap_hot, each on the
 // layouts as located (vectors) and with the vectors stripped (encoded): the
-// in-place comparisons alone (a filter no row passes), the group-by fold, the
-// fold through a hash join on cust, and building the rows a filter keeps. It
-// reports ns/row, a row being one stored row of a page.
+// in-place comparisons alone (a filter no row passes), scan_agg's scalar fold,
+// the group-by fold, the fold through a hash join on cust grouped by a
+// scanned column and, join_groupby's shape, by a build column, and building
+// the rows a filter keeps. It reports ns/row, a row being one stored row of a
+// page.
 //
 //	go test -run '^$' -bench BenchmarkPageKernel ./internal/ops/
 func BenchmarkPageKernel(b *testing.B) {
@@ -59,11 +61,20 @@ func BenchmarkPageKernel(b *testing.B) {
 		task   func() pageTask
 	}{
 		{"compare", expr.AndOf(expr.LT(expr.Col(4), expr.CInt(500)), expr.EQ(expr.Col(3), expr.CInt(9))), nil},
+		{"scalar-fold", nil, func() pageTask {
+			f := &scanFold{specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(0)}, count}}
+			return pageTask{prog: compileRowProgram(expr.LT(expr.Col(4), expr.CInt(500)), []int{4}, width), fold: f, part: f.partial(0)}
+		}},
 		{"fold", expr.EQ(expr.Col(3), expr.CInt(2)), func() pageTask {
 			f := &scanFold{keys: []int{0}, specs: []expr.AggSpec{count, {Kind: expr.AggAvg, Arg: expr.Col(1)}}}
 			return pageTask{prog: compileRowProgram(expr.EQ(expr.Col(3), expr.CInt(2)), []int{2, 4}, width), fold: f, part: f.partial(0)}
 		}},
 		{"fold-through-join", nil, func() pageTask {
+			f := &scanFold{keys: []int{3 + 1}, specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(3 + 2)}}}
+			joinedFold(f, build, 3, 0, 0, []int{1, 2, 4})
+			return pageTask{prog: compileRowProgram(nil, []int{1, 2, 4}, width), fold: f, part: f.partial(0), keys: f.probe}
+		}},
+		{"fold-through-join-by-build-key", nil, func() pageTask {
 			f := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(3 + 1)}}}
 			joinedFold(f, build, 3, 0, 0, []int{1, 4})
 			return pageTask{prog: compileRowProgram(nil, []int{1, 4}, width), fold: f, part: f.partial(0), keys: f.probe}

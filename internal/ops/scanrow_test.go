@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -16,7 +17,9 @@ import (
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/page"
+	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
+	"qpipe/internal/volcano"
 )
 
 // pageOf stores rows in a fresh slotted page and tombstones the slots in
@@ -563,6 +566,87 @@ func TestPageKernelFold(t *testing.T) {
 				t.Fatalf("folded on vectors %s, on the bytes %s", runs[0], runs[1])
 			}
 		})
+	}
+	t.Run("through a join by a build column, over pages of two partitions", foldByBuildKeyAcrossPages)
+}
+
+// foldByBuildKeyAcrossPages is TestPageKernelFold's case of a fold through a
+// join grouped by a build column over a whole table: its pages split between
+// two partitions, each folding into a partial of its own, on the vectors and
+// on the bytes. The build side has a key twice (a probe row pairs with both)
+// and two keys of one group, so a group is reached from several build rows;
+// the partials absorbed are the iterator engine's answer, and each remembered
+// its build rows' groups.
+func foldByBuildKeyAcrossPages(t *testing.T) {
+	I, F := tuple.I64, tuple.F64
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 1024}, PoolPages: 32})
+	dims := tuple.NewSchema(tuple.Col("cid", tuple.KindInt), tuple.Col("seg", tuple.KindInt), tuple.Col("w", tuple.KindFloat))
+	// cid 3 twice; cids 1 and 4 both of segment 10; no probe row has cid 9.
+	build := []tuple.Tuple{{I(1), I(10), F(0.5)}, {I(3), I(30), F(1)}, {I(4), I(10), F(-2)}, {I(3), I(31), F(0.25)}, {I(5), I(50), F(7)}, {I(9), I(90), F(9)}}
+	probe := make([]tuple.Tuple, 1500)
+	for i := range probe {
+		probe[i] = tuple.Tuple{I(int64(i)), I(int64(i % 7)), F(float64(i%97) / 8)}
+	}
+	for _, c := range []struct {
+		name   string
+		schema *tuple.Schema
+		rows   []tuple.Tuple
+	}{{"d", dims, build}, {"t", testSchema(), probe}} {
+		if _, err := mgr.CreateTable(c.name, c.schema); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Load(c.name, c.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := []int{1}
+	specs := []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(3 + 2)}, {Kind: expr.AggAvg, Arg: expr.Col(3 + 2)},
+		{Kind: expr.AggMin, Arg: expr.Col(3 + 0)}, {Kind: expr.AggMax, Arg: expr.Col(3 + 2)}, {Kind: expr.AggSum, Arg: expr.Col(2)},
+		{Kind: expr.AggSum, Arg: expr.Mul(expr.Col(2), expr.Col(3+2))}}
+	filter := expr.GE(expr.Col(0), expr.CInt(5))
+	p := plan.NewGroupBy(plan.NewHashJoin(plan.NewTableScan("d", dims, nil, nil, false), plan.NewTableScan("t", testSchema(), filter, nil, false), 0, 1), keys, specs)
+	want, err := volcano.New(mgr).Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := heapSource{f: mgr.MustTable("t").Heap}
+	pages := src.numPages()
+	if pages < 4 {
+		t.Fatalf("the table has %d pages, want several a partition", pages)
+	}
+	var runs []string
+	for _, vectors := range []bool{true, false} {
+		var from pageSource = src
+		if !vectors {
+			from = encodedOnly{src}
+		}
+		fold := &scanFold{keys: keys, specs: specs}
+		joinedFold(fold, build, 3, 0, 1, nil)
+		folded := 0
+		for part := range 2 {
+			k := newPageKernel(3)
+			for ord := pages * int64(part) / 2; ord < pages*int64(part+1)/2; ord++ {
+				tasks := []pageTask{{prog: compileRowProgram(filter, nil, 3), fold: fold, part: fold.partial(part), keys: fold.probe}}
+				if _, err := buildPage(from, ord, k, tasks); err != nil {
+					t.Fatal(err)
+				}
+				folded += tasks[0].folded
+			}
+		}
+		total := newGroupTable(keys, specs)
+		for _, part := range fold.partials {
+			if part.ofBuild == nil {
+				t.Fatal("a partial grouped by a build column remembers no build row's group")
+			}
+			total.absorb(part)
+		}
+		got := sdSorted(groupTuples(total))
+		t.Logf("vectors %v: %d pairs folded over %d pages into %d groups", vectors, folded, pages, len(got))
+		sdCompare(t, fmt.Sprintf("vectors %v, %d pairs folded over %d pages", vectors, folded, pages), p, groupTuples(total), sdSorted(want))
+		runs = append(runs, fmt.Sprint(got))
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("folded on vectors %s, on the bytes %s", runs[0], runs[1])
 	}
 }
 

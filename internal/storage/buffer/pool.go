@@ -77,8 +77,8 @@ func (l *Layout) Vec(c int) (kind uint8, vec []uint64) {
 type Frame struct {
 	pool   *Pool
 	data   []byte
-	pins   int  // guarded by pool.mu
-	dirty  bool // guarded by pool.mu
+	pins   atomic.Int32 // raised under pool.mu only, lowered without it
+	dirty  bool         // guarded by pool.mu
 	layout atomic.Pointer[Layout]
 }
 
@@ -89,13 +89,13 @@ func (f *Frame) Data() []byte { return f.data }
 // Layout returns the frame's published layout, nil when it has none.
 func (f *Frame) Layout() *Layout { return f.layout.Load() }
 
-// Unpin releases the caller's pin.
+// Unpin releases the caller's pin without the pool's lock, and never takes
+// the count below zero. A pin raises it under the lock (which a hit takes
+// anyway, to move the page in the LRU order), and eviction reads it there: an
+// unpinned victim stays unpinned.
 func (f *Frame) Unpin() {
-	f.pool.mu.Lock()
-	if f.pins > 0 {
-		f.pins--
+	for n := f.pins.Load(); n > 0 && !f.pins.CompareAndSwap(n, n-1); n = f.pins.Load() {
 	}
-	f.pool.mu.Unlock()
 }
 
 // Stats is a snapshot of pool counters.
@@ -182,7 +182,7 @@ func (p *Pool) PinLocated(id PageID, ncols int, locate func(data []byte, ncols i
 func (p *Pool) PinFrame(id PageID) (*Frame, error) {
 	p.mu.Lock()
 	if f, ok := p.frames[id]; ok {
-		f.pins++
+		f.pins.Add(1)
 		p.policy.Touch(id)
 		p.mu.Unlock()
 		p.hits.Add(1)
@@ -203,14 +203,15 @@ func (p *Pool) PinFrame(id PageID) (*Frame, error) {
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		// Someone else cached it while we were reading.
-		f.pins++
+		f.pins.Add(1)
 		p.policy.Touch(id)
 		return f, nil
 	}
 	if err := p.makeRoomLocked(); err != nil {
 		return nil, err
 	}
-	f := &Frame{pool: p, data: data, pins: 1}
+	f := &Frame{pool: p, data: data}
+	f.pins.Store(1)
 	p.frames[id] = f
 	p.policy.Insert(id)
 	return f, nil
@@ -221,7 +222,7 @@ func (p *Pool) makeRoomLocked() error {
 	for len(p.frames) >= p.capacity {
 		victim, ok := p.policy.Evict(func(id PageID) bool {
 			f, exists := p.frames[id]
-			return exists && f.pins == 0
+			return exists && f.pins.Load() == 0
 		})
 		if !ok {
 			return fmt.Errorf("buffer: all %d frames pinned, cannot evict", p.capacity)
@@ -242,9 +243,10 @@ func (p *Pool) makeRoomLocked() error {
 // Unpin releases one pin on the page.
 func (p *Pool) Unpin(id PageID) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f, ok := p.frames[id]; ok && f.pins > 0 {
-		f.pins--
+	f, ok := p.frames[id]
+	p.mu.Unlock()
+	if ok {
+		f.Unpin()
 	}
 }
 
@@ -271,7 +273,7 @@ func (p *Pool) DropFile(name string) (err error) {
 	for id, f := range p.frames {
 		switch {
 		case id.File != name:
-		case f.pins > 0:
+		case f.pins.Load() > 0:
 			err = fmt.Errorf("buffer: %s still pinned, its file dropped", id)
 		default:
 			delete(p.frames, id)
@@ -328,7 +330,7 @@ func (p *Pool) Invalidate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for id, f := range p.frames {
-		if f.pins > 0 {
+		if f.pins.Load() > 0 {
 			return fmt.Errorf("buffer: cannot invalidate, %s still pinned", id)
 		}
 		if f.dirty {

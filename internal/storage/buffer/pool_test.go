@@ -1,10 +1,13 @@
 package buffer
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -163,6 +166,85 @@ func TestConcurrentPinUnpin(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestUnpinWithoutTheLock: goroutines pin and unpin hot and cold pages of a
+// pool smaller than their working set, releasing through Frame.Unpin and
+// Pool.Unpin, neither of which takes the pool's lock for the count. While a
+// frame is pinned it stays the page's frame and its bytes the page's; each
+// goroutine also unpins a page of its own twice, which leaves its count at 0,
+// not below; and at the end every count is 0.
+func TestUnpinWithoutTheLock(t *testing.T) {
+	const blocks, workers, rounds = 48, 6, 2000
+	d := disk.New(disk.Config{BlockSize: 64})
+	d.Create("f")
+	for i := range blocks + workers {
+		if _, err := d.Append("f", bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := NewPool(d, workers+2, nil) // at most one shared pin a worker, and its own page
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			own := PageID{File: "f", Block: blocks + int64(w)}
+			for i := range rounds {
+				blk := int64(rng.Intn(4)) // hot
+				if rng.Intn(2) == 0 {
+					blk = 4 + int64(rng.Intn(blocks-4)) // cold
+				}
+				id := PageID{File: "f", Block: blk}
+				f, err := p.PinFrame(id)
+				if err != nil {
+					t.Errorf("PinFrame(%v): %v", id, err)
+					return
+				}
+				want := bytes.Repeat([]byte{byte(blk)}, 64)
+				for range 2 {
+					p.mu.Lock()
+					resident := p.frames[id] == f
+					p.mu.Unlock()
+					if !resident || !bytes.Equal(f.Data(), want) {
+						t.Errorf("%v pinned: resident %v, bytes %v", id, resident, f.Data()[:4])
+						return
+					}
+					runtime.Gosched()
+				}
+				if i%2 == 0 {
+					f.Unpin()
+				} else {
+					p.Unpin(id)
+				}
+				if i%50 == 0 {
+					o, err := p.PinFrame(own)
+					if err != nil {
+						t.Errorf("PinFrame(%v): %v", own, err)
+						return
+					}
+					o.Unpin()
+					o.Unpin()
+					if n := o.pins.Load(); n != 0 {
+						t.Errorf("%v unpinned twice: %d pins", own, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p.Stats().Evictions == 0 {
+		t.Error("no frame was evicted: the working set fit the pool")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id, f := range p.frames {
+		if n := f.pins.Load(); n != 0 {
+			t.Errorf("%v: %d pins left", id, n)
+		}
+	}
 }
 
 // TestPoliciesCorrectUnderRandomTrace: whatever is evicted must be re-readable

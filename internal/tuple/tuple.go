@@ -203,21 +203,17 @@ func (t Tuple) Project(idxs []int) Tuple {
 
 // ---- Row arena -------------------------------------------------------------
 
-// arenaFirstChunk is the floor of an arena's first chunk (in Values), and
-// arenaChunkValues the cap its chunks double up to. A fresh arena's first
-// chunk is its first carve rounded up to the floor, so a worker that keeps
-// one row allocates about one row; each later chunk is twice the last, so a
-// long scan reaches the cap after a few pages and then pays one allocation
-// per 4 096 values. The cap bounds what a mostly-idle arena holds on to.
-const (
-	arenaFirstChunk  = 64
-	arenaChunkValues = 4096
-)
+// arenaChunkValues is the cap an arena's chunks (in Values) double up to. A
+// fresh arena's first chunk is exactly its first carve, so a worker that keeps
+// one row allocates one row; each later chunk is twice the last, so a long
+// scan reaches the cap after a few pages and then pays one allocation per
+// 4 096 values. The cap bounds what a mostly-idle arena holds on to.
+const arenaChunkValues = 4096
 
 // RowArena bulk-allocates tuple rows, replacing one heap allocation per row
 // (join Concat output, projection rows, decoded page tuples) with one per
 // chunk, and sizes its chunks by what it has carved so far: the first is
-// about the first row, each later one doubles up to arenaChunkValues, and a
+// the first row, each later one doubles up to arenaChunkValues, and a
 // carve larger than that gets a chunk of exactly its size. Rows carved from
 // an arena are immutable once published to a consumer, so sharing one backing chunk
 // across many rows is safe, and the chunk is garbage-collected as one object
@@ -245,8 +241,7 @@ func (a *RowArena) Make(n int) Tuple {
 		return Tuple{}
 	}
 	if cap(a.chunk)-len(a.chunk) < n {
-		size := min(max(2*cap(a.chunk), arenaFirstChunk), arenaChunkValues)
-		a.chunk = make([]Value, 0, max(size, n))
+		a.chunk = make([]Value, 0, max(min(2*cap(a.chunk), arenaChunkValues), n))
 	}
 	l := len(a.chunk)
 	a.chunk = a.chunk[:l+n]

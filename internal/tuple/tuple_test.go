@@ -336,11 +336,11 @@ func TestRowArena(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { b.Make(4) }); allocs > 0.1 {
 		t.Fatalf("arena Make allocates %.3f allocs/op, want amortized ~1/chunk", allocs)
 	}
-	// A fresh arena's first chunk is about its first row, not the cap.
+	// A fresh arena's first chunk is its first row, not the cap.
 	var f RowArena
 	f.Make(1)
-	if got := cap(f.chunk); got > arenaFirstChunk {
-		t.Fatalf("first chunk after Make(1) holds %d values, want at most %d", got, arenaFirstChunk)
+	if got := cap(f.chunk); got != 1 {
+		t.Fatalf("first chunk after Make(1) holds %d values, want 1", got)
 	}
 	// Each later chunk doubles, up to the cap, and stays there.
 	want := cap(f.chunk)

@@ -337,18 +337,20 @@ func TestServerClientDisconnectMidStream(t *testing.T) {
 	// Hard close: no Cancel frame, no Quit — the socket just dies.
 	conn.Close()
 
-	// The server must notice, cancel the query, release its locks, and
-	// clean up its temp files.
+	// The server must notice, cancel the query, release its locks, clean
+	// up its temp files and end the connection's handler (whose deferred
+	// calls may run after the query's cleanup).
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		st := db.Stats()
 		tmp := qpipe.DiskOf(db).FilesWithPrefix("tmp:")
-		if st.InFlight == 0 && st.AdmissionQueued == 0 && len(tmp) == 0 {
+		conns := srv.Stats().ActiveConns
+		if st.InFlight == 0 && st.AdmissionQueued == 0 && len(tmp) == 0 && conns == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("disconnect did not clean up: in-flight=%d queued=%d tmp=%v",
-				st.InFlight, st.AdmissionQueued, tmp)
+			t.Fatalf("disconnect did not clean up: in-flight=%d queued=%d tmp=%v active conns=%d",
+				st.InFlight, st.AdmissionQueued, tmp, conns)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
