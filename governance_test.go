@@ -319,46 +319,59 @@ func TestStatementTimeoutAfterCommitBegan(t *testing.T) {
 }
 
 func TestSatelliteRescuedFromTimedOutHost(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-dependent")
-	}
 	// A query absorbed as a satellite onto a host that times out before
-	// emitting must be rescued — re-dispatched and completed with the full
-	// result — exactly like the cancelled-host path.
-	mgr := newTestDB(t, 8000)
-	mgr.Pool.Invalidate()
-	mgr.Disk.SetLatency(time.Millisecond, time.Millisecond, 0)
-	defer mgr.Disk.SetLatency(0, 0, 0)
+	// emitting must be rescued — run as itself and completed with the full
+	// result — exactly like the cancelled-host path. A held scan of another
+	// signature pins the table, so the host aggregate cannot emit before its
+	// deadline fires; the satellite attaches well before that.
+	const n = 8000
+	mgr := newTestDB(t, n)
 	db := newDB(mgr, core.DefaultConfig())
 	defer db.Close()
+	_, release := holdTable(t, db, "t")
 	mk := func() plan.Node {
 		return plan.NewAggregate(
 			plan.NewTableScan("t", tableSchema(mgr), nil, nil, false),
 			[]expr.AggSpec{{Kind: expr.AggCount}})
 	}
 	qH, err := db.rt.SubmitOpts(context.Background(), mk(),
-		core.QueryOptions{Timeout: 10 * time.Millisecond})
+		core.QueryOptions{Timeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond) // let the host aggregate start
 	qS, err := db.rt.Submit(context.Background(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The host times out; the satellite must still deliver the exact count.
+	if got := qS.Stats.SatelliteAttaches(); got != 1 || qH.Ctx().Err() != nil {
+		t.Fatalf("%d attaches before the host's deadline (passed: %v), want 1", got, qH.Ctx().Err())
+	}
+	if err := qH.Wait(); !errors.As(err, new(*DeadlineError)) {
+		t.Fatalf("host error = %v, want *DeadlineError", err)
+	}
+	// The rescued aggregate was enqueued again, beside its dying host.
+	if got := qS.Stats.Shares[core.ShareHostCancelled].Load(); got != 1 || qS.Stats.Shares[core.ShareAttached].Load() != 0 {
+		t.Fatalf("the rescued aggregate's decisions: %v, want one host-cancelled", &qS.Stats.Shares)
+	}
+	release()
 	b, err := qS.Result.Get()
 	if err != nil {
 		t.Fatalf("satellite after host timeout: %v", err)
 	}
-	if b[0][0].I != 8000 {
-		t.Fatalf("satellite count = %d, want 8000", b[0][0].I)
+	if b[0][0].I != n {
+		t.Fatalf("satellite count = %d, want %d", b[0][0].I, n)
 	}
 	if err := qS.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := qH.Wait(); !errors.As(err, new(*DeadlineError)) {
-		t.Fatalf("host error = %v, want *DeadlineError", err)
+	pkts := make(map[int64]bool)
+	for _, p := range qS.Packets() {
+		pkts[p.ID] = true
+	}
+	for _, buf := range qS.Buffers() {
+		if s := buf.Snapshot(); buf != qS.Result && !pkts[s.Consumer] {
+			t.Errorf("buffer %s is read by %d, no packet of its query", s.Label, s.Consumer)
+		}
 	}
 }
 

@@ -438,12 +438,14 @@ func TestPacketStateStrings(t *testing.T) {
 func TestHandOverRefusals(t *testing.T) {
 	rt := newTestRuntime(t, &fakeOp{op: "x"})
 	q := newQuery(context.Background(), QueryOptions{})
+	node := &fakeNode{op: "x", sig: "a"}
+	reader := newPacket(q, node)
 	fresh := func() *Packet {
-		p, _ := rt.NewInternalPacket(q, &fakeNode{op: "x", sig: "a"})
+		p, _ := rt.NewInternalPacket(reader, node)
 		return p
 	}
 	absorb := func(host, sat *Packet) {
-		if d := host.absorbSatellite(sat); d != ShareAttached {
+		if d := host.absorbSatellite(rt, sat); d != ShareAttached {
 			t.Fatalf("absorb: %s", d)
 		}
 	}
@@ -508,7 +510,7 @@ func TestHandOverRefusals(t *testing.T) {
 			}
 			// What is installed seals the packet: a later one of its
 			// signature runs on its own.
-			if d := p.absorbSatellite(fresh()); d != ShareHostSealed {
+			if d := p.absorbSatellite(rt, fresh()); d != ShareHostSealed {
 				t.Errorf("%s: a later packet's attach ended %s, want %s", how, d, ShareHostSealed)
 			}
 		}

@@ -159,15 +159,12 @@ func (e *MicroEngine) quarantine(op plan.OpType, fn func() error) (err error) {
 // else the in-flight set. The decision is counted, a miss naming the last
 // refusal in the order tried. Wider windows are decided in Run.
 func (e *MicroEngine) Enqueue(pkt *Packet) bool {
-	e.enq.Add(1)
+	if !pkt.noted { // a rescued satellite comes back noted: the ledger counts packets
+		e.enq.Add(1)
+	}
 	hosts, why := e.rt.Hosts(pkt)
 	for _, h := range hosts {
-		if why = h.absorbSatellite(pkt); why.Shared() {
-			// OSP coordinator steps 1-2 (Figure 6b): terminate everything
-			// beneath the satellite — not the satellite, whose port the host
-			// feeds.
-			pkt.cancelBelow()
-			e.rt.NoteShare(pkt, why, h.Query)
+		if why = h.absorbSatellite(e.rt, pkt); why.Shared() {
 			return false
 		}
 	}
@@ -183,9 +180,8 @@ func (e *MicroEngine) Enqueue(pkt *Packet) bool {
 	return true
 }
 
-// start runs each queued packet on a goroutine of its own, and returns once
-// those that decide in their Run have: a scan has joined or hosted its group
-// by the time Submit returns, as it had when it decided at enqueue (§4.3.1).
+// start runs each queued packet on a goroutine of its own, counted in its
+// µEngine's wg.
 func (rt *Runtime) start(queued ...*Packet) {
 	for _, pkt := range queued {
 		e := rt.engines[pkt.Node.Op()]
@@ -195,9 +191,6 @@ func (rt *Runtime) start(queued ...*Packet) {
 			growStack()
 			e.runPacket(pkt)
 		}()
-	}
-	for _, pkt := range queued {
-		pkt.decided.Wait()
 	}
 }
 
@@ -304,8 +297,7 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 // rescueSatellites re-homes live satellites of a host that is dying before
 // producing any output — typically a host whose own query was cancelled
 // after the absorb, which is the host's failure, not the satellites'. Each
-// rescued satellite's plan subtree is re-dispatched inside its own query and
-// pumped into the satellite's existing output port. A host that already
+// leaves the host's port and runs as itself (rescue). A host that already
 // produced output cannot be rescued from: its satellites hold that prefix,
 // and re-running would duplicate tuples — they stay absorbed and inherit the
 // host's terminal state. Must run before the host closes its port. Sealing

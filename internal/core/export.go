@@ -14,7 +14,7 @@ import (
 )
 
 // Complete finishes a packet that an operator served outside the normal
-// engine worker loop — scan-group consumers and rescued satellites complete
+// engine worker loop — scan-group consumers and internal packets complete
 // this way — with the terminal error settle makes of err. Idempotent.
 func (p *Packet) Complete(err error) { p.finish(p.settle(err)) }
 
@@ -167,13 +167,13 @@ func (rt *Runtime) DumpState() string {
 	return b.String()
 }
 
-// NewInternalPacket creates a packet owned by an operator's run-time
-// rewiring rather than dispatched to a µEngine — e.g. the suffix consumer
-// the merge-join split attaches to an in-progress ordered scan. The packet
-// has a fresh output buffer; whoever feeds it must call Complete.
-func (rt *Runtime) NewInternalPacket(q *Query, node plan.Node) (*Packet, *tbuf.Buffer) {
-	buf := tbuf.New(rt.Cfg.BufferCapacity)
-	q.addBuffer(buf)
+// NewInternalPacket creates a packet of reader's query owned by an operator's
+// run-time rewiring rather than dispatched to a µEngine — e.g. the suffix
+// consumer the merge-join split attaches to an in-progress ordered scan. The
+// packet has a fresh output buffer, which reader reads; whoever feeds it must
+// call Complete.
+func (rt *Runtime) NewInternalPacket(reader *Packet, node plan.Node) (*Packet, *tbuf.Buffer) {
+	q, buf := reader.Query, rt.newInput(reader, node)
 	pkt := newPacket(q, node)
 	pkt.Sig = node.Signature()
 	pkt.OutBuf = buf

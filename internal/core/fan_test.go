@@ -9,7 +9,8 @@ import (
 // internalPacket is a packet of operator x outside any dispatch, for calling
 // Fan directly.
 func internalPacket(rt *Runtime) *Packet {
-	pkt, _ := rt.NewInternalPacket(newQuery(context.Background(), QueryOptions{}), &fakeNode{op: "x", sig: "a"})
+	node := &fakeNode{op: "x", sig: "a"}
+	pkt, _ := rt.NewInternalPacket(newPacket(newQuery(context.Background(), QueryOptions{}), node), node)
 	return pkt
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"qpipe/internal/core/tbuf"
+	"qpipe/internal/plan"
 	"qpipe/internal/storage/disk"
 	"qpipe/internal/storage/sm"
 	"qpipe/internal/tuple"
@@ -220,5 +222,124 @@ func TestSubmitRejectedWhileDraining(t *testing.T) {
 	case <-closed:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return after the last query drained")
+	}
+}
+
+// fakeParent is a fakeNode with children.
+type fakeParent struct {
+	fakeNode
+	kids []plan.Node
+}
+
+func (n *fakeParent) Children() []plan.Node { return n.kids }
+
+// TestCloseWakesAConduitOfAFinishedQuery: a packet held in a cycle that no
+// detector breaks (it is off), whose own query has left the live set while
+// the packet still serves another query's satellite, wakes once Close's drain
+// time is up, and Close returns. The cycle is the shared scanner's: j reads a
+// second buffer its input's port feeds as well, so the port waits on j's full
+// input while j waits on the empty second buffer.
+func TestCloseWakesAConduitOfAFinishedQuery(t *testing.T) {
+	src := &fakeOp{op: "src", run: func(_ *Runtime, pkt *Packet) error {
+		for {
+			if err := pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(1)}}); err != nil {
+				return err
+			}
+		}
+	}}
+	var second *tbuf.Buffer
+	attached := make(chan struct{})
+	j := &fakeOp{op: "j", run: func(rt *Runtime, pkt *Packet) error {
+		second = rt.newInput(pkt, pkt.Children[0].Node)
+		if !pkt.Children[0].Out.Attach(second) {
+			return errors.New("the input's port refused the second buffer")
+		}
+		close(attached)
+		_, err := second.Drain()
+		return err
+	}}
+	release := make(chan struct{})
+	root := &fakeOp{op: "r", run: func(*Runtime, *Packet) error { <-release; return nil }}
+	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})
+	rt := NewRuntime(mgr, Config{OSP: true, BufferCapacity: 2, DeadlockInterval: -1, DrainTimeout: time.Millisecond}, []Operator{src, j, root})
+	join := &fakeParent{fakeNode{op: "j", sig: "j"}, []plan.Node{&fakeNode{op: "src", sig: "src"}}}
+	q1, err := rt.Submit(context.Background(), &fakeParent{fakeNode{op: "r", sig: "r"}, []plan.Node{join}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same join over a source of its own signature: only the join attaches.
+	q2, err := rt.Submit(context.Background(), &fakeParent{join.fakeNode, []plan.Node{&fakeNode{op: "src", sig: "src2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2.Stats.SatelliteAttaches() != 1 {
+		t.Fatal("q2's join did not attach to q1's")
+	}
+	<-attached
+	in := q1.Root.Children[0].Inputs[0]
+	waitInt64(t, func() int64 {
+		if in.Snapshot().PutBlocked && second.Snapshot().GetBlocked {
+			return 1
+		}
+		return 0
+	}, 1, "the cycle held")
+	close(release)
+	waitInt64(t, func() int64 { return rt.Stats().InFlight }, 1, "queries in flight once q1's root ended")
+	closed := make(chan struct{})
+	go func() { rt.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Close did not return:\n%s", rt.DumpState())
+	}
+	if err := q2.Wait(); err == nil {
+		t.Fatal("q2 ended cleanly in a closed runtime")
+	}
+}
+
+// TestRescueAfterTheAbsorbCommitted: a host that fails as soon as a satellite
+// is on it rescues the satellite while the dispatch that absorbed it may
+// still be returning, with nothing else ordering the two. The absorb's whole
+// commit — its children discarded, its share noted — must come before the
+// rescue replaces those children and notes its second decision: the race
+// detector sees it otherwise.
+func TestRescueAfterTheAbsorbCommitted(t *testing.T) {
+	src := &fakeOp{op: "src", run: func(_ *Runtime, pkt *Packet) error {
+		return pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(1)}})
+	}}
+	j := &fakeOp{op: "j", run: func(_ *Runtime, pkt *Packet) error {
+		if pkt.Node.Children()[0].Signature() == "held" { // the host
+			for !pkt.HasLiveSatellites() {
+				time.Sleep(100 * time.Microsecond)
+			}
+			return errors.New("the host fails")
+		}
+		for _, in := range pkt.Inputs {
+			if _, err := in.Drain(); err != nil {
+				return err
+			}
+		}
+		return pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(2)}})
+	}}
+	rt := newTestRuntime(t, src, j)
+	for i := range 20 {
+		join := &fakeParent{fakeNode{op: "j", sig: fmt.Sprint("j", i)}, []plan.Node{&fakeNode{op: "src", sig: fmt.Sprint("src", i)}}}
+		q1, err := rt.Submit(context.Background(), &fakeParent{join.fakeNode, []plan.Node{&fakeNode{op: "src", sig: "held"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, err := rt.Submit(context.Background(), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := q2.Result.Drain(); err != nil || n != 1 {
+			t.Fatalf("the rescued join: %d rows, %v", n, err)
+		}
+		if err := q2.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := q1.Wait(); err == nil {
+			t.Fatal("the host ended cleanly")
+		}
 	}
 }

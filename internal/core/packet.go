@@ -220,12 +220,13 @@ func (p *Packet) TakeHanded() any {
 // absorbSatellite atomically commits sat as a satellite of this host, which
 // must not be done, cancelled or itself a satellite, and whose port must
 // still take a consumer: nothing produced yet, or all of it in the replay
-// window. The port attach and the list append happen under the lock that
-// finish and the rescue path seal the list with, so an absorb never
-// interleaves with the host's teardown — which would strand the satellite
-// (attached after the final sweep, done channel never closed) or hand an
-// innocent query the host's terminal error. On a miss the caller queues sat.
-func (p *Packet) absorbSatellite(sat *Packet) ShareDecision {
+// window. The whole commit happens under the lock that finish and the rescue
+// path seal the list with, so an absorb never interleaves with the host's
+// teardown — which would strand the satellite (attached after the final
+// sweep, done channel never closed), hand an innocent query the host's
+// terminal error, or let a rescue replace the satellite's children while they
+// are discarded. On a miss the caller queues sat.
+func (p *Packet) absorbSatellite(rt *Runtime, sat *Packet) ShareDecision {
 	switch p.State() {
 	case PacketDone:
 		return ShareHostDone
@@ -244,6 +245,10 @@ func (p *Packet) absorbSatellite(sat *Packet) ShareDecision {
 	}
 	sat.host.Store(p)
 	sat.setState(PacketSatellite)
+	// OSP coordinator steps 1-2 (Figure 6b): terminate everything beneath
+	// the satellite — not the satellite, whose port the host feeds.
+	sat.cancelBelow()
+	rt.NoteShare(sat, ShareAttached, p.Query)
 	p.hosted = true
 	p.satellites = append(p.satellites, sat)
 	return ShareAttached

@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,7 +150,7 @@ type Runtime struct {
 	mu      sync.Mutex
 	queries map[int64]*Query
 	// draining rejects NEW submissions while Close waits for in-flight
-	// queries; closed additionally stops internal re-dispatch (rescues).
+	// queries; closed additionally keeps rescues from starting packets.
 	draining bool
 	closed   bool
 	// idle is signalled whenever the queries map empties (Close's drain
@@ -331,22 +331,15 @@ func (rt *Runtime) typedSubmitErr(q *Query, err error) error {
 // shared-lock set, acquired in deterministic order at submit).
 func readTables(node plan.Node) []string {
 	seen := make(map[string]bool)
-	var out []string
 	plan.Walk(node, func(n plan.Node) {
-		var t string
 		switch x := n.(type) {
 		case *plan.TableScan:
-			t = x.Table
+			seen[x.Table] = true
 		case *plan.IndexScan:
-			t = x.Table
-		}
-		if t != "" && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+			seen[x.Table] = true
 		}
 	})
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 func (rt *Runtime) validate(node plan.Node) error {
@@ -380,12 +373,18 @@ func (rt *Runtime) validate(node plan.Node) error {
 // dispatch creates and enqueues packets for the subtree rooted at node,
 // writing output into out, and only then starts the queued ones: a packet
 // whose parent was absorbed as a satellite is discarded before it runs, so it
-// decides nothing past its enqueue. When gated, the root packet is created
-// but not enqueued (late activation); its owner must Activate or cancel it.
+// decides nothing past its enqueue. It returns once those that decide in
+// their Run have: a scan has joined or hosted its group by the time Submit
+// returns, as it had when it decided at enqueue (§4.3.1). When gated, the
+// root packet is created but not enqueued (late activation); its owner must
+// Activate or cancel it.
 func (rt *Runtime) dispatch(q *Query, node plan.Node, out *tbuf.Buffer, gated bool) *Packet {
 	var queued []*Packet
 	root := rt.enqueueTree(q, node, out, gated, &queued)
 	rt.start(queued...)
+	for _, pkt := range queued {
+		pkt.decided.Wait()
+	}
 	return root
 }
 
@@ -397,28 +396,40 @@ func (rt *Runtime) enqueueTree(q *Query, node plan.Node, out *tbuf.Buffer, gated
 	pkt.Out = tbuf.NewSharedOut(out, rt.Cfg.ReplayWindow)
 	pkt.Out.SetProducer(pkt.ID)
 	q.addPacket(pkt)
-
-	gateKids := rt.shouldGateChildren(q, node)
-	var kids []string
-	for _, cn := range node.Children() {
-		buf := tbuf.New(rt.Cfg.BufferCapacity)
-		buf.Consumer.Store(pkt.ID)
-		buf.Label = tbuf.Label{Query: q.ID, From: string(cn.Op()), To: string(node.Op())}
-		q.addBuffer(buf)
-		// The child's port is buf's producer, and a scan group re-binds it
-		// to the group's host: it must NOT be set here.
-		child := rt.enqueueTree(q, cn, buf, gateKids, queued)
-		pkt.Inputs = append(pkt.Inputs, buf)
-		pkt.Children = append(pkt.Children, child)
-		kids = append(kids, child.Sig)
-	}
-	pkt.Sig = plan.SignatureOver(node, kids)
+	pkt.Sig = plan.SignatureOver(node, rt.enqueueChildren(pkt, queued))
 	if gated {
 		pkt.setState(PacketGated)
 	} else if rt.engines[node.Op()].Enqueue(pkt) {
 		*queued = append(*queued, pkt)
 	}
 	return pkt
+}
+
+// enqueueChildren is the walk below pkt: a fresh subtree for each child of its
+// node, writing into a fresh input of pkt. It returns the children's
+// signatures.
+func (rt *Runtime) enqueueChildren(pkt *Packet, queued *[]*Packet) (sigs []string) {
+	gated := rt.shouldGateChildren(pkt.Query, pkt.Node)
+	for _, cn := range pkt.Node.Children() {
+		// The child's port is buf's producer, and a scan group re-binds it
+		// to the group's host: it must NOT be set here.
+		buf := rt.newInput(pkt, cn)
+		child := rt.enqueueTree(pkt.Query, cn, buf, gated, queued)
+		pkt.Inputs = append(pkt.Inputs, buf)
+		pkt.Children = append(pkt.Children, child)
+		sigs = append(sigs, child.Sig)
+	}
+	return sigs
+}
+
+// newInput adds to reader's query a buffer that reader reads what from's
+// packet writes: reader is its Waits-For consumer.
+func (rt *Runtime) newInput(reader *Packet, from plan.Node) *tbuf.Buffer {
+	buf := tbuf.New(rt.Cfg.BufferCapacity)
+	buf.Consumer.Store(reader.ID)
+	buf.Label = tbuf.Label{Query: reader.Query.ID, From: string(from.Op()), To: string(reader.Node.Op())}
+	reader.Query.addBuffer(buf)
+	return buf
 }
 
 // shouldGateChildren applies late activation to merge-join inputs so the
@@ -440,54 +451,46 @@ func (rt *Runtime) shouldGateChildren(q *Query, node plan.Node) bool {
 	return false
 }
 
-// Activate enqueues and starts a gated packet (late activation release).
+// Activate enqueues and starts a gated packet (late activation release), and
+// returns once it has decided.
 func (rt *Runtime) Activate(pkt *Packet) {
 	if pkt.State() == PacketGated && rt.engines[pkt.Node.Op()].Enqueue(pkt) {
 		rt.start(pkt)
+		pkt.decided.Wait()
 	}
 }
 
-// DispatchSubtree creates and runs a fresh subtree for an existing query at
-// run time (used by the OSP coordinator when it rewrites an evaluation
-// strategy, e.g. the ordered-scan join split). It returns the buffer the
-// subtree's root writes into.
-func (rt *Runtime) DispatchSubtree(q *Query, node plan.Node) (*tbuf.Buffer, *Packet) {
-	buf := tbuf.New(rt.Cfg.BufferCapacity)
-	buf.Label = tbuf.Label{Query: q.ID, To: "sub-" + string(node.Op())}
-	q.addBuffer(buf)
-	pkt := rt.dispatch(q, node, buf, false)
-	return buf, pkt
+// DispatchSubtree creates and runs a fresh subtree for reader's query at run
+// time (used by the OSP coordinator when it rewrites an evaluation strategy,
+// e.g. the ordered-scan join split). It returns the buffer the subtree's root
+// writes into, which reader reads.
+func (rt *Runtime) DispatchSubtree(reader *Packet, node plan.Node) (*tbuf.Buffer, *Packet) {
+	buf := rt.newInput(reader, node)
+	return buf, rt.dispatch(reader.Query, node, buf, false)
 }
 
-// rescue re-executes a satellite whose host died before producing output:
-// the satellite's plan subtree runs fresh inside its own query (it may
-// OSP-attach to other in-flight work as usual) and streams into the
-// satellite's existing output port, completing the packet as if the host
-// had served it. The closed check and the dispatch share rt.mu so a rescue
-// can never race Close into enqueueing on a drained µEngine.
+// rescue runs a satellite whose host died before producing output as the
+// packet it is, writing to its own port: fresh children feed fresh inputs,
+// and its µEngine's Enqueue may attach it to other work as usual. No Submit
+// is returning, so nothing waits for a decision; rt.mu covers the closed
+// check and the wg.Adds, so no packet starts on a µEngine Close waits for.
+// Once closed, the satellite fails, unless it is another host's again.
 func (rt *Runtime) rescue(sat *Packet) {
-	go func() {
-		rt.mu.Lock()
-		if rt.closed {
-			rt.mu.Unlock()
-			sat.Complete(fmt.Errorf("core: runtime closed"))
-			return
-		}
-		buf, _ := rt.DispatchSubtree(sat.Query, sat.Node)
-		rt.mu.Unlock()
-		var err error
-		for err == nil {
-			var b tbuf.Batch
-			if b, err = buf.Get(); err == nil {
-				err = sat.Out.Put(b)
-			}
-		}
-		buf.Abandon()
-		if err == io.EOF {
-			err = nil
-		}
-		sat.Complete(err)
-	}()
+	sat.Inputs, sat.Children = nil, nil
+	sat.Out.SetProducer(sat.ID)
+	var queued []*Packet
+	rt.enqueueChildren(sat, &queued)
+	if rt.engines[sat.Node.Op()].Enqueue(sat) {
+		queued = append(queued, sat)
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !rt.closed {
+		rt.start(queued...)
+	} else if sat.State() != PacketSatellite {
+		sat.CancelSubtree()
+		sat.Complete(ErrClosed)
+	}
 }
 
 // NoteHandOver counts one of q's hand-overs by how it ended.
@@ -553,9 +556,10 @@ func (rt *Runtime) TotalShares() (n int64) {
 
 // Close shuts the runtime down with a graceful drain: new submissions are
 // rejected with ErrClosed immediately, in-flight queries get up to
-// Cfg.DrainTimeout to finish (internal re-dispatch, e.g. satellite rescue,
-// keeps working during the drain), and any stragglers are then cancelled
-// before the µEngines stop.
+// Cfg.DrainTimeout to finish, and then the stragglers are cancelled before
+// the µEngines stop — those in rt.queries and, so that every packet blocked
+// in a buffer wakes, the query of every packet still in flight, which may
+// have left rt.queries while the packet serves other queries.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.draining || rt.closed {
@@ -580,11 +584,17 @@ func (rt *Runtime) Close() {
 	}
 
 	rt.closed = true
-	qs := make([]*Query, 0, len(rt.queries))
-	for _, q := range rt.queries {
-		qs = append(qs, q)
-	}
 	rt.mu.Unlock()
+	qs := rt.liveQueries()
+	for _, e := range rt.engines {
+		e.mu.Lock()
+		for _, pkts := range e.inflight {
+			for _, p := range pkts {
+				qs = append(qs, p.Query)
+			}
+		}
+		e.mu.Unlock()
+	}
 	for _, q := range qs {
 		q.Cancel()
 	}

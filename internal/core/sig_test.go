@@ -31,13 +31,13 @@ func TestPacketSigIsTheNodeSignature(t *testing.T) {
 	mjoin := &fakeOp{op: plan.OpMergeJoin, run: func(rt *Runtime, pkt *Packet) error {
 		mj := pkt.Node.(*plan.MergeJoin)
 		shared := mj.Left.(*plan.IndexScan)
-		suffix, _ := rt.NewInternalPacket(pkt.Query, shared)
+		suffix, _ := rt.NewInternalPacket(pkt, shared)
 		suffix.Discard()
 		prefix := *shared
 		prefix.LeafFrom, prefix.LeafTo = 0, 3
 		split = append(split, suffix)
 		for _, n := range []plan.Node{&prefix, mj.Right} {
-			buf, p := rt.DispatchSubtree(pkt.Query, n)
+			buf, p := rt.DispatchSubtree(pkt, n)
 			split = append(split, p)
 			if _, err := buf.Drain(); err != nil {
 				return err

@@ -502,9 +502,9 @@ func (s *SharedOut) Err() error {
 }
 
 // Detach removes a consumer buffer from the port without closing it. The
-// OSP rescue path uses this to re-home a satellite onto a fresh subtree
-// before a dying host closes its port (which would otherwise propagate the
-// host's terminal error to the satellite).
+// OSP rescue path uses this to take a satellite off a dying host's port
+// before the host closes it (which would hand the satellite the host's
+// terminal error); the satellite then feeds the buffer from its own port.
 func (s *SharedOut) Detach(buf *Buffer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,14 +600,4 @@ func (s *SharedOut) PruneDead() bool {
 		s.stop = ErrConsumersGone
 	}
 	return len(kept) > 0
-}
-
-// Consumers snapshots the attached buffers (deadlock detector edges from a
-// host producer to every satellite consumer).
-func (s *SharedOut) Consumers() []*Buffer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	outs := make([]*Buffer, len(s.outs))
-	copy(outs, s.outs)
-	return outs
 }

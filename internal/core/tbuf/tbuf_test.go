@@ -416,7 +416,7 @@ func TestSharedOutProducedCount(t *testing.T) {
 	if so.Produced() != 2 {
 		t.Fatalf("produced: %d", so.Produced())
 	}
-	if len(so.Consumers()) != 1 {
-		t.Fatal("consumers snapshot")
+	if so.NumConsumers() != 1 {
+		t.Fatal("consumers count")
 	}
 }

@@ -126,7 +126,7 @@ func (o *IndexScanOp) materialize(rt *core.Runtime, pkt *core.Packet, node *plan
 		return false, nil
 	}
 	// The collector's buffer never throttles the host scan.
-	collector, colBuf := rt.NewInternalPacket(pkt.Query, node)
+	collector, colBuf := rt.NewInternalPacket(pkt, node)
 	colBuf.SetUnbounded()
 	start, why := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
 	if !why.Shared() {

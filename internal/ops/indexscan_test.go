@@ -134,7 +134,8 @@ func TestMaterializedOrderedShare(t *testing.T) {
 // full ordered filtered scan would materialize its suffix from. q1 holds its
 // join's scans, q3 an unfiltered ordered scan of LINEITEM; q2, the same join
 // as q1, splits onto q1's LINEITEM scan; and q3 stays held until q2's prefix
-// packet has been decided. Every answer is the iterator engine's.
+// packet has been decided. Every answer is the iterator engine's, and every
+// buffer the split made names the join's packet as its reader.
 func TestSplitPrefixReadsOnlyItsLeaves(t *testing.T) {
 	mgr := wopTPCH(t)
 	rt := core.NewRuntime(mgr, wopConfig(func(c *core.Config) { c.ReplayWindow = 1 }), All())
@@ -210,6 +211,7 @@ func TestSplitPrefixReadsOnlyItsLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 		sdCompare(t, c.name, c.pl, got[c.q], sdSorted(want))
+		readersArePackets(t, c.q)
 	}
 }
 

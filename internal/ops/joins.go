@@ -111,13 +111,12 @@ func (o *MergeJoinOp) otherSideCost(rt *core.Runtime, other plan.Node) int64 {
 func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.MergeJoin) (core.ShareDecision, error) {
 	// Sharing saves re-reading the suffix of the shared relation but costs
 	// one extra read of the non-shared relation.
-	q := pkt.Query
 	idx, sharedScan, why := o.splitCandidate(rt, node, pkt)
 	var start int64
 	var sufBuf *tbuf.Buffer
 	if sharedScan != nil { // attach the suffix consumer to the in-progress scan
 		var sufPkt *core.Packet
-		sufPkt, sufBuf = rt.NewInternalPacket(q, sharedScan)
+		sufPkt, sufBuf = rt.NewInternalPacket(pkt, sharedScan)
 		start, why = o.iscan.AttachOrderedSuffix(sharedScan.Table, sharedScan.Col, sufPkt, sharedScan.Filter, sharedScan.Project)
 		if why.Shared() {
 			why = core.ShareSplit
@@ -136,25 +135,25 @@ func (o *MergeJoinOp) trySplit(rt *core.Runtime, pkt *core.Packet, node *plan.Me
 
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	// Packet 1: suffix of the shared relation ⋈ fresh read of the other.
-	if err := mergeSides(rt, q, idx, sufBuf, node, em); err != nil {
+	if err := mergeSides(rt, pkt, idx, sufBuf, node, em); err != nil {
 		return why, err
 	}
 	// Packet 2: the missed prefix (leaves [0, start)) ⋈ the other side
 	// again (the worst-case second read the cost model accounted for).
 	prefix := *sharedScan
 	prefix.LeafFrom, prefix.LeafTo = 0, int(start)
-	prefixBuf, _ := rt.DispatchSubtree(q, &prefix)
-	if err := mergeSides(rt, q, idx, prefixBuf, node, em); err != nil {
+	prefixBuf, _ := rt.DispatchSubtree(pkt, &prefix)
+	if err := mergeSides(rt, pkt, idx, prefixBuf, node, em); err != nil {
 		return why, err
 	}
 	return why, em.flush()
 }
 
 // mergeSides merges the shared stream, on side sharedIdx, with a fresh read of
-// the join's other input. Whatever the outcome, it releases the producers
-// still feeding both buffers.
-func mergeSides(rt *core.Runtime, q *core.Query, sharedIdx int, shared *tbuf.Buffer, node *plan.MergeJoin, em *emitter) error {
-	other, _ := rt.DispatchSubtree(q, node.Children()[1-sharedIdx])
+// the join's other input, which pkt, the join's packet, reads. Whatever the
+// outcome, it releases the producers still feeding both buffers.
+func mergeSides(rt *core.Runtime, pkt *core.Packet, sharedIdx int, shared *tbuf.Buffer, node *plan.MergeJoin, em *emitter) error {
+	other, _ := rt.DispatchSubtree(pkt, node.Children()[1-sharedIdx])
 	defer other.Abandon()
 	defer shared.Abandon()
 	l, r := newCursor(shared), newCursor(other)

@@ -322,7 +322,7 @@ func TestSortReuseEligibility(t *testing.T) {
 			}
 			var rows []tuple.Tuple
 			if tc.sameQuery {
-				buf, _ := rt.DispatchSubtree(q1, mk())
+				buf, _ := rt.DispatchSubtree(q1.Root, mk())
 				rows = drain(buf)
 			} else {
 				rows = runPlan(t, rt, mk())

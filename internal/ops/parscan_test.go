@@ -425,7 +425,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := heapSource{f: rt.SM.MustTable("t").Heap}
-		pkt, buf := rt.NewInternalPacket(carrier, node)
+		pkt, buf := rt.NewInternalPacket(carrier.Root, node)
 		s := newScanner(pkt.ID, src, true, par, rt.SM.Pool.Capacity())
 		if why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 			t.Fatal("attach refused")
@@ -442,7 +442,7 @@ func TestFoldInstalledMidScan(t *testing.T) {
 		// one's completion: it wants rows of the pages it missed only, which
 		// the wrap serves last, into a buffer nobody reads yet. (With four
 		// partitions those pages are not one worker's, so it only rides.)
-		latePkt, lateBuf := rt.NewInternalPacket(carrier, node)
+		latePkt, lateBuf := rt.NewInternalPacket(carrier.Root, node)
 		if why := s.attach(&scanConsumer{pkt: latePkt, filter: expr.LT(expr.Col(0), expr.CInt(int64(rt.Cfg.BufferCapacity+1)*int64(perPage)))}, false); !why.Shared() {
 			t.Fatal("the second attach was refused")
 		}
@@ -675,7 +675,7 @@ func TestTwoRunsOfOneTableShareOneScan(t *testing.T) {
 		heap := rt.SM.MustTable("t").Heap
 		op := NewTableScanOp()
 		start := func(filter expr.Pred) (*core.Packet, *tbuf.Buffer, chan error) {
-			pkt, buf := rt.NewInternalPacket(carrier, plan.NewTableScan("t", testSchema(), filter, nil, false))
+			pkt, buf := rt.NewInternalPacket(carrier.Root, plan.NewTableScan("t", testSchema(), filter, nil, false))
 			done := make(chan error, 1)
 			go func() {
 				err := op.Run(rt, pkt)
@@ -876,8 +876,8 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		heap := heapSource{f: rt.SM.MustTable("t").Heap}
 		s := newScanner(0, heap, true, 2, rt.SM.Pool.Capacity())
 		s.src = corruptSource{heapSource: heap, bad: s.parts[part].lo + 1}
-		host, hostBuf := rt.NewInternalPacket(carrier, node)
-		second, secondBuf := rt.NewInternalPacket(carrier, node)
+		host, hostBuf := rt.NewInternalPacket(carrier.Root, node)
+		second, secondBuf := rt.NewInternalPacket(carrier.Root, node)
 		for _, pkt := range []*core.Packet{host, second} {
 			if why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
 				t.Fatal("attach refused")

@@ -120,6 +120,10 @@ func TestWindowsOfOpportunity(t *testing.T) {
 		// OSP nothing ties them to the held host, and side by side they
 		// would find each other's pages in the pool by luck.
 		serial bool
+		// cancel cancels the host's query once the others are sent, before
+		// its first batch: what it hosted runs as itself, enqueued again
+		// beside its dying host, and is one packet of the ledger still.
+		cancel bool
 		shares map[plan.OpType]int64 // SharesByOp when all is drained, exactly
 		// unrun is how many of the others' scan packets were discarded
 		// before they ran — their parent absorbed as a satellite, or a
@@ -163,6 +167,14 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			pin: []string{"LINEITEM"}, host: tpch.Q6(p), others: []plan.Node{tpch.Q6(p)},
 			at: plan.OpAggregate, why: core.ShareAttached,
 			shares: map[plan.OpType]int64{plan.OpTableScan: 1, plan.OpAggregate: 1},
+			unrun:  1,
+			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
+		// The same arrival rescued: the second aggregate's scan is still
+		// discarded unrun, and the fresh one its rescue sends rides the pin.
+		{name: "full-aggregate-rescued", mgr: tpchMgr, cfg: wopConfig(nil),
+			pin: []string{"LINEITEM"}, host: tpch.Q6(p), others: []plan.Node{tpch.Q6(p)}, cancel: true,
+			at: plan.OpAggregate, why: core.ShareHostCancelled,
+			shares: map[plan.OpType]int64{plan.OpTableScan: 2},
 			unrun:  1,
 			scans:  map[string][2]int64{"LINEITEM": {1, 1}}},
 		// Full (Figure 10): two sort-merge joins with the same BIG1 and BIG2
@@ -273,6 +285,12 @@ func TestWindowsOfOpportunity(t *testing.T) {
 					}
 				}
 			}
+			host := queries[len(row.pin)]
+			if row.cancel {
+				host.Cancel()
+				<-host.Root.Done() // it rescued what it hosted before it finished
+				eventually(t, "the rescued packets decided", func() bool { return maps.Equal(rt.Stats().SharesByOp, row.shares) })
+			}
 			var wg sync.WaitGroup
 			errs := make([]error, len(plans))
 			for i, q := range queries {
@@ -340,6 +358,9 @@ func TestWindowsOfOpportunity(t *testing.T) {
 			}
 			oracle := volcano.New(row.mgr)
 			for i, pl := range plans {
+				if row.cancel && queries[i] == host {
+					continue
+				}
 				if errs[i] != nil {
 					t.Fatalf("plan %d: %v", i, errs[i])
 				}
