@@ -97,7 +97,12 @@ func (p *Packet) decide() {
 	}
 }
 
-// KeyFilter is a hash join's build keys as its probe scan sees them: bit
+// KeyFilter is a hash join's build keys as its probe scan sees them, in one
+// of two forms the join chooses once. A direct table (Dense non-nil), when
+// every build key is an INT or a DATE within ±2^53 over a short span:
+// Dense[k-Base] is 1 + the newest build row whose key is k (0: none) and
+// Next[b] 1 + the next older build row with b's key (0: none), so a probe
+// key is looked up exactly, without a hash. Otherwise a bitmap: bit
 // h >> Shift of Bits is set for the hash h (tuple.Hash1) of every build
 // key, so a probe row whose key's bit is clear joins nothing. Bits holds
 // 2^(64-Shift) bits.
@@ -105,6 +110,9 @@ type KeyFilter struct {
 	Col   int // the probe key's table column
 	Shift uint
 	Bits  []uint64
+	Base  int64
+	Dense []int32
+	Next  []int32
 }
 
 // HandOver says how handing something down to a packet ended: installed, or

@@ -16,6 +16,8 @@ package ops
 
 import (
 	"context"
+	"math"
+	"unsafe"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
@@ -541,16 +543,18 @@ func probeTable(build *hashTable, node *plan.HashJoin, em *emitter, arena *tuple
 
 // handDown is the one place a hash join whose build has ended decides what
 // its probe input is handed, and why nothing. A probe input served page by
-// page (pagedScan) gets a finished in-memory build side sideways: a bitmap of
-// 16 bits per build row over the keys' hashes, by which the scan stops
-// building rows no build key can match — three quarters of a probe side the
-// join would otherwise throw away (core.Packet.Narrow). When the join's reader
-// is an aggregate that handed its accumulators to the join's packet, they go
-// down in its place, completed with the build table and the bitmap as their
-// first step (PassFold): the scan then adds each pair up where it lies and the
-// join is sent no row. The join looks once — the read closes the slot, so an
-// aggregate that comes later is refused as late and adds the join's rows. The
-// join compares keys whatever became of it; that is counted by reason.
+// page (pagedScan) gets a finished in-memory build side sideways (buildKeys):
+// a direct table of the build keys when they are small integers, by which the
+// scan builds exactly the rows that join, or else a bitmap of 16 bits per
+// build row over the keys' hashes, by which it stops building rows no build
+// key can match — three quarters of a probe side the join would otherwise
+// throw away (core.Packet.Narrow). When the join's reader is an aggregate that
+// handed its accumulators to the join's packet, they go down in its place,
+// completed with the build table and the keys as their first step (PassFold):
+// the scan then adds each pair up where it lies and the join is sent no row.
+// The join looks once — the read closes the slot, so an aggregate that comes
+// later is refused as late and adds the join's rows. The join compares keys
+// whatever became of it; that is counted by reason.
 func handDown(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *hashTable, small bool) {
 	fold, _ := pkt.TakeHanded().(*scanFold)
 	project, why := pagedScan(node.Right)
@@ -566,17 +570,31 @@ func handDown(rt *core.Runtime, pkt *core.Packet, node *plan.HashJoin, build *ha
 		col = project[col]
 	}
 	if fold == nil {
-		pkt.Children[1].Narrow(rt, buildKeys(build, col))
+		pkt.Children[1].Narrow(rt, buildKeys(build, node.LKey, col))
 		return
 	}
-	fold.build, fold.lkey, fold.width, fold.probe = build, node.LKey, node.Left.Schema().Len(), buildKeys(build, col)
+	fold.build, fold.lkey, fold.width, fold.probe = build, node.LKey, node.Left.Schema().Len(), buildKeys(build, node.LKey, col)
 	pkt.Children[1].PassFold(rt, fold)
 }
 
-// buildKeys is a build side's keys as a scan whose table column col is the
-// probe key sees them: 16 bits a build row, at least 64.
-func buildKeys(build *hashTable, col int) *core.KeyFilter {
-	f := &core.KeyFilter{Col: col, Shift: 64 - 6}
+// buildKeys is a build side's keys, its rows' column lkey, as a scan whose
+// table column col is the probe key sees them. When every key is an INT or a
+// DATE within ±2^53 — so a FLOAT equals one exactly when it is integral and
+// its int64 is the key — and the table, four bytes a key of the span between
+// the least and the greatest and four a build row, takes no more room than
+// the build rows' own values, it is a direct table; otherwise (an empty build
+// side too) a bitmap of 16 bits a build row, at least 64.
+func buildKeys(build *hashTable, lkey, col int) *core.KeyFilter {
+	f := &core.KeyFilter{Col: col}
+	if lo, span, ok := keySpan(build.rows, lkey); ok {
+		f.Base, f.Dense, f.Next = lo, make([]int32, span), make([]int32, len(build.rows))
+		for b, r := range build.rows {
+			d := &f.Dense[r[lkey].I-lo]
+			f.Next[b], *d = *d, int32(b+1)
+		}
+		return f
+	}
+	f.Shift = 64 - 6
 	for 1<<(64-f.Shift) < 16*len(build.rows) {
 		f.Shift--
 	}
@@ -586,6 +604,26 @@ func buildKeys(build *hashTable, col int) *core.KeyFilter {
 		f.Bits[bit>>6] |= 1 << (bit & 63)
 	}
 	return f
+}
+
+// keySpan returns the least of rows' column key and how many integers lie
+// from it to the greatest, when every key is an INT or a DATE within ±2^53
+// and a direct table over them fits in the bytes of the rows' values.
+func keySpan(rows []tuple.Tuple, key int) (lo, span int64, ok bool) {
+	if len(rows) == 0 {
+		return 0, 0, false
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, r := range rows {
+		v := r[key]
+		if v.K != tuple.KindInt && v.K != tuple.KindDate || v.I < -1<<53 || v.I > 1<<53 {
+			return 0, 0, false
+		}
+		lo, hi = min(lo, v.I), max(hi, v.I)
+	}
+	n := int64(len(rows))
+	span = hi - lo + 1
+	return lo, span, 4*(span+n) <= n*int64(len(rows[0]))*int64(unsafe.Sizeof(tuple.Value{}))
 }
 
 // ---- Nested-loop join -----------------------------------------------------------

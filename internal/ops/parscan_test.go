@@ -915,3 +915,69 @@ func TestPanicQuarantineScanPartition(t *testing.T) {
 		}
 	}
 }
+
+// failingSource is a table's heap with one page that fails to pin.
+type failingSource struct {
+	heapSource
+	bad int64
+}
+
+var errFailingPage = errors.New("the page failed")
+
+func (c failingSource) pinPage(ord int64) (*buffer.Frame, *buffer.Layout, bool, error) {
+	if ord == c.bad {
+		return nil, nil, false, errFailingPage
+	}
+	return c.heapSource.pinPage(ord)
+}
+
+// A page that fails on either partition of a two-partition scan group ends
+// the whole group as a panic does: both attached consumers and run end with
+// the page's error, nothing is counted a panic, and the runtime closes.
+func TestFailedScanPartitionEndsTheGroup(t *testing.T) {
+	for _, part := range []int{0, 1} {
+		rt := newRT(t, 3000, parCfg(2))
+		carrier, _ := startBlockedScan(t, rt)
+		node := plan.NewTableScan("t", testSchema(), nil, nil, false)
+		heap := heapSource{f: rt.SM.MustTable("t").Heap}
+		s := newScanner(0, heap, true, 2, rt.SM.Pool.Capacity())
+		s.src = failingSource{heapSource: heap, bad: s.parts[part].lo + 1}
+		host, hostBuf := rt.NewInternalPacket(carrier.Root, node)
+		second, secondBuf := rt.NewInternalPacket(carrier.Root, node)
+		for _, pkt := range []*core.Packet{host, second} {
+			if why := s.attach(&scanConsumer{pkt: pkt}, false); !why.Shared() {
+				t.Fatal("attach refused")
+			}
+		}
+		run := make(chan error, 1)
+		go func() { run <- s.run(rt, host) }()
+		ends := make(chan error, 2)
+		for _, buf := range []*tbuf.Buffer{hostBuf, secondBuf} {
+			go func() {
+				_, err := buf.Drain()
+				ends <- err
+			}()
+		}
+		for _, ch := range []chan error{ends, ends, run} {
+			select {
+			case err := <-ch:
+				if !errors.Is(err, errFailingPage) {
+					t.Fatalf("partition %d failed: a consumer or run ended with %v, want the page's error", part, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("partition %d failed: a consumer or run still waiting after 10 s", part)
+			}
+		}
+		if n := rt.Stats().EngineStats[plan.OpTableScan].Panics; n != 0 {
+			t.Fatalf("partition %d failed: %d panics counted", part, n)
+		}
+		drainCount(t, carrier)
+		closed := make(chan struct{})
+		go func() { rt.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("partition %d failed: Close still blocked after 10 s", part)
+		}
+	}
+}

@@ -88,13 +88,24 @@ func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 // states[i] the accumulators of group i. A scalar aggregate is a table
 // without key: one group, of every row. A scan worker's partial of a fold
 // through a join whose keys are all build columns also remembers each build
-// row's group (ofBuild, -1 until first seen).
+// row's group (ofBuild, -1 until first seen); one of a fold whose one key is
+// a scanned column remembers the groups of the numbers it saw last, one a
+// slot of a small direct-mapped memo (pageKernel.memoized).
 type groupTable struct {
 	keys    []int
 	specs   []expr.AggSpec
 	groups  hashTable
 	states  [][]*expr.AggState
 	ofBuild []int32
+	memo    *[256]memoEntry
+}
+
+// memoEntry is a number, by its kind and raw bits, and its group. The zero
+// entry matches nothing: a vector's kind is never KindInvalid.
+type memoEntry struct {
+	bits  uint64
+	kind  tuple.Kind
+	group int32
 }
 
 func newGroupTable(keys []int, specs []expr.AggSpec) *groupTable {

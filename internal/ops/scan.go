@@ -178,9 +178,10 @@ func (s *scanner) attachSuffix(c *scanConsumer) (int64, core.ShareDecision) {
 // calling worker — the host packet's — drives partition 0 as the paper's
 // dedicated scanner thread; the remaining partitions fan out as sub-workers.
 // The group outlives its host query, which Fan's context allows for. A
-// partition that fails or panics fails the whole group
-// at once: every attached consumer completes with the error and every
-// partition exits.
+// partition that fails or panics fails the whole group at once, itself,
+// before Fan sees it: it ends the group, so every attached consumer completes
+// with the error (a panic as the *core.PanicError Fan makes of it) and every
+// other partition, parked or scanning, wakes to a done group and exits.
 func (s *scanner) run(rt *core.Runtime, host *core.Packet) error {
 	s.mu.Lock()
 	if len(s.consumers) == 0 {
@@ -190,24 +191,18 @@ func (s *scanner) run(rt *core.Runtime, host *core.Packet) error {
 		return nil
 	}
 	s.mu.Unlock()
-	err := rt.Fan(host, len(s.parts), func(ctx context.Context, k int) error {
-		if k > 0 {
-			return s.runPartition(k)
-		}
-		// Fan cancels ctx with the first failure, which end hands every
-		// consumer. Partition 0 returns nil only once the group has ended,
-		// when no partition is left to wake: the wake-up is dropped.
-		stop := context.AfterFunc(ctx, func() { s.end(context.Cause(ctx)) })
-		err := s.runPartition(0)
-		if err == nil {
-			stop()
-		}
-		return err
+	return rt.Fan(host, len(s.parts), func(_ context.Context, k int) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				s.end(&core.PanicError{Op: host.Node.Op(), Value: r})
+				panic(r)
+			}
+			if err != nil {
+				s.end(err)
+			}
+		}()
+		return s.runPartition(k)
 	})
-	if err != nil {
-		s.end(err)
-	}
-	return err
 }
 
 // hungryLocked reports whether any attached consumer still owes pages to

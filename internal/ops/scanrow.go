@@ -6,14 +6,18 @@
 // and unwritten, for all scans; each consumer then narrows a selection vector
 // of row numbers with one loop per `col op literal` conjunct, on the column's
 // vector or its bytes (and one more when a Top-N handed its bound over, and
-// one on one hash a row when a hash join handed its build keys over), runs
-// the rest of its filter on the survivors only, and has all of them carved
-// from the worker's arena at once and filled column by column — or, when the
-// consumer is an aggregate that handed its accumulators down, added to those
-// where they lie, an aggregate at a time over the whole selection.
+// one more when a hash join handed its build keys over: a key looked up in a
+// direct table of small integer keys, or one hash a row tested in a bitmap),
+// runs the rest of its filter on the survivors only, and has all of them
+// carved from the worker's arena at once and filled column by column — or,
+// when the consumer is an aggregate that handed its accumulators down, added
+// to those where they lie, an aggregate at a time over the whole selection,
+// each row's group found once per key value a worker has seen when the one
+// group key is a number column.
 package ops
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -110,7 +114,7 @@ type scanFold struct {
 	build *hashTable      // nil: the aggregate reads the scan itself
 	lkey  int             // the build rows' key column
 	width int             // and how many columns they have
-	probe *core.KeyFilter // the build keys' bitmap, with the probe key's table column
+	probe *core.KeyFilter // the build keys (buildKeys), with the probe key's table column
 
 	mu       sync.Mutex
 	partials []*groupTable // by scan partition
@@ -125,8 +129,11 @@ func (f *scanFold) partial(k int) *groupTable {
 	}
 	if f.partials[k] == nil {
 		gt := newGroupTable(f.keys, f.specs)
-		if f.build != nil && len(f.keys) > 0 && !slices.ContainsFunc(f.keys, func(c int) bool { return c >= f.width }) {
+		switch {
+		case f.build != nil && len(f.keys) > 0 && !slices.ContainsFunc(f.keys, func(c int) bool { return c >= f.width }):
 			gt.ofBuild = slices.Repeat([]int32{-1}, len(f.build.rows))
+		case len(f.keys) == 1 && f.keys[0] >= f.width:
+			gt.memo = new([256]memoEntry)
 		}
 		f.partials[k] = gt
 	}
@@ -145,10 +152,10 @@ func init() {
 
 // pageTask is one consumer's share of a page: what it wants of the rows
 // going in — built, or added to part when its aggregate handed fold down (keys
-// is then the fold's probe bitmap when the fold went through a join);
-// its batch, how many rows its join's keys excluded (by the bitmap or, in a
-// fold through the join, by the compare), how many its Top-N's bound did and
-// how many rows or pairs were folded, coming out.
+// is then the fold's probe keys when the fold went through a join);
+// its batch, how many rows its join's keys excluded (by the direct table, by
+// the bitmap or, in a fold through the join, by the compare), how many its
+// Top-N's bound did and how many rows or pairs were folded, coming out.
 type pageTask struct {
 	prog    *rowProgram
 	keys    *core.KeyFilter // nil: no join narrowed this consumer
@@ -164,12 +171,13 @@ type pageTask struct {
 // pageKernel is what one scanning goroutine owns to turn a page of encoded
 // rows into tuples: the pinned frame's bytes and layout, each column's number
 // vector (nil: none) and kind, the selection vector of the consumer being
-// served with a hash and, when it folds, a group a row (after its build row
-// through a join), a scratch row the residual predicates (in table columns)
-// and then the aggregate arguments (in the aggregate's input columns) read,
-// never published, and the arena kept rows are carved from. The arena lives across pages and consumers — a chunk
-// is garbage once no row carved from it is referenced — so a page costs no
-// allocation of its own.
+// served with a hash or a direct table's head entry and, when it folds, a
+// group a row (after its build row through a join) and the rows a group memo
+// missed, a scratch row the residual predicates (in table columns) and then
+// the aggregate arguments (in the aggregate's input columns) read, never
+// published, and the arena kept rows are carved from. The arena lives across
+// pages and consumers — a chunk is garbage once no row carved from it is
+// referenced — so a page costs no allocation of its own.
 type pageKernel struct {
 	buf     []byte   // the pinned frame
 	stride  int      // ncols + 1
@@ -182,6 +190,7 @@ type pageKernel struct {
 	pairs   []int32 // the probe row of each (probe row, build row) pair
 	builds  []int32 // and its build row
 	groups  []int32
+	misses  []int32 // indexes into the rows being grouped
 	scratch tuple.Tuple
 	arena   tuple.RowArena
 }
@@ -250,35 +259,46 @@ func (k *pageKernel) run(buf []byte, l *buffer.Layout, tasks []pageTask) {
 }
 
 // fold adds the loaded page's rows sel to t's partial table. Through a join
-// each row first becomes its (probe row, build row) pairs: the chain of the
-// key's hash — the one selected computed for the bitmap — is walked and the
-// key compared against each build row's, so duplicate build keys give several
-// pairs and a false positive of the bitmap none. Then each input row's group
+// each row first becomes its (probe row, build row) pairs, one for every build
+// row of its key, newest first as the join's chain has them: with a direct
+// table the chain of duplicates from the head entry selected left, every key
+// equal by construction; with a bitmap the chain of the key's hash — the one
+// selected computed — walked and the key compared against each build row's,
+// so a false positive of the bitmap gives none. Then each input row's group
 // is found — the key hashed in the aggregate's key order, a column at a time
 // (tuple.HashValue of a build column, k.hash of a scanned one: together
 // tuple.HashAt of the row the join would have built, so absorb merges partials
 // from pages and from rows) and compared (group) — once per build row when
-// every key is a build column (ofBuild) — and every aggregate is fed in a loop
-// of its own, from the side its argument lives on: a count (a scalar one adds
-// the selection's length), a build column's Value, the scanned column's vector
-// (the whole selection in one expr.AddNumbers) or encoded bytes, or an
-// expression on the scratch row. Input column c of a row is build column c
-// when c < wl, else table column out[c-wl]; without a build side wl is 0 and
-// the rows are sel.
+// every key is a build column (ofBuild), once per number a worker has seen
+// when the one key is a scanned column with a vector (memoized) — and every
+// aggregate is fed in a loop of its own, from the side its argument lives on:
+// a count (a scalar one adds the selection's length), a build column's Value,
+// the scanned column's vector (the whole selection in one expr.AddNumbers) or
+// encoded bytes, or an expression on the scratch row. Input column c of a row
+// is build column c when c < wl, else table column out[c-wl]; without a build
+// side wl is 0 and the rows are sel.
 func (k *pageKernel) fold(t *pageTask, sel []int32) {
 	f, part, out, wl := t.fold, t.part, t.prog.out, t.fold.width
 	rows, builds := sel, []int32(nil)
 	if f.build != nil {
 		rows, builds = k.pairs[:0], k.builds[:0]
-		for i, r := range sel {
-			h, n := k.hs[i], len(rows)
-			for b := f.build.first(h); b >= 0; b = f.build.after(b, h) {
-				if k.equal(r, f.probe.Col, f.build.rows[b][f.lkey]) {
-					rows, builds = append(rows, r), append(builds, int32(b))
+		if next := f.probe.Next; f.probe.Dense != nil {
+			for i, r := range sel {
+				for e := int32(k.hs[i]); e != 0; e = next[e-1] {
+					rows, builds = append(rows, r), append(builds, e-1)
 				}
 			}
-			if len(rows) == n {
-				t.skipped++
+		} else {
+			for i, r := range sel {
+				h, n := k.hs[i], len(rows)
+				for b := f.build.first(h); b >= 0; b = f.build.after(b, h) {
+					if k.equal(r, f.probe.Col, f.build.rows[b][f.lkey]) {
+						rows, builds = append(rows, r), append(builds, int32(b))
+					}
+				}
+				if len(rows) == n {
+					t.skipped++
+				}
 			}
 		}
 		if k.pairs, k.builds = rows, builds; len(rows) == 0 {
@@ -306,6 +326,8 @@ func (k *pageKernel) fold(t *pageTask, sel []int32) {
 			}
 			groups[i] = part.ofBuild[b]
 		}
+	case part.memo != nil && k.vecs[out[f.keys[0]-wl]] != nil:
+		k.memoized(t, groups, rows, out[f.keys[0]-wl])
 	default:
 		hs := k.seeded(len(rows))
 		for _, c := range f.keys {
@@ -390,6 +412,67 @@ next:
 	return int32(part.newGroup(h, key))
 }
 
+// memoized finds the group of each of rows, the one key being column col,
+// which has a vector, through t's partial's memo: a hit is one load and one
+// compare of the number's kind and bits. The misses, gathered in that loop,
+// are hashed in one loop and looked up as group would, comparing numbers
+// (numberGroup), and a number's group is remembered when its magnitude is
+// below 2^53. Every key of such a number's hash chain then has its value
+// exactly, tuple.Equal is an equivalence among them, and the lookup would
+// give the same answer again — unlike for an integer beyond, which equals a
+// FLOAT that equals its neighbour.
+func (k *pageKernel) memoized(t *pageTask, groups, rows []int32, col int) {
+	memo, kind, vec := t.part.memo, k.kinds[col], k.vecs[col]
+	if cap(k.misses) < len(rows) {
+		k.misses = make([]int32, len(rows))
+	}
+	if cap(k.hs) < len(rows) {
+		k.hs = make([]uint64, len(rows))
+	}
+	misses, n := k.misses[:len(rows)], 0
+	for i, r := range rows {
+		bits := vec[r]
+		e := &memo[memoSlot(bits)]
+		groups[i], misses[n] = e.group, int32(i)
+		if e.bits != bits || e.kind != kind {
+			n++
+		}
+	}
+	misses, hs := misses[:n], k.hs[:n]
+	for j, i := range misses {
+		hs[j] = tuple.HashNumber(tuple.HashSeed, kind, vec[rows[i]])
+	}
+	for j, i := range misses {
+		bits := vec[rows[i]]
+		g := numberGroup(t.part, hs[j], kind, bits)
+		x := float64(int64(bits))
+		if kind == tuple.KindFloat {
+			x = math.Float64frombits(bits)
+		}
+		if math.Abs(x) < 1<<53 {
+			memo[memoSlot(bits)] = memoEntry{bits: bits, kind: kind, group: g}
+		}
+		groups[i] = g
+	}
+}
+
+// numberGroup is group for a table whose one key is the number of kind k with
+// payload bits, which hashes to h.
+func numberGroup(gt *groupTable, h uint64, k tuple.Kind, bits uint64) int32 {
+	for g := gt.groups.first(h); g >= 0; g = gt.groups.after(g, h) {
+		if tuple.CompareNumber(k, bits, gt.groups.rows[g][0]) == 0 {
+			return int32(g)
+		}
+	}
+	key := make(tuple.Tuple, 1)
+	tuple.SetNumber(&key[0], k, bits)
+	return int32(gt.newGroup(h, key))
+}
+
+// memoSlot is the memo slot of a number's bits: their top byte after a
+// multiply by 2^64/φ, so that runs of small integers spread.
+func memoSlot(bits uint64) uint8 { return uint8(bits * 0x9e3779b97f4a7c15 >> 56) }
+
 // at returns row r of the loaded page from its column col on.
 func (k *pageKernel) at(r int32, col int) []byte {
 	return k.buf[k.offs[int(r)*k.stride+col]:]
@@ -441,10 +524,10 @@ func (k *pageKernel) hash(hs []uint64, rows []int32, col int) {
 
 // selected returns the numbers of the loaded page's rows that t's consumer
 // keeps — its Top-N's bound is one more comparison after its own — and, when
-// a join's keys narrowed it, leaves each kept row's key hash at the same
-// index of k.hs. The selection starts as everyRow, only read; each step
-// writes the rows it keeps to k.sel, in place from the second on: the write
-// index never passes the read index.
+// a join's keys narrowed it, leaves at the same index of k.hs each kept row's
+// head entry of the direct table or its key's hash. The selection starts as
+// everyRow, only read; each step writes the rows it keeps to k.sel, in place
+// from the second on: the write index never passes the read index.
 func (k *pageKernel) selected(t *pageTask) []int32 {
 	if len(k.sel) < k.nrows {
 		k.sel = make([]int32, k.nrows)
@@ -459,12 +542,17 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 		t.bounded = n - len(sel)
 	}
 	if f := t.keys; f != nil {
-		hs, n := k.seeded(len(sel)), 0
-		k.hash(hs, sel, f.Col)
-		for i, r := range sel {
-			bit := hs[i] >> f.Shift
-			k.sel[n], hs[n] = r, hs[i]
-			n += int(f.Bits[bit>>6] >> (bit & 63) & 1)
+		n := 0
+		if f.Dense != nil {
+			n = k.direct(f, sel)
+		} else {
+			hs := k.seeded(len(sel))
+			k.hash(hs, sel, f.Col)
+			for i, r := range sel {
+				bit := hs[i] >> f.Shift
+				k.sel[n], hs[n] = r, hs[i]
+				n += int(f.Bits[bit>>6] >> (bit & 63) & 1)
+			}
 		}
 		t.skipped, sel = len(sel)-n, k.sel[:n]
 	}
@@ -485,6 +573,68 @@ func (k *pageKernel) selected(t *pageTask) []int32 {
 		sel = k.sel[:n]
 	}
 	return sel
+}
+
+// direct writes to k.sel the rows of sel (k.sel itself or not) whose key has a
+// build row in f's direct table, and each one's head entry to k.hs, and
+// returns how many there are: from an INT or DATE vector one subtraction, one
+// bounds check and one load a row; from a FLOAT vector or the bytes, a number
+// looked up when it is integral (as tuple.CompareNumber has it, a FLOAT equals
+// an integer key within ±2^53 exactly then) and anything else kept out.
+func (k *pageKernel) direct(f *core.KeyFilter, sel []int32) int {
+	if cap(k.hs) < len(sel) {
+		k.hs = make([]uint64, len(sel))
+	}
+	hs, n := k.hs[:len(sel)], 0
+	if kind, vec := k.kinds[f.Col], k.vecs[f.Col]; vec != nil && kind != tuple.KindFloat {
+		for _, r := range sel {
+			e := int32(0)
+			if i := uint64(int64(vec[r]) - f.Base); i < uint64(len(f.Dense)) {
+				e = f.Dense[i]
+			}
+			k.sel[n], hs[n] = r, uint64(e)
+			if e != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, r := range sel {
+		var kind tuple.Kind
+		var bits uint64
+		if vec := k.vecs[f.Col]; vec != nil {
+			kind, bits = tuple.KindFloat, vec[r]
+		} else if b := k.at(r, f.Col); tuple.Kind(b[0]) != tuple.KindString {
+			kind, bits = tuple.Kind(b[0]), binary.LittleEndian.Uint64(b[1:])
+		}
+		e := denseEntry(f, kind, bits)
+		k.sel[n], hs[n] = r, uint64(e)
+		if e != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// denseEntry is f's direct-table entry of the number of kind k with payload
+// bits (0 for any other kind, a fractional FLOAT or a NaN).
+func denseEntry(f *core.KeyFilter, k tuple.Kind, bits uint64) int32 {
+	v := int64(bits)
+	switch k {
+	case tuple.KindFloat:
+		x := math.Float64frombits(bits)
+		if !(x >= -1<<53 && x <= 1<<53) || x != math.Trunc(x) {
+			return 0
+		}
+		v = int64(x)
+	case tuple.KindInt, tuple.KindDate:
+	default:
+		return 0
+	}
+	if i := uint64(v - f.Base); i < uint64(len(f.Dense)) {
+		return f.Dense[i]
+	}
+	return 0
 }
 
 // compare writes to sel the rows of from whose column c.col stands to the

@@ -17,10 +17,12 @@ import (
 // starts), one sub-benchmark a statement class of olap_hot, each on the
 // layouts as located (vectors) and with the vectors stripped (encoded): the
 // in-place comparisons alone (a filter no row passes), scan_agg's scalar fold,
-// the group-by fold, the fold through a hash join on cust grouped by a
-// scanned column and, join_groupby's shape, by a build column, and building
-// the rows a filter keeps. It reports ns/row, a row being one stored row of a
-// page.
+// the group-by fold, a fold grouped by oid (a group per row: its memo misses
+// on every row), the fold through a hash join on cust grouped by a scanned
+// column and, join_groupby's shape, by a build column — whose keys, a quarter
+// of cust's, take a direct table —, the same with one key far off, so that
+// the span takes the bitmap, and building the rows a filter keeps. It reports
+// ns/row, a row being one stored row of a page.
 //
 //	go test -run '^$' -bench BenchmarkPageKernel ./internal/ops/
 func BenchmarkPageKernel(b *testing.B) {
@@ -54,6 +56,7 @@ func BenchmarkPageKernel(b *testing.B) {
 	for cid := 0; cid < customers; cid += 4 {
 		build = append(build, tuple.Tuple{tuple.I64(int64(cid)), tuple.I64(1), tuple.F64(float64(cid % 500))})
 	}
+	sparse := append(append([]tuple.Tuple(nil), build...), tuple.Tuple{tuple.I64(1 << 40), tuple.I64(1), tuple.F64(0)})
 	count := expr.AggSpec{Kind: expr.AggCount}
 	classes := []struct {
 		name   string
@@ -69,6 +72,10 @@ func BenchmarkPageKernel(b *testing.B) {
 			f := &scanFold{keys: []int{0}, specs: []expr.AggSpec{count, {Kind: expr.AggAvg, Arg: expr.Col(1)}}}
 			return pageTask{prog: compileRowProgram(expr.EQ(expr.Col(3), expr.CInt(2)), []int{2, 4}, width), fold: f, part: f.partial(0)}
 		}},
+		{"fold-by-oid", nil, func() pageTask {
+			f := &scanFold{keys: []int{0}, specs: []expr.AggSpec{count, {Kind: expr.AggSum, Arg: expr.Col(1)}}}
+			return pageTask{prog: compileRowProgram(nil, []int{0, 4}, width), fold: f, part: f.partial(0)}
+		}},
 		{"fold-through-join", nil, func() pageTask {
 			f := &scanFold{keys: []int{3 + 1}, specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(3 + 2)}}}
 			joinedFold(f, build, 3, 0, 0, []int{1, 2, 4})
@@ -77,6 +84,11 @@ func BenchmarkPageKernel(b *testing.B) {
 		{"fold-through-join-by-build-key", nil, func() pageTask {
 			f := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(3 + 1)}}}
 			joinedFold(f, build, 3, 0, 0, []int{1, 4})
+			return pageTask{prog: compileRowProgram(nil, []int{1, 4}, width), fold: f, part: f.partial(0), keys: f.probe}
+		}},
+		{"fold-through-join-by-build-key-sparse", nil, func() pageTask {
+			f := &scanFold{keys: []int{1}, specs: []expr.AggSpec{{Kind: expr.AggSum, Arg: expr.Col(3 + 1)}}}
+			joinedFold(f, sparse, 3, 0, 0, []int{1, 4})
 			return pageTask{prog: compileRowProgram(nil, []int{1, 4}, width), fold: f, part: f.partial(0), keys: f.probe}
 		}},
 		{"build", expr.LT(expr.Col(4), expr.CInt(500)), nil},

@@ -20,8 +20,10 @@ import (
 // rows gives (for the consumer a Top-N bounds, filtering them by the bound
 // too, which leaves out exactly the rest of those its own comparison keeps),
 // for the consumer that folds, its partial merged equal to
-// aggregating those, and for the one that folds through a build table, to
-// aggregating what probeTable makes of those — or a typed error with no
+// aggregating those, and for the two that fold through a build table — one of
+// keys of every kind, which the join hands down as a bitmap, one of INT and
+// DATE keys, which it hands down as a direct table —, to aggregating what
+// probeTable makes of those — or a typed error with no
 // consumer handed anything and no layout published: never a panic, an
 // out-of-range slice, a half-built row or a half-folded page.
 func FuzzScanPageBytes(f *testing.F) {
@@ -76,6 +78,10 @@ func FuzzScanPageBytes(f *testing.F) {
 	// FLOAT literal: a FLOAT vector, an INT vector, or the bytes of any kind.
 	filters, projects = append(filters, expr.AndOf(filters[1], fuzzBound)), append(projects, []int{1, 2})
 
+	// And the eighth the sixth's rows, joined the same way with a build side
+	// of INT and DATE keys.
+	filters, projects = append(filters, filters[5]), append(projects, projects[5])
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return // a device has no blocks of no bytes (page.FuzzLocate has them)
@@ -94,10 +100,12 @@ func FuzzScanPageBytes(f *testing.F) {
 var fuzzBound = expr.GE(expr.Col(1), expr.CFloat(1))
 
 // The sixth consumer's join and aggregation, in build columns (key, tag) then
-// the scan's output columns.
+// the scan's output columns; the eighth's are the same over fuzzIntBuild.
 var (
 	fuzzBuild = []tuple.Tuple{{tuple.F64(3), tuple.Str("three")}, {tuple.I64(4), tuple.Str("four")}, {tuple.I64(3), tuple.Str("again")},
 		{tuple.Str("s1"), tuple.Str("text")}, {tuple.Date(19001), tuple.Str("date")}, {tuple.F64(0.5), tuple.Str("half")}}
+	fuzzIntBuild = []tuple.Tuple{{tuple.I64(3), tuple.Str("three")}, {tuple.I64(4), tuple.Str("four")}, {tuple.I64(3), tuple.Str("again")},
+		{tuple.Date(1), tuple.Str("date")}, {tuple.I64(-2), tuple.Str("negative")}}
 	fuzzJoinKeys  = []int{1, 2 + 1}
 	fuzzJoinSpecs = []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(2 + 2)}, {Kind: expr.AggMin, Arg: expr.Col(0)},
 		{Kind: expr.AggMax, Arg: expr.Add(expr.Col(0), expr.Col(2+2))}, {Kind: expr.AggAvg, Arg: expr.Col(2 + 0)}}
@@ -114,6 +122,12 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 		joined := &scanFold{keys: fuzzJoinKeys, specs: fuzzJoinSpecs}
 		joinedFold(joined, fuzzBuild, 2, 0, 0, projects[5])
 		progs[5].fold, progs[5].part, progs[5].keys = joined, joined.partial(0), joined.probe
+		direct := &scanFold{keys: fuzzJoinKeys, specs: fuzzJoinSpecs}
+		joinedFold(direct, fuzzIntBuild, 2, 0, 0, projects[7])
+		if joined.probe.Dense != nil || direct.probe.Dense == nil {
+			t.Fatal("the build side of every kind took a direct table, or the one of INTs and DATEs did not")
+		}
+		progs[7].fold, progs[7].part, progs[7].keys = direct, direct.partial(0), direct.probe
 		bound := colCmp(1, fuzzBound.Op, fuzzBound.R.(*expr.Const).V)
 		progs[6].prog, progs[6].bound = compileRowProgram(filters[1], projects[6], width), &bound
 		fresh, err := buildPage(from, 0, newPageKernel(width), progs)
@@ -132,7 +146,7 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 					t.Fatalf("consumer %d was handed %d rows of a page that failed: %v", i, len(out), err)
 				}
 			}
-			if n := len(progs[4].part.states) + len(progs[5].part.states); n != 0 {
+			if n := len(progs[4].part.states) + len(progs[5].part.states) + len(progs[7].part.states); n != 0 {
 				t.Fatalf("%d groups were folded from a page that failed: %v", n, err)
 			}
 			if n := src.f.Pool().Stats().Layouts; n != 0 {
@@ -160,10 +174,13 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 				}
 				want = append(want, r)
 			}
-			if i == 4 || i == 5 {
+			if i == 4 || i == 5 || i == 7 {
 				keys, specs := keys, specs
-				if i == 5 {
+				switch i {
+				case 5:
 					keys, specs, want = fuzzJoinKeys, fuzzJoinSpecs, probed(t, joined.build, 0, 0, want)
+				case 7:
+					keys, specs, want = fuzzJoinKeys, fuzzJoinSpecs, probed(t, direct.build, 0, 0, want)
 				}
 				merged, added := newGroupTable(keys, specs), newGroupTable(keys, specs)
 				merged.absorb(progs[i].part)
@@ -187,6 +204,6 @@ func fuzzVisit(t *testing.T, src heapSource, from pageSource, raw []byte, warm b
 				}
 			}
 		}
-		return fmt.Sprintf("%#v %v %v %#v", outs[:4], groupRows(progs[4].part), groupRows(progs[5].part), outs[6])
+		return fmt.Sprintf("%#v %v %v %#v %v", outs[:4], groupRows(progs[4].part), groupRows(progs[5].part), outs[6], groupRows(progs[7].part))
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"qpipe/internal/core"
 	"qpipe/internal/core/tbuf"
@@ -381,7 +383,7 @@ func joinedFold(fold *scanFold, rows []tuple.Tuple, width, lkey, rkey int, proje
 	if project != nil {
 		col = project[rkey]
 	}
-	fold.build, fold.lkey, fold.width, fold.probe = build, lkey, width, buildKeys(build, col)
+	fold.build, fold.lkey, fold.width, fold.probe = build, lkey, width, buildKeys(build, lkey, col)
 }
 
 // probed is what the hash join makes of probe rows ts that reach it as rows:
@@ -439,6 +441,28 @@ func TestPageKernelFold(t *testing.T) {
 	for i, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1e308, 1e308, -1e308, 0.1, 0.2, -0.3, 1e-300} {
 		special[i] = tuple.Tuple{I(int64(i % 4)), F(f), S("")}
 	}
+	// Keys for a direct table: an INT with negatives, a DATE, a FLOAT of
+	// integral and fractional values.
+	ints := make([]tuple.Tuple, 30)
+	for i := range ints {
+		ints[i] = tuple.Tuple{I(int64(i - 10)), D(int64(i % 8)), F(float64(i) / 4)}
+	}
+	// Numbers at and around ±2^53, as INTs and as FLOATs.
+	const p53 = 1 << 53
+	edges := []tuple.Tuple{{I(p53 - 1), F(p53 - 2)}, {I(p53), F(p53)}, {I(p53 + 1), F(p53 + 2)}, {I(-p53), F(-p53)}, {I(-p53 - 1), F(p53 - 1)}, {I(0), F(0.5)}}
+	// The span of two build rows of one column that a direct table may take,
+	// and one step past it.
+	span := int64(2*unsafe.Sizeof(tuple.Value{})/4 - 2)
+	// Two keys that share a slot of the memo, the first's value twice as a
+	// NaN (two payloads) and as -0 and +0.
+	shared := uint64(1)
+	for memoSlot(shared) != memoSlot(0) {
+		shared++
+	}
+	slotMates := make([]tuple.Tuple, 24)
+	for i := range slotMates {
+		slotMates[i] = tuple.Tuple{I([]int64{0, int64(shared)}[i%2]), F([]float64{math.NaN(), 1, math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), 0, 1}[i%6]), I(int64(i))}
+	}
 
 	type foldCase struct {
 		name    string
@@ -477,6 +501,10 @@ func TestPageKernelFold(t *testing.T) {
 		{"no survivor, scalar", 5, rows, nil, expr.LT(expr.Col(0), expr.CInt(-1)), nil, nil, everyKind(2)},
 		{"one group per row", 5, rows, []int{35}, nil, nil, []int{0}, everyKind(4)},
 		{"-0 and +0 keys: one group", 3, zeros, nil, nil, nil, []int{0, 2}, append(everyKind(0), everyKind(1)...)},
+		{"memo: two keys of one slot", 3, slotMates, nil, nil, nil, []int{0}, everyKind(2)},
+		{"memo: NaNs of two payloads, -0 and +0", 3, slotMates, nil, nil, nil, []int{1}, everyKind(2)},
+		{"memo: -0 and +0 alone", 3, zeros, nil, nil, nil, []int{0}, everyKind(1)},
+		{"memo: numbers at and around 2^53", 2, edges, nil, nil, nil, []int{1}, everyKind(0)},
 	}
 	// (key, label, w): the keys 0 as an INT and 1 as a FLOAT meet the scan's
 	// INT/FLOAT/DATE mix; its 2 has no build row, 5 no scanned one.
@@ -504,9 +532,37 @@ func TestPageKernelFold(t *testing.T) {
 		{foldCase{"no row has a build key", 5, rows, nil, nil, nil, []int{1}, everyKind(3)}, []tuple.Tuple{{I(77), S("x"), F(1)}}, 3, 0, 0},
 		{foldCase{"empty build side", 5, rows, nil, nil, nil, []int{3 + 4}, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
 		{foldCase{"empty build side, scalar", 5, rows, nil, nil, nil, nil, everyKind(3 + 2)}, []tuple.Tuple{}, 3, 0, 1},
+		// Direct tables: their keys are INTs or DATEs within ±2^53 over a short span.
+		{foldCase{"direct: INT keys with duplicates and negatives", 3, ints, nil, nil, nil, []int{1, 3 + 1}, everyKind(3 + 2)},
+			[]tuple.Tuple{{I(-3), S("m3"), F(1)}, {I(0), S("zero"), F(2)}, {I(2), S("two"), F(3)}, {I(0), S("again"), F(4)}, {I(-1), S("m1"), F(5)}, {I(25), S("none"), F(6)}}, 3, 0, 0},
+		{foldCase{"direct: DATE keys probed by an INT vector", 3, ints, []int{12}, expr.GT(expr.Col(2), expr.CFloat(1)), []int{0, 2}, []int{2 + 0}, everyKind(2 + 1)},
+			[]tuple.Tuple{{D(3), S("d3")}, {D(7), S("d7")}, {D(3), S("again")}, {D(40), S("none")}}, 2, 0, 0},
+		{foldCase{"direct: INT keys probed by a DATE vector, grouped by the probe key", 3, ints, nil, nil, []int{1, 2}, []int{2 + 0}, everyKind(2 + 1)},
+			[]tuple.Tuple{{I(2), S("two")}, {I(5), S("five")}, {I(5), S("again")}}, 2, 0, 0},
+		{foldCase{"direct: a FLOAT probe vector of integral and fractional values", 3, ints, nil, nil, []int{2, 0}, []int{1 + 1}, everyKind(0)},
+			[]tuple.Tuple{{I(0)}, {I(1)}, {I(3)}, {I(7)}, {I(1)}}, 1, 0, 0},
+		{foldCase{"direct: a FLOAT probe vector of NaN, infinities, -0 and huge values", 3, special, nil, nil, nil, []int{1 + 1}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(0)}, {I(1)}, {I(-1)}}, 1, 0, 1},
+		{foldCase{"direct: the span at its bound", 3, ints, nil, nil, nil, []int{1 + 0}, everyKind(1 + 2)},
+			[]tuple.Tuple{{I(0)}, {I(span - 1)}}, 1, 0, 0},
+		{foldCase{"bitmap: the span one step past its bound", 3, ints, nil, nil, nil, []int{1 + 0}, everyKind(1 + 2)},
+			[]tuple.Tuple{{I(0)}, {I(span)}}, 1, 0, 0},
+		{foldCase{"direct: INT keys at 2^53 probed by INTs around it", 2, edges, nil, nil, nil, []int{1 + 1}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(p53 - 1)}, {I(p53)}}, 1, 0, 0},
+		{foldCase{"direct: INT keys at 2^53 probed by FLOATs around it", 2, edges, nil, nil, nil, []int{1 + 0}, everyKind(1 + 1)},
+			[]tuple.Tuple{{I(p53 - 1)}, {I(p53)}}, 1, 0, 1},
+		{foldCase{"direct: INT keys at -2^53", 2, edges, nil, nil, nil, []int{1 + 1}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(-p53)}, {I(-p53 + 1)}}, 1, 0, 0},
+		{foldCase{"bitmap: INT keys at -2^53 and 2^53", 2, edges, nil, nil, nil, []int{1 + 1}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(-p53)}, {I(p53)}}, 1, 0, 0},
+		{foldCase{"bitmap: an INT key one past 2^53", 2, edges, nil, nil, nil, []int{1 + 1}, everyKind(1 + 0)},
+			[]tuple.Tuple{{I(p53 + 1)}, {I(p53)}}, 1, 0, 0},
 	}
 	for _, c := range plain {
 		cases = append(cases, joinCase{foldCase: c})
+	}
+	direct := func(c joinCase) bool {
+		return strings.HasPrefix(c.name, "direct:") || c.name == "no row has a build key"
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -519,6 +575,15 @@ func TestPageKernelFold(t *testing.T) {
 					joinedFold(fold, c.build, c.bw, c.lkey, c.rkey, c.project)
 				}
 				tasks[1].fold, tasks[1].part, tasks[1].keys = fold, fold.partial(0), fold.probe
+				if c.build != nil && (fold.probe.Dense != nil) != direct(c) {
+					t.Fatalf("the build side took a direct table: %v", fold.probe.Dense != nil)
+				}
+				// A direct table narrows the third consumer to exactly the rows
+				// that join.
+				exact := c.build != nil && direct(c)
+				if exact {
+					tasks[2].keys = fold.probe
+				}
 				if err := runLocated(raw, c.width, tasks, vectors); err != nil {
 					t.Fatal(err)
 				}
@@ -527,8 +592,8 @@ func TestPageKernelFold(t *testing.T) {
 				fed, unmatched := tasks[0].out, 0
 				if c.build != nil {
 					fed = probed(t, fold.build, c.lkey, c.rkey, tasks[0].out)
-					for _, r := range tasks[0].out {
-						if !slices.ContainsFunc(c.build, func(b tuple.Tuple) bool { return tuple.Equal(b[c.lkey], r[c.rkey]) }) {
+					for _, r := range tasks[0].out { // (a NaN is Equal to every number, yet joins none)
+						if len(probed(t, fold.build, c.lkey, c.rkey, []tuple.Tuple{r})) == 0 {
 							unmatched++
 						}
 					}
@@ -554,7 +619,10 @@ func TestPageKernelFold(t *testing.T) {
 				if tasks[1].out != nil || tasks[1].folded != len(fed) || tasks[1].skipped != unmatched {
 					t.Fatalf("the folding consumer was handed %d rows, folded %d of %d and left out %d of %d", len(tasks[1].out), tasks[1].folded, len(fed), tasks[1].skipped, unmatched)
 				}
-				if len(tasks[2].out) != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
+				if exact && (len(probed(t, fold.build, c.lkey, c.rkey, tasks[2].out)) != len(fed) || tasks[2].skipped != unmatched) {
+					t.Fatalf("narrowed by the direct table: %d rows kept, %d skipped, want the %d that join", len(tasks[2].out), tasks[2].skipped, len(tasks[0].out)-unmatched)
+				}
+				if !exact && len(tasks[2].out) != len(tasks[0].out) || exact && len(tasks[2].out)+unmatched != len(tasks[0].out) || tasks[0].folded+tasks[2].folded != 0 {
 					t.Fatalf("the consumers beside it: %d and %d rows, %d folded", len(tasks[0].out), len(tasks[2].out), tasks[0].folded+tasks[2].folded)
 				}
 				if len(fold.partials) != 1 || fold.partials[0] != tasks[1].part {
@@ -568,6 +636,60 @@ func TestPageKernelFold(t *testing.T) {
 		})
 	}
 	t.Run("through a join by a build column, over pages of two partitions", foldByBuildKeyAcrossPages)
+	t.Run("memo: INTs and FLOATs of one value on different pages", foldMemoAcrossPages)
+}
+
+// foldMemoAcrossPages is TestPageKernelFold's case of one partial grouped by
+// one scanned column over several pages, each a vector of its own kind: an
+// INT and a FLOAT of one value are one group whichever page the memo first
+// saw it on, and an INT beyond 2^53 — which a FLOAT equals, as the FLOAT
+// equals the INT's neighbour — joins the group group would find for it, not
+// one the memo remembered. On the vectors and on the bytes the partial is
+// what groupTable.add makes of the same rows.
+func foldMemoAcrossPages(t *testing.T) {
+	I, F := tuple.I64, tuple.F64
+	pages := [][]tuple.Tuple{
+		{{I(1), I(10)}, {I(2), I(20)}, {I(1 << 60), I(1)}, {I(3), I(30)}},
+		{{F(1), I(11)}, {F(2.5), I(25)}, {F(1 << 60), I(2)}, {F(3), I(31)}},
+		{{I(1<<60 + 1), I(3)}, {I(2), I(21)}, {I(-3), I(-30)}},
+		{{F(1 << 60), I(4)}, {F(2), I(22)}, {F(-3), I(-31)}, {F(math.Copysign(0, -1)), I(0)}},
+	}
+	keys, specs := []int{0}, []expr.AggSpec{{Kind: expr.AggCount}, {Kind: expr.AggSum, Arg: expr.Col(1)}, {Kind: expr.AggMin, Arg: expr.Col(1)}}
+	var runs []string
+	for _, vectors := range []bool{true, false} {
+		fold := &scanFold{keys: keys, specs: specs}
+		part := fold.partial(0)
+		if part.memo == nil {
+			t.Fatal("a partial grouped by one scanned column keeps no memo")
+		}
+		want := newGroupTable(keys, specs)
+		k := newPageKernel(2)
+		for _, rows := range pages {
+			raw := pageOf(t, rows)
+			if cols := vectorCols(t, raw, 2); !slices.Contains(cols, 0) {
+				t.Fatalf("the key column of %v has no vector", rows)
+			}
+			l, err := page.Locate(raw, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vectors {
+				l = stripped(l)
+			}
+			k.run(raw, l, []pageTask{{prog: compileRowProgram(nil, nil, 2), fold: fold, part: part}})
+			for _, r := range rows {
+				want.add(r)
+			}
+		}
+		got, added := groupRows(part), groupRows(want)
+		if !slices.Equal(got, added) {
+			t.Fatalf("vectors %v: folded over the pages\n%v\nadded row by row\n%v", vectors, got, added)
+		}
+		runs = append(runs, fmt.Sprint(got))
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("folded on vectors %s, on the bytes %s", runs[0], runs[1])
+	}
 }
 
 // foldByBuildKeyAcrossPages is TestPageKernelFold's case of a fold through a

@@ -786,3 +786,127 @@ func TestFoldedAggregateBesideAWriter(t *testing.T) {
 		t.Errorf("no aggregate handed its accumulators to its scan %v: the test did not exercise the mechanism", st.HandOvers)
 	}
 }
+
+// skKeyShapes makes fact (k INT, kf FLOAT, big INT, bigf FLOAT, g INT,
+// v FLOAT) of 3 000 rows — keys from -10 to 29, as INTs and as halves; numbers
+// at and around ±2^53, as INTs and as FLOATs — beside small build sides of
+// each shape of join key: INTs with negatives, each key twice (dints); DATEs
+// (ddates); INTs too far apart for a direct table (dsparse); INTs at 2^53
+// (dedge); and INTs at -2^53 and 2^53 (dwide).
+func skKeyShapes(t *testing.T) *qpipe.DB {
+	t.Helper()
+	db, err := qpipe.Open(qpipe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Close)
+	ctx := context.Background()
+	if _, err := db.Exec(ctx, `CREATE TABLE fact (k INT, kf FLOAT, big INT, bigf FLOAT, g INT, v FLOAT);
+		CREATE TABLE dints (k INT, tag INT); CREATE TABLE ddates (k DATE, tag INT); CREATE TABLE dsparse (k INT, tag INT);
+		CREATE TABLE dedge (k INT, tag INT); CREATE TABLE dwide (k INT, tag INT)`); err != nil {
+		t.Fatal(err)
+	}
+	const p53 = 1 << 53
+	fact := make([]qpipe.Row, 3000)
+	for i := range fact {
+		fact[i] = qpipe.R(i%40-10, float64(i%80)/2, []int64{p53 - 2, p53 - 1, p53, p53 + 1, -p53, -p53 - 1}[i%6],
+			[]float64{p53 - 2, p53 - 1, p53, p53 + 2, -p53, 0.5}[i%6], i%7, float64(i%13)/4)
+	}
+	var dints []qpipe.Row
+	for i, k := range []int{-3, 0, 2, 25, -1} {
+		dints = append(dints, qpipe.R(k, i), qpipe.R(k, 10+i))
+	}
+	tables := map[string][]qpipe.Row{
+		"fact": fact, "dints": dints,
+		"ddates":  {{qpipe.DateValue(3), qpipe.IntValue(1)}, {qpipe.DateValue(7), qpipe.IntValue(2)}, {qpipe.DateValue(-2), qpipe.IntValue(3)}},
+		"dsparse": {qpipe.R(0, 1), qpipe.R(5, 2), qpipe.R(1<<40, 3)},
+		"dedge":   {qpipe.R(p53-1, 1), qpipe.R(p53, 2)},
+		"dwide":   {qpipe.R(-p53, 1), qpipe.R(p53, 2)},
+	}
+	for name, rows := range tables {
+		if err := db.Load(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Exec(ctx, "ANALYZE"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestJoinKeyShapes: a hash join hands its probe scan its build keys as a
+// direct table when they are INTs or DATEs within ±2^53 over a short span, and
+// as a bitmap otherwise, and an aggregate's fold through the join finds its
+// pairs by either. For each shape of key — duplicates and negatives, DATE
+// keys probed by INTs, FLOAT probes of integral and fractional values, a span
+// too wide, numbers at ±2^53 — the join read by a projection, the aggregate
+// over it grouped by a build column and by a probe column, and plain
+// aggregates of the probe table grouped by an INT and by a FLOAT, at
+// parallelism 1 and 4, answer as the iterator engine does; the join hands
+// down the form the shape calls for; every row of fact is left out, built or
+// folded once for each build row of its key; and the statement's hand-overs
+// end as they always did.
+func TestJoinKeyShapes(t *testing.T) {
+	db := skKeyShapes(t)
+	const facts = 3000
+	installed, late := skReasons{core.HandOverInstalled: 1}, skReasons{core.HandOverInstalled: 1, core.HandOverLate: 1}
+	// check runs text and holds it to the iterator engine, to the hand-overs it
+	// may have and, when it folds (a fold installed and not late), to having
+	// added pairs up.
+	check := func(how, text string, par int, dup int64, folds bool, may ...skReasons) *qpipe.Result {
+		t.Helper()
+		got, res := skAnswer(t, db, text, qpipe.WithParallelism(par))
+		if want := skVolcano(t, db, cpPlan(t, db, text)); !equalRows(got, want) || len(got) == 0 {
+			t.Errorf("%s: %s: %v, the iterator engine has %v", how, text, got, want)
+		}
+		outcome := skHandOvers(t, how+": "+text, res, may...)
+		unbuilt, added, built := res.Stats().KeyFilterRows.Load(), res.Stats().FoldedRows.Load(), skPacket(res, -1).Out.Produced()
+		if folded := folds && maps.Equal(outcome, installed); folded != (added > 0) {
+			t.Errorf("%s: %s: %v, %d pairs added up", how, text, outcome, added)
+		}
+		if added%dup != 0 || unbuilt+added/dup+built != facts {
+			t.Errorf("%s: %s: %d rows left out, %d pairs added up (%d a row), %d built: want the %d rows of fact between them", how, text, unbuilt, added, dup, built, facts)
+		}
+		return res
+	}
+	for _, c := range []struct {
+		name, dim, probe string
+		direct           bool
+		dup              int64 // build rows of every key a probe row matches
+	}{
+		{"INT keys, each twice, negatives among them", "dints", "k", true, 2},
+		{"DATE keys probed by INTs", "ddates", "k", true, 1},
+		{"INT keys probed by FLOATs, integral and fractional", "dints", "kf", true, 2},
+		{"INT keys over a span too wide", "dsparse", "k", false, 1},
+		{"INT keys at 2^53 probed by INTs around it", "dedge", "big", true, 1},
+		{"INT keys at 2^53 probed by FLOATs around it", "dedge", "bigf", true, 1},
+		{"INT keys at -2^53 and 2^53", "dwide", "big", false, 1},
+	} {
+		join := fmt.Sprintf("SELECT d.tag, f.v FROM %s d JOIN fact f ON d.k = f.%s", c.dim, c.probe)
+		if side := apBuildSide(cpPlan(t, db, join)); side != c.dim {
+			t.Fatalf("%s: the join builds on %s", c.name, side)
+		}
+		for _, par := range []int{1, 4} {
+			how := fmt.Sprintf("P=%d, %s", par, c.name)
+			res := check(how, join, par, 1, false, installed)
+			if keys, _ := skPacket(res, -1).Handed().(*core.KeyFilter); keys == nil || (keys.Dense != nil) != c.direct {
+				t.Errorf("%s: the probe scan was handed %#v, want a direct table: %v", how, keys, c.direct)
+			}
+			for _, text := range []string{
+				fmt.Sprintf("SELECT d.tag, count(*) AS n, sum(f.v) AS s, min(f.g) AS m FROM %s d JOIN fact f ON d.k = f.%s GROUP BY d.tag", c.dim, c.probe),
+				fmt.Sprintf("SELECT f.g, count(*) AS n, sum(f.v) AS s, max(d.tag) AS m FROM %s d JOIN fact f ON d.k = f.%s GROUP BY f.g", c.dim, c.probe),
+			} {
+				check(how, text, par, c.dup, true, installed, late)
+			}
+		}
+	}
+	for _, par := range []int{1, 4} {
+		for _, text := range []string{
+			"SELECT g, count(*) AS n, sum(v) AS s FROM fact GROUP BY g",
+			"SELECT kf, count(*) AS n, sum(v) AS s FROM fact GROUP BY kf",
+			"SELECT bigf, count(*) AS n, min(big) AS m FROM fact GROUP BY bigf",
+		} {
+			check(fmt.Sprintf("P=%d", par), text, par, 1, true, installed)
+		}
+	}
+}
